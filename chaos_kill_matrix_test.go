@@ -1,7 +1,9 @@
 // Chaos kill-matrix: the consumer-level proof that distributed execution
 // keeps the repo's headline promise under failure. For surface-code and
-// readout Monte-Carlo jobs, at engine worker counts 1 and 4, the merged JSON
-// result body must be BYTE-IDENTICAL across four fleet shapes:
+// readout Monte-Carlo jobs at engine worker counts 1 and 4, a pauli.mc job
+// that stops early on its convergence guard, and a surface.mc job whose
+// budget lies below the default convergence floor, the merged JSON result
+// body must be BYTE-IDENTICAL across four fleet shapes:
 //
 //	standalone            — no coordinator, the plain in-process path
 //	healthy fleet         — 3 HTTP workers, no faults
@@ -36,12 +38,16 @@ import (
 	"qisim/internal/dist"
 	"qisim/internal/jobs"
 	"qisim/internal/service"
+	"qisim/internal/simrun"
 )
 
-// chaosJob is one (kind, engine-workers) cell of the matrix.
+// chaosJob is one cell of the matrix.
 type chaosJob struct {
 	name string
 	body string // POST /v1/jobs payload
+	// converged marks a job that stops on its convergence guard before
+	// spending its budget.
+	converged bool
 }
 
 func chaosMatrix() []chaosJob {
@@ -58,7 +64,17 @@ func chaosMatrix() []chaosJob {
 			},
 		)
 	}
-	return out
+	return append(out,
+		chaosJob{
+			name:      "pauli.mc/rel-se-converged",
+			body:      `{"kind":"pauli.mc","params":{"qasm":"qreg q[3]; creg c[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2]; measure q[0]->c[0]; measure q[1]->c[1]; measure q[2]->c[2];","shots":3000,"shard_size":128,"seed":5,"rel_se":0.5}}`,
+			converged: true,
+		},
+		chaosJob{
+			name: "surface.mc/below-convergence-floor",
+			body: `{"kind":"surface.mc","params":{"distance":3,"shots":500,"shard_size":64,"seed":11,"rel_se":0.1}}`,
+		},
+	)
 }
 
 // chaosServer builds, starts and tears down one service server + HTTP stack.
@@ -205,8 +221,16 @@ func TestChaosKillMatrix(t *testing.T) {
 		t.Run(job.name, func(t *testing.T) {
 			_, solo := chaosServer(t, service.Config{Workers: 2})
 			want := chaosRun(t, solo.URL, job.body)
-			if len(want) == 0 {
-				t.Fatal("standalone run produced no body")
+			var env struct {
+				Result struct {
+					Status simrun.Status `json:"status"`
+				} `json:"result"`
+			}
+			if err := json.Unmarshal(want, &env); err != nil {
+				t.Fatalf("standalone body: %v", err)
+			}
+			if env.Result.Status.Converged != job.converged {
+				t.Fatalf("standalone status %+v, want converged=%v", env.Result.Status, job.converged)
 			}
 
 			t.Run("healthy-fleet", func(t *testing.T) {

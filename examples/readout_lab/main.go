@@ -6,20 +6,28 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"os"
 
 	"qisim/internal/jpm"
 	"qisim/internal/readout"
+	"qisim/internal/simrun"
 )
 
 func main() {
+	ctx := context.Background()
 	c, tm := readout.DefaultChain(), readout.DefaultTiming()
 
 	fmt.Println("CMOS dispersive readout (Fig. 19):")
 	fmt.Printf("  %-22s %12s %10s\n", "method", "error", "time")
 	fmt.Printf("  %-22s %12.3g %7.0f ns\n", "bin counting", readout.BinCountingError(c, tm, 8), tm.TotalTime(8)*1e9)
 	fmt.Printf("  %-22s %12.3g %7.0f ns\n", "single point", readout.SinglePointError(c, tm, 8), tm.TotalTime(8)*1e9)
-	mr := readout.MultiRoundError(c, tm, readout.DefaultMultiRoundConfig())
+	mr, err := readout.MultiRoundErrorCtx(ctx, c, tm, readout.DefaultMultiRoundConfig(), simrun.Options{})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "readout_lab: %v\n", err)
+		os.Exit(1)
+	}
 	fmt.Printf("  %-22s %12.3g %7.0f ns (mean; %.1f%% faster)\n", "multi-round (Opt-#7)", mr.Error, mr.MeanTime*1e9, 100*mr.Speedup)
 
 	fmt.Println("\nerror vs integration time (bin counting):")
@@ -28,7 +36,11 @@ func main() {
 	}
 
 	fmt.Println("\nphysics-level cross-check (full cavity trajectories):")
-	tr := readout.TrajectoryMC(readout.DefaultTrajectoryConfig(), c)
+	tr, err := readout.TrajectoryMCCtx(ctx, readout.DefaultTrajectoryConfig(), c, simrun.Options{})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "readout_lab: %v\n", err)
+		os.Exit(1)
+	}
 	fmt.Printf("  bin %.3g, single %.3g, pointer separation %.2f\n", tr.BinError, tr.SingleError, tr.Separation)
 
 	fmt.Println("\nSFQ/JPM readout pipeline (Fig. 15 / Opt-#3, Opt-#8):")

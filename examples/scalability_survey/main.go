@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"os"
 
 	"qisim/internal/microarch"
 	"qisim/internal/scalability"
@@ -14,8 +16,13 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	opt := scalability.DefaultOptions()
-	as := scalability.AnalyzeAll(opt)
+	as, _, err := scalability.AnalyzeAllCtx(ctx, opt)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "scalability_survey: %v\n", err)
+		os.Exit(1)
+	}
 	fmt.Print(scalability.Table(as))
 	fmt.Println()
 
@@ -25,9 +32,13 @@ func main() {
 		fmt.Printf("%s — limit %.0f qubits (%s)\n", d.Name, a.MaxQubits, a.Binding)
 		n := int(a.MaxQubits)
 		counts := []int{n / 4, n / 2, n, n * 2}
-		pts := scalability.Sweep(d, counts, opt)
+		sw, err := scalability.SweepCtx(ctx, d, counts, opt)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "scalability_survey: %v\n", err)
+			os.Exit(1)
+		}
 		fmt.Printf("  %10s %8s %8s %8s %12s %12s %9s\n", "qubits", "4K", "100mK", "20mK", "p_L", "target", "feasible")
-		for _, p := range pts {
+		for _, p := range sw.Points {
 			fmt.Printf("  %10d %7.1f%% %7.1f%% %7.1f%% %12.3g %12.3g %9v\n",
 				p.Qubits,
 				100*p.Utilization[wiring.Stage4K],

@@ -7,12 +7,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
 	"qisim/internal/compile"
 	"qisim/internal/cyclesim"
 	"qisim/internal/pauli"
+	"qisim/internal/simrun"
 	"qisim/internal/validate"
 	"qisim/internal/workloads"
 )
@@ -59,6 +61,10 @@ func main() {
 	cfg := pauli.DefaultConfig(rates)
 	esp := pauli.ESP(res, cfg)
 	cfg.Shots = 20000
-	mc := pauli.MonteCarlo(res, cfg)
-	fmt.Printf("  fidelity: analytic ESP %.4f, Monte-Carlo %.4f\n", esp, mc)
+	mc, err := pauli.MonteCarloCtx(context.Background(), res, cfg, simrun.Options{})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "workload_fidelity: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("  fidelity: analytic ESP %.4f, Monte-Carlo %.4f\n", esp, mc.Fidelity)
 }

@@ -20,7 +20,7 @@
 //   - degradation is graceful: a unit that exhausts its remote attempts
 //     falls back to the coordinator's local lane, and a job admitted with
 //     zero reachable workers runs fully in-process (ErrNoWorkers tells the
-//     caller to take the standalone path).
+//     caller to run the core's RunFull instead).
 //
 // Determinism contract: a job's merged result is byte-identical whether it
 // runs standalone, on a healthy fleet, or on a fleet with killed,
@@ -55,7 +55,7 @@ import (
 
 // ErrNoWorkers is returned by Coordinator.Execute when the fleet has zero
 // live workers at admission: the caller should run the job fully locally
-// (graceful degradation) rather than fail it.
+// through Core.RunFull (graceful degradation) rather than fail it.
 var ErrNoWorkers = errors.New("dist: no live workers")
 
 // ErrGone is the renewal/report verdict for a lease the coordinator no
@@ -134,8 +134,9 @@ type Core interface {
 	// NewFold starts a fresh coordinator-side fold.
 	NewFold() Fold
 	// RunFull runs the whole plan locally through simrun.RunSharded — the
-	// standalone reference path, sharing merge and finish with the fold so
-	// local and distributed results cannot drift.
+	// standalone path, taken whenever no live fleet runs the job, sharing
+	// merge and finish with the fold so local and distributed results
+	// cannot drift.
 	RunFull(ctx context.Context, p Plan) ([]byte, simrun.Status, error)
 }
 
@@ -193,7 +194,10 @@ func (c *core[R]) RunWindow(ctx context.Context, p Plan, start, end int) ([]json
 func (c *core[R]) NewFold() Fold { return &fold[R]{spec: &c.spec} }
 
 func (c *core[R]) RunFull(ctx context.Context, p Plan) ([]byte, simrun.Status, error) {
-	p = p.Normalized()
+	// Plan defaults are left to RunSharded, which applies the convergence
+	// floor only after its budget check (as the coordinator's fold does): a
+	// run shorter than the floor spends its full budget instead of failing
+	// as infeasible.
 	opt := c.spec.Options
 	opt.ShardSize = p.ShardSize
 	opt.TargetRelStdErr = p.TargetRelStdErr

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"qisim/internal/readout"
 	"qisim/internal/scalability"
 	"qisim/internal/sfq"
+	"qisim/internal/simrun"
 	"qisim/internal/surface"
 	"qisim/internal/wiring"
 )
@@ -28,7 +30,11 @@ func Ablations() (string, error) {
 	b.WriteString(AblationDRAG())
 	b.WriteString(AblationCZShape())
 	b.WriteString(AblationIQBits())
-	b.WriteString(AblationMultiRoundRange())
+	mr, err := AblationMultiRoundRange()
+	if err != nil {
+		return "", fmt.Errorf("experiments: ablation suite: %w", err)
+	}
+	b.WriteString(mr)
 	b.WriteString(AblationFDM())
 	bs, err := AblationBS()
 	if err != nil {
@@ -88,7 +94,7 @@ func AblationIQBits() string {
 }
 
 // AblationMultiRoundRange sweeps the Opt-#7 indecision range.
-func AblationMultiRoundRange() string {
+func AblationMultiRoundRange() (string, error) {
 	c, tm := readout.DefaultChain(), readout.DefaultTiming()
 	var b strings.Builder
 	b.WriteString("== Ablation: multi-round decision range (Opt-#7) ==\n")
@@ -97,11 +103,14 @@ func AblationMultiRoundRange() string {
 		cfg := readout.DefaultMultiRoundConfig()
 		cfg.Range = rg
 		cfg.Shots = 100000
-		r := readout.MultiRoundError(c, tm, cfg)
+		r, err := readout.MultiRoundErrorCtx(context.Background(), c, tm, cfg, simrun.Options{})
+		if err != nil {
+			return "", fmt.Errorf("experiments: multi-round range %v: %w", rg, err)
+		}
 		fmt.Fprintf(&b, "%7.0f %12.3g %7.0f ns %8.1f%%\n", rg, r.Error, r.MeanTime*1e9, 100*r.Speedup)
 	}
 	b.WriteString("\n")
-	return b.String()
+	return b.String(), nil
 }
 
 // AblationFDM sweeps the drive FDM degree — the Opt-#7 power/error trade.

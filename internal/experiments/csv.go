@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -47,7 +48,11 @@ func FigureCSV(id string) (string, error) {
 		}
 		a := scalability.Analyze(design, opt)
 		counts := sweepPoints(a.MaxQubits)
-		for _, p := range scalability.Sweep(design, counts, opt) {
+		res, err := scalability.SweepCtx(context.Background(), design, counts, opt)
+		if err != nil {
+			return "", fmt.Errorf("experiments: sweep %s: %w", name, err)
+		}
+		for _, p := range res.Points {
 			fmt.Fprintf(&b, "%s,%d,%.6g,%.6g,%.6g,%.6g,%.6g,%v\n",
 				name, p.Qubits,
 				p.Utilization[wiring.Stage4K],

@@ -2,10 +2,11 @@
 // evaluation (the per-experiment index of DESIGN.md): each function returns
 // the rows/series the paper reports, as printable text plus structured
 // values the tests assert on. cmd/qisim-experiments prints them;
-// experiments_test.go and bench_test.go at the repo root exercise them.
+// experiments_test.go at the repo root and bench/ exercise them.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"qisim/internal/readout"
 	"qisim/internal/scalability"
 	"qisim/internal/sfq"
+	"qisim/internal/simrun"
 	"qisim/internal/validate"
 	"qisim/internal/wiring"
 	"qisim/internal/workloads"
@@ -69,7 +71,11 @@ func Run(id string) (string, error) {
 	case "fig18":
 		return Fig18().Report, nil
 	case "fig19":
-		return Fig19().Report, nil
+		r, err := Fig19()
+		if err != nil {
+			return "", err
+		}
+		return r.Report, nil
 	case "fig20":
 		return Fig20().Report, nil
 	case "table3":
@@ -118,13 +124,15 @@ func Table2() string {
 	return b.String()
 }
 
+// analyses evaluates the named design points, in the order given.
 func analyses(names ...string) []scalability.Analysis {
-	all := scalability.AnalyzeAll(scalability.DefaultOptions())
+	opt := scalability.DefaultOptions()
+	ds := microarch.AllDesigns()
 	var out []scalability.Analysis
 	for _, n := range names {
-		for _, a := range all {
-			if a.Design.Name == n {
-				out = append(out, a)
+		for _, d := range ds {
+			if d.Name == n {
+				out = append(out, scalability.Analyze(d, opt))
 			}
 		}
 	}
@@ -317,12 +325,15 @@ type Fig19Result struct {
 }
 
 // Fig19 reports the decision-method errors and the multi-round speedup.
-func Fig19() Fig19Result {
+func Fig19() (Fig19Result, error) {
 	c, tm := readout.DefaultChain(), readout.DefaultTiming()
-	var r Fig19Result
+	mr, err := readout.MultiRoundErrorCtx(context.Background(), c, tm, readout.DefaultMultiRoundConfig(), simrun.Options{})
+	if err != nil {
+		return Fig19Result{}, fmt.Errorf("experiments: fig19: %w", err)
+	}
+	r := Fig19Result{MultiRound: mr}
 	r.BinError = readout.BinCountingError(c, tm, 8)
 	r.SingleError = readout.SinglePointError(c, tm, 8)
-	r.MultiRound = readout.MultiRoundError(c, tm, readout.DefaultMultiRoundConfig())
 	var b strings.Builder
 	b.WriteString("== Fig. 19 — Opt-#7 fast multi-round readout ==\n")
 	fmt.Fprintf(&b, "%-22s %12s %12s\n", "method", "error", "readout")
@@ -333,7 +344,7 @@ func Fig19() Fig19Result {
 	fmt.Fprintf(&b, "3-round accuracy: %.2f%% within %.0f ns (paper: 98.6%% within 267 ns)\n",
 		100*(1-readout.BinCountingError(c, tm, 3)), tm.TotalTime(3)*1e9)
 	r.Report = b.String()
-	return r
+	return r, nil
 }
 
 // Fig20Result carries the Opt-#8 fast-driving numbers.

@@ -101,7 +101,10 @@ func TestFig18Bands(t *testing.T) {
 }
 
 func TestFig19Bands(t *testing.T) {
-	r := Fig19()
+	r, err := Fig19()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.MultiRound.Speedup < 0.30 || r.MultiRound.Speedup > 0.55 {
 		t.Fatalf("multi-round speedup %.3f, paper 0.409", r.MultiRound.Speedup)
 	}

@@ -94,16 +94,6 @@ func AverageChannelFidelity(c KrausChannel) float64 {
 	return sum / 6
 }
 
-// TrajectoryAverageFidelity estimates the same quantity by Monte-Carlo
-// quantum trajectories: sampling a Kraus outcome per shot.
-func TrajectoryAverageFidelity(c KrausChannel, shots int, seed int64) float64 {
-	res, err := TrajectoryAverageFidelityCtx(context.Background(), c, shots, seed, simrun.Options{})
-	if err != nil {
-		panic(err) // legacy boundary: preserves the seed API's panic contract
-	}
-	return res.Fidelity
-}
-
 // TrajectoryResult is a context-aware trajectory-MC outcome: Fidelity is the
 // mean over the completed shots; Status flags truncation.
 type TrajectoryResult struct {
@@ -111,7 +101,8 @@ type TrajectoryResult struct {
 	Status   simrun.Status `json:"status"`
 }
 
-// TrajectoryAverageFidelityCtx is the context-aware trajectory MC:
+// TrajectoryAverageFidelityCtx estimates the average channel fidelity by
+// Monte-Carlo quantum trajectories, sampling a Kraus outcome per shot:
 // cancellation stops the shot loop and returns the best-so-far mean fidelity
 // over the completed shots, flagged Truncated. Non-finite fidelity
 // accumulation (a corrupted Kraus operator) surfaces as ErrNumerical rather
@@ -162,7 +153,7 @@ func TrajectoryAverageFidelityCtx(ctx context.Context, c KrausChannel, shots int
 	if gerr != nil {
 		return TrajectoryResult{}, gerr
 	}
-	if err := cmath.CheckFiniteScalar("TrajectoryAverageFidelity sum", sum); err != nil {
+	if err := cmath.CheckFiniteScalar("TrajectoryAverageFidelityCtx sum", sum); err != nil {
 		return TrajectoryResult{}, err
 	}
 	res := TrajectoryResult{Status: status}

@@ -1,10 +1,12 @@
 package pauli
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"qisim/internal/gateerror"
+	"qisim/internal/simrun"
 )
 
 func TestDecoherenceChannelTracePreserving(t *testing.T) {
@@ -44,8 +46,11 @@ func TestChannelFidelityT2LimitedCase(t *testing.T) {
 func TestTrajectoryConvergesToExact(t *testing.T) {
 	c := DecoherenceChannel(20e-6, 122e-6, 118e-6)
 	exact := AverageChannelFidelity(c)
-	mc := TrajectoryAverageFidelity(c, 120000, 7)
-	if math.Abs(mc-exact) > 0.01 {
+	res, err := TrajectoryAverageFidelityCtx(context.Background(), c, 120000, 7, simrun.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc := res.Fidelity; math.Abs(mc-exact) > 0.01 {
 		t.Fatalf("trajectory MC %v vs exact %v", mc, exact)
 	}
 }

@@ -97,18 +97,6 @@ func ESP(res *cyclesim.Result, cfg Config) float64 {
 	return math.Exp(logp)
 }
 
-// MonteCarlo samples Pauli error events shot by shot: a shot succeeds when
-// no error event fires (the discrete-event equivalent of ESP; it converges
-// to ESP with shot count and provides the hook for correlated-error
-// extensions).
-func MonteCarlo(res *cyclesim.Result, cfg Config) float64 {
-	mc, err := MonteCarloCtx(context.Background(), res, cfg, simrun.Options{})
-	if err != nil {
-		panic(err) // legacy boundary: preserves the seed API's panic contract
-	}
-	return mc.Fidelity
-}
-
 // MCResult is the context-aware Monte-Carlo outcome: Fidelity is the success
 // fraction over the completed shots; Status flags truncation/convergence.
 type MCResult struct {
@@ -117,8 +105,11 @@ type MCResult struct {
 	Status    simrun.Status `json:"status"`
 }
 
-// MonteCarloCtx is the context-aware Pauli-event Monte-Carlo, executed on
-// the sharded parallel engine: shard RNG streams derive deterministically
+// MonteCarloCtx samples Pauli error events shot by shot: a shot succeeds
+// when no error event fires (the discrete-event equivalent of ESP; it
+// converges to ESP with shot count and provides the hook for
+// correlated-error extensions). It runs on the sharded parallel engine:
+// shard RNG streams derive deterministically
 // from cfg.Seed, shard results merge in shard order, and the success
 // fraction is bit-identical for every opt.Workers count. Cancellation keeps
 // the completed shard prefix as a partial, Truncated-flagged estimate; opt

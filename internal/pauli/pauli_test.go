@@ -1,12 +1,14 @@
 package pauli
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"qisim/internal/compile"
 	"qisim/internal/cyclesim"
 	"qisim/internal/qasm"
+	"qisim/internal/simrun"
 )
 
 func simulate(t *testing.T, src string) *cyclesim.Result {
@@ -24,6 +26,16 @@ func simulate(t *testing.T, src string) *cyclesim.Result {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// monteCarlo runs the Pauli-event MC to completion and returns its fidelity.
+func monteCarlo(t *testing.T, res *cyclesim.Result, cfg Config) float64 {
+	t.Helper()
+	mc, err := MonteCarloCtx(context.Background(), res, cfg, simrun.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mc.Fidelity
 }
 
 func ibmishRates() ErrorRates {
@@ -93,7 +105,7 @@ measure q[0]->c[0]; measure q[1]->c[1]; measure q[2]->c[2]; measure q[3]->c[3];`
 	cfg := DefaultConfig(ibmishRates())
 	cfg.Shots = 60000
 	esp := ESP(res, cfg)
-	mc := MonteCarlo(res, cfg)
+	mc := monteCarlo(t, res, cfg)
 	if math.Abs(esp-mc) > 0.01 {
 		t.Fatalf("MC %v vs ESP %v disagree beyond MC noise", mc, esp)
 	}
@@ -103,7 +115,7 @@ func TestMonteCarloDeterministic(t *testing.T) {
 	res := simulate(t, "qreg q[1]; creg c[1]; h q[0]; measure q[0]->c[0];")
 	cfg := DefaultConfig(ibmishRates())
 	cfg.Shots = 5000
-	if MonteCarlo(res, cfg) != MonteCarlo(res, cfg) {
+	if monteCarlo(t, res, cfg) != monteCarlo(t, res, cfg) {
 		t.Fatal("seeded MC must be deterministic")
 	}
 }

@@ -9,7 +9,7 @@
 // as i.i.d. draws around the two pointer states with a heavy-tailed amplifier
 // noise mixture and a T1-decay channel, and evaluates each decision unit
 // analytically (binomial/Gaussian) or with round-level Monte-Carlo. The slow
-// tier (TrajectoryMC) draws full cavity trajectories from the dispersive
+// tier (TrajectoryMCCtx) draws full cavity trajectories from the dispersive
 // model in internal/ham and replays the decision units sample by sample; it
 // cross-checks the fast tier and feeds the benchmarks.
 package readout
@@ -160,18 +160,6 @@ type MultiRoundResult struct {
 	Status simrun.Status `json:"status"`
 }
 
-// MultiRoundError Monte-Carlo simulates the sequential test at round
-// granularity: each round's side-count difference increment is
-// Normal(m(2q-1), 4mq(1-q)) for m samples with per-sample correctness q,
-// with decay events injected at exponential times.
-func MultiRoundError(c Chain, t Timing, cfg MultiRoundConfig) MultiRoundResult {
-	res, err := MultiRoundErrorCtx(context.Background(), c, t, cfg, simrun.Options{})
-	if err != nil {
-		panic(err) // legacy boundary: preserves the seed API's panic contract
-	}
-	return res
-}
-
 // MultiRoundTally is the multi-round MC's per-shard accumulator. Fields
 // are exported so the accumulator JSON round-trips bit-exactly through
 // checkpoint/resume (internal/checkpoint) and the distributed shard-result
@@ -293,8 +281,11 @@ func MultiRoundResultFrom(t Timing, sum MultiRoundTally, status simrun.Status) M
 	return res
 }
 
-// MultiRoundErrorCtx is the context-aware MultiRoundError: cancellation
-// stops the shot loop at the next check interval and returns the partial,
+// MultiRoundErrorCtx Monte-Carlo simulates the sequential test at round
+// granularity: each round's side-count difference increment is
+// Normal(m(2q-1), 4mq(1-q)) for m samples with per-sample correctness q,
+// with decay events injected at exponential times. Cancellation stops the
+// shot loop at the next check interval and returns the partial,
 // Truncated-flagged statistics over the completed shots.
 func MultiRoundErrorCtx(ctx context.Context, c Chain, t Timing, cfg MultiRoundConfig, opt simrun.Options) (MultiRoundResult, error) {
 	cfg, run, merge, err := MultiRoundCore(c, t, cfg)

@@ -1,9 +1,22 @@
 package readout
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"qisim/internal/simrun"
 )
+
+// multiRound runs the multi-round MC to completion.
+func multiRound(t *testing.T, c Chain, tm Timing, cfg MultiRoundConfig) MultiRoundResult {
+	t.Helper()
+	r, err := MultiRoundErrorCtx(context.Background(), c, tm, cfg, simrun.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func TestBinCountingTable2Anchor(t *testing.T) {
 	// Table 2: CMOS readout error 1.00e-3 at the full 517 ns schedule.
@@ -63,7 +76,7 @@ func TestMultiRoundFig19(t *testing.T) {
 	// Opt-#7 headline: ~40.9% faster readout at the same error.
 	c, tm := DefaultChain(), DefaultTiming()
 	bin := BinCountingError(c, tm, 8)
-	r := MultiRoundError(c, tm, DefaultMultiRoundConfig())
+	r := multiRound(t, c, tm, DefaultMultiRoundConfig())
 	if r.Error > 1.3*bin {
 		t.Fatalf("multi-round error %.3g should match bin-counting %.3g", r.Error, bin)
 	}
@@ -82,8 +95,8 @@ func TestMultiRoundRangeTradeoff(t *testing.T) {
 	narrow.Range, narrow.Shots = 15, 50000
 	wide := DefaultMultiRoundConfig()
 	wide.Range, wide.Shots = 60, 50000
-	rn := MultiRoundError(c, tm, narrow)
-	rw := MultiRoundError(c, tm, wide)
+	rn := multiRound(t, c, tm, narrow)
+	rw := multiRound(t, c, tm, wide)
 	if rn.MeanRounds >= rw.MeanRounds {
 		t.Fatalf("narrow range should finish sooner: %.2f vs %.2f rounds", rn.MeanRounds, rw.MeanRounds)
 	}
@@ -96,8 +109,8 @@ func TestMultiRoundDeterministic(t *testing.T) {
 	c, tm := DefaultChain(), DefaultTiming()
 	cfg := DefaultMultiRoundConfig()
 	cfg.Shots = 20000
-	a := MultiRoundError(c, tm, cfg)
-	b := MultiRoundError(c, tm, cfg)
+	a := multiRound(t, c, tm, cfg)
+	b := multiRound(t, c, tm, cfg)
 	if a.Error != b.Error || a.MeanRounds != b.MeanRounds {
 		t.Fatal("seeded multi-round MC must be deterministic")
 	}
@@ -141,7 +154,10 @@ func TestTrajectoryMCConsistentWithAnalytic(t *testing.T) {
 	cfg := DefaultTrajectoryConfig()
 	cfg.Shots = 4000
 	c, tm := DefaultChain(), DefaultTiming()
-	res := TrajectoryMC(cfg, c)
+	res, err := TrajectoryMCCtx(context.Background(), cfg, c, simrun.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	bin := BinCountingError(c, tm, 8)
 	// 4000 shots at p~1e-3: expect a handful of errors; accept 0..5x band.
 	if res.BinError > 5*bin+1e-3 {

@@ -50,20 +50,11 @@ type TrajectoryResult struct {
 	Status simrun.Status `json:"status"`
 }
 
-// TrajectoryMC draws full readout records and replays the bin-counting and
-// single-point decision units on the same records. It cross-checks the fast
-// analytic tier: with the noise scaled to the same per-sample SNR the error
-// rates must agree to MC precision.
-func TrajectoryMC(cfg TrajectoryConfig, chain Chain) TrajectoryResult {
-	res, err := TrajectoryMCCtx(context.Background(), cfg, chain, simrun.Options{})
-	if err != nil {
-		panic(err) // legacy boundary: preserves the seed API's panic contract
-	}
-	return res
-}
-
-// TrajectoryMCCtx is the context-aware TrajectoryMC: cancellation stops the
-// shot loop and returns the partial, Truncated-flagged error rates over the
+// TrajectoryMCCtx draws full readout records and replays the bin-counting
+// and single-point decision units on the same records. It cross-checks the
+// fast analytic tier: with the noise scaled to the same per-sample SNR the
+// error rates must agree to MC precision. Cancellation stops the shot loop
+// and returns the partial, Truncated-flagged error rates over the
 // completed shots. A non-finite trajectory (corrupted resonator parameters)
 // surfaces as ErrNumerical before any shot runs.
 func TrajectoryMCCtx(ctx context.Context, cfg TrajectoryConfig, chain Chain, opt simrun.Options) (TrajectoryResult, error) {
@@ -90,7 +81,7 @@ func TrajectoryMCCtx(ctx context.Context, cfg TrajectoryConfig, chain Chain, opt
 	s0 := r.SteadyState(-1, cfg.DriveEps)
 	s1 := r.SteadyState(+1, cfg.DriveEps)
 	sep := cmplx.Abs(s1 - s0)
-	if err := cmath.CheckFiniteVec("TrajectoryMC pointer states", []complex128{s0, s1}); err != nil {
+	if err := cmath.CheckFiniteVec("TrajectoryMCCtx pointer states", []complex128{s0, s1}); err != nil {
 		return TrajectoryResult{}, err
 	}
 	if sep == 0 {

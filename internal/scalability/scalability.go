@@ -158,16 +158,6 @@ func checkOptions(opt Options) error {
 	return nil
 }
 
-// AnalyzeAll evaluates every named design point.
-func AnalyzeAll(opt Options) []Analysis {
-	ds := microarch.AllDesigns()
-	out := make([]Analysis, len(ds))
-	for i, d := range ds {
-		out[i] = Analyze(d, opt)
-	}
-	return out
-}
-
 // AnalyzeAllCtx evaluates every named design point under a context, fanning
 // the designs out across opt.Workers goroutines (index-order merge keeps the
 // output order and content identical for every worker count): on
@@ -210,16 +200,6 @@ type CurvePoint struct {
 	Feasible     bool    `json:"feasible"`
 }
 
-// Sweep samples a design across qubit counts, producing the data behind the
-// scalability figures.
-func Sweep(d microarch.Design, qubitCounts []int, opt Options) []CurvePoint {
-	res, err := SweepCtx(context.Background(), d, qubitCounts, opt)
-	if err != nil {
-		panic(err) // legacy boundary: preserves the seed API's contract
-	}
-	return res.Points
-}
-
 // SweepResult is the context-aware sweep outcome: Points holds the curve
 // samples completed before cancellation (all of them when Status.Truncated
 // is false).
@@ -229,7 +209,8 @@ type SweepResult struct {
 	Status simrun.Status `json:"status"`
 }
 
-// SweepCtx is the context-aware qubit-count sweep, fanned out across
+// SweepCtx samples a design across qubit counts, producing the data behind
+// the scalability figures. The sweep is fanned out across
 // opt.Workers goroutines on the sharded engine (one point per shard,
 // index-order merge — output identical for every worker count): on
 // cancellation it returns the contiguous prefix of points computed so far,

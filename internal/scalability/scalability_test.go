@@ -1,6 +1,7 @@
 package scalability
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,9 +10,19 @@ import (
 	"qisim/internal/wiring"
 )
 
+// analyzeAll evaluates every design point under the default options.
+func analyzeAll(t *testing.T) []Analysis {
+	t.Helper()
+	as, _, err := AnalyzeAllCtx(context.Background(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return as
+}
+
 func analyzeByName(t *testing.T, name string) Analysis {
 	t.Helper()
-	for _, a := range AnalyzeAll(DefaultOptions()) {
+	for _, a := range analyzeAll(t) {
 		if a.Design.Name == name {
 			return a
 		}
@@ -115,7 +126,11 @@ func TestOptimizationOrderingMonotone(t *testing.T) {
 func TestSweepCurveShape(t *testing.T) {
 	d := microarch.CMOS4KBaseline()
 	ns := []int{100, 300, 654, 1000, 20000}
-	pts := Sweep(d, ns, DefaultOptions())
+	res, err := SweepCtx(context.Background(), d, ns, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := res.Points
 	if len(pts) != len(ns) {
 		t.Fatal("sweep length mismatch")
 	}
@@ -136,7 +151,7 @@ func TestSweepCurveShape(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	as := AnalyzeAll(DefaultOptions())
+	as := analyzeAll(t)
 	s := Table(as)
 	for _, name := range []string{"300K-coax", "ERSFQ-opt8", "binding"} {
 		if !strings.Contains(s, name) {
@@ -146,7 +161,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestSortByMax(t *testing.T) {
-	as := AnalyzeAll(DefaultOptions())
+	as := analyzeAll(t)
 	SortByMax(as)
 	for i := 1; i < len(as); i++ {
 		if as[i].MaxQubits > as[i-1].MaxQubits {
@@ -193,7 +208,7 @@ func TestHolisticOrderingStory(t *testing.T) {
 }
 
 func TestExportJSON(t *testing.T) {
-	as := AnalyzeAll(DefaultOptions())
+	as := analyzeAll(t)
 	var buf strings.Builder
 	if err := WriteJSON(&buf, as); err != nil {
 		t.Fatal(err)

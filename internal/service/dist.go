@@ -1,7 +1,7 @@
-// Fleet-coordinator wiring: per-kind dist execution cores, the
-// /v1/dist/* worker endpoints, and the coordinator's metrics bridge.
+// Fleet-coordinator wiring: the worker-side core builder, the /v1/dist/*
+// worker endpoints, and the coordinator's metrics bridge.
 //
-// The same normalization + core construction runs on the coordinator (to
+// The same params parser and core construction run on the coordinator (to
 // fold and finish) and on every worker (to execute shard windows), so the
 // merged result of a distributed run is byte-identical to the standalone
 // path — see internal/dist's determinism contract.
@@ -17,17 +17,11 @@ import (
 	"time"
 
 	"qisim/internal/chaos"
-	"qisim/internal/compile"
-	"qisim/internal/cyclesim"
 	"qisim/internal/dist"
 	"qisim/internal/jobs"
 	"qisim/internal/metrics"
-	"qisim/internal/pauli"
-	"qisim/internal/readout"
-	"qisim/internal/rescache"
 	"qisim/internal/simerr"
 	"qisim/internal/simrun"
-	"qisim/internal/surface"
 )
 
 // DistConfig turns the server into a fleet coordinator: Monte-Carlo jobs
@@ -238,138 +232,19 @@ func (s *Server) handleDistReport(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ---- per-kind execution cores ----
-//
-// Each core pairs the kind's shard sampler with a Finish that assembles
-// the exact result envelope the standalone path marshals, so folded
-// distributed results and local results cannot drift by a byte.
-
 // BuildCore is the worker-side dist.CoreBuilder: it rebuilds a job kind's
-// execution core from the raw normalized params carried in a lease grant.
+// execution core from the raw normalized params carried in a lease grant,
+// through the same parser the submitting server used.
 func BuildCore(kind string, params json.RawMessage) (dist.Core, error) {
-	switch jobs.Kind(kind) {
-	case jobs.KindSurfaceMC:
-		pp, err := normalizeSurfaceMC(params)
-		if err != nil {
-			return nil, err
-		}
-		key, keyed, err := requestKey(jobs.KindSurfaceMC, pp, pp.Seed, pp.ShardSize)
-		if err != nil {
-			return nil, err
-		}
-		return surfaceCore(pp, key, keyed)
-	case jobs.KindPauliMC:
-		pp, rates, ex, err := normalizePauliMC(params)
-		if err != nil {
-			return nil, err
-		}
-		key, keyed, err := requestKey(jobs.KindPauliMC, pp, pp.Seed, pp.ShardSize)
-		if err != nil {
-			return nil, err
-		}
-		return pauliCore(pp, rates, ex, key, keyed)
-	case jobs.KindReadoutMC:
-		pp, err := normalizeReadoutMC(params)
-		if err != nil {
-			return nil, err
-		}
-		key, keyed, err := requestKey(jobs.KindReadoutMC, pp, pp.Seed, pp.ShardSize)
-		if err != nil {
-			return nil, err
-		}
-		return readoutCore(pp, key, keyed)
-	default:
+	parse, ok := mcKinds[jobs.Kind(kind)]
+	if !ok {
 		return nil, simerr.Invalidf("service: kind %q is not distributable", kind)
 	}
-}
-
-func surfacePlan(pp surfaceMCParams) dist.Plan {
-	return dist.Plan{Shots: pp.Shots, Seed: pp.Seed, ShardSize: pp.ShardSize,
-		TargetRelStdErr: pp.RelSE}
-}
-
-func surfaceCore(pp surfaceMCParams, key rescache.Key, keyed map[string]any) (dist.Core, error) {
-	run, merge, err := surface.PhenomenologicalCore(pp.Distance, *pp.P, *pp.Q, pp.Rounds)
+	j, err := parse(params)
 	if err != nil {
 		return nil, err
 	}
-	return dist.NewCore(dist.CoreSpec[int]{
-		Run:   run,
-		Merge: merge,
-		Finish: func(failures int, st simrun.Status) ([]byte, error) {
-			res := surface.DecoderResultFrom(failures, st)
-			out := struct {
-				surface.DecoderResult
-				Rate float64 `json:"logical_error_rate"`
-			}{res, res.Rate()}
-			return marshalEnvelope(jobs.KindSurfaceMC, key, keyed, pp.Seed, pp.ShardSize, out)
-		},
-		Options: simrun.Options{Workers: pp.Workers},
-	}), nil
-}
-
-func pauliPlan(pp pauliMCParams) dist.Plan {
-	return dist.Plan{Shots: pp.Shots, Seed: pp.Seed, ShardSize: pp.ShardSize,
-		TargetRelStdErr: pp.RelSE}
-}
-
-func pauliCore(pp pauliMCParams, rates pauli.ErrorRates, ex *compile.Executable,
-	key rescache.Key, keyed map[string]any) (dist.Core, error) {
-	simCfg := cyclesim.CMOSConfig()
-	if pp.Arch == "sfq" {
-		simCfg = cyclesim.SFQConfig(1)
-	}
-	simRes, err := cyclesim.Run(ex, simCfg)
-	if err != nil {
-		return nil, err
-	}
-	pcfg := pauli.DefaultConfig(rates)
-	pcfg.Shots = pp.Shots
-	pcfg.Seed = pp.Seed
-	pcfg.DecoherencePeriod = pp.PeriodNS * 1e-9
-	_, run, merge, err := pauli.MonteCarloCore(simRes, pcfg)
-	if err != nil {
-		return nil, err
-	}
-	return dist.NewCore(dist.CoreSpec[int]{
-		Run:   run,
-		Merge: merge,
-		Finish: func(success int, st simrun.Status) ([]byte, error) {
-			mc := pauli.MCResultFrom(success, st)
-			out := struct {
-				pauli.MCResult
-				ESP        float64 `json:"esp"`
-				MakespanNS float64 `json:"makespan_ns"`
-			}{mc, pauli.ESP(simRes, pcfg), simRes.TotalTime * 1e9}
-			return marshalEnvelope(jobs.KindPauliMC, key, keyed, pp.Seed, pp.ShardSize, out)
-		},
-		Options: simrun.Options{Workers: pp.Workers},
-	}), nil
-}
-
-func readoutPlan(pp readoutMCParams) dist.Plan {
-	return dist.Plan{Shots: pp.Shots, Seed: pp.Seed, ShardSize: pp.ShardSize,
-		TargetRelStdErr: pp.RelSE}
-}
-
-func readoutCore(pp readoutMCParams, key rescache.Key, keyed map[string]any) (dist.Core, error) {
-	chain, timing := readout.DefaultChain(), readout.DefaultTiming()
-	cfg := readout.MultiRoundConfig{
-		Range: *pp.Range, MaxRounds: pp.MaxRounds, Shots: pp.Shots, Seed: pp.Seed,
-	}
-	_, run, merge, err := readout.MultiRoundCore(chain, timing, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return dist.NewCore(dist.CoreSpec[readout.MultiRoundTally]{
-		Run:   run,
-		Merge: merge,
-		Finish: func(sum readout.MultiRoundTally, st simrun.Status) ([]byte, error) {
-			res := readout.MultiRoundResultFrom(timing, sum, st)
-			return marshalEnvelope(jobs.KindReadoutMC, key, keyed, pp.Seed, pp.ShardSize, res)
-		},
-		Options: simrun.Options{Workers: pp.Workers},
-	}), nil
+	return j.newCore(simrun.Options{Workers: j.workers})
 }
 
 // startDist launches the coordinator's sweep/probe loops (idempotent).

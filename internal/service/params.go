@@ -74,7 +74,7 @@ type buildEnv struct {
 	// of starting cold.
 	onResume func()
 	// dist, when set, routes Monte-Carlo runs through the fleet coordinator;
-	// ErrNoWorkers degrades gracefully to the in-process path below.
+	// ErrNoWorkers degrades gracefully to the in-process lane of runMC.
 	dist *dist.Coordinator
 	// onDegraded fires when a coordinator-routed run falls back to the
 	// local path because the fleet has zero live workers.
@@ -90,27 +90,53 @@ type buildEnv struct {
 	publish func(id, typ string, data any)
 }
 
-// runDist dispatches one MC run across the worker fleet. The bool reports
-// whether the dist lane produced (or definitively failed) the run; false
-// means "no live workers — take the standalone path" (counted as a
-// degraded run). The merged bytes are byte-identical to the standalone
-// path by the dist fold-replay contract. The job's progress callback is
-// fed from the coordinator's committed shard frontier, so fleet-routed
-// runs report live progress exactly like local ones.
-func (env buildEnv) runDist(ctx context.Context, kind jobs.Kind, key rescache.Key,
-	core dist.Core, plan dist.Plan, params any, progress func(int, int)) ([]byte, simrun.Status, bool, error) {
-	raw, err := json.Marshal(params)
-	if err != nil {
-		return nil, simrun.Status{}, true, simerr.Invalidf("service: marshal dist params: %v", err)
-	}
-	body, st, err := env.dist.Execute(ctx, string(kind), string(key), raw, core, plan, progress)
-	if errors.Is(err, dist.ErrNoWorkers) {
-		if env.onDegraded != nil {
-			env.onDegraded()
+// runMC is the one runner every Monte-Carlo job executes through. On a
+// coordinator with live workers the run is folded across the fleet, with
+// the job's progress fed from the committed shard frontier. Otherwise —
+// standalone, or a coordinator with zero workers (counted as a degraded
+// run) — the same core runs in-process through Core.RunFull with crash-safe
+// checkpointing. Both lanes share the core's merge and finish, so their
+// bytes are identical. The core is built here rather than at submit, so a
+// bad model parameter fails the job at run time.
+func (env buildEnv) runMC(j mcJob) jobs.Runner {
+	return func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
+		opt := simrun.Options{Workers: j.workers}
+		if env.dist != nil {
+			core, err := j.newCore(opt)
+			if err != nil {
+				return nil, simrun.Status{}, err
+			}
+			raw, err := json.Marshal(j.params)
+			if err != nil {
+				return nil, simrun.Status{}, simerr.Invalidf("service: marshal dist params: %v", err)
+			}
+			body, st, err := env.dist.Execute(ctx, string(j.kind), string(j.key), raw, core, j.plan, progress)
+			if !errors.Is(err, dist.ErrNoWorkers) {
+				return body, st, err
+			}
+			if env.onDegraded != nil {
+				env.onDegraded()
+			}
 		}
-		return nil, simrun.Status{}, false, nil
+		opt.Progress = progress
+		sv, err := env.attachCheckpoint(ctx, &opt, checkpoint.Meta{
+			Kind: string(j.kind), Key: string(j.key), Seed: j.plan.Seed, ShardSize: j.plan.ShardSize,
+			Budget: j.plan.Shots, TargetRelStdErr: j.plan.TargetRelStdErr,
+		})
+		if err != nil {
+			return nil, simrun.Status{}, err
+		}
+		core, err := j.newCore(opt)
+		if err != nil {
+			return nil, simrun.Status{}, err
+		}
+		body, st, err := core.RunFull(ctx, j.plan)
+		if err != nil {
+			return nil, simrun.Status{}, err
+		}
+		env.finishCheckpoint(sv, st.Truncated)
+		return body, st, nil
 	}
-	return body, st, true, err
 }
 
 // attachCheckpoint wires crash-safe checkpointing into a runner's engine
@@ -163,13 +189,14 @@ func buildJob(req jobRequest, env buildEnv) (jobs.Kind, rescache.Key, jobs.Runne
 	if !kind.Valid() {
 		return "", "", nil, simerr.Invalidf("service: unknown job kind %q (kinds: %v)", req.Kind, jobs.Kinds())
 	}
+	if parse, ok := mcKinds[kind]; ok {
+		j, err := parse(req.Params)
+		if err != nil {
+			return "", "", nil, err
+		}
+		return kind, j.key, env.runMC(j), nil
+	}
 	switch kind {
-	case jobs.KindSurfaceMC:
-		return buildSurfaceMC(req.Params, env)
-	case jobs.KindPauliMC:
-		return buildPauliMC(req.Params, env)
-	case jobs.KindReadoutMC:
-		return buildReadoutMC(req.Params, env)
 	case jobs.KindScalabilityAnalyze:
 		return buildScalabilityAnalyze(req.Params)
 	case jobs.KindDSEPoint:
@@ -251,6 +278,46 @@ func marshalEnvelope(kind jobs.Kind, key rescache.Key, params map[string]any, se
 	return body, nil
 }
 
+// ---- Monte-Carlo kinds: one parser each, one runner (runMC) for all ----
+
+// mcJob is one normalized Monte-Carlo request: what the submitting server,
+// and a fleet worker rebuilding the core from a lease grant, both derive
+// from the raw params.
+type mcJob struct {
+	kind jobs.Kind
+	key  rescache.Key
+	// keyed is the canonical params form recorded in the result envelope.
+	keyed map[string]any
+	// params is the normalized request, granted to fleet workers as is.
+	params  any
+	workers int
+	plan    dist.Plan
+	// newCore builds the kind's execution core over the given engine
+	// options (RunFull's checkpoint and progress hooks ride in them).
+	newCore func(opt simrun.Options) (dist.Core, error)
+}
+
+// mcKinds maps each Monte-Carlo kind to its params parser.
+var mcKinds = map[jobs.Kind]func(json.RawMessage) (mcJob, error){
+	jobs.KindSurfaceMC: parseSurfaceMC,
+	jobs.KindPauliMC:   parsePauliMC,
+	jobs.KindReadoutMC: parseReadoutMC,
+}
+
+// newMCJob keys normalized params and fixes the run's shard plan.
+func newMCJob(kind jobs.Kind, params any, workers int, plan dist.Plan) (mcJob, error) {
+	key, keyed, err := requestKey(kind, params, plan.Seed, plan.ShardSize)
+	if err != nil {
+		return mcJob{}, err
+	}
+	return mcJob{kind: kind, key: key, keyed: keyed, params: params, workers: workers, plan: plan}, nil
+}
+
+// envelope marshals a finished result into the job's result envelope.
+func (j mcJob) envelope(result any) ([]byte, error) {
+	return marshalEnvelope(j.kind, j.key, j.keyed, j.plan.Seed, j.plan.ShardSize, result)
+}
+
 // ---- surface.mc: phenomenological surface-code Monte-Carlo decoder ----
 
 type surfaceMCParams struct {
@@ -265,13 +332,11 @@ type surfaceMCParams struct {
 	Workers   int      `json:"workers,omitempty"`
 }
 
-// normalizeSurfaceMC decodes and defaults surface.mc params. The same
-// normalization runs on the submitting server and on fleet workers
-// rebuilding a core from a grant, so both sides agree on the geometry.
-func normalizeSurfaceMC(raw json.RawMessage) (surfaceMCParams, error) {
+// parseSurfaceMC decodes and defaults surface.mc params.
+func parseSurfaceMC(raw json.RawMessage) (mcJob, error) {
 	var p surfaceMCParams
 	if err := decodeParams(raw, &p); err != nil {
-		return p, err
+		return mcJob{}, err
 	}
 	// Defaults mirror `qisim mc` (zero seed means "the default seed").
 	if p.Distance == 0 {
@@ -295,53 +360,26 @@ func normalizeSurfaceMC(raw json.RawMessage) (surfaceMCParams, error) {
 	if p.ShardSize == 0 {
 		p.ShardSize = simrun.DefaultShardSize
 	}
-	return p, nil
-}
-
-func buildSurfaceMC(raw json.RawMessage, env buildEnv) (jobs.Kind, rescache.Key, jobs.Runner, error) {
-	p, err := normalizeSurfaceMC(raw)
+	j, err := newMCJob(jobs.KindSurfaceMC, p, p.Workers,
+		dist.Plan{Shots: p.Shots, Seed: p.Seed, ShardSize: p.ShardSize, TargetRelStdErr: p.RelSE})
 	if err != nil {
-		return "", "", nil, err
+		return mcJob{}, err
 	}
-	key, keyed, err := requestKey(jobs.KindSurfaceMC, p, p.Seed, p.ShardSize)
-	if err != nil {
-		return "", "", nil, err
-	}
-	pp := p // captured normalized copy
-	run := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		if env.dist != nil {
-			core, err := surfaceCore(pp, key, keyed)
-			if err != nil {
-				return nil, simrun.Status{}, err
-			}
-			body, st, handled, err := env.runDist(ctx, jobs.KindSurfaceMC, key, core, surfacePlan(pp), pp, progress)
-			if handled {
-				return body, st, err
-			}
-		}
-		opt := simrun.Options{Workers: pp.Workers, ShardSize: pp.ShardSize,
-			TargetRelStdErr: pp.RelSE, Progress: progress}
-		sv, err := env.attachCheckpoint(ctx, &opt, checkpoint.Meta{
-			Kind: string(jobs.KindSurfaceMC), Key: string(key), Seed: pp.Seed,
-			ShardSize: pp.ShardSize, Budget: pp.Shots, TargetRelStdErr: pp.RelSE,
-		})
+	j.newCore = func(opt simrun.Options) (dist.Core, error) {
+		run, merge, err := surface.PhenomenologicalCore(p.Distance, *p.P, *p.Q, p.Rounds)
 		if err != nil {
-			return nil, simrun.Status{}, err
+			return nil, err
 		}
-		res, err := surface.MonteCarloPhenomenologicalCtx(ctx, pp.Distance, *pp.P, *pp.Q,
-			pp.Rounds, pp.Shots, pp.Seed, opt)
-		if err != nil {
-			return nil, simrun.Status{}, err
-		}
-		env.finishCheckpoint(sv, res.Status.Truncated)
-		out := struct {
-			surface.DecoderResult
-			Rate float64 `json:"logical_error_rate"`
-		}{res, res.Rate()}
-		body, err := marshalEnvelope(jobs.KindSurfaceMC, key, keyed, pp.Seed, pp.ShardSize, out)
-		return body, res.Status, err
+		return dist.NewCore(dist.CoreSpec[int]{Run: run, Merge: merge, Options: opt,
+			Finish: func(failures int, st simrun.Status) ([]byte, error) {
+				res := surface.DecoderResultFrom(failures, st)
+				return j.envelope(struct {
+					surface.DecoderResult
+					Rate float64 `json:"logical_error_rate"`
+				}{res, res.Rate()})
+			}}), nil
 	}
-	return jobs.KindSurfaceMC, key, run, nil
+	return j, nil
 }
 
 // ---- pauli.mc: QASM → compile → cycle sim → Pauli-channel fidelity MC ----
@@ -358,17 +396,17 @@ type pauliMCParams struct {
 	Workers   int     `json:"workers,omitempty"`
 }
 
-// normalizePauliMC decodes and defaults pauli.mc params, resolves the
-// machine's error rates and compiles the program — malformed requests
-// surface here as typed configuration errors (before a queue slot is
-// spent server-side, before any execution worker-side).
-func normalizePauliMC(raw json.RawMessage) (pauliMCParams, pauli.ErrorRates, *compile.Executable, error) {
+// parsePauliMC decodes and defaults pauli.mc params, resolves the machine's
+// error rates and compiles the program, so malformed requests surface as
+// typed configuration errors before a queue slot is spent server-side or
+// any execution worker-side.
+func parsePauliMC(raw json.RawMessage) (mcJob, error) {
 	var p pauliMCParams
 	if err := decodeParams(raw, &p); err != nil {
-		return p, pauli.ErrorRates{}, nil, err
+		return mcJob{}, err
 	}
 	if p.QASM == "" {
-		return p, pauli.ErrorRates{}, nil, simerr.Invalidf("service: pauli.mc needs a qasm program")
+		return mcJob{}, simerr.Invalidf("service: pauli.mc needs a qasm program")
 	}
 	if p.Machine == "" {
 		p.Machine = "ibm_mumbai"
@@ -377,7 +415,7 @@ func normalizePauliMC(raw json.RawMessage) (pauliMCParams, pauli.ErrorRates, *co
 		p.Arch = "cmos"
 	}
 	if p.Arch != "cmos" && p.Arch != "sfq" {
-		return p, pauli.ErrorRates{}, nil, simerr.Invalidf("service: arch must be cmos or sfq, got %q", p.Arch)
+		return mcJob{}, simerr.Invalidf("service: arch must be cmos or sfq, got %q", p.Arch)
 	}
 	if p.Shots == 0 {
 		p.Shots = 4000
@@ -389,7 +427,7 @@ func normalizePauliMC(raw json.RawMessage) (pauliMCParams, pauli.ErrorRates, *co
 		p.PeriodNS = 100
 	}
 	if p.PeriodNS < 0 {
-		return p, pauli.ErrorRates{}, nil, simerr.Invalidf("service: period_ns must be positive, got %v", p.PeriodNS)
+		return mcJob{}, simerr.Invalidf("service: period_ns must be positive, got %v", p.PeriodNS)
 	}
 	if p.ShardSize == 0 {
 		p.ShardSize = simrun.DefaultShardSize
@@ -403,75 +441,48 @@ func normalizePauliMC(raw json.RawMessage) (pauliMCParams, pauli.ErrorRates, *co
 		}
 	}
 	if !found {
-		return p, pauli.ErrorRates{}, nil, simerr.Invalidf("service: unknown machine %q", p.Machine)
+		return mcJob{}, simerr.Invalidf("service: unknown machine %q", p.Machine)
 	}
 	prog, err := qasm.Parse(p.QASM)
 	if err != nil {
-		return p, pauli.ErrorRates{}, nil, err
+		return mcJob{}, err
 	}
-	ex, err := compileProgram(prog)
+	ex, err := compile.Compile(prog, compile.DefaultOptions())
 	if err != nil {
-		return p, pauli.ErrorRates{}, nil, err
+		return mcJob{}, err
 	}
-	return p, rates, ex, nil
-}
-
-func buildPauliMC(raw json.RawMessage, env buildEnv) (jobs.Kind, rescache.Key, jobs.Runner, error) {
-	p, rates, ex, err := normalizePauliMC(raw)
+	j, err := newMCJob(jobs.KindPauliMC, p, p.Workers,
+		dist.Plan{Shots: p.Shots, Seed: p.Seed, ShardSize: p.ShardSize, TargetRelStdErr: p.RelSE})
 	if err != nil {
-		return "", "", nil, err
+		return mcJob{}, err
 	}
-	key, keyed, err := requestKey(jobs.KindPauliMC, p, p.Seed, p.ShardSize)
-	if err != nil {
-		return "", "", nil, err
-	}
-	pp := p
-	run := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		if env.dist != nil {
-			core, err := pauliCore(pp, rates, ex, key, keyed)
-			if err != nil {
-				return nil, simrun.Status{}, err
-			}
-			body, st, handled, err := env.runDist(ctx, jobs.KindPauliMC, key, core, pauliPlan(pp), pp, progress)
-			if handled {
-				return body, st, err
-			}
+	j.newCore = func(opt simrun.Options) (dist.Core, error) {
+		simCfg := cyclesim.CMOSConfig()
+		if p.Arch == "sfq" {
+			simCfg = cyclesim.SFQConfig(1)
 		}
-		cfg := cyclesim.CMOSConfig()
-		if pp.Arch == "sfq" {
-			cfg = cyclesim.SFQConfig(1)
-		}
-		simRes, err := cyclesim.Run(ex, cfg)
+		simRes, err := cyclesim.Run(ex, simCfg)
 		if err != nil {
-			return nil, simrun.Status{}, err
+			return nil, err
 		}
 		pcfg := pauli.DefaultConfig(rates)
-		pcfg.Shots = pp.Shots
-		pcfg.Seed = pp.Seed
-		pcfg.DecoherencePeriod = pp.PeriodNS * 1e-9
-		opt := simrun.Options{Workers: pp.Workers, ShardSize: pp.ShardSize,
-			TargetRelStdErr: pp.RelSE, Progress: progress}
-		sv, err := env.attachCheckpoint(ctx, &opt, checkpoint.Meta{
-			Kind: string(jobs.KindPauliMC), Key: string(key), Seed: pp.Seed,
-			ShardSize: pp.ShardSize, Budget: pp.Shots, TargetRelStdErr: pp.RelSE,
-		})
+		pcfg.Shots = p.Shots
+		pcfg.Seed = p.Seed
+		pcfg.DecoherencePeriod = p.PeriodNS * 1e-9
+		_, run, merge, err := pauli.MonteCarloCore(simRes, pcfg)
 		if err != nil {
-			return nil, simrun.Status{}, err
+			return nil, err
 		}
-		mc, err := pauli.MonteCarloCtx(ctx, simRes, pcfg, opt)
-		if err != nil {
-			return nil, simrun.Status{}, err
-		}
-		env.finishCheckpoint(sv, mc.Status.Truncated)
-		out := struct {
-			pauli.MCResult
-			ESP        float64 `json:"esp"`
-			MakespanNS float64 `json:"makespan_ns"`
-		}{mc, pauli.ESP(simRes, pcfg), simRes.TotalTime * 1e9}
-		body, err := marshalEnvelope(jobs.KindPauliMC, key, keyed, pp.Seed, pp.ShardSize, out)
-		return body, mc.Status, err
+		return dist.NewCore(dist.CoreSpec[int]{Run: run, Merge: merge, Options: opt,
+			Finish: func(success int, st simrun.Status) ([]byte, error) {
+				return j.envelope(struct {
+					pauli.MCResult
+					ESP        float64 `json:"esp"`
+					MakespanNS float64 `json:"makespan_ns"`
+				}{pauli.MCResultFrom(success, st), pauli.ESP(simRes, pcfg), simRes.TotalTime * 1e9})
+			}}), nil
 	}
-	return jobs.KindPauliMC, key, run, nil
+	return j, nil
 }
 
 // ---- readout.mc: multi-round early-decision readout Monte-Carlo ----
@@ -486,11 +497,11 @@ type readoutMCParams struct {
 	Workers   int      `json:"workers,omitempty"`
 }
 
-// normalizeReadoutMC decodes and defaults readout.mc params.
-func normalizeReadoutMC(raw json.RawMessage) (readoutMCParams, error) {
+// parseReadoutMC decodes and defaults readout.mc params.
+func parseReadoutMC(raw json.RawMessage) (mcJob, error) {
 	var p readoutMCParams
 	if err := decodeParams(raw, &p); err != nil {
-		return p, err
+		return mcJob{}, err
 	}
 	def := readout.DefaultMultiRoundConfig()
 	if p.Range == nil {
@@ -508,51 +519,25 @@ func normalizeReadoutMC(raw json.RawMessage) (readoutMCParams, error) {
 	if p.ShardSize == 0 {
 		p.ShardSize = simrun.DefaultShardSize
 	}
-	return p, nil
-}
-
-func buildReadoutMC(raw json.RawMessage, env buildEnv) (jobs.Kind, rescache.Key, jobs.Runner, error) {
-	p, err := normalizeReadoutMC(raw)
+	j, err := newMCJob(jobs.KindReadoutMC, p, p.Workers,
+		dist.Plan{Shots: p.Shots, Seed: p.Seed, ShardSize: p.ShardSize, TargetRelStdErr: p.RelSE})
 	if err != nil {
-		return "", "", nil, err
+		return mcJob{}, err
 	}
-	key, keyed, err := requestKey(jobs.KindReadoutMC, p, p.Seed, p.ShardSize)
-	if err != nil {
-		return "", "", nil, err
-	}
-	pp := p
-	run := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		if env.dist != nil {
-			core, err := readoutCore(pp, key, keyed)
-			if err != nil {
-				return nil, simrun.Status{}, err
-			}
-			body, st, handled, err := env.runDist(ctx, jobs.KindReadoutMC, key, core, readoutPlan(pp), pp, progress)
-			if handled {
-				return body, st, err
-			}
-		}
-		cfg := readout.MultiRoundConfig{
-			Range: *pp.Range, MaxRounds: pp.MaxRounds, Shots: pp.Shots, Seed: pp.Seed,
-		}
-		opt := simrun.Options{Workers: pp.Workers, ShardSize: pp.ShardSize,
-			TargetRelStdErr: pp.RelSE, Progress: progress}
-		sv, err := env.attachCheckpoint(ctx, &opt, checkpoint.Meta{
-			Kind: string(jobs.KindReadoutMC), Key: string(key), Seed: pp.Seed,
-			ShardSize: pp.ShardSize, Budget: pp.Shots, TargetRelStdErr: pp.RelSE,
+	j.newCore = func(opt simrun.Options) (dist.Core, error) {
+		timing := readout.DefaultTiming()
+		_, run, merge, err := readout.MultiRoundCore(readout.DefaultChain(), timing, readout.MultiRoundConfig{
+			Range: *p.Range, MaxRounds: p.MaxRounds, Shots: p.Shots, Seed: p.Seed,
 		})
 		if err != nil {
-			return nil, simrun.Status{}, err
+			return nil, err
 		}
-		res, err := readout.MultiRoundErrorCtx(ctx, readout.DefaultChain(), readout.DefaultTiming(), cfg, opt)
-		if err != nil {
-			return nil, simrun.Status{}, err
-		}
-		env.finishCheckpoint(sv, res.Status.Truncated)
-		body, err := marshalEnvelope(jobs.KindReadoutMC, key, keyed, pp.Seed, pp.ShardSize, res)
-		return body, res.Status, err
+		return dist.NewCore(dist.CoreSpec[readout.MultiRoundTally]{Run: run, Merge: merge, Options: opt,
+			Finish: func(sum readout.MultiRoundTally, st simrun.Status) ([]byte, error) {
+				return j.envelope(readout.MultiRoundResultFrom(timing, sum, st))
+			}}), nil
 	}
-	return jobs.KindReadoutMC, key, run, nil
+	return j, nil
 }
 
 // ---- scalability.analyze: design-point scalability verdicts ----
@@ -698,9 +683,3 @@ func findDesign(name string) (microarch.Design, bool) {
 }
 
 func f64(v float64) *float64 { return &v }
-
-// compileProgram is the QASM→executable step (kept tiny so the pauli.mc
-// builder reads linearly).
-func compileProgram(prog *qasm.Program) (*compile.Executable, error) {
-	return compile.Compile(prog, compile.DefaultOptions())
-}

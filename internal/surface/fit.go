@@ -1,6 +1,11 @@
 package surface
 
-import "math"
+import (
+	"context"
+	"math"
+
+	"qisim/internal/simrun"
+)
 
 // FitResult is a projection-model fit from Monte-Carlo decoder data.
 type FitResult struct {
@@ -23,12 +28,16 @@ type FitPoint struct {
 // calibrated analytic projection the scalability analysis uses.
 //
 // Method: for each (d, p) sample, ln p_L = ln A + ((d+1)/2)·(ln p − ln p_th)
-// is linear in the two unknowns (ln A, ln p_th); solve by least squares.
-func FitProjection(ds []int, ps []float64, shots int, seed int64) FitResult {
+// is linear in the two unknowns (ln A, ln p_th); solve by least squares. An
+// invalid distance or probability is returned as an error.
+func FitProjection(ds []int, ps []float64, shots int, seed int64) (FitResult, error) {
 	var pts []FitPoint
 	for _, d := range ds {
 		for _, p := range ps {
-			r := MonteCarloLogicalError(d, p, shots, seed)
+			r, err := MonteCarloLogicalErrorCtx(context.Background(), d, p, shots, seed, simrun.Options{})
+			if err != nil {
+				return FitResult{}, err
+			}
 			seed++
 			if r.Failures < 5 {
 				continue // too noisy to use
@@ -53,13 +62,13 @@ func FitProjection(ds []int, ps []float64, shots int, seed int64) FitResult {
 	det := s11*s22 - s12*s12
 	res := FitResult{Points: pts}
 	if det == 0 || len(pts) < 3 {
-		return res
+		return res, nil
 	}
 	lnA := (b1*s22 - b2*s12) / det
 	lnPth := (s11*b2 - s12*b1) / det
 	res.A = math.Exp(lnA)
 	res.PTh = math.Exp(lnPth)
-	return res
+	return res, nil
 }
 
 // PredictsWithin reports whether the fit reproduces its own MC points within

@@ -3,7 +3,10 @@ package surface
 import "testing"
 
 func TestFitProjectionFromDecoder(t *testing.T) {
-	r := FitProjection([]int{3, 5}, []float64{0.01, 0.02, 0.03, 0.05}, 120000, 1)
+	r, err := FitProjection([]int{3, 5}, []float64{0.01, 0.02, 0.03, 0.05}, 120000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Points) < 6 {
 		t.Fatalf("fit used only %d points", len(r.Points))
 	}
@@ -25,11 +28,18 @@ func TestFitProjectionFromDecoder(t *testing.T) {
 func TestFitHandlesDegenerateInput(t *testing.T) {
 	// Too-low p produces no failures → no usable points → zero fit, and
 	// PredictsWithin must reject it rather than divide by zero.
-	r := FitProjection([]int{3}, []float64{1e-5}, 200, 2)
+	r, err := FitProjection([]int{3}, []float64{1e-5}, 200, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.A != 0 || r.PTh != 0 {
 		t.Fatalf("degenerate fit should return zeros, got %+v", r)
 	}
 	if r.PredictsWithin(3) {
 		t.Fatal("zero fit must not claim predictive power")
+	}
+	// An invalid distance is an error, not a panic.
+	if _, err := FitProjection([]int{4}, []float64{0.01}, 200, 2); err == nil {
+		t.Fatal("even distance must be rejected")
 	}
 }

@@ -435,18 +435,6 @@ func (m *matcher) logicalFlip(err []bool) bool {
 	return parity
 }
 
-// MonteCarloLogicalError estimates the code-capacity logical X error rate of
-// a distance-d patch under i.i.d. X errors of probability p, using the
-// greedy matching decoder. It validates the Projection's (p/p_th)^((d+1)/2)
-// scaling; the paper's timing-dependent effects enter through ErrorParams.
-func MonteCarloLogicalError(d int, p float64, shots int, seed int64) DecoderResult {
-	res, err := MonteCarloLogicalErrorCtx(context.Background(), d, p, shots, seed, simrun.Options{})
-	if err != nil {
-		panic(err) // legacy boundary: preserves the seed API's panic contract
-	}
-	return res
-}
-
 // checkMCParams validates the shared MC arguments.
 func checkMCParams(d int, probs ...float64) error {
 	if d < 3 || d%2 == 0 {
@@ -460,8 +448,13 @@ func checkMCParams(d int, probs ...float64) error {
 	return nil
 }
 
-// MonteCarloLogicalErrorCtx is the context-aware MonteCarloLogicalError,
-// executed on the sharded parallel engine: the shot budget is partitioned
+// MonteCarloLogicalErrorCtx estimates the code-capacity logical X error
+// rate of a distance-d patch under i.i.d. X errors of probability p, using
+// the greedy matching decoder. It validates the Projection's
+// (p/p_th)^((d+1)/2) scaling; the paper's timing-dependent effects enter
+// through ErrorParams.
+//
+// The run executes on the sharded parallel engine: the shot budget is partitioned
 // into fixed-size shards with independent deterministic RNG streams
 // (simrun.ShardSeed), run on opt.Workers goroutines (default GOMAXPROCS),
 // and merged in shard order — the estimate is bit-identical for every
@@ -517,17 +510,8 @@ type ThresholdResult struct {
 	Status     simrun.Status `json:"status"`
 }
 
-// ThresholdEstimate locates the crossing point of the d and d+2 logical
-// error curves by bisection over p — a coarse decoder-threshold probe.
-func ThresholdEstimate(d int, shots int, seed int64) float64 {
-	res, err := ThresholdEstimateCtx(context.Background(), d, shots, seed, simrun.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return res.Estimate
-}
-
-// ThresholdEstimateCtx is the context-aware ThresholdEstimate. Each
+// ThresholdEstimateCtx locates the crossing point of the d and d+2 logical
+// error curves by bisection over p — a coarse decoder-threshold probe. Each
 // bisection step runs two guarded MC estimates; on cancellation the current
 // bracket midpoint is returned as a Truncated best-so-far estimate.
 func ThresholdEstimateCtx(ctx context.Context, d int, shots int, seed int64, opt simrun.Options) (ThresholdResult, error) {

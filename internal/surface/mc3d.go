@@ -15,21 +15,6 @@ type spacetimeNode struct {
 	t int // round index
 }
 
-// MonteCarloPhenomenological estimates the logical X error rate of a
-// distance-d patch over `rounds` noisy ESM rounds: data qubits flip with
-// probability p per round and syndrome measurements flip with probability q,
-// followed by one final perfect round (the standard phenomenological noise
-// model). Decoding matches detection events (syndrome differences between
-// consecutive rounds) in space-time: spatial path segments flip data,
-// time-like segments flip nothing (they explain measurement errors).
-func MonteCarloPhenomenological(d int, p, q float64, rounds, shots int, seed int64) DecoderResult {
-	res, err := MonteCarloPhenomenologicalCtx(context.Background(), d, p, q, rounds, shots, seed, simrun.Options{})
-	if err != nil {
-		panic(err) // legacy boundary: preserves the seed API's panic contract
-	}
-	return res
-}
-
 // PhenomenologicalCore validates the phenomenological-MC parameters and
 // returns the per-shard sampler plus its in-order merge — the pieces a
 // distributed executor needs to run an arbitrary shard window of this
@@ -110,10 +95,17 @@ func DecoderResultFrom(failures int, status simrun.Status) DecoderResult {
 	return DecoderResult{Shots: status.Completed, Failures: failures, Status: status}
 }
 
-// MonteCarloPhenomenologicalCtx is the context-aware phenomenological MC,
-// executed on the sharded parallel engine: each shard of shots runs on its
-// own deterministic RNG stream and the shard results merge in shard order,
-// so the estimate is bit-identical for every opt.Workers count.
+// MonteCarloPhenomenologicalCtx estimates the logical X error rate of a
+// distance-d patch over `rounds` noisy ESM rounds: data qubits flip with
+// probability p per round and syndrome measurements flip with probability q,
+// followed by one final perfect round (the standard phenomenological noise
+// model). Decoding matches detection events (syndrome differences between
+// consecutive rounds) in space-time: spatial path segments flip data,
+// time-like segments flip nothing (they explain measurement errors).
+//
+// The run executes on the sharded parallel engine: each shard of shots runs
+// on its own deterministic RNG stream and the shard results merge in shard
+// order, so the estimate is bit-identical for every opt.Workers count.
 // Cancellation or deadline expiry keeps the completed shard prefix as a
 // partial, Truncated-flagged estimate; opt can enable the cross-shard
 // standard-error convergence guard.
@@ -251,20 +243,11 @@ func (m *matcher) stGreedyWith(sc *decodeScratch, err []bool, ev []spacetimeNode
 	}
 }
 
-// PhenomenologicalThreshold locates the p = q crossing point of the d and
-// d+2 curves — the phenomenological threshold (literature: ~2.9–3.3% for
-// matching decoders).
-func PhenomenologicalThreshold(d, rounds, shots int, seed int64) float64 {
-	res, err := PhenomenologicalThresholdCtx(context.Background(), d, rounds, shots, seed, simrun.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return res.Estimate
-}
-
-// PhenomenologicalThresholdCtx is the context-aware threshold bisection: on
-// cancellation it returns the current bracket midpoint as a Truncated
-// best-so-far estimate with the number of completed bisection steps.
+// PhenomenologicalThresholdCtx locates the p = q crossing point of the d
+// and d+2 curves by bisection — the phenomenological threshold (literature:
+// ~2.9–3.3% for matching decoders). On cancellation it returns the current
+// bracket midpoint as a Truncated best-so-far estimate with the number of
+// completed bisection steps.
 func PhenomenologicalThresholdCtx(ctx context.Context, d, rounds, shots int, seed int64, opt simrun.Options) (ThresholdResult, error) {
 	if err := checkMCParams(d); err != nil {
 		return ThresholdResult{}, err

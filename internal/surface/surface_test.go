@@ -1,9 +1,42 @@
 package surface
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"qisim/internal/simrun"
 )
+
+// codeCapacity runs the matching-decoder code-capacity MC to completion.
+func codeCapacity(t *testing.T, d int, p float64, shots int, seed int64) DecoderResult {
+	t.Helper()
+	r, err := MonteCarloLogicalErrorCtx(context.Background(), d, p, shots, seed, simrun.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// ufCapacity runs the union-find code-capacity MC to completion.
+func ufCapacity(t *testing.T, d int, p float64, shots int, seed int64) DecoderResult {
+	t.Helper()
+	r, err := MonteCarloUnionFindCtx(context.Background(), d, p, shots, seed, simrun.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// pheno runs the phenomenological MC to completion.
+func pheno(t *testing.T, d int, p, q float64, rounds, shots int, seed int64) DecoderResult {
+	t.Helper()
+	r, err := MonteCarloPhenomenologicalCtx(context.Background(), d, p, q, rounds, shots, seed, simrun.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func TestPatchCounts(t *testing.T) {
 	for _, d := range []int{3, 5, 7, 9} {
@@ -149,12 +182,12 @@ func TestDecoderDistanceProperty(t *testing.T) {
 
 func TestMonteCarloSubThresholdScaling(t *testing.T) {
 	// Below threshold, larger distance wins and error grows with p.
-	p3 := MonteCarloLogicalError(3, 0.01, 40000, 1).Rate()
-	p5 := MonteCarloLogicalError(5, 0.01, 40000, 2).Rate()
+	p3 := codeCapacity(t, 3, 0.01, 40000, 1).Rate()
+	p5 := codeCapacity(t, 5, 0.01, 40000, 2).Rate()
 	if p5 >= p3 {
 		t.Fatalf("d=5 (%.4g) should beat d=3 (%.4g) below threshold", p5, p3)
 	}
-	q3 := MonteCarloLogicalError(3, 0.03, 40000, 3).Rate()
+	q3 := codeCapacity(t, 3, 0.03, 40000, 3).Rate()
 	if q3 <= p3 {
 		t.Fatalf("logical error must grow with p: %.4g at 3%% vs %.4g at 1%%", q3, p3)
 	}
@@ -163,8 +196,8 @@ func TestMonteCarloSubThresholdScaling(t *testing.T) {
 func TestMonteCarloExponentRoughlyMatchesProjection(t *testing.T) {
 	// The code-capacity MC should scale near (p)^((d+1)/2): for d=3 the
 	// log-log slope between p=0.01 and p=0.04 should be ~2.
-	lo := MonteCarloLogicalError(3, 0.01, 120000, 4).Rate()
-	hi := MonteCarloLogicalError(3, 0.04, 120000, 5).Rate()
+	lo := codeCapacity(t, 3, 0.01, 120000, 4).Rate()
+	hi := codeCapacity(t, 3, 0.04, 120000, 5).Rate()
 	slope := math.Log(hi/lo) / math.Log(4.0)
 	if slope < 1.4 || slope > 2.6 {
 		t.Fatalf("d=3 scaling exponent %.2f, want ~2", slope)
@@ -304,7 +337,11 @@ func TestThresholdEstimateBand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("MC threshold probe")
 	}
-	th := ThresholdEstimate(3, 3000, 7)
+	res, err := ThresholdEstimateCtx(context.Background(), 3, 3000, 7, simrun.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := res.Estimate
 	// Code-capacity matching thresholds sit near 10%.
 	if th < 0.04 || th > 0.2 {
 		t.Fatalf("decoder threshold %.3f outside the plausible band", th)

@@ -121,19 +121,10 @@ func (m *matcher) decodeUnionFindWith(sc *decodeScratch, err []bool, syndrome []
 	}
 }
 
-// MonteCarloUnionFind estimates the code-capacity logical error rate with
-// the union-find decoder, for comparison with the matching decoder (UF is
-// near-linear-time; matching is more accurate).
-func MonteCarloUnionFind(d int, p float64, shots int, seed int64) DecoderResult {
-	res, err := MonteCarloUnionFindCtx(context.Background(), d, p, shots, seed, simrun.Options{})
-	if err != nil {
-		panic(err) // legacy boundary: preserves the seed API's panic contract
-	}
-	return res
-}
-
-// MonteCarloUnionFindCtx is the context-aware MonteCarloUnionFind, executed
-// on the sharded parallel engine (see MonteCarloLogicalErrorCtx): results
+// MonteCarloUnionFindCtx estimates the code-capacity logical error rate
+// with the union-find decoder, for comparison with the matching decoder (UF
+// is near-linear-time; matching is more accurate). It runs on the sharded
+// parallel engine (see MonteCarloLogicalErrorCtx): results
 // are bit-identical for every opt.Workers count; cancellation yields a
 // partial, Truncated-flagged estimate over the completed shard prefix.
 func MonteCarloUnionFindCtx(ctx context.Context, d int, p float64, shots int, seed int64, opt simrun.Options) (DecoderResult, error) {

@@ -18,8 +18,8 @@ func TestUnionFindCorrectsSingleErrors(t *testing.T) {
 }
 
 func TestUnionFindSubThreshold(t *testing.T) {
-	p3 := MonteCarloUnionFind(3, 0.01, 30000, 1).Rate()
-	p5 := MonteCarloUnionFind(5, 0.01, 30000, 2).Rate()
+	p3 := ufCapacity(t, 3, 0.01, 30000, 1).Rate()
+	p5 := ufCapacity(t, 5, 0.01, 30000, 2).Rate()
 	if p5 >= p3 {
 		t.Fatalf("union-find: d=5 (%.4g) should beat d=3 (%.4g) below threshold", p5, p3)
 	}
@@ -30,8 +30,8 @@ func TestUnionFindVsMatchingAccuracy(t *testing.T) {
 	// within an order of magnitude of matching, and never meaningfully beat
 	// it (that would signal a matching bug).
 	for _, d := range []int{3, 5} {
-		mw := MonteCarloLogicalError(d, 0.02, 40000, 3).Rate()
-		uf := MonteCarloUnionFind(d, 0.02, 40000, 3).Rate()
+		mw := codeCapacity(t, d, 0.02, 40000, 3).Rate()
+		uf := ufCapacity(t, d, 0.02, 40000, 3).Rate()
 		if uf > 12*mw+1e-4 {
 			t.Fatalf("d=%d: union-find %.4g too far above matching %.4g", d, uf, mw)
 		}
