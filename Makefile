@@ -32,10 +32,12 @@ trace-demo:
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/qisim -trace-out qisim-trace.json -workers 4 mc -d 7 -shots 100000
 	@echo "trace written to qisim-trace.json — load it in chrome://tracing or https://ui.perfetto.dev"
 
-# Short fuzz smoke of the QASM parser boundary (the long runs happen in CI
-# and on demand: `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
+# Short fuzz smokes of the QASM parser and the checkpoint decoder, the two
+# targets CI fuzzes (longer runs on demand, e.g.
+# `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
 fuzz:
 	$(GO) test ./internal/qasm -fuzz FuzzParse -fuzztime 15s
+	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointDecode -fuzztime 15s
 
 # Build and run the qisimd analysis service on :8080 with version stamping.
 serve:

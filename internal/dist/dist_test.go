@@ -483,6 +483,10 @@ func TestDrainingWorkerIsLeaseNonRenewable(t *testing.T) {
 	c.Register(context.Background(), WorkerInfo{ID: "w1"})
 	ch := startExecute(c, context.Background(), "k1", core, toyPlan)
 	g := waitGrant(t, c, "w1")
+	// w2 joins before w1 drains, so the fleet never runs out of live
+	// workers: with none left, Execute's local lane could take the unit
+	// the sweep below requeues before w2 claims it.
+	c.Register(context.Background(), WorkerInfo{ID: "w2"})
 	c.MarkDraining("w1")
 
 	// Renewal is accepted (the worker is alive, finishing its unit) but

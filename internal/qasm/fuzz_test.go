@@ -45,6 +45,11 @@ func FuzzParse(f *testing.F) {
 		"qreg q[1]; unknown_gate q[0];",
 		"qreg \x00[1];",
 		strings.Repeat("qreg q[1];", 50),
+		// Non-finite parameters must be rejected by Parse itself.
+		"qreg q[7]; x(.1/0) q[0];",
+		"qreg q[1]; rz(0/0) q[0];",
+		"qreg q[1]; rz(nan) q[0];",
+		"qreg q[1]; rz(inf) q[0];",
 	} {
 		f.Add(s)
 	}

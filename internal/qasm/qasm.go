@@ -253,7 +253,8 @@ func resolveIndex(s string, regs map[string]reg) (int, error) {
 }
 
 // evalParam evaluates the restricted parameter grammar: float literals, pi,
-// unary minus, and binary */ with pi (e.g. "pi/2", "-3*pi/4", "0.25").
+// unary minus, and binary */ with pi (e.g. "pi/2", "-3*pi/4", "0.25"). A
+// value that is not finite (e.g. "1/0", "nan") is rejected.
 func evalParam(s string) (float64, error) {
 	s = strings.ReplaceAll(s, " ", "")
 	if s == "" {
@@ -285,6 +286,9 @@ func evalParam(s string) (float64, error) {
 	}
 	if neg {
 		val = -val
+	}
+	if math.IsNaN(val) || math.IsInf(val, 0) {
+		return 0, fmt.Errorf("qasm: parameter evaluates to %v", val)
 	}
 	return val, nil
 }

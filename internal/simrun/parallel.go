@@ -12,14 +12,10 @@ import (
 	"qisim/internal/simerr"
 )
 
-// Tally is the locked cross-shard event counter of the parallel engine.
-//
-// The Guard is single-goroutine by contract (see its doc comment): its
-// ContinueBinomial check mutates unguarded fields, so it must never be
-// shared across workers. The pool instead aggregates per-shard (shots,
-// events) pairs into a Tally, whose methods are safe for concurrent use,
-// and the engine runs the convergence test over the tally's committed
-// totals at shard boundaries.
+// Tally is the locked cross-shard event counter of the parallel engine. The
+// pool aggregates per-shard (shots, events) pairs into it, and the engine
+// runs the convergence test over the tally's committed totals at shard
+// boundaries. Its methods are safe for concurrent use.
 type Tally struct {
 	mu     sync.Mutex
 	shots  int
@@ -41,13 +37,6 @@ func (t *Tally) Add(shots, events int) {
 		return
 	}
 	t.events += events
-}
-
-// Snapshot returns the committed totals so far.
-func (t *Tally) Snapshot() (shots, events int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.shots, t.events
 }
 
 // State returns the committed totals plus the no-convergence latch — the
@@ -87,19 +76,14 @@ type ShardTask struct {
 	interrupted bool
 }
 
-// rngPool recycles the ~5 KiB Go-1 source state behind each shard's private
-// stream. Rand.Seed fully reinitializes the source and resets the Rand's
-// cached read state, so a pooled, re-seeded Rand emits a bitstream identical
-// to a fresh rand.New(rand.NewSource(seed)) — shard results are unchanged.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
-
 // taskPool recycles ShardTask headers; tasks must not escape the ShardFunc
 // invocation (see ShardTask), so the engine can reclaim them immediately.
 var taskPool = sync.Pool{New: func() any { return new(ShardTask) }}
 
 // NewShardTask builds a standalone shard task for tests and benchmarks that
-// drive a ShardFunc outside the engine. A checkEvery <= 0 defaults to the
-// engine's 256-shot cancellation poll interval.
+// drive a ShardFunc outside the engine. Its RNG is seeded exactly as the
+// engine seeds a shard's stream. A checkEvery <= 0 defaults to the engine's
+// 256-shot cancellation poll interval.
 func NewShardTask(ctx context.Context, sh Shard, checkEvery int) *ShardTask {
 	if ctx == nil {
 		ctx = context.Background()
@@ -109,7 +93,7 @@ func NewShardTask(ctx context.Context, sh Shard, checkEvery int) *ShardTask {
 	}
 	return &ShardTask{
 		Shard: sh,
-		RNG:   rand.New(rand.NewSource(sh.Seed)),
+		RNG:   shardRNG(sh.Seed),
 		ctx:   ctx,
 		every: checkEvery,
 	}
@@ -130,9 +114,6 @@ func (t *ShardTask) Continue(i int) bool {
 	}
 	return true
 }
-
-// Interrupted reports whether the shard loop was cut short by cancellation.
-func (t *ShardTask) Interrupted() bool { return t.interrupted }
 
 // Context returns the shard's context: it carries the engine's cancellation
 // signal plus — when tracing is enabled — the shard's span, so a ShardFunc
@@ -155,12 +136,167 @@ type ShardFunc[R any] func(t *ShardTask) (R, int, error)
 type MergeFunc[R any] func(dst *R, src R)
 
 // shardRecord holds one shard's outcome until the deterministic in-order
-// merge.
+// commit.
 type shardRecord[R any] struct {
 	res    R
 	events int
 	done   bool
 	err    error
+}
+
+// shardLoop is the commit-side view of the engine's one dispatch/execute/
+// in-order-commit loop (runShards), which RunSharded and RunWindow share.
+// Completed shards park here until every lower shard has completed; the
+// commit step then takes them off the contiguous frontier in strictly
+// ascending shard order, so completion order never reaches the caller.
+type shardLoop[R any] struct {
+	plan     []Shard
+	start    int              // first shard of the run
+	recs     []shardRecord[R] // recs[i-start] holds shard i until taken
+	frontier int              // next shard awaiting commit
+	stopAt   int              // shards >= stopAt are never dispatched or taken
+}
+
+// ready reports whether the shard at the frontier has completed and may be
+// taken.
+func (l *shardLoop[R]) ready() bool {
+	return l.frontier < l.stopAt && l.recs[l.frontier-l.start].done
+}
+
+// take hands out the ready frontier shard and advances the frontier past it.
+func (l *shardLoop[R]) take() (Shard, R, int) {
+	r := &l.recs[l.frontier-l.start]
+	sh, res, events := l.plan[l.frontier], r.res, r.events
+	*r = shardRecord[R]{done: true} // release the shard's result
+	l.frontier++
+	return sh, res, events
+}
+
+// halt ends the run at the frontier: no later shard is dispatched or taken.
+func (l *shardLoop[R]) halt() { l.stopAt = l.frontier }
+
+// poolSize is the worker count for a run of n shards: workers, or one per
+// GOMAXPROCS when 0, and never more than n.
+func poolSize(workers, n int) int {
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	return workers
+}
+
+// runShards executes shards [start, end) of plan on workers goroutines
+// (workers <= 1: inline, the serial reference every worker count must
+// reproduce), each shard on a pooled ShardTask and RNG under its own
+// "shard" span. Whenever the frontier shard completes, commit runs with the
+// loop's lock held and takes what is ready. Cancellation stops dispatch and
+// discards interrupted shards, which commit never sees. runShards returns
+// the committed frontier and the error of the lowest-index failing shard
+// (a deterministic pick under any scheduling).
+//
+// Reentrancy: commit and everything it calls out to (Progress, Checkpoint,
+// the tracer) run under the loop's lock — a slow callback slows commits but
+// can never deadlock the loop (workers finish their current shard and queue
+// on the lock; nothing the loop holds is required by the callbacks) and can
+// never reorder the fold, which happened before the callback fired. The
+// tracer's own lock is leaf-level: it is never held while acquiring the
+// loop's.
+func runShards[R any](ctx context.Context, plan []Shard, start, end, workers, checkEvery int,
+	run ShardFunc[R], commit func(l *shardLoop[R])) (int, error) {
+
+	l := &shardLoop[R]{plan: plan, start: start, recs: make([]shardRecord[R], end-start),
+		frontier: start, stopAt: end}
+	var mu sync.Mutex
+	var next atomic.Int64 // next shard to dispatch
+	next.Store(int64(start))
+
+	worker := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			mu.Lock()
+			stop := i >= l.stopAt
+			mu.Unlock()
+			if stop {
+				return
+			}
+			// The shard span's context doubles as the shard's cancellation
+			// context: context.WithValue preserves Done(), so Continue's
+			// polling is unchanged whether tracing is on or off.
+			shardCtx, shardSpan := obs.StartSpan(ctx, "shard",
+				obs.Int("shard", i), obs.Int("shots", plan[i].N))
+			rng := shardRNG(plan[i].Seed)
+			t := taskPool.Get().(*ShardTask)
+			*t = ShardTask{
+				Shard: plan[i],
+				RNG:   rng,
+				ctx:   shardCtx,
+				every: checkEvery,
+			}
+			res, events, err := run(t)
+			interrupted := t.interrupted
+			*t = ShardTask{}
+			taskPool.Put(t)
+			rngPool.Put(rng)
+			if interrupted {
+				shardSpan.SetAttr(obs.Bool("interrupted", true))
+			} else if err == nil && events >= 0 {
+				shardSpan.SetAttr(obs.Int("events", events))
+			}
+			shardSpan.End()
+			mu.Lock()
+			if err != nil {
+				l.recs[i-start].err = err
+			} else if !interrupted {
+				l.recs[i-start] = shardRecord[R]{res: res, events: events, done: true}
+				if l.ready() {
+					commit(l)
+				}
+			}
+			mu.Unlock()
+		}
+	}
+
+	if workers <= 1 {
+		worker()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				worker()
+			}()
+		}
+		wg.Wait()
+	}
+
+	for i := range l.recs {
+		if l.recs[i].err != nil {
+			return l.frontier, l.recs[i].err
+		}
+	}
+	return l.frontier, nil
+}
+
+// engineDefaults validates opt against a requested shot budget, fills in
+// the engine's CheckEvery and ShardSize defaults, and returns the effective
+// budget (shots capped at MaxShots).
+func engineDefaults(shots int, opt *Options) (int, error) {
+	if err := opt.Validate(shots); err != nil {
+		return 0, err
+	}
+	if opt.CheckEvery == 0 {
+		opt.CheckEvery = 256
+	}
+	if opt.ShardSize == 0 {
+		opt.ShardSize = DefaultShardSize
+	}
+	if opt.MaxShots > 0 && opt.MaxShots < shots {
+		return opt.MaxShots, nil
+	}
+	return shots, nil
 }
 
 // RunSharded is the parallel Monte-Carlo shot engine. It partitions the
@@ -199,24 +335,15 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 	run ShardFunc[R], merge MergeFunc[R]) (R, Status, error) {
 
 	var zero R
-	if err := opt.Validate(shots); err != nil {
+	budget, err := engineDefaults(shots, &opt)
+	if err != nil {
 		return zero, Status{}, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.CheckEvery == 0 {
-		opt.CheckEvery = 256
-	}
-	if opt.ShardSize == 0 {
-		opt.ShardSize = DefaultShardSize
-	}
 	if opt.TargetRelStdErr > 0 && opt.MinShots == 0 {
 		opt.MinShots = 1000
-	}
-	budget := shots
-	if opt.MaxShots > 0 && opt.MaxShots < budget {
-		budget = opt.MaxShots
 	}
 	shards := shardPlan(budget, opt.ShardSize, seed)
 	nShards := len(shards)
@@ -300,145 +427,48 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 		}
 	}
 
-	workers := opt.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nShards-start {
-		workers = nShards - start
-	}
+	workers := poolSize(opt.Workers, nShards-start)
 	runSpan.SetAttr(obs.Int("workers", workers))
 
-	recs := make([]shardRecord[R], nShards)
-	var (
-		mu       sync.Mutex
-		frontier = start   // next shard index awaiting commit
-		stopAt   = nShards // shards >= stopAt are never merged
-		reason   string
-	)
-	next := int64(start) // atomic shard issuance counter
-
-	// commit advances the contiguous committed prefix over freshly completed
-	// shards, folding each one into the accumulator in strictly ascending
-	// shard order, feeding the cross-shard tally and running the convergence
-	// test at each shard boundary. Called with mu held.
-	//
-	// Reentrancy: Progress, Checkpoint and the tracer all run under mu here
-	// (see the Options contract) — a slow callback slows commits but can
-	// never deadlock the engine (workers finish their current shard and
-	// queue on mu; nothing the engine holds is required by the callbacks)
-	// and can never reorder the merge, which happened before the callback
-	// fired. The tracer's own lock is leaf-level: it is never held while
-	// acquiring mu.
-	commit := func() {
-		if frontier >= stopAt || !recs[frontier].done {
-			return // nothing to fold: the frontier shard is still running
-		}
-		mergeCtx, mergeSpan := obs.StartSpan(ctx, "merge", obs.Int("from", frontier))
-		for frontier < stopAt && recs[frontier].done {
-			tally.Add(shards[frontier].N, recs[frontier].events)
-			merge(&out, recs[frontier].res)
-			recs[frontier] = shardRecord[R]{done: true} // release the shard's result
-			frontier++
-			if tally.Converged(opt.TargetRelStdErr, opt.MinShots) {
-				stopAt = frontier
-				reason = StopConverged
-				break
+	// The commit step folds freshly completed shards into the accumulator
+	// in strictly ascending shard order, feeding the cross-shard tally and
+	// running the convergence test at each shard boundary. Progress and
+	// Checkpoint see the committed prefix only, never uncommitted shards,
+	// so they cannot perturb determinism (see runShards on reentrancy).
+	var reason string
+	frontier, err := runShards(ctx, shards, start, nShards, workers, opt.CheckEvery, run,
+		func(l *shardLoop[R]) {
+			mergeCtx, mergeSpan := obs.StartSpan(ctx, "merge", obs.Int("from", l.frontier))
+			for l.ready() {
+				sh, res, events := l.take()
+				tally.Add(sh.N, events)
+				merge(&out, res)
+				if tally.Converged(opt.TargetRelStdErr, opt.MinShots) {
+					l.halt()
+					reason = StopConverged
+					break
+				}
 			}
-		}
-		mergeSpan.SetAttr(obs.Int("to", frontier))
-		// Observational only: both callbacks see the committed prefix,
-		// never uncommitted shards, so they cannot perturb determinism.
-		if opt.Progress != nil {
-			opt.Progress(shardShots(budget, opt.ShardSize, frontier), budget)
-		}
-		if opt.Checkpoint != nil {
-			_, ckSpan := obs.StartSpan(mergeCtx, "checkpoint.save", obs.Int("shards", frontier))
-			sh, ev, nc := tally.State()
-			opt.Checkpoint(CheckpointState{Shards: frontier, Shots: sh, Requested: budget,
-				Events: ev, NoConverge: nc, State: out})
-			ckSpan.End()
-		}
-		mergeSpan.End()
-	}
-
-	worker := func() {
-		for {
-			if ctx.Err() != nil {
-				return
+			mergeSpan.SetAttr(obs.Int("to", l.frontier))
+			if opt.Progress != nil {
+				opt.Progress(shardShots(budget, opt.ShardSize, l.frontier), budget)
 			}
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if i >= nShards {
-				return
+			if opt.Checkpoint != nil {
+				_, ckSpan := obs.StartSpan(mergeCtx, "checkpoint.save", obs.Int("shards", l.frontier))
+				sh, ev, nc := tally.State()
+				opt.Checkpoint(CheckpointState{Shards: l.frontier, Shots: sh, Requested: budget,
+					Events: ev, NoConverge: nc, State: out})
+				ckSpan.End()
 			}
-			mu.Lock()
-			sa := stopAt
-			mu.Unlock()
-			if i >= sa {
-				return
-			}
-			// The shard span's context doubles as the shard's cancellation
-			// context: context.WithValue preserves Done(), so Continue's
-			// polling is unchanged whether tracing is on or off.
-			shardCtx, shardSpan := obs.StartSpan(ctx, "shard",
-				obs.Int("shard", i), obs.Int("shots", shards[i].N))
-			rng := rngPool.Get().(*rand.Rand)
-			seedShardRNG(rng, shards[i].Seed)
-			t := taskPool.Get().(*ShardTask)
-			*t = ShardTask{
-				Shard: shards[i],
-				RNG:   rng,
-				ctx:   shardCtx,
-				every: opt.CheckEvery,
-			}
-			res, events, err := run(t)
-			interrupted := t.interrupted
-			*t = ShardTask{}
-			taskPool.Put(t)
-			rngPool.Put(rng)
-			if interrupted {
-				shardSpan.SetAttr(obs.Bool("interrupted", true))
-			} else if err == nil && events >= 0 {
-				shardSpan.SetAttr(obs.Int("events", events))
-			}
-			shardSpan.End()
-			mu.Lock()
-			if err != nil {
-				recs[i].err = err
-			} else if !interrupted {
-				recs[i] = shardRecord[R]{res: res, events: events, done: true}
-				commit()
-			}
-			mu.Unlock()
-		}
-	}
-
-	if workers <= 1 {
-		// Serial reference: same issuance, commit and merge logic, executed
-		// inline — Workers=1 is the semantics the pool must reproduce.
-		worker()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				worker()
-			}()
-		}
-		wg.Wait()
-	}
-
-	// Surface the first shard error in shard order (deterministic pick).
-	for i := range recs {
-		if recs[i].err != nil {
-			return zero, Status{}, recs[i].err
-		}
+			mergeSpan.End()
+		})
+	if err != nil {
+		return zero, Status{}, err
 	}
 
 	// Decide the stop reason; the accumulator already holds exactly the
 	// committed prefix [0, frontier) — when convergence fired, the commit
-	// loop stopped at the converged boundary, so frontier == stopAt.
+	// step halted the loop at the converged boundary.
 	switch {
 	case reason == StopConverged:
 	case frontier >= nShards:

@@ -1,24 +1,24 @@
-// Package simrun is the robustness layer every long-running QIsim entry
+// Package simrun is the Monte-Carlo engine every long-running QIsim entry
 // point flows through. It provides context-aware run options (deadline,
-// shot budget, convergence targets, check interval) and a shot-loop Guard
-// that turns cancellation into *partial, flagged* results instead of thrown
-// away work: a truncated Monte-Carlo run reports the shots it completed,
-// the best-so-far estimate, and Truncated=true, never a panic or a hang.
+// shot budget, convergence target, check interval) and one sharded shot
+// loop behind RunSharded and RunWindow that turns cancellation into
+// *partial, flagged* results instead of thrown-away work: a truncated
+// Monte-Carlo run reports the shots it completed, the best-so-far estimate,
+// and Truncated=true, never a panic or a hang.
 //
-// The Guard also implements the MC convergence guard: an early exit when the
-// binomial standard error of the estimate falls below a relative target,
-// gated by a minimum-shot floor so a lucky early streak cannot terminate a
-// sweep prematurely.
+// RunSharded also implements the MC convergence guard: an early exit at a
+// shard boundary once the binomial standard error of the committed
+// estimate falls below a relative target, gated by a minimum-shot floor so
+// a lucky early streak cannot terminate a sweep prematurely.
 //
-// Determinism contract: the Guard never consumes random numbers, so two runs
-// with the same seed and options produce bit-identical results (possibly
-// differing only in how many shots they complete when wall-clock deadlines
-// fire — deadline truncation is the one intentionally non-deterministic
-// stop).
+// Determinism contract: the engine never consumes random numbers outside
+// the per-shard streams, so two runs with the same seed and options produce
+// bit-identical results (possibly differing only in how many shots they
+// complete when wall-clock deadlines fire — deadline truncation is the one
+// intentionally non-deterministic stop).
 package simrun
 
 import (
-	"context"
 	"math"
 
 	"qisim/internal/simerr"
@@ -205,93 +205,6 @@ func (s Status) Err() error {
 		s.Completed, s.Requested, s.StopReason)
 }
 
-// Guard gates a shot loop on budget, cancellation and convergence. Use:
-//
-//	g, err := simrun.NewGuard(ctx, shots, opt)
-//	if err != nil { return ..., err }
-//	for s := 0; g.ContinueBinomial(s, failures); s++ { ... }
-//	res.Status = g.Status(...)
-//
-// Concurrency contract: a Guard serves exactly ONE shot loop on ONE
-// goroutine. Continue/ContinueBinomial/Status mutate unguarded fields, so a
-// Guard must never be shared across workers — under `go test -race` a shared
-// Guard is a reported data race, and a racy events tally would make the
-// convergence check depend on worker scheduling, breaking the determinism
-// contract. The parallel engine (RunSharded) therefore never hands a Guard
-// to its workers: each shard loop polls its own ShardTask and the pool
-// aggregates per-shard event counts through the locked Tally API, running
-// the convergence test only over the committed in-order shard prefix.
-type Guard struct {
-	ctx        context.Context
-	opt        Options
-	requested  int
-	stopReason string
-	completed  int
-}
-
-// NewGuard validates the options and builds a guard over ctx. A nil ctx is
-// treated as context.Background() (pure budget/convergence gating).
-func NewGuard(ctx context.Context, requested int, opt Options) (*Guard, error) {
-	if err := opt.Validate(requested); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opt.CheckEvery == 0 {
-		opt.CheckEvery = 256
-	}
-	if opt.TargetRelStdErr > 0 && opt.MinShots == 0 {
-		opt.MinShots = 1000
-	}
-	if opt.MaxShots > 0 && opt.MaxShots < requested {
-		requested = opt.MaxShots
-	}
-	return &Guard{ctx: ctx, opt: opt, requested: requested}, nil
-}
-
-// Budget returns the effective shot budget after MaxShots capping.
-func (g *Guard) Budget() int { return g.requested }
-
-// Continue reports whether the shot loop should run shot number `done`
-// (0-based): it returns false once the budget is exhausted or — polled every
-// CheckEvery shots — the context is done.
-func (g *Guard) Continue(done int) bool {
-	return g.ContinueBinomial(done, -1)
-}
-
-// ContinueBinomial is Continue plus the convergence guard for binomial
-// estimators: events is the running success/failure count whose rate
-// events/done is being estimated (pass a negative value to disable the
-// convergence check for this call).
-func (g *Guard) ContinueBinomial(done, events int) bool {
-	g.completed = done
-	if g.stopReason != "" {
-		return false
-	}
-	if done >= g.requested {
-		g.stopReason = StopCompleted
-		return false
-	}
-	if done == 0 || done%g.opt.CheckEvery != 0 {
-		return true
-	}
-	if err := g.ctx.Err(); err != nil {
-		if err == context.DeadlineExceeded {
-			g.stopReason = StopDeadline
-		} else {
-			g.stopReason = StopCanceled
-		}
-		return false
-	}
-	if events >= 0 && g.opt.TargetRelStdErr > 0 && done >= g.opt.MinShots &&
-		binomialConverged(events, done, g.opt.TargetRelStdErr) {
-		g.stopReason = StopConverged
-		return false
-	}
-	return true
-}
-
 // binomialConverged reports whether the relative standard error of the rate
 // events/done is below target. A zero-event run never converges (its
 // relative error is undefined and the true rate may simply be below the
@@ -303,26 +216,4 @@ func binomialConverged(events, done int, target float64) bool {
 	p := float64(events) / float64(done)
 	se := math.Sqrt(p * (1 - p) / float64(done))
 	return se/p <= target
-}
-
-// Status finalises the guard after the loop exits, recording how many shots
-// completed. Call exactly once, with the loop counter's final value.
-func (g *Guard) Status(completed int) Status {
-	reason := g.stopReason
-	if reason == "" {
-		// Loop exited on its own (e.g. caller break) — treat as completed
-		// if the budget was met, canceled otherwise.
-		if completed >= g.requested {
-			reason = StopCompleted
-		} else {
-			reason = StopCanceled
-		}
-	}
-	return Status{
-		Requested:  g.requested,
-		Completed:  completed,
-		Truncated:  reason == StopCanceled || reason == StopDeadline,
-		Converged:  reason == StopConverged,
-		StopReason: reason,
-	}
 }

@@ -2,10 +2,6 @@ package simrun
 
 import (
 	"context"
-	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"qisim/internal/obs"
 	"qisim/internal/simerr"
@@ -40,31 +36,24 @@ func PlanShots(budget, size, k int) int {
 // shard's result depends only on (seed, shard index) and the fold sequence
 // is identical.
 //
-// Unlike RunSharded there is no convergence guard and no checkpointing
-// here: a window is a dumb slice of work; stop decisions belong to the
-// coordinator, which sees the global committed prefix. opt.Workers
-// parallelises within the window (in-order emit preserved); cancellation
-// surfaces as a typed ErrInterrupted — a window is all-or-nothing, the
-// caller reports nothing for an interrupted window and the lease expiry
-// path re-runs it elsewhere.
+// A window runs on RunSharded's own shard loop, with emit as its commit
+// step. Unlike RunSharded there is no convergence guard, no checkpointing
+// and no progress here: a window is a dumb slice of work; stop decisions
+// belong to the coordinator, which sees the global committed prefix.
+// opt.Workers parallelises within the window (in-order emit preserved); an
+// emit error stops the window and is returned; cancellation surfaces as a
+// typed ErrInterrupted — a window is all-or-nothing, the caller reports
+// nothing for an interrupted window and the lease expiry path re-runs it
+// elsewhere.
 func RunWindow[R any](ctx context.Context, shots int, seed int64, opt Options,
 	start, end int, run ShardFunc[R], emit func(sh Shard, res R, events int) error) error {
 
-	if err := opt.Validate(shots); err != nil {
+	budget, err := engineDefaults(shots, &opt)
+	if err != nil {
 		return err
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opt.CheckEvery == 0 {
-		opt.CheckEvery = 256
-	}
-	if opt.ShardSize == 0 {
-		opt.ShardSize = DefaultShardSize
-	}
-	budget := shots
-	if opt.MaxShots > 0 && opt.MaxShots < budget {
-		budget = opt.MaxShots
 	}
 	shards := shardPlan(budget, opt.ShardSize, seed)
 	if start < 0 || end > len(shards) || start > end {
@@ -78,95 +67,18 @@ func RunWindow[R any](ctx context.Context, shots int, seed int64, opt Options,
 		obs.Int("start", start), obs.Int("end", end), obs.Int("shard_size", opt.ShardSize))
 	defer winSpan.End()
 
-	workers := opt.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > end-start {
-		workers = end - start
-	}
-
-	recs := make([]shardRecord[R], end-start)
-	var (
-		mu       sync.Mutex
-		frontier = start
-		emitErr  error
-	)
-	next := int64(start)
-
-	// flush advances the contiguous emitted prefix in ascending shard order.
-	// Called with mu held; an emit error latches and stops further emission.
-	flush := func() {
-		for frontier < end && recs[frontier-start].done && emitErr == nil {
-			r := &recs[frontier-start]
-			if err := emit(shards[frontier], r.res, r.events); err != nil {
-				emitErr = err
-				return
+	var emitErr error
+	frontier, err := runShards(ctx, shards, start, end, poolSize(opt.Workers, end-start), opt.CheckEvery, run,
+		func(l *shardLoop[R]) {
+			for l.ready() {
+				if emitErr = emit(l.take()); emitErr != nil {
+					l.halt()
+					return
+				}
 			}
-			*r = shardRecord[R]{done: true} // release the shard's result
-			frontier++
-		}
-	}
-
-	worker := func() {
-		for {
-			if ctx.Err() != nil {
-				return
-			}
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if i >= end {
-				return
-			}
-			mu.Lock()
-			stop := emitErr != nil
-			mu.Unlock()
-			if stop {
-				return
-			}
-			shardCtx, shardSpan := obs.StartSpan(ctx, "shard",
-				obs.Int("shard", i), obs.Int("shots", shards[i].N))
-			t := &ShardTask{
-				Shard: shards[i],
-				RNG:   rand.New(rand.NewSource(shards[i].Seed)),
-				ctx:   shardCtx,
-				every: opt.CheckEvery,
-			}
-			res, events, err := run(t)
-			if t.interrupted {
-				shardSpan.SetAttr(obs.Bool("interrupted", true))
-			} else if err == nil && events >= 0 {
-				shardSpan.SetAttr(obs.Int("events", events))
-			}
-			shardSpan.End()
-			mu.Lock()
-			if err != nil {
-				recs[i-start].err = err
-			} else if !t.interrupted {
-				recs[i-start] = shardRecord[R]{res: res, events: events, done: true}
-				flush()
-			}
-			mu.Unlock()
-		}
-	}
-
-	if workers <= 1 {
-		worker()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				worker()
-			}()
-		}
-		wg.Wait()
-	}
-
-	for i := range recs {
-		if recs[i].err != nil {
-			return recs[i].err
-		}
+		})
+	if err != nil {
+		return err
 	}
 	if emitErr != nil {
 		return emitErr
