@@ -32,19 +32,24 @@ trace-demo:
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/qisim -trace-out qisim-trace.json -workers 4 mc -d 7 -shots 100000
 	@echo "trace written to qisim-trace.json — load it in chrome://tracing or https://ui.perfetto.dev"
 
-# Short fuzz smokes of the QASM parser and the checkpoint decoder, the two
-# targets CI fuzzes (longer runs on demand, e.g.
+# Short fuzz smokes of the QASM parser, the checkpoint decoder and the dist
+# unit-result decoder, the targets CI fuzzes (longer runs on demand, e.g.
 # `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
 fuzz:
 	$(GO) test ./internal/qasm -fuzz FuzzParse -fuzztime 15s
 	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointDecode -fuzztime 15s
+	$(GO) test ./internal/dist -fuzz FuzzDecodeUnitResult -fuzztime 15s
 
 # Build and run the qisimd analysis service on :8080 with version stamping.
 serve:
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/qisimd -addr :8080
 
-# The CI gate: everything that must be green before a change lands.
+# The CI gate: everything that must be green before a change lands. The
+# benchmark module is its own Go module, so the root suite skips it; its
+# tests are a --quick run of every workload with its output checks,
+# reproduce's pinned digests included.
 verify: vet build race fuzz
+	cd bench && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...
@@ -54,6 +59,6 @@ help:
 	@echo "  build           compile everything with version stamping"
 	@echo "  test            run the full test suite"
 	@echo "  race            run the full test suite under the race detector"
-	@echo "  verify          the CI gate: vet + build + race + fuzz"
+	@echo "  verify          the CI gate: vet + build + race + fuzz + bench/ tests"
 	@echo "  trace-demo      record a Chrome trace of a parallel decoder run"
 	@echo "  serve           run the qisimd analysis service on :8080"

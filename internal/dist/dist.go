@@ -364,6 +364,15 @@ func DecodeUnitResult(b []byte) (UnitResult, error) {
 		return UnitResult{}, simerr.Invalidf("dist: unit [%d,%d) carries %d states / %d events, want %d",
 			u.Start, u.End, len(u.States), len(u.Events), u.End-u.Start)
 	}
+	for i, s := range u.States {
+		// EncodeUnitResult writes a state as json.Marshal does, compact and
+		// HTML-escaped; one in any other form would not survive re-encoding
+		// under its digest.
+		if c, err := json.Marshal(s); err != nil || !bytes.Equal(c, s) {
+			return UnitResult{}, simerr.Invalidf("dist: unit [%d,%d) state %d is not in encoded form",
+				u.Start, u.End, i)
+		}
+	}
 	if u.Digest == "" {
 		return UnitResult{}, simerr.Invalidf("dist: unit [%d,%d) missing content digest", u.Start, u.End)
 	}

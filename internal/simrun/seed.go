@@ -2,101 +2,79 @@ package simrun
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
-	"unsafe"
 )
 
 // Seeding of the per-shard Go-1 RNG streams.
 //
 // Every shard stream — the engine's and NewShardTask's — is a pooled
-// math/rand Rand put into the exact state rand.New(rand.NewSource(seed))
-// starts in, so the bitstream, and therefore every Monte-Carlo result, is
-// that of a fresh stream. Rand.Seed runs ~1900 Lehmer-LCG steps through a
-// Schrage division; at the small shard sizes the Monte-Carlo consumers use,
-// that is a visible share of a shard. fastSeedState writes the same state
-// with the division replaced by a Mersenne-prime shift-add reduction (about
-// 2× faster end to end). The unexported rngCooked xor-table it needs is
-// recovered at init by seeding a donor source and xoring the known LCG chain
-// back out of its state.
+// math/rand Rand over go1Source, a pure-Go copy of math/rand's Go-1 additive
+// lagged-Fibonacci source. Its draws equal those of
+// rand.New(rand.NewSource(seed)), so every Monte-Carlo result is that of a
+// fresh stdlib stream.
 //
-// The fast fill writes math/rand's Rand and rngSource through their memory
-// layout (frozen since Go 1). fastSeedUsable proves the layout with
-// reflection, then proves behaviour on a set of probe seeds: the fill must
-// reproduce stdlib Seed's full source state, and a Rand with dirty read
-// state, fast-seeded, must draw exactly what a fresh stream draws. Any
-// mismatch makes seedShardRNG fall back to Rand.Seed, so a stdlib change can
-// only cost speed, never correctness. The determinism suites (parallel
-// equivalence, goldens, golden-first-draw pins) cover the fast path end to
-// end.
+// What differs is seeding. rngSource.Seed fills all 607 state words through
+// a serial chain of ~1,840 Lehmer-LCG steps before the first draw; a small
+// shard reads only a fraction of them. go1Source.Seed only records the
+// seed, and each state word is computed on its first read, from a power
+// table of the LCG multiplier, in three independent multiplications. Draw k
+// (k ≤ 334) of a seeded source is the first to read words 334−k and, for
+// k ≤ 273, 607−k, so a shard that draws nothing seeds nothing and a shard
+// that draws k ≤ 334 times seeds at most 2k words. Words a previous stream
+// left behind are never read.
+//
+// The words also need math/rand's private rngCooked xor table. It is
+// recovered at init, without unsafe, from the first 607 outputs of a
+// stdlib source (postSeedState), and an init self-check draws from both
+// sources and panics on a mismatch.
 
-const rngLen = 607
+const (
+	rngLen   = 607
+	rngTap   = 273
+	rngFeed0 = rngLen - rngTap // 334, the feed index right after Seed
+	rngMask  = 1<<63 - 1
 
-// rngState mirrors math/rand.rngSource.
-type rngState struct {
+	lcgMod = 1<<31 - 1 // 2^31-1, the Lehmer modulus of math/rand's seedrand
+	lcgMul = 48271     // seedrand's multiplier
+)
+
+// go1Source is math/rand's Go-1 source (rngSource) with a lazy Seed. Draw
+// for draw it emits what rand.NewSource(seed) emits.
+//
+// Uint64 and Int63 keep rngSource's body. The first-use test lives in the
+// feed index's wrap branch: while feed words are still unread since Seed,
+// feed is held at 0, so every draw takes that branch and fresh carries the
+// true feed index.
+type go1Source struct {
 	tap, feed int
+	fresh     int    // feed words [0, fresh) have not been read since Seed
+	seed      uint64 // the normalised seed, in [1, lcgMod)
 	vec       [rngLen]int64
 }
 
-const lcgMod = 1<<31 - 1 // 2^31-1, the Lehmer modulus of seedrand
-
-var (
-	fastSeedOnce sync.Once
-	fastSeedOK   bool
-	offSrc       uintptr       // offset of Rand.src (interface)
-	offReadVal   uintptr       // offset of Rand.readVal (int64)
-	offReadPos   uintptr       // offset of Rand.readPos (int8)
-	cookedRec    [rngLen]int64 // recovered math/rand rngCooked table
-	postTap      int           // rngSource tap immediately after Seed
-	postFeed     int           // rngSource feed immediately after Seed
-)
-
-// rngPool recycles the ~5 KiB Go-1 source state behind each shard's private
-// stream. Seeding resets the whole source and the Rand's cached read state,
-// so a pooled, re-seeded Rand emits the bitstream of a fresh one.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
-
-// shardRNG returns a pooled Rand seeded with seed. The engine puts it back
-// into rngPool once its shard is done.
-func shardRNG(seed int64) *rand.Rand {
-	r := rngPool.Get().(*rand.Rand)
-	seedShardRNG(r, seed)
-	return r
+// seedWord is what word i of a post-Seed state takes besides the seed: the
+// multipliers 48271^n mod (2^31−1) of chain steps n = 21+3i, 22+3i and
+// 23+3i, and rngCooked[i].
+type seedWord struct {
+	pow    [3]uint64
+	cooked int64
 }
 
-// seedShardRNG puts r, a Rand over a rand.NewSource source, into the exact
-// state rand.New(rand.NewSource(seed)) starts in.
-func seedShardRNG(r *rand.Rand, seed int64) {
-	if !fastSeedUsable() {
-		r.Seed(seed)
-		return
-	}
-	fastSeed(r, seed)
+var seedTab [rngLen]seedWord
+
+// mulMod returns a·b mod (2^31−1) for a, b in [1, 2^31−1), reducing with
+// the Mersenne-prime identity 2^31 ≡ 1. The product is never a multiple of
+// the prime, so after the first fold p lies in [1, 2·lcgMod) and the second
+// fold leaves it in [1, lcgMod).
+func mulMod(a, b uint64) uint64 {
+	p := a * b
+	p = p&lcgMod + p>>31
+	return p&lcgMod + p>>31
 }
 
-// fastSeed is Rand.Seed through the fast fill: the source state, plus the
-// Rand's cached Read bytes cleared as Rand.Seed clears them. Only valid
-// once fastSeedUsable has proved the layout.
-func fastSeed(r *rand.Rand, seed int64) {
-	fastSeedState(srcState(r), seed)
-	*(*int64)(unsafe.Add(unsafe.Pointer(r), offReadVal)) = 0
-	*(*int8)(unsafe.Add(unsafe.Pointer(r), offReadPos)) = 0
-}
-
-// lcgStep computes 48271*x mod 2^31-1, the seedrand recurrence, using the
-// Mersenne-prime identity 2^31 ≡ 1 (mod 2^31-1) instead of Schrage division.
-func lcgStep(x uint32) uint32 {
-	p := uint64(x) * 48271
-	v := uint32(p&lcgMod) + uint32(p>>31)
-	if v >= lcgMod {
-		v -= lcgMod
-	}
-	return v
-}
-
-// seedChainStart maps a seed through rngSource.Seed's preprocessing and the
-// 20 warm-up LCG steps, returning the chain value just before the vec fill.
-func seedChainStart(seed int64) uint32 {
+// Seed records seed with rngSource.Seed's normalisation; the state words
+// follow on first use.
+func (s *go1Source) Seed(seed int64) {
 	seed %= lcgMod
 	if seed < 0 {
 		seed += lcgMod
@@ -104,112 +82,152 @@ func seedChainStart(seed int64) uint32 {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := uint32(seed)
-	for i := 0; i < 20; i++ {
-		x = lcgStep(x)
-	}
-	return x
+	s.seed = uint64(seed)
+	s.tap, s.feed, s.fresh = 0, 0, rngFeed0
 }
 
-// fastSeedState writes into st the exact state rngSource.Seed(seed)
-// produces, given the recovered cookedRec table and post-Seed tap/feed.
-func fastSeedState(st *rngState, seed int64) {
-	x := seedChainStart(seed)
+// word returns state word i as rngSource.Seed writes it:
+// x[21+3i]<<40 ^ x[22+3i]<<20 ^ x[23+3i] ^ rngCooked[i], where
+// x[n] = seed·48271^n mod (2^31−1).
+func (s *go1Source) word(i int) int64 {
+	w := &seedTab[i]
+	u := mulMod(s.seed, w.pow[0])<<40 ^ mulMod(s.seed, w.pow[1])<<20 ^ mulMod(s.seed, w.pow[2])
+	return int64(u) ^ w.cooked
+}
+
+// Uint64 is rngSource.Uint64. It is nosplit for the reason Int63 is.
+//
+//go:nosplit
+func (s *go1Source) Uint64() uint64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		return s.wrap()
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return uint64(x)
+}
+
+// Int63 is rngSource.Int63, with Uint64's body repeated so a draw makes no
+// extra call. The call to wrap in the cold branch would give every draw a
+// stack-bound check that rngSource.Int63, a leaf, does not have; nosplit
+// drops it, so a draw runs the stdlib's instructions (wrap checks its own
+// stack).
+//
+//go:nosplit
+func (s *go1Source) Int63() int64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		return int64(s.wrap() & rngMask)
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return x & rngMask
+}
+
+// wrap makes a draw whose feed index has just run below zero: an ordinary
+// wrap to the top of vec, or one of the first 334 draws after Seed, which
+// computes the words it is the first to read.
+func (s *go1Source) wrap() uint64 {
+	f := s.fresh - 1
+	if f < 0 {
+		f = rngLen - 1
+		s.feed = f
+	} else {
+		s.fresh, s.feed = f, 0
+		s.vec[f] = s.word(f)
+		if s.tap >= rngFeed0 {
+			s.vec[s.tap] = s.word(s.tap)
+		}
+	}
+	x := s.vec[f] + s.vec[s.tap]
+	s.vec[f] = x
+	return uint64(x)
+}
+
+// postSeedState recovers the state a Go-1 source holds right after Seed from
+// its first 607 outputs o. Draw k reads feed word 334−k (941−k once the feed
+// wraps) and tap word 607−k, and stores its output in the feed word, so in
+// wrapping int64 arithmetic, with a the post-Seed state:
+//
+//	o_k = a[334−k] + a[607−k]    for 1 ≤ k ≤ 273
+//	o_k = a[334−k] + o_{k−273}   for 274 ≤ k ≤ 334
+//	o_k = a[941−k] + o_{k−273}   for 335 ≤ k ≤ 607
+//
+// The last two give a[0..60] and a[334..606] directly, and then the first
+// gives a[61..333].
+func postSeedState(src rand.Source64) (a [rngLen]int64) {
+	var o [rngLen + 1]int64 // o[k] is draw k, 1-based
+	for k := 1; k <= rngLen; k++ {
+		o[k] = int64(src.Uint64())
+	}
+	for k := rngTap + 1; k <= rngFeed0; k++ {
+		a[rngFeed0-k] = o[k] - o[k-rngTap]
+	}
+	for k := rngFeed0 + 1; k <= rngLen; k++ {
+		a[rngLen+rngFeed0-k] = o[k] - o[k-rngTap]
+	}
+	for k := 1; k <= rngTap; k++ {
+		a[rngFeed0-k] = o[k] - a[rngLen-k]
+	}
+	return a
+}
+
+// init builds seedTab: the chain multipliers, then rngCooked as the xor of a
+// stdlib source's post-Seed state with the bare chain words (word while
+// cooked is still zero). The self-check then compares a go1Source with a
+// stdlib stream on another seed. Besides catching a wrong table, it keeps
+// math/rand's Float64 in this package's export data, which is what lets the
+// packages that draw through ShardTask.RNG, and do not import math/rand,
+// inline it (TestShardDrawsInline pins that).
+func init() {
+	p := uint64(1)
+	for n := 1; n <= 20; n++ {
+		p = mulMod(p, lcgMul)
+	}
+	for i := range seedTab {
+		for j := range seedTab[i].pow {
+			p = mulMod(p, lcgMul)
+			seedTab[i].pow[j] = p
+		}
+	}
+
+	const donorSeed, checkSeed = 1, 20240601
+	a := postSeedState(rand.NewSource(donorSeed).(rand.Source64))
+	var s go1Source
+	s.Seed(donorSeed)
+	for i := range seedTab {
+		seedTab[i].cooked = a[i] ^ s.word(i)
+	}
+
+	s.Seed(checkSeed)
+	got, want := rand.New(&s), rand.New(rand.NewSource(checkSeed))
 	for i := 0; i < rngLen; i++ {
-		x = lcgStep(x)
-		u := int64(x) << 40
-		x = lcgStep(x)
-		u ^= int64(x) << 20
-		x = lcgStep(x)
-		u ^= int64(x)
-		st.vec[i] = u ^ cookedRec[i]
+		if got.Float64() != want.Float64() || got.NormFloat64() != want.NormFloat64() {
+			panic("simrun: go1Source diverges from math/rand's Go-1 source")
+		}
 	}
-	st.tap = postTap
-	st.feed = postFeed
 }
 
-// srcState returns the *rngState behind r's source, or nil if r does not
-// wrap a plain Go-1 rngSource.
-func srcState(r *rand.Rand) *rngState {
-	iface := (*[2]unsafe.Pointer)(unsafe.Add(unsafe.Pointer(r), offSrc))
-	if iface[1] == nil {
-		return nil
-	}
-	return (*rngState)(iface[1])
-}
+// rngPool recycles the ~5 KiB source behind each shard's private stream.
+// Re-seeding makes the source read no word of its previous stream and
+// clears the Rand's cached Read bytes, so a pooled, re-seeded Rand emits the
+// bitstream of a fresh one.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(go1Source)) }}
 
-// fastSeedUsable validates layout and behaviour once.
-func fastSeedUsable() bool {
-	fastSeedOnce.Do(func() {
-		rt := reflect.TypeOf(rand.Rand{})
-		fSrc, ok1 := rt.FieldByName("src")
-		fVal, ok2 := rt.FieldByName("readVal")
-		fPos, ok3 := rt.FieldByName("readPos")
-		if !ok1 || !ok2 || !ok3 ||
-			fSrc.Type.Kind() != reflect.Interface ||
-			fVal.Type.Kind() != reflect.Int64 ||
-			fPos.Type.Kind() != reflect.Int8 {
-			return
-		}
-		offSrc, offReadVal, offReadPos = fSrc.Offset, fVal.Offset, fPos.Offset
-
-		// The source must be a pointer to a struct laid out like rngState.
-		st := reflect.TypeOf(rand.NewSource(1))
-		if st.Kind() != reflect.Pointer || st.Elem().Kind() != reflect.Struct ||
-			st.Elem().Size() != unsafe.Sizeof(rngState{}) {
-			return
-		}
-		et := st.Elem()
-		if et.NumField() != 3 {
-			return
-		}
-		if et.Field(0).Type.Kind() != reflect.Int || et.Field(0).Offset != unsafe.Offsetof(rngState{}.tap) ||
-			et.Field(1).Type.Kind() != reflect.Int || et.Field(1).Offset != unsafe.Offsetof(rngState{}.feed) ||
-			et.Field(2).Type != reflect.TypeOf([rngLen]int64{}) || et.Field(2).Offset != unsafe.Offsetof(rngState{}.vec) {
-			return
-		}
-
-		// Recover rngCooked: while the table is still zero the fill yields
-		// the bare LCG chain, which xors back out of a seeded donor.
-		donor := rand.New(rand.NewSource(1))
-		dp := srcState(donor)
-		if dp == nil {
-			return
-		}
-		const recSeed = 20240601
-		donor.Seed(recSeed)
-		postTap, postFeed = dp.tap, dp.feed
-		var tmp rngState
-		fastSeedState(&tmp, recSeed)
-		for i := range cookedRec {
-			cookedRec[i] = dp.vec[i] ^ tmp.vec[i]
-		}
-
-		// Behavioural probe: the fill must reproduce stdlib Seed's full
-		// source state, and a fast-seeded Rand whose read state was dirty
-		// must draw exactly what a fresh stream draws, for every draw kind
-		// the consumers use and for Read's cached bytes.
-		got := rand.New(rand.NewSource(9))
-		var gb, wb [11]byte
-		for _, seed := range []int64{0, 1, -1, 42, 1 << 40, -987654321, recSeed} {
-			donor.Seed(seed)
-			fastSeedState(&tmp, seed)
-			if tmp != *dp {
-				return
-			}
-			got.Read(gb[:3]) // leave cached Read bytes behind
-			fastSeed(got, seed)
-			want := rand.New(rand.NewSource(seed))
-			for i := 0; i < 64; i++ {
-				got.Read(gb[:])
-				want.Read(wb[:])
-				if gb != wb || got.Uint64() != want.Uint64() || got.Float64() != want.Float64() ||
-					got.NormFloat64() != want.NormFloat64() {
-					return
-				}
-			}
-		}
-		fastSeedOK = true
-	})
-	return fastSeedOK
+// shardRNG returns a pooled Rand that draws what
+// rand.New(rand.NewSource(seed)) draws. The engine puts it back into rngPool
+// once its shard is done.
+func shardRNG(seed int64) *rand.Rand {
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
 }

@@ -1,64 +1,139 @@
 package simrun
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// TestSeedShardRNGMatchesFreshStream re-seeds one Rand through
-// seedShardRNG, as the pool does, and pins every draw kind the consumers use
-// against a freshly constructed stream. This is the direct unit guarantee
-// behind the engine-level determinism suites, whichever path (fast fill or
-// the Rand.Seed fallback) this runtime takes.
+// seedSweep is the seed set of the seeding tests: the edges of Go-1 seed
+// normalisation (zero, the modulus 2^31−1 and its neighbours, the seed zero
+// maps to, the int64 extremes) plus ordinary seeds, small and full-width.
+func seedSweep() []int64 {
+	seeds := []int64{0, 1, -1, 2, 89482311, lcgMod, -lcgMod, lcgMod + 1, 1 << 31, -(1 << 31),
+		1 << 62, -(1 << 62), 1<<63 - 1, -1 << 63, 20240601}
+	for s := int64(0); len(seeds) < 215; s++ {
+		seeds = append(seeds, s*7919-300, ShardSeed(s, int(s)))
+	}
+	return seeds
+}
+
+// seedOffsets are the draw counts after which the seeding tests compare
+// streams: the first draws, the edges of the phases in which draws read
+// state words for the first time (tap words up to draw 273, feed words up to
+// 334, the feed's first wrap at 335, the tap's at 608), and far past them.
+var seedOffsets = []int{0, 1, 272, 273, 274, 333, 334, 335, 606, 607, 608, 10000}
+
+// TestSeedShardRNGMatchesFreshStream re-seeds one Rand over a go1Source, as
+// shardRNG re-seeds a pooled one, and pins every draw kind against a
+// freshly constructed stdlib stream, at draw offsets around each edge of the
+// lazy seeding. The Rand's Read cache is left dirty before every re-seed,
+// and the source has drawn up to 10,000 times from the previous seed.
 func TestSeedShardRNGMatchesFreshStream(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for _, seed := range []int64{5, -11, 0, 1 << 50, 5} {
-		r.Read(make([]byte, 3)) // leave cached Read bytes behind
-		seedShardRNG(r, seed)
-		want := rand.New(rand.NewSource(seed))
-		for i := 0; i < 256; i++ {
-			if g, w := r.Float64(), want.Float64(); g != w {
-				t.Fatalf("seed %d: Float64 draw %d = %v, want %v", seed, i, g, w)
+	r := rand.New(new(go1Source))
+	for _, seed := range seedSweep() {
+		for _, off := range seedOffsets {
+			r.Read(make([]byte, 3)) // leave cached Read bytes behind
+			r.Seed(seed)
+			want := rand.New(rand.NewSource(seed))
+			for i := 0; i < off; i++ {
+				if i%2 == 0 {
+					if g, w := r.Int63(), want.Int63(); g != w {
+						t.Fatalf("seed %d: Int63 draw %d = %d, want %d", seed, i, g, w)
+					}
+				} else if g, w := r.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("seed %d: Uint64 draw %d = %d, want %d", seed, i, g, w)
+				}
 			}
-			if g, w := r.NormFloat64(), want.NormFloat64(); g != w {
-				t.Fatalf("seed %d: NormFloat64 draw %d = %v, want %v", seed, i, g, w)
-			}
-			if g, w := r.Intn(97), want.Intn(97); g != w {
-				t.Fatalf("seed %d: Intn draw %d = %v, want %v", seed, i, g, w)
+			for i := 0; i < 4; i++ {
+				if g, w := r.Float64(), want.Float64(); g != w {
+					t.Fatalf("seed %d, offset %d: Float64 = %v, want %v", seed, off, g, w)
+				}
+				if g, w := r.NormFloat64(), want.NormFloat64(); g != w {
+					t.Fatalf("seed %d, offset %d: NormFloat64 = %v, want %v", seed, off, g, w)
+				}
+				if g, w := r.Intn(97), want.Intn(97); g != w {
+					t.Fatalf("seed %d, offset %d: Intn = %v, want %v", seed, off, g, w)
+				}
+				if g, w := r.Int63(), want.Int63(); g != w {
+					t.Fatalf("seed %d, offset %d: Int63 = %v, want %v", seed, off, g, w)
+				}
+				if g, w := r.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("seed %d, offset %d: Uint64 = %v, want %v", seed, off, g, w)
+				}
+				gb, wb := make([]byte, 11), make([]byte, 11)
+				r.Read(gb)
+				want.Read(wb)
+				if string(gb) != string(wb) {
+					t.Fatalf("seed %d, offset %d: Read = %x, want %x", seed, off, gb, wb)
+				}
 			}
 		}
-		gb, wb := make([]byte, 11), make([]byte, 11)
-		r.Read(gb)
-		want.Read(wb)
-		if string(gb) != string(wb) {
-			t.Fatalf("seed %d: Read = %x, want %x", seed, gb, wb)
+		// The engine's path: a pooled stream from shardRNG.
+		got, want := shardRNG(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 2*rngLen; i++ {
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d: shardRNG Float64 draw %d = %v, want %v", seed, i, g, w)
+			}
+		}
+		rngPool.Put(got)
+	}
+}
+
+// TestFastSeedStateMatchesStdlib pins every lazily computed state word
+// (power table + recovered rngCooked) against the post-Seed state of a
+// stdlib source, recovered from its outputs by postSeedState, over the seed
+// sweep. A word that differs here would surface in some draw of some seed.
+func TestFastSeedStateMatchesStdlib(t *testing.T) {
+	var s go1Source
+	for _, seed := range seedSweep() {
+		want := postSeedState(rand.NewSource(seed).(rand.Source64))
+		s.Seed(seed)
+		for i := range want {
+			if g := s.word(i); g != want[i] {
+				t.Fatalf("seed %d: state word %d = %d, want %d", seed, i, g, want[i])
+			}
 		}
 	}
 }
 
-// TestFastSeedStateMatchesStdlib pins the fast fill (recovered rngCooked
-// table + shift-add Lehmer step) against the stdlib Seed state, field for
-// field, over a seed sweep much wider than the init probe. Any divergence
-// here means fastSeedState must be disabled.
-func TestFastSeedStateMatchesStdlib(t *testing.T) {
-	if !fastSeedUsable() {
-		t.Skip("fast seeding disabled on this runtime; engine falls back to plain Seed")
+var rngSink float64
+
+// BenchmarkShardRNG times a shard stream's seeding and draws: each op seeds
+// a stream and draws n Float64s from it, through the pooled go1Source
+// (shardRNG) and through a fresh stdlib stream as the reference; "steady"
+// is one Float64 from a long-running stream.
+func BenchmarkShardRNG(b *testing.B) {
+	streams := []struct {
+		name string
+		get  func(seed int64) *rand.Rand
+		put  func(r *rand.Rand)
+	}{
+		{"shardRNG", shardRNG, func(r *rand.Rand) { rngPool.Put(r) }},
+		{"stdlib", func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }, func(*rand.Rand) {}},
 	}
-	donor := rand.New(rand.NewSource(1))
-	dp := srcState(donor)
-	if dp == nil {
-		t.Fatal("srcState returned nil for a plain Go-1 source")
-	}
-	var got rngState
-	seeds := []int64{0, 1, -1, 2, 89482311, 1<<31 - 1, 1 << 31, -(1 << 31), 1<<63 - 1, -(1 << 62)}
-	for s := int64(0); s < 200; s++ {
-		seeds = append(seeds, s*7919-300)
-	}
-	for _, seed := range seeds {
-		donor.Seed(seed)
-		fastSeedState(&got, seed)
-		if got != *dp {
-			t.Fatalf("fastSeedState(%d) diverges from rngSource.Seed", seed)
+	for _, st := range streams {
+		for _, n := range []int{0, 96, 1000} {
+			b.Run(fmt.Sprintf("%s/draws=%d", st.name, n), func(b *testing.B) {
+				sum := 0.0
+				for i := 0; i < b.N; i++ {
+					r := st.get(ShardSeed(1, i))
+					for j := 0; j < n; j++ {
+						sum += r.Float64()
+					}
+					st.put(r)
+				}
+				rngSink = sum
+			})
 		}
+		b.Run(st.name+"/steady", func(b *testing.B) {
+			r := st.get(7)
+			sum := 0.0
+			for i := 0; i < b.N; i++ {
+				sum += r.Float64()
+			}
+			st.put(r)
+			rngSink = sum
+		})
 	}
 }
