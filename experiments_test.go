@@ -1,16 +1,42 @@
 package qisim_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
 	"qisim/internal/experiments"
 )
 
+// pinnedDigests reads the per-experiment report digests the benchmark pins
+// in bench/testdata/pins.json. The root module cannot import the bench
+// module, so this reads only the file's reproduce.ids map.
+func pinnedDigests(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile("bench/testdata/pins.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins struct {
+		Reproduce struct {
+			IDs map[string]string `json:"ids"`
+		} `json:"reproduce"`
+	}
+	if err := json.Unmarshal(b, &pins); err != nil {
+		t.Fatalf("bench/testdata/pins.json: %v", err)
+	}
+	return pins.Reproduce.IDs
+}
+
 // TestReproduceEveryExperiment regenerates every table and figure of the
-// paper's evaluation and logs the reports — the end-to-end reproduction
-// entry point (`go test -run TestReproduceEveryExperiment -v`).
+// paper's evaluation, checks each report's sha256 against its pinned digest
+// and logs the reports — the end-to-end reproduction entry point
+// (`go test -run TestReproduceEveryExperiment -v`).
 func TestReproduceEveryExperiment(t *testing.T) {
+	pins := pinnedDigests(t)
 	for _, id := range experiments.IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -22,6 +48,10 @@ func TestReproduceEveryExperiment(t *testing.T) {
 				t.Fatalf("report missing header:\n%s", s)
 			}
 			t.Log("\n" + s)
+			sum := sha256.Sum256([]byte(s))
+			if got, want := hex.EncodeToString(sum[:]), pins[id]; got != want {
+				t.Fatalf("report sha256 %s, pinned %q in bench/testdata/pins.json", got, want)
+			}
 		})
 	}
 }

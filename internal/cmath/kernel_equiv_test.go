@@ -1,6 +1,7 @@
 package cmath
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -166,27 +167,71 @@ func TestApplyKronLengthPanics(t *testing.T) {
 	ApplyKron(a, b, make([]complex128, 3))
 }
 
+// driveGenerator is −i·ts·H for one sample of the CMOS 1Q model's 3-level
+// driven transmon (detuned, I/Q drive): 6 nonzeros of 9.
+func driveGenerator() *Matrix {
+	const ts = 0.4e-9
+	delta, alpha, rabi := 2*math.Pi*1e6, 2*math.Pi*-330e6, 2*math.Pi*20e6
+	a, ad := Destroy(3), Create(3)
+	h := NewMatrix(3, 3)
+	for k := 0; k < 3; k++ {
+		fk := float64(k)
+		h.Set(k, k, complex(delta*fk+alpha/2*fk*(fk-1), 0))
+	}
+	AddInPlace(h, complex(rabi*0.7/2, 0), Add(a, ad))
+	AddInPlace(h, complex(rabi*0.05/2, 0), Scale(1i, Sub(ad, a)))
+	return Scale(complex(0, -ts), h)
+}
+
+// czGenerator is −i·ts·H for one flux-pulse sample of the CZ model's two
+// coupled 3-level transmons: 15 nonzeros of 81, and the |00> row is zero.
+func czGenerator() *Matrix {
+	const ts = 0.4e-9
+	alpha, g, delta := 2*math.Pi*-300e6, 2*math.Pi*10e6, 2*math.Pi*-250e6
+	id, a, ad := Identity(3), Destroy(3), Create(3)
+	n := Mul(ad, a)
+	n1, n2 := Kron(n, id), Kron(id, n)
+	anh := func(nOp *Matrix) *Matrix { return Scale(complex(alpha/2, 0), Sub(Mul(nOp, nOp), nOp)) }
+	h := Add(anh(n1), anh(n2))
+	AddInPlace(h, complex(g, 0), Add(Kron(ad, a), Kron(a, ad)))
+	AddInPlace(h, complex(delta, 0), n1)
+	return Scale(complex(0, -ts), h)
+}
+
 func TestExpmWorkspaceMatchesExpm(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	var w ExpmWorkspace
+	check := func(name string, gen *Matrix) {
+		t.Helper()
+		want := Expm(gen)
+		got := NewMatrix(gen.Rows, gen.Cols)
+		got.Data[0] = complex(1e300, 0) // poison
+		w.ExpmInto(got, gen)
+		eqMatrix(t, name, got, want)
+		// Aliased dst == m must also work: the input is fully consumed
+		// before dst is written.
+		alias := gen.Clone()
+		w.ExpmInto(alias, alias)
+		eqMatrix(t, name+"-aliased", alias, want)
+	}
 	for _, n := range []int{1, 2, 3, 4, 6, 9, 15} {
 		for trial := 0; trial < 3; trial++ {
 			// Anti-Hermitian generators (-i·H·t shape) like the evolution
 			// code feeds Expm, at norms on both sides of the scaling cutoff.
 			h := randMatrixRC(rng, n, n, false)
-			gen := Scale(complex(0, -rng.Float64()*3), Add(h, Dagger(h)))
-			want := Expm(gen)
-			got := NewMatrix(n, n)
-			got.Data[0] = complex(1e300, 0) // poison
-			w.ExpmInto(got, gen)
-			eqMatrix(t, "ExpmInto", got, want)
-			// Aliased dst == m must also work: the input is fully consumed
-			// before dst is written.
-			alias := gen.Clone()
-			w.ExpmInto(alias, alias)
-			eqMatrix(t, "ExpmInto-aliased", alias, want)
+			check("ExpmInto", Scale(complex(0, -rng.Float64()*3), Add(h, Dagger(h))))
+			// Sparse generators exercise the skipped Taylor terms, and a
+			// zero row a row with nothing to multiply.
+			sparse := Scale(complex(0, -rng.Float64()*3), randMatrixRC(rng, n, n, true))
+			check("ExpmInto-sparse", sparse)
+			for j := 0; j < n; j++ {
+				sparse.Data[(n/2)*n+j] = 0
+			}
+			check("ExpmInto-zero-row", sparse)
 		}
 	}
+	check("ExpmInto-drive", driveGenerator())
+	check("ExpmInto-cz", czGenerator())
 }
 
 func TestDaggerRoundTrip(t *testing.T) {

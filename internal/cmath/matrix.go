@@ -321,21 +321,32 @@ func ApplyKronInto(dst []complex128, a, b *Matrix, v []complex128) {
 // exponentials of same-sized matrices (time-stepped Hamiltonian evolution)
 // allocate nothing after the first call. The zero value is ready to use.
 type ExpmWorkspace struct {
-	scaled, result, term, tmp *Matrix
+	result, term, tmp *Matrix
+	// The scaled generator by rows, zeros left out: row k's nonzero
+	// entries are val[start[k]:start[k+1]], and col holds their columns
+	// at the same indices.
+	val   []complex128
+	col   []int
+	start []int
 }
 
 func (w *ExpmWorkspace) ensure(n int) {
-	if w.scaled == nil || w.scaled.Rows != n {
-		w.scaled = NewMatrix(n, n)
+	if w.result == nil || w.result.Rows != n {
 		w.result = NewMatrix(n, n)
 		w.term = NewMatrix(n, n)
 		w.tmp = NewMatrix(n, n)
+		w.start = make([]int, n+1)
 	}
 }
 
 // ExpmInto computes dst = exp(m) using the workspace's scratch buffers. The
-// operation sequence replays Expm exactly, so the result is bit-identical to
-// the allocating path. dst may alias m; it must not be a workspace buffer.
+// operation sequence replays Expm's, except that the Taylor products skip
+// the scaled generator's zero entries: each output element still adds its
+// k-terms in ascending k, and a skipped term is an exact zero, which cannot
+// change an accumulator that starts at +0. So for finite m the result is
+// bit-identical to the allocating path; NaN and Inf entries are not zero,
+// so a non-finite m still gives a non-finite result. dst may alias m; it
+// must not be a workspace buffer.
 func (w *ExpmWorkspace) ExpmInto(dst, m *Matrix) {
 	if !m.IsSquare() {
 		panic("cmath: Expm of non-square matrix")
@@ -352,15 +363,23 @@ func (w *ExpmWorkspace) ExpmInto(dst, m *Matrix) {
 		s = int(math.Ceil(math.Log2(norm / 0.5)))
 	}
 	inv := complex(1/math.Pow(2, float64(s)), 0)
-	for i, v := range m.Data {
-		w.scaled.Data[i] = inv * v
+	w.val, w.col = w.val[:0], w.col[:0]
+	for k := 0; k < n; k++ {
+		w.start[k] = len(w.val)
+		for j, v := range m.Data[k*n : (k+1)*n] {
+			if sv := inv * v; sv != 0 {
+				w.val = append(w.val, sv)
+				w.col = append(w.col, j)
+			}
+		}
 	}
+	w.start[n] = len(w.val)
 
 	result, term, tmp := w.result, w.term, w.tmp
 	setIdentity(result)
 	setIdentity(term)
 	for k := 1; k <= 18; k++ {
-		MulInto(tmp, term, w.scaled)
+		w.mulScaled(tmp, term)
 		term, tmp = tmp, term
 		invK := complex(1/float64(k), 0)
 		for i := range term.Data {
@@ -376,6 +395,27 @@ func (w *ExpmWorkspace) ExpmInto(dst, m *Matrix) {
 		result, sq = sq, result
 	}
 	copy(dst.Data, result.Data)
+}
+
+// mulScaled computes dst = a·scaled like MulInto(dst, a, scaled), visiting
+// only scaled's nonzero entries.
+func (w *ExpmWorkspace) mulScaled(dst, a *Matrix) {
+	n := a.Rows
+	for i := range dst.Data {
+		dst.Data[i] = 0
+	}
+	for i := 0; i < n; i++ {
+		crow := dst.Data[i*n : (i+1)*n]
+		for k, av := range a.Data[i*n : (i+1)*n] {
+			if av == 0 {
+				continue
+			}
+			lo, hi := w.start[k], w.start[k+1]
+			for p, bv := range w.val[lo:hi] {
+				crow[w.col[lo+p]] += av * bv
+			}
+		}
+	}
 }
 
 func setIdentity(m *Matrix) {

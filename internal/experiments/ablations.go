@@ -51,9 +51,9 @@ func Ablations() (string, error) {
 func AblationDRAG() string {
 	cfg := gateerror.DefaultCMOS1QConfig()
 	cfg.SNRdB = 0
-	with := gateerror.CMOS1QError(cfg)
+	with := gateerror.CMOS1QError(cfg, gateerror.CalibrateCMOS1Q(cfg))
 	cfg.DRAG = false
-	without := gateerror.CMOS1QError(cfg)
+	without := gateerror.CMOS1QError(cfg, gateerror.CalibrateCMOS1Q(cfg))
 	var b strings.Builder
 	b.WriteString("== Ablation: DRAG correction (1Q drive) ==\n")
 	fmt.Fprintf(&b, "with DRAG:    error %.3g, leakage %.3g\n", with.Error, with.Leakage)
@@ -64,8 +64,9 @@ func AblationDRAG() string {
 
 // AblationCZShape contrasts the pulse-circuit shapes of Section 3.3.2.
 func AblationCZShape() string {
-	ramped := gateerror.CZError(gateerror.DefaultCZConfig())
-	step := gateerror.UnitStepCZError()
+	rampedCfg, stepCfg := gateerror.DefaultCZConfig(), gateerror.UnitStepCZConfig()
+	ramped := gateerror.CZError(rampedCfg, gateerror.CalibrateCZ(rampedCfg))
+	step := gateerror.CZError(stepCfg, gateerror.CalibrateCZ(stepCfg))
 	var b strings.Builder
 	b.WriteString("== Ablation: CZ pulse shape (new AWG vs Horse Ridge II unit step) ==\n")
 	fmt.Fprintf(&b, "flat-top+ramps: error %.3g (cond. phase %.3f)\n", ramped.Error, ramped.CondPhase)

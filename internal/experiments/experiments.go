@@ -8,7 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"qisim/internal/gateerror"
@@ -171,11 +170,13 @@ func Fig14() Fig14Result {
 	r := Fig14Result{Bits: bits}
 	cfg := gateerror.DefaultCMOS1QConfig()
 	cfg.SNRdB = 0 // isolate quantisation, as Fig. 14(b) does
+	// The tune-up never reads Bits, so one calibration serves every depth.
+	cal := gateerror.CalibrateCMOS1Q(cfg)
 	var floorGate float64
 	errs := make([]float64, len(bits))
 	for i, bt := range bits {
 		cfg.Bits = bt
-		errs[i] = gateerror.CMOS1QError(cfg).Error
+		errs[i] = gateerror.CMOS1QError(cfg, cal).Error
 	}
 	floorGate = errs[len(errs)-1]
 	d := microarch.CMOS4KBaseline()
@@ -486,9 +487,6 @@ func HeadlineTable() string {
 	fmt.Fprintf(&b, "worst deviation factor: %.2fx\n", WorstHeadlineRatio())
 	return b.String()
 }
-
-// ensure math is referenced even if future edits drop direct uses.
-var _ = math.Inf
 
 // Features prints the SupermarQ-style feature vectors of the Fig. 11 suite.
 func Features() string {

@@ -56,6 +56,14 @@ func DefaultCMOS1QConfig() CMOS1QConfig {
 	}
 }
 
+// CMOS1QCalibration is the tune-up of a CMOS single-qubit gate: the scale
+// on the drive's two-level Rabi rate and the drive detuning, found on the
+// clean pulse by CalibrateCMOS1Q.
+type CMOS1QCalibration struct {
+	Scale     float64
+	DetuneRad float64 // qubit − drive detuning, rad/s
+}
+
 // CMOS1QResult reports the model output.
 type CMOS1QResult struct {
 	// Error is the mean average-gate-infidelity over noise trials.
@@ -66,20 +74,29 @@ type CMOS1QResult struct {
 	Leakage float64
 }
 
-// CMOS1QError runs the full model pipeline: envelope → digital samples →
-// quantisation → Gaussian noise → 3-level Hamiltonian simulation → average
-// gate infidelity vs. the ideal rotation.
-func CMOS1QError(cfg CMOS1QConfig) CMOS1QResult {
-	if cfg.Trials <= 0 {
-		cfg.Trials = 8
-	}
+// cmos1qModel is the pulse and 3-level transmon a CMOS1QConfig describes,
+// with the scratch its simulations reuse: a calibration re-runs simulate
+// ~150 times, so the per-sample Hamiltonians and propagator scratch are
+// built in place.
+type cmos1qModel struct {
+	axis       byte
+	n          int
+	ts, rabi   float64
+	amps, drag []float64 // clean envelope on the gate axis, DRAG quadrature
+	ideal      *cmath.Matrix
+	d          *ham.DrivenTransmon
+	ws         ham.EvolveWorkspace
+	hs         []*cmath.Matrix
+	u          *cmath.Matrix
+}
+
+func newCMOS1QModel(cfg CMOS1QConfig) *cmos1qModel {
 	n := int(math.Round(cfg.GateTime * cfg.SampleRateHz))
 	if n < 4 {
 		n = 4
 	}
 	ts := cfg.GateTime / float64(n)
-	env := pulse.CosineEnvelope{}
-	amps := pulse.Samples(env, n, cfg.GateTime)
+	amps := pulse.Samples(pulse.CosineEnvelope{}, n, cfg.GateTime)
 
 	// Pulse area for a cosine envelope is T/2; set the Rabi rate so the
 	// two-level rotation angle is Theta, then fine-calibrate the amplitude
@@ -102,60 +119,76 @@ func CMOS1QError(cfg CMOS1QConfig) CMOS1QResult {
 		}
 	}
 
-	ideal := idealRotation(cfg.Theta, cfg.Axis)
+	m := &cmos1qModel{
+		axis: cfg.Axis, n: n, ts: ts, rabi: rabi, amps: amps, drag: drag,
+		ideal: idealRotation(cfg.Theta, cfg.Axis),
+		d:     ham.NewDrivenTransmon(3, 0, alpha, rabi),
+		u:     cmath.NewMatrix(3, 3),
+	}
+	m.hs = m.ws.HamiltonianBuffer(n, 3)
+	return m
+}
 
-	// One transmon + one evolution workspace serve every calibration probe:
-	// the golden-section tune-up below re-runs simulate ~150 times, so the
-	// per-sample Hamiltonians and propagator scratch are built in place.
-	// The returned matrix is owned by the workspace and valid until the next
-	// simulate call.
-	d := ham.NewDrivenTransmon(3, 0, alpha, rabi)
-	var ws ham.EvolveWorkspace
-	hs := ws.HamiltonianBuffer(n, 3)
-	uBuf := cmath.NewMatrix(3, 3)
-	simulate := func(main, quad []float64, scale, detune float64) *cmath.Matrix {
-		d.DetuningRad = detune
-		d.RabiRad = rabi * scale
-		for k := 0; k < n; k++ {
-			// Axis 'x': envelope on I, DRAG on Q. Axis 'y': the gate phase
-			// shifts by π/2, i.e. envelope on Q and -DRAG on I.
-			if cfg.Axis == 'y' {
-				d.HamiltonianInto(hs[k], -quad[k], main[k])
-			} else {
-				d.HamiltonianInto(hs[k], main[k], quad[k])
-			}
+// simulate returns the propagator of the pulse (main on the gate axis, quad
+// in quadrature) under cal. The matrix is owned by the model and valid until
+// the next call.
+func (m *cmos1qModel) simulate(main, quad []float64, cal CMOS1QCalibration) *cmath.Matrix {
+	m.d.DetuningRad = cal.DetuneRad
+	m.d.RabiRad = m.rabi * cal.Scale
+	for k := 0; k < m.n; k++ {
+		// Axis 'x': envelope on I, DRAG on Q. Axis 'y': the gate phase
+		// shifts by π/2, i.e. envelope on Q and -DRAG on I.
+		if m.axis == 'y' {
+			m.d.HamiltonianInto(m.hs[k], -quad[k], main[k])
+		} else {
+			m.d.HamiltonianInto(m.hs[k], main[k], quad[k])
 		}
-		ws.EvolveSamplesInto(uBuf, hs, ts)
-		return uBuf
 	}
+	m.ws.EvolveSamplesInto(m.u, m.hs, m.ts)
+	return m.u
+}
 
-	// Score on the computational subspace: the |2> level's free phase is
-	// unobservable, but any population left there shrinks the 2x2 block's
-	// norm, so leakage is still penalised.
-	score := func(u *cmath.Matrix) float64 {
-		u2 := cmath.QubitSubspace(u)
-		return cmath.GateError(ideal, cmath.GlobalPhaseAlign(ideal, u2))
-	}
+// score is the gate error on the computational subspace: the |2> level's
+// free phase is unobservable, but any population left there shrinks the
+// 2x2 block's norm, so leakage is still penalised.
+func (m *cmos1qModel) score(u *cmath.Matrix) float64 {
+	u2 := cmath.QubitSubspace(u)
+	return cmath.GateError(m.ideal, cmath.GlobalPhaseAlign(m.ideal, u2))
+}
 
-	// Calibrate (scale, detuning) on the clean pulse — coordinate descent
-	// with golden-section, exactly what an experimentalist's tune-up does.
-	cleanI := make([]float64, n)
-	copy(cleanI, amps)
-	scale, detune := 1.0, 0.0
+// CalibrateCMOS1Q tunes (scale, detuning) on the clean pulse by coordinate
+// descent with golden-section search, exactly what an experimentalist's
+// tune-up does. It reads only GateTime, SampleRateHz, AnharmonicityHz,
+// Theta, Axis and DRAG, never Bits, SNRdB, Trials or Seed, so one
+// calibration serves a gate at every precision and noise level.
+func CalibrateCMOS1Q(cfg CMOS1QConfig) CMOS1QCalibration {
+	m := newCMOS1QModel(cfg)
+	cal := CMOS1QCalibration{Scale: 1}
 	for iter := 0; iter < 3; iter++ {
-		scale = goldenMin(func(s float64) float64 {
-			return score(simulate(cleanI, drag, s, detune))
-		}, scale*0.98, scale*1.02, 24)
-		detune = goldenMin(func(dt float64) float64 {
-			return score(simulate(cleanI, drag, scale, dt))
-		}, detune-2*math.Pi*3e6, detune+2*math.Pi*3e6, 24)
+		cal.Scale = goldenMin(func(s float64) float64 {
+			return m.score(m.simulate(m.amps, m.drag, CMOS1QCalibration{Scale: s, DetuneRad: cal.DetuneRad}))
+		}, cal.Scale*0.98, cal.Scale*1.02, 24)
+		cal.DetuneRad = goldenMin(func(dt float64) float64 {
+			return m.score(m.simulate(m.amps, m.drag, CMOS1QCalibration{Scale: cal.Scale, DetuneRad: dt}))
+		}, cal.DetuneRad-2*math.Pi*3e6, cal.DetuneRad+2*math.Pi*3e6, 24)
 	}
+	return cal
+}
+
+// CMOS1QError runs the model pipeline on a calibrated drive: envelope →
+// digital samples → quantisation → Gaussian noise → 3-level Hamiltonian
+// simulation → average gate infidelity vs. the ideal rotation.
+func CMOS1QError(cfg CMOS1QConfig, cal CMOS1QCalibration) CMOS1QResult {
+	if cfg.Trials <= 0 {
+		cfg.Trials = 8
+	}
+	m := newCMOS1QModel(cfg)
 
 	// Coherent (noiseless but quantised) pulse.
-	qi := pulse.Quantize(cleanI, cfg.Bits)
-	qq := pulse.Quantize(drag, cfg.Bits)
-	uCoh := simulate(qi, qq, scale, detune).Clone()
-	res := CMOS1QResult{CoherentError: score(uCoh)}
+	qi := pulse.Quantize(m.amps, cfg.Bits)
+	qq := pulse.Quantize(m.drag, cfg.Bits)
+	uCoh := m.simulate(qi, qq, cal).Clone()
+	res := CMOS1QResult{CoherentError: m.score(uCoh)}
 	v := uCoh.ApplyTo(cmath.BasisVec(3, 0))
 	res.Leakage = real(v[2])*real(v[2]) + imag(v[2])*imag(v[2])
 
@@ -168,7 +201,7 @@ func CMOS1QError(cfg CMOS1QConfig) CMOS1QResult {
 	for trial := 0; trial < cfg.Trials; trial++ {
 		ni := pulse.AddNoiseSNR(qi, cfg.SNRdB, rng)
 		nq := pulse.AddNoiseSNR(qq, cfg.SNRdB, rng)
-		sum += score(simulate(ni, nq, scale, detune))
+		sum += m.score(m.simulate(ni, nq, cal))
 	}
 	res.Error = sum / float64(cfg.Trials)
 	return res

@@ -35,9 +35,6 @@ type CZConfig struct {
 	Trials int
 	// Seed fixes the RNG.
 	Seed int64
-	// Calibrate enables amplitude-scale tune-up on the clean pulse (on by
-	// default through NewDefault; disable to see the raw pulse).
-	Calibrate bool
 }
 
 // DefaultCZConfig returns the Table 2 CZ setup: 50 ns flat-top pulse whose
@@ -55,7 +52,6 @@ func DefaultCZConfig() CZConfig {
 		IdleDetuningHz:  800e6,
 		Trials:          8,
 		Seed:            7,
-		Calibrate:       true,
 	}
 }
 
@@ -70,6 +66,14 @@ func DefaultSFQCZConfig() CZConfig {
 	return cfg
 }
 
+// CZCalibration is the tune-up of a CZ pulse, found on the clean pulse by
+// CalibrateCZ: the scale on the resonance detuning the pulse reaches and,
+// for a flat-top envelope, the ramp fraction (0 for other envelopes).
+type CZCalibration struct {
+	Scale    float64
+	RampFrac float64
+}
+
 // CZResult reports the CZ model output.
 type CZResult struct {
 	Error         float64 // mean infidelity over noise trials
@@ -77,70 +81,102 @@ type CZResult struct {
 	CondPhase     float64 // achieved conditional phase (want π)
 }
 
-// CZError runs the CZ pipeline: ideal pulse → quantisation → thermal noise →
-// two-transmon Hamiltonian simulation → computational-subspace comparison
-// with the ideal CZ (single-qubit phases stripped, as tracked by virtual Rz).
-func CZError(cfg CZConfig) CZResult {
-	if cfg.Trials <= 0 {
-		cfg.Trials = 8
-	}
+// czModel is the two-transmon system a CZConfig describes, with the scratch
+// its evolutions reuse: a calibration re-runs evolve ~130 times on the same
+// 9×9 system, so the per-sample Hamiltonians and propagator scratch are
+// rebuilt in place per call.
+type czModel struct {
+	cfg             CZConfig
+	n               int
+	ts              float64
+	idle, resonance float64
+	sys             *ham.CoupledTransmons
+	ideal           *cmath.Matrix
+	ws              ham.EvolveWorkspace
+	hs              []*cmath.Matrix
+	u9              *cmath.Matrix
+}
+
+func newCZModel(cfg CZConfig) *czModel {
 	alpha := 2 * math.Pi * cfg.AnharmonicityHz
 	g := 2 * math.Pi * cfg.CouplingHz
 	idle := 2 * math.Pi * cfg.IdleDetuningHz
 	sys := ham.NewCoupledTransmons(3, alpha, alpha, g, idle)
-	resonance := sys.ResonanceDetuning()
 
 	n := int(math.Round(cfg.GateTime * cfg.SampleRateHz))
 	if n < 8 {
 		n = 8
 	}
-	ts := cfg.GateTime / float64(n)
-
-	ideal := ham.IdealCZ()
-	// The calibration loops below re-run evolve ~100 times on the same 9×9
-	// system, so the per-sample Hamiltonians and propagator scratch live in
-	// one workspace and are rebuilt in place per call.
-	var ws ham.EvolveWorkspace
-	hs := ws.HamiltonianBuffer(n, 9)
-	u9 := cmath.NewMatrix(9, 9)
-	evolve := func(samples []float64, scale float64) *cmath.Matrix {
-		for k := 0; k < n; k++ {
-			// Envelope interpolates from idle detuning to the (scaled)
-			// resonance point.
-			delta := idle + (resonance*scale-idle)*samples[k]
-			sys.HamiltonianInto(hs[k], delta)
-		}
-		ws.EvolveSamplesInto(u9, hs, ts)
-		u4 := cmath.QubitSubspace2(u9, 3)
-		return ham.StripSingleQubitPhases(u4)
+	m := &czModel{
+		cfg: cfg, n: n, ts: cfg.GateTime / float64(n),
+		idle: idle, resonance: sys.ResonanceDetuning(), sys: sys,
+		ideal: ham.IdealCZ(),
+		u9:    cmath.NewMatrix(9, 9),
 	}
-	score := func(u4 *cmath.Matrix) float64 { return cmath.GateError(ideal, u4) }
+	m.hs = m.ws.HamiltonianBuffer(n, 9)
+	return m
+}
 
-	// Calibration: amplitude scale always; for the flat-top shape also the
-	// ramp fraction (it trades hold time against adiabaticity) — the
-	// two-knob tune-up an experiment performs, and what the paper's Quanlse
-	// ideal-pulse generation provides.
-	scale := 1.0
-	ft, tunable := cfg.Envelope.(pulse.FlatTopEnvelope)
-	env := pulse.Samples(cfg.Envelope, n, cfg.GateTime)
-	if cfg.Calibrate {
-		if tunable {
-			for iter := 0; iter < 2; iter++ {
-				scale = goldenMin(func(s float64) float64 { return score(evolve(env, s)) }, 0.92, 1.08, 24)
-				rf := goldenMin(func(r float64) float64 {
-					e := pulse.Samples(pulse.FlatTopEnvelope{RampFrac: r}, n, cfg.GateTime)
-					return score(evolve(e, scale))
-				}, 0.04, 0.35, 24)
-				ft.RampFrac = rf
-				env = pulse.Samples(ft, n, cfg.GateTime)
-			}
-		}
-		scale = goldenMin(func(s float64) float64 { return score(evolve(env, s)) }, 0.92, 1.08, 28)
+// envelope samples the configured envelope, a flat-top with the given ramp
+// fraction.
+func (m *czModel) envelope(rampFrac float64) []float64 {
+	if _, ok := m.cfg.Envelope.(pulse.FlatTopEnvelope); ok {
+		return pulse.Samples(pulse.FlatTopEnvelope{RampFrac: rampFrac}, m.n, m.cfg.GateTime)
 	}
+	return pulse.Samples(m.cfg.Envelope, m.n, m.cfg.GateTime)
+}
 
-	q := pulse.Quantize(env, cfg.Bits)
-	uCoh := evolve(q, scale)
-	res := CZResult{CoherentError: score(uCoh)}
+// evolve returns the computational-subspace CZ unitary, single-qubit phases
+// stripped, of the pulse samples at the given detuning scale.
+func (m *czModel) evolve(samples []float64, scale float64) *cmath.Matrix {
+	for k := 0; k < m.n; k++ {
+		// Envelope interpolates from idle detuning to the (scaled)
+		// resonance point.
+		delta := m.idle + (m.resonance*scale-m.idle)*samples[k]
+		m.sys.HamiltonianInto(m.hs[k], delta)
+	}
+	m.ws.EvolveSamplesInto(m.u9, m.hs, m.ts)
+	u4 := cmath.QubitSubspace2(m.u9, 3)
+	return ham.StripSingleQubitPhases(u4)
+}
+
+func (m *czModel) score(u4 *cmath.Matrix) float64 { return cmath.GateError(m.ideal, u4) }
+
+// CalibrateCZ tunes the pulse on the clean (unquantised, noiseless) samples:
+// the amplitude scale always, and for the flat-top shape also the ramp
+// fraction, which trades hold time against adiabaticity. This is the
+// two-knob tune-up an experiment performs, and what the paper's Quanlse
+// ideal-pulse generation provides. It never reads Bits, NoiseSigma, Trials
+// or Seed, so DefaultCZConfig and DefaultSFQCZConfig calibrate alike.
+func CalibrateCZ(cfg CZConfig) CZCalibration {
+	m := newCZModel(cfg)
+	cal := CZCalibration{Scale: 1}
+	env := pulse.Samples(cfg.Envelope, m.n, cfg.GateTime)
+	if _, tunable := cfg.Envelope.(pulse.FlatTopEnvelope); tunable {
+		for iter := 0; iter < 2; iter++ {
+			cal.Scale = goldenMin(func(s float64) float64 { return m.score(m.evolve(env, s)) }, 0.92, 1.08, 24)
+			cal.RampFrac = goldenMin(func(r float64) float64 {
+				return m.score(m.evolve(m.envelope(r), cal.Scale))
+			}, 0.04, 0.35, 24)
+			env = m.envelope(cal.RampFrac)
+		}
+	}
+	cal.Scale = goldenMin(func(s float64) float64 { return m.score(m.evolve(env, s)) }, 0.92, 1.08, 28)
+	return cal
+}
+
+// CZError runs the CZ pipeline on a calibrated pulse: ideal pulse →
+// quantisation → thermal noise → two-transmon Hamiltonian simulation →
+// computational-subspace comparison with the ideal CZ (single-qubit phases
+// stripped, as tracked by virtual Rz).
+func CZError(cfg CZConfig, cal CZCalibration) CZResult {
+	if cfg.Trials <= 0 {
+		cfg.Trials = 8
+	}
+	m := newCZModel(cfg)
+	q := pulse.Quantize(m.envelope(cal.RampFrac), cfg.Bits)
+	uCoh := m.evolve(q, cal.Scale)
+	res := CZResult{CoherentError: m.score(uCoh)}
 	res.CondPhase = math.Atan2(imag(uCoh.At(3, 3)), real(uCoh.At(3, 3)))
 
 	if cfg.NoiseSigma <= 0 {
@@ -150,23 +186,23 @@ func CZError(cfg CZConfig) CZResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var sum float64
 	for trial := 0; trial < cfg.Trials; trial++ {
-		noisy := make([]float64, n)
+		noisy := make([]float64, m.n)
 		for k := range noisy {
 			noisy[k] = q[k] + cfg.NoiseSigma*rng.NormFloat64()
 		}
-		sum += score(evolve(noisy, scale))
+		sum += m.score(m.evolve(noisy, cal.Scale))
 	}
 	res.Error = sum / float64(cfg.Trials)
 	return res
 }
 
-// UnitStepCZError evaluates the Horse Ridge II-style unit-step pulse under
-// the same calibration budget, demonstrating the pathology that motivated the
-// paper's new AWG pulse circuits for both CMOS (Section 3.3.2) and SFQ
-// (Section 3.4.2).
-func UnitStepCZError() CZResult {
+// UnitStepCZConfig returns the default CZ setup with the Horse Ridge II-style
+// unit-step pulse and no noise. Under the same calibration budget it shows
+// the pathology that motivated the paper's new AWG pulse circuits for both
+// CMOS (Section 3.3.2) and SFQ (Section 3.4.2).
+func UnitStepCZConfig() CZConfig {
 	cfg := DefaultCZConfig()
 	cfg.Envelope = pulse.UnitStepEnvelope{}
 	cfg.NoiseSigma = 0
-	return CZError(cfg)
+	return cfg
 }

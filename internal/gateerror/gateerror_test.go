@@ -8,10 +8,14 @@ import (
 	"qisim/internal/pulse"
 )
 
+// cmos1q and cz run a model under its own calibration.
+func cmos1q(cfg CMOS1QConfig) CMOS1QResult { return CMOS1QError(cfg, CalibrateCMOS1Q(cfg)) }
+func cz(cfg CZConfig) CZResult             { return CZError(cfg, CalibrateCZ(cfg)) }
+
 func TestCMOS1QTable2Anchor(t *testing.T) {
 	// Table 2 CMOS 1Q error (without decoherence): 8.17e-7. Our calibrated
 	// model must land within a factor ~2 of the anchor.
-	r := CMOS1QError(DefaultCMOS1QConfig())
+	r := cmos1q(DefaultCMOS1QConfig())
 	if r.Error < 3e-7 || r.Error > 1.8e-6 {
 		t.Fatalf("CMOS 1Q error %.3g outside Table 2 anchor band around 8.17e-7", r.Error)
 	}
@@ -26,10 +30,11 @@ func TestCMOS1QTable2Anchor(t *testing.T) {
 func TestCMOS1QNoiseMonotonic(t *testing.T) {
 	cfg := DefaultCMOS1QConfig()
 	cfg.Trials = 4
+	cal := CalibrateCMOS1Q(cfg)
 	var prev float64 = math.Inf(1)
 	for _, snr := range []float64{35, 45, 55} {
 		cfg.SNRdB = snr
-		e := CMOS1QError(cfg).Error
+		e := CMOS1QError(cfg, cal).Error
 		if e > prev {
 			t.Fatalf("error should fall with SNR: %.3g at %v dB > %.3g", e, snr, prev)
 		}
@@ -42,9 +47,10 @@ func TestCMOS1QBitPrecisionSaturates(t *testing.T) {
 	// precision must hurt.
 	cfg := DefaultCMOS1QConfig()
 	cfg.SNRdB = 0 // isolate quantisation
+	cal := CalibrateCMOS1Q(cfg)
 	errAt := func(bits int) float64 {
 		cfg.Bits = bits
-		return CMOS1QError(cfg).Error
+		return CMOS1QError(cfg, cal).Error
 	}
 	e3, e9, e14 := errAt(3), errAt(9), errAt(14)
 	if e3 < 10*e9 {
@@ -58,9 +64,9 @@ func TestCMOS1QBitPrecisionSaturates(t *testing.T) {
 func TestCMOS1QDRAGHelps(t *testing.T) {
 	cfg := DefaultCMOS1QConfig()
 	cfg.SNRdB = 0
-	withDRAG := CMOS1QError(cfg)
+	withDRAG := cmos1q(cfg)
 	cfg.DRAG = false
-	without := CMOS1QError(cfg)
+	without := cmos1q(cfg)
 	if withDRAG.Leakage >= without.Leakage {
 		t.Fatalf("DRAG should reduce leakage: %.3g vs %.3g", withDRAG.Leakage, without.Leakage)
 	}
@@ -70,7 +76,7 @@ func TestCMOS1QAxisY(t *testing.T) {
 	cfg := DefaultCMOS1QConfig()
 	cfg.Axis = 'y'
 	cfg.SNRdB = 0
-	r := CMOS1QError(cfg)
+	r := cmos1q(cfg)
 	if r.Error > 1e-6 {
 		t.Fatalf("y-axis gate error %.3g too high", r.Error)
 	}
@@ -173,7 +179,7 @@ func TestComposeBitstream3ReducesTo2Level(t *testing.T) {
 
 func TestCZTable2Anchor(t *testing.T) {
 	// Table 2 CMOS CZ error: 7.8e-4; Table 1 model value 1.09e-3 for SFQ.
-	r := CZError(DefaultCZConfig())
+	r := cz(DefaultCZConfig())
 	if r.Error < 3e-4 || r.Error > 1.6e-3 {
 		t.Fatalf("CZ error %.3g outside anchor band around 7.8e-4", r.Error)
 	}
@@ -183,7 +189,7 @@ func TestCZTable2Anchor(t *testing.T) {
 }
 
 func TestCZSFQAnchor(t *testing.T) {
-	r := CZError(DefaultSFQCZConfig())
+	r := cz(DefaultSFQCZConfig())
 	if r.Error < 4e-4 || r.Error > 2.5e-3 {
 		t.Fatalf("SFQ CZ error %.3g outside anchor band around 1.09e-3", r.Error)
 	}
@@ -192,8 +198,8 @@ func TestCZSFQAnchor(t *testing.T) {
 func TestUnitStepCZPathology(t *testing.T) {
 	// Section 3.3.2: "the unit-step voltage almost cannot realize the CZ
 	// gate" — the error must be orders of magnitude above the ramped pulse.
-	ramped := CZError(DefaultCZConfig())
-	step := UnitStepCZError()
+	ramped := cz(DefaultCZConfig())
+	step := cz(UnitStepCZConfig())
 	if step.Error < 50*ramped.Error {
 		t.Fatalf("unit step error %.3g should dwarf ramped %.3g", step.Error, ramped.Error)
 	}
@@ -205,10 +211,11 @@ func TestUnitStepCZPathology(t *testing.T) {
 func TestCZNoiseMonotonic(t *testing.T) {
 	cfg := DefaultCZConfig()
 	cfg.Trials = 4
+	cal := CalibrateCZ(cfg)
 	var prev float64
 	for _, sig := range []float64{0, 3e-3, 9e-3} {
 		cfg.NoiseSigma = sig
-		e := CZError(cfg).Error
+		e := CZError(cfg, cal).Error
 		if e < prev {
 			t.Fatalf("CZ error should grow with flux noise: %.3g at σ=%v < %.3g", e, sig, prev)
 		}
@@ -234,10 +241,39 @@ func TestDecoherenceFidelityLimits(t *testing.T) {
 func TestWithDecoherenceIBMAnchor(t *testing.T) {
 	// Table 1: CMOS 1Q incl. decoherence — model 6.07e-5 vs ibm_peekskill
 	// 6.59e-5, using the reference machine's T1/T2.
-	coh := CMOS1QError(DefaultCMOS1QConfig()).Error
+	coh := cmos1q(DefaultCMOS1QConfig()).Error
 	total := WithDecoherence(coh, 25e-9, 280e-6, 175e-6)
 	if total < 4e-5 || total > 9e-5 {
 		t.Fatalf("decoherence-included 1Q error %.3g outside ibm_peekskill band", total)
+	}
+}
+
+// TestCalibrationIgnoresPrecisionAndNoise pins why calibrating once per
+// pulse is exact: the tune-ups never read the precision, noise, trial or
+// seed fields, so Fig. 14's bit sweep and the CMOS/SFQ CZ variants share
+// one calibration each.
+func TestCalibrationIgnoresPrecisionAndNoise(t *testing.T) {
+	base := DefaultCMOS1QConfig()
+	want := CalibrateCMOS1Q(base)
+	vary := []func(*CMOS1QConfig){
+		func(c *CMOS1QConfig) { c.SNRdB = 0 },
+		func(c *CMOS1QConfig) { c.SNRdB = 30 },
+		func(c *CMOS1QConfig) { c.Trials = 3 },
+		func(c *CMOS1QConfig) { c.Seed = 99 },
+	}
+	for _, bits := range []int{3, 4, 5, 6, 7, 8, 9, 10, 12, 14} { // Fig. 14's depths
+		bits := bits
+		vary = append(vary, func(c *CMOS1QConfig) { c.Bits = bits })
+	}
+	for i, f := range vary {
+		cfg := base
+		f(&cfg)
+		if got := CalibrateCMOS1Q(cfg); got != want {
+			t.Errorf("variant %d: CalibrateCMOS1Q = %+v, want %+v", i, got, want)
+		}
+	}
+	if a, b := CalibrateCZ(DefaultCZConfig()), CalibrateCZ(DefaultSFQCZConfig()); a != b {
+		t.Errorf("CalibrateCZ: CMOS %+v, SFQ %+v", a, b)
 	}
 }
 

@@ -62,8 +62,9 @@ func EvolveSamples(hs []*cmath.Matrix, ts float64) *cmath.Matrix {
 // EvolveWorkspace holds the scratch matrices repeated sample-evolutions
 // need, so calibration searches (which re-run EvolveSamples hundreds of
 // times on same-sized systems) allocate nothing after warm-up. The zero
-// value is ready to use. The operation sequence of EvolveSamplesInto
-// replays EvolveSamples exactly, so results are bit-identical.
+// value is ready to use. EvolveSamplesInto skips only work whose result is
+// known (a repeated sample's exponential, exact-zero Taylor terms), so for
+// finite samples its results are bit-identical to EvolveSamples.
 type EvolveWorkspace struct {
 	gen, uk, u, tmp *cmath.Matrix
 	hs              []*cmath.Matrix
@@ -93,7 +94,10 @@ func (w *EvolveWorkspace) HamiltonianBuffer(n, dim int) []*cmath.Matrix {
 }
 
 // EvolveSamplesInto computes the same propagator as EvolveSamples into dst,
-// reusing the workspace's scratch. dst must not be one of the hs samples.
+// reusing the workspace's scratch. A sample bitwise equal to the one before
+// it reuses that sample's propagator, since equal inputs give equal outputs:
+// flat-top holds, unit steps and quantised plateaus are runs of equal
+// samples. dst must not be one of the hs samples.
 func (w *EvolveWorkspace) EvolveSamplesInto(dst *cmath.Matrix, hs []*cmath.Matrix, ts float64) {
 	if len(hs) == 0 {
 		panic("ham: EvolveSamples requires at least one sample")
@@ -108,15 +112,31 @@ func (w *EvolveWorkspace) EvolveSamplesInto(dst *cmath.Matrix, hs []*cmath.Matri
 		u.Data[i*n+i] = 1
 	}
 	s := complex(0, -ts)
-	for _, hk := range hs {
-		for i, v := range hk.Data {
-			w.gen.Data[i] = s * v
+	for k, hk := range hs {
+		if k == 0 || !sameBits(hk, hs[k-1]) {
+			for i, v := range hk.Data {
+				w.gen.Data[i] = s * v
+			}
+			w.expw.ExpmInto(w.uk, w.gen)
 		}
-		w.expw.ExpmInto(w.uk, w.gen)
 		cmath.MulInto(tmp, w.uk, u)
 		u, tmp = tmp, u
 	}
 	copy(dst.Data, u.Data)
+}
+
+// sameBits reports whether a and b hold bitwise-equal entries. Unlike ==, it
+// tells +0 from −0 and matches a NaN with itself: equal bits are exactly the
+// inputs a deterministic computation must map to equal outputs.
+func sameBits(a, b *cmath.Matrix) bool {
+	for i, v := range a.Data {
+		w := b.Data[i]
+		if math.Float64bits(real(v)) != math.Float64bits(real(w)) ||
+			math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
+			return false
+		}
+	}
+	return true
 }
 
 // DrivenTransmon models one transmon driven through its charge line, in the

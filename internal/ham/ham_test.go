@@ -179,3 +179,63 @@ func TestEvolveSamplesMatchesEvolve(t *testing.T) {
 		t.Fatalf("sample-based and functional evolution disagree: %g", e)
 	}
 }
+
+// TestEvolveSamplesIntoMatchesEvolveSamples pins the workspace path, which
+// reuses a repeated sample's propagator and skips zero Taylor terms, to the
+// allocating reference element by element (==), through one workspace.
+func TestEvolveSamplesIntoMatchesEvolveSamples(t *testing.T) {
+	const ts = 0.4e-9
+	alpha := 2 * math.Pi * -300e6
+	c := NewCoupledTransmons(3, alpha, alpha, 2*math.Pi*10e6, 2*math.Pi*800e6)
+	d := NewDrivenTransmon(3, 2*math.Pi*1e6, 2*math.Pi*-330e6, 2*math.Pi*20e6)
+	drive := func(amps ...float64) []*cmath.Matrix {
+		hs := make([]*cmath.Matrix, len(amps))
+		for k, a := range amps {
+			hs[k] = d.Hamiltonian(a, 0.1*a)
+		}
+		return hs
+	}
+	var flux []*cmath.Matrix
+	for _, f := range []float64{0, 0.4, 1, 1, 1, 1, 0.4, 0, 0} {
+		flux = append(flux, c.Hamiltonian(c.IdleDetuningRad+(c.ResonanceDetuning()-c.IdleDetuningRad)*f))
+	}
+	// Neighbours that differ only in the sign of a zero entry (no direct
+	// 0↔2 drive term) are different inputs, so neither reuses the other's
+	// propagator.
+	h := d.Hamiltonian(0.7, 0.1)
+	negZero := h.Clone()
+	negZero.Set(0, 2, complex(math.Copysign(0, -1), math.Copysign(0, -1)))
+	negRe := h.Clone()
+	negRe.Set(2, 0, complex(math.Copysign(0, -1), 0))
+
+	var w EvolveWorkspace
+	for _, tc := range []struct {
+		name string
+		hs   []*cmath.Matrix
+	}{
+		{"flat-top flux pulse", flux},
+		{"drive plateaus", drive(0, 0.5, 1, 1, 1, 0.5, 0.5, 0)},
+		{"signed-zero neighbours", []*cmath.Matrix{h, negZero, h, negRe, negRe, negZero}},
+	} {
+		want := EvolveSamples(tc.hs, ts)
+		got := cmath.NewMatrix(want.Rows, want.Cols)
+		w.EvolveSamplesInto(got, tc.hs, ts)
+		for i, v := range want.Data {
+			if got.Data[i] != v {
+				t.Fatalf("%s: element %d = %v, want %v (not bit-identical)", tc.name, i, got.Data[i], v)
+			}
+		}
+	}
+
+	// A NaN drive sample, repeated so the reuse path sees NaN bits too,
+	// must still give a non-finite propagator.
+	nan := drive(0.5, 1, math.NaN(), math.NaN(), 1, 0.5)
+	got := cmath.NewMatrix(3, 3)
+	w.EvolveSamplesInto(got, nan, ts)
+	if cmath.CheckFinite("workspace", got) == nil {
+		t.Fatalf("NaN sample gave a finite workspace propagator:\n%v", got)
+	}
+	if cmath.CheckFinite("reference", EvolveSamples(nan, ts)) == nil {
+		t.Fatal("NaN sample gave a finite reference propagator")
+	}
+}

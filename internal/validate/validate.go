@@ -121,10 +121,12 @@ func Fig10SFQ() (freq, power []Row) {
 // Table1GateErrors validates the five error models against the references of
 // Table 1 (the reference column is verbatim from the paper).
 func Table1GateErrors() []Row {
-	cmos1q := gateerror.CMOS1QError(gateerror.DefaultCMOS1QConfig()).Error
+	cmosCfg := gateerror.DefaultCMOS1QConfig()
+	cmos1q := gateerror.CMOS1QError(cmosCfg, gateerror.CalibrateCMOS1Q(cmosCfg)).Error
 	cmos1qDec := gateerror.WithDecoherence(cmos1q, 25e-9, 280e-6, 175e-6)
 	sfq1q := gateerror.SFQ1QError(gateerror.ValidationSFQ1QConfig()).Error
-	cz := gateerror.CZError(gateerror.DefaultSFQCZConfig()).Error
+	czCfg := gateerror.DefaultSFQCZConfig()
+	cz := gateerror.CZError(czCfg, gateerror.CalibrateCZ(czCfg)).Error
 	// CMOS readout incl. decoherence vs ibm_washington Q117: the bin-count
 	// model with the reference machine's T1 folded into the decay channel.
 	roChain := defaultWashingtonChain()
