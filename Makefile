@@ -32,13 +32,15 @@ trace-demo:
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/qisim -trace-out qisim-trace.json -workers 4 mc -d 7 -shots 100000
 	@echo "trace written to qisim-trace.json — load it in chrome://tracing or https://ui.perfetto.dev"
 
-# Short fuzz smokes of the QASM parser, the checkpoint decoder and the dist
-# unit-result decoder, the targets CI fuzzes (longer runs on demand, e.g.
+# Short fuzz smokes of the QASM parser, the checkpoint decoder, the dist
+# unit-result decoder and the job-journal record decoder, the targets CI
+# fuzzes (longer runs on demand, e.g.
 # `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
 fuzz:
 	$(GO) test ./internal/qasm -fuzz FuzzParse -fuzztime 15s
 	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointDecode -fuzztime 15s
 	$(GO) test ./internal/dist -fuzz FuzzDecodeUnitResult -fuzztime 15s
+	$(GO) test ./internal/jobs -fuzz FuzzJournalLine -fuzztime 15s
 
 # Build and run the qisimd analysis service on :8080 with version stamping.
 serve:

@@ -222,6 +222,15 @@ func decodeJournalLine(line string) (journalEntry, bool) {
 	return e, true
 }
 
+// encodeJournalLine renders one entry as a "<crc8hex> <json>\n" record.
+func encodeJournalLine(e journalEntry) (string, error) {
+	payload, err := json.Marshal(e)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%08x %s\n", crc32.Checksum(payload, journalCRC), payload), nil
+}
+
 // applyLocked folds one entry into the pending set.
 func (j *Journal) applyLocked(e journalEntry) {
 	switch e.Op {
@@ -306,7 +315,7 @@ func (j *Journal) AppendLease(op string, kind Kind, key rescache.Key, start, end
 
 // writeLocked appends one already-applied entry to the file (write+fsync).
 func (j *Journal) writeLocked(e journalEntry) error {
-	payload, err := json.Marshal(e)
+	line, err := encodeJournalLine(e)
 	if err != nil {
 		j.stats.AppendErrors++
 		return simerr.Invalidf("journal: marshal %s/%s: %v", e.Op, e.Key, err)
@@ -315,7 +324,6 @@ func (j *Journal) writeLocked(e journalEntry) error {
 		j.stats.AppendErrors++
 		return simerr.Invalidf("journal: append after close")
 	}
-	line := fmt.Sprintf("%08x %s\n", crc32.Checksum(payload, journalCRC), payload)
 	if _, err := j.f.WriteString(line); err != nil {
 		j.stats.AppendErrors++
 		return simerr.Invalidf("journal: append: %v", err)
@@ -379,11 +387,11 @@ func (j *Journal) Compact() error {
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName)
 	write := func(e journalEntry) error {
-		payload, err := json.Marshal(e)
+		line, err := encodeJournalLine(e)
 		if err != nil {
 			return err
 		}
-		_, err = fmt.Fprintf(tmp, "%08x %s\n", crc32.Checksum(payload, journalCRC), payload)
+		_, err = tmp.WriteString(line)
 		return err
 	}
 	for _, k := range j.order {

@@ -57,23 +57,6 @@ type matcher struct {
 	bStepZ, bStepQ []int32
 }
 
-// decodeScratch is the per-shard reusable state of the decoder: the flipped
-// syndrome list, the bitmask-DP tables, and the greedy matcher's used set.
-type decodeScratch struct {
-	syn     []bool
-	flipped []int
-	cost    []int32
-	choice  []int32
-	used    []bool
-}
-
-func (m *matcher) newScratch() *decodeScratch {
-	return &decodeScratch{
-		syn:  make([]bool, len(m.zAncillas)),
-		used: make([]bool, len(m.zAncillas)),
-	}
-}
-
 func newMatcher(p *Patch) *matcher {
 	m := &matcher{p: p, shared: make(map[[2]int]int)}
 	compact := make(map[int]int)
@@ -117,12 +100,6 @@ func newMatcher(p *Patch) *matcher {
 		top := (r2 + 1) / 2
 		bot := (2*d - 1 - r2) / 2
 		m.boundaryDist[z] = min(top, bot)
-		if m.boundaryQubit[z] == -1 {
-			// Bulk ancilla: walking to the boundary passes through
-			// neighbouring ancillas; the final step uses their boundary
-			// qubits. Handled in pathToBoundary.
-			_ = z
-		}
 	}
 	m.buildTables()
 	return m
@@ -203,20 +180,6 @@ func (m *matcher) buildTables() {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // dist is the decoding metric between two Z-ancillas: Chebyshev distance on
 // the ancilla sub-lattice (diagonal steps are single shared-qubit hops),
 // served from the precomputed table.
@@ -269,137 +232,25 @@ func (m *matcher) boundaryFlip(err []bool, z int) {
 }
 
 // decode matches the flipped syndromes (against each other or the boundary)
-// minimising the TOTAL correction weight — exact min-weight matching via
-// bitmask DP for up to 16 flipped syndromes (ample below threshold), greedy
-// beyond — and applies the corrections in place.
+// minimising the TOTAL correction weight — exact min-weight matching for up
+// to 16 flipped syndromes (ample below threshold), greedy beyond — and
+// applies the corrections in place.
 func (m *matcher) decode(err []bool, syndrome []bool) {
 	m.decodeWith(m.newScratch(), err, syndrome)
 }
 
-// decodeWith is decode against reusable per-shard scratch. The 1- and
-// 2-syndrome cases — the bulk of shots below threshold — replay the DP's
-// decision directly: one flipped syndrome always matches the boundary, and
-// a pair matches internally only when strictly cheaper than two boundary
-// paths (the DP evaluates the boundary move first, so ties keep it).
+// decodeWith is decode against reusable per-shard scratch. Each flipped
+// syndrome is a detection event at t = 0, so the pair cost is the spatial
+// distance.
 func (m *matcher) decodeWith(sc *decodeScratch, err []bool, syndrome []bool) {
-	flipped := sc.flipped[:0]
+	ev := sc.events[:0]
 	for z, s := range syndrome {
 		if s {
-			flipped = append(flipped, z)
+			ev = append(ev, spacetimeNode{z: z})
 		}
 	}
-	sc.flipped = flipped
-	switch n := len(flipped); {
-	case n == 0:
-	case n == 1:
-		m.boundaryFlip(err, flipped[0])
-	case n == 2:
-		if m.dist(flipped[0], flipped[1]) < m.boundaryDist[flipped[0]]+m.boundaryDist[flipped[1]] {
-			m.pathFlip(err, flipped[0], flipped[1])
-		} else {
-			m.boundaryFlip(err, flipped[0])
-			m.boundaryFlip(err, flipped[1])
-		}
-	case n <= 16:
-		m.decodeExactWith(sc, err, flipped)
-	default:
-		m.decodeGreedyWith(sc, err, flipped)
-	}
-}
-
-func (m *matcher) decodeExact(err []bool, flipped []int) {
-	m.decodeExactWith(m.newScratch(), err, flipped)
-}
-
-func (m *matcher) decodeExactWith(sc *decodeScratch, err []bool, flipped []int) {
-	n := len(flipped)
-	const inf = 1 << 29
-	full := 1 << n
-	if cap(sc.cost) < full {
-		sc.cost = make([]int32, full)
-		sc.choice = make([]int32, full) // encoded move: i*64+j (j==63 → boundary)
-	}
-	cost := sc.cost[:full]
-	choice := sc.choice[:full]
-	cost[0] = 0
-	for s := 1; s < full; s++ {
-		cost[s] = inf
-	}
-	for s := 1; s < full; s++ {
-		// lowest set bit
-		i := 0
-		for ; s&(1<<i) == 0; i++ {
-		}
-		rest := s &^ (1 << i)
-		// boundary
-		if c := int32(m.boundaryDist[flipped[i]]) + cost[rest]; c < cost[s] {
-			cost[s] = c
-			choice[s] = int32(i*64 + 63)
-		}
-		for j := i + 1; j < n; j++ {
-			if s&(1<<j) == 0 {
-				continue
-			}
-			r2 := rest &^ (1 << j)
-			if c := int32(m.dist(flipped[i], flipped[j])) + cost[r2]; c < cost[s] {
-				cost[s] = c
-				choice[s] = int32(i*64 + j)
-			}
-		}
-	}
-	// Reconstruct.
-	for s := full - 1; s > 0; {
-		ch := choice[s]
-		i, j := int(ch/64), int(ch%64)
-		if j == 63 {
-			m.boundaryFlip(err, flipped[i])
-			s &^= 1 << i
-		} else {
-			m.pathFlip(err, flipped[i], flipped[j])
-			s &^= (1 << i) | (1 << j)
-		}
-	}
-}
-
-func (m *matcher) decodeGreedy(err []bool, flipped []int) {
-	m.decodeGreedyWith(m.newScratch(), err, flipped)
-}
-
-func (m *matcher) decodeGreedyWith(sc *decodeScratch, err []bool, flipped []int) {
-	used := sc.used
-	for _, z := range flipped {
-		used[z] = false
-	}
-	for {
-		bestCost := 1 << 30
-		bi, bj := -1, -1 // bj == -2 means boundary
-		for x := 0; x < len(flipped); x++ {
-			if used[flipped[x]] {
-				continue
-			}
-			for y := x + 1; y < len(flipped); y++ {
-				if used[flipped[y]] {
-					continue
-				}
-				if c := m.dist(flipped[x], flipped[y]); c < bestCost {
-					bestCost, bi, bj = c, flipped[x], flipped[y]
-				}
-			}
-			if c := m.boundaryDist[flipped[x]]; c < bestCost {
-				bestCost, bi, bj = c, flipped[x], -2
-			}
-		}
-		if bi == -1 {
-			return
-		}
-		used[bi] = true
-		if bj == -2 {
-			m.boundaryFlip(err, bi)
-		} else {
-			used[bj] = true
-			m.pathFlip(err, bi, bj)
-		}
-	}
+	sc.events = ev
+	m.match(sc, err, ev, maxExactCapacity)
 }
 
 // syndrome computes the Z-stabilizer syndrome of an X-error pattern.

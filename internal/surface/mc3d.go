@@ -137,110 +137,11 @@ func (m *matcher) stBoundary(a spacetimeNode) int {
 	return m.boundaryDist[a.z]
 }
 
-// decodeSpacetime matches detection events (exact for <= 14 events, greedy
-// beyond) and applies the SPATIAL components of the matched paths as data
-// corrections.
-func (m *matcher) decodeSpacetime(err []bool, events []spacetimeNode) {
-	m.decodeSpacetimeWith(m.newScratch(), err, events)
-}
-
+// decodeSpacetimeWith matches detection events (exact for <= 14 events,
+// greedy beyond) and applies the SPATIAL components of the matched paths as
+// data corrections.
 func (m *matcher) decodeSpacetimeWith(sc *decodeScratch, err []bool, events []spacetimeNode) {
-	n := len(events)
-	if n == 0 {
-		return
-	}
-	if n <= 14 {
-		m.stExactWith(sc, err, events)
-		return
-	}
-	m.stGreedyWith(sc, err, events)
-}
-
-func (m *matcher) stExactWith(sc *decodeScratch, err []bool, ev []spacetimeNode) {
-	n := len(ev)
-	const inf = 1 << 29
-	full := 1 << n
-	if cap(sc.cost) < full {
-		sc.cost = make([]int32, full)
-		sc.choice = make([]int32, full)
-	}
-	cost := sc.cost[:full]
-	choice := sc.choice[:full]
-	cost[0] = 0
-	for s := 1; s < full; s++ {
-		cost[s] = inf
-	}
-	for s := 1; s < full; s++ {
-		i := 0
-		for ; s&(1<<i) == 0; i++ {
-		}
-		rest := s &^ (1 << i)
-		if c := int32(m.stBoundary(ev[i])) + cost[rest]; c < cost[s] {
-			cost[s] = c
-			choice[s] = int32(i*64 + 63)
-		}
-		for j := i + 1; j < n; j++ {
-			if s&(1<<j) == 0 {
-				continue
-			}
-			r2 := rest &^ (1 << j)
-			if c := int32(m.stDist(ev[i], ev[j])) + cost[r2]; c < cost[s] {
-				cost[s] = c
-				choice[s] = int32(i*64 + j)
-			}
-		}
-	}
-	for s := full - 1; s > 0; {
-		ch := choice[s]
-		i, j := int(ch/64), int(ch%64)
-		if j == 63 {
-			m.boundaryFlip(err, ev[i].z)
-			s &^= 1 << i
-		} else {
-			m.pathFlip(err, ev[i].z, ev[j].z)
-			s &^= (1 << i) | (1 << j)
-		}
-	}
-}
-
-func (m *matcher) stGreedyWith(sc *decodeScratch, err []bool, ev []spacetimeNode) {
-	if len(sc.used) < len(ev) {
-		sc.used = make([]bool, len(ev))
-	}
-	used := sc.used[:len(ev)]
-	for i := range used {
-		used[i] = false
-	}
-	for {
-		best := 1 << 30
-		bi, bj := -1, -1
-		for x := range ev {
-			if used[x] {
-				continue
-			}
-			for y := x + 1; y < len(ev); y++ {
-				if used[y] {
-					continue
-				}
-				if c := m.stDist(ev[x], ev[y]); c < best {
-					best, bi, bj = c, x, y
-				}
-			}
-			if c := m.stBoundary(ev[x]); c < best {
-				best, bi, bj = c, x, -2
-			}
-		}
-		if bi == -1 {
-			return
-		}
-		used[bi] = true
-		if bj == -2 {
-			m.boundaryFlip(err, ev[bi].z)
-		} else {
-			used[bj] = true
-			m.pathFlip(err, ev[bi].z, ev[bj].z)
-		}
-	}
+	m.match(sc, err, events, maxExactSpacetime)
 }
 
 // PhenomenologicalThresholdCtx locates the p = q crossing point of the d

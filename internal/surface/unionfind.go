@@ -104,20 +104,16 @@ func (m *matcher) decodeUnionFindWith(sc *decodeScratch, err []bool, syndrome []
 	}
 
 	// Peel each cluster: pair defects; route a leftover to the boundary.
-	clusters := map[int][]int{}
+	clusters := map[int][]spacetimeNode{}
 	for _, d := range defects {
 		r := uf.find(d)
-		clusters[r] = append(clusters[r], d)
+		clusters[r] = append(clusters[r], spacetimeNode{z: d})
 	}
 	for _, members := range clusters {
 		// Peel each (small) cluster with the exact local matcher — clusters
 		// bound the matching problem, which is what makes union-find fast
 		// while staying near matching accuracy.
-		if len(members) <= 16 {
-			m.decodeExactWith(sc, err, members)
-		} else {
-			m.decodeGreedyWith(sc, err, members)
-		}
+		m.match(sc, err, members, maxExactCapacity)
 	}
 }
 
