@@ -33,24 +33,27 @@ trace-demo:
 	@echo "trace written to qisim-trace.json — load it in chrome://tracing or https://ui.perfetto.dev"
 
 # Short fuzz smokes of the QASM parser, the checkpoint decoder, the dist
-# unit-result decoder and the job-journal record decoder, the targets CI
-# fuzzes (longer runs on demand, e.g.
+# unit-result and lease-grant decoders and the job-journal record decoder,
+# the targets CI fuzzes (longer runs on demand, e.g.
 # `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
 fuzz:
 	$(GO) test ./internal/qasm -fuzz FuzzParse -fuzztime 15s
 	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointDecode -fuzztime 15s
 	$(GO) test ./internal/dist -fuzz FuzzDecodeUnitResult -fuzztime 15s
+	$(GO) test ./internal/dist -fuzz FuzzLeaseGrant -fuzztime 15s
 	$(GO) test ./internal/jobs -fuzz FuzzJournalLine -fuzztime 15s
 
 # Build and run the qisimd analysis service on :8080 with version stamping.
 serve:
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/qisimd -addr :8080
 
-# The CI gate: everything that must be green before a change lands. The
-# benchmark module is its own Go module, so the root suite skips it; its
-# tests are a --quick run of every workload with its output checks,
-# reproduce's pinned digests included.
+# The CI gate: everything that must be green before a change lands. Every
+# package benchmark runs once, so none rots unnoticed. The benchmark module
+# is its own Go module, so the root suite skips it; its tests are a --quick
+# run of every workload with its output checks, reproduce's pinned digests
+# included.
 verify: vet build race fuzz
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	cd bench && $(GO) test ./...
 
 clean:
@@ -61,6 +64,6 @@ help:
 	@echo "  build           compile everything with version stamping"
 	@echo "  test            run the full test suite"
 	@echo "  race            run the full test suite under the race detector"
-	@echo "  verify          the CI gate: vet + build + race + fuzz + bench/ tests"
+	@echo "  verify          the CI gate: vet + build + race + fuzz + package benchmarks + bench/ tests"
 	@echo "  trace-demo      record a Chrome trace of a parallel decoder run"
 	@echo "  serve           run the qisimd analysis service on :8080"

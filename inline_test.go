@@ -12,12 +12,12 @@ import (
 )
 
 // TestShardDrawsInline pins that the compiler inlines math/rand's
-// (*Rand).Float64 at every RNG.Float64() draw of the Monte-Carlo kernels.
-// Those packages reach math/rand only through simrun.ShardTask.RNG, so the
-// inline body must come from simrun's export data, which carries it only
-// while simrun's own code calls Float64 (its init self-check does). Losing
-// the inlines costs a call per draw: a d=5 surface-code job ran 10–20%
-// slower without them.
+// (*Rand).Float64 at every RNG.Float64() draw of the Monte-Carlo kernels
+// (readout and pauli; surface draws its Bernoulli blocks through
+// simrun.ShardTask.Hits instead). Those packages reach math/rand only
+// through simrun.ShardTask.RNG, so the inline body must come from simrun's
+// export data, which carries it only while simrun's own code calls Float64
+// (its init self-check does). Losing the inlines costs a call per draw.
 func TestShardDrawsInline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiler-diagnostics build skipped in -short mode")

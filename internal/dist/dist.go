@@ -326,6 +326,27 @@ func grantDigest(g LeaseGrant) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// decodeLeaseGrant decodes a claim response and verifies the grant's
+// digest, so a grant corrupted in transit into still-parseable JSON is
+// refused instead of executed. Params must be in the form json.Marshal
+// writes, compact and HTML-escaped, as the coordinator sends it: a grant in
+// any other form would not keep its digest through a re-encode.
+func decodeLeaseGrant(b []byte) (*LeaseGrant, error) {
+	var g LeaseGrant
+	if err := json.Unmarshal(b, &g); err != nil {
+		return nil, simerr.Invalidf("dist: undecodable lease grant: %v", err)
+	}
+	if len(g.Params) > 0 {
+		if c, err := json.Marshal(g.Params); err != nil || !bytes.Equal(c, g.Params) {
+			return nil, simerr.Invalidf("dist: lease grant params are not in encoded form")
+		}
+	}
+	if g.Digest == "" || g.Digest != grantDigest(g) {
+		return nil, simerr.Invalidf("dist: lease grant digest mismatch (response corrupted in transit)")
+	}
+	return &g, nil
+}
+
 // EncodeUnitResult frames a unit result for upload, stamping the content
 // digest.
 func EncodeUnitResult(u UnitResult) ([]byte, error) {

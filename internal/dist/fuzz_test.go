@@ -96,3 +96,71 @@ func FuzzDecodeUnitResult(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLeaseGrant hammers decodeLeaseGrant, the decoder of a claim
+// response, with arbitrary bytes. The invariants under fuzz:
+//
+//  1. decodeLeaseGrant never panics;
+//  2. a failure is always a typed simerr.ErrInvalidConfig;
+//  3. an accepted grant re-encodes, as the coordinator sends it, and
+//     decodes to an equal grant with the same digest.
+func FuzzLeaseGrant(f *testing.F) {
+	g := LeaseGrant{Kind: "surface.mc", Key: "k-fuzz", Params: json.RawMessage(`{"distance":5,"shots":2000}`),
+		Plan:  Plan{Shots: 2000, Seed: -7, ShardSize: 64, TargetRelStdErr: 0.05, MinShots: 500},
+		Start: 4, End: 9, TTLMS: 2000, DeadlineMS: 30000}
+	g.Digest = grantDigest(g)
+	encode := func(g LeaseGrant) []byte {
+		b, err := json.Marshal(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	valid := encode(g)
+
+	// Seed corpus: the valid grant, one without params, and the
+	// characteristic corruptions.
+	f.Add(valid)
+	bare := LeaseGrant{Kind: "toy", Key: "k", Plan: Plan{Shots: 64, Seed: 3, ShardSize: 16}, End: 2, TTLMS: 1000}
+	bare.Digest = grantDigest(bare)
+	f.Add(encode(bare))
+	f.Add(valid[:len(valid)/2]) // torn mid-body
+	f.Add(append(append([]byte{}, valid...), '}'))
+	tampered := g
+	tampered.Start = 5 // rewritten in flight; digest now stale
+	f.Add(encode(tampered))
+	undigested := g
+	undigested.Digest = ""
+	f.Add(encode(undigested))
+	// Params not in json.Marshal's form, with a digest over their exact
+	// bytes. They must be refused: re-encoding would rewrite them and so
+	// break the digest.
+	for _, params := range []string{`{"distance": 5}`, `{"note":"<b>"}`} {
+		odd := g
+		odd.Params = json.RawMessage(params)
+		odd.Digest = grantDigest(odd)
+		canon := encode(odd) // Marshal rewrites the params
+		f.Add(bytes.Replace(canon, []byte(`"params":`), []byte(`"params":`+params+`,"x":`), 1))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeLeaseGrant(data)
+		if err != nil {
+			if !errors.Is(err, simerr.ErrInvalidConfig) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		enc, err := json.Marshal(got)
+		if err != nil {
+			t.Fatalf("re-encode of an accepted grant failed: %v", err)
+		}
+		back, err := decodeLeaseGrant(enc)
+		if err != nil {
+			t.Fatalf("re-encoded grant refused: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(back, got) || back.Digest != got.Digest {
+			t.Fatalf("round trip changed the grant:\n got  %+v\n back %+v", got, back)
+		}
+	})
+}

@@ -471,25 +471,22 @@ func (c *Client) Claim(ctx context.Context, workerID, idemKey string) (*LeaseGra
 	// leased unit until TTL expiry (the caller's next claim mints a fresh
 	// key, which grants a different unit).
 	for attempt := 0; ; attempt++ {
-		var g LeaseGrant
-		noContent, err := c.post(ctx, "/v1/dist/claim", "application/json", body, &g)
+		var raw json.RawMessage
+		noContent, err := c.post(ctx, "/v1/dist/claim", "application/json", body, &raw)
 		if err != nil {
 			return nil, err
 		}
 		if noContent {
 			return nil, nil
 		}
-		if g.Digest != "" && g.Digest == grantDigest(LeaseGrant{
-			Kind: g.Kind, Key: g.Key, Params: g.Params, Plan: g.Plan,
-			Start: g.Start, End: g.End, TTLMS: g.TTLMS, DeadlineMS: g.DeadlineMS,
-		}) {
-			return &g, nil
+		g, err := decodeLeaseGrant(raw)
+		if err == nil {
+			return g, nil
 		}
 		if attempt+1 >= c.attempts() {
-			return nil, fmt.Errorf("dist: claim: grant digest mismatch (response corrupted in transit)")
+			return nil, err
 		}
-		retryable, derr := c.budgetGate(true,
-			fmt.Errorf("dist: claim: grant digest mismatch (response corrupted in transit)"))
+		retryable, derr := c.budgetGate(true, err)
 		if !retryable {
 			return nil, derr
 		}

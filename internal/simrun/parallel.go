@@ -68,9 +68,12 @@ type ShardTask struct {
 	Shard
 	// RNG is the shard's private stream, seeded with Shard.Seed. Every
 	// random draw of the shard MUST come from this stream (and only this
-	// stream) or cross-worker determinism is lost.
+	// stream) or cross-worker determinism is lost. Hits is the stream's
+	// second draw path: a block of Bernoulli trials on the same words,
+	// which interleaves freely with draws through RNG.
 	RNG *rand.Rand
 
+	src         *go1Source // the source behind RNG, for Hits
 	ctx         context.Context
 	every       int
 	interrupted bool
@@ -91,9 +94,11 @@ func NewShardTask(ctx context.Context, sh Shard, checkEvery int) *ShardTask {
 	if checkEvery <= 0 {
 		checkEvery = 256
 	}
+	st := newShardStream(sh.Seed)
 	return &ShardTask{
 		Shard: sh,
-		RNG:   shardRNG(sh.Seed),
+		RNG:   st.rng,
+		src:   &st.src,
 		ctx:   ctx,
 		every: checkEvery,
 	}
@@ -226,11 +231,12 @@ func runShards[R any](ctx context.Context, plan []Shard, start, end, workers, ch
 			// polling is unchanged whether tracing is on or off.
 			shardCtx, shardSpan := obs.StartSpan(ctx, "shard",
 				obs.Int("shard", i), obs.Int("shots", plan[i].N))
-			rng := shardRNG(plan[i].Seed)
+			st := newShardStream(plan[i].Seed)
 			t := taskPool.Get().(*ShardTask)
 			*t = ShardTask{
 				Shard: plan[i],
-				RNG:   rng,
+				RNG:   st.rng,
+				src:   &st.src,
 				ctx:   shardCtx,
 				every: checkEvery,
 			}
@@ -238,7 +244,7 @@ func runShards[R any](ctx context.Context, plan []Shard, start, end, workers, ch
 			interrupted := t.interrupted
 			*t = ShardTask{}
 			taskPool.Put(t)
-			rngPool.Put(rng)
+			streamPool.Put(st)
 			if interrupted {
 				shardSpan.SetAttr(obs.Bool("interrupted", true))
 			} else if err == nil && events >= 0 {

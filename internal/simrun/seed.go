@@ -11,7 +11,10 @@ import (
 // math/rand Rand over go1Source, a pure-Go copy of math/rand's Go-1 additive
 // lagged-Fibonacci source. Its draws equal those of
 // rand.New(rand.NewSource(seed)), so every Monte-Carlo result is that of a
-// fresh stdlib stream.
+// fresh stdlib stream. A shard draws through two paths on that one stream:
+// the Rand, and ShardTask.Hits (coin.go), which runs the source's
+// recurrence directly for a block of Bernoulli trials and makes the
+// decisions Float64() < p would make from the same words.
 //
 // What differs is seeding. rngSource.Seed fills all 607 state words through
 // a serial chain of ~1,840 Lehmer-LCG steps before the first draw; a small
@@ -217,17 +220,28 @@ func init() {
 	}
 }
 
-// rngPool recycles the ~5 KiB source behind each shard's private stream.
-// Re-seeding makes the source read no word of its previous stream and
-// clears the Rand's cached Read bytes, so a pooled, re-seeded Rand emits the
-// bitstream of a fresh one.
-var rngPool = sync.Pool{New: func() any { return rand.New(new(go1Source)) }}
+// shardStream is a shard's private stream: a Rand and the go1Source behind
+// it, which ShardTask.Hits draws from directly.
+type shardStream struct {
+	src go1Source
+	rng *rand.Rand
+}
 
-// shardRNG returns a pooled Rand that draws what
-// rand.New(rand.NewSource(seed)) draws. The engine puts it back into rngPool
-// once its shard is done.
-func shardRNG(seed int64) *rand.Rand {
-	r := rngPool.Get().(*rand.Rand)
-	r.Seed(seed)
-	return r
+// streamPool recycles the ~5 KiB source behind each shard's private stream.
+// Re-seeding makes the source read no word of its previous stream and
+// clears the Rand's cached Read bytes, so a pooled, re-seeded stream emits
+// the bitstream of a fresh one.
+var streamPool = sync.Pool{New: func() any {
+	st := new(shardStream)
+	st.rng = rand.New(&st.src)
+	return st
+}}
+
+// newShardStream returns a pooled stream whose Rand draws what
+// rand.New(rand.NewSource(seed)) draws. The engine puts it back into
+// streamPool once its shard is done.
+func newShardStream(seed int64) *shardStream {
+	st := streamPool.Get().(*shardStream)
+	st.rng.Seed(seed)
+	return st
 }

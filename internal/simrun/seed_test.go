@@ -25,7 +25,7 @@ func seedSweep() []int64 {
 var seedOffsets = []int{0, 1, 272, 273, 274, 333, 334, 335, 606, 607, 608, 10000}
 
 // TestSeedShardRNGMatchesFreshStream re-seeds one Rand over a go1Source, as
-// shardRNG re-seeds a pooled one, and pins every draw kind against a
+// newShardStream re-seeds a pooled one, and pins every draw kind against a
 // freshly constructed stdlib stream, at draw offsets around each edge of the
 // lazy seeding. The Rand's Read cache is left dirty before every re-seed,
 // and the source has drawn up to 10,000 times from the previous seed.
@@ -69,14 +69,14 @@ func TestSeedShardRNGMatchesFreshStream(t *testing.T) {
 				}
 			}
 		}
-		// The engine's path: a pooled stream from shardRNG.
-		got, want := shardRNG(seed), rand.New(rand.NewSource(seed))
+		// The engine's path: a pooled stream from newShardStream.
+		st, want := newShardStream(seed), rand.New(rand.NewSource(seed))
 		for i := 0; i < 2*rngLen; i++ {
-			if g, w := got.Float64(), want.Float64(); g != w {
-				t.Fatalf("seed %d: shardRNG Float64 draw %d = %v, want %v", seed, i, g, w)
+			if g, w := st.rng.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d: newShardStream Float64 draw %d = %v, want %v", seed, i, g, w)
 			}
 		}
-		rngPool.Put(got)
+		streamPool.Put(st)
 	}
 }
 
@@ -97,19 +97,26 @@ func TestFastSeedStateMatchesStdlib(t *testing.T) {
 	}
 }
 
-var rngSink float64
+var (
+	rngSink  float64
+	hitsSink []int32
+)
 
 // BenchmarkShardRNG times a shard stream's seeding and draws: each op seeds
-// a stream and draws n Float64s from it, through the pooled go1Source
-// (shardRNG) and through a fresh stdlib stream as the reference; "steady"
-// is one Float64 from a long-running stream.
+// a stream and makes n draws from it, through the pooled go1Source
+// (newShardStream) and through a fresh stdlib stream as the reference;
+// "steady" is one draw from a long-running stream. The Float64 cases draw
+// Float64s; the "hits" cases make the same number of p = 0.005 trials
+// through ShardTask.Hits, whose outcomes equal those of Float64() < 0.005.
 func BenchmarkShardRNG(b *testing.B) {
+	var cur *shardStream // the pooled stream of the running op
 	streams := []struct {
 		name string
 		get  func(seed int64) *rand.Rand
 		put  func(r *rand.Rand)
 	}{
-		{"shardRNG", shardRNG, func(r *rand.Rand) { rngPool.Put(r) }},
+		{"shardRNG", func(seed int64) *rand.Rand { cur = newShardStream(seed); return cur.rng },
+			func(*rand.Rand) { streamPool.Put(cur) }},
 		{"stdlib", func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }, func(*rand.Rand) {}},
 	}
 	for _, st := range streams {
@@ -136,4 +143,28 @@ func BenchmarkShardRNG(b *testing.B) {
 			rngSink = sum
 		})
 	}
+	coin := NewCoin(0.005)
+	for _, n := range []int{96, 1000} {
+		b.Run(fmt.Sprintf("hits/draws=%d", n), func(b *testing.B) {
+			dst := make([]int32, 0, n)
+			for i := 0; i < b.N; i++ {
+				st := newShardStream(ShardSeed(1, i))
+				t := ShardTask{RNG: st.rng, src: &st.src}
+				dst = t.Hits(dst[:0], n, coin)
+				streamPool.Put(st)
+			}
+			hitsSink = dst
+		})
+	}
+	b.Run("hits/steady", func(b *testing.B) {
+		const block = 1024
+		st := newShardStream(7)
+		t := ShardTask{RNG: st.rng, src: &st.src}
+		dst := make([]int32, 0, block)
+		for i := 0; i < b.N; i += block {
+			dst = t.Hits(dst[:0], min(block, b.N-i), coin)
+		}
+		streamPool.Put(st)
+		hitsSink = dst
+	})
 }

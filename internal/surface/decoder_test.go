@@ -1,6 +1,7 @@
 package surface
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -102,6 +103,29 @@ func TestCodeCapacityLeadingOrder(t *testing.T) {
 				c.d, fails, patterns, w, c.fails, c.patterns)
 		}
 	}
+}
+
+// TestCodeCapacitySmallPRate requires the code-capacity MC at d=3 and
+// p = 0.002 to agree with the exact leading order of its failure rate.
+// TestCodeCapacityLeadingOrder counts 18 failing weight-2 patterns, each of
+// probability p²(1−p)⁷, so N shots fail N·18·p²(1−p)⁷ times in expectation,
+// plus the weight-3 and heavier patterns. There are C(9,3) = 84 weight-3
+// patterns of probability at most p³ each, and 84·p³ is under 1% of the
+// leading term at this p (84p/(18(1−p)⁷) ≈ 0.95%); heavier patterns add
+// under 0.01% more. That bias is at most about 1.4 failures against a 4σ
+// band of about 48, so the count must lie within 4 binomial σ of the
+// leading term.
+func TestCodeCapacitySmallPRate(t *testing.T) {
+	const d, p, shots, seed = 3, 0.002, 2_000_000, 20240601
+	res := codeCapacity(t, d, p, shots, seed)
+	rate := 18 * p * p * math.Pow(1-p, 7)
+	mean := float64(res.Shots) * rate
+	sigma := math.Sqrt(float64(res.Shots) * rate * (1 - rate))
+	if res.Shots != shots || math.Abs(float64(res.Failures)-mean) > 4*sigma {
+		t.Fatalf("d=%d, p=%v: %d failures in %d shots, want %.1f ± %.1f (4σ)",
+			d, p, res.Failures, res.Shots, mean, 4*sigma)
+	}
+	t.Logf("%d failures in %d shots; leading order %.1f, σ %.1f", res.Failures, res.Shots, mean, sigma)
 }
 
 // TestSpacetimeFaultDistance checks that the space-time decoder corrects

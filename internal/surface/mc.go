@@ -253,25 +253,18 @@ func (m *matcher) decodeWith(sc *decodeScratch, err []bool, syndrome []bool) {
 	m.match(sc, err, ev, maxExactCapacity)
 }
 
-// syndrome computes the Z-stabilizer syndrome of an X-error pattern.
-func (m *matcher) syndrome(err []bool) []bool {
-	return m.syndromeInto(make([]bool, len(m.zAncillas)), err)
-}
-
-// syndromeInto computes the syndrome into s (len(zAncillas)) and returns it.
-func (m *matcher) syndromeInto(s []bool, err []bool) []bool {
-	for i := range s {
-		s[i] = false
-	}
-	for q, e := range err {
-		if !e {
-			continue
-		}
+// flip applies the data-qubit flips in hits to err, and their syndrome
+// change to syn: each toggles its qubit and the Z ancillas that check it.
+// The syndrome is linear over GF(2) in the error, so if syn is the syndrome
+// of err before, it is the syndrome of err after, whatever the flips'
+// order.
+func (m *matcher) flip(err, syn []bool, hits []int32) {
+	for _, q := range hits {
+		err[q] = !err[q]
 		for _, z := range m.dataToZ[q] {
-			s[z] = !s[z]
+			syn[z] = !syn[z]
 		}
 	}
-	return s
 }
 
 // logicalFlip reports whether the residual X pattern flips the logical
@@ -316,40 +309,45 @@ func MonteCarloLogicalErrorCtx(ctx context.Context, d int, p float64, shots int,
 	if err := checkMCParams(d, p); err != nil {
 		return DecoderResult{}, err
 	}
-	patch := NewPatch(d)
-	m := newMatcher(patch) // read-only after construction: shared across shards
-	nd := patch.DataQubits()
-	failures, status, gerr := simrun.RunSharded(ctx, shots, seed, opt,
-		func(t *simrun.ShardTask) (int, int, error) {
-			// All per-shot state (error buffer, syndrome, decoder tables)
-			// is hoisted here: the shot loop itself allocates nothing.
-			errBuf := make([]bool, nd)
-			sc := m.newScratch()
-			f := 0
-			for i := 0; t.Continue(i); i++ {
-				anyErr := false
-				for q := 0; q < nd; q++ {
-					errBuf[q] = t.RNG.Float64() < p
-					anyErr = anyErr || errBuf[q]
-				}
-				if !anyErr {
-					continue
-				}
-				m.syndromeInto(sc.syn, errBuf)
-				m.decodeWith(sc, errBuf, sc.syn)
-				// After correction the syndrome must be clear; any remaining
-				// flip is logical.
-				if m.logicalFlip(errBuf) {
-					f++
-				}
-			}
-			return f, f, nil
-		},
+	m := newMatcher(NewPatch(d)) // read-only after construction: shared across shards
+	failures, status, gerr := simrun.RunSharded(ctx, shots, seed, opt, m.capacityShard(p, m.decodeWith),
 		func(dst *int, src int) { *dst += src })
 	if gerr != nil {
 		return DecoderResult{}, gerr
 	}
 	return DecoderResult{Shots: status.Completed, Failures: failures, Status: status}, nil
+}
+
+// capacityShard returns the code-capacity shard sampler: each shot flips
+// every data qubit with probability p, corrects the error with decode, and
+// counts a failure when the residual flips the logical qubit. All per-shot
+// state (error buffer, syndrome, decoder tables) is hoisted out of the shot
+// loop, which allocates nothing.
+func (m *matcher) capacityShard(p float64, decode func(sc *decodeScratch, err, syndrome []bool)) simrun.ShardFunc[int] {
+	nd := m.p.DataQubits()
+	coin := simrun.NewCoin(p)
+	return func(t *simrun.ShardTask) (int, int, error) {
+		errBuf := make([]bool, nd)
+		hits := make([]int32, 0, nd)
+		sc := m.newScratch()
+		f := 0
+		for i := 0; t.Continue(i); i++ {
+			hits = t.Hits(hits[:0], nd, coin)
+			if len(hits) == 0 {
+				continue
+			}
+			clear(errBuf)
+			clear(sc.syn)
+			m.flip(errBuf, sc.syn, hits)
+			decode(sc, errBuf, sc.syn)
+			// After correction the syndrome must be clear; any remaining
+			// flip is logical.
+			if m.logicalFlip(errBuf) {
+				f++
+			}
+		}
+		return f, f, nil
+	}
 }
 
 // ThresholdResult is the outcome of a threshold bisection: when Truncated is

@@ -31,38 +31,48 @@ func PhenomenologicalCore(d int, p, q float64, rounds int) (simrun.ShardFunc[int
 	m := newMatcher(patch) // read-only after construction: shared across shards
 	nd := patch.DataQubits()
 	nz := len(m.zAncillas)
+	pc, qc := simrun.NewCoin(p), simrun.NewCoin(q)
 
 	run := func(t *simrun.ShardTask) (int, int, error) {
-		// All per-shot state is hoisted and reused across the shot loop; the
-		// loop body performs the same draws and flips in the same order as
-		// the allocating version, so results are bit-identical.
+		// All per-shot state is hoisted and reused across the shot loop.
+		// Each round draws its nd data trials, then its nz measurement
+		// trials, as blocks of Bernoulli trials on the shard's stream.
 		errBuf := make([]bool, nd)
+		syn := make([]bool, nz) // the syndrome of errBuf
 		prevMeas := make([]bool, nz)
-		curTrue := make([]bool, nz)
+		hits := make([]int32, 0, nd)
 		events := make([]spacetimeNode, 0, 4*nz)
 		sc := m.newScratch()
 		f := 0
 		for s := 0; t.Continue(s); s++ {
-			for i := range errBuf {
-				errBuf[i] = false
-			}
-			for i := range prevMeas {
-				prevMeas[i] = false
-			}
+			clear(errBuf)
+			clear(syn)
+			clear(prevMeas)
 			events = events[:0]
 
+			// steady holds while prevMeas equals syn, as after a round with
+			// no measurement error. A round that then adds no data error
+			// and no measurement error repeats every measurement: it has no
+			// events and changes no state, so it is skipped.
+			steady := true
 			for r := 0; r < rounds; r++ {
-				// New data errors this round.
-				for qb := 0; qb < nd; qb++ {
-					if t.RNG.Float64() < p {
-						errBuf[qb] = !errBuf[qb]
-					}
+				// New data errors this round, and the syndrome they change.
+				hits = t.Hits(hits[:0], nd, pc)
+				m.flip(errBuf, syn, hits)
+				dataErr := len(hits) > 0
+				// Measurement errors: hits lists the flipped ancillas in
+				// ascending order.
+				hits = t.Hits(hits[:0], nz, qc)
+				if steady && !dataErr && len(hits) == 0 {
+					continue
 				}
-				m.syndromeInto(curTrue, errBuf)
+				steady = len(hits) == 0
+				k := 0
 				for z := 0; z < nz; z++ {
-					meas := curTrue[z]
-					if t.RNG.Float64() < q {
+					meas := syn[z]
+					if k < len(hits) && int(hits[k]) == z {
 						meas = !meas
+						k++
 					}
 					if meas != prevMeas[z] {
 						events = append(events, spacetimeNode{z: z, t: r})
@@ -70,10 +80,10 @@ func PhenomenologicalCore(d int, p, q float64, rounds int) (simrun.ShardFunc[int
 					prevMeas[z] = meas
 				}
 			}
-			// Final perfect round.
-			m.syndromeInto(curTrue, errBuf)
-			for z := 0; z < nz; z++ {
-				if curTrue[z] != prevMeas[z] {
+			// Final perfect round: it measures syn, which a steady history
+			// measured last round already.
+			for z := 0; !steady && z < nz; z++ {
+				if syn[z] != prevMeas[z] {
 					events = append(events, spacetimeNode{z: z, t: rounds})
 				}
 			}

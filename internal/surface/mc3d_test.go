@@ -66,3 +66,29 @@ func TestPhenomenologicalThresholdBand(t *testing.T) {
 		t.Fatalf("phenomenological threshold %.3f outside plausible band", th)
 	}
 }
+
+var failSink int
+
+// BenchmarkPhenomenologicalShard times one 512-shot shard of the mc-decode
+// configuration (d=7, 7 rounds, p = q = 0.005) through simrun.NewShardTask:
+// op i runs shard i of seed 1. It reports the time per shot.
+func BenchmarkPhenomenologicalShard(b *testing.B) {
+	const d, rounds, p = 7, 7, 0.005
+	run, _, err := PhenomenologicalCore(d, p, p, rounds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sh := simrun.Shard{Index: i, Start: i * simrun.DefaultShardSize, N: simrun.DefaultShardSize,
+			Seed: simrun.ShardSeed(1, i)}
+		n, _, err := run(simrun.NewShardTask(context.Background(), sh, 0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		f += n
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*simrun.DefaultShardSize), "ns/shot")
+	failSink = f
+}

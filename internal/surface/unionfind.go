@@ -127,30 +127,8 @@ func MonteCarloUnionFindCtx(ctx context.Context, d int, p float64, shots int, se
 	if err := checkMCParams(d, p); err != nil {
 		return DecoderResult{}, err
 	}
-	patch := NewPatch(d)
-	m := newMatcher(patch) // read-only after construction: shared across shards
-	nd := patch.DataQubits()
-	failures, status, gerr := simrun.RunSharded(ctx, shots, seed, opt,
-		func(t *simrun.ShardTask) (int, int, error) {
-			errBuf := make([]bool, nd)
-			sc := m.newScratch()
-			f := 0
-			for i := 0; t.Continue(i); i++ {
-				anyErr := false
-				for q := 0; q < nd; q++ {
-					errBuf[q] = t.RNG.Float64() < p
-					anyErr = anyErr || errBuf[q]
-				}
-				if !anyErr {
-					continue
-				}
-				m.decodeUnionFindWith(sc, errBuf, m.syndromeInto(sc.syn, errBuf))
-				if m.logicalFlip(errBuf) {
-					f++
-				}
-			}
-			return f, f, nil
-		},
+	m := newMatcher(NewPatch(d)) // read-only after construction: shared across shards
+	failures, status, gerr := simrun.RunSharded(ctx, shots, seed, opt, m.capacityShard(p, m.decodeUnionFindWith),
 		func(dst *int, src int) { *dst += src })
 	if gerr != nil {
 		return DecoderResult{}, gerr
