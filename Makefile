@@ -33,27 +33,30 @@ trace-demo:
 	@echo "trace written to qisim-trace.json — load it in chrome://tracing or https://ui.perfetto.dev"
 
 # Short fuzz smokes of the QASM parser, the checkpoint decoder, the dist
-# unit-result and lease-grant decoders and the job-journal record decoder,
-# the targets CI fuzzes (longer runs on demand, e.g.
-# `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
+# unit-result and lease-grant decoders, the job-journal record decoder and
+# the federated metrics-summary fold, the targets CI fuzzes (longer runs on
+# demand, e.g. `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
 fuzz:
 	$(GO) test ./internal/qasm -fuzz FuzzParse -fuzztime 15s
 	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointDecode -fuzztime 15s
 	$(GO) test ./internal/dist -fuzz FuzzDecodeUnitResult -fuzztime 15s
 	$(GO) test ./internal/dist -fuzz FuzzLeaseGrant -fuzztime 15s
 	$(GO) test ./internal/jobs -fuzz FuzzJournalLine -fuzztime 15s
+	$(GO) test ./internal/metrics -fuzz FuzzSummary -fuzztime 15s
 
 # Build and run the qisimd analysis service on :8080 with version stamping.
 serve:
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/qisimd -addr :8080
 
 # The CI gate: everything that must be green before a change lands. Every
-# package benchmark runs once, so none rots unnoticed. The benchmark module
-# is its own Go module, so the root suite skips it; its tests are a --quick
-# run of every workload with its output checks, reproduce's pinned digests
-# included.
+# package benchmark runs once, so none rots unnoticed. Every pinned report
+# digest is checked with one pulse-evolution lane and with more lanes than
+# the host has cores. The benchmark module is its own Go module, so the
+# root suite skips it; its tests are a --quick run of every workload with
+# its output checks, reproduce's pinned digests included.
 verify: vet build race fuzz
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) test -run TestReproduceEveryExperiment -cpu 1,4 .
 	cd bench && $(GO) test ./...
 
 clean:

@@ -347,7 +347,16 @@ func (w *ExpmWorkspace) ensure(n int) {
 // bit-identical to the allocating path; NaN and Inf entries are not zero,
 // so a non-finite m still gives a non-finite result. dst may alias m; it
 // must not be a workspace buffer.
-func (w *ExpmWorkspace) ExpmInto(dst, m *Matrix) {
+func (w *ExpmWorkspace) ExpmInto(dst, m *Matrix) { w.ExpmNormInto(dst, m, m.OneNorm()) }
+
+// ExpmNormInto is ExpmInto with the one-norm that sets the scaling exponent
+// taken from the caller instead of from m. Given a diagonal block of a
+// block-diagonal matrix and the whole matrix's one-norm, it computes that
+// block of the whole matrix's exponential bit for bit: every Taylor term
+// and squaring of a block-diagonal matrix is block-diagonal, and each
+// in-block entry adds the same nonzero products in the same ascending
+// order, since the zero tests skip every out-of-block term.
+func (w *ExpmWorkspace) ExpmNormInto(dst, m *Matrix, norm float64) {
 	if !m.IsSquare() {
 		panic("cmath: Expm of non-square matrix")
 	}
@@ -357,7 +366,6 @@ func (w *ExpmWorkspace) ExpmInto(dst, m *Matrix) {
 	n := m.Rows
 	w.ensure(n)
 
-	norm := m.OneNorm()
 	s := 0
 	if norm > 0.5 {
 		s = int(math.Ceil(math.Log2(norm / 0.5)))

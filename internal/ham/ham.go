@@ -15,6 +15,9 @@ package ham
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"qisim/internal/cmath"
 )
@@ -59,25 +62,42 @@ func EvolveSamples(hs []*cmath.Matrix, ts float64) *cmath.Matrix {
 	return u
 }
 
-// EvolveWorkspace holds the scratch matrices repeated sample-evolutions
-// need, so calibration searches (which re-run EvolveSamples hundreds of
-// times on same-sized systems) allocate nothing after warm-up. The zero
-// value is ready to use. EvolveSamplesInto skips only work whose result is
-// known (a repeated sample's exponential, exact-zero Taylor terms), so for
-// finite samples its results are bit-identical to EvolveSamples.
+// EvolveWorkspace holds what repeated sample evolutions reuse, so
+// calibration searches (which re-run EvolveSamplesInto hundreds of times on
+// same-sized systems) allocate nothing after warm-up but one small closure
+// per extra lane goroutine, and none at GOMAXPROCS=1. The zero value is
+// ready to use; a workspace serves one EvolveSamplesInto at a time.
+//
+// The evolution works block by block and on every core. A Hamiltonian's
+// propagator is block-diagonal over the connected components of its
+// off-diagonal nonzero pattern: the exchange-coupled transmon pair
+// conserves excitation number, so only 19 of the CZ propagator's 81
+// entries can be nonzero. And a pulse's distinct samples are independent
+// exponentials, which may be computed in any order as long as they are
+// multiplied in sample order.
 type EvolveWorkspace struct {
-	gen, uk, u, tmp *cmath.Matrix
-	hs              []*cmath.Matrix
-	expw            cmath.ExpmWorkspace
+	hs []*cmath.Matrix
+
+	// The blocks of the samples' joint off-diagonal pattern: block b holds
+	// the ascending indices idx[start[b]:start[b+1]], and its m×m entries
+	// sit at off[b] of a packed block-diagonal matrix of off[len(off)-1]
+	// entries. parent is the union-find forest that finds them.
+	parent, idx, start, off []int
+	// runs[r] is the first sample of the r-th run of bitwise-equal
+	// samples, and props holds the packed propagator of each run.
+	runs   []int
+	props  []complex128
+	u, tmp []complex128 // one block's running product and its scratch
+	lanes  []evolveLane
+	next   atomic.Int64 // the next run a lane claims
+	wg     sync.WaitGroup
 }
 
-func (w *EvolveWorkspace) ensure(n int) {
-	if w.gen == nil || w.gen.Rows != n {
-		w.gen = cmath.NewMatrix(n, n)
-		w.uk = cmath.NewMatrix(n, n)
-		w.u = cmath.NewMatrix(n, n)
-		w.tmp = cmath.NewMatrix(n, n)
-	}
+// evolveLane is one core's scratch: the packed generator of the sample it
+// exponentiates and one ExpmWorkspace per block.
+type evolveLane struct {
+	gen  []complex128
+	expw []cmath.ExpmWorkspace
 }
 
 // HamiltonianBuffer returns n reusable dim×dim sample slots owned by the
@@ -93,36 +113,202 @@ func (w *EvolveWorkspace) HamiltonianBuffer(n, dim int) []*cmath.Matrix {
 	return w.hs
 }
 
-// EvolveSamplesInto computes the same propagator as EvolveSamples into dst,
-// reusing the workspace's scratch. A sample bitwise equal to the one before
-// it reuses that sample's propagator, since equal inputs give equal outputs:
-// flat-top holds, unit steps and quantised plateaus are runs of equal
-// samples. dst must not be one of the hs samples.
+// EvolveSamplesInto computes the same propagator as EvolveSamples into dst
+// in four steps:
+//
+//  1. It splits the samples into runs of bitwise-equal samples, which
+//     share one propagator (flat-top holds, unit steps and quantised
+//     plateaus are such runs), and finds the blocks of the runs' joint
+//     off-diagonal pattern: for CoupledTransmons the excitation manifolds
+//     {|00⟩}, {|01⟩,|10⟩}, {|02⟩,|11⟩,|20⟩}, {|12⟩,|21⟩} and {|22⟩}; a
+//     driven transmon stays one block.
+//  2. It exponentiates each run's sample block by block on up to
+//     GOMAXPROCS lanes, the calling goroutine being the first. Every block
+//     is scaled by the whole generator's one-norm, the largest block
+//     one-norm, as cmath.ExpmNormInto requires.
+//  3. It multiplies each block's propagators in sample order.
+//  4. It scatters the blocks into dst and zeroes the rest.
+//
+// Every lane is joined before it returns. For finite samples every bit of
+// dst equals EvolveSamples', whatever the lane count (DESIGN.md,
+// "Block-diagonal, parallel pulse evolution", gives the argument); a
+// non-finite sample gives a non-finite dst. Once the workspace has seen a
+// pulse's block structure and run count, a call allocates only one small
+// closure per extra lane. dst must not be one of the hs samples.
 func (w *EvolveWorkspace) EvolveSamplesInto(dst *cmath.Matrix, hs []*cmath.Matrix, ts float64) {
 	if len(hs) == 0 {
 		panic("ham: EvolveSamples requires at least one sample")
 	}
 	n := hs[0].Rows
-	w.ensure(n)
-	u, tmp := w.u, w.tmp
-	for i := range u.Data {
-		u.Data[i] = 0
+	if dst.Rows != n || dst.Cols != n {
+		panic("ham: EvolveSamplesInto shape mismatch")
 	}
-	for i := 0; i < n; i++ {
-		u.Data[i*n+i] = 1
+	w.partition(hs)
+	nb, size := len(w.start)-1, w.off[len(w.off)-1]
+	w.props = resize(w.props, len(w.runs)*size)
+	w.u, w.tmp = resize(w.u, n*n), resize(w.tmp, n*n)
+
+	lanes := min(runtime.GOMAXPROCS(0), len(w.runs))
+	if len(w.lanes) < lanes {
+		w.lanes = append(w.lanes, make([]evolveLane, lanes-len(w.lanes))...)
+	}
+	for i := range w.lanes[:lanes] {
+		l := &w.lanes[i]
+		l.gen = resize(l.gen, size)
+		if len(l.expw) != nb {
+			l.expw = make([]cmath.ExpmWorkspace, nb)
+		}
 	}
 	s := complex(0, -ts)
-	for k, hk := range hs {
-		if k == 0 || !sameBits(hk, hs[k-1]) {
-			for i, v := range hk.Data {
-				w.gen.Data[i] = s * v
-			}
-			w.expw.ExpmInto(w.uk, w.gen)
-		}
-		cmath.MulInto(tmp, w.uk, u)
-		u, tmp = tmp, u
+	w.next.Store(0)
+	for i := 1; i < lanes; i++ {
+		l := &w.lanes[i]
+		w.wg.Add(1)
+		go func() {
+			defer w.wg.Done()
+			w.expRuns(l, hs, s)
+		}()
 	}
-	copy(dst.Data, u.Data)
+	w.expRuns(&w.lanes[0], hs, s)
+	w.wg.Wait()
+
+	for i := range dst.Data {
+		dst.Data[i] = 0
+	}
+	for b := 0; b < nb; b++ {
+		ix := w.idx[w.start[b]:w.start[b+1]]
+		m := len(ix)
+		u, tmp := block(w.u, 0, m), block(w.tmp, 0, m)
+		for i := range u.Data {
+			u.Data[i] = 0
+		}
+		for i := 0; i < m; i++ {
+			u.Data[i*m+i] = 1
+		}
+		for r, k := range w.runs {
+			end := len(hs)
+			if r+1 < len(w.runs) {
+				end = w.runs[r+1]
+			}
+			uk := block(w.props, r*size+w.off[b], m)
+			for ; k < end; k++ {
+				cmath.MulInto(&tmp, &uk, &u)
+				u, tmp = tmp, u
+			}
+		}
+		for p, i := range ix {
+			for q, j := range ix {
+				dst.Data[i*n+j] = u.Data[p*m+q]
+			}
+		}
+	}
+}
+
+// partition fills the runs of bitwise-equal samples and the blocks of the
+// runs' joint off-diagonal nonzero pattern, ordered by smallest index.
+func (w *EvolveWorkspace) partition(hs []*cmath.Matrix) {
+	n := hs[0].Rows
+	w.parent = resize(w.parent, n)
+	for i := range w.parent {
+		w.parent[i] = i
+	}
+	w.runs = w.runs[:0]
+	for k, h := range hs {
+		if h.Rows != n || h.Cols != n {
+			panic("ham: EvolveSamples samples differ in shape")
+		}
+		if k > 0 && sameBits(h, hs[k-1]) {
+			continue
+		}
+		w.runs = append(w.runs, k)
+		for i := 0; i < n; i++ {
+			for j, v := range h.Data[i*n : (i+1)*n] {
+				if j != i && v != 0 {
+					union(w.parent, i, j)
+				}
+			}
+		}
+	}
+	w.idx, w.start, w.off = w.idx[:0], w.start[:0], w.off[:0]
+	size := 0
+	for r := 0; r < n; r++ {
+		if w.parent[r] != r {
+			continue
+		}
+		w.start = append(w.start, len(w.idx))
+		w.off = append(w.off, size)
+		for i := r; i < n; i++ {
+			if root(w.parent, i) == r {
+				w.idx = append(w.idx, i)
+			}
+		}
+		m := len(w.idx) - w.start[len(w.start)-1]
+		size += m * m
+	}
+	w.start = append(w.start, len(w.idx))
+	w.off = append(w.off, size)
+}
+
+// expRuns exponentiates the runs this lane claims, one at a time, into
+// props. Each run's propagator is a pure function of its sample, so which
+// lane computes it cannot change a bit.
+func (w *EvolveWorkspace) expRuns(l *evolveLane, hs []*cmath.Matrix, s complex128) {
+	n, nb, size := hs[0].Rows, len(w.start)-1, w.off[len(w.off)-1]
+	for {
+		r := int(w.next.Add(1)) - 1
+		if r >= len(w.runs) {
+			return
+		}
+		h := hs[w.runs[r]]
+		var norm float64
+		for b := 0; b < nb; b++ {
+			ix := w.idx[w.start[b]:w.start[b+1]]
+			g := block(l.gen, w.off[b], len(ix))
+			for p, i := range ix {
+				for q, j := range ix {
+					g.Data[p*len(ix)+q] = s * h.Data[i*n+j]
+				}
+			}
+			if bn := g.OneNorm(); bn > norm {
+				norm = bn
+			}
+		}
+		for b := 0; b < nb; b++ {
+			m := w.start[b+1] - w.start[b]
+			g, u := block(l.gen, w.off[b], m), block(w.props, r*size+w.off[b], m)
+			l.expw[b].ExpmNormInto(&u, &g, norm)
+		}
+	}
+}
+
+// block returns the m×m matrix stored at data[off:off+m*m].
+func block(data []complex128, off, m int) cmath.Matrix {
+	return cmath.Matrix{Rows: m, Cols: m, Data: data[off : off+m*m]}
+}
+
+// union joins the sets of i and j under the smaller root, so every root is
+// the smallest index of its set.
+func union(parent []int, i, j int) {
+	i, j = root(parent, i), root(parent, j)
+	if i > j {
+		i, j = j, i
+	}
+	parent[j] = i
+}
+
+func root(parent []int, i int) int {
+	for parent[i] != i {
+		i = parent[i]
+	}
+	return i
+}
+
+// resize returns s with length n, reallocating only when it is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // sameBits reports whether a and b hold bitwise-equal entries. Unlike ==, it

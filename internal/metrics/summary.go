@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -59,14 +61,15 @@ func (s HistogramSummary) Quantile(q float64) float64 {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// Merge folds o into s. Matching bucket layouts add bucket-wise; mismatched
-// layouts (or an empty receiver) degrade gracefully: Sum and Count still
-// accumulate, and the receiver adopts o's layout when it has none.
+// Merge folds o into s. Layouts match only when their bounds are equal,
+// and matching layouts add bucket-wise; mismatched layouts (or an empty
+// receiver) degrade gracefully: Sum and Count still accumulate, and the
+// receiver adopts o's layout when it has none.
 func (s *HistogramSummary) Merge(o HistogramSummary) {
 	if len(s.Bounds) == 0 {
 		s.Bounds = append([]float64(nil), o.Bounds...)
 		s.Buckets = append([]uint64(nil), o.Buckets...)
-	} else if len(s.Bounds) == len(o.Bounds) {
+	} else if slices.Equal(s.Bounds, o.Bounds) {
 		for i := range s.Buckets {
 			if i < len(o.Buckets) {
 				s.Buckets[i] += o.Buckets[i]
@@ -143,32 +146,43 @@ func (s *Summary) scalar(typ string) map[string]float64 {
 }
 
 // CounterSum sums every counter series of the named family (the exact
-// unlabelled series plus all labelled ones).
+// unlabelled series plus all labelled ones), in sorted series order.
 func (s *Summary) CounterSum(name string) float64 {
 	if s == nil {
 		return 0
 	}
 	var sum float64
-	for k, v := range s.Counters {
-		if k == name || strings.HasPrefix(k, name+"{") {
-			sum += v
-		}
+	for _, k := range familySeries(s.Counters, name) {
+		sum += s.Counters[k]
 	}
 	return sum
 }
 
-// HistogramMerge folds every histogram series of the named family into one.
+// HistogramMerge folds every histogram series of the named family into one,
+// in sorted series order.
 func (s *Summary) HistogramMerge(name string) HistogramSummary {
 	var out HistogramSummary
 	if s == nil {
 		return out
 	}
-	for k, v := range s.Histograms {
-		if k == name || strings.HasPrefix(k, name+"{") {
-			out.Merge(v)
-		}
+	for _, k := range familySeries(s.Histograms, name) {
+		out.Merge(s.Histograms[k])
 	}
 	return out
+}
+
+// familySeries returns the sorted series of m in the named family. A fold
+// over them does not depend on map order: float addition is not
+// associative, and the first series sets the merged bucket layout.
+func familySeries[V any](m map[string]V, name string) []string {
+	var keys []string
+	for k := range m {
+		if k == name || strings.HasPrefix(k, name+"{") {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // ParseSeries splits a series identity into its family name and label map.

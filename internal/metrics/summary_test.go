@@ -93,6 +93,31 @@ func TestSummaryCounterSumAndHistogramMerge(t *testing.T) {
 	}
 }
 
+// TestSummaryFoldIsDeterministic pins the federated fold to sorted series
+// order: summing 0.1, 0.2 and 0.3 gives 0.6000000000000001 in that order
+// and 0.6 in others, so a fold in map order would vary from call to call.
+// A layout of the same length but other bounds is not added bucket-wise.
+func TestSummaryFoldIsDeterministic(t *testing.T) {
+	s := &Summary{
+		Counters: map[string]float64{`c{w="a"}`: 0.1, `c{w="b"}`: 0.2, `c{w="c"}`: 0.3},
+		Histograms: map[string]HistogramSummary{
+			`h{w="a"}`: {Bounds: []float64{1, 2}, Buckets: []uint64{1, 1}, Sum: 0.1, Count: 1},
+			`h{w="b"}`: {Bounds: []float64{1, 2}, Buckets: []uint64{0, 1}, Sum: 0.2, Count: 1},
+			`h{w="c"}`: {Bounds: []float64{1, 2}, Buckets: []uint64{1, 1}, Sum: 0.3, Count: 1},
+			`h{w="d"}`: {Bounds: []float64{1, 3}, Buckets: []uint64{5, 5}, Sum: 0, Count: 5},
+		},
+	}
+	for i := 0; i < 200; i++ {
+		if got := s.CounterSum("c"); got != 0.6000000000000001 {
+			t.Fatalf("call %d: CounterSum = %v, want 0.6000000000000001 (sorted order)", i, got)
+		}
+		m := s.HistogramMerge("h")
+		if m.Sum != 0.6000000000000001 || m.Count != 8 || m.Buckets[0] != 2 || m.Buckets[1] != 3 {
+			t.Fatalf("call %d: HistogramMerge = %+v, want sum 0.6000000000000001, count 8, buckets [2 3]", i, m)
+		}
+	}
+}
+
 func TestHistogramSummaryQuantile(t *testing.T) {
 	// 10 observations spread: 5 in (0,1], 4 in (1,2], 1 beyond 2.
 	s := HistogramSummary{Bounds: []float64{1, 2}, Buckets: []uint64{5, 9}, Count: 10, Sum: 12}

@@ -217,6 +217,9 @@ func runShards[R any](ctx context.Context, plan []Shard, start, end, workers, ch
 	var next atomic.Int64 // next shard to dispatch
 	next.Store(int64(start))
 
+	// Span attributes are formatted only for a tracer: strconv allocates
+	// every integer past 99, and an untraced shard must cost nothing.
+	traced := obs.FromContext(ctx) != nil
 	worker := func() {
 		for ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
@@ -229,8 +232,11 @@ func runShards[R any](ctx context.Context, plan []Shard, start, end, workers, ch
 			// The shard span's context doubles as the shard's cancellation
 			// context: context.WithValue preserves Done(), so Continue's
 			// polling is unchanged whether tracing is on or off.
-			shardCtx, shardSpan := obs.StartSpan(ctx, "shard",
-				obs.Int("shard", i), obs.Int("shots", plan[i].N))
+			shardCtx, shardSpan := ctx, (*obs.Span)(nil)
+			if traced {
+				shardCtx, shardSpan = obs.StartSpan(ctx, "shard",
+					obs.Int("shard", i), obs.Int("shots", plan[i].N))
+			}
 			st := newShardStream(plan[i].Seed)
 			t := taskPool.Get().(*ShardTask)
 			*t = ShardTask{
@@ -247,7 +253,7 @@ func runShards[R any](ctx context.Context, plan []Shard, start, end, workers, ch
 			streamPool.Put(st)
 			if interrupted {
 				shardSpan.SetAttr(obs.Bool("interrupted", true))
-			} else if err == nil && events >= 0 {
+			} else if shardSpan != nil && err == nil && events >= 0 {
 				shardSpan.SetAttr(obs.Int("events", events))
 			}
 			shardSpan.End()
@@ -442,9 +448,13 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 	// Checkpoint see the committed prefix only, never uncommitted shards,
 	// so they cannot perturb determinism (see runShards on reentrancy).
 	var reason string
+	traced := obs.FromContext(ctx) != nil
 	frontier, err := runShards(ctx, shards, start, nShards, workers, opt.CheckEvery, run,
 		func(l *shardLoop[R]) {
-			mergeCtx, mergeSpan := obs.StartSpan(ctx, "merge", obs.Int("from", l.frontier))
+			mergeCtx, mergeSpan := ctx, (*obs.Span)(nil)
+			if traced {
+				mergeCtx, mergeSpan = obs.StartSpan(ctx, "merge", obs.Int("from", l.frontier))
+			}
 			for l.ready() {
 				sh, res, events := l.take()
 				tally.Add(sh.N, events)
@@ -455,12 +465,17 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 					break
 				}
 			}
-			mergeSpan.SetAttr(obs.Int("to", l.frontier))
+			if mergeSpan != nil {
+				mergeSpan.SetAttr(obs.Int("to", l.frontier))
+			}
 			if opt.Progress != nil {
 				opt.Progress(shardShots(budget, opt.ShardSize, l.frontier), budget)
 			}
 			if opt.Checkpoint != nil {
-				_, ckSpan := obs.StartSpan(mergeCtx, "checkpoint.save", obs.Int("shards", l.frontier))
+				ckSpan := (*obs.Span)(nil)
+				if traced {
+					_, ckSpan = obs.StartSpan(mergeCtx, "checkpoint.save", obs.Int("shards", l.frontier))
+				}
 				sh, ev, nc := tally.State()
 				opt.Checkpoint(CheckpointState{Shards: l.frontier, Shots: sh, Requested: budget,
 					Events: ev, NoConverge: nc, State: out})

@@ -98,6 +98,20 @@ func TestRunShardedTraceStructure(t *testing.T) {
 			}
 		}
 	}
+	// Traced spans carry every attribute the untraced path skips
+	// formatting.
+	want := map[string][]string{
+		"shard":           {"shard", "shots", "events"},
+		"merge":           {"from", "to"},
+		"checkpoint.save": {"shards"},
+	}
+	for _, s := range trace.Spans {
+		for _, k := range want[s.Name] {
+			if s.Attr(k) == "" {
+				t.Fatalf("%s span %d has no %q attribute: %+v", s.Name, s.ID, k, s.Attrs)
+			}
+		}
+	}
 	// The final checkpoint flush is stamped final=true.
 	foundFinal := false
 	for _, s := range trace.Spans {
