@@ -49,12 +49,15 @@ serve:
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/qisimd -addr :8080
 
 # The CI gate: everything that must be green before a change lands. Every
-# package benchmark runs once, so none rots unnoticed. Every pinned report
-# digest is checked with one pulse-evolution lane and with more lanes than
-# the host has cores. The benchmark module is its own Go module, so the
-# root suite skips it; its tests are a --quick run of every workload with
-# its output checks, reproduce's pinned digests included.
+# tracked Go file must be gofmt-clean. Every package benchmark runs once,
+# so none rots unnoticed. Every pinned report digest is checked with one
+# pulse-evolution lane and with more lanes than the host has cores. The
+# benchmark module is its own Go module, so the root vet and suite skip
+# it; it is vetted here, and its tests are a --quick run of every workload
+# with its output checks, reproduce's pinned digests included.
 verify: vet build race fuzz
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
+	cd bench && $(GO) vet ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run TestReproduceEveryExperiment -cpu 1,4 .
 	cd bench && $(GO) test ./...
@@ -67,6 +70,6 @@ help:
 	@echo "  build           compile everything with version stamping"
 	@echo "  test            run the full test suite"
 	@echo "  race            run the full test suite under the race detector"
-	@echo "  verify          the CI gate: vet + build + race + fuzz + package benchmarks + bench/ tests"
+	@echo "  verify          the CI gate: vet + build + race + fuzz + gofmt + package benchmarks + bench/ vet and tests"
 	@echo "  trace-demo      record a Chrome trace of a parallel decoder run"
 	@echo "  serve           run the qisimd analysis service on :8080"

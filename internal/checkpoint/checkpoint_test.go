@@ -281,6 +281,45 @@ func TestSaverResumeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAttachResume: with resume on, Attach starts cold from a missing file
+// and refuses a torn snapshot or one saved for another seed with a typed
+// error; it never guesses.
+func TestAttachResume(t *testing.T) {
+	whole, err := Encode(testSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherSeed := testMeta()
+	otherSeed.Seed++
+	for _, c := range []struct {
+		name    string
+		file    []byte // nil: no snapshot on disk
+		meta    Meta
+		wantErr error
+	}{
+		{"missing file", nil, testMeta(), nil},
+		{"torn file", whole[:len(whole)/2], testMeta(), simerr.ErrInvalidConfig},
+		{"another seed", whole, otherSeed, simerr.ErrInvalidConfig},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if c.file != nil {
+				if err := os.WriteFile(PathFor(dir, c.meta.Key), c.file, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var opt simrun.Options
+			_, loaded, err := Attach(&opt, dir, true, 1, c.meta)
+			if !errors.Is(err, c.wantErr) {
+				t.Errorf("got error %v, want %v", err, c.wantErr)
+			}
+			if loaded != nil || opt.Resume != nil {
+				t.Errorf("resumed from a snapshot (%+v)", loaded)
+			}
+		})
+	}
+}
+
 // TestSaverEveryThrottle checks the Every throttle writes fewer mid-run
 // snapshots but always flushes the final state.
 func TestSaverEveryThrottle(t *testing.T) {

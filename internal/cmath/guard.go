@@ -10,9 +10,9 @@ import (
 // hot-path panics for programmer errors (shape mismatches), but numerical
 // corruption — NaN or Inf appearing in a kernel's input or output — must be
 // caught where it originates and surfaced as a typed ErrNumerical instead of
-// poisoning every downstream fidelity and power figure. The *Checked
-// variants wrap the three kernels the error models depend on (Expm, EigenH,
-// AverageGateFidelity); the predicates are cheap enough to call anywhere.
+// poisoning every downstream fidelity and power figure. The kernels
+// themselves stay unchecked; callers run these predicates on the operands
+// and results they own, which are cheap enough to call anywhere.
 
 // IsFinite reports whether every entry of the matrix is finite (no NaN/Inf
 // in either component).
@@ -62,67 +62,4 @@ func CheckFiniteScalar(op string, x float64) error {
 		return simerr.Numericalf("cmath: %s: non-finite value %v", op, x)
 	}
 	return nil
-}
-
-// ExpmChecked is Expm with NaN/Inf sentinels on both sides: corrupted input
-// (e.g. a NaN pulse sample folded into a Hamiltonian) and any overflow the
-// scaling-and-squaring loop produces surface as ErrNumerical.
-func ExpmChecked(m *Matrix) (*Matrix, error) {
-	if !m.IsSquare() {
-		return nil, simerr.Invalidf("cmath: Expm of non-square %dx%d matrix", m.Rows, m.Cols)
-	}
-	if err := CheckFinite("Expm input", m); err != nil {
-		return nil, err
-	}
-	out := Expm(m)
-	if err := CheckFinite("Expm output", out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EigenHChecked is EigenH with NaN/Inf sentinels on the input matrix and the
-// returned spectrum.
-func EigenHChecked(h *Matrix) ([]float64, *Matrix, error) {
-	if !h.IsSquare() {
-		return nil, nil, simerr.Invalidf("cmath: EigenH of non-square %dx%d matrix", h.Rows, h.Cols)
-	}
-	if err := CheckFinite("EigenH input", h); err != nil {
-		return nil, nil, err
-	}
-	vals, vecs := EigenH(h)
-	for i, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, nil, simerr.Numericalf("cmath: EigenH: non-finite eigenvalue %v at [%d]", v, i)
-		}
-	}
-	if err := CheckFinite("EigenH eigenvectors", vecs); err != nil {
-		return nil, nil, err
-	}
-	return vals, vecs, nil
-}
-
-// AverageGateFidelityChecked is AverageGateFidelity with sentinels: the
-// operands must be finite and the fidelity must land in [0, 1] (within a
-// small tolerance for sub-unitary leakage round-off).
-func AverageGateFidelityChecked(ideal, actual *Matrix) (float64, error) {
-	if ideal.Rows != actual.Rows || ideal.Cols != actual.Cols || !ideal.IsSquare() {
-		return 0, simerr.Invalidf("cmath: AverageGateFidelity shape mismatch %dx%d vs %dx%d",
-			ideal.Rows, ideal.Cols, actual.Rows, actual.Cols)
-	}
-	if err := CheckFinite("AverageGateFidelity ideal", ideal); err != nil {
-		return 0, err
-	}
-	if err := CheckFinite("AverageGateFidelity actual", actual); err != nil {
-		return 0, err
-	}
-	f := AverageGateFidelity(ideal, actual)
-	if err := CheckFiniteScalar("AverageGateFidelity", f); err != nil {
-		return 0, err
-	}
-	const tol = 1e-9
-	if f < -tol || f > 1+tol {
-		return 0, simerr.Numericalf("cmath: AverageGateFidelity %v outside [0,1]", f)
-	}
-	return f, nil
 }

@@ -1,10 +1,13 @@
 package compile
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"qisim/internal/phys"
 	"qisim/internal/qasm"
+	"qisim/internal/simerr"
 )
 
 func mustParse(t *testing.T, src string) *qasm.Program {
@@ -14,6 +17,33 @@ func mustParse(t *testing.T, src string) *qasm.Program {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestCompileRejectsCorruptedProgram: structural corruption built directly
+// into a Program is caught by Validate before lowering, so Compile returns
+// ErrInvalidConfig instead of indexing a queue that does not exist.
+func TestCompileRejectsCorruptedProgram(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    *qasm.Program
+	}{
+		{"qubit 17 of 4", &qasm.Program{NQubits: 4, NClbits: 4, Gates: []qasm.Gate{
+			{Name: "h", Qubits: []int{0}, CBit: -1},
+			{Name: "cx", Qubits: []int{0, 17}, CBit: -1},
+		}}},
+		{"NaN rz angle", &qasm.Program{NQubits: 2, NClbits: 2, Gates: []qasm.Gate{
+			{Name: "rz", Qubits: []int{0}, Params: []float64{math.NaN()}, CBit: -1},
+		}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.p.Validate(); !errors.Is(err, simerr.ErrInvalidConfig) {
+				t.Errorf("Validate gave %v, want ErrInvalidConfig", err)
+			}
+			if _, err := Compile(c.p, DefaultOptions()); !errors.Is(err, simerr.ErrInvalidConfig) {
+				t.Errorf("Compile gave %v, want ErrInvalidConfig", err)
+			}
+		})
+	}
 }
 
 func TestCompileSingleQubit(t *testing.T) {

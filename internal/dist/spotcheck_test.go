@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"qisim/internal/metrics"
@@ -370,60 +371,70 @@ func waitGrantIdem(t *testing.T, c *Coordinator, worker, idemKey string) *LeaseG
 // ---- HTTP client hardening ----
 
 func TestClientHonorsRetryAfterOn429And503(t *testing.T) {
+	ctx := context.Background()
+	rpcs := []struct {
+		name string
+		call func(*Client) error
+		// want is what every attempt must carry: path, Content-Type,
+		// X-QIsim-Worker and body.
+		want string
+	}{
+		{"register", func(cl *Client) error { return cl.Register(ctx, WorkerInfo{ID: "w"}) },
+			`/v1/dist/register application/json  "{\"id\":\"w\"}"`},
+		{"report", func(cl *Client) error { return cl.Report(ctx, "w7", []byte("QISNAP01")) },
+			`/v1/dist/report application/octet-stream w7 "QISNAP01"`},
+	}
 	for _, status := range []int{http.StatusTooManyRequests, http.StatusServiceUnavailable} {
-		var calls atomic.Int64
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if calls.Add(1) == 1 {
-				w.Header().Set("Retry-After", "1")
-				w.WriteHeader(status)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		}))
-		cl := &Client{Base: srv.URL, MaxAttempts: 3,
-			Backoff: backoff.Policy{Base: 50 * time.Millisecond, Cap: 50 * time.Millisecond, Factor: 2},
-			Rand:    func() float64 { return 1.0 },
+		for _, rpc := range rpcs {
+			t.Run(fmt.Sprintf("%s-%d", rpc.name, status), func(t *testing.T) {
+				t.Parallel()
+				var (
+					mu       sync.Mutex
+					received []string
+				)
+				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					body, _ := io.ReadAll(r.Body)
+					mu.Lock()
+					received = append(received, fmt.Sprintf("%s %s %s %q", r.URL.Path,
+						r.Header.Get("Content-Type"), r.Header.Get("X-QIsim-Worker"), body))
+					first := len(received) == 1
+					mu.Unlock()
+					if first {
+						w.Header().Set("Retry-After", "1")
+						w.WriteHeader(status)
+						return
+					}
+					w.WriteHeader(http.StatusNoContent)
+				}))
+				defer srv.Close()
+				cl := &Client{Base: srv.URL, MaxAttempts: 3,
+					Backoff: backoff.Policy{Base: 50 * time.Millisecond, Cap: 50 * time.Millisecond, Factor: 2},
+					Rand:    func() float64 { return 1.0 },
+				}
+				start := time.Now()
+				err := rpc.call(cl)
+				elapsed := time.Since(start)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if len(received) != 2 {
+					t.Fatalf("%d calls, want 2", len(received))
+				}
+				for i, got := range received {
+					if got != rpc.want {
+						t.Fatalf("attempt %d sent %s, want %s", i+1, got, rpc.want)
+					}
+				}
+				// Sleep must be ≥ hint (1s) + full-jitter draw (rnd=1 →
+				// 50ms): the hint is honored AND decorrelated, on both
+				// status codes.
+				if elapsed < 1050*time.Millisecond {
+					t.Fatalf("retried after %v, want ≥ 1.05s (hint + jitter)", elapsed)
+				}
+			})
 		}
-		start := time.Now()
-		err := cl.Register(context.Background(), WorkerInfo{ID: "w"})
-		elapsed := time.Since(start)
-		srv.Close()
-		if err != nil {
-			t.Fatalf("status %d: %v", status, err)
-		}
-		if calls.Load() != 2 {
-			t.Fatalf("status %d: %d calls, want 2", status, calls.Load())
-		}
-		// Sleep must be ≥ hint (1s) + full-jitter draw (rnd=1 → 50ms): the
-		// hint is honored AND decorrelated, on both status codes.
-		if elapsed < 1050*time.Millisecond {
-			t.Fatalf("status %d: retried after %v, want ≥ 1.05s (hint + jitter)", status, elapsed)
-		}
-	}
-}
-
-func TestClientRetryBudgetExhaustionStopsRetries(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-	budget := backoff.NewBudget(0.1, 1) // reserve of exactly one retry
-	cl := &Client{Base: srv.URL, MaxAttempts: 10, Budget: budget,
-		Backoff: backoff.Policy{Base: time.Millisecond, Cap: time.Millisecond, Factor: 2},
-		Rand:    func() float64 { return 0 },
-	}
-	err := cl.Register(context.Background(), WorkerInfo{ID: "w"})
-	if err == nil {
-		t.Fatal("want error from exhausted budget")
-	}
-	// First attempt + the single budgeted retry = 2 calls, not 10.
-	if calls.Load() != 2 {
-		t.Fatalf("%d calls, want 2 (budget must stop the retry loop)", calls.Load())
-	}
-	if allowed, denied := budget.Stats(); allowed != 1 || denied == 0 {
-		t.Fatalf("budget stats (%d, %d), want 1 allowed and ≥1 denied", allowed, denied)
 	}
 }
 
@@ -543,7 +554,7 @@ func (f *goneReportCoord) Report(context.Context, string, []byte) error {
 
 // TestWorkerAbandonsUnitOnGoneReport: a 410 on the result upload means the
 // coordinator refuses the unit outright — the worker must abandon it after
-// one attempt, not re-push the rejected upload through its retry budget.
+// one attempt, not re-push the rejected upload through its retry loop.
 func TestWorkerAbandonsUnitOnGoneReport(t *testing.T) {
 	coord := &goneReportCoord{}
 	w, err := NewWorker(WorkerConfig{ID: "w1", Coordinator: coord,

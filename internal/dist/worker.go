@@ -317,9 +317,8 @@ func (w *Worker) summary() *metrics.Summary {
 // Client is the HTTP implementation of CoordinatorAPI, speaking qisimd's
 // /v1/dist endpoints with capped-exponential/full-jitter retries that
 // honor Retry-After hints (on 429 AND 503, with jitter layered on top so
-// a hinted fleet fans back out instead of stampeding in lockstep), a
-// per-RPC deadline on every attempt, and an optional token-bucket retry
-// budget that hard-bounds retry amplification under coordinator overload.
+// a hinted fleet fans back out instead of stampeding in lockstep) and a
+// per-RPC deadline on every attempt.
 type Client struct {
 	// Base is the coordinator's base URL (e.g. "http://127.0.0.1:8080").
 	Base string
@@ -333,11 +332,6 @@ type Client struct {
 	// disables). Without it one black-holed TCP connection stalls the
 	// whole claim loop for the kernel's timeout, not ours.
 	RPCTimeout time.Duration
-	// Budget, when non-nil, is the shared token-bucket retry budget:
-	// every logical RPC deposits, every retry withdraws, and an empty
-	// bucket turns the retryable error into a terminal one. Share one
-	// Budget across a process's clients so the bound is per-node.
-	Budget *backoff.Budget
 	// Rand is the jitter source (nil = worst-case delays).
 	Rand func() float64
 }
@@ -374,20 +368,14 @@ func (c *Client) attemptCtx(ctx context.Context) (context.Context, context.Cance
 	return ctx, func() {}
 }
 
-// budgetGate converts a retryable verdict into a terminal one when the
-// retry budget is exhausted.
-func (c *Client) budgetGate(retryable bool, err error) (bool, error) {
-	if !retryable || c.Budget.Withdraw() {
-		return retryable, err
-	}
-	return false, fmt.Errorf("dist: retry budget exhausted: %w", err)
-}
+// jsonHeader is the request header of every JSON RPC.
+var jsonHeader = http.Header{"Content-Type": {"application/json"}}
 
-// post sends one JSON (or raw) body and decodes the response into out
-// (when non-nil). Retryable statuses: 429, 502, 503, 504 and transport
-// errors. 410 maps to ErrGone, 204 to (false-ish) noContent.
-func (c *Client) post(ctx context.Context, path, contentType string, body []byte, out any) (noContent bool, err error) {
-	c.Budget.Deposit()
+// post sends one body with the given request headers (canonical keys) and
+// decodes the response into out (when non-nil). Retryable statuses: 429,
+// 502, 503, 504 and transport errors. 410 maps to ErrGone, 204 to
+// (false-ish) noContent.
+func (c *Client) post(ctx context.Context, path string, header http.Header, body []byte, out any) (noContent bool, err error) {
 	err = backoff.Retry(ctx, c.Backoff, c.attempts(), c.Rand,
 		func(rctx context.Context) (bool, time.Duration, error) {
 			actx, cancel := c.attemptCtx(rctx)
@@ -396,14 +384,15 @@ func (c *Client) post(ctx context.Context, path, contentType string, body []byte
 			if err != nil {
 				return false, 0, err
 			}
-			req.Header.Set("Content-Type", contentType)
+			for k, v := range header {
+				req.Header[k] = v
+			}
 			resp, err := c.http().Do(req)
 			if err != nil {
 				if ctx.Err() != nil {
 					return false, 0, err // caller gone, not the network
 				}
-				retryable, err := c.budgetGate(true, err)
-				return retryable, 0, err
+				return true, 0, err
 			}
 			defer resp.Body.Close()
 			switch {
@@ -421,9 +410,7 @@ func (c *Client) post(ctx context.Context, path, contentType string, body []byte
 				// full jitter on top of the hint.
 				hint, _ := backoff.RetryAfter(resp)
 				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				retryable, err := c.budgetGate(true,
-					fmt.Errorf("dist: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg)))
-				return retryable, hint, err
+				return true, hint, fmt.Errorf("dist: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
 			case resp.StatusCode != http.StatusOK:
 				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 				return false, 0, fmt.Errorf("dist: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
@@ -446,7 +433,7 @@ func (c *Client) Register(ctx context.Context, info WorkerInfo) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.post(ctx, "/v1/dist/register", "application/json", body, nil)
+	_, err = c.post(ctx, "/v1/dist/register", jsonHeader, body, nil)
 	return err
 }
 
@@ -472,7 +459,7 @@ func (c *Client) Claim(ctx context.Context, workerID, idemKey string) (*LeaseGra
 	// key, which grants a different unit).
 	for attempt := 0; ; attempt++ {
 		var raw json.RawMessage
-		noContent, err := c.post(ctx, "/v1/dist/claim", "application/json", body, &raw)
+		noContent, err := c.post(ctx, "/v1/dist/claim", jsonHeader, body, &raw)
 		if err != nil {
 			return nil, err
 		}
@@ -485,10 +472,6 @@ func (c *Client) Claim(ctx context.Context, workerID, idemKey string) (*LeaseGra
 		}
 		if attempt+1 >= c.attempts() {
 			return nil, err
-		}
-		retryable, derr := c.budgetGate(true, err)
-		if !retryable {
-			return nil, derr
 		}
 		if !backoff.Sleep(ctx, c.Backoff.Delay(attempt, c.Rand)) {
 			return nil, ctx.Err()
@@ -511,53 +494,16 @@ func (c *Client) Renew(ctx context.Context, workerID, key string, start, end int
 	if err != nil {
 		return err
 	}
-	_, err = c.post(ctx, "/v1/dist/renew", "application/json", body, nil)
+	_, err = c.post(ctx, "/v1/dist/renew", jsonHeader, body, nil)
 	return err
 }
 
 // Report implements CoordinatorAPI: the body is the QISNAP01 unit
 // container; the worker identity rides in a header.
 func (c *Client) Report(ctx context.Context, workerID string, container []byte) error {
-	c.Budget.Deposit()
-	err := backoff.Retry(ctx, c.Backoff, c.attempts(), c.Rand,
-		func(rctx context.Context) (bool, time.Duration, error) {
-			actx, cancel := c.attemptCtx(rctx)
-			defer cancel()
-			req, err := http.NewRequestWithContext(actx, http.MethodPost, c.Base+"/v1/dist/report", bytes.NewReader(container))
-			if err != nil {
-				return false, 0, err
-			}
-			req.Header.Set("Content-Type", "application/octet-stream")
-			req.Header.Set("X-QIsim-Worker", workerID)
-			resp, err := c.http().Do(req)
-			if err != nil {
-				if ctx.Err() != nil {
-					return false, 0, err
-				}
-				retryable, err := c.budgetGate(true, err)
-				return retryable, 0, err
-			}
-			defer resp.Body.Close()
-			switch {
-			case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent:
-				io.Copy(io.Discard, resp.Body)
-				return false, 0, nil
-			case resp.StatusCode == http.StatusGone:
-				return false, 0, ErrGone
-			case resp.StatusCode == http.StatusTooManyRequests ||
-				resp.StatusCode == http.StatusBadGateway ||
-				resp.StatusCode == http.StatusServiceUnavailable ||
-				resp.StatusCode == http.StatusGatewayTimeout:
-				hint, _ := backoff.RetryAfter(resp)
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				retryable, err := c.budgetGate(true,
-					fmt.Errorf("dist: report: %s: %s", resp.Status, bytes.TrimSpace(msg)))
-				return retryable, hint, err
-			default:
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				return false, 0, fmt.Errorf("dist: report: %s: %s", resp.Status, bytes.TrimSpace(msg))
-			}
-		})
+	header := http.Header{"Content-Type": {"application/octet-stream"}}
+	header.Set("X-QIsim-Worker", workerID)
+	_, err := c.post(ctx, "/v1/dist/report", header, container, nil)
 	return err
 }
 

@@ -1,6 +1,7 @@
 package ham_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"qisim/internal/gateerror"
 	"qisim/internal/ham"
 	"qisim/internal/pulse"
+	"qisim/internal/simerr"
 )
 
 // czPulse returns a flux pulse of the DefaultCZConfig transmon pair: env
@@ -235,7 +237,8 @@ func TestEvolveSamplesIntoMatchesEvolveSamples(t *testing.T) {
 		wants[i] = ham.EvolveSamples(c.hs, c.ts)
 	}
 	// A NaN or Inf sample, repeated so the reuse path sees its bits too,
-	// must still give a non-finite propagator.
+	// must still give a non-finite propagator, which the cmath sentinel
+	// reports as ErrNumerical.
 	nan, tsNaN := dragPulse('x', 1, 0, 0)
 	nan[20] = nan[20].Clone()
 	nan[20].Set(0, 1, complex(math.NaN(), 0))
@@ -246,8 +249,8 @@ func TestEvolveSamplesIntoMatchesEvolveSamples(t *testing.T) {
 	inf[61] = inf[60]
 	nonFinite := []evolveCase{{"NaN drive", nan, tsNaN}, {"Inf flux", inf, tsInf}}
 	for _, c := range nonFinite {
-		if cmath.CheckFinite("reference", ham.EvolveSamples(c.hs, c.ts)) == nil {
-			t.Fatalf("%s sample gave a finite reference propagator", c.name)
+		if err := cmath.CheckFinite("reference", ham.EvolveSamples(c.hs, c.ts)); !errors.Is(err, simerr.ErrNumerical) {
+			t.Fatalf("%s sample: reference propagator check gave %v, want ErrNumerical", c.name, err)
 		}
 	}
 
@@ -274,8 +277,9 @@ func TestEvolveSamplesIntoMatchesEvolveSamples(t *testing.T) {
 		for _, c := range nonFinite {
 			got := cmath.NewMatrix(c.hs[0].Rows, c.hs[0].Cols)
 			w.EvolveSamplesInto(got, c.hs, c.ts)
-			if cmath.CheckFinite("workspace", got) == nil {
-				t.Fatalf("GOMAXPROCS=%d: %s sample gave a finite workspace propagator:\n%v", procs, c.name, got)
+			if err := cmath.CheckFinite("workspace", got); !errors.Is(err, simerr.ErrNumerical) {
+				t.Fatalf("GOMAXPROCS=%d: %s sample: workspace propagator check gave %v, want ErrNumerical:\n%v",
+					procs, c.name, err, got)
 			}
 		}
 	}

@@ -238,8 +238,8 @@ type Config struct {
 	// submission or a job.
 	Journal *Journal
 	// BaseContext is the ancestor of every job context (default
-	// context.Background()). Tests and fault injection use it to inject
-	// deterministic cancellation.
+	// context.Background()). Tests use it to inject deterministic
+	// cancellation.
 	BaseContext context.Context
 	// Hooks are the observability callbacks.
 	Hooks Hooks

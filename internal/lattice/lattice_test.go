@@ -1,11 +1,13 @@
 package lattice
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"qisim/internal/microarch"
+	"qisim/internal/simerr"
 	"qisim/internal/surface"
 )
 
@@ -21,6 +23,12 @@ func TestLayoutGrid(t *testing.T) {
 	l54 := Layout{D: 23, Rows: 6, Cols: 9}
 	if l54.PhysicalQubits() != 62208 {
 		t.Fatalf("54 patches at d=23 = %d physical qubits, want 62,208", l54.PhysicalQubits())
+	}
+}
+
+func TestNewLayoutCheckedRejectsNoQubits(t *testing.T) {
+	if _, err := NewLayoutChecked(0, 7); !errors.Is(err, simerr.ErrInvalidConfig) {
+		t.Fatalf("NewLayoutChecked(0, 7): got %v, want ErrInvalidConfig", err)
 	}
 }
 

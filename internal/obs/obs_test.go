@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -242,6 +244,22 @@ func TestChromeRoundTripGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatalf("chrome export not byte-stable")
+	}
+}
+
+// TestWriteChromeFileErrors: an export that cannot be written is an
+// ordinary error from WriteChromeFile, never a panic.
+func TestWriteChromeFileErrors(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTracer(TracerConfig{ID: "export"})
+	if err := WriteChromeFile(filepath.Join(blocker, "trace.json"), tr); err == nil {
+		t.Error("export under a regular file succeeded")
+	}
+	if err := WriteChromeFile(filepath.Join(t.TempDir(), "trace.json"), nil); err == nil {
+		t.Error("export of a nil tracer succeeded")
 	}
 }
 

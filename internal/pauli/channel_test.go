@@ -2,10 +2,12 @@ package pauli
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"qisim/internal/gateerror"
+	"qisim/internal/simerr"
 	"qisim/internal/simrun"
 )
 
@@ -52,6 +54,18 @@ func TestTrajectoryConvergesToExact(t *testing.T) {
 	}
 	if mc := res.Fidelity; math.Abs(mc-exact) > 0.01 {
 		t.Fatalf("trajectory MC %v vs exact %v", mc, exact)
+	}
+}
+
+// TestTrajectoryRejectsNonFiniteKraus: a corrupted Kraus operator is
+// rejected as ErrNumerical. Unchecked, its NaN outcome probabilities are
+// never sampled and the run would return a finite fidelity.
+func TestTrajectoryRejectsNonFiniteKraus(t *testing.T) {
+	c := DecoherenceChannel(25e-9, 280e-6, 175e-6)
+	c.Ops[0].Data[0] = complex(math.Inf(1), 0)
+	_, err := TrajectoryAverageFidelityCtx(context.Background(), c, 256, 7, simrun.Options{})
+	if !errors.Is(err, simerr.ErrNumerical) {
+		t.Fatalf("Inf Kraus entry: got %v, want ErrNumerical", err)
 	}
 }
 

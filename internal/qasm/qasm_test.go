@@ -1,10 +1,13 @@
 package qasm
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"qisim/internal/simerr"
 )
 
 const sample = `
@@ -94,8 +97,8 @@ func TestErrors(t *testing.T) {
 		"qreg q[1]; measure q[0];",
 	}
 	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
-			t.Fatalf("expected error for %q", src)
+		if _, err := Parse(src); !errors.Is(err, simerr.ErrUnsupportedQASM) {
+			t.Fatalf("%q: got %v, want ErrUnsupportedQASM", src, err)
 		}
 	}
 }

@@ -2,9 +2,11 @@ package readout
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"qisim/internal/simerr"
 	"qisim/internal/simrun"
 )
 
@@ -102,6 +104,17 @@ func TestMultiRoundRangeTradeoff(t *testing.T) {
 	}
 	if rn.Error < rw.Error {
 		t.Fatalf("narrow range should not be more accurate: %.3g vs %.3g", rn.Error, rw.Error)
+	}
+}
+
+// TestMultiRoundRejectsNaNRange: a NaN indecision range never decides, so
+// it is rejected with ErrInvalidConfig before any shot.
+func TestMultiRoundRejectsNaNRange(t *testing.T) {
+	bad := DefaultMultiRoundConfig()
+	bad.Range, bad.Shots = math.NaN(), 1000
+	_, err := MultiRoundErrorCtx(context.Background(), DefaultChain(), DefaultTiming(), bad, simrun.Options{})
+	if !errors.Is(err, simerr.ErrInvalidConfig) {
+		t.Fatalf("NaN range: got %v, want ErrInvalidConfig", err)
 	}
 }
 

@@ -12,8 +12,7 @@
 //
 // Every entry stores a SHA-256 checksum of its body, re-verified on each
 // Get: a corrupted entry is detected, dropped, and reported as a miss — a
-// poisoned result is never served (see the faultinject scenario
-// "corrupted-cache-entry").
+// poisoned result is never served (TestCacheDetectsCorruption).
 package rescache
 
 import (
@@ -217,21 +216,6 @@ func (c *Cache) Stats() Stats {
 	s := c.stats
 	s.Entries = c.ll.Len()
 	return s
-}
-
-// Tamper mutates the stored body of key in place WITHOUT updating its
-// checksum — the fault-injection hook behind the corrupted-cache-entry
-// scenario. Returns false when the key is absent. Never use outside tests
-// and fault injection.
-func (c *Cache) Tamper(key Key, mutate func(body []byte)) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	mutate(el.Value.(*entry).body)
-	return true
 }
 
 // removeLocked unlinks an element; callers hold c.mu.

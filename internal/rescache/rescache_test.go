@@ -137,6 +137,19 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// tamper mutates the stored body of key in place WITHOUT updating its
+// checksum. It returns false when the key is absent.
+func tamper(c *Cache, key Key, mutate func(body []byte)) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return false
+	}
+	mutate(el.Value.(*entry).body)
+	return true
+}
+
 // TestCacheDetectsCorruption is the integrity contract: a tampered body is
 // detected on Get, dropped, counted, and never served; a fresh Put recovers.
 func TestCacheDetectsCorruption(t *testing.T) {
@@ -144,7 +157,7 @@ func TestCacheDetectsCorruption(t *testing.T) {
 	k := mustKey(t, "surface.mc", 7)
 	body := []byte(`{"failures":12,"shots":1000}`)
 	c.Put(k, "surface.mc", body)
-	if !c.Tamper(k, func(b []byte) { b[2] ^= 0xff }) {
+	if !tamper(c, k, func(b []byte) { b[2] ^= 0xff }) {
 		t.Fatal("tamper hook missed the entry")
 	}
 	if got, ok := c.Get(k); ok {

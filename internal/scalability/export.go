@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-
-	"qisim/internal/wiring"
 )
 
 // ExportedAnalysis is the JSON-friendly projection of an Analysis.
@@ -61,6 +59,3 @@ func WriteJSON(w io.Writer, as []Analysis) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
-
-// stageNames keeps the exported keys stable.
-var _ = []wiring.Stage{wiring.Stage4K, wiring.Stage70K, wiring.Stage100mK, wiring.Stage20mK}

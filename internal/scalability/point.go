@@ -30,16 +30,7 @@ func AnalyzePointChecked(d microarch.Design, extraGateError float64, opt Options
 		return nil, err
 	}
 	pb := d.PerQubitPower()
-	maxQ := math.Inf(1)
-	for st, budget := range opt.Budgets {
-		w := pb.StageW[st]
-		if w <= 0 {
-			continue
-		}
-		if lim := budget / w; lim < maxQ {
-			maxQ = lim
-		}
-	}
+	_, maxQ, _ := stageLimits(pb.StageW, opt.Budgets)
 	pl := d.LogicalError(extraGateError)
 	errLimit := opt.Targets.MaxPhysicalQubits(pl, opt.Distance)
 	if errLimit < maxQ {
@@ -67,16 +58,7 @@ func AnalyzePointChecked(d microarch.Design, extraGateError float64, opt Options
 // error are cheap and exact, which makes the bound tight on those axes.
 func PointBound(d microarch.Design, extraGateError float64, opt Options) map[string]float64 {
 	pb := d.PerQubitPower()
-	maxQ := math.Inf(1)
-	for st, budget := range opt.Budgets {
-		w := pb.StageW[st]
-		if w <= 0 {
-			continue
-		}
-		if lim := budget / w; lim < maxQ {
-			maxQ = lim
-		}
-	}
+	_, maxQ, _ := stageLimits(pb.StageW, opt.Budgets)
 	return map[string]float64{
 		MetricMaxQubits:    clampInf(maxQ),
 		MetricLogicalError: d.LogicalError(extraGateError),

@@ -95,28 +95,12 @@ func ExtendedOptions() Options {
 
 // Analyze evaluates one design point.
 func Analyze(d microarch.Design, opt Options) Analysis {
-	a := Analysis{
-		Design:     d,
-		PerQubit:   map[wiring.Stage]float64{},
-		StageLimit: map[wiring.Stage]float64{},
-	}
+	a := Analysis{Design: d, PerQubit: map[wiring.Stage]float64{}}
 	pb := d.PerQubitPower()
-	a.MaxQubits = math.Inf(1)
-	a.Binding = Unbounded
-	for st, budget := range opt.Budgets {
-		w := pb.StageW[st]
-		a.PerQubit[st] = w
-		if w <= 0 {
-			a.StageLimit[st] = math.Inf(1)
-			continue
-		}
-		lim := budget / w
-		a.StageLimit[st] = lim
-		if lim < a.MaxQubits {
-			a.MaxQubits = lim
-			a.Binding = stageConstraint(st)
-		}
+	for st := range opt.Budgets {
+		a.PerQubit[st] = pb.StageW[st]
 	}
+	a.StageLimit, a.MaxQubits, a.Binding = stageLimits(pb.StageW, opt.Budgets)
 	a.LogicalError = d.LogicalError(0)
 	a.ErrorLimit = opt.Targets.MaxPhysicalQubits(a.LogicalError, opt.Distance)
 	if a.ErrorLimit < a.MaxQubits {
@@ -126,6 +110,28 @@ func Analyze(d microarch.Design, opt Options) Analysis {
 	near := opt.Targets.Target(1) // one logical qubit, Jellium N=2 floor
 	a.MeetsNearTerm = a.LogicalError <= near
 	return a
+}
+
+// stageLimits divides each budgeted stage's capacity by the design's
+// per-qubit power there. It returns every stage's qubit limit (+Inf for a
+// stage the design does not load), the smallest of them (+Inf when no
+// stage is loaded) and the constraint that sets it (Unbounded then).
+func stageLimits(stageW map[wiring.Stage]float64, budgets cryo.Budgets) (limits map[wiring.Stage]float64, maxQ float64, binding Constraint) {
+	limits = make(map[wiring.Stage]float64, len(budgets))
+	maxQ, binding = math.Inf(1), Unbounded
+	for st, budget := range budgets {
+		w := stageW[st]
+		if w <= 0 {
+			limits[st] = math.Inf(1)
+			continue
+		}
+		lim := budget / w
+		limits[st] = lim
+		if lim < maxQ {
+			maxQ, binding = lim, stageConstraint(st)
+		}
+	}
+	return limits, maxQ, binding
 }
 
 // AnalyzeChecked is the erroring boundary for Analyze: it validates the

@@ -2,11 +2,13 @@ package scalability
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"qisim/internal/microarch"
+	"qisim/internal/simerr"
 	"qisim/internal/wiring"
 )
 
@@ -147,6 +149,32 @@ func TestSweepCurveShape(t *testing.T) {
 	// Target decreases with scale.
 	if pts[4].Target >= pts[0].Target {
 		t.Fatal("error target must tighten with scale")
+	}
+}
+
+// TestSweepCanceledIsTruncated: a sweep whose context is already cancelled
+// returns the points it finished, flagged Truncated, and no error.
+func TestSweepCanceledIsTruncated(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ns := []int{100, 1000, 10000}
+	res, err := SweepCtx(ctx, microarch.AllDesigns()[0], ns, DefaultOptions())
+	if err != nil {
+		t.Fatalf("cancelled sweep: %v", err)
+	}
+	if !res.Status.Truncated || len(res.Points) >= len(ns) {
+		t.Fatalf("cancelled sweep kept %d of %d points, status %+v; want a Truncated prefix",
+			len(res.Points), len(ns), res.Status)
+	}
+}
+
+// TestAnalyzeCheckedRejectsEvenDistance: a surface code needs an odd
+// distance, so AnalyzeChecked refuses distance 4 with ErrInvalidConfig.
+func TestAnalyzeCheckedRejectsEvenDistance(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Distance = 4
+	if _, err := AnalyzeChecked(microarch.CMOS4KBaseline(), opt); !errors.Is(err, simerr.ErrInvalidConfig) {
+		t.Fatalf("distance 4: got %v, want ErrInvalidConfig", err)
 	}
 }
 

@@ -72,8 +72,8 @@ type Config struct {
 	MaxRecords int
 	// JobTimeout caps each job's wall clock (0 = none).
 	JobTimeout time.Duration
-	// BaseContext is the ancestor of every job context (tests / fault
-	// injection inject deterministic cancellation here).
+	// BaseContext is the ancestor of every job context (tests inject
+	// deterministic cancellation here).
 	BaseContext context.Context
 	// DataDir enables crash-safe persistence: the job journal lives at
 	// DataDir/journal.wal and Monte-Carlo checkpoints under
@@ -514,9 +514,6 @@ func (s *Server) Recover() (int, error) {
 	return recovered, nil
 }
 
-// Ready reports whether the server has finished journal recovery.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -539,7 +536,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // Registry exposes the metrics registry (tests, extra collectors).
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// Cache exposes the result cache (tests, fault injection).
+// Cache exposes the result cache (tests).
 func (s *Server) Cache() *rescache.Cache { return s.cache }
 
 // Manager exposes the job manager (tests).
