@@ -8,7 +8,7 @@ LDFLAGS  = -X qisim/internal/buildinfo.Version=$(VERSION) \
            -X qisim/internal/buildinfo.Commit=$(COMMIT) \
            -X qisim/internal/buildinfo.Date=$(DATE)
 
-.PHONY: all build test vet race fuzz serve trace-demo verify clean help
+.PHONY: all build test vet race fuzz smoke serve trace-demo verify clean help
 
 all: build
 
@@ -34,28 +34,49 @@ trace-demo:
 
 # Short fuzz smokes of the QASM parser, the checkpoint decoder, the dist
 # unit-result and lease-grant decoders, the job-journal record decoder and
-# the federated metrics-summary fold, the targets CI fuzzes (longer runs on
-# demand, e.g. `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
+# the federated metrics-summary fold (longer runs on demand, e.g.
+# `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
 fuzz:
-	$(GO) test ./internal/qasm -fuzz FuzzParse -fuzztime 15s
-	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointDecode -fuzztime 15s
-	$(GO) test ./internal/dist -fuzz FuzzDecodeUnitResult -fuzztime 15s
-	$(GO) test ./internal/dist -fuzz FuzzLeaseGrant -fuzztime 15s
-	$(GO) test ./internal/jobs -fuzz FuzzJournalLine -fuzztime 15s
-	$(GO) test ./internal/metrics -fuzz FuzzSummary -fuzztime 15s
+	$(GO) test ./internal/qasm -fuzz FuzzParse -fuzztime 30s
+	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointDecode -fuzztime 30s
+	$(GO) test ./internal/dist -fuzz FuzzDecodeUnitResult -fuzztime 30s
+	$(GO) test ./internal/dist -fuzz FuzzLeaseGrant -fuzztime 30s
+	$(GO) test ./internal/jobs -fuzz FuzzJournalLine -fuzztime 30s
+	$(GO) test ./internal/metrics -fuzz FuzzSummary -fuzztime 30s
+
+# Smokes of the built binaries: a traced `qisim mc` run exports a non-empty
+# Chrome trace and `qisim-experiments` exports one too, qisimd prints the
+# version stamped into it, and a distance outside the model exits 4 (invalid
+# config) from esmgen and from `qisim mc`. Binaries and traces go to a
+# temporary directory.
+smoke:
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	exits4() { code=0; "$$@" > /dev/null 2>&1 || code=$$?; \
+		[ $$code -eq 4 ] || { echo "$$*: exit $$code, want 4"; exit 1; }; }; \
+	$(GO) build -o "$$dir/qisim" ./cmd/qisim; \
+	"$$dir/qisim" -trace-out "$$dir/trace.json" -log-format json mc -d 3 -shots 2000; \
+	$(GO) run ./cmd/qisim-experiments -trace-out "$$dir/exp-trace.json" table2 > /dev/null; \
+	python3 -c "import json, sys; t = json.load(open(sys.argv[1])); assert t['traceEvents'], 'empty trace'" "$$dir/trace.json"; \
+	$(GO) build -ldflags "$(LDFLAGS)" -o "$$dir/qisimd" ./cmd/qisimd; \
+	"$$dir/qisimd" -version | grep -F "qisimd $(VERSION) "; \
+	$(GO) build -o "$$dir/esmgen" ./cmd/esmgen; \
+	exits4 "$$dir/esmgen" -d 4; \
+	exits4 "$$dir/qisim" mc -d 53
 
 # Build and run the qisimd analysis service on :8080 with version stamping.
 serve:
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/qisimd -addr :8080
 
-# The CI gate: everything that must be green before a change lands. Every
-# tracked Go file must be gofmt-clean. Every package benchmark runs once,
-# so none rots unnoticed. Every pinned report digest is checked with one
-# pulse-evolution lane and with more lanes than the host has cores. The
-# benchmark module is its own Go module, so the root vet and suite skip
-# it; it is vetted here, and its tests are a --quick run of every workload
-# with its output checks, reproduce's pinned digests included.
-verify: vet build race fuzz
+# The CI gate: everything that must be green before a change lands; CI
+# runs this target, then the dependency-vulnerability scan, which needs
+# the network. Every tracked Go file must be gofmt-clean. Every package
+# benchmark runs once, so none rots unnoticed. Every pinned report digest
+# is checked with one pulse-evolution lane and with more lanes than the
+# host has cores. The benchmark module is its own Go module, so the root
+# vet and suite skip it; it is vetted here, and its tests are a --quick run
+# of every workload with its output checks, reproduce's pinned digests
+# included.
+verify: vet build race fuzz smoke
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	cd bench && $(GO) vet ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
@@ -70,6 +91,7 @@ help:
 	@echo "  build           compile everything with version stamping"
 	@echo "  test            run the full test suite"
 	@echo "  race            run the full test suite under the race detector"
-	@echo "  verify          the CI gate: vet + build + race + fuzz + gofmt + package benchmarks + bench/ vet and tests"
+	@echo "  verify          the CI gate: vet + build + race + fuzz + gofmt + package benchmarks + pinned digests + bench/ vet and tests + smoke"
+	@echo "  smoke           CLI smokes: trace export, build identity, exit 4 on a bad distance"
 	@echo "  trace-demo      record a Chrome trace of a parallel decoder run"
 	@echo "  serve           run the qisimd analysis service on :8080"

@@ -14,6 +14,7 @@ import (
 
 	"qisim/internal/buildinfo"
 	"qisim/internal/qasm"
+	"qisim/internal/simerr"
 	"qisim/internal/surface"
 )
 
@@ -26,11 +27,14 @@ func main() {
 		fmt.Println(buildinfo.String("esmgen"))
 		return
 	}
-	if *d < 3 || *d%2 == 0 || *rounds < 1 {
-		fmt.Fprintln(os.Stderr, "esmgen: distance must be odd >= 3 and rounds >= 1")
-		os.Exit(2)
+	patch, err := surface.NewPatchChecked(*d)
+	if err == nil && *rounds < 1 {
+		err = simerr.Invalidf("rounds must be >= 1, got %d", *rounds)
 	}
-	patch := surface.NewPatch(*d)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "esmgen:", err)
+		os.Exit(simerr.ExitCode(err))
+	}
 	prog := &qasm.Program{NQubits: patch.TotalQubits(), NClbits: len(patch.Ancillas)}
 	for r := 0; r < *rounds; r++ {
 		c := 0

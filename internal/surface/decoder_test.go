@@ -11,7 +11,7 @@ import (
 // the round's data-qubit flips, then its measurement flips. A final perfect
 // round closes the history.
 type shotBuilder struct {
-	m              *matcher
+	g              *graph
 	rounds, nd, nz int
 	flip, data     []bool
 	prev, cur      []bool
@@ -19,11 +19,10 @@ type shotBuilder struct {
 }
 
 func newShotBuilder(d, rounds int) *shotBuilder {
-	p := NewPatch(d)
-	m := newMatcher(p)
-	nd, nz := p.DataQubits(), len(m.zAncillas)
+	g := newGraph(NewPatch(d))
+	nd, nz := len(g.edges), len(g.b)
 	return &shotBuilder{
-		m: m, rounds: rounds, nd: nd, nz: nz,
+		g: g, rounds: rounds, nd: nd, nz: nz,
 		flip: make([]bool, rounds*(nd+nz)),
 		data: make([]bool, nd),
 		prev: make([]bool, nz),
@@ -44,7 +43,7 @@ func (b *shotBuilder) events() []spacetimeNode {
 				b.data[q] = !b.data[q]
 			}
 		}
-		b.m.syndromeInto(b.cur, b.data)
+		b.g.syndromeInto(b.cur, b.data)
 		for z, f := range row[b.nd:] {
 			meas := b.cur[z] != f
 			if meas != b.prev[z] {
@@ -53,7 +52,7 @@ func (b *shotBuilder) events() []spacetimeNode {
 			b.prev[z] = meas
 		}
 	}
-	b.m.syndromeInto(b.cur, b.data)
+	b.g.syndromeInto(b.cur, b.data)
 	for z := range b.cur {
 		if b.cur[z] != b.prev[z] {
 			b.ev = append(b.ev, spacetimeNode{z: z, t: b.rounds})
@@ -72,9 +71,9 @@ func TestCodeCapacityLeadingOrder(t *testing.T) {
 		{5, 2300, 292},
 		{7, 211876, 4606},
 	} {
-		m := newMatcher(NewPatch(c.d))
+		g := newGraph(NewPatch(c.d))
 		nd, w := c.d*c.d, (c.d+1)/2
-		sc := m.newScratch()
+		sc := g.newScratch()
 		errBuf := make([]bool, nd)
 		picks := make([]int, w)
 		patterns, fails := 0, 0
@@ -85,9 +84,8 @@ func TestCodeCapacityLeadingOrder(t *testing.T) {
 				for _, q := range picks {
 					errBuf[q] = true
 				}
-				m.decodeWith(sc, errBuf, m.syndromeInto(sc.syn, errBuf))
 				patterns++
-				if m.logicalFlip(errBuf) {
+				if g.decodeWith(sc, g.syndromeInto(sc.syn, errBuf)) != logicalParity(c.d, errBuf) {
 					fails++
 				}
 				return
@@ -136,16 +134,15 @@ func TestCodeCapacitySmallPRate(t *testing.T) {
 func TestSpacetimeFaultDistance(t *testing.T) {
 	for _, c := range []struct{ d, sets int }{{3, 39}, {5, 17205}} {
 		b := newShotBuilder(c.d, c.d)
-		sc := b.m.newScratch()
+		sc := b.g.newScratch()
 		sets, fails := 0, 0
 		var rec func(start, left int)
 		rec = func(start, left int) {
 			for k := start; k < len(b.flip) && left > 0; k++ {
 				b.flip[k] = true
 				ev := b.events()
-				b.m.decodeSpacetimeWith(sc, b.data, ev)
 				sets++
-				if b.m.logicalFlip(b.data) {
+				if b.g.match(sc, ev, maxExactSpacetime) != logicalParity(c.d, b.data) {
 					fails++
 				}
 				rec(k+1, left-1)
@@ -174,11 +171,10 @@ func BenchmarkExactMatch(b *testing.B) {
 		}
 		corpus[s] = append([]spacetimeNode(nil), sb.events()...)
 	}
-	sc := sb.m.newScratch()
-	errBuf := make([]bool, sb.nd)
+	sc := sb.g.newScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sb.m.decodeSpacetimeWith(sc, errBuf, corpus[i%shots])
+		sb.g.match(sc, corpus[i%shots], maxExactSpacetime)
 	}
 }

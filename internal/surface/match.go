@@ -32,25 +32,24 @@ type decodeScratch struct {
 	visited []uint32
 }
 
-func (m *matcher) newScratch() *decodeScratch {
+func (g *graph) newScratch() *decodeScratch {
 	return &decodeScratch{
-		syn:  make([]bool, len(m.zAncillas)),
-		used: make([]bool, len(m.zAncillas)),
+		syn:  make([]bool, len(g.b)),
+		used: make([]bool, len(g.b)),
 	}
 }
 
-// match applies a minimum-weight matching of the events, each to another
-// event or to the spatial boundary, as data corrections: exact up to
-// exactCap events, greedy beyond.
-func (m *matcher) match(sc *decodeScratch, err []bool, ev []spacetimeNode, exactCap int) {
+// match finds a minimum-weight matching of the events, each to another
+// event or to the spatial boundary, and returns whether its correction
+// flips the logical qubit: exact up to exactCap events, greedy beyond.
+func (g *graph) match(sc *decodeScratch, ev []spacetimeNode, exactCap int) bool {
 	if len(ev) <= exactCap {
-		m.matchExact(sc, err, ev)
-	} else {
-		m.matchGreedy(sc, err, ev)
+		return g.matchExact(sc, ev)
 	}
+	return g.matchGreedy(sc, ev)
 }
 
-// matchExact applies, for up to 16 events, exactly the matching the
+// matchExact picks, for up to 16 events, exactly the matching the
 // whole-set bitmask DP (match_ref_test.go) picks: at each state the lowest
 // event i tries the boundary first and then each partner j in ascending
 // index, and the first strict minimum wins. It gets there with three
@@ -68,21 +67,19 @@ func (m *matcher) match(sc *decodeScratch, err []bool, ev []spacetimeNode, exact
 //   - Each cluster is solved top-down, visiting only the states reachable
 //     by removing the lowest member and at most one partner.
 //
-// A pair move flips the path from the lower-indexed event, as pathFlip is
-// not symmetric; the order of the moves does not matter, since every flip
-// is an XOR.
-func (m *matcher) matchExact(sc *decodeScratch, err []bool, ev []spacetimeNode) {
-	n := len(ev)
+// It returns the XOR of its moves' path parities.
+func (g *graph) matchExact(sc *decodeScratch, ev []spacetimeNode) bool {
+	n, nz := len(ev), len(g.b)
 	if len(sc.memo) < 1<<n {
 		sc.memo = make([]int32, 1<<n)
 	}
 	for i := range ev {
-		sc.bnd[i] = int32(m.stBoundary(ev[i]))
+		sc.bnd[i] = g.b[ev[i].z]
 		sc.useful[i] = 0
 	}
 	for i := range ev {
 		for j := i + 1; j < n; j++ {
-			w := int32(m.stDist(ev[i], ev[j]))
+			w := g.stDist(ev[i], ev[j])
 			sc.pair[i][j] = w
 			if w < sc.bnd[i]+sc.bnd[j] {
 				sc.useful[i] |= 1 << j
@@ -90,6 +87,7 @@ func (m *matcher) matchExact(sc *decodeScratch, err []bool, ev []spacetimeNode) 
 			}
 		}
 	}
+	flip := false
 	var done uint32
 	for i := range ev {
 		if done&(1<<i) != 0 {
@@ -106,10 +104,10 @@ func (m *matcher) matchExact(sc *decodeScratch, err []bool, ev []spacetimeNode) 
 		for s := cluster; s != 0; {
 			a := bits.TrailingZeros32(s)
 			if _, b := sc.best(s); b < 0 {
-				m.boundaryFlip(err, ev[a].z)
+				flip = flip != g.bPar[ev[a].z]
 				s &^= 1 << a
 			} else {
-				m.pathFlip(err, ev[a].z, ev[b].z)
+				flip = flip != g.wPar[ev[a].z*nz+ev[b].z]
 				s &^= 1<<a | 1<<b
 			}
 		}
@@ -118,6 +116,7 @@ func (m *matcher) matchExact(sc *decodeScratch, err []bool, ev []spacetimeNode) 
 		sc.memo[s] = 0
 	}
 	sc.visited = sc.visited[:0]
+	return flip
 }
 
 // best returns the optimal cost of the event subset s and the move its
@@ -149,10 +148,11 @@ func (sc *decodeScratch) cost(s uint32) int32 {
 	return c
 }
 
-// matchGreedy repeatedly applies the cheapest remaining move, a pair or one
-// event to the boundary. Ties keep the first move found, scanning the events
-// in order and each event's pairs with later events before its boundary.
-func (m *matcher) matchGreedy(sc *decodeScratch, err []bool, ev []spacetimeNode) {
+// matchGreedy repeatedly takes the cheapest remaining move, a pair or one
+// event to the boundary, and returns the XOR of the moves' path parities.
+// Ties keep the first move found, scanning the events in order and each
+// event's pairs with later events before its boundary.
+func (g *graph) matchGreedy(sc *decodeScratch, ev []spacetimeNode) bool {
 	if len(sc.used) < len(ev) {
 		sc.used = make([]bool, len(ev))
 	}
@@ -160,8 +160,10 @@ func (m *matcher) matchGreedy(sc *decodeScratch, err []bool, ev []spacetimeNode)
 	for i := range used {
 		used[i] = false
 	}
+	nz := len(g.b)
+	flip := false
 	for {
-		best := 1 << 30
+		best := int32(1 << 30)
 		bi, bj := -1, -1
 		for x := range ev {
 			if used[x] {
@@ -171,23 +173,23 @@ func (m *matcher) matchGreedy(sc *decodeScratch, err []bool, ev []spacetimeNode)
 				if used[y] {
 					continue
 				}
-				if c := m.stDist(ev[x], ev[y]); c < best {
+				if c := g.stDist(ev[x], ev[y]); c < best {
 					best, bi, bj = c, x, y
 				}
 			}
-			if c := m.stBoundary(ev[x]); c < best {
+			if c := g.b[ev[x].z]; c < best {
 				best, bi, bj = c, x, -2
 			}
 		}
 		if bi == -1 {
-			return
+			return flip
 		}
 		used[bi] = true
 		if bj == -2 {
-			m.boundaryFlip(err, ev[bi].z)
+			flip = flip != g.bPar[ev[bi].z]
 		} else {
 			used[bj] = true
-			m.pathFlip(err, ev[bi].z, ev[bj].z)
+			flip = flip != g.wPar[ev[bi].z*nz+ev[bj].z]
 		}
 	}
 }

@@ -4,13 +4,14 @@ package surface
 // the reference every exact-matching test compares against. Both variants
 // are kept as they were (code capacity over flipped Z-ancillas, space-time
 // over detection events); only the cost and choice tables are now allocated
-// per call instead of living in the per-shard scratch.
+// per call instead of living in the per-shard scratch, and each returns its
+// matching's logical parity.
 
 // refDecodeExact is the code-capacity whole-set DP: O(2ⁿ·n²) over the
 // flipped syndromes, boundary move first, then partners in ascending index,
 // replacing the best only on a strict improvement.
-func (m *matcher) refDecodeExact(err []bool, flipped []int) {
-	n := len(flipped)
+func (g *graph) refDecodeExact(flipped []int) bool {
+	n, nz := len(flipped), len(g.b)
 	const inf = 1 << 29
 	full := 1 << n
 	cost := make([]int32, full)
@@ -26,7 +27,7 @@ func (m *matcher) refDecodeExact(err []bool, flipped []int) {
 		}
 		rest := s &^ (1 << i)
 		// boundary
-		if c := int32(m.boundaryDist[flipped[i]]) + cost[rest]; c < cost[s] {
+		if c := g.b[flipped[i]] + cost[rest]; c < cost[s] {
 			cost[s] = c
 			choice[s] = int32(i*64 + 63)
 		}
@@ -35,29 +36,31 @@ func (m *matcher) refDecodeExact(err []bool, flipped []int) {
 				continue
 			}
 			r2 := rest &^ (1 << j)
-			if c := int32(m.dist(flipped[i], flipped[j])) + cost[r2]; c < cost[s] {
+			if c := g.w[flipped[i]*nz+flipped[j]] + cost[r2]; c < cost[s] {
 				cost[s] = c
 				choice[s] = int32(i*64 + j)
 			}
 		}
 	}
 	// Reconstruct.
+	flip := false
 	for s := full - 1; s > 0; {
 		ch := choice[s]
 		i, j := int(ch/64), int(ch%64)
 		if j == 63 {
-			m.boundaryFlip(err, flipped[i])
+			flip = flip != g.bPar[flipped[i]]
 			s &^= 1 << i
 		} else {
-			m.pathFlip(err, flipped[i], flipped[j])
+			flip = flip != g.wPar[flipped[i]*nz+flipped[j]]
 			s &^= (1 << i) | (1 << j)
 		}
 	}
+	return flip
 }
 
 // refStExact is the space-time whole-set DP over detection events.
-func (m *matcher) refStExact(err []bool, ev []spacetimeNode) {
-	n := len(ev)
+func (g *graph) refStExact(ev []spacetimeNode) bool {
+	n, nz := len(ev), len(g.b)
 	const inf = 1 << 29
 	full := 1 << n
 	cost := make([]int32, full)
@@ -71,7 +74,7 @@ func (m *matcher) refStExact(err []bool, ev []spacetimeNode) {
 		for ; s&(1<<i) == 0; i++ {
 		}
 		rest := s &^ (1 << i)
-		if c := int32(m.stBoundary(ev[i])) + cost[rest]; c < cost[s] {
+		if c := g.b[ev[i].z] + cost[rest]; c < cost[s] {
 			cost[s] = c
 			choice[s] = int32(i*64 + 63)
 		}
@@ -80,21 +83,23 @@ func (m *matcher) refStExact(err []bool, ev []spacetimeNode) {
 				continue
 			}
 			r2 := rest &^ (1 << j)
-			if c := int32(m.stDist(ev[i], ev[j])) + cost[r2]; c < cost[s] {
+			if c := g.stDist(ev[i], ev[j]) + cost[r2]; c < cost[s] {
 				cost[s] = c
 				choice[s] = int32(i*64 + j)
 			}
 		}
 	}
+	flip := false
 	for s := full - 1; s > 0; {
 		ch := choice[s]
 		i, j := int(ch/64), int(ch%64)
 		if j == 63 {
-			m.boundaryFlip(err, ev[i].z)
+			flip = flip != g.bPar[ev[i].z]
 			s &^= 1 << i
 		} else {
-			m.pathFlip(err, ev[i].z, ev[j].z)
+			flip = flip != g.wPar[ev[i].z*nz+ev[j].z]
 			s &^= (1 << i) | (1 << j)
 		}
 	}
+	return flip
 }

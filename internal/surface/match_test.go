@@ -8,31 +8,23 @@ import (
 
 // checkCapacity decodes one code-capacity syndrome with the cluster matcher
 // on the shared scratch and with the whole-set reference DP, and fails when
-// the two corrections differ.
-func checkCapacity(t *testing.T, m *matcher, sc *decodeScratch, flipped []int) {
+// the two matchings differ in logical parity.
+func checkCapacity(t *testing.T, g *graph, sc *decodeScratch, flipped []int) {
 	t.Helper()
-	syn := make([]bool, len(m.zAncillas))
+	syn := make([]bool, len(g.b))
 	for _, z := range flipped {
 		syn[z] = true
 	}
-	got := make([]bool, m.p.DataQubits())
-	want := make([]bool, m.p.DataQubits())
-	m.decodeWith(sc, got, syn)
-	m.refDecodeExact(want, flipped)
-	if !slices.Equal(got, want) {
-		t.Fatalf("d=%d syndromes %v: correction differs from the whole-set DP", m.p.D, flipped)
+	if got, want := g.decodeWith(sc, syn), g.refDecodeExact(flipped); got != want {
+		t.Fatalf("d=%d syndromes %v: logical parity %v, whole-set DP %v", g.d, flipped, got, want)
 	}
 }
 
 // checkSpacetime is checkCapacity for space-time detection events.
-func checkSpacetime(t *testing.T, m *matcher, sc *decodeScratch, ev []spacetimeNode) {
+func checkSpacetime(t *testing.T, g *graph, sc *decodeScratch, ev []spacetimeNode) {
 	t.Helper()
-	got := make([]bool, m.p.DataQubits())
-	want := make([]bool, m.p.DataQubits())
-	m.decodeSpacetimeWith(sc, got, ev)
-	m.refStExact(want, ev)
-	if !slices.Equal(got, want) {
-		t.Fatalf("d=%d events %v: correction differs from the whole-set DP", m.p.D, ev)
+	if got, want := g.match(sc, ev, maxExactSpacetime), g.refStExact(ev); got != want {
+		t.Fatalf("d=%d events %v: logical parity %v, whole-set DP %v", g.d, ev, got, want)
 	}
 }
 
@@ -62,9 +54,9 @@ func randomEvents(rng *rand.Rand, nz, tw, n int, shuffle bool) []spacetimeNode {
 func TestMatchCapacityEqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, d := range []int{3, 5, 7, 9} {
-		m := newMatcher(NewPatch(d))
-		sc := m.newScratch()
-		nz := len(m.zAncillas)
+		g := newGraph(NewPatch(d))
+		sc := g.newScratch()
+		nz := len(g.b)
 		if nz <= maxExactCapacity {
 			for set := 1; set < 1<<nz; set++ {
 				var flipped []int
@@ -73,7 +65,7 @@ func TestMatchCapacityEqualsReference(t *testing.T) {
 						flipped = append(flipped, z)
 					}
 				}
-				checkCapacity(t, m, sc, flipped)
+				checkCapacity(t, g, sc, flipped)
 			}
 			continue
 		}
@@ -81,7 +73,7 @@ func TestMatchCapacityEqualsReference(t *testing.T) {
 			n := 1 + trial%maxExactCapacity
 			flipped := rng.Perm(nz)[:n]
 			slices.Sort(flipped)
-			checkCapacity(t, m, sc, flipped)
+			checkCapacity(t, g, sc, flipped)
 		}
 	}
 }
@@ -93,66 +85,73 @@ func TestMatchCapacityEqualsReference(t *testing.T) {
 func TestMatchSpacetimeEqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, d := range []int{3, 5, 7, 9} {
-		m := newMatcher(NewPatch(d))
-		sc := m.newScratch()
-		nz := len(m.zAncillas)
+		g := newGraph(NewPatch(d))
+		sc := g.newScratch()
+		nz := len(g.b)
 		for trial := 0; trial < 1000; trial++ {
 			n := 1 + trial%maxExactSpacetime
 			tw := []int{1, 2, d + 1}[rng.Intn(3)]
 			for nz*tw < n {
 				tw++
 			}
-			checkSpacetime(t, m, sc, randomEvents(rng, nz, tw, n, trial%2 == 1))
+			checkSpacetime(t, g, sc, randomEvents(rng, nz, tw, n, trial%2 == 1))
 		}
 	}
 }
 
-// TestMatchTies pins the two tie rules on hand-built event sets, each checked
-// against the whole-set DP and against the correction the other tie-break
-// would give, so that a matcher breaking either tie differently fails:
+// TestMatchTies pins the two tie rules on event sets in rounds 0–2 of a
+// d=7 patch whose two tie-breaks give corrections of opposite logical
+// parity, so that a matcher breaking either tie differently fails. Each set
+// is checked against the rule and against the whole-set DP:
+//   - a pair whose cost is exactly b(i)+b(j): both events go to the boundary;
 //   - two partners of the lowest event at equal cost: the lower-indexed
-//     partner wins;
-//   - a pair whose cost is exactly b(i)+b(j): both events go to the boundary.
+//     partner wins.
+//
+// Events of one round alone never qualify: there, both tie-breaks of every
+// tie flip the logical qubit the same way.
 func TestMatchTies(t *testing.T) {
-	m := newMatcher(NewPatch(7))
-	sc := m.newScratch()
-	nd, nz := m.p.DataQubits(), len(m.zAncillas)
-	flips := func(moves func(err []bool)) []bool {
-		err := make([]bool, nd)
-		moves(err)
-		return err
+	g := newGraph(NewPatch(7))
+	sc := g.newScratch()
+	nz := len(g.b)
+	var nodes []spacetimeNode // in the decoder's (round, ancilla) order
+	for r := 0; r < 3; r++ {
+		for z := 0; z < nz; z++ {
+			nodes = append(nodes, spacetimeNode{z: z, t: r})
+		}
 	}
+	b := func(n spacetimeNode) int32 { return g.b[n.z] }
+	bPar := func(n spacetimeNode) bool { return g.bPar[n.z] }
+	wPar := func(m, n spacetimeNode) bool { return g.wPar[m.z*nz+n.z] }
 	equalPartners, boundaryTies := 0, 0
-	for a := 0; a < nz; a++ {
-		for j := a + 1; j < nz; j++ {
-			w, bb := m.dist(a, j), m.boundaryDist[a]+m.boundaryDist[j]
-			if w == bb {
-				ev := []spacetimeNode{{z: a}, {z: j}}
-				got := make([]bool, nd)
-				m.decodeSpacetimeWith(sc, got, ev)
-				pair := flips(func(err []bool) { m.pathFlip(err, a, j) })
-				if slices.Equal(got, pair) {
-					continue // both corrections flip the same qubits
+	for ai, a := range nodes {
+		for ji := ai + 1; ji < len(nodes); ji++ {
+			j := nodes[ji]
+			w, bb := g.stDist(a, j), b(a)+b(j)
+			if bnd := bPar(a) != bPar(j); w == bb && wPar(a, j) != bnd {
+				ev := []spacetimeNode{a, j}
+				if g.match(sc, ev, maxExactSpacetime) != bnd {
+					t.Fatalf("events %v: the pair won its tie with the boundary", ev)
 				}
 				boundaryTies++
-				checkSpacetime(t, m, sc, ev)
+				checkSpacetime(t, g, sc, ev)
 			}
-			for k := j + 1; k < nz; k++ {
-				if m.dist(a, k) != w || w >= bb || m.boundaryDist[j] != m.boundaryDist[k] ||
-					w+m.boundaryDist[j] >= m.boundaryDist[a]+m.dist(j, k) {
+			for ki := ji + 1; ki < len(nodes); ki++ {
+				k := nodes[ki]
+				if g.stDist(a, k) != w || w >= bb || b(j) != b(k) || w+b(j) >= b(a)+g.stDist(j, k) {
 					continue
 				}
 				// a pairs with j or k at equal total cost, the third event
 				// going to the boundary; the DP keeps j.
-				ev := []spacetimeNode{{z: a}, {z: j}, {z: k}}
-				got := make([]bool, nd)
-				m.decodeSpacetimeWith(sc, got, ev)
-				other := flips(func(err []bool) { m.pathFlip(err, a, k); m.boundaryFlip(err, j) })
-				if slices.Equal(got, other) {
+				keep, other := wPar(a, j) != bPar(k), wPar(a, k) != bPar(j)
+				if keep == other {
 					continue
 				}
+				ev := []spacetimeNode{a, j, k}
+				if g.match(sc, ev, maxExactSpacetime) != keep {
+					t.Fatalf("events %v: the higher-indexed partner won the tie", ev)
+				}
 				equalPartners++
-				checkSpacetime(t, m, sc, ev)
+				checkSpacetime(t, g, sc, ev)
 			}
 		}
 	}
@@ -160,24 +159,24 @@ func TestMatchTies(t *testing.T) {
 		t.Fatalf("tie cases found: %d equal-partner sets, %d boundary ties; want both > 0",
 			equalPartners, boundaryTies)
 	}
+	t.Logf("%d equal-partner sets, %d boundary ties", equalPartners, boundaryTies)
 }
 
 // TestDecodeWarmAllocs pins a decode against warm scratch at zero
 // allocations on both paths, each at its exact cap.
 func TestDecodeWarmAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := newMatcher(NewPatch(7))
-	sc := m.newScratch()
-	nz := len(m.zAncillas)
-	errBuf := make([]bool, m.p.DataQubits())
+	g := newGraph(NewPatch(7))
+	sc := g.newScratch()
+	nz := len(g.b)
 	syn := make([]bool, nz)
 	for _, z := range rng.Perm(nz)[:maxExactCapacity] {
 		syn[z] = true
 	}
 	ev := randomEvents(rng, nz, 2, maxExactSpacetime, false)
 	for name, decode := range map[string]func(){
-		"code-capacity": func() { m.decodeWith(sc, errBuf, syn) },
-		"space-time":    func() { m.decodeSpacetimeWith(sc, errBuf, ev) },
+		"code-capacity": func() { g.decodeWith(sc, syn) },
+		"space-time":    func() { g.match(sc, ev, maxExactSpacetime) },
 	} {
 		decode()
 		if a := testing.AllocsPerRun(20, decode); a != 0 {

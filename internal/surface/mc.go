@@ -14,8 +14,7 @@ import (
 type DecoderResult struct {
 	Shots    int `json:"shots"`
 	Failures int `json:"failures"`
-	// Status flags truncation/convergence for the context-aware entry
-	// points; zero-valued for the legacy fixed-budget ones.
+	// Status flags truncation and convergence.
 	Status simrun.Status `json:"status"`
 }
 
@@ -27,222 +26,12 @@ func (r DecoderResult) Rate() float64 {
 	return float64(r.Failures) / float64(r.Shots)
 }
 
-// matcher holds the Z-stabilizer syndrome graph of a patch for X-error
-// decoding (the X sector is symmetric; the paper generates both X and Z
-// errors from QIsim and feeds the standard error model, and so do we via
-// two independent sectors).
-type matcher struct {
-	p *Patch
-	// zIdx maps ancilla index → compact Z index; coords for distances.
-	zAncillas []int
-	dataToZ   [][]int // data qubit → list of Z-ancilla compact ids
-	shared    map[[2]int]int
-	// boundaryQubit[z] is a data qubit adjacent only to Z-ancilla z (a path
-	// to the top/bottom boundary), or -1.
-	boundaryQubit []int
-	boundaryDist  []int
-
-	// Precomputed decode tables, built once per patch so the per-shot hot
-	// path never touches a map or recomputes a distance:
-	//   adj/adjQ    — neighbours of z in ascending id order + shared qubit,
-	//   distT       — Chebyshev distance between Z-ancilla pairs (nz×nz),
-	//   nextZ/nextQ — the greedy next hop (and its flip qubit) on a
-	//                 shortest path cur→target, replayed from pathFlip's
-	//                 argmin over the sorted neighbour order (nz×nz),
-	//   bStepZ/bStepQ — boundaryFlip's walk step from each ancilla: the
-	//                 flip qubit plus the next ancilla (-1 = walk ends).
-	adj, adjQ      [][]int
-	distT          []int32
-	nextZ, nextQ   []int32
-	bStepZ, bStepQ []int32
-}
-
-func newMatcher(p *Patch) *matcher {
-	m := &matcher{p: p, shared: make(map[[2]int]int)}
-	compact := make(map[int]int)
-	for i, a := range p.Ancillas {
-		if a.Type == ZAncilla {
-			compact[i] = len(m.zAncillas)
-			m.zAncillas = append(m.zAncillas, i)
-		}
-	}
-	m.dataToZ = make([][]int, p.DataQubits())
-	for i, a := range p.Ancillas {
-		if a.Type != ZAncilla {
-			continue
-		}
-		z := compact[i]
-		for _, q := range a.Data {
-			m.dataToZ[q] = append(m.dataToZ[q], z)
-		}
-	}
-	// Shared data qubits between Z-ancilla pairs; boundary qubits for
-	// singly-attached data qubits.
-	m.boundaryQubit = make([]int, len(m.zAncillas))
-	m.boundaryDist = make([]int, len(m.zAncillas))
-	for z := range m.boundaryQubit {
-		m.boundaryQubit[z] = -1
-	}
-	for q, zs := range m.dataToZ {
-		switch len(zs) {
-		case 2:
-			key := [2]int{min(zs[0], zs[1]), max(zs[0], zs[1])}
-			m.shared[key] = q
-		case 1:
-			m.boundaryQubit[zs[0]] = q
-		}
-	}
-	// Boundary distance: rows to nearest X boundary (top/bottom), in
-	// ancilla-grid steps.
-	d := p.D
-	for z, ai := range m.zAncillas {
-		r2 := p.Ancillas[ai].R2
-		top := (r2 + 1) / 2
-		bot := (2*d - 1 - r2) / 2
-		m.boundaryDist[z] = min(top, bot)
-	}
-	m.buildTables()
-	return m
-}
-
-// buildTables precomputes the decode lookup tables from the shared-qubit
-// map, so the per-shot path never iterates a map or recomputes a distance.
-// Neighbour ties resolve in ascending ancilla-id order — a fixed choice
-// among equally short corrections, which differ from each other only by
-// stabilizer loops and therefore leave every decoded outcome unchanged.
-func (m *matcher) buildTables() {
-	nz := len(m.zAncillas)
-	m.adj = make([][]int, nz)
-	m.adjQ = make([][]int, nz)
-	for key, q := range m.shared {
-		m.adj[key[0]] = append(m.adj[key[0]], key[1])
-		m.adjQ[key[0]] = append(m.adjQ[key[0]], q)
-		m.adj[key[1]] = append(m.adj[key[1]], key[0])
-		m.adjQ[key[1]] = append(m.adjQ[key[1]], q)
-	}
-	for z := 0; z < nz; z++ {
-		adj, adjQ := m.adj[z], m.adjQ[z]
-		for i := 1; i < len(adj); i++ {
-			for j := i; j > 0 && adj[j] < adj[j-1]; j-- {
-				adj[j], adj[j-1] = adj[j-1], adj[j]
-				adjQ[j], adjQ[j-1] = adjQ[j-1], adjQ[j]
-			}
-		}
-	}
-	m.distT = make([]int32, nz*nz)
-	for a := 0; a < nz; a++ {
-		for b := 0; b < nz; b++ {
-			m.distT[a*nz+b] = int32(m.distFromCoords(a, b))
-		}
-	}
-	// Next hop of a shortest path cur→tgt: the first strictly closer
-	// neighbour in ascending order, exactly the greedy step pathFlip takes.
-	m.nextZ = make([]int32, nz*nz)
-	m.nextQ = make([]int32, nz*nz)
-	for cur := 0; cur < nz; cur++ {
-		for tgt := 0; tgt < nz; tgt++ {
-			m.nextZ[cur*nz+tgt], m.nextQ[cur*nz+tgt] = -1, -1
-			if cur == tgt {
-				continue
-			}
-			best, bq, bd := -1, -1, 1<<30
-			for idx, nb := range m.adj[cur] {
-				if dd := int(m.distT[nb*nz+tgt]); dd < bd {
-					bd, best, bq = dd, nb, m.adjQ[cur][idx]
-				}
-			}
-			if best != -1 {
-				m.nextZ[cur*nz+tgt], m.nextQ[cur*nz+tgt] = int32(best), int32(bq)
-			}
-		}
-	}
-	// Boundary walk step per ancilla: terminal flip (bStepZ = -1) or one
-	// hop toward the nearest boundary, mirroring boundaryFlip's branches.
-	m.bStepZ = make([]int32, nz)
-	m.bStepQ = make([]int32, nz)
-	for cur := 0; cur < nz; cur++ {
-		if q := m.boundaryQubit[cur]; q != -1 && m.boundaryDist[cur] <= 1 {
-			m.bStepQ[cur], m.bStepZ[cur] = int32(q), -1
-			continue
-		}
-		best, bq, bd := -1, -1, m.boundaryDist[cur]
-		for idx, nb := range m.adj[cur] {
-			if dd := m.boundaryDist[nb]; dd < bd {
-				bd, best, bq = dd, nb, m.adjQ[cur][idx]
-			}
-		}
-		if best == -1 {
-			// No strictly closer neighbour: flip own boundary qubit if any.
-			m.bStepQ[cur], m.bStepZ[cur] = int32(m.boundaryQubit[cur]), -1
-			continue
-		}
-		m.bStepQ[cur], m.bStepZ[cur] = int32(bq), int32(best)
-	}
-}
-
-// dist is the decoding metric between two Z-ancillas: Chebyshev distance on
-// the ancilla sub-lattice (diagonal steps are single shared-qubit hops),
-// served from the precomputed table.
-func (m *matcher) dist(z1, z2 int) int {
-	return int(m.distT[z1*len(m.zAncillas)+z2])
-}
-
-// distFromCoords computes dist from ancilla coordinates (table build only).
-func (m *matcher) distFromCoords(z1, z2 int) int {
-	a1, a2 := m.p.Ancillas[m.zAncillas[z1]], m.p.Ancillas[m.zAncillas[z2]]
-	dr := abs(a1.R2-a2.R2) / 2
-	dc := abs(a1.C2-a2.C2) / 2
-	return max(dr, dc)
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// pathFlip flips the data qubits on a shortest ancilla-graph path z1→z2,
-// walking the precomputed next-hop table.
-func (m *matcher) pathFlip(err []bool, z1, z2 int) {
-	nz := len(m.zAncillas)
-	for cur := z1; cur != z2; {
-		q := m.nextQ[cur*nz+z2]
-		if q < 0 {
-			return // disconnected (cannot happen on a valid patch)
-		}
-		err[q] = !err[q]
-		cur = int(m.nextZ[cur*nz+z2])
-	}
-}
-
-// boundaryFlip flips data qubits from ancilla z to the nearest X boundary,
-// walking the precomputed boundary-step table.
-func (m *matcher) boundaryFlip(err []bool, z int) {
-	for cur := z; ; {
-		q, nxt := m.bStepQ[cur], m.bStepZ[cur]
-		if q >= 0 {
-			err[q] = !err[q]
-		}
-		if nxt < 0 {
-			return
-		}
-		cur = int(nxt)
-	}
-}
-
-// decode matches the flipped syndromes (against each other or the boundary)
-// minimising the TOTAL correction weight — exact min-weight matching for up
-// to 16 flipped syndromes (ample below threshold), greedy beyond — and
-// applies the corrections in place.
-func (m *matcher) decode(err []bool, syndrome []bool) {
-	m.decodeWith(m.newScratch(), err, syndrome)
-}
-
-// decodeWith is decode against reusable per-shard scratch. Each flipped
-// syndrome is a detection event at t = 0, so the pair cost is the spatial
-// distance.
-func (m *matcher) decodeWith(sc *decodeScratch, err []bool, syndrome []bool) {
+// decodeWith matches the flipped syndromes, each a detection event at
+// t = 0 so the pair cost is the spatial path length, against each other or
+// the boundary at minimum total weight (exact up to 16 flipped syndromes,
+// ample below threshold, greedy beyond) and returns whether the correction
+// flips the logical qubit.
+func (g *graph) decodeWith(sc *decodeScratch, syndrome []bool) bool {
 	ev := sc.events[:0]
 	for z, s := range syndrome {
 		if s {
@@ -250,39 +39,23 @@ func (m *matcher) decodeWith(sc *decodeScratch, err []bool, syndrome []bool) {
 		}
 	}
 	sc.events = ev
-	m.match(sc, err, ev, maxExactCapacity)
+	return g.match(sc, ev, maxExactCapacity)
 }
 
-// flip applies the data-qubit flips in hits to err, and their syndrome
-// change to syn: each toggles its qubit and the Z ancillas that check it.
-// The syndrome is linear over GF(2) in the error, so if syn is the syndrome
-// of err before, it is the syndrome of err after, whatever the flips'
-// order.
-func (m *matcher) flip(err, syn []bool, hits []int32) {
-	for _, q := range hits {
-		err[q] = !err[q]
-		for _, z := range m.dataToZ[q] {
-			syn[z] = !syn[z]
-		}
-	}
-}
-
-// logicalFlip reports whether the residual X pattern flips the logical
-// qubit: odd parity over the Z-logical support (data row 0).
-func (m *matcher) logicalFlip(err []bool) bool {
-	parity := false
-	for c := 0; c < m.p.D; c++ {
-		if err[c] { // row 0: qubits 0..d-1
-			parity = !parity
-		}
-	}
-	return parity
-}
+// maxMCDistance bounds the distance of every MC run. Each run builds the
+// decoding graph, whose two node-to-node tables hold nz² entries with
+// nz = (d²−1)/2, so its memory grows as d⁴: 8.4 MB at d = 51, gigabytes
+// at d = 201, where a failed allocation kills the whole process, not just
+// the request.
+const maxMCDistance = 51
 
 // checkMCParams validates the shared MC arguments.
 func checkMCParams(d int, probs ...float64) error {
 	if d < 3 || d%2 == 0 {
 		return simerr.Invalidf("surface: distance must be odd and >= 3, got %d", d)
+	}
+	if d > maxMCDistance {
+		return simerr.Invalidf("surface: MC distance %d above the limit %d", d, maxMCDistance)
 	}
 	for _, p := range probs {
 		if math.IsNaN(p) || p < 0 || p > 1 {
@@ -294,7 +67,8 @@ func checkMCParams(d int, probs ...float64) error {
 
 // MonteCarloLogicalErrorCtx estimates the code-capacity logical X error
 // rate of a distance-d patch under i.i.d. X errors of probability p, using
-// the greedy matching decoder. It validates the Projection's
+// the matching decoder (exact up to 16 flipped syndromes, greedy beyond).
+// It validates the Projection's
 // (p/p_th)^((d+1)/2) scaling; the paper's timing-dependent effects enter
 // through ErrorParams.
 //
@@ -309,8 +83,8 @@ func MonteCarloLogicalErrorCtx(ctx context.Context, d int, p float64, shots int,
 	if err := checkMCParams(d, p); err != nil {
 		return DecoderResult{}, err
 	}
-	m := newMatcher(NewPatch(d)) // read-only after construction: shared across shards
-	failures, status, gerr := simrun.RunSharded(ctx, shots, seed, opt, m.capacityShard(p, m.decodeWith),
+	g := newGraph(NewPatch(d)) // read-only after construction: shared across shards
+	failures, status, gerr := simrun.RunSharded(ctx, shots, seed, opt, g.capacityShard(p, g.decodeWith),
 		func(dst *int, src int) { *dst += src })
 	if gerr != nil {
 		return DecoderResult{}, gerr
@@ -319,30 +93,25 @@ func MonteCarloLogicalErrorCtx(ctx context.Context, d int, p float64, shots int,
 }
 
 // capacityShard returns the code-capacity shard sampler: each shot flips
-// every data qubit with probability p, corrects the error with decode, and
-// counts a failure when the residual flips the logical qubit. All per-shot
-// state (error buffer, syndrome, decoder tables) is hoisted out of the shot
-// loop, which allocates nothing.
-func (m *matcher) capacityShard(p float64, decode func(sc *decodeScratch, err, syndrome []bool)) simrun.ShardFunc[int] {
-	nd := m.p.DataQubits()
+// every data qubit with probability p, decodes the syndrome with decoder,
+// and counts a failure when the correction's logical parity differs from
+// the error's. All per-shot state (syndrome, hits, decoder scratch) is
+// hoisted out of the shot loop, which allocates nothing.
+func (g *graph) capacityShard(p float64, decoder func(sc *decodeScratch, syndrome []bool) bool) simrun.ShardFunc[int] {
+	nd := len(g.edges)
 	coin := simrun.NewCoin(p)
 	return func(t *simrun.ShardTask) (int, int, error) {
-		errBuf := make([]bool, nd)
 		hits := make([]int32, 0, nd)
-		sc := m.newScratch()
+		sc := g.newScratch()
 		f := 0
 		for i := 0; t.Continue(i); i++ {
 			hits = t.Hits(hits[:0], nd, coin)
 			if len(hits) == 0 {
 				continue
 			}
-			clear(errBuf)
 			clear(sc.syn)
-			m.flip(errBuf, sc.syn, hits)
-			decode(sc, errBuf, sc.syn)
-			// After correction the syndrome must be clear; any remaining
-			// flip is logical.
-			if m.logicalFlip(errBuf) {
+			flipped := g.flip(sc.syn, hits)
+			if decoder(sc, sc.syn) != flipped {
 				f++
 			}
 		}
@@ -365,6 +134,9 @@ type ThresholdResult struct {
 // bracket midpoint is returned as a Truncated best-so-far estimate.
 func ThresholdEstimateCtx(ctx context.Context, d int, shots int, seed int64, opt simrun.Options) (ThresholdResult, error) {
 	if err := checkMCParams(d); err != nil {
+		return ThresholdResult{}, err
+	}
+	if err := checkMCParams(d + 2); err != nil { // the bisection's larger code
 		return ThresholdResult{}, err
 	}
 	lo, hi := 0.005, 0.2

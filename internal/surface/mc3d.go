@@ -15,6 +15,11 @@ type spacetimeNode struct {
 	t int // round index
 }
 
+// maxRounds bounds the noisy rounds of a phenomenological run. A shot's
+// event list grows by up to nz events per round, and a shot runs to its end
+// once started, so this bounds one shot's memory and time.
+const maxRounds = 1000
+
 // PhenomenologicalCore validates the phenomenological-MC parameters and
 // returns the per-shard sampler plus its in-order merge — the pieces a
 // distributed executor needs to run an arbitrary shard window of this
@@ -24,31 +29,28 @@ func PhenomenologicalCore(d int, p, q float64, rounds int) (simrun.ShardFunc[int
 	if err := checkMCParams(d, p, q); err != nil {
 		return nil, nil, err
 	}
-	if rounds < 1 {
-		return nil, nil, simerr.Invalidf("surface: rounds must be >= 1, got %d", rounds)
+	if rounds < 1 || rounds > maxRounds {
+		return nil, nil, simerr.Invalidf("surface: rounds must be in [1, %d], got %d", maxRounds, rounds)
 	}
-	patch := NewPatch(d)
-	m := newMatcher(patch) // read-only after construction: shared across shards
-	nd := patch.DataQubits()
-	nz := len(m.zAncillas)
+	g := newGraph(NewPatch(d)) // read-only after construction: shared across shards
+	nd, nz := len(g.edges), len(g.b)
 	pc, qc := simrun.NewCoin(p), simrun.NewCoin(q)
 
 	run := func(t *simrun.ShardTask) (int, int, error) {
 		// All per-shot state is hoisted and reused across the shot loop.
 		// Each round draws its nd data trials, then its nz measurement
 		// trials, as blocks of Bernoulli trials on the shard's stream.
-		errBuf := make([]bool, nd)
-		syn := make([]bool, nz) // the syndrome of errBuf
+		syn := make([]bool, nz) // the syndrome of the data errors
 		prevMeas := make([]bool, nz)
 		hits := make([]int32, 0, nd)
 		events := make([]spacetimeNode, 0, 4*nz)
-		sc := m.newScratch()
+		sc := g.newScratch()
 		f := 0
 		for s := 0; t.Continue(s); s++ {
-			clear(errBuf)
 			clear(syn)
 			clear(prevMeas)
 			events = events[:0]
+			flipped := false // the data errors' logical parity
 
 			// steady holds while prevMeas equals syn, as after a round with
 			// no measurement error. A round that then adds no data error
@@ -58,7 +60,7 @@ func PhenomenologicalCore(d int, p, q float64, rounds int) (simrun.ShardFunc[int
 			for r := 0; r < rounds; r++ {
 				// New data errors this round, and the syndrome they change.
 				hits = t.Hits(hits[:0], nd, pc)
-				m.flip(errBuf, syn, hits)
+				flipped = flipped != g.flip(syn, hits)
 				dataErr := len(hits) > 0
 				// Measurement errors: hits lists the flipped ancillas in
 				// ascending order.
@@ -88,8 +90,7 @@ func PhenomenologicalCore(d int, p, q float64, rounds int) (simrun.ShardFunc[int
 				}
 			}
 
-			m.decodeSpacetimeWith(sc, errBuf, events)
-			if m.logicalFlip(errBuf) {
+			if g.match(sc, events, maxExactSpacetime) != flipped {
 				f++
 			}
 		}
@@ -111,7 +112,8 @@ func DecoderResultFrom(failures int, status simrun.Status) DecoderResult {
 // followed by one final perfect round (the standard phenomenological noise
 // model). Decoding matches detection events (syndrome differences between
 // consecutive rounds) in space-time: spatial path segments flip data,
-// time-like segments flip nothing (they explain measurement errors).
+// time-like segments flip nothing (they explain measurement errors). A shot
+// fails when the matching's logical parity differs from its data errors'.
 //
 // The run executes on the sharded parallel engine: each shard of shots runs
 // on its own deterministic RNG stream and the shard results merge in shard
@@ -131,29 +133,6 @@ func MonteCarloPhenomenologicalCtx(ctx context.Context, d int, p, q float64, rou
 	return DecoderResultFrom(failures, status), nil
 }
 
-// stDist is the space-time decoding metric: spatial Chebyshev distance plus
-// the time separation.
-func (m *matcher) stDist(a, b spacetimeNode) int {
-	dt := a.t - b.t
-	if dt < 0 {
-		dt = -dt
-	}
-	return m.dist(a.z, b.z) + dt
-}
-
-// stBoundary is the cost of terminating a detection event at the spatial
-// boundary (time boundaries are closed off by the final perfect round).
-func (m *matcher) stBoundary(a spacetimeNode) int {
-	return m.boundaryDist[a.z]
-}
-
-// decodeSpacetimeWith matches detection events (exact for <= 14 events,
-// greedy beyond) and applies the SPATIAL components of the matched paths as
-// data corrections.
-func (m *matcher) decodeSpacetimeWith(sc *decodeScratch, err []bool, events []spacetimeNode) {
-	m.match(sc, err, events, maxExactSpacetime)
-}
-
 // PhenomenologicalThresholdCtx locates the p = q crossing point of the d
 // and d+2 curves by bisection — the phenomenological threshold (literature:
 // ~2.9–3.3% for matching decoders). On cancellation it returns the current
@@ -161,6 +140,9 @@ func (m *matcher) decodeSpacetimeWith(sc *decodeScratch, err []bool, events []sp
 // completed bisection steps.
 func PhenomenologicalThresholdCtx(ctx context.Context, d, rounds, shots int, seed int64, opt simrun.Options) (ThresholdResult, error) {
 	if err := checkMCParams(d); err != nil {
+		return ThresholdResult{}, err
+	}
+	if err := checkMCParams(d + 2); err != nil { // the bisection's larger code
 		return ThresholdResult{}, err
 	}
 	lo, hi := 0.002, 0.1

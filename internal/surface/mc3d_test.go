@@ -2,10 +2,37 @@ package surface
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"testing"
 
+	"qisim/internal/simerr"
 	"qisim/internal/simrun"
 )
+
+// TestPhenomenologicalCoreRejects requires every parameter outside the
+// model, or past the bounds that keep one request's memory and time in
+// check, to fail as invalid config before any table is built.
+func TestPhenomenologicalCoreRejects(t *testing.T) {
+	for _, c := range []struct {
+		d      int
+		p, q   float64
+		rounds int
+	}{
+		{4, 0.01, 0.01, 3}, {1, 0.01, 0.01, 3}, {53, 0.01, 0.01, 3},
+		{5, 0.01, 0.01, 0}, {5, 0.01, 0.01, 1001},
+		{5, math.NaN(), 0.01, 3}, {5, -0.1, 0.01, 3}, {5, 1.5, 0.01, 3},
+		{5, 0.01, math.NaN(), 3}, {5, 0.01, -0.1, 3}, {5, 0.01, 1.5, 3},
+	} {
+		t.Run(fmt.Sprintf("d=%d_p=%v_q=%v_rounds=%d", c.d, c.p, c.q, c.rounds), func(t *testing.T) {
+			run, merge, err := PhenomenologicalCore(c.d, c.p, c.q, c.rounds)
+			if !errors.Is(err, simerr.ErrInvalidConfig) || run != nil || merge != nil {
+				t.Fatalf("got err %v, want ErrInvalidConfig and no core", err)
+			}
+		})
+	}
+}
 
 func TestPhenomenologicalReducesToCodeCapacity(t *testing.T) {
 	// With q = 0 and one round, the phenomenological model must match the

@@ -15,33 +15,49 @@ import (
 // for word.
 
 // syndrome computes the Z-stabilizer syndrome of an X-error pattern.
-func (m *matcher) syndrome(err []bool) []bool {
-	return m.syndromeInto(make([]bool, len(m.zAncillas)), err)
+func (g *graph) syndrome(err []bool) []bool {
+	return g.syndromeInto(make([]bool, len(g.b)), err)
 }
 
-// syndromeInto computes the syndrome into s (len(zAncillas)) and returns it.
-func (m *matcher) syndromeInto(s []bool, err []bool) []bool {
+// syndromeInto computes the syndrome into s (one entry per Z check) and
+// returns it.
+func (g *graph) syndromeInto(s []bool, err []bool) []bool {
 	clear(s)
 	for q, e := range err {
 		if !e {
 			continue
 		}
-		for _, z := range m.dataToZ[q] {
-			s[z] = !s[z]
+		for _, z := range g.edges[q] {
+			if z != boundary {
+				s[z] = !s[z]
+			}
 		}
 	}
 	return s
 }
 
-// refPhenomenologicalShard is the Float64-loop phenomenological sampler.
-func refPhenomenologicalShard(m *matcher, p, q float64, rounds int) simrun.ShardFunc[int] {
-	nd, nz := m.p.DataQubits(), len(m.zAncillas)
+// logicalParity reports whether an X-error pattern flips the logical qubit
+// of a distance-d patch: odd parity over the Z logical's support, data row 0
+// (qubits 0..d−1).
+func logicalParity(d int, err []bool) bool {
+	par := false
+	for _, e := range err[:d] {
+		par = par != e
+	}
+	return par
+}
+
+// refPhenomenologicalShard is the Float64-loop phenomenological sampler. It
+// keeps the data-qubit error array and counts a failure when the array's
+// logical parity differs from the matching's.
+func refPhenomenologicalShard(g *graph, p, q float64, rounds int) simrun.ShardFunc[int] {
+	nd, nz := len(g.edges), len(g.b)
 	return func(t *simrun.ShardTask) (int, int, error) {
 		errBuf := make([]bool, nd)
 		prevMeas := make([]bool, nz)
 		curTrue := make([]bool, nz)
 		var events []spacetimeNode
-		sc := m.newScratch()
+		sc := g.newScratch()
 		f := 0
 		for s := 0; t.Continue(s); s++ {
 			clear(errBuf)
@@ -53,7 +69,7 @@ func refPhenomenologicalShard(m *matcher, p, q float64, rounds int) simrun.Shard
 						errBuf[qb] = !errBuf[qb]
 					}
 				}
-				m.syndromeInto(curTrue, errBuf)
+				g.syndromeInto(curTrue, errBuf)
 				for z := 0; z < nz; z++ {
 					meas := curTrue[z]
 					if t.RNG.Float64() < q {
@@ -65,14 +81,13 @@ func refPhenomenologicalShard(m *matcher, p, q float64, rounds int) simrun.Shard
 					prevMeas[z] = meas
 				}
 			}
-			m.syndromeInto(curTrue, errBuf)
+			g.syndromeInto(curTrue, errBuf)
 			for z := 0; z < nz; z++ {
 				if curTrue[z] != prevMeas[z] {
 					events = append(events, spacetimeNode{z: z, t: rounds})
 				}
 			}
-			m.decodeSpacetimeWith(sc, errBuf, events)
-			if m.logicalFlip(errBuf) {
+			if g.match(sc, events, maxExactSpacetime) != logicalParity(g.d, errBuf) {
 				f++
 			}
 		}
@@ -80,12 +95,13 @@ func refPhenomenologicalShard(m *matcher, p, q float64, rounds int) simrun.Shard
 	}
 }
 
-// refCapacityShard is the Float64-loop code-capacity sampler.
-func refCapacityShard(m *matcher, p float64, decode func(sc *decodeScratch, err, syndrome []bool)) simrun.ShardFunc[int] {
-	nd := m.p.DataQubits()
+// refCapacityShard is the Float64-loop code-capacity sampler, with the
+// error array and failure rule of refPhenomenologicalShard.
+func refCapacityShard(g *graph, p float64, decoder func(sc *decodeScratch, syndrome []bool) bool) simrun.ShardFunc[int] {
+	nd := len(g.edges)
 	return func(t *simrun.ShardTask) (int, int, error) {
 		errBuf := make([]bool, nd)
-		sc := m.newScratch()
+		sc := g.newScratch()
 		f := 0
 		for i := 0; t.Continue(i); i++ {
 			anyErr := false
@@ -96,8 +112,7 @@ func refCapacityShard(m *matcher, p float64, decode func(sc *decodeScratch, err,
 			if !anyErr {
 				continue
 			}
-			decode(sc, errBuf, m.syndromeInto(sc.syn, errBuf))
-			if m.logicalFlip(errBuf) {
+			if decoder(sc, g.syndromeInto(sc.syn, errBuf)) != logicalParity(g.d, errBuf) {
 				f++
 			}
 		}
@@ -151,24 +166,24 @@ func TestSamplersEqualFloat64Reference(t *testing.T) {
 		{3, 2, 40, 0.1, 1}, {5, 3, 40, 0.6, 0.4},
 		{7, 7, simrun.DefaultShardSize, 0.005, 0.005}, // mc-decode's configuration and shard
 	} {
-		m := newMatcher(NewPatch(c.d))
+		g := newGraph(NewPatch(c.d))
 		run, _, err := PhenomenologicalCore(c.d, c.p, c.q, c.rounds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		name := fmt.Sprintf("phenomenological d=%d rounds=%d p=%v q=%v", c.d, c.rounds, c.p, c.q)
 		checkSamplerEqualsReference(t, name, c.shots, run,
-			refPhenomenologicalShard(m, c.p, c.q, c.rounds))
+			refPhenomenologicalShard(g, c.p, c.q, c.rounds))
 	}
 	for _, c := range []struct {
 		d int
 		p float64
 	}{{3, 0.05}, {5, 0.03}, {7, 0.04}, {3, 0.5}, {5, 1}} {
-		m := newMatcher(NewPatch(c.d))
+		g := newGraph(NewPatch(c.d))
 		name := fmt.Sprintf("d=%d p=%v", c.d, c.p)
-		checkSamplerEqualsReference(t, "code capacity "+name, 200, m.capacityShard(c.p, m.decodeWith),
-			refCapacityShard(m, c.p, m.decodeWith))
-		checkSamplerEqualsReference(t, "union-find "+name, 200, m.capacityShard(c.p, m.decodeUnionFindWith),
-			refCapacityShard(m, c.p, m.decodeUnionFindWith))
+		checkSamplerEqualsReference(t, "code capacity "+name, 200, g.capacityShard(c.p, g.decodeWith),
+			refCapacityShard(g, c.p, g.decodeWith))
+		checkSamplerEqualsReference(t, "union-find "+name, 200, g.capacityShard(c.p, g.decodeUnionFindWith),
+			refCapacityShard(g, c.p, g.decodeUnionFindWith))
 	}
 }

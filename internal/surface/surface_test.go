@@ -2,9 +2,11 @@ package surface
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"qisim/internal/simerr"
 	"qisim/internal/simrun"
 )
 
@@ -143,20 +145,17 @@ func TestESMLayersConflictFree(t *testing.T) {
 	}
 }
 
+// TestDecoderCorrectsAllSingleErrors requires the matching of every
+// single-qubit error's syndrome to flip the logical qubit exactly when the
+// error does. TestGraphTables checks the tables the matching reads.
 func TestDecoderCorrectsAllSingleErrors(t *testing.T) {
 	for _, d := range []int{3, 5, 7} {
-		p := NewPatch(d)
-		m := newMatcher(p)
-		for q := 0; q < p.DataQubits(); q++ {
-			err := make([]bool, p.DataQubits())
+		g := newGraph(NewPatch(d))
+		sc := g.newScratch()
+		for q := 0; q < d*d; q++ {
+			err := make([]bool, d*d)
 			err[q] = true
-			m.decode(err, m.syndrome(err))
-			for _, s := range m.syndrome(err) {
-				if s {
-					t.Fatalf("d=%d: residual syndrome after correcting single error at %d", d, q)
-				}
-			}
-			if m.logicalFlip(err) {
+			if g.decodeWith(sc, g.syndrome(err)) != logicalParity(d, err) {
 				t.Fatalf("d=%d: logical flip from a single error at %d", d, q)
 			}
 		}
@@ -165,15 +164,14 @@ func TestDecoderCorrectsAllSingleErrors(t *testing.T) {
 
 func TestDecoderDistanceProperty(t *testing.T) {
 	// A distance-5 code corrects every weight-2 error.
-	p := NewPatch(5)
-	m := newMatcher(p)
-	n := p.DataQubits()
+	g := newGraph(NewPatch(5))
+	sc := g.newScratch()
+	n := len(g.edges)
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			err := make([]bool, n)
 			err[a], err[b] = true, true
-			m.decode(err, m.syndrome(err))
-			if m.logicalFlip(err) {
+			if g.decodeWith(sc, g.syndrome(err)) != logicalParity(5, err) {
 				t.Fatalf("weight-2 error {%d,%d} caused a logical flip at d=5", a, b)
 			}
 		}
@@ -345,5 +343,27 @@ func TestThresholdEstimateBand(t *testing.T) {
 	// Code-capacity matching thresholds sit near 10%.
 	if th < 0.04 || th > 0.2 {
 		t.Fatalf("decoder threshold %.3f outside the plausible band", th)
+	}
+}
+
+// TestThresholdRejectsLargerCodeBeyondLimit requires both threshold
+// estimators to reject d = 51 up front, because their bisection also runs
+// d + 2 = 53, past the MC distance limit. The context is already cancelled,
+// so an estimator that started on d = 51 instead returns a truncated
+// estimate and no error.
+func TestThresholdRejectsLargerCodeBeyondLimit(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range map[string]func() (ThresholdResult, error){
+		"code capacity": func() (ThresholdResult, error) {
+			return ThresholdEstimateCtx(ctx, 51, 100, 1, simrun.Options{})
+		},
+		"phenomenological": func() (ThresholdResult, error) {
+			return PhenomenologicalThresholdCtx(ctx, 51, 3, 100, 1, simrun.Options{})
+		},
+	} {
+		if _, err := run(); !errors.Is(err, simerr.ErrInvalidConfig) {
+			t.Errorf("%s: d=51 gave error %v, want ErrInvalidConfig", name, err)
+		}
 	}
 }

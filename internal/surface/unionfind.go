@@ -42,17 +42,14 @@ func (u *unionFind) union(a, b int) {
 	}
 }
 
-// decodeUnionFind is the cluster-growth decoder (a simplified
+// decodeUnionFindWith is the cluster-growth decoder (a simplified
 // Delfosse–Nickerson union-find): defects grow balls of increasing radius;
 // overlapping balls merge into clusters; a cluster is neutral once it holds
 // an even number of defects or touches the lattice boundary. Neutral
 // clusters are then peeled: defects pair up inside the cluster, with one
-// defect routed to the boundary in odd boundary-touching clusters.
-func (m *matcher) decodeUnionFind(err []bool, syndrome []bool) {
-	m.decodeUnionFindWith(m.newScratch(), err, syndrome)
-}
-
-func (m *matcher) decodeUnionFindWith(sc *decodeScratch, err []bool, syndrome []bool) {
+// defect routed to the boundary in odd boundary-touching clusters. It
+// returns whether the correction flips the logical qubit.
+func (g *graph) decodeUnionFindWith(sc *decodeScratch, syndrome []bool) bool {
 	var defects []int
 	for z, s := range syndrome {
 		if s {
@@ -60,10 +57,11 @@ func (m *matcher) decodeUnionFindWith(sc *decodeScratch, err []bool, syndrome []
 		}
 	}
 	if len(defects) == 0 {
-		return
+		return false
 	}
-	uf := newUnionFind(len(m.zAncillas))
-	touchesBoundary := make([]bool, len(m.zAncillas))
+	nz := len(g.b)
+	uf := newUnionFind(nz)
+	touchesBoundary := make([]bool, nz)
 
 	neutral := func() bool {
 		count := map[int]int{}
@@ -83,14 +81,14 @@ func (m *matcher) decodeUnionFindWith(sc *decodeScratch, err []bool, syndrome []
 		return true
 	}
 
-	maxR := 2 * m.p.D
+	maxR := 2 * g.d
 	for r := 1; r <= maxR && !neutral(); r++ {
 		for i, a := range defects {
-			if m.boundaryDist[a] <= r {
+			if int(g.b[a]) <= r {
 				touchesBoundary[uf.find(a)] = true
 			}
 			for _, b := range defects[i+1:] {
-				if m.dist(a, b) <= 2*r {
+				if int(g.w[a*nz+b]) <= 2*r {
 					uf.union(a, b)
 				}
 			}
@@ -109,12 +107,14 @@ func (m *matcher) decodeUnionFindWith(sc *decodeScratch, err []bool, syndrome []
 		r := uf.find(d)
 		clusters[r] = append(clusters[r], spacetimeNode{z: d})
 	}
+	flip := false
 	for _, members := range clusters {
 		// Peel each (small) cluster with the exact local matcher — clusters
 		// bound the matching problem, which is what makes union-find fast
 		// while staying near matching accuracy.
-		m.match(sc, err, members, maxExactCapacity)
+		flip = flip != g.match(sc, members, maxExactCapacity)
 	}
+	return flip
 }
 
 // MonteCarloUnionFindCtx estimates the code-capacity logical error rate
@@ -127,8 +127,8 @@ func MonteCarloUnionFindCtx(ctx context.Context, d int, p float64, shots int, se
 	if err := checkMCParams(d, p); err != nil {
 		return DecoderResult{}, err
 	}
-	m := newMatcher(NewPatch(d)) // read-only after construction: shared across shards
-	failures, status, gerr := simrun.RunSharded(ctx, shots, seed, opt, m.capacityShard(p, m.decodeUnionFindWith),
+	g := newGraph(NewPatch(d)) // read-only after construction: shared across shards
+	failures, status, gerr := simrun.RunSharded(ctx, shots, seed, opt, g.capacityShard(p, g.decodeUnionFindWith),
 		func(dst *int, src int) { *dst += src })
 	if gerr != nil {
 		return DecoderResult{}, gerr

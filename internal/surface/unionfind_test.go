@@ -4,13 +4,12 @@ import "testing"
 
 func TestUnionFindCorrectsSingleErrors(t *testing.T) {
 	for _, d := range []int{3, 5, 7} {
-		patch := NewPatch(d)
-		m := newMatcher(patch)
-		for q := 0; q < patch.DataQubits(); q++ {
-			err := make([]bool, patch.DataQubits())
+		g := newGraph(NewPatch(d))
+		sc := g.newScratch()
+		for q := 0; q < d*d; q++ {
+			err := make([]bool, d*d)
 			err[q] = true
-			m.decodeUnionFind(err, m.syndrome(err))
-			if m.logicalFlip(err) {
+			if g.decodeUnionFindWith(sc, g.syndrome(err)) != logicalParity(d, err) {
 				t.Fatalf("d=%d: union-find failed on single error at %d", d, q)
 			}
 		}
