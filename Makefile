@@ -33,9 +33,9 @@ trace-demo:
 	@echo "trace written to qisim-trace.json — load it in chrome://tracing or https://ui.perfetto.dev"
 
 # Short fuzz smokes of the QASM parser, the checkpoint decoder, the dist
-# unit-result and lease-grant decoders, the job-journal record decoder and
-# the federated metrics-summary fold (longer runs on demand, e.g.
-# `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
+# unit-result and lease-grant decoders, the job-journal record decoder, the
+# federated metrics-summary fold and the job-submission decoder (longer runs
+# on demand, e.g. `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
 fuzz:
 	$(GO) test ./internal/qasm -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointDecode -fuzztime 30s
@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test ./internal/dist -fuzz FuzzLeaseGrant -fuzztime 30s
 	$(GO) test ./internal/jobs -fuzz FuzzJournalLine -fuzztime 30s
 	$(GO) test ./internal/metrics -fuzz FuzzSummary -fuzztime 30s
+	$(GO) test ./internal/service -fuzz FuzzJobRequest -fuzztime 30s
 
 # Smokes of the built binaries: a traced `qisim mc` run exports a non-empty
 # Chrome trace and `qisim-experiments` exports one too, qisimd prints the
@@ -72,15 +73,17 @@ serve:
 # the network. Every tracked Go file must be gofmt-clean. Every package
 # benchmark runs once, so none rots unnoticed. Every pinned report digest
 # is checked with one pulse-evolution lane and with more lanes than the
-# host has cores. The benchmark module is its own Go module, so the root
-# vet and suite skip it; it is vetted here, and its tests are a --quick run
-# of every workload with its output checks, reproduce's pinned digests
-# included.
+# host has cores, and the three experiments that fan their gate-error
+# evaluations out over goroutines run ten times under the race detector.
+# The benchmark module is its own Go module, so the root vet and suite skip
+# it; it is vetted here, and its tests are a --quick run of every workload
+# with its output checks, reproduce's pinned digests included.
 verify: vet build race fuzz smoke
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	cd bench && $(GO) vet ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run TestReproduceEveryExperiment -cpu 1,4 .
+	$(GO) test -race -count=10 -run 'TestReproduceEveryExperiment/^(table1|fig14|ablations)$$' .
 	cd bench && $(GO) test ./...
 
 clean:
@@ -91,7 +94,7 @@ help:
 	@echo "  build           compile everything with version stamping"
 	@echo "  test            run the full test suite"
 	@echo "  race            run the full test suite under the race detector"
-	@echo "  verify          the CI gate: vet + build + race + fuzz + gofmt + package benchmarks + pinned digests + bench/ vet and tests + smoke"
+	@echo "  verify          the CI gate: vet + build + race + fuzz + gofmt + package benchmarks + pinned digests + experiment fan-out race check + bench/ vet and tests + smoke"
 	@echo "  smoke           CLI smokes: trace export, build identity, exit 4 on a bad distance"
 	@echo "  trace-demo      record a Chrome trace of a parallel decoder run"
 	@echo "  serve           run the qisimd analysis service on :8080"

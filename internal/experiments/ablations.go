@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"qisim/internal/compile"
 	"qisim/internal/cyclesim"
@@ -22,28 +23,39 @@ import (
 )
 
 // Ablations runs the design-choice studies behind the eight optimisations
-// and returns one combined report. Individual studies are exported for the
-// tests and benchmarks. A pipeline failure in any study aborts the suite
-// with a wrapped error rather than a panic.
+// and returns one combined report, the studies in a fixed order. The studies
+// share nothing, so each runs on its own goroutine and writes only its own
+// slot; every study runs to completion, and the report is assembled after
+// all are joined. A pipeline failure in any study fails the suite with the
+// first failing study's wrapped error, in suite order, rather than a panic.
+// Individual studies are exported for the tests and benchmarks.
 func Ablations() (string, error) {
+	text := func(study func() string) func() (string, error) {
+		return func() (string, error) { return study(), nil }
+	}
+	studies := []func() (string, error){
+		text(AblationDRAG), text(AblationCZShape), text(AblationIQBits),
+		AblationMultiRoundRange, text(AblationFDM), AblationBS,
+		text(AblationSharing), text(AblationBottomUp), text(AblationLinkEnergy),
+	}
+	outs := make([]string, len(studies))
+	errs := make([]error, len(studies))
+	var wg sync.WaitGroup
+	for i, study := range studies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = study()
+		}()
+	}
+	wg.Wait()
 	var b strings.Builder
-	b.WriteString(AblationDRAG())
-	b.WriteString(AblationCZShape())
-	b.WriteString(AblationIQBits())
-	mr, err := AblationMultiRoundRange()
-	if err != nil {
-		return "", fmt.Errorf("experiments: ablation suite: %w", err)
+	for i, out := range outs {
+		if errs[i] != nil {
+			return "", fmt.Errorf("experiments: ablation suite: %w", errs[i])
+		}
+		b.WriteString(out)
 	}
-	b.WriteString(mr)
-	b.WriteString(AblationFDM())
-	bs, err := AblationBS()
-	if err != nil {
-		return "", fmt.Errorf("experiments: ablation suite: %w", err)
-	}
-	b.WriteString(bs)
-	b.WriteString(AblationSharing())
-	b.WriteString(AblationBottomUp())
-	b.WriteString(AblationLinkEnergy())
 	return b.String(), nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"qisim/internal/gateerror"
 	"qisim/internal/isa"
@@ -171,13 +172,21 @@ func Fig14() Fig14Result {
 	cfg := gateerror.DefaultCMOS1QConfig()
 	cfg.SNRdB = 0 // isolate quantisation, as Fig. 14(b) does
 	// The tune-up never reads Bits, so one calibration serves every depth.
+	// The depths share nothing else: each is evaluated on its own goroutine
+	// from its own copy of the config, into its own slot.
 	cal := gateerror.CalibrateCMOS1Q(cfg)
 	var floorGate float64
 	errs := make([]float64, len(bits))
+	var wg sync.WaitGroup
 	for i, bt := range bits {
-		cfg.Bits = bt
-		errs[i] = gateerror.CMOS1QError(cfg, cal).Error
+		wg.Add(1)
+		go func(cfg gateerror.CMOS1QConfig) {
+			defer wg.Done()
+			cfg.Bits = bt
+			errs[i] = gateerror.CMOS1QError(cfg, cal).Error
+		}(cfg)
 	}
+	wg.Wait()
 	floorGate = errs[len(errs)-1]
 	d := microarch.CMOS4KBaseline()
 	var floorLog float64

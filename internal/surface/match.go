@@ -12,12 +12,20 @@ const (
 
 // decodeScratch is the per-shard reusable state of the decoders: the
 // syndrome and event buffers, the exact matcher's per-decode cost tables
-// and memo, and the greedy matcher's used set. A decode against a warm
-// scratch allocates nothing.
+// and memo, the greedy matcher's used set, and the union-find decoder's
+// clusters. A decode against a warm scratch allocates nothing.
 type decodeScratch struct {
 	syn    []bool
 	events []spacetimeNode
 	used   []bool
+
+	// The union-find decoder's own buffers, apart from the ones match uses:
+	// the defects' nodes in ascending order, their forest, each root's
+	// defect-count parity and boundary contact, and the cluster it peels.
+	defects      []int
+	uf           unionFind
+	odd, touches []bool
+	members      []spacetimeNode
 
 	// Per decode: each event's boundary cost, the pair costs (i < j), and
 	// each event's useful partners, those strictly cheaper to join than to

@@ -163,7 +163,8 @@ func TestMatchTies(t *testing.T) {
 }
 
 // TestDecodeWarmAllocs pins a decode against warm scratch at zero
-// allocations on both paths, each at its exact cap.
+// allocations on both matching paths, each at its exact cap, and on the
+// union-find decoder with as many defects.
 func TestDecodeWarmAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := newGraph(NewPatch(7))
@@ -177,6 +178,7 @@ func TestDecodeWarmAllocs(t *testing.T) {
 	for name, decode := range map[string]func(){
 		"code-capacity": func() { g.decodeWith(sc, syn) },
 		"space-time":    func() { g.match(sc, ev, maxExactSpacetime) },
+		"union-find":    func() { g.decodeUnionFindWith(sc, syn) },
 	} {
 		decode()
 		if a := testing.AllocsPerRun(20, decode); a != 0 {

@@ -6,18 +6,21 @@ import (
 	"qisim/internal/simrun"
 )
 
-// unionFind is a plain disjoint-set forest.
+// unionFind is a disjoint-set forest whose roots are each set's lowest
+// element. The zero value is ready for reset.
 type unionFind struct {
 	parent []int
-	rank   []int
 }
 
-func newUnionFind(n int) *unionFind {
-	u := &unionFind{parent: make([]int, n), rank: make([]int, n)}
+// reset makes the forest n singletons, reusing its buffer.
+func (u *unionFind) reset(n int) {
+	if cap(u.parent) < n {
+		u.parent = make([]int, n)
+	}
+	u.parent = u.parent[:n]
 	for i := range u.parent {
 		u.parent[i] = i
 	}
-	return u
 }
 
 func (u *unionFind) find(x int) int {
@@ -30,16 +33,10 @@ func (u *unionFind) find(x int) int {
 
 func (u *unionFind) union(a, b int) {
 	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	if u.rank[ra] < u.rank[rb] {
+	if ra > rb {
 		ra, rb = rb, ra
 	}
 	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
 }
 
 // decodeUnionFindWith is the cluster-growth decoder (a simplified
@@ -48,73 +45,80 @@ func (u *unionFind) union(a, b int) {
 // an even number of defects or touches the lattice boundary. Neutral
 // clusters are then peeled: defects pair up inside the cluster, with one
 // defect routed to the boundary in odd boundary-touching clusters. It
-// returns whether the correction flips the logical qubit.
+// returns whether the correction flips the logical qubit. The forest is
+// over the defects' positions in the syndrome order, and a decode against a
+// warm scratch allocates nothing.
 func (g *graph) decodeUnionFindWith(sc *decodeScratch, syndrome []bool) bool {
-	var defects []int
+	defects := sc.defects[:0]
 	for z, s := range syndrome {
 		if s {
 			defects = append(defects, z)
 		}
 	}
-	if len(defects) == 0 {
+	sc.defects = defects
+	n, nz := len(defects), len(g.b)
+	if n == 0 {
 		return false
 	}
-	nz := len(g.b)
-	uf := newUnionFind(nz)
-	touchesBoundary := make([]bool, nz)
-
-	neutral := func() bool {
-		count := map[int]int{}
-		bnd := map[int]bool{}
-		for _, d := range defects {
-			r := uf.find(d)
-			count[r]++
-			if touchesBoundary[r] {
-				bnd[r] = true
-			}
-		}
-		for r, c := range count {
-			if c%2 == 1 && !bnd[r] {
-				return false
-			}
-		}
-		return true
+	if len(sc.odd) < n {
+		sc.odd, sc.touches = make([]bool, n), make([]bool, n)
 	}
+	sc.uf.reset(n)
 
+	// At radius r two defects join when their path is at most 2r long.
 	maxR := 2 * g.d
-	for r := 1; r <= maxR && !neutral(); r++ {
+	for r := 1; r <= maxR; r++ {
 		for i, a := range defects {
-			if int(g.b[a]) <= r {
-				touchesBoundary[uf.find(a)] = true
-			}
-			for _, b := range defects[i+1:] {
-				if int(g.w[a*nz+b]) <= 2*r {
-					uf.union(a, b)
+			for j := i + 1; j < n; j++ {
+				if int(g.w[a*nz+defects[j]]) <= 2*r {
+					sc.uf.union(i, j)
 				}
 			}
 		}
-		// Propagate boundary contact to merged roots.
-		for _, a := range defects {
-			if touchesBoundary[a] {
-				touchesBoundary[uf.find(a)] = true
-			}
+		if g.neutral(sc, r) {
+			break
 		}
 	}
 
-	// Peel each cluster: pair defects; route a leftover to the boundary.
-	clusters := map[int][]spacetimeNode{}
-	for _, d := range defects {
-		r := uf.find(d)
-		clusters[r] = append(clusters[r], spacetimeNode{z: d})
-	}
+	// Peel each cluster, in order of its first defect, with the exact local
+	// matcher — clusters bound the matching problem, which is what makes
+	// union-find fast while staying near matching accuracy. The clusters'
+	// parities are XORed, so their order cannot change the result.
 	flip := false
-	for _, members := range clusters {
-		// Peel each (small) cluster with the exact local matcher — clusters
-		// bound the matching problem, which is what makes union-find fast
-		// while staying near matching accuracy.
+	for i := range defects {
+		if sc.uf.find(i) != i {
+			continue
+		}
+		members := sc.members[:0]
+		for j := i; j < n; j++ {
+			if sc.uf.find(j) == i {
+				members = append(members, spacetimeNode{z: defects[j]})
+			}
+		}
+		sc.members = members
 		flip = flip != g.match(sc, members, maxExactCapacity)
 	}
 	return flip
+}
+
+// neutral reports whether every cluster of the forest is neutral at growth
+// radius r: it holds an even number of defects, or one of its defects lies
+// within r of the boundary.
+func (g *graph) neutral(sc *decodeScratch, r int) bool {
+	odd, touches := sc.odd[:len(sc.defects)], sc.touches[:len(sc.defects)]
+	clear(odd)
+	clear(touches)
+	for i, z := range sc.defects {
+		root := sc.uf.find(i)
+		odd[root] = !odd[root]
+		touches[root] = touches[root] || int(g.b[z]) <= r
+	}
+	for root, o := range odd {
+		if o && !touches[root] {
+			return false
+		}
+	}
+	return true
 }
 
 // MonteCarloUnionFindCtx estimates the code-capacity logical error rate

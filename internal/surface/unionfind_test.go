@@ -41,7 +41,8 @@ func TestUnionFindVsMatchingAccuracy(t *testing.T) {
 }
 
 func TestUnionFindDataStructure(t *testing.T) {
-	u := newUnionFind(8)
+	var u unionFind
+	u.reset(8)
 	u.union(0, 1)
 	u.union(2, 3)
 	u.union(1, 3)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"qisim/internal/cmos"
 	"qisim/internal/compile"
@@ -119,14 +120,30 @@ func Fig10SFQ() (freq, power []Row) {
 }
 
 // Table1GateErrors validates the five error models against the references of
-// Table 1 (the reference column is verbatim from the paper).
+// Table 1 (the reference column is verbatim from the paper). The three
+// gate-error pipelines share nothing, so each runs, calibration included,
+// on its own goroutine with its own model; all are joined before the rows
+// are built.
 func Table1GateErrors() []Row {
-	cmosCfg := gateerror.DefaultCMOS1QConfig()
-	cmos1q := gateerror.CMOS1QError(cmosCfg, gateerror.CalibrateCMOS1Q(cmosCfg)).Error
-	cmos1qDec := gateerror.WithDecoherence(cmos1q, 25e-9, 280e-6, 175e-6)
-	sfq1q := gateerror.SFQ1QError(gateerror.ValidationSFQ1QConfig()).Error
-	czCfg := gateerror.DefaultSFQCZConfig()
-	cz := gateerror.CZError(czCfg, gateerror.CalibrateCZ(czCfg)).Error
+	var cmos1qDec, sfq1q, cz float64
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		cfg := gateerror.DefaultCMOS1QConfig()
+		cmos1q := gateerror.CMOS1QError(cfg, gateerror.CalibrateCMOS1Q(cfg)).Error
+		cmos1qDec = gateerror.WithDecoherence(cmos1q, 25e-9, 280e-6, 175e-6)
+	}()
+	go func() {
+		defer wg.Done()
+		sfq1q = gateerror.SFQ1QError(gateerror.ValidationSFQ1QConfig()).Error
+	}()
+	go func() {
+		defer wg.Done()
+		cfg := gateerror.DefaultSFQCZConfig()
+		cz = gateerror.CZError(cfg, gateerror.CalibrateCZ(cfg)).Error
+	}()
+	wg.Wait()
 	// CMOS readout incl. decoherence vs ibm_washington Q117: the bin-count
 	// model with the reference machine's T1 folded into the decay channel.
 	roChain := defaultWashingtonChain()
