@@ -8,7 +8,7 @@ LDFLAGS  = -X qisim/internal/buildinfo.Version=$(VERSION) \
            -X qisim/internal/buildinfo.Commit=$(COMMIT) \
            -X qisim/internal/buildinfo.Date=$(DATE)
 
-.PHONY: all build test vet race fuzz smoke serve trace-demo verify clean help
+.PHONY: all build test vet race fuzz smoke unlinked serve trace-demo verify clean help
 
 all: build
 
@@ -64,13 +64,21 @@ smoke:
 	exits4 "$$dir/esmgen" -d 4; \
 	exits4 "$$dir/qisim" mc -d 53
 
+# Every non-test function must be linked into one of the repository's
+# binaries (cmd/*, examples/* and bench/, built with inlining off into a
+# temporary directory) or be listed, with its reason, in linkcheck_test.go;
+# a listed function that is now linked or gone fails too. -v logs the count.
+unlinked:
+	$(GO) test -tags linkcheck -run '^TestEveryFunctionLinked$$' -count=1 .
+
 # Build and run the qisimd analysis service on :8080 with version stamping.
 serve:
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/qisimd -addr :8080
 
 # The CI gate: everything that must be green before a change lands; CI
 # runs this target, then the dependency-vulnerability scan, which needs
-# the network. Every tracked Go file must be gofmt-clean. Every package
+# the network. Every tracked Go file must be gofmt-clean, and every
+# non-test function linked or listed (`make unlinked`). Every package
 # benchmark runs once, so none rots unnoticed. Every pinned report digest
 # is checked with one pulse-evolution lane and with more lanes than the
 # host has cores, and the three experiments that fan their gate-error
@@ -78,7 +86,7 @@ serve:
 # The benchmark module is its own Go module, so the root vet and suite skip
 # it; it is vetted here, and its tests are a --quick run of every workload
 # with its output checks, reproduce's pinned digests included.
-verify: vet build race fuzz smoke
+verify: vet build race fuzz smoke unlinked
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	cd bench && $(GO) vet ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
@@ -94,7 +102,8 @@ help:
 	@echo "  build           compile everything with version stamping"
 	@echo "  test            run the full test suite"
 	@echo "  race            run the full test suite under the race detector"
-	@echo "  verify          the CI gate: vet + build + race + fuzz + gofmt + package benchmarks + pinned digests + experiment fan-out race check + bench/ vet and tests + smoke"
+	@echo "  verify          the CI gate: vet + build + race + fuzz + gofmt + package benchmarks + pinned digests + experiment fan-out race check + bench/ vet and tests + smoke + unlinked"
 	@echo "  smoke           CLI smokes: trace export, build identity, exit 4 on a bad distance"
+	@echo "  unlinked        every non-test function is linked into a binary or listed in linkcheck_test.go"
 	@echo "  trace-demo      record a Chrome trace of a parallel decoder run"
 	@echo "  serve           run the qisimd analysis service on :8080"

@@ -275,14 +275,3 @@ func (c *counters) snapshot() Stats {
 		FaultAbort:     c.abort.Load(),
 	}
 }
-
-// Injected sums every fault injection in the snapshot (requests excluded).
-func (s Stats) Injected() int64 {
-	var total int64
-	for k, v := range s {
-		if k != "requests" {
-			total += v
-		}
-	}
-	return total
-}

@@ -18,29 +18,6 @@ type errInjected struct{ fault string }
 
 func (e errInjected) Error() string { return "chaos: injected " + e.fault }
 
-// IsInjected reports whether err came from a chaos Transport or Middleware
-// (tests use it to tell injected faults from real ones).
-func IsInjected(err error) bool {
-	var ei errInjected
-	return err != nil && (errorsAs(err, &ei))
-}
-
-// errorsAs is a tiny local errors.As to keep the import set flat.
-func errorsAs(err error, target *errInjected) bool {
-	for err != nil {
-		if e, ok := err.(errInjected); ok {
-			*target = e
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
 // Transport is the client-side half of the chaos layer: an
 // http.RoundTripper that applies the spec's fault schedule to every
 // request. Wrap the dist client's HTTP transport with it to simulate a

@@ -30,22 +30,8 @@ func finiteC(v complex128) bool {
 		!math.IsNaN(imag(v)) && !math.IsInf(imag(v), 0)
 }
 
-// CheckFinite returns a typed ErrNumerical naming op when the matrix
-// contains a NaN/Inf entry, nil otherwise.
-func CheckFinite(op string, m *Matrix) error {
-	if m == nil {
-		return simerr.Numericalf("cmath: %s: nil matrix", op)
-	}
-	for i, v := range m.Data {
-		if !finiteC(v) {
-			return simerr.Numericalf("cmath: %s: non-finite entry (%v) at [%d,%d]",
-				op, v, i/m.Cols, i%m.Cols)
-		}
-	}
-	return nil
-}
-
-// CheckFiniteVec is CheckFinite for state vectors.
+// CheckFiniteVec returns a typed ErrNumerical naming op when the state
+// vector has a NaN/Inf amplitude, nil otherwise.
 func CheckFiniteVec(op string, v []complex128) error {
 	for i, x := range v {
 		if !finiteC(x) {
@@ -55,7 +41,7 @@ func CheckFiniteVec(op string, v []complex128) error {
 	return nil
 }
 
-// CheckFiniteScalar is CheckFinite for real scalars (fidelities, error
+// CheckFiniteScalar is CheckFiniteVec for real scalars (fidelities, error
 // rates, power figures).
 func CheckFiniteScalar(op string, x float64) error {
 	if math.IsNaN(x) || math.IsInf(x, 0) {

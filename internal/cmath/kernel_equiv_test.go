@@ -198,6 +198,11 @@ func czGenerator() *Matrix {
 	return Scale(complex(0, -ts), h)
 }
 
+// ExpmInto is ExpmNormInto at m's own one-norm, the scaling Expm uses: the
+// workspace path TestExpmWorkspaceMatchesExpm and BenchmarkExpmInto
+// compare with Expm.
+func (w *ExpmWorkspace) ExpmInto(dst, m *Matrix) { w.ExpmNormInto(dst, m, m.OneNorm()) }
+
 func TestExpmWorkspaceMatchesExpm(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	var w ExpmWorkspace

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"strings"
 )
 
 // Matrix is a dense, row-major complex matrix.
@@ -200,17 +199,6 @@ func Trace(m *Matrix) complex128 {
 	return t
 }
 
-// MaxAbs returns the largest element magnitude, used for exponential scaling.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := cmplx.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // OneNorm returns the maximum absolute column sum.
 func (m *Matrix) OneNorm() float64 {
 	var mx float64
@@ -339,23 +327,22 @@ func (w *ExpmWorkspace) ensure(n int) {
 	}
 }
 
-// ExpmInto computes dst = exp(m) using the workspace's scratch buffers. The
-// operation sequence replays Expm's, except that the Taylor products skip
-// the scaled generator's zero entries: each output element still adds its
-// k-terms in ascending k, and a skipped term is an exact zero, which cannot
-// change an accumulator that starts at +0. So for finite m the result is
-// bit-identical to the allocating path; NaN and Inf entries are not zero,
-// so a non-finite m still gives a non-finite result. dst may alias m; it
-// must not be a workspace buffer.
-func (w *ExpmWorkspace) ExpmInto(dst, m *Matrix) { w.ExpmNormInto(dst, m, m.OneNorm()) }
-
-// ExpmNormInto is ExpmInto with the one-norm that sets the scaling exponent
-// taken from the caller instead of from m. Given a diagonal block of a
-// block-diagonal matrix and the whole matrix's one-norm, it computes that
-// block of the whole matrix's exponential bit for bit: every Taylor term
-// and squaring of a block-diagonal matrix is block-diagonal, and each
-// in-block entry adds the same nonzero products in the same ascending
-// order, since the zero tests skip every out-of-block term.
+// ExpmNormInto computes dst = exp(m) using the workspace's scratch buffers,
+// with the one-norm that sets the scaling exponent taken from the caller.
+// Given m.OneNorm(), the operation sequence replays Expm's, except that the
+// Taylor products skip the scaled generator's zero entries: each output
+// element still adds its k-terms in ascending k, and a skipped term is an
+// exact zero, which cannot change an accumulator that starts at +0. So for
+// finite m the result is bit-identical to Expm; NaN and Inf entries are not
+// zero, so a non-finite m still gives a non-finite result. dst may alias m;
+// it must not be a workspace buffer.
+//
+// Given a diagonal block of a block-diagonal matrix and the whole matrix's
+// one-norm, it computes that block of the whole matrix's exponential bit
+// for bit: every Taylor term and squaring of a block-diagonal matrix is
+// block-diagonal, and each in-block entry adds the same nonzero products in
+// the same ascending order, since the zero tests skip every out-of-block
+// term.
 func (w *ExpmWorkspace) ExpmNormInto(dst, m *Matrix, norm float64) {
 	if !m.IsSquare() {
 		panic("cmath: Expm of non-square matrix")
@@ -468,19 +455,6 @@ func IsUnitary(m *Matrix, tol float64) bool {
 	p := Mul(Dagger(m), m)
 	dev := Sub(p, Identity(m.Rows))
 	return dev.FrobeniusNorm() < tol
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			v := m.At(i, j)
-			fmt.Fprintf(&b, "(%+.4f%+.4fi) ", real(v), imag(v))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 func mustSameShape(a, b *Matrix, op string) {

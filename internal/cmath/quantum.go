@@ -10,18 +10,8 @@ func PauliX() *Matrix {
 	return FromRows([][]complex128{{0, 1}, {1, 0}})
 }
 
-func PauliY() *Matrix {
-	return FromRows([][]complex128{{0, -1i}, {1i, 0}})
-}
-
 func PauliZ() *Matrix {
 	return FromRows([][]complex128{{1, 0}, {0, -1}})
-}
-
-// Hadamard returns the single-qubit Hadamard gate.
-func Hadamard() *Matrix {
-	s := complex(1/math.Sqrt2, 0)
-	return FromRows([][]complex128{{s, s}, {s, -s}})
 }
 
 // Rx returns the rotation exp(-i θ X / 2).
@@ -53,16 +43,6 @@ func CZ() *Matrix {
 	return m
 }
 
-// CNOT returns the two-qubit controlled-X gate (control = qubit 0).
-func CNOT() *Matrix {
-	m := Identity(4)
-	m.Set(2, 2, 0)
-	m.Set(3, 3, 0)
-	m.Set(2, 3, 1)
-	m.Set(3, 2, 1)
-	return m
-}
-
 // Destroy returns the truncated annihilation operator on n levels.
 func Destroy(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -74,36 +54,6 @@ func Destroy(n int) *Matrix {
 
 // Create returns the truncated creation operator on n levels.
 func Create(n int) *Matrix { return Dagger(Destroy(n)) }
-
-// NumberOp returns the truncated number operator diag(0, 1, ..., n-1).
-func NumberOp(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, complex(float64(i), 0))
-	}
-	return m
-}
-
-// Projector returns |k><k| on an n-level system.
-func Projector(n, k int) *Matrix {
-	m := NewMatrix(n, n)
-	m.Set(k, k, 1)
-	return m
-}
-
-// EmbedQubit lifts a 2x2 qubit operator into the first two levels of an
-// n-level system (identity on the leakage levels).
-func EmbedQubit(u *Matrix, n int) *Matrix {
-	if u.Rows != 2 || u.Cols != 2 {
-		panic("cmath: EmbedQubit requires a 2x2 input")
-	}
-	m := Identity(n)
-	m.Set(0, 0, u.At(0, 0))
-	m.Set(0, 1, u.At(0, 1))
-	m.Set(1, 0, u.At(1, 0))
-	m.Set(1, 1, u.At(1, 1))
-	return m
-}
 
 // QubitSubspace extracts the 2x2 computational-basis block of an n-level
 // operator. For two coupled d-level systems use QubitSubspace2.

@@ -13,7 +13,6 @@
 package cmos
 
 import (
-	"fmt"
 	"log/slog"
 	"math"
 
@@ -67,9 +66,6 @@ func Cryo4K() Conditions { return Conditions{TempK: 4, VddScale: 1, PowerGated: 
 
 // Advanced4K returns the long-term voltage-scaled point (power /16).
 func Advanced4K() Conditions { return Conditions{TempK: 4, VddScale: 0.25, PowerGated: true} }
-
-// Room300K returns the room-temperature point (for 300 K QCIs).
-func Room300K() Conditions { return Conditions{TempK: 300, VddScale: 1} }
 
 // powerScale: dynamic power goes with Vdd²; the paper's 16x headline is the
 // joint Vdd+Vth scaling to a quarter of nominal (0.25² → 1/16).
@@ -146,15 +142,6 @@ func (c Circuit) DigitalPower(n Node, cond Conditions, f float64, bits int) floa
 // TotalPower is digital + analog.
 func (c Circuit) TotalPower(n Node, cond Conditions, f float64, bits int) float64 {
 	return c.DigitalPower(n, cond, f, bits) + c.AnalogW
-}
-
-// PerQubitPower divides by the FDM degree.
-func (c Circuit) PerQubitPower(n Node, cond Conditions, f float64, bits int) float64 {
-	return c.TotalPower(n, cond, f, bits) / float64(c.Qubits)
-}
-
-func (c Circuit) String() string {
-	return fmt.Sprintf("%s{%d components, %d qubits}", c.Name, len(c.Components), c.Qubits)
 }
 
 // DriveCircuit builds the 4 K CMOS drive circuit digital part (Fig. 4(a-b)):

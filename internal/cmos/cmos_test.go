@@ -103,7 +103,7 @@ func TestNodeScalingOrdering(t *testing.T) {
 
 func TestStaticPowerByTemperature(t *testing.T) {
 	comp := Component{Name: "x", Gates: 1000, Activity: 0.2}
-	s300, d300 := comp.Power(Node22, Room300K(), 2.5e9, 14)
+	s300, d300 := comp.Power(Node22, Conditions{TempK: 300, VddScale: 1}, 2.5e9, 14)
 	if s300 <= 0 || math.Abs(s300-0.30*d300) > 1e-12 {
 		t.Fatalf("300 K static should be 30%% of dynamic, got %v vs %v", s300, d300)
 	}

@@ -1,15 +1,10 @@
 // Package cryo models the dilution refrigerator's temperature stages and
 // their cooling budgets (Table 2: 1.5 W at 4 K, 200 µW at 100 mK, 20 µW at
-// 20 mK), and reports per-stage utilisation for a candidate QCI design.
+// 20 mK). scalability.Analyze divides each stage's budget by the design's
+// per-qubit power at that stage to find the qubit limit.
 package cryo
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"qisim/internal/wiring"
-)
+import "qisim/internal/wiring"
 
 // Budgets carries the cooling capacity of each stage in watts.
 type Budgets map[wiring.Stage]float64
@@ -29,65 +24,4 @@ func ExtendedBudgets() Budgets {
 	b := DefaultBudgets()
 	b[wiring.Stage70K] = 30
 	return b
-}
-
-// Report is the per-stage power accounting of one design point.
-type Report struct {
-	Budgets Budgets
-	// PowerW is the total dissipation per stage.
-	PowerW map[wiring.Stage]float64
-}
-
-// NewReport returns an empty report against the given budgets.
-func NewReport(b Budgets) *Report {
-	return &Report{Budgets: b, PowerW: make(map[wiring.Stage]float64)}
-}
-
-// Add accumulates power at a stage.
-func (r *Report) Add(s wiring.Stage, w float64) { r.PowerW[s] += w }
-
-// Utilization returns power/budget for a stage.
-func (r *Report) Utilization(s wiring.Stage) float64 {
-	b := r.Budgets[s]
-	if b <= 0 {
-		return 0
-	}
-	return r.PowerW[s] / b
-}
-
-// WithinBudget reports whether every stage is at or below capacity.
-func (r *Report) WithinBudget() bool {
-	for s, b := range r.Budgets {
-		if r.PowerW[s] > b {
-			return false
-		}
-	}
-	return true
-}
-
-// BindingStage returns the stage with the highest utilisation.
-func (r *Report) BindingStage() wiring.Stage {
-	best := wiring.Stage4K
-	bu := -1.0
-	for s := range r.Budgets {
-		if u := r.Utilization(s); u > bu {
-			bu, best = u, s
-		}
-	}
-	return best
-}
-
-// String renders the report.
-func (r *Report) String() string {
-	stages := make([]wiring.Stage, 0, len(r.Budgets))
-	for s := range r.Budgets {
-		stages = append(stages, s)
-	}
-	sort.Slice(stages, func(i, j int) bool { return stages[i] < stages[j] })
-	var b strings.Builder
-	for _, s := range stages {
-		fmt.Fprintf(&b, "%-6s %12.4g W / %8.4g W (%.1f%%)\n",
-			s, r.PowerW[s], r.Budgets[s], 100*r.Utilization(s))
-	}
-	return b.String()
 }

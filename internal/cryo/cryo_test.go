@@ -1,8 +1,6 @@
 package cryo
 
 import (
-	"math"
-	"strings"
 	"testing"
 
 	"qisim/internal/wiring"
@@ -12,43 +10,6 @@ func TestDefaultBudgetsTable2(t *testing.T) {
 	b := DefaultBudgets()
 	if b[wiring.Stage4K] != 1.5 || b[wiring.Stage100mK] != 200e-6 || b[wiring.Stage20mK] != 20e-6 {
 		t.Fatalf("budgets %+v do not match Table 2", b)
-	}
-}
-
-func TestReportAccumulation(t *testing.T) {
-	r := NewReport(DefaultBudgets())
-	r.Add(wiring.Stage4K, 0.5)
-	r.Add(wiring.Stage4K, 0.25)
-	if math.Abs(r.Utilization(wiring.Stage4K)-0.5) > 1e-12 {
-		t.Fatalf("utilisation = %v, want 0.5", r.Utilization(wiring.Stage4K))
-	}
-	if !r.WithinBudget() {
-		t.Fatal("should be within budget")
-	}
-	r.Add(wiring.Stage20mK, 25e-6)
-	if r.WithinBudget() {
-		t.Fatal("20mK stage is over budget")
-	}
-	if r.BindingStage() != wiring.Stage20mK {
-		t.Fatalf("binding stage = %v, want 20mK", r.BindingStage())
-	}
-}
-
-func TestReportString(t *testing.T) {
-	r := NewReport(DefaultBudgets())
-	r.Add(wiring.Stage100mK, 100e-6)
-	s := r.String()
-	if !strings.Contains(s, "100mK") || !strings.Contains(s, "50.0%") {
-		t.Fatalf("report rendering missing fields:\n%s", s)
-	}
-}
-
-func TestEmptyReportBindingStage(t *testing.T) {
-	r := NewReport(DefaultBudgets())
-	// With zero power everywhere any stage ties at 0; must not panic.
-	_ = r.BindingStage()
-	if !r.WithinBudget() {
-		t.Fatal("empty report must be within budget")
 	}
 }
 

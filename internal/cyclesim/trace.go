@@ -53,10 +53,3 @@ func (t Trace) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(t)
 }
-
-// ParseTrace reads a trace back (for tooling round trips).
-func ParseTrace(r io.Reader) (Trace, error) {
-	var t Trace
-	err := json.NewDecoder(r).Decode(&t)
-	return t, err
-}

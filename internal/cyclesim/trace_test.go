@@ -2,6 +2,7 @@ package cyclesim
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"testing/quick"
 
@@ -20,8 +21,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseTrace(&buf)
-	if err != nil {
+	var back Trace
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	if back.TotalNS != tr.TotalNS || len(back.Events) != len(tr.Events) {

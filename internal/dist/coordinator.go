@@ -341,18 +341,6 @@ func (c *Coordinator) Register(_ context.Context, info WorkerInfo) error {
 	return nil
 }
 
-// MarkDraining flags a worker as draining: its leases stay valid but are
-// no longer renewable and it receives no new grants. Used by the probe
-// loop (readyz 503 "draining") and by in-process drain notification.
-func (c *Coordinator) MarkDraining(workerID string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if w := c.workers[workerID]; w != nil {
-		w.draining = true
-	}
-	c.cond.Broadcast()
-}
-
 // liveWorkerLocked reports whether at least one registered worker can
 // accept new grants.
 func (c *Coordinator) liveWorkerLocked() bool {

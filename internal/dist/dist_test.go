@@ -12,6 +12,18 @@ import (
 	"qisim/internal/simrun"
 )
 
+// MarkDraining flags a worker as draining, as the probe loop does when the
+// worker's readyz answers "draining": its leases stay valid but are no
+// longer renewable and it receives no new grants.
+func (c *Coordinator) MarkDraining(workerID string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w := c.workers[workerID]; w != nil {
+		w.draining = true
+	}
+	c.cond.Broadcast()
+}
+
 // toyCore builds a deterministic int-sum core whose per-shard result
 // encodes the shard identity, so any reordering, double-count, or replay
 // shows up in the folded sum.

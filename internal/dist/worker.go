@@ -113,10 +113,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{cfg: cfg, rnd: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
-// Executions returns how many units this worker fully executed (claimed,
-// ran to completion, and attempted to report).
-func (w *Worker) Executions() int64 { return w.execs.Load() }
-
 // WorkerStats is a snapshot of the worker loop's lifetime counters.
 type WorkerStats struct {
 	// Claims counts granted leases; Executions the units run to
@@ -140,9 +136,6 @@ func (w *Worker) Stats() WorkerStats {
 // what it holds (its lease stays valid but non-renewable once the
 // coordinator notices the drain), reports, and Run returns.
 func (w *Worker) Drain() { w.draining.Store(true) }
-
-// Draining reports whether Drain was called.
-func (w *Worker) Draining() bool { return w.draining.Load() }
 
 // Run registers and then loops claim → execute → report until ctx is done
 // or Drain is called. Each in-flight unit is heartbeat-renewed at TTL/3; a

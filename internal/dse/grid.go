@@ -9,9 +9,7 @@
 package dse
 
 import (
-	"encoding/json"
 	"math"
-	"sort"
 
 	"qisim/internal/simerr"
 )
@@ -177,19 +175,6 @@ func (g Grid) Expanded() ([][]any, error) {
 	return vals, nil
 }
 
-// Size returns the number of grid points, or an error if the grid is invalid.
-func (g Grid) Size() (int, error) {
-	vals, err := g.Expanded()
-	if err != nil {
-		return 0, err
-	}
-	n := 1
-	for _, v := range vals {
-		n *= len(v)
-	}
-	return n, nil
-}
-
 // Point is one coordinate of the grid: its row-major index plus the
 // axis-name → value map.
 type Point struct {
@@ -220,33 +205,4 @@ func (g Grid) Points() ([]Point, error) {
 		pts[idx] = Point{Index: idx, Coords: coords}
 	}
 	return pts, nil
-}
-
-// CanonicalParams renders a point's coordinates as canonical JSON (sorted
-// keys, stable number formatting) — the form embedded in child-job params
-// and in frontier snapshots so byte-identity claims hold end to end.
-func (p Point) CanonicalParams() (json.RawMessage, error) {
-	keys := make([]string, 0, len(p.Coords))
-	for k := range p.Coords {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buf := []byte{'{'}
-	for i, k := range keys {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		kb, err := json.Marshal(k)
-		if err != nil {
-			return nil, err
-		}
-		vb, err := json.Marshal(p.Coords[k])
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, kb...)
-		buf = append(buf, ':')
-		buf = append(buf, vb...)
-	}
-	return append(buf, '}'), nil
 }

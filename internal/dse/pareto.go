@@ -150,9 +150,6 @@ func (f *Frontier) PruneBound(bound map[string]float64) bool {
 	return false
 }
 
-// Len returns the number of frontier members.
-func (f *Frontier) Len() int { return len(f.pts) }
-
 // Snapshot is a serialisable frontier state: objectives plus the members
 // sorted by grid index.
 type Snapshot struct {

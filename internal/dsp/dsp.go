@@ -24,8 +24,7 @@ var logger = obs.Discard()
 func SetLogger(l *slog.Logger) { logger = obs.OrDiscard(l) }
 
 // FixedNCO is the fixed-point phase-accumulator NCO: an unsigned PhaseBits
-// accumulator advancing by a frequency control word each sample, with the
-// virtual-Rz path folding angles straight into the accumulator.
+// accumulator advancing by a frequency control word each sample.
 type FixedNCO struct {
 	PhaseBits   int
 	LUTAddrBits int
@@ -55,13 +54,6 @@ func (n *FixedNCO) FreqWord(freqHz, sampleRateHz float64) uint64 {
 	return uint64(math.Round(freqHz/sampleRateHz*float64(n.mask+1))) & n.mask
 }
 
-// AngleWord converts radians to a phase word.
-func (n *FixedNCO) AngleWord(rad float64) uint64 {
-	turns := rad / (2 * math.Pi)
-	turns -= math.Floor(turns)
-	return uint64(math.Round(turns*float64(n.mask+1))) & n.mask
-}
-
 // Phase returns the accumulator in radians.
 func (n *FixedNCO) Phase() float64 {
 	return float64(n.acc) / float64(n.mask+1) * 2 * math.Pi
@@ -69,9 +61,6 @@ func (n *FixedNCO) Phase() float64 {
 
 // Step advances the accumulator by the frequency word (one sample).
 func (n *FixedNCO) Step(freqWord uint64) { n.acc = (n.acc + freqWord) & n.mask }
-
-// VirtualRz folds an angle word into the accumulator (the rz_mode path).
-func (n *FixedNCO) VirtualRz(angleWord uint64) { n.acc = (n.acc + angleWord) & n.mask }
 
 // Sample produces the I/Q output for an envelope amplitude (full scale =
 // 2^(AmpBits-1)-1) and a gate-phase word, matching Eq. (1).
@@ -242,18 +231,4 @@ func EncodeEnvelope(samples []float64, ampBits int) []AWGEntry {
 	logger.Debug("envelope encoded",
 		"samples", len(samples), "entries", len(table)-1, "amp_bits", ampBits)
 	return table
-}
-
-// DecodeTable expands a table back to samples (for round-trip checks).
-func DecodeTable(table []AWGEntry) []int64 {
-	var out []int64
-	for _, e := range table {
-		if e.Len == 0 {
-			break
-		}
-		for k := 0; k < e.Len; k++ {
-			out = append(out, e.Amp)
-		}
-	}
-	return out
 }

@@ -24,19 +24,6 @@ func TestFixedNCOTracksFloatPhase(t *testing.T) {
 	}
 }
 
-func TestFixedNCOVirtualRz(t *testing.T) {
-	n := NewFixedNCO(24, 10, 14)
-	n.VirtualRz(n.AngleWord(math.Pi / 2))
-	if math.Abs(n.Phase()-math.Pi/2) > 1e-6 {
-		t.Fatalf("virtual Rz phase %v, want π/2", n.Phase())
-	}
-	// Wraps modulo 2π like the Verilog accumulator.
-	n.VirtualRz(n.AngleWord(2 * math.Pi))
-	if math.Abs(n.Phase()-math.Pi/2) > 1e-5 {
-		t.Fatalf("accumulator failed to wrap: %v", n.Phase())
-	}
-}
-
 func TestFixedNCOSampleMatchesEq1(t *testing.T) {
 	// The fixed-point I/Q must track Eq. (1)'s float samples to LUT+DAC
 	// precision.
@@ -160,4 +147,19 @@ func TestAWGWalkerIdleIsZero(t *testing.T) {
 	if out := w.Step(); out != 0 {
 		t.Fatal("idle walker must output 0")
 	}
+}
+
+// DecodeTable expands an AWG table back to samples, the reference the
+// round-trip checks compare the walker's output with.
+func DecodeTable(table []AWGEntry) []int64 {
+	var out []int64
+	for _, e := range table {
+		if e.Len == 0 {
+			break
+		}
+		for k := 0; k < e.Len; k++ {
+			out = append(out, e.Amp)
+		}
+	}
+	return out
 }

@@ -426,21 +426,6 @@ func Table3() string {
 	return b.String()
 }
 
-// RunAll executes every experiment and concatenates the reports.
-func RunAll() string {
-	var b strings.Builder
-	for _, id := range IDs() {
-		s, err := Run(id)
-		if err != nil {
-			fmt.Fprintf(&b, "%s: ERROR %v\n", id, err)
-			continue
-		}
-		b.WriteString(s)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Headline is a compact machine-checkable summary of the reproduction.
 type Headline struct {
 	Name  string

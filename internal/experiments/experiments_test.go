@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestAllExperimentsRun(t *testing.T) {
 	for _, id := range IDs() {
@@ -120,17 +117,6 @@ func TestFig20Bands(t *testing.T) {
 	}
 	if r.MaxQubits < 62208 {
 		t.Fatalf("ERSFQ scale %.0f must exceed the 62,208 long-term goal", r.MaxQubits)
-	}
-}
-
-func TestRunAllContainsEverySection(t *testing.T) {
-	s := RunAll()
-	for _, marker := range []string{"Fig. 8", "Fig. 10", "Table 1", "Fig. 11", "Table 2",
-		"Fig. 12", "Fig. 13", "Fig. 14", "Fig. 15", "Fig. 16", "Fig. 17", "Fig. 18",
-		"Fig. 19", "Fig. 20", "Table 3"} {
-		if !strings.Contains(s, marker) {
-			t.Fatalf("RunAll output missing %q", marker)
-		}
 	}
 }
 

@@ -8,6 +8,15 @@ import (
 	"qisim/internal/pulse"
 )
 
+// AnalysisSFQ1QConfig reproduces the Table 2 scalability-analysis operating
+// point (~1.18e-4): a shorter stream with a coarser per-pulse tilt, trading
+// fidelity for drive-circuit cost as the paper's 25 ns budget does.
+func AnalysisSFQ1QConfig() SFQ1QConfig {
+	cfg := DefaultSFQ1QConfig()
+	cfg.TiltPerPulse = math.Pi / 2 / 26
+	return cfg
+}
+
 // cmos1q and cz run a model under its own calibration.
 func cmos1q(cfg CMOS1QConfig) CMOS1QResult { return CMOS1QError(cfg, CalibrateCMOS1Q(cfg)) }
 func cz(cfg CZConfig) CZResult             { return CZError(cfg, CalibrateCZ(cfg)) }
@@ -149,6 +158,7 @@ func TestSFQ3LevelLeakage(t *testing.T) {
 	cfg3.AnharmonicityHz = -330e6
 	r3 := SFQ1QError(cfg3)
 	e3, leak3 := SFQ1QLeakage(cfg3, -330e6, r3.Train)
+	t.Logf("leakage-inclusive error %.3g → %.3g, |2> population %.3g → %.3g", e2, e3, leak2, leak3)
 	if leak2 < 1e-5 {
 		t.Fatalf("2-level-optimised train should leak visibly, got %.3g", leak2)
 	}

@@ -56,15 +56,6 @@ func ValidationSFQ1QConfig() SFQ1QConfig {
 	return cfg
 }
 
-// AnalysisSFQ1QConfig reproduces the Table 2 scalability-analysis operating
-// point (~1.18e-4): a shorter stream with a coarser per-pulse tilt, trading
-// fidelity for drive-circuit cost as the paper's 25 ns budget does.
-func AnalysisSFQ1QConfig() SFQ1QConfig {
-	cfg := DefaultSFQ1QConfig()
-	cfg.TiltPerPulse = math.Pi / 2 / 26
-	return cfg
-}
-
 // SFQ1QResult reports the SFQ single-qubit model output.
 type SFQ1QResult struct {
 	// Error is the average gate infidelity of the optimised bitstream

@@ -22,32 +22,6 @@ import (
 	"qisim/internal/cmath"
 )
 
-// TimeDependent is a Hamiltonian H(t) in rad/s.
-type TimeDependent func(t float64) *cmath.Matrix
-
-// Evolve integrates U(T) = T·exp(-i ∫ H dt) with piecewise-constant steps of
-// size dt, evaluating H at the midpoint of each step (midpoint rule keeps the
-// error O(dt²) per step for smooth drives).
-func Evolve(h TimeDependent, total, dt float64) *cmath.Matrix {
-	steps := int(math.Ceil(total / dt))
-	if steps < 1 {
-		steps = 1
-	}
-	dt = total / float64(steps)
-	var u *cmath.Matrix
-	for k := 0; k < steps; k++ {
-		t := (float64(k) + 0.5) * dt
-		hk := h(t)
-		uk := cmath.Expm(cmath.Scale(complex(0, -dt), hk))
-		if u == nil {
-			u = uk
-		} else {
-			u = cmath.Mul(uk, u)
-		}
-	}
-	return u
-}
-
 // EvolveSamples evolves under a piecewise-constant Hamiltonian defined by one
 // matrix per digital sample of duration ts each.
 func EvolveSamples(hs []*cmath.Matrix, ts float64) *cmath.Matrix {
@@ -380,13 +354,6 @@ func (d *DrivenTransmon) HamiltonianInto(h *cmath.Matrix, i, q float64) {
 	cmath.AddInPlace(h, complex(d.RabiRad*q/2, 0), d.y)
 }
 
-// RabiForRotation returns the peak Rabi rate (rad/s) that makes a pulse with
-// the given envelope area (∫env dt over the gate, in seconds) produce a
-// rotation of angle theta in the two-level subspace: Ω_peak = θ / area.
-func RabiForRotation(theta, envelopeArea float64) float64 {
-	return theta / envelopeArea
-}
-
 // CoupledTransmons models two flux-tunable transmons with exchange coupling g
 // for the CZ gate. Qubit 1's frequency is pulsed; the model works in the
 // frame rotating at each qubit's idle frequency, so the flux pulse appears as
@@ -441,23 +408,8 @@ func NewCoupledTransmons(levels int, anharm1, anharm2, g, idleDetuning float64) 
 // degenerate: δ = -α1.
 func (c *CoupledTransmons) ResonanceDetuning() float64 { return -c.Anharm1Rad }
 
-// CZHoldTime returns the |11>↔|20> half-oscillation time π/(√2·2g)... the
-// coupling matrix element between |11> and |20> is √2·g, so a full 2π phase
-// return takes t = 2π/(2·√2·g) = π/(√2·g).
-func (c *CoupledTransmons) CZHoldTime() float64 {
-	return math.Pi / (math.Sqrt2 * c.GRad)
-}
-
-// Hamiltonian returns H for a given instantaneous qubit-1 detuning δ(t)
-// (rad/s relative to qubit 2).
-func (c *CoupledTransmons) Hamiltonian(delta float64) *cmath.Matrix {
-	h := c.hStatic.Clone()
-	cmath.AddInPlace(h, complex(delta, 0), c.n1)
-	return h
-}
-
-// HamiltonianInto writes Hamiltonian(delta) into h, which must match
-// hStatic's shape. Results are bit-identical to Hamiltonian.
+// HamiltonianInto writes H for a given instantaneous qubit-1 detuning δ(t)
+// (rad/s relative to qubit 2) into h, which must match hStatic's shape.
 func (c *CoupledTransmons) HamiltonianInto(h *cmath.Matrix, delta float64) {
 	copy(h.Data, c.hStatic.Data)
 	cmath.AddInPlace(h, complex(delta, 0), c.n1)

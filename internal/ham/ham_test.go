@@ -8,6 +8,47 @@ import (
 	"qisim/internal/cmath"
 )
 
+// TimeDependent is a Hamiltonian H(t) in rad/s.
+type TimeDependent func(t float64) *cmath.Matrix
+
+// Evolve integrates U(T) = T·exp(-i ∫ H dt) with piecewise-constant steps of
+// size dt, evaluating H at the midpoint of each step (midpoint rule keeps the
+// error O(dt²) per step for smooth drives).
+func Evolve(h TimeDependent, total, dt float64) *cmath.Matrix {
+	steps := int(math.Ceil(total / dt))
+	if steps < 1 {
+		steps = 1
+	}
+	dt = total / float64(steps)
+	var u *cmath.Matrix
+	for k := 0; k < steps; k++ {
+		t := (float64(k) + 0.5) * dt
+		hk := h(t)
+		uk := cmath.Expm(cmath.Scale(complex(0, -dt), hk))
+		if u == nil {
+			u = uk
+		} else {
+			u = cmath.Mul(uk, u)
+		}
+	}
+	return u
+}
+
+// CZHoldTime returns the |11>↔|20> half-oscillation time π/(√2·2g)... the
+// coupling matrix element between |11> and |20> is √2·g, so a full 2π phase
+// return takes t = 2π/(2·√2·g) = π/(√2·g).
+func (c *CoupledTransmons) CZHoldTime() float64 {
+	return math.Pi / (math.Sqrt2 * c.GRad)
+}
+
+// Hamiltonian returns H for a given instantaneous qubit-1 detuning δ(t)
+// (rad/s relative to qubit 2).
+func (c *CoupledTransmons) Hamiltonian(delta float64) *cmath.Matrix {
+	h := c.hStatic.Clone()
+	cmath.AddInPlace(h, complex(delta, 0), c.n1)
+	return h
+}
+
 func TestEvolveConstantHamiltonian(t *testing.T) {
 	// H = (Ω/2)·X drives a Rabi rotation: U(T) = Rx(ΩT).
 	omega := 2 * math.Pi * 10e6
@@ -38,7 +79,7 @@ func TestDrivenTransmonPiPulse(t *testing.T) {
 	// Resonant square pulse with area π must flip the qubit (ideal 2-level).
 	d := NewDrivenTransmon(2, 0, 0, 0)
 	gate := 25e-9
-	rabi := RabiForRotation(math.Pi, gate) // square envelope: area = T
+	rabi := math.Pi / gate // peak Rabi rate θ/area; square envelope: area = T
 	d.RabiRad = rabi
 	h := func(t float64) *cmath.Matrix { return d.Hamiltonian(1, 0) }
 	u := Evolve(h, gate, gate/500)
@@ -53,7 +94,7 @@ func TestDrivenTransmonLeakage(t *testing.T) {
 	// On a 3-level transmon, a fast pulse leaks more than a slow one.
 	leak := func(gate float64) float64 {
 		alpha := -2 * math.Pi * 330e6
-		d := NewDrivenTransmon(3, 0, alpha, RabiForRotation(math.Pi, gate/2)) // cosine env area = T/2
+		d := NewDrivenTransmon(3, 0, alpha, math.Pi/(gate/2)) // θ/area; cosine env area = T/2
 		env := func(t float64) float64 { return 0.5 * (1 - math.Cos(2*math.Pi*t/gate)) }
 		h := func(t float64) *cmath.Matrix { return d.Hamiltonian(env(t), 0) }
 		u := Evolve(h, gate, gate/400)
@@ -71,7 +112,7 @@ func TestDrivenTransmonLeakage(t *testing.T) {
 
 func TestDrivenTransmonQPhaseAxis(t *testing.T) {
 	// Driving on Q instead of I rotates about Y instead of X.
-	d := NewDrivenTransmon(2, 0, 0, RabiForRotation(math.Pi/2, 25e-9))
+	d := NewDrivenTransmon(2, 0, 0, (math.Pi/2)/25e-9)
 	h := func(t float64) *cmath.Matrix { return d.Hamiltonian(0, 1) }
 	u := Evolve(h, 25e-9, 25e-9/400)
 	if e := cmath.GateError(cmath.Ry(math.Pi/2), u); e > 1e-7 {

@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Word is a packed instruction as raw bits (LSB-first field order).
 type Word struct {
@@ -11,58 +8,7 @@ type Word struct {
 	Width int
 }
 
-// Encoder packs field values into instruction words for a Format. Field
-// order follows the Format definition; values must fit their widths.
-type Encoder struct {
-	f Format
-}
-
-// NewEncoder returns an encoder for the format (total width ≤ 64 bits).
-func NewEncoder(f Format) (*Encoder, error) {
-	if f.Bits() > 64 {
-		return nil, fmt.Errorf("isa: %s is %d bits; encoder supports ≤ 64", f.Name, f.Bits())
-	}
-	return &Encoder{f: f}, nil
-}
-
-// Encode packs one value per field.
-func (e *Encoder) Encode(values map[string]uint64) (Word, error) {
-	var w Word
-	shift := 0
-	for _, fl := range e.f.Fields {
-		v, ok := values[fl.Name]
-		if !ok {
-			return Word{}, fmt.Errorf("isa: missing field %q", fl.Name)
-		}
-		if fl.Bits < 64 && v >= uint64(1)<<fl.Bits {
-			return Word{}, fmt.Errorf("isa: field %q value %d exceeds %d bits", fl.Name, v, fl.Bits)
-		}
-		w.Bits |= v << shift
-		shift += fl.Bits
-	}
-	w.Width = shift
-	return w, nil
-}
-
-// Decode unpacks a word back into field values.
-func (e *Encoder) Decode(w Word) (map[string]uint64, error) {
-	if w.Width != e.f.Bits() {
-		return nil, fmt.Errorf("isa: word width %d != format width %d", w.Width, e.f.Bits())
-	}
-	out := make(map[string]uint64, len(e.f.Fields))
-	shift := 0
-	for _, fl := range e.f.Fields {
-		mask := uint64(math.MaxUint64)
-		if fl.Bits < 64 {
-			mask = (uint64(1) << fl.Bits) - 1
-		}
-		out[fl.Name] = (w.Bits >> shift) & mask
-		shift += fl.Bits
-	}
-	return out, nil
-}
-
-// DriveInstr is a decoded extended-drive instruction (Section 3.3.1 ISA).
+// DriveInstr is an extended-drive instruction (Section 3.3.1 ISA).
 type DriveInstr struct {
 	StartTime uint64
 	Target    int
@@ -72,75 +18,21 @@ type DriveInstr struct {
 	RzMode   bool
 }
 
-// EncodeDrive packs a drive instruction in the extended format.
+// EncodeDrive packs a drive instruction in the extended format, its fields
+// LSB-first in the format's order; a value wider than its field is an error.
 func EncodeDrive(in DriveInstr) (Word, error) {
-	enc, err := NewEncoder(ExtendedDrive())
-	if err != nil {
-		return Word{}, err
-	}
 	rz := uint64(0)
 	if in.RzMode {
 		rz = 1
 	}
-	return enc.Encode(map[string]uint64{
-		"start-time":   in.StartTime,
-		"target-qubit": uint64(in.Target),
-		"gate-address": in.GateAddr,
-		"rz-mode":      rz,
-	})
-}
-
-// DecodeDrive unpacks an extended-drive word.
-func DecodeDrive(w Word) (DriveInstr, error) {
-	enc, err := NewEncoder(ExtendedDrive())
-	if err != nil {
-		return DriveInstr{}, err
-	}
-	m, err := enc.Decode(w)
-	if err != nil {
-		return DriveInstr{}, err
-	}
-	return DriveInstr{
-		StartTime: m["start-time"],
-		Target:    int(m["target-qubit"]),
-		GateAddr:  m["gate-address"],
-		RzMode:    m["rz-mode"] == 1,
-	}, nil
-}
-
-// RzAngleWord quantises an angle to the gate-address field's resolution
-// (the 13-bit reuse): returns the word and the representable angle.
-func RzAngleWord(phi float64) (uint64, float64) {
-	const bits = 13
-	steps := float64(uint64(1) << bits)
-	turns := phi / (2 * math.Pi)
-	turns -= math.Floor(turns)
-	w := uint64(math.Round(turns*steps)) % (1 << bits)
-	return w, float64(w) / steps * 2 * math.Pi
-}
-
-// MaskWord packs a per-qubit mask (Opt-#6 / pulse ISAs).
-func MaskWord(qubits []int, groupSize int) (uint64, error) {
-	if groupSize > 64 {
-		return 0, fmt.Errorf("isa: mask group %d exceeds 64", groupSize)
-	}
-	var m uint64
-	for _, q := range qubits {
-		if q < 0 || q >= groupSize {
-			return 0, fmt.Errorf("isa: qubit %d outside mask group %d", q, groupSize)
+	values := []uint64{in.StartTime, uint64(in.Target), in.GateAddr, rz}
+	var w Word
+	for i, fl := range ExtendedDrive().Fields {
+		if values[i] >= uint64(1)<<fl.Bits {
+			return Word{}, fmt.Errorf("isa: field %q value %d exceeds %d bits", fl.Name, values[i], fl.Bits)
 		}
-		m |= 1 << uint(q)
+		w.Bits |= values[i] << w.Width
+		w.Width += fl.Bits
 	}
-	return m, nil
-}
-
-// MaskQubits unpacks a mask word.
-func MaskQubits(mask uint64, groupSize int) []int {
-	var out []int
-	for q := 0; q < groupSize; q++ {
-		if mask&(1<<uint(q)) != 0 {
-			out = append(out, q)
-		}
-	}
-	return out
+	return w, nil
 }

@@ -193,14 +193,6 @@ func Bandwidth(drive, pulse, readout Format, tr Traffic) float64 {
 	return bits / tr.RoundTime
 }
 
-// MaskingCompression returns the drive-stream compression of Opt-#6 versus
-// the Horse Ridge ISA (the paper reports 93%).
-func MaskingCompression(groupSize int) float64 {
-	base := HorseRidgeDrive().BitsPerQubitOp()
-	masked := MaskedDrive(groupSize).BitsPerQubitOp()
-	return 1 - masked/base
-}
-
 // BaselineCMOSBandwidth returns the per-qubit 300 K→4 K bandwidth of the
 // baseline Horse Ridge ISA triple under ESM traffic.
 func BaselineCMOSBandwidth(roundTime float64) float64 {

@@ -19,12 +19,7 @@ func TestExtendedDriveAddsRzMode(t *testing.T) {
 }
 
 func TestMaskedDriveCompression(t *testing.T) {
-	// Opt-#6 headline: ~93% wire bandwidth reduction for the drive stream.
-	c := MaskingCompression(32)
-	if c < 0.90 || c > 0.97 {
-		t.Fatalf("masked-drive compression %.3f, want ~0.93", c)
-	}
-	// Per-qubit cost shrinks with group size.
+	// Opt-#6: the masked drive's per-qubit cost shrinks with group size.
 	if MaskedDrive(32).BitsPerQubitOp() >= MaskedDrive(8).BitsPerQubitOp() {
 		t.Fatal("larger groups should amortise the shared fields")
 	}

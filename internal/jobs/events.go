@@ -101,17 +101,6 @@ func (m *Manager) Publish(id, typ string, data any) error {
 	return nil
 }
 
-// Events returns a copy of the job's retained event log.
-func (m *Manager) Events(id string) ([]Event, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.byID[id]
-	if !ok {
-		return nil, false
-	}
-	return append([]Event(nil), j.events...), true
-}
-
 // Subscribe returns the job's event log so far plus a live channel for
 // everything after it. The channel closes when the job finalizes (for an
 // already-finished job it is born closed, so a consumer's replay-then-
@@ -152,9 +141,9 @@ func (m *Manager) Subscribe(id string) (past []Event, ch <-chan Event, cancel fu
 }
 
 // Subscribers reports the job's live event-subscription count (0 for an
-// unknown or finished job). Exists so tests — and operators via debug
-// tooling — can prove that disconnected SSE consumers are reaped instead
-// of leaking subscriptions until the job finalizes.
+// unknown or finished job). The jobs and service tests use it to prove
+// that disconnected SSE consumers are reaped instead of leaking
+// subscriptions until the job finalizes.
 func (m *Manager) Subscribers(id string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

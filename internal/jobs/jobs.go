@@ -450,16 +450,10 @@ func (m *Manager) enqueueLocked(j *job) {
 	m.cond.Signal()
 }
 
-// Submit routes one request under default options: cache hit → a job born
-// done with the cached bytes; key already in flight → the existing job
-// (coalesced); otherwise a new queued job. See SubmitOpts.
-func (m *Manager) Submit(kind Kind, key rescache.Key, params json.RawMessage, run Runner) (Snapshot, Outcome, error) {
-	return m.SubmitOpts(kind, key, params, run, SubmitOptions{})
-}
-
-// SubmitOpts routes one request. The cache probe and the singleflight
-// insert happen under one lock, so concurrent duplicates can never both
-// enqueue.
+// SubmitOpts routes one request: cache hit → a job born done with the
+// cached bytes; key already in flight → the existing job (coalesced);
+// otherwise a new queued job. The cache probe and the singleflight insert
+// happen under one lock, so concurrent duplicates can never both enqueue.
 //
 // params is the raw request-params JSON retained in the journal (nil when no
 // journal is configured or the caller has no params) so the exact request
@@ -962,14 +956,6 @@ func (m *Manager) InFlight() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.inflight)
-}
-
-// TenantLoad returns the tenant's current in-flight top-level job count
-// (only tracked when Config.TenantQuota > 0).
-func (m *Manager) TenantLoad(tenant string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tenants[tenant]
 }
 
 // Draining reports whether Drain has begun.

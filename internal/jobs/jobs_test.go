@@ -71,7 +71,7 @@ func TestSubmitRunsAndCaches(t *testing.T) {
 
 	var execs atomic.Int64
 	key := testKey(t, 1)
-	snap, outcome, err := m.Submit(KindSurfaceMC, key, nil, countingRunner(&execs, `{"rate":0.5}`))
+	snap, outcome, err := m.SubmitOpts(KindSurfaceMC, key, nil, countingRunner(&execs, `{"rate":0.5}`), SubmitOptions{})
 	if err != nil || outcome != OutcomeQueued {
 		t.Fatalf("submit: %v, outcome %v", err, outcome)
 	}
@@ -90,7 +90,7 @@ func TestSubmitRunsAndCaches(t *testing.T) {
 	}
 
 	// Resubmit: cache hit, no second execution, byte-identical body.
-	snap2, outcome2, err := m.Submit(KindSurfaceMC, key, nil, countingRunner(&execs, `{"rate":0.5}`))
+	snap2, outcome2, err := m.SubmitOpts(KindSurfaceMC, key, nil, countingRunner(&execs, `{"rate":0.5}`), SubmitOptions{})
 	if err != nil || outcome2 != OutcomeCached {
 		t.Fatalf("resubmit: %v, outcome %v", err, outcome2)
 	}
@@ -121,7 +121,7 @@ func TestConcurrentDuplicatesCoalesce(t *testing.T) {
 		return []byte(`{"v":1}`), simrun.Status{Requested: 1, Completed: 1, StopReason: simrun.StopCompleted}, nil
 	}
 	key := testKey(t, 2)
-	first, outcome, err := m.Submit(KindPauliMC, key, nil, slow)
+	first, outcome, err := m.SubmitOpts(KindPauliMC, key, nil, slow, SubmitOptions{})
 	if err != nil || outcome != OutcomeQueued {
 		t.Fatalf("first submit: %v, %v", err, outcome)
 	}
@@ -134,7 +134,7 @@ func TestConcurrentDuplicatesCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			snap, oc, err := m.Submit(KindPauliMC, key, nil, slow)
+			snap, oc, err := m.SubmitOpts(KindPauliMC, key, nil, slow, SubmitOptions{})
 			if err != nil {
 				t.Errorf("dup submit: %v", err)
 				return
@@ -178,7 +178,7 @@ func TestQueueFull(t *testing.T) {
 	}
 	// First occupies the worker, second the queue slot; distinct keys so
 	// nothing coalesces.
-	if _, _, err := m.Submit(KindReadoutMC, testKey(t, 10), nil, block); err != nil {
+	if _, _, err := m.SubmitOpts(KindReadoutMC, testKey(t, 10), nil, block, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Give the worker a moment to pick up the first job so the queue slot
@@ -187,10 +187,10 @@ func TestQueueFull(t *testing.T) {
 	for m.QueueDepth() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := m.Submit(KindReadoutMC, testKey(t, 11), nil, block); err != nil {
+	if _, _, err := m.SubmitOpts(KindReadoutMC, testKey(t, 11), nil, block, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := m.Submit(KindReadoutMC, testKey(t, 12), nil, block)
+	_, _, err := m.SubmitOpts(KindReadoutMC, testKey(t, 12), nil, block, SubmitOptions{})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overload error = %v, want ErrQueueFull", err)
 	}
@@ -218,7 +218,7 @@ func TestDrainTruncatesInFlight(t *testing.T) {
 		body, _ := json.Marshal(map[string]any{"status": st})
 		return body, st, nil
 	}
-	snap, _, err := m.Submit(KindSurfaceMC, key, nil, runner)
+	snap, _, err := m.SubmitOpts(KindSurfaceMC, key, nil, runner, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestDrainTruncatesInFlight(t *testing.T) {
 	if cache.Contains(key) {
 		t.Fatal("truncated partial leaked into the cache")
 	}
-	if _, _, err := m.Submit(KindSurfaceMC, testKey(t, 21), nil, runner); !errors.Is(err, ErrDraining) {
+	if _, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 21), nil, runner, SubmitOptions{}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submit error = %v, want ErrDraining", err)
 	}
 	waitForGoroutines(t, baseline)
@@ -263,7 +263,7 @@ func TestFailedJobCarriesClass(t *testing.T) {
 	fail := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
 		return nil, simrun.Status{}, fmt.Errorf("bad distance: %w", simerr.ErrInvalidConfig)
 	}
-	snap, _, err := m.Submit(KindSurfaceMC, key, nil, fail)
+	snap, _, err := m.SubmitOpts(KindSurfaceMC, key, nil, fail, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestFailedJobCarriesClass(t *testing.T) {
 		t.Fatal("failed job reached the cache")
 	}
 	// The key is free again: a corrected resubmission enqueues fresh.
-	if _, outcome, err := m.Submit(KindSurfaceMC, key, nil, fail); err != nil || outcome != OutcomeQueued {
+	if _, outcome, err := m.SubmitOpts(KindSurfaceMC, key, nil, fail, SubmitOptions{}); err != nil || outcome != OutcomeQueued {
 		t.Fatalf("resubmit after failure: %v, %v", err, outcome)
 	}
 }
@@ -290,10 +290,10 @@ func TestPanickingRunnerBecomesTypedFailure(t *testing.T) {
 	m.Start()
 	defer drainManager(t, m)
 
-	snap, _, err := m.Submit(KindReadoutMC, testKey(t, 40), nil,
+	snap, _, err := m.SubmitOpts(KindReadoutMC, testKey(t, 40), nil,
 		func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
 			panic("boom")
-		})
+		}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestPanickingRunnerBecomesTypedFailure(t *testing.T) {
 	}
 	// The worker survived: another job still executes.
 	var execs atomic.Int64
-	snap2, _, err := m.Submit(KindReadoutMC, testKey(t, 41), nil, countingRunner(&execs, `{}`))
+	snap2, _, err := m.SubmitOpts(KindReadoutMC, testKey(t, 41), nil, countingRunner(&execs, `{}`), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestRecordEviction(t *testing.T) {
 	var execs atomic.Int64
 	var first Snapshot
 	for i := 0; i < 6; i++ {
-		snap, _, err := m.Submit(KindSurfaceMC, testKey(t, 100+int64(i)), nil, countingRunner(&execs, `{}`))
+		snap, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 100+int64(i)), nil, countingRunner(&execs, `{}`), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

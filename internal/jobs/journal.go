@@ -477,9 +477,6 @@ func (j *Journal) Stats() JournalStats {
 	return j.stats
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close releases the append handle (pending state stays readable).
 func (j *Journal) Close() error {
 	j.mu.Lock()

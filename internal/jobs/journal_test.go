@@ -213,7 +213,7 @@ func TestManagerJournalsLifecycle(t *testing.T) {
 
 	wait := func(k rescache.Key, run Runner, params json.RawMessage) {
 		t.Helper()
-		snap, _, err := m.Submit(KindSurfaceMC, k, params, run)
+		snap, _, err := m.SubmitOpts(KindSurfaceMC, k, params, run, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestManagerJournalsLifecycle(t *testing.T) {
 	wait(key64('b'), fail, nil)
 	wait(key64('c'), trunc, nil)
 	// Cached replay of 'a': born done, nothing executed, nothing journaled.
-	if _, outcome, err := m.Submit(KindSurfaceMC, key64('a'), nil, ok); err != nil || outcome != OutcomeCached {
+	if _, outcome, err := m.SubmitOpts(KindSurfaceMC, key64('a'), nil, ok, SubmitOptions{}); err != nil || outcome != OutcomeCached {
 		t.Fatalf("cached resubmit: outcome %v err %v", outcome, err)
 	}
 	drainManager(t, m)
@@ -265,10 +265,10 @@ func TestJournalAppendErrorDegrades(t *testing.T) {
 
 	m := NewManager(Config{Workers: 1, Journal: j})
 	m.Start()
-	snap, _, err := m.Submit(KindSurfaceMC, key64('b'), nil,
+	snap, _, err := m.SubmitOpts(KindSurfaceMC, key64('b'), nil,
 		func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
 			return []byte(`{}`), simrun.Status{StopReason: simrun.StopCompleted}, nil
-		})
+		}, SubmitOptions{})
 	if err != nil {
 		t.Fatalf("submission must survive a dead journal: %v", err)
 	}

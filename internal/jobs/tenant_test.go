@@ -15,6 +15,14 @@ import (
 	"qisim/internal/simrun"
 )
 
+// TenantLoad returns the tenant's current in-flight top-level job count
+// (only tracked when Config.TenantQuota > 0).
+func (m *Manager) TenantLoad(tenant string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.tenants[tenant]
+}
+
 // blockingRunner parks until its context dies, then returns a truncated
 // partial — the uniform cancellation shape.
 func blockingRunner() Runner {
@@ -284,10 +292,10 @@ func TestCancelUnknownAndFinished(t *testing.T) {
 	if m.Cancel("j-999999") {
 		t.Error("Cancel(unknown) returned true")
 	}
-	snap, _, err := m.Submit(KindSurfaceMC, testKey(t, 40), nil,
+	snap, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 40), nil,
 		func(context.Context, func(int, int)) ([]byte, simrun.Status, error) {
 			return []byte(`{}`), doneStatus(), nil
-		})
+		}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +319,7 @@ func TestEventLogAndSubscribe(t *testing.T) {
 
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	snap, _, err := m.Submit(KindDSESweep, testKey(t, 50), nil,
+	snap, _, err := m.SubmitOpts(KindDSESweep, testKey(t, 50), nil,
 		func(ctx context.Context, _ func(int, int)) ([]byte, simrun.Status, error) {
 			started <- obs.JobID(ctx)
 			<-release
@@ -319,7 +327,7 @@ func TestEventLogAndSubscribe(t *testing.T) {
 				return nil, simrun.Status{}, err
 			}
 			return []byte(`{}`), doneStatus(), nil
-		})
+		}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +337,9 @@ func TestEventLogAndSubscribe(t *testing.T) {
 		t.Fatal("Subscribe: job not found")
 	}
 	defer cancel()
+	if n := m.Subscribers(snap.ID); n != 1 {
+		t.Fatalf("Subscribers = %d, want 1", n)
+	}
 	// Replay holds at least queued + running.
 	if len(past) < 2 || past[0].Type != EventState || past[1].Type != EventState {
 		t.Fatalf("replay = %+v", past)
@@ -348,6 +359,9 @@ func TestEventLogAndSubscribe(t *testing.T) {
 		}
 	}
 closed:
+	if n := m.Subscribers(snap.ID); n != 0 {
+		t.Errorf("Subscribers after the job finished = %d, want 0", n)
+	}
 	if len(live) != 2 {
 		t.Fatalf("live events = %+v, want frontier + terminal state", live)
 	}
@@ -376,9 +390,6 @@ closed:
 	}
 	if _, open := <-ch2; open {
 		t.Error("late subscription channel not born closed")
-	}
-	if evs, ok := m.Events(snap.ID); !ok || len(evs) != len(all) {
-		t.Errorf("Events() = %d, want %d", len(evs), len(all))
 	}
 }
 

@@ -136,10 +136,6 @@ func (l LJJModel) FailureRate() float64 {
 	return 0.5 * math.Erfc(l.NoiseMarginSigmas/math.Sqrt2)
 }
 
-// StaticPowerZero reports that LJJ lines consume no static power thanks to
-// inductance biasing — the property Opt-#3 exploits.
-func (l LJJModel) StaticPowerZero() bool { return true }
-
 // ShareMode selects the JPM readout organisation.
 type ShareMode int
 

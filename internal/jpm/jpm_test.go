@@ -58,9 +58,6 @@ func TestLJJNoObservedError(t *testing.T) {
 		if f := l.FailureRate(); f > 1e-12 {
 			t.Fatalf("LJJ failure rate %.3g should be numerically zero", f)
 		}
-		if !l.StaticPowerZero() {
-			t.Fatal("inductance-biased LJJ must have zero static power")
-		}
 	}
 }
 

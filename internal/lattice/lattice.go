@@ -252,15 +252,3 @@ func (pr Program) Stats() (WorkloadStats, error) {
 	}
 	return st, nil
 }
-
-// TransversalHRz exploits the Opt-#6 insight: in lattice-surgery circuits
-// every adjacent single-qubit pair is H·Rz(nπ/4), compressible into one
-// Ry(π/2)·Rz(nπ/4) instruction. Given counts of raw H and Rz layers it
-// returns the compressed instruction count.
-func TransversalHRz(hLayers, rzLayers int) int {
-	pairs := hLayers
-	if rzLayers < pairs {
-		pairs = rzLayers
-	}
-	return hLayers + rzLayers - pairs
-}

@@ -180,16 +180,6 @@ func TestRequiredDistance(t *testing.T) {
 	}
 }
 
-func TestTransversalHRz(t *testing.T) {
-	// Opt-#6: every H·Rz pair fuses into one instruction.
-	if got := TransversalHRz(10, 10); got != 10 {
-		t.Fatalf("fused count %d, want 10", got)
-	}
-	if got := TransversalHRz(10, 4); got != 10 {
-		t.Fatalf("unbalanced fusion %d, want 10", got)
-	}
-}
-
 func TestPPMString(t *testing.T) {
 	p := PPM{Ops: []PauliOp{{0, 'X'}, {3, 'Z'}}}
 	if s := p.String(); !strings.Contains(s, "X0") || !strings.Contains(s, "Z3") {

@@ -118,9 +118,6 @@ type Gauge struct{ v value }
 // Set replaces the gauge value.
 func (g *Gauge) Set(x float64) { g.v.store(x) }
 
-// Add adjusts the gauge by d (negative allowed).
-func (g *Gauge) Add(d float64) { g.v.add(d) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.load() }
 
@@ -139,14 +136,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}
 	f.add("", c)
 	return c
-}
-
-// Gauge registers an unlabelled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.family(name, help, "gauge")
-	g := &Gauge{}
-	f.add("", g)
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is sampled from fn at scrape time
@@ -334,13 +323,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.sum += v
 	h.count++
-}
-
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
 }
 
 func (h *Histogram) render(w io.Writer, name, labels string) {

@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -183,46 +181,4 @@ func familySeries[V any](m map[string]V, name string) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// ParseSeries splits a series identity into its family name and label map.
-// It accepts exactly what renderLabels/mergeLabels produce (Go %q escaping,
-// which is a superset of the Prometheus label escapes).
-func ParseSeries(series string) (name string, labels map[string]string, err error) {
-	i := strings.IndexByte(series, '{')
-	if i < 0 {
-		return series, nil, nil
-	}
-	if !strings.HasSuffix(series, "}") {
-		return "", nil, fmt.Errorf("metrics: malformed series %q", series)
-	}
-	name = series[:i]
-	labels = map[string]string{}
-	rest := series[i+1 : len(series)-1]
-	for rest != "" {
-		eq := strings.IndexByte(rest, '=')
-		if eq < 0 || len(rest) < eq+2 || rest[eq+1] != '"' {
-			return "", nil, fmt.Errorf("metrics: malformed labels in %q", series)
-		}
-		key := rest[:eq]
-		// Scan the quoted value honouring backslash escapes.
-		j := eq + 2
-		for j < len(rest) && rest[j] != '"' {
-			if rest[j] == '\\' {
-				j++
-			}
-			j++
-		}
-		if j >= len(rest) {
-			return "", nil, fmt.Errorf("metrics: unterminated label value in %q", series)
-		}
-		val, uerr := strconv.Unquote(rest[eq+1 : j+1])
-		if uerr != nil {
-			return "", nil, fmt.Errorf("metrics: bad label value in %q: %v", series, uerr)
-		}
-		labels[key] = val
-		rest = rest[j+1:]
-		rest = strings.TrimPrefix(rest, ",")
-	}
-	return name, labels, nil
 }

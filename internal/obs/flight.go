@@ -58,13 +58,6 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return &FlightRecorder{clock: time.Now, slots: make([]flightSlot, capacity)}
 }
 
-// SetClock replaces the wall clock (tests only; not safe once recording).
-func (f *FlightRecorder) SetClock(clock func() time.Time) {
-	if f != nil && clock != nil {
-		f.clock = clock
-	}
-}
-
 // Record appends one event, overwriting the oldest when the ring is full.
 // Safe for concurrent use; no-op on a nil recorder.
 func (f *FlightRecorder) Record(kind string, attrs ...Attr) {

@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// SetClock replaces the recorder's wall clock; call it before recording.
+func (f *FlightRecorder) SetClock(clock func() time.Time) {
+	if f != nil && clock != nil {
+		f.clock = clock
+	}
+}
+
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Record("noop", String("k", "v")) // must not panic

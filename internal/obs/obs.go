@@ -38,14 +38,6 @@ func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 // Int builds an integer attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Value: strconv.Itoa(v)} }
 
-// Int64 builds a 64-bit integer attribute.
-func Int64(k string, v int64) Attr { return Attr{Key: k, Value: strconv.FormatInt(v, 10)} }
-
-// Float64 builds a float attribute (shortest round-trippable form).
-func Float64(k string, v float64) Attr {
-	return Attr{Key: k, Value: strconv.FormatFloat(v, 'g', -1, 64)}
-}
-
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: strconv.FormatBool(v)} }
 

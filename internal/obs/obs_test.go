@@ -205,7 +205,7 @@ func buildGoldenTrace() Trace {
 	_, sh1 := StartSpan(ctx, "shard", Int("shard", 1))
 	sh1.End()
 	_, mg := StartSpan(ctx, "merge")
-	mg.SetAttr(Float64("p", 0.03125))
+	mg.SetAttr(String("p", "0.03125"))
 	mg.End()
 	job.End()
 	t := tr.Snapshot()

@@ -24,19 +24,6 @@ func (c KrausChannel) Apply(rho *cmath.Matrix) *cmath.Matrix {
 	return out
 }
 
-// TracePreserving checks Σ K†K = I within tol.
-func (c KrausChannel) TracePreserving(tol float64) bool {
-	if len(c.Ops) == 0 {
-		return false
-	}
-	n := c.Ops[0].Rows
-	sum := cmath.NewMatrix(n, n)
-	for _, k := range c.Ops {
-		cmath.AddInPlace(sum, 1, cmath.Mul(cmath.Dagger(k), k))
-	}
-	return cmath.Sub(sum, cmath.Identity(n)).FrobeniusNorm() < tol
-}
-
 // DecoherenceChannel builds the single-qubit T1/T2 channel over duration t:
 // amplitude damping with γ = 1 − e^{−t/T1} composed with pure dephasing so
 // the off-diagonals decay as e^{−t/T2} (requires T2 ≤ 2·T1).

@@ -6,10 +6,24 @@ import (
 	"math"
 	"testing"
 
+	"qisim/internal/cmath"
 	"qisim/internal/gateerror"
 	"qisim/internal/simerr"
 	"qisim/internal/simrun"
 )
+
+// TracePreserving checks Σ K†K = I within tol.
+func (c KrausChannel) TracePreserving(tol float64) bool {
+	if len(c.Ops) == 0 {
+		return false
+	}
+	n := c.Ops[0].Rows
+	sum := cmath.NewMatrix(n, n)
+	for _, k := range c.Ops {
+		cmath.AddInPlace(sum, 1, cmath.Mul(cmath.Dagger(k), k))
+	}
+	return cmath.Sub(sum, cmath.Identity(n)).FrobeniusNorm() < tol
+}
 
 func TestDecoherenceChannelTracePreserving(t *testing.T) {
 	for _, tt := range []float64{0, 10e-9, 1e-6, 100e-6, 1e-3} {

@@ -1,7 +1,7 @@
 // Package phys defines the physical parameter sets QIsim's models consume:
-// transmon qubits, readout resonators, Josephson photomultipliers (JPMs), and
-// the operation specifications of Table 2 of the paper. All frequencies are
-// angular unless suffixed Hz; all times are in seconds.
+// transmon qubits, readout resonators, and the operation specifications of
+// Table 2 of the paper. All frequencies are angular unless suffixed Hz; all
+// times are in seconds.
 package phys
 
 import "math"
@@ -26,12 +26,6 @@ type Transmon struct {
 	T1, T2 float64
 }
 
-// Omega returns the angular qubit frequency.
-func (t Transmon) Omega() float64 { return 2 * math.Pi * t.FreqHz }
-
-// Alpha returns the angular anharmonicity.
-func (t Transmon) Alpha() float64 { return 2 * math.Pi * t.AnharmonicityHz }
-
 // DefaultTransmon returns the flux-tunable transmon used throughout the
 // scalability analysis. T1/T2 follow Table 2 (ibm_mumbai, 2022-11-03).
 func DefaultTransmon() Transmon {
@@ -53,18 +47,11 @@ type Resonator struct {
 	ChiHz float64
 }
 
-// Omega returns the angular resonator frequency.
-func (r Resonator) Omega() float64 { return 2 * math.Pi * r.FreqHz }
-
 // Kappa returns the angular linewidth.
 func (r Resonator) Kappa() float64 { return 2 * math.Pi * r.KappaHz }
 
 // Chi returns the angular dispersive shift.
 func (r Resonator) Chi() float64 { return 2 * math.Pi * r.ChiHz }
-
-// RingUpTime returns the ~2/κ time for the resonator field to reach its
-// steady state, which bounds how early readout samples are informative.
-func (r Resonator) RingUpTime() float64 { return 2 / r.Kappa() }
 
 // DefaultResonator returns readout-resonator parameters consistent with the
 // 517 ns readout of Table 2.
@@ -73,35 +60,6 @@ func DefaultResonator() Resonator {
 		FreqHz:  6.8e9,
 		KappaHz: 2.7e6,
 		ChiHz:   1.5e6,
-	}
-}
-
-// JPM describes a Josephson photomultiplier used by the SFQ readout path.
-type JPM struct {
-	// FreqHz is the JPM plasma frequency when biased for tunnelling.
-	FreqHz float64
-	// BrightTunnelProb is the probability the JPM tunnels when the coupled
-	// resonator holds the bright (qubit |1>) coherent state.
-	BrightTunnelProb float64
-	// DarkTunnelProb is the dark-count probability for the qubit |0> state.
-	DarkTunnelProb float64
-	// ResetTime is the flux-off reset duration in seconds (Table 2: 70 ns).
-	ResetTime float64
-	// ResetError is the residual error of the reset stage (from the CMOS
-	// microwave-photon-counter experiment the paper adopts).
-	ResetError float64
-}
-
-// DefaultJPM returns JPM parameters tuned so the full SFQ readout error lands
-// at the Table 2 value (resonator driving + tunnelling 7.8e-3, readout 0,
-// reset 7.0e-3 folded into the reference comparisons).
-func DefaultJPM() JPM {
-	return JPM{
-		FreqHz:           6.8e9,
-		BrightTunnelProb: 0.9961,
-		DarkTunnelProb:   0.0039,
-		ResetTime:        70e-9,
-		ResetError:       0.0,
 	}
 }
 

@@ -15,25 +15,6 @@ type Envelope interface {
 	Amplitude(t, total float64) float64
 }
 
-// GaussianEnvelope is the standard single-qubit drive envelope, truncated at
-// ±NumSigma standard deviations and shifted so it starts and ends at zero.
-type GaussianEnvelope struct {
-	NumSigma float64 // typically 2–3
-}
-
-// Amplitude implements Envelope.
-func (g GaussianEnvelope) Amplitude(t, total float64) float64 {
-	ns := g.NumSigma
-	if ns <= 0 {
-		ns = 2.5
-	}
-	sigma := total / (2 * ns)
-	mid := total / 2
-	raw := math.Exp(-((t - mid) * (t - mid)) / (2 * sigma * sigma))
-	floor := math.Exp(-(mid * mid) / (2 * sigma * sigma))
-	return (raw - floor) / (1 - floor)
-}
-
 // CosineEnvelope is 0.5(1-cos(2πt/T)): zero-ended, smooth, cheap to store.
 type CosineEnvelope struct{}
 
@@ -122,22 +103,6 @@ func Quantize(samples []float64, bits int) []float64 {
 	return out
 }
 
-// QuantizeValue quantises a single value with the same convention.
-func QuantizeValue(v float64, bits int) float64 {
-	if bits <= 0 || bits >= 52 {
-		return v
-	}
-	levels := float64(int64(1) << (bits - 1))
-	q := math.Round(v*levels) / levels
-	if q > 1 {
-		return 1
-	}
-	if q < -1 {
-		return -1
-	}
-	return q
-}
-
 // AddNoiseSNR adds zero-mean Gaussian noise whose power is set by the given
 // SNR in dB relative to the RMS signal power, reproducing the noisy-analog
 // stage of the gate-error model (Fig. 7, step 1→2).
@@ -157,111 +122,9 @@ func AddNoiseSNR(samples []float64, snrDB float64, rng *rand.Rand) []float64 {
 	return out
 }
 
-// IQSample is one complex baseband sample of the drive NCO.
-type IQSample struct{ I, Q float64 }
-
-// NCOConfig mirrors the Horse Ridge drive-circuit NCO extended with virtual-Rz
-// support (Section 3.3.1 of the paper): a per-qubit phase accumulator with a
-// qubit-specific rotating frequency, combined with gate envelope/phase tables.
-type NCOConfig struct {
-	// SampleRateHz is the digital sample rate (2.5 GHz in Table 2).
-	SampleRateHz float64
-	// FreqHz is the NCO rotating frequency ω_NCO/2π (IF frequency).
-	FreqHz float64
-	// PhaseBits quantises the accumulated phase word (0 = ideal).
-	PhaseBits int
-	// AmplitudeBits quantises envelope amplitude samples (0 = ideal).
-	AmplitudeBits int
-}
-
-// NCO is the numerically controlled oscillator of the drive digital bank.
-type NCO struct {
-	cfg   NCOConfig
-	phase float64 // accumulated qubit phase Φ_Q in radians
-}
-
-// NewNCO returns an NCO with zero accumulated phase.
-func NewNCO(cfg NCOConfig) *NCO { return &NCO{cfg: cfg} }
-
-// Phase returns the accumulated qubit phase Φ_Q.
-func (n *NCO) Phase() float64 { return n.phase }
-
-// AccumulatePhase implements the virtual-Rz datapath: Rz(φ) is realised by
-// adding φ to the per-qubit phase accumulator, costing zero pulse time.
-func (n *NCO) AccumulatePhase(phi float64) {
-	n.phase = wrapPhase(n.phase + quantizePhase(phi, n.cfg.PhaseBits))
-}
-
-// GenerateIQ produces the digital I/Q sample stream of Eq. (1):
-//
-//	I[k] = A[k]·cos(ω_NCO·k·Ts + Φ_Q + Φ_G[k])
-//	Q[k] = A[k]·sin(ω_NCO·k·Ts + Φ_Q + Φ_G[k])
-//
-// for a gate of the given duration, envelope and gate phase. The phase
-// accumulator advances by the gate duration so subsequent gates stay coherent.
-func (n *NCO) GenerateIQ(env Envelope, duration float64, gatePhase float64) []IQSample {
-	ns := int(math.Round(duration * n.cfg.SampleRateHz))
-	if ns < 1 {
-		ns = 1
-	}
-	amps := Samples(env, ns, duration)
-	if n.cfg.AmplitudeBits > 0 {
-		amps = Quantize(amps, n.cfg.AmplitudeBits)
-	}
-	omega := 2 * math.Pi * n.cfg.FreqHz
-	ts := 1 / n.cfg.SampleRateHz
-	out := make([]IQSample, ns)
-	gp := quantizePhase(gatePhase, n.cfg.PhaseBits)
-	for k := 0; k < ns; k++ {
-		theta := omega*float64(k)*ts + n.phase + gp
-		out[k] = IQSample{I: amps[k] * math.Cos(theta), Q: amps[k] * math.Sin(theta)}
-	}
-	return out
-}
-
-// ZCorrectionTable holds the per-victim AC-Stark-shift correction phases that
-// the extended NCO applies after each Rx/Ry on a frequency-multiplexed line
-// (Section 3.3.1, "Z correction").
-type ZCorrectionTable struct {
-	// Phases[target][victim] is the Rz correction applied to victim after a
-	// gate on target sharing the same drive line.
-	Phases map[int]map[int]float64
-}
-
-// NewZCorrectionTable returns an empty table.
-func NewZCorrectionTable() *ZCorrectionTable {
-	return &ZCorrectionTable{Phases: make(map[int]map[int]float64)}
-}
-
-// Set records the correction phase for victim after a gate on target.
-func (z *ZCorrectionTable) Set(target, victim int, phi float64) {
-	m, ok := z.Phases[target]
-	if !ok {
-		m = make(map[int]float64)
-		z.Phases[target] = m
-	}
-	m[victim] = phi
-}
-
-// CorrectionsFor returns the victim→phase map for a gate on target.
-func (z *ZCorrectionTable) CorrectionsFor(target int) map[int]float64 {
-	return z.Phases[target]
-}
-
 // SFQTrain is a binary pulse train emitted at the SFQ clock rate: element k
 // is true when an SFQ pulse is launched in clock cycle k.
 type SFQTrain []bool
-
-// PeriodicTrain returns a train of n cycles with a pulse every period cycles,
-// the resonator-driving pattern of the SFQ readout (Opt-#8 speeds this up by
-// raising the clock so more pulses fit in a half resonator period).
-func PeriodicTrain(n, period int) SFQTrain {
-	t := make(SFQTrain, n)
-	for i := 0; i < n; i += period {
-		t[i] = true
-	}
-	return t
-}
 
 // AlignedTrain returns a train of n cycles that launches burst consecutive
 // pulses each time the resonator phase completes a full turn: pulse groups
@@ -286,20 +149,6 @@ func AlignedTrain(n int, fresHz, fclkHz float64, burst int) SFQTrain {
 			pending--
 		}
 		prev = cur
-	}
-	return t
-}
-
-// BurstTrain returns a train of n cycles that launches burst consecutive
-// pulses at the start of every period. This is the Opt-#8 fast-driving
-// pattern: at a boosted clock, several pulses fit inside a half resonator
-// period and accumulate near-coherently, raising drive energy per unit time.
-func BurstTrain(n, period, burst int) SFQTrain {
-	t := make(SFQTrain, n)
-	for i := 0; i < n; i += period {
-		for b := 0; b < burst && i+b < n; b++ {
-			t[i+b] = true
-		}
 	}
 	return t
 }
@@ -330,20 +179,4 @@ func (t SFQTrain) DriveEnergyAt(fHz, fclkHz float64) float64 {
 		im += math.Sin(theta)
 	}
 	return math.Hypot(re, im)
-}
-
-func quantizePhase(phi float64, bits int) float64 {
-	if bits <= 0 || bits >= 52 {
-		return phi
-	}
-	steps := float64(int64(1) << bits)
-	return math.Round(phi/(2*math.Pi)*steps) / steps * 2 * math.Pi
-}
-
-func wrapPhase(phi float64) float64 {
-	phi = math.Mod(phi, 2*math.Pi)
-	if phi < 0 {
-		phi += 2 * math.Pi
-	}
-	return phi
 }

@@ -7,24 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestGaussianEnvelopeShape(t *testing.T) {
-	g := GaussianEnvelope{NumSigma: 2.5}
-	T := 25e-9
-	if a := g.Amplitude(0, T); math.Abs(a) > 1e-12 {
-		t.Fatalf("gaussian should start at 0, got %v", a)
-	}
-	if a := g.Amplitude(T, T); math.Abs(a) > 1e-12 {
-		t.Fatalf("gaussian should end at 0, got %v", a)
-	}
-	if a := g.Amplitude(T/2, T); math.Abs(a-1) > 1e-12 {
-		t.Fatalf("gaussian peak should be 1, got %v", a)
-	}
-	// Symmetric.
-	if math.Abs(g.Amplitude(0.3*T, T)-g.Amplitude(0.7*T, T)) > 1e-12 {
-		t.Fatal("gaussian should be symmetric")
-	}
-}
-
 func TestCosineEnvelope(t *testing.T) {
 	c := CosineEnvelope{}
 	T := 1.0
@@ -92,7 +74,7 @@ func TestQuantizeCoarse(t *testing.T) {
 }
 
 func TestQuantizeErrorDecreasesWithBits(t *testing.T) {
-	env := Samples(GaussianEnvelope{}, 64, 25e-9)
+	env := Samples(CosineEnvelope{}, 64, 25e-9)
 	var prev float64 = math.Inf(1)
 	for _, bits := range []int{3, 5, 7, 9, 12} {
 		q := Quantize(env, bits)
@@ -128,76 +110,12 @@ func TestAddNoiseSNR(t *testing.T) {
 	}
 }
 
-func TestNCOVirtualRz(t *testing.T) {
-	n := NewNCO(NCOConfig{SampleRateHz: 2.5e9, FreqHz: 200e6})
-	n.AccumulatePhase(math.Pi / 2)
-	if math.Abs(n.Phase()-math.Pi/2) > 1e-12 {
-		t.Fatalf("phase accumulator = %v, want π/2", n.Phase())
-	}
-	// Accumulation wraps.
-	n.AccumulatePhase(2 * math.Pi)
-	if math.Abs(n.Phase()-math.Pi/2) > 1e-12 {
-		t.Fatal("phase accumulator should wrap modulo 2π")
-	}
-}
-
-func TestNCOGenerateIQ(t *testing.T) {
-	n := NewNCO(NCOConfig{SampleRateHz: 2.5e9, FreqHz: 0})
-	iq := n.GenerateIQ(GaussianEnvelope{}, 25e-9, 0)
-	if len(iq) != 62 && len(iq) != 63 {
-		t.Fatalf("25ns at 2.5GHz should give ~62 samples, got %d", len(iq))
-	}
-	// With zero NCO frequency and zero phases, Q must be 0 and I the envelope.
-	for i, s := range iq {
-		if math.Abs(s.Q) > 1e-12 {
-			t.Fatalf("sample %d: Q=%v, want 0", i, s.Q)
-		}
-		if s.I < -1e-12 || s.I > 1+1e-12 {
-			t.Fatalf("sample %d: I=%v outside [0,1]", i, s.I)
-		}
-	}
-}
-
-func TestNCOGatePhaseRotatesIQ(t *testing.T) {
-	n := NewNCO(NCOConfig{SampleRateHz: 2.5e9, FreqHz: 0})
-	iqX := n.GenerateIQ(UnitStepEnvelope{}, 4e-9, 0)
-	iqY := n.GenerateIQ(UnitStepEnvelope{}, 4e-9, math.Pi/2)
-	for i := range iqX {
-		if math.Abs(iqX[i].I-iqY[i].Q) > 1e-12 || math.Abs(iqX[i].Q+iqY[i].I) > 1e-9 {
-			t.Fatal("π/2 gate phase should rotate I into Q")
-		}
-	}
-}
-
-func TestZCorrectionTable(t *testing.T) {
-	z := NewZCorrectionTable()
-	z.Set(3, 1, 0.01)
-	z.Set(3, 2, -0.02)
-	c := z.CorrectionsFor(3)
-	if len(c) != 2 || c[1] != 0.01 || c[2] != -0.02 {
-		t.Fatalf("corrections = %v", c)
-	}
-	if z.CorrectionsFor(9) != nil {
-		t.Fatal("missing target should return nil")
-	}
-}
-
-func TestPeriodicTrain(t *testing.T) {
-	tr := PeriodicTrain(12, 4)
-	if tr.Count() != 3 {
-		t.Fatalf("count = %d, want 3", tr.Count())
-	}
-	if !tr[0] || !tr[4] || !tr[8] || tr[1] {
-		t.Fatal("pulse positions wrong")
-	}
-}
-
 func TestDriveEnergyResonant(t *testing.T) {
 	// A train periodic at the resonator frequency accumulates coherently;
 	// off-resonant trains accumulate far less.
 	fclk := 24e9
 	fres := 6.0e9 // period = 4 clock cycles
-	tr := PeriodicTrain(400, 4)
+	tr := AlignedTrain(400, fres, fclk, 1)
 	onRes := tr.DriveEnergyAt(fres, fclk)
 	offRes := tr.DriveEnergyAt(fres*1.13, fclk)
 	if onRes < float64(tr.Count())*0.999 {
@@ -212,16 +130,17 @@ func TestFastDrivingDoubleRate(t *testing.T) {
 	// Opt-#8: doubling the clock packs twice the pulses per time window at the
 	// same resonator frequency → about twice the drive energy per unit time.
 	fres := 6.0e9
-	slow := PeriodicTrain(100, 4) // 24 GHz clock, one pulse per resonator period
-	fast := BurstTrain(200, 8, 2) // 48 GHz clock: same wall time, 2 pulses/period
+	slow := AlignedTrain(100, fres, 24e9, 1) // one pulse per resonator period
+	fast := AlignedTrain(200, fres, 48e9, 2) // same wall time, 2 pulses/period
 	eSlow := slow.DriveEnergyAt(fres, 24e9)
 	eFast := fast.DriveEnergyAt(fres, 48e9)
 	// Two pulses π/4 apart add to |1+e^{iπ/4}| ≈ 1.85 per period.
 	if eFast < 1.8*eSlow {
 		t.Fatalf("fast driving should ~double drive energy: %v vs %v", eFast, eSlow)
 	}
-	if fast.Count() != 2*slow.Count() {
-		t.Fatal("burst train should double the pulse count")
+	// The window may cut the last burst short by one pulse.
+	if c := fast.Count(); c < 2*slow.Count()-1 || c > 2*slow.Count() {
+		t.Fatalf("burst train should double the pulse count: %d vs %d", c, slow.Count())
 	}
 }
 
@@ -229,7 +148,7 @@ func TestQuickQuantizeBounded(t *testing.T) {
 	f := func(v float64, bits uint8) bool {
 		b := int(bits%14) + 1
 		in := math.Mod(v, 1)
-		q := QuantizeValue(in, b)
+		q := Quantize([]float64{in}, b)[0]
 		return q >= -1 && q <= 1 && math.Abs(q-in) <= 1.0/float64(int64(1)<<(b-1))+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -238,7 +157,7 @@ func TestQuickQuantizeBounded(t *testing.T) {
 }
 
 func TestQuickEnvelopesBounded(t *testing.T) {
-	envs := []Envelope{GaussianEnvelope{}, CosineEnvelope{}, FlatTopEnvelope{}, UnitStepEnvelope{}}
+	envs := []Envelope{CosineEnvelope{}, FlatTopEnvelope{}, UnitStepEnvelope{}}
 	f := func(frac float64) bool {
 		x := math.Abs(math.Mod(frac, 1))
 		for _, e := range envs {
@@ -283,16 +202,10 @@ func TestQuantizeEdgeCases(t *testing.T) {
 				t.Fatalf("bits=%d should pass through, got %v", bits, out)
 			}
 		}
-		if v := QuantizeValue(0.123, bits); v != 0.123 {
-			t.Fatalf("QuantizeValue bits=%d should pass through", bits)
-		}
 	}
 	// Saturation at the rails.
-	if q := QuantizeValue(1.7, 4); q != 1 {
-		t.Fatalf("over-range should clamp to 1, got %v", q)
-	}
-	if q := QuantizeValue(-1.7, 4); q != -1 {
-		t.Fatalf("under-range should clamp to -1, got %v", q)
+	if q := Quantize([]float64{1.7, -1.7}, 4); q[0] != 1 || q[1] != -1 {
+		t.Fatalf("out-of-range samples should clamp to ±1, got %v", q)
 	}
 }
 
@@ -300,22 +213,5 @@ func TestSamplesSinglePoint(t *testing.T) {
 	s := Samples(CosineEnvelope{}, 1, 50e-9)
 	if len(s) != 1 || math.Abs(s[0]-1) > 1e-12 {
 		t.Fatalf("single-sample envelope should sit at the midpoint peak: %v", s)
-	}
-}
-
-func TestPhaseQuantization(t *testing.T) {
-	n := NewNCO(NCOConfig{SampleRateHz: 2.5e9, FreqHz: 0, PhaseBits: 4})
-	// 4-bit phase: grid of 2π/16; an odd angle snaps to it.
-	n.AccumulatePhase(0.5)
-	grid := 2 * math.Pi / 16
-	snapped := math.Round(0.5/grid) * grid
-	if math.Abs(n.Phase()-snapped) > 1e-12 {
-		t.Fatalf("phase %v, want snapped %v", n.Phase(), snapped)
-	}
-	// Negative accumulation wraps into [0, 2π).
-	n2 := NewNCO(NCOConfig{SampleRateHz: 2.5e9})
-	n2.AccumulatePhase(-math.Pi / 2)
-	if n2.Phase() < 0 || n2.Phase() >= 2*math.Pi {
-		t.Fatalf("phase %v not wrapped", n2.Phase())
 	}
 }

@@ -1,6 +1,7 @@
 package qcp
 
 import (
+	"fmt"
 	"testing"
 
 	"qisim/internal/compile"
@@ -9,6 +10,22 @@ import (
 	"qisim/internal/microarch"
 	"qisim/internal/qasm"
 )
+
+// ValidateAgainstModel compares the measured per-round time with the
+// analytic RoundTiming model for a design — the cross-check between the
+// cycle-accurate simulator and the calibrated analytic timing the
+// scalability analysis uses.
+func ValidateAgainstModel(measured, modeled float64) error {
+	if measured <= 0 || modeled <= 0 {
+		return fmt.Errorf("qcp: non-positive round times %v / %v", measured, modeled)
+	}
+	ratio := measured / modeled
+	if ratio < 0.3 || ratio > 3 {
+		return fmt.Errorf("qcp: measured round time %.0f ns and model %.0f ns diverge beyond 3x",
+			measured*1e9, modeled*1e9)
+	}
+	return nil
+}
 
 func TestTranslateMemoryProgram(t *testing.T) {
 	l := lattice.NewLayout(2, 3)

@@ -187,6 +187,31 @@ func TestTrajectoryMCConsistentWithAnalytic(t *testing.T) {
 	}
 }
 
+// TestTrajectoryMCRejectsNonFinite pins ErrNumerical on a path a binary
+// runs (examples/readout_lab): a corrupted drive or resonator makes the
+// pointer states non-finite, and a zero drive leaves them degenerate, so the
+// MC refuses before any shot runs.
+func TestTrajectoryMCRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*TrajectoryConfig)
+	}{
+		{"drive NaN", func(c *TrajectoryConfig) { c.DriveEps = math.NaN() }},
+		{"drive +Inf", func(c *TrajectoryConfig) { c.DriveEps = math.Inf(1) }},
+		{"drive zero", func(c *TrajectoryConfig) { c.DriveEps = 0 }},
+		{"kappa NaN", func(c *TrajectoryConfig) { c.Resonator.KappaHz = math.NaN() }},
+	}
+	for _, c := range cases {
+		cfg := DefaultTrajectoryConfig()
+		cfg.Shots = 100
+		c.mutate(&cfg)
+		_, err := TrajectoryMCCtx(context.Background(), cfg, DefaultChain(), simrun.Options{})
+		if !errors.Is(err, simerr.ErrNumerical) {
+			t.Errorf("%s: err = %v, want ErrNumerical", c.name, err)
+		}
+	}
+}
+
 func TestChainPerSampleProb(t *testing.T) {
 	c := DefaultChain()
 	q := c.perSampleCorrectProb()

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"qisim/internal/cryo"
@@ -290,9 +289,4 @@ func capInf(v float64) float64 {
 		return -1
 	}
 	return v
-}
-
-// SortByMax orders analyses by achievable scale (descending).
-func SortByMax(as []Analysis) {
-	sort.Slice(as, func(i, j int) bool { return as[i].MaxQubits > as[j].MaxQubits })
 }

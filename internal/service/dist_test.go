@@ -93,7 +93,7 @@ func TestFleetE2EMatchesStandalone(t *testing.T) {
 	}
 	var execs int64
 	for _, w := range workers {
-		execs += w.Executions()
+		execs += w.Stats().Executions
 	}
 	if execs == 0 {
 		t.Fatal("no worker executed a unit — result came from the local lane")

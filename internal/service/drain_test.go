@@ -55,7 +55,7 @@ func TestDrainTruncatesInFlight(t *testing.T) {
 	// Wait for the worker to pick it up.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		snap, ok := srv.Manager().Get(sr.Job.ID)
+		snap, ok := srv.mgr.Get(sr.Job.ID)
 		if ok && snap.State == jobs.StateRunning {
 			break
 		}
@@ -91,7 +91,7 @@ func TestDrainTruncatesInFlight(t *testing.T) {
 	}
 
 	// Truncated partials must never enter the content-addressed cache.
-	if srv.Cache().Contains(sr.Job.Key) {
+	if srv.cache.Contains(sr.Job.Key) {
 		t.Fatal("truncated partial was cached")
 	}
 
@@ -133,7 +133,7 @@ func TestDrainIsIdempotent(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatalf("second drain: %v", err)
 	}
-	if !srv.Manager().Draining() {
+	if !srv.mgr.Draining() {
 		t.Fatal("manager not marked draining")
 	}
 }

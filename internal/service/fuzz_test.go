@@ -3,15 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"testing"
 
 	"qisim/internal/simerr"
 )
 
 // FuzzJobRequest hammers the job-submission decoder with arbitrary bodies:
-// strict JSON into jobRequest, as handleSubmit decodes POST /v1/jobs, then
-// buildJob with a live server's environment. The job is never run. The
+// decodeJobRequest, the strict decode handleSubmit runs on POST /v1/jobs,
+// then buildJob with a live server's environment. The job is never run. The
 // invariants under fuzz:
 //
 //  1. neither the body decode nor buildJob panics;
@@ -45,10 +44,8 @@ func FuzzJobRequest(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req jobRequest
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		req, err := decodeJobRequest(bytes.NewReader(data))
+		if err != nil {
 			return // handleSubmit refuses the body itself, as invalid config
 		}
 		kind, key, run, err := buildJob(req, env)

@@ -48,7 +48,7 @@ func TestRecoveryResumesInterruptedJob(t *testing.T) {
 	// Cold reference: the same request on a pristine in-memory server.
 	coldSrv, coldTS := newTestServer(t, Config{Workers: 2})
 	_, coldSub := submitRaw(t, coldTS, req)
-	coldSnap, err := coldSrv.Manager().Wait(context.Background(), coldSub.Job.ID)
+	coldSnap, err := coldSrv.mgr.Wait(context.Background(), coldSub.Job.ID)
 	if err != nil || coldSnap.State != jobs.StateDone {
 		t.Fatalf("cold run: %v (%+v)", err, coldSnap)
 	}
@@ -71,7 +71,7 @@ func TestRecoveryResumesInterruptedJob(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		snap, _ := srv1.Manager().Get(sub.Job.ID)
+		snap, _ := srv1.mgr.Get(sub.Job.ID)
 		if snap.Progress.Completed >= 2*256 {
 			break
 		}
@@ -87,7 +87,7 @@ func TestRecoveryResumesInterruptedJob(t *testing.T) {
 		t.Fatalf("life-1 drain: %v", err)
 	}
 	ts1.Close()
-	killed, _ := srv1.Manager().Get(sub.Job.ID)
+	killed, _ := srv1.mgr.Get(sub.Job.ID)
 	if killed.State != jobs.StateDone || killed.Status == nil || !killed.Status.Truncated {
 		t.Fatalf("life-1 job not a truncated partial: %+v", killed)
 	}
@@ -115,13 +115,13 @@ func TestRecoveryResumesInterruptedJob(t *testing.T) {
 	}
 	// Wait for the recovered job to finish, then fetch it via the cache:
 	// a resumed-complete result must be cacheable.
-	for srv2.Manager().InFlight() > 0 {
+	for srv2.mgr.InFlight() > 0 {
 		if time.Now().After(deadline.Add(20 * time.Second)) {
 			t.Fatal("recovered job never finished")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	body, ok := srv2.Cache().Get(rescache.Key(sub.Job.Key))
+	body, ok := srv2.cache.Get(rescache.Key(sub.Job.Key))
 	if !ok {
 		t.Fatal("recovered result not cached")
 	}
@@ -182,13 +182,13 @@ func TestRecoveryColdStartWithoutCheckpoint(t *testing.T) {
 		t.Fatalf("recover: n=%d err=%v", n, err)
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	for srv.Manager().InFlight() > 0 {
+	for srv.mgr.InFlight() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("recovered job never finished")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	body, ok := srv.Cache().Get(key)
+	body, ok := srv.cache.Get(key)
 	if !ok {
 		t.Fatal("cold-recovered job did not complete into the cache")
 	}
@@ -198,11 +198,11 @@ func TestRecoveryColdStartWithoutCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := refSrv.Manager().Submit(kind, key, params, run)
+	snap, _, err := refSrv.mgr.SubmitOpts(kind, key, params, run, jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := refSrv.Manager().Wait(context.Background(), snap.ID)
+	ref, err := refSrv.mgr.Wait(context.Background(), snap.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,17 +257,17 @@ func TestReadyzGates(t *testing.T) {
 		}
 		return []byte(`{}`), simrun.Status{StopReason: simrun.StopCompleted}, nil
 	}
-	if _, _, err := srv.Manager().Submit(jobs.KindSurfaceMC, rescache.Key(strings.Repeat("1", 64)), nil, slow); err != nil {
+	if _, _, err := srv.mgr.SubmitOpts(jobs.KindSurfaceMC, rescache.Key(strings.Repeat("1", 64)), nil, slow, jobs.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Manager().QueueDepth() > 0 { // wait for the worker to take it
+	for srv.mgr.QueueDepth() > 0 { // wait for the worker to take it
 		if time.Now().After(deadline) {
 			t.Fatal("worker never picked up the blocking job")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := srv.Manager().Submit(jobs.KindSurfaceMC, rescache.Key(strings.Repeat("2", 64)), nil, slow); err != nil {
+	if _, _, err := srv.mgr.SubmitOpts(jobs.KindSurfaceMC, rescache.Key(strings.Repeat("2", 64)), nil, slow, jobs.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if code, st := status("/readyz"); code != http.StatusServiceUnavailable || st != "saturated" {

@@ -35,10 +35,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
@@ -536,12 +538,6 @@ func (s *Server) Drain(ctx context.Context) error {
 // Registry exposes the metrics registry (tests, extra collectors).
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// Cache exposes the result cache (tests).
-func (s *Server) Cache() *rescache.Cache { return s.cache }
-
-// Manager exposes the job manager (tests).
-func (s *Server) Manager() *jobs.Manager { return s.mgr }
-
 // Flight exposes the always-on flight recorder so the process shell (SIGQUIT
 // handler, fleet-worker loop, tests) can record into and dump the same ring
 // the HTTP debug endpoint serves.
@@ -559,14 +555,32 @@ type errorResponse struct {
 	Class string `json:"class,omitempty"`
 }
 
+// decodeJobRequest decodes a POST /v1/jobs body strictly: one JSON object
+// with no unknown fields, followed by nothing but whitespace. A body over
+// its MaxBytesReader bound fails with the reader's *http.MaxBytesError.
+func decodeJobRequest(body io.Reader) (jobRequest, error) {
+	data, err := io.ReadAll(body)
+	if err != nil {
+		return jobRequest{}, err
+	}
+	var req jobRequest
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return jobRequest{}, err
+	}
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		return jobRequest{}, errors.New("data after the job object")
+	}
+	return req, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Bound the body BEFORE decoding: an oversized (or unbounded) payload
 	// is refused with 413 instead of being buffered into memory.
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
-	var req jobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeJobRequest(r.Body)
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.mRejected.With("too-large").Inc()

@@ -220,8 +220,8 @@ func TestConcurrentDuplicatesCoalesce(t *testing.T) {
 	if n := scrapeMetric(t, ts, `qisimd_jobs_finished_total{kind="surface.mc",state="done"}`); n != 1 {
 		t.Fatalf("finished{done} = %v, want 1 execution", n)
 	}
-	if srv.Cache().Len() != 1 {
-		t.Fatalf("cache has %d entries, want 1", srv.Cache().Len())
+	if srv.cache.Len() != 1 {
+		t.Fatalf("cache has %d entries, want 1", srv.cache.Len())
 	}
 }
 
@@ -238,9 +238,16 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"unknown kind", `{"kind":"bogus","params":{}}`, 400, "invalid-config"},
 		{"typo'd param", `{"kind":"surface.mc","params":{"distanec":3}}`, 400, "invalid-config"},
 		{"bad body", `{"kind":`, 400, "invalid-config"},
+		{"bytes after the object", `{"kind":"surface.mc","params":{"distance":3,"shots":100,"seed":5}}garbage`, 400, "invalid-config"},
+		{"a second object after the first", `{"kind":"surface.mc","params":{"distance":3,"shots":100,"seed":5}} {"kind":"nonsense"} garbage`, 400, "invalid-config"},
+		{"trailing newline", "{\"kind\":\"surface.mc\",\"params\":{\"distance\":3,\"shots\":100,\"seed\":5}}\n", 202, ""},
 		{"unsupported qasm", `{"kind":"pauli.mc","params":{"qasm":"OPENQASM 2.0; qreg q[1]; h q[0]; ccx q[0],q[0],q[0];"}}`, 501, "unsupported-qasm"},
 	}
+	rejected := 0
 	for _, c := range cases {
+		if c.status != http.StatusAccepted {
+			rejected++
+		}
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
@@ -252,6 +259,9 @@ func TestErrorStatusMapping(t *testing.T) {
 			t.Errorf("%s: got %d class %q, want %d %q (%s)",
 				c.name, resp.StatusCode, er.Class, c.status, c.class, er.Error)
 		}
+	}
+	if n := scrapeMetric(t, ts, `qisimd_jobs_rejected_total{reason="invalid"}`); n != float64(rejected) {
+		t.Errorf("invalid rejections counted %v, want %d", n, rejected)
 	}
 
 	if code := getJSON(t, ts.URL+"/v1/jobs/j-999999", nil); code != http.StatusNotFound {

@@ -8,7 +8,6 @@
 package sfq
 
 import (
-	"fmt"
 	"math"
 
 	"qisim/internal/phys"
@@ -161,10 +160,6 @@ func (c *Circuit) FMax(d Device) float64 {
 		return math.Inf(1)
 	}
 	return 1 / (float64(c.Depth) * d.GateDelayS)
-}
-
-func (c *Circuit) String() string {
-	return fmt.Sprintf("%s{JJs: %d, depth: %d}", c.Name, c.JJCount(), c.Depth)
 }
 
 // DriveSpec parameterises the SFQ drive-circuit builders (Fig. 5).

@@ -70,24 +70,3 @@ func FitProjection(ds []int, ps []float64, shots int, seed int64) (FitResult, er
 	res.PTh = math.Exp(lnPth)
 	return res, nil
 }
-
-// PredictsWithin reports whether the fit reproduces its own MC points within
-// the given log-space factor — the quality gate of the fit.
-func (f FitResult) PredictsWithin(factor float64) bool {
-	if f.A == 0 || f.PTh == 0 {
-		return false
-	}
-	pr := Projection{A: f.A, PTh: f.PTh}
-	for _, pt := range f.Points {
-		pr.D = pt.D
-		pred := pr.Logical(pt.P)
-		r := pred / pt.PL
-		if r < 1 {
-			r = 1 / r
-		}
-		if r > factor {
-			return false
-		}
-	}
-	return true
-}

@@ -2,6 +2,27 @@ package surface
 
 import "testing"
 
+// PredictsWithin reports whether the fit reproduces its own MC points within
+// the given log-space factor — the quality gate of the fit.
+func (f FitResult) PredictsWithin(factor float64) bool {
+	if f.A == 0 || f.PTh == 0 {
+		return false
+	}
+	pr := Projection{A: f.A, PTh: f.PTh}
+	for _, pt := range f.Points {
+		pr.D = pt.D
+		pred := pr.Logical(pt.P)
+		r := pred / pt.PL
+		if r < 1 {
+			r = 1 / r
+		}
+		if r > factor {
+			return false
+		}
+	}
+	return true
+}
+
 func TestFitProjectionFromDecoder(t *testing.T) {
 	r, err := FitProjection([]int{3, 5}, []float64{0.01, 0.02, 0.03, 0.05}, 120000, 1)
 	if err != nil {
@@ -10,6 +31,7 @@ func TestFitProjectionFromDecoder(t *testing.T) {
 	if len(r.Points) < 6 {
 		t.Fatalf("fit used only %d points", len(r.Points))
 	}
+	t.Logf("A = %.3g, p_th = %.3g from %d MC points", r.A, r.PTh, len(r.Points))
 	// The prefactor lands near the canonical ~0.1.
 	if r.A < 0.02 || r.A > 0.5 {
 		t.Fatalf("fitted A = %v, want ~0.1", r.A)

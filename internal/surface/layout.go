@@ -22,13 +22,6 @@ const (
 	XAncilla
 )
 
-func (t AncillaType) String() string {
-	if t == ZAncilla {
-		return "Z"
-	}
-	return "X"
-}
-
 // Ancilla is one stabilizer qubit of the patch.
 type Ancilla struct {
 	Type AncillaType
@@ -123,17 +116,6 @@ func (p *Patch) TotalQubits() int { return p.DataQubits() + len(p.Ancillas) }
 // PhysicalQubitsPerPatch is the paper's per-logical-qubit budget 2(d+1)²
 // (Section 2.1.3) — 1,152 qubits at d = 23.
 func PhysicalQubitsPerPatch(d int) int { return 2 * (d + 1) * (d + 1) }
-
-// AncillasOfType returns the indices of ancillas with the given type.
-func (p *Patch) AncillasOfType(t AncillaType) []int {
-	var out []int
-	for i, a := range p.Ancillas {
-		if a.Type == t {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // Op is one scheduled operation of the ESM circuit.
 type Op struct {

@@ -21,14 +21,6 @@ func (pr Projection) Logical(p float64) float64 {
 	return pr.A * math.Pow(p/pr.PTh, float64(pr.D+1)/2)
 }
 
-// PhysicalFor inverts Logical: the p_eff that yields the given p_L.
-func (pr Projection) PhysicalFor(pL float64) float64 {
-	if pL <= 0 {
-		return 0
-	}
-	return pr.PTh * math.Pow(pL/pr.A, 2/float64(pr.D+1))
-}
-
 // RoundTiming describes one ESM round's schedule for a QCI technology.
 type RoundTiming struct {
 	// OneQTime and TwoQTime are single-gate latencies (25/50 ns).

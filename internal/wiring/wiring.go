@@ -146,15 +146,3 @@ func (d DataLink) PowerAt4K(bandwidthBps float64) float64 {
 	}
 	return bandwidthBps * d.EnergyPerBitJ
 }
-
-// Cables returns the physical cable count needed for a bandwidth.
-func (d DataLink) Cables(bandwidthBps float64) int {
-	if bandwidthBps <= 0 {
-		return 0
-	}
-	n := int(bandwidthBps / d.CableCapacityBps)
-	if float64(n)*d.CableCapacityBps < bandwidthBps {
-		n++
-	}
-	return n
-}

@@ -75,19 +75,6 @@ func TestDataLinkCalibration(t *testing.T) {
 	}
 }
 
-func TestDataLinkCableCount(t *testing.T) {
-	d := DefaultDataLink()
-	if n := d.Cables(2.5e9); n != 1 {
-		t.Fatalf("one full cable expected, got %d", n)
-	}
-	if n := d.Cables(2.6e9); n != 2 {
-		t.Fatalf("spillover should need 2 cables, got %d", n)
-	}
-	if d.Cables(0) != 0 {
-		t.Fatal("no bandwidth, no cables")
-	}
-}
-
 func TestStageString(t *testing.T) {
 	if Stage4K.String() != "4K" || Stage100mK.String() != "100mK" || Stage20mK.String() != "20mK" {
 		t.Fatal("stage names changed")
