@@ -8,7 +8,7 @@ LDFLAGS  = -X qisim/internal/buildinfo.Version=$(VERSION) \
            -X qisim/internal/buildinfo.Commit=$(COMMIT) \
            -X qisim/internal/buildinfo.Date=$(DATE)
 
-.PHONY: all build test vet race fuzz smoke unlinked serve trace-demo verify clean help
+.PHONY: all build test vet race fuzz smoke unlinked loc serve trace-demo verify clean help
 
 all: build
 
@@ -71,6 +71,16 @@ smoke:
 unlinked:
 	$(GO) test -tags linkcheck -run '^TestEveryFunctionLinked$$' -count=1 .
 
+# Non-test Go lines of the tracked files per package, the infrastructure
+# layers' total and the total outside bench/.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs wc -l | awk '$$2 != "total" { \
+		pkg = $$2; sub(/\/[^\/]*$$/, "", pkg); if (pkg == $$2) pkg = "."; n[pkg] += $$1; \
+		if (pkg !~ /^bench/) all += $$1; \
+		if (pkg ~ /^internal\/(service|dist|jobs|obs|metrics|chaos|dse|checkpoint|rescache|backoff)$$/) infra += $$1 } \
+		END { for (p in n) printf "%7d  %s\n", n[p], p | "sort -k2"; close("sort -k2"); \
+		printf "%7d  infrastructure (service dist jobs obs metrics chaos dse checkpoint rescache backoff)\n%7d  total outside bench/\n", infra, all }'
+
 # Build and run the qisimd analysis service on :8080 with version stamping.
 serve:
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/qisimd -addr :8080
@@ -105,5 +115,6 @@ help:
 	@echo "  verify          the CI gate: vet + build + race + fuzz + gofmt + package benchmarks + pinned digests + experiment fan-out race check + bench/ vet and tests + smoke + unlinked"
 	@echo "  smoke           CLI smokes: trace export, build identity, exit 4 on a bad distance"
 	@echo "  unlinked        every non-test function is linked into a binary or listed in linkcheck_test.go"
+	@echo "  loc             non-test Go lines per package, infrastructure total, total outside bench/"
 	@echo "  trace-demo      record a Chrome trace of a parallel decoder run"
 	@echo "  serve           run the qisimd analysis service on :8080"

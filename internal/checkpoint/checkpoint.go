@@ -70,7 +70,7 @@ type Meta struct {
 	// ShardSize fixes the shard geometry and therefore the RNG stream
 	// layout.
 	ShardSize int `json:"shard_size"`
-	// Budget is the effective shot budget (after MaxShots capping).
+	// Budget is the run's shot budget.
 	Budget int `json:"budget"`
 	// MinShots / TargetRelStdErr fix the convergence decisions; resuming
 	// under different guard settings could stop at a different prefix.

@@ -24,58 +24,35 @@ import (
 	"qisim/internal/simrun"
 )
 
-// Hooks are the coordinator's observability callbacks (the service layer
-// maps them onto Prometheus metrics; tests onto counters). All optional,
-// all called under the coordinator lock — keep them O(1) and non-blocking.
-type Hooks struct {
-	// Lease fires per lease event: "granted", "renewed", "expired",
-	// "done", "adopted".
-	Lease func(event string)
-	// Retry fires when an expired/failed unit requeues with backoff.
-	Retry func()
-	// Steal fires when a straggler unit is hedge-dispatched to a second
-	// worker.
-	Steal func()
-	// Evict/Readmit fire on worker health transitions.
-	Evict   func()
-	Readmit func()
-	// Local fires when a unit falls back to the coordinator's local lane.
-	Local func()
-	// UnitDone fires when a unit's result is accepted, with the reporting
-	// worker ("local" for the local lane) and the unit's wall time.
-	UnitDone func(worker string, seconds float64)
-	// SpotCheck fires per spot-check verdict: "pass", "fail", or "error"
-	// (the re-execution itself failed and the report was accepted
-	// unverified).
-	SpotCheck func(result string)
-	// Quarantine fires when a worker is quarantined after a failed
-	// spot-check.
-	Quarantine func()
-}
+// Fixed coordinator policy; the lease-paced intervals derive from
+// Config.LeaseTTL instead.
+const (
+	// maxAttempts is the remote grant budget per unit before it degrades
+	// to the local lane.
+	maxAttempts = 4
+	// probeFailLimit evicts a worker after this many consecutive probe
+	// failures.
+	probeFailLimit = 3
+	// spotCheckProbation is the check fraction for workers below
+	// spotCheckMinTrust passes (never below Config.SpotCheck): fresh
+	// arrivals and quarantine returnees prove themselves before dropping to
+	// the base rate.
+	spotCheckProbation = 0.5
+	spotCheckMinTrust  = 3
+	// seed seeds the requeue jitter and the spot-check draw; jitter never
+	// touches simulation results.
+	seed = 1
+)
 
 // Config parameterises a Coordinator.
 type Config struct {
 	// LeaseTTL is a lease's deadline extension per grant/renewal
-	// (default 15s).
+	// (default 15s). It paces the rest of the lease machinery: the expiry
+	// sweep runs every TTL/4 and the health probes every TTL, a leased unit
+	// older than 2×TTL may be hedged, and a quarantine lasts 4×TTL.
 	LeaseTTL time.Duration
 	// UnitShards is the work-unit granularity in shards (default 4).
 	UnitShards int
-	// MaxAttempts is the remote grant budget per unit before it degrades
-	// to the local lane (default 4).
-	MaxAttempts int
-	// Backoff paces unit requeues after lease expiry (zero = backoff.Default).
-	Backoff backoff.Policy
-	// HedgeAfter is the straggler threshold: a leased unit older than this
-	// with no pending work left is re-dispatched to a second worker
-	// (default 2×LeaseTTL).
-	HedgeAfter time.Duration
-	// SweepInterval paces the background expiry sweep (default LeaseTTL/4).
-	SweepInterval time.Duration
-	// ProbeInterval paces worker health probes (default LeaseTTL).
-	ProbeInterval time.Duration
-	// ProbeFailLimit evicts a worker after this many consecutive probe
-	// failures (default 3).
-	ProbeFailLimit int
 	// Probe checks one worker's health endpoint, returning its readiness
 	// status ("ok", "draining", "saturated", ...) or an error for
 	// unreachable. Nil disables probing (workers die by lease expiry only).
@@ -87,8 +64,9 @@ type Config struct {
 	// Journal, when set, records lease grants/resolutions in the job WAL
 	// so a coordinator crash can reconstruct in-flight assignments.
 	Journal *jobs.Journal
-	// Cache, when set, is the shared content-addressed result tier
-	// consulted per unit before dispatch.
+	// Cache, when set, is the shared content-addressed result tier: the
+	// done units of a job that stops short (truncated or failed) go into
+	// it, and every job's units are looked up in it before dispatch.
 	Cache *rescache.Cache
 	// Clock injects time for tests (default time.Now).
 	Clock func() time.Time
@@ -96,29 +74,17 @@ type Config struct {
 	// remote unit reports the coordinator re-executes locally and compares
 	// byte-for-byte before trusting. 0 disables spot-checking. A worker
 	// whose report mismatches is quarantined (leases stripped, no grants,
-	// reports ignored) for QuarantineFor and its trust resets.
+	// reports ignored) for 4×LeaseTTL and its trust resets.
 	SpotCheck float64
-	// SpotCheckProbation is the elevated check fraction applied to workers
-	// below SpotCheckMinTrust — fresh arrivals and quarantine returnees
-	// prove themselves before dropping to the base rate (default 0.5, and
-	// never below SpotCheck).
-	SpotCheckProbation float64
-	// SpotCheckMinTrust is the number of passed spot-checks after which a
-	// worker graduates from the probation rate (default 3).
-	SpotCheckMinTrust int
-	// QuarantineFor is how long a quarantined worker is shunned before
-	// timed re-admission (default 4×LeaseTTL). Unlike eviction, quarantine
-	// is NOT cleared by claims, reports, or probes — only by time.
-	QuarantineFor time.Duration
-	// Seed seeds the jitter RNG (0 = 1); jitter is the only randomness
-	// here and never touches simulation results.
-	Seed   int64
-	Logger *slog.Logger
-	Hooks  Hooks
+	Logger    *slog.Logger
 	// Flight, when set, records lease transitions, retries, evictions,
 	// quarantines and spot-check verdicts into the shared flight-recorder
 	// ring (nil disables; every Record call is nil-safe).
 	Flight *obs.FlightRecorder
+	// UnitSeconds, when set, observes each accepted unit's wall time from
+	// first grant to acceptance, with the reporting worker ("local" for the
+	// local lane). Called under the coordinator lock: keep it O(1).
+	UnitSeconds func(worker string, seconds float64)
 }
 
 func (c Config) withDefaults() Config {
@@ -128,38 +94,8 @@ func (c Config) withDefaults() Config {
 	if c.UnitShards <= 0 {
 		c.UnitShards = 4
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
-	if c.HedgeAfter <= 0 {
-		c.HedgeAfter = 2 * c.LeaseTTL
-	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = c.LeaseTTL / 4
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = c.LeaseTTL
-	}
-	if c.ProbeFailLimit <= 0 {
-		c.ProbeFailLimit = 3
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
-	}
-	if c.SpotCheckProbation <= 0 {
-		c.SpotCheckProbation = 0.5
-	}
-	if c.SpotCheckProbation < c.SpotCheck {
-		c.SpotCheckProbation = c.SpotCheck
-	}
-	if c.SpotCheckMinTrust <= 0 {
-		c.SpotCheckMinTrust = 3
-	}
-	if c.QuarantineFor <= 0 {
-		c.QuarantineFor = 4 * c.LeaseTTL
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
@@ -184,9 +120,11 @@ type Stats struct {
 
 	SpotChecksPassed   int // spot-checked reports matching the local re-run
 	SpotChecksFailed   int // mismatches → worker quarantined
+	SpotCheckErrors    int // re-executions that failed; the report was accepted unaudited
 	Quarantines        int // workers quarantined
-	QuarantineReadmits int // workers re-admitted after QuarantineFor
+	QuarantineReadmits int // workers re-admitted after their quarantine elapsed
 	IdemReplays        int // duplicate claim deliveries answered from the idempotency record
+	LeasesAdopted      int // journaled leases re-applied after a restart
 }
 
 // Unit states.
@@ -286,7 +224,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
-		rnd:     rand.New(rand.NewSource(cfg.Seed)),
+		rnd:     rand.New(rand.NewSource(seed)),
 		jobs:    map[string]*distJob{},
 		workers: map[string]*workerState{},
 	}
@@ -330,9 +268,6 @@ func (c *Coordinator) Register(_ context.Context, info WorkerInfo) error {
 	c.cfg.Flight.Record("worker.register", obs.String("worker", info.ID))
 	if w.evicted {
 		c.stats.Readmits++
-		if c.cfg.Hooks.Readmit != nil {
-			c.cfg.Hooks.Readmit()
-		}
 	}
 	w.evicted = false
 	w.draining = false
@@ -354,7 +289,7 @@ func (c *Coordinator) liveWorkerLocked() bool {
 }
 
 // quarantinedLocked reports whether w is still quarantined, lazily
-// re-admitting it once QuarantineFor has elapsed. Re-admitted workers keep
+// re-admitting it once its quarantine has elapsed. Re-admitted workers keep
 // trust 0, so they re-enter on the probation spot-check rate.
 func (c *Coordinator) quarantinedLocked(w *workerState, now time.Time) bool {
 	if !w.quarantined {
@@ -365,9 +300,6 @@ func (c *Coordinator) quarantinedLocked(w *workerState, now time.Time) bool {
 	}
 	w.quarantined = false
 	c.stats.QuarantineReadmits++
-	if c.cfg.Hooks.Readmit != nil {
-		c.cfg.Hooks.Readmit()
-	}
 	c.cfg.Flight.Record("worker.readmit", obs.String("worker", w.id), obs.String("cause", "quarantine-expired"))
 	return false
 }
@@ -377,13 +309,10 @@ func (c *Coordinator) quarantinedLocked(w *workerState, now time.Time) bool {
 // reports until the timed re-admission.
 func (c *Coordinator) quarantineLocked(w *workerState, now time.Time) {
 	w.quarantined = true
-	w.quarantinedUntil = now.Add(c.cfg.QuarantineFor)
+	w.quarantinedUntil = now.Add(4 * c.cfg.LeaseTTL)
 	w.trust = 0
 	w.lastIdemKey, w.lastGrant = "", nil
 	c.stats.Quarantines++
-	if c.cfg.Hooks.Quarantine != nil {
-		c.cfg.Hooks.Quarantine()
-	}
 	c.cfg.Flight.Record("worker.quarantine", obs.String("worker", w.id),
 		obs.String("until", w.quarantinedUntil.UTC().Format(time.RFC3339)))
 	c.cfg.Logger.Warn("dist: worker quarantined after spot-check mismatch",
@@ -405,9 +334,6 @@ func (c *Coordinator) touchWorkerLocked(id string) *workerState {
 	if w.evicted {
 		w.evicted = false
 		c.stats.Readmits++
-		if c.cfg.Hooks.Readmit != nil {
-			c.cfg.Hooks.Readmit()
-		}
 		c.cfg.Flight.Record("worker.readmit", obs.String("worker", id), obs.String("cause", "contact"))
 	}
 	w.probeFails = 0
@@ -500,7 +426,7 @@ func (c *Coordinator) Claim(_ context.Context, workerID, idemKey string) (*Lease
 			if _, mine := u.leases[workerID]; mine {
 				continue
 			}
-			if now.Sub(u.firstGrant) < c.cfg.HedgeAfter {
+			if now.Sub(u.firstGrant) < 2*c.cfg.LeaseTTL {
 				continue
 			}
 			if hu == nil || u.firstGrant.Before(hu.firstGrant) {
@@ -528,14 +454,8 @@ func (c *Coordinator) grantLocked(j *distJob, u *unit, w *workerState, now time.
 	}
 	if hedge {
 		c.stats.Steals++
-		if c.cfg.Hooks.Steal != nil {
-			c.cfg.Hooks.Steal()
-		}
 	}
 	c.stats.Grants++
-	if c.cfg.Hooks.Lease != nil {
-		c.cfg.Hooks.Lease("granted")
-	}
 	c.cfg.Flight.Record("lease.grant", obs.String("worker", w.id), obs.String("key", j.key),
 		obs.Int("start", u.start), obs.Int("end", u.end), obs.Bool("hedge", hedge))
 	if c.cfg.Journal != nil {
@@ -597,9 +517,6 @@ func (c *Coordinator) Renew(_ context.Context, workerID, key string, start, end 
 	}
 	u.leases[workerID] = c.cfg.Clock().Add(c.cfg.LeaseTTL)
 	c.stats.Renewals++
-	if c.cfg.Hooks.Lease != nil {
-		c.cfg.Hooks.Lease("renewed")
-	}
 	return nil
 }
 
@@ -680,16 +597,16 @@ func (c *Coordinator) Report(ctx context.Context, workerID string, container []b
 }
 
 // shouldSpotCheckLocked draws the seeded spot-check decision for one
-// (job, unit, worker) report: pure in (Config.Seed, job key, unit range,
+// (job, unit, worker) report: pure in (seed, job key, unit range,
 // worker id), so a replayed fleet run replays its audit schedule too.
-// Workers below SpotCheckMinTrust face the probation rate.
+// Workers below spotCheckMinTrust passes face the probation rate.
 func (c *Coordinator) shouldSpotCheckLocked(j *distJob, u *unit, w *workerState) bool {
 	p := c.cfg.SpotCheck
 	if p <= 0 {
 		return false
 	}
-	if w.trust < c.cfg.SpotCheckMinTrust {
-		p = c.cfg.SpotCheckProbation
+	if w.trust < spotCheckMinTrust {
+		p = max(p, spotCheckProbation)
 	}
 	h := fnv.New64a()
 	h.Write([]byte(j.key)) //nolint:errcheck
@@ -698,7 +615,7 @@ func (c *Coordinator) shouldSpotCheckLocked(j *distJob, u *unit, w *workerState)
 	var rng [8]byte
 	binary.LittleEndian.PutUint64(rng[:], uint64(int64(u.start)))
 	h.Write(rng[:]) //nolint:errcheck
-	z := uint64(c.cfg.Seed) + h.Sum64()*0x9E3779B97F4A7C15
+	z := uint64(seed) + h.Sum64()*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
@@ -736,9 +653,7 @@ func (c *Coordinator) spotCheckLocked(ctx context.Context, j *distJob, tu *unit,
 		}
 		c.cfg.Logger.Warn("dist: spot-check re-execution failed; accepting unaudited",
 			"worker", w.id, "key", j.key, "start", tu.start, "end", tu.end, "err", verr)
-		if c.cfg.Hooks.SpotCheck != nil {
-			c.cfg.Hooks.SpotCheck("error")
-		}
+		c.stats.SpotCheckErrors++
 		c.acceptUnitLocked(j, tu, u.States, u.Events, u.Worker, u.Trace)
 		return nil
 	}
@@ -753,15 +668,9 @@ func (c *Coordinator) spotCheckLocked(ctx context.Context, j *distJob, tu *unit,
 		obs.Int("start", tu.start), obs.Int("end", tu.end), obs.Bool("match", match))
 	if match {
 		c.stats.SpotChecksPassed++
-		if c.cfg.Hooks.SpotCheck != nil {
-			c.cfg.Hooks.SpotCheck("pass")
-		}
 		w.trust++
 	} else {
 		c.stats.SpotChecksFailed++
-		if c.cfg.Hooks.SpotCheck != nil {
-			c.cfg.Hooks.SpotCheck("fail")
-		}
 		c.quarantineLocked(w, c.cfg.Clock())
 	}
 	if j.finished || j.err != nil {
@@ -801,25 +710,21 @@ func unitStatesEqual(aStates []json.RawMessage, aEvents []int, bStates []json.Ra
 	return true
 }
 
-// acceptUnitLocked marks a unit done, persists + caches its result,
+// acceptUnitLocked marks a unit done, persists its result,
 // resolves its leases, grafts the worker trace, and advances the fold.
 func (c *Coordinator) acceptUnitLocked(j *distJob, u *unit, states []json.RawMessage, events []int, worker string, trace *obs.Trace) {
-	now := c.cfg.Clock()
 	u.states = states
 	u.events = events
 	u.state = unitDone
 	u.leases = nil
 	u.localInFly = false
 	c.stats.UnitsDone++
-	if c.cfg.Hooks.UnitDone != nil {
+	if c.cfg.UnitSeconds != nil {
 		secs := 0.0
 		if !u.firstGrant.IsZero() {
-			secs = now.Sub(u.firstGrant).Seconds()
+			secs = c.cfg.Clock().Sub(u.firstGrant).Seconds()
 		}
-		c.cfg.Hooks.UnitDone(worker, secs)
-	}
-	if c.cfg.Hooks.Lease != nil {
-		c.cfg.Hooks.Lease("done")
+		c.cfg.UnitSeconds(worker, secs)
 	}
 	c.cfg.Flight.Record("lease.done", obs.String("worker", worker), obs.String("key", j.key),
 		obs.Int("start", u.start), obs.Int("end", u.end))
@@ -829,16 +734,8 @@ func (c *Coordinator) acceptUnitLocked(j *distJob, u *unit, states []json.RawMes
 			c.cfg.Logger.Warn("dist: lease-done journal append failed", "err", err)
 		}
 	}
-	res := UnitResult{Kind: j.kind, Key: j.key, Start: u.start, End: u.end,
-		States: states, Events: events, Worker: worker}
-	c.persistUnitLocked(res)
-	if c.cfg.Cache != nil {
-		if key, err := UnitCacheKey(j.kind, j.key, u.start, u.end, j.plan); err == nil {
-			if body, err := EncodeUnitResult(res); err == nil {
-				c.cfg.Cache.Put(key, "dist.unit."+j.kind, body)
-			}
-		}
-	}
+	c.persistUnitLocked(UnitResult{Kind: j.kind, Key: j.key, Start: u.start, End: u.end,
+		States: states, Events: events, Worker: worker})
 	if trace != nil && j.tracer != nil {
 		j.tracer.Graft(j.span, *trace,
 			obs.String("worker", worker), obs.Int("unit", u.idx))
@@ -965,9 +862,6 @@ func (c *Coordinator) Sweep(now time.Time) {
 				}
 				delete(u.leases, w)
 				c.stats.Expired++
-				if c.cfg.Hooks.Lease != nil {
-					c.cfg.Hooks.Lease("expired")
-				}
 				c.cfg.Flight.Record("lease.expire", obs.String("worker", w), obs.String("key", key),
 					obs.Int("start", u.start), obs.Int("end", u.end))
 			}
@@ -985,20 +879,14 @@ func (c *Coordinator) Sweep(now time.Time) {
 func (c *Coordinator) requeueLocked(u *unit, now time.Time) {
 	u.state = unitPending
 	c.stats.UnitRetries++
-	if c.cfg.Hooks.Retry != nil {
-		c.cfg.Hooks.Retry()
-	}
 	c.cfg.Flight.Record("unit.retry", obs.Int("start", u.start), obs.Int("end", u.end),
 		obs.Int("attempts", u.attempts))
-	if u.attempts >= c.cfg.MaxAttempts {
+	if u.attempts >= maxAttempts {
 		u.localOnly = true
-		if c.cfg.Hooks.Local != nil {
-			c.cfg.Hooks.Local()
-		}
 		u.notBefore = now
 		return
 	}
-	u.notBefore = now.Add(c.cfg.Backoff.Delay(u.attempts-1, c.rnd.Float64))
+	u.notBefore = now.Add(backoff.Default().Delay(u.attempts-1, c.rnd.Float64))
 }
 
 // ProbeAll health-checks every probeable worker and applies eviction /
@@ -1047,12 +935,9 @@ func (c *Coordinator) ProbeAll(ctx context.Context) {
 		}
 		if r.err != nil {
 			w.probeFails++
-			if w.probeFails >= c.cfg.ProbeFailLimit && !w.evicted {
+			if w.probeFails >= probeFailLimit && !w.evicted {
 				w.evicted = true
 				c.stats.Evictions++
-				if c.cfg.Hooks.Evict != nil {
-					c.cfg.Hooks.Evict()
-				}
 				c.cfg.Flight.Record("worker.evict", obs.String("worker", r.id),
 					obs.Int("probe_fails", w.probeFails))
 				c.evictLeasesLocked(r.id, now)
@@ -1064,9 +949,6 @@ func (c *Coordinator) ProbeAll(ctx context.Context) {
 		if w.evicted {
 			w.evicted = false
 			c.stats.Readmits++
-			if c.cfg.Hooks.Readmit != nil {
-				c.cfg.Hooks.Readmit()
-			}
 			c.cfg.Flight.Record("worker.readmit", obs.String("worker", r.id), obs.String("cause", "probe"))
 		}
 		// Only an explicit drain is non-renewable; "saturated" and
@@ -1093,9 +975,6 @@ func (c *Coordinator) evictLeasesLocked(workerID string, now time.Time) {
 			}
 			delete(u.leases, workerID)
 			c.stats.Expired++
-			if c.cfg.Hooks.Lease != nil {
-				c.cfg.Hooks.Lease("expired")
-			}
 			c.cfg.Flight.Record("lease.expire", obs.String("worker", workerID), obs.String("key", key),
 				obs.Int("start", u.start), obs.Int("end", u.end), obs.String("cause", "evict"))
 			if len(u.leases) == 0 {
@@ -1108,8 +987,8 @@ func (c *Coordinator) evictLeasesLocked(workerID string, now time.Time) {
 // Start runs the background sweep + probe loops until ctx is done.
 func (c *Coordinator) Start(ctx context.Context) {
 	go func() {
-		sweep := time.NewTicker(c.cfg.SweepInterval)
-		probe := time.NewTicker(c.cfg.ProbeInterval)
+		sweep := time.NewTicker(c.cfg.LeaseTTL / 4)
+		probe := time.NewTicker(c.cfg.LeaseTTL)
 		defer sweep.Stop()
 		defer probe.Stop()
 		for {
@@ -1210,9 +1089,6 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 		if u := c.nextLocalUnitLocked(j); u != nil {
 			u.localInFly = true
 			c.stats.LocalUnits++
-			if c.cfg.Hooks.Local != nil && !u.localOnly {
-				c.cfg.Hooks.Local()
-			}
 			c.mu.Unlock()
 			states, events, err := core.RunWindow(ctx, plan, u.start, u.end)
 			c.mu.Lock()
@@ -1243,11 +1119,32 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 	}
 	c.mu.Unlock()
 
-	if complete && c.cfg.UnitDir != "" {
+	switch {
+	case complete && c.cfg.UnitDir != "":
 		// The job is durably resolved in the jobs journal; its unit files
 		// are now garbage.
 		for _, u := range j.units {
 			os.Remove(c.unitPath(key, u.start, u.end))
+		}
+	case !complete && c.cfg.Cache != nil:
+		// Only a job that stopped short runs again below its own result, so
+		// only its done units go into the shared tier: a completed job's
+		// cache entry answers every resubmission, and its units would only
+		// crowd results out. The job left c.jobs under the lock, so nothing
+		// changes its units any more.
+		for _, u := range j.units {
+			if u.state != unitDone {
+				continue
+			}
+			ck, err := UnitCacheKey(kind, key, u.start, u.end, plan)
+			if err != nil {
+				continue
+			}
+			body, err := EncodeUnitResult(UnitResult{Kind: kind, Key: key, Start: u.start, End: u.end,
+				States: u.states, Events: u.events})
+			if err == nil {
+				c.cfg.Cache.Put(ck, "dist.unit."+kind, body)
+			}
 		}
 	}
 	if err != nil {
@@ -1340,9 +1237,7 @@ func (c *Coordinator) adoptLeasesLocked(j *distJob) {
 		u.state = unitLeased
 		u.firstGrant = now
 		u.attempts++
-		if c.cfg.Hooks.Lease != nil {
-			c.cfg.Hooks.Lease("adopted")
-		}
+		c.stats.LeasesAdopted++
 	}
 	c.adopted = kept
 }

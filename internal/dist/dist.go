@@ -66,8 +66,7 @@ var ErrGone = errors.New("dist: lease gone")
 // Plan fixes a job's shard geometry and convergence policy — everything a
 // coordinator and its workers must agree on for the fold to be exact.
 type Plan struct {
-	// Shots is the effective shot budget (the caller resolves MaxShots
-	// before planning).
+	// Shots is the shot budget.
 	Shots int `json:"shots"`
 	// Seed is the top-level RNG seed; per-shard streams derive from it.
 	Seed int64 `json:"seed"`
@@ -166,10 +165,9 @@ func (c *core[R]) RunWindow(ctx context.Context, p Plan, start, end int) ([]json
 	opt := c.spec.Options
 	opt.ShardSize = p.ShardSize
 	// A window has no stop decisions of its own: no convergence, no
-	// budget cap, no checkpointing — those belong to the coordinator.
+	// checkpointing — those belong to the coordinator.
 	opt.TargetRelStdErr = 0
 	opt.MinShots = 0
-	opt.MaxShots = 0
 	opt.Checkpoint = nil
 	opt.Resume = nil
 	opt.Progress = nil

@@ -387,8 +387,7 @@ func TestDuplicateReportIsDeduplicated(t *testing.T) {
 // first wins and the loser's duplicate is dropped.
 func TestHedgedStealFirstReportWins(t *testing.T) {
 	clk := newFakeClock()
-	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: 10 * time.Second,
-		HedgeAfter: 2 * time.Second, UnitShards: 16})
+	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: 10 * time.Second, UnitShards: 16})
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
 
@@ -397,11 +396,18 @@ func TestHedgedStealFirstReportWins(t *testing.T) {
 	ch := startExecute(c, context.Background(), "k1", core, toyPlan)
 
 	slow := waitGrant(t, c, "slow")
-	// Not yet old enough to hedge.
-	if g, _ := c.Claim(context.Background(), "fast", ""); g != nil {
-		t.Fatalf("premature hedge: %+v", g)
+	// Not yet old enough to hedge (2×TTL), while the slow worker renews its
+	// lease across that threshold.
+	for i := 0; i < 2; i++ {
+		if g, _ := c.Claim(context.Background(), "fast", ""); g != nil {
+			t.Fatalf("premature hedge: %+v", g)
+		}
+		clk.Advance(8 * time.Second)
+		if err := c.Renew(context.Background(), "slow", slow.Key, slow.Start, slow.End, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	clk.Advance(3 * time.Second) // straggler threshold crossed, lease still live
+	clk.Advance(5 * time.Second) // 21s: straggler threshold crossed, lease live until 26s
 	hedge, err := c.Claim(context.Background(), "fast", "")
 	if err != nil || hedge == nil {
 		t.Fatalf("expected hedged grant, got %+v err=%v", hedge, err)
@@ -438,8 +444,7 @@ func TestProbeEvictionRequeuesAndReadmits(t *testing.T) {
 		}
 		return "ok", nil
 	}
-	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Hour,
-		ProbeFailLimit: 2, Probe: probe, UnitShards: 16})
+	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Hour, Probe: probe, UnitShards: 16})
 	core := toyCore(1)
 
 	c.Register(context.Background(), WorkerInfo{ID: "w1", Addr: "http://w1"})
@@ -453,8 +458,9 @@ func TestProbeEvictionRequeuesAndReadmits(t *testing.T) {
 	probeErr["http://w1"] = errors.New("connection refused")
 	probeMu.Unlock()
 	c.ProbeAll(context.Background())
+	c.ProbeAll(context.Background())
 	if st := c.Stats(); st.Evictions != 0 {
-		t.Fatalf("one failure must not evict: %+v", st)
+		t.Fatalf("two failures must not evict: %+v", st)
 	}
 	c.ProbeAll(context.Background())
 	st := c.Stats()
@@ -705,8 +711,7 @@ func TestMidJobFleetLossFallsBackLocal(t *testing.T) {
 		}
 		return "ok", nil
 	}
-	c := NewCoordinator(Config{LeaseTTL: time.Hour, UnitShards: 8,
-		ProbeFailLimit: 1, Probe: probe})
+	c := NewCoordinator(Config{LeaseTTL: time.Hour, UnitShards: 8, Probe: probe})
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
 
@@ -718,7 +723,9 @@ func TestMidJobFleetLossFallsBackLocal(t *testing.T) {
 	probeMu.Lock()
 	dead = true
 	probeMu.Unlock()
-	c.ProbeAll(context.Background())
+	for i := 0; i < probeFailLimit; i++ {
+		c.ProbeAll(context.Background())
+	}
 
 	o := waitOutcome(t, ch)
 	if o.err != nil {

@@ -94,8 +94,7 @@ func TestFleetSnapshotStatesAndJobs(t *testing.T) {
 // stored quarantine bit — status scrapes must never advance fleet state.
 func TestFleetSnapshotQuarantineIsReadOnly(t *testing.T) {
 	clk := newFakeClock()
-	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4,
-		SpotCheck: 1, SpotCheckProbation: 1, QuarantineFor: 10 * time.Minute})
+	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
 	core := toyCore(1)
 	c.Register(context.Background(), WorkerInfo{ID: "liar"}) //nolint:errcheck
 	ch := startExecute(c, context.Background(), "k-snap-quarantine", core, toyPlan)
@@ -108,11 +107,11 @@ func TestFleetSnapshotQuarantineIsReadOnly(t *testing.T) {
 	if len(snap.Workers) != 1 || snap.Workers[0].State != "quarantined" {
 		t.Fatalf("want quarantined, got %+v", snap.Workers)
 	}
-	if left := snap.Workers[0].QuarantineLeftMS; left <= 0 || left > 10*60*1000 {
-		t.Fatalf("quarantine window: %d ms", left)
+	if left := snap.Workers[0].QuarantineLeftMS; left <= 0 || left > 4*60*1000 {
+		t.Fatalf("quarantine window (4×TTL): %d ms", left)
 	}
 
-	clk.Advance(11 * time.Minute)
+	clk.Advance(5 * time.Minute)
 	snap = c.FleetSnapshot()
 	if snap.Workers[0].State == "quarantined" {
 		t.Fatalf("elapsed quarantine still reported: %+v", snap.Workers[0])
@@ -150,10 +149,11 @@ func TestRenewStoresSummaryWithoutRevival(t *testing.T) {
 	clk := newFakeClock()
 	probeErr := errors.New("unreachable")
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4,
-		ProbeFailLimit: 1,
-		Probe:          func(context.Context, string) (string, error) { return "", probeErr }})
+		Probe: func(context.Context, string) (string, error) { return "", probeErr }})
 	c.Register(context.Background(), WorkerInfo{ID: "w1", Addr: "http://w1"}) //nolint:errcheck
-	c.ProbeAll(context.Background())
+	for i := 0; i < probeFailLimit; i++ {
+		c.ProbeAll(context.Background())
+	}
 	if snap := c.FleetSnapshot(); snap.Workers[0].State != "evicted" {
 		t.Fatalf("probe eviction not visible: %+v", snap.Workers)
 	}
@@ -234,8 +234,7 @@ func TestCoordinatorFlightEvents(t *testing.T) {
 // neither a duplicate of the accepted unit nor the refused one.
 func TestQuarantinedMidJobTraceGraftsOnce(t *testing.T) {
 	clk := newFakeClock()
-	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4,
-		SpotCheck: 1, SpotCheckProbation: 1, QuarantineFor: time.Hour})
+	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
 	core := toyCore(1)
 	c.Register(context.Background(), WorkerInfo{ID: "shady"}) //nolint:errcheck
 

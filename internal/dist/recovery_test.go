@@ -141,31 +141,45 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAnswersUnitsBeforeDispatch: a job whose units are already
-// in the shared result cache completes without granting any leases.
+// TestSharedCacheAnswersUnitsBeforeDispatch: a job that stops short leaves
+// its done units in the shared result cache, and a later run of the same
+// key folds them without granting their leases. A completed run adds no
+// unit entries: its own result answers any resubmission.
 func TestSharedCacheAnswersUnitsBeforeDispatch(t *testing.T) {
 	cache := rescache.New(64)
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
 
-	// First run populates the cache through normal reports.
+	// First run: two of the four units report, then the run is canceled.
 	c1 := NewCoordinator(Config{Cache: cache, LeaseTTL: time.Minute, UnitShards: 4})
 	c1.Register(context.Background(), WorkerInfo{ID: "w1"})
-	ch1 := startExecute(c1, context.Background(), "kc", core, toyPlan)
-	drainAll(t, c1, core, "w1", ch1)
+	ctx, cancel := context.WithCancel(context.Background())
+	ch1 := startExecute(c1, ctx, "kc", core, toyPlan)
+	report(t, c1, core, "w1", waitGrant(t, c1, "w1"))
+	report(t, c1, core, "w1", waitGrant(t, c1, "w1"))
+	cancel()
+	if o := waitOutcome(t, ch1); o.err != nil || !o.status.Truncated {
+		t.Fatalf("first run: want a truncated result, got %+v err=%v", o.status, o.err)
+	}
+	if n := cache.Len(); n != 2 {
+		t.Fatalf("truncated run cached %d units, want its 2 done ones", n)
+	}
 
-	// Second run of the same key on a fresh coordinator: all units are
-	// cache hits, no grants needed.
+	// Second run of the same key on a fresh coordinator: the two reported
+	// units are cache hits, only the other two are granted.
 	c2 := NewCoordinator(Config{Cache: cache, LeaseTTL: time.Minute, UnitShards: 4})
 	c2.Register(context.Background(), WorkerInfo{ID: "w1"})
-	body, st, err := c2.Execute(context.Background(), "toy", "kc", nil, core, toyPlan, nil)
-	if err != nil {
-		t.Fatal(err)
+	ch2 := startExecute(c2, context.Background(), "kc", core, toyPlan)
+	report(t, c2, core, "w1", waitGrant(t, c2, "w1"))
+	report(t, c2, core, "w1", waitGrant(t, c2, "w1"))
+	o := waitOutcome(t, ch2)
+	if o.err != nil || string(o.body) != string(want) || o.status.Completed != toyPlan.Shots {
+		t.Fatalf("cache-served run wrong: status %+v err=%v", o.status, o.err)
 	}
-	if string(body) != string(want) || st.Completed != toyPlan.Shots {
-		t.Fatalf("cache-served run wrong: status %+v", st)
+	if s := c2.Stats(); s.CacheHits != 2 || s.Grants != 2 {
+		t.Fatalf("expected 2 cache hits and 2 grants: %+v", s)
 	}
-	if s := c2.Stats(); s.CacheHits != 4 || s.Grants != 0 {
-		t.Fatalf("expected 4 cache hits and no grants: %+v", s)
+	if n := cache.Len(); n != 2 {
+		t.Fatalf("completed run left %d unit entries, want the first run's 2", n)
 	}
 }

@@ -60,8 +60,7 @@ func TestUnitResultDigestRejectsTampering(t *testing.T) {
 
 func TestSpotCheckPassRaisesTrust(t *testing.T) {
 	clk := newFakeClock()
-	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4,
-		SpotCheck: 1, SpotCheckProbation: 1})
+	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
 	c.Register(context.Background(), WorkerInfo{ID: "honest"}) //nolint:errcheck
@@ -89,8 +88,7 @@ func TestSpotCheckPassRaisesTrust(t *testing.T) {
 
 func TestSpotCheckMismatchQuarantinesAndCompletes(t *testing.T) {
 	clk := newFakeClock()
-	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4,
-		SpotCheck: 1, SpotCheckProbation: 1, QuarantineFor: 10 * time.Minute})
+	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
 	c.Register(context.Background(), WorkerInfo{ID: "liar"}) //nolint:errcheck
@@ -137,8 +135,8 @@ func TestSpotCheckMismatchQuarantinesAndCompletes(t *testing.T) {
 		t.Fatalf("quarantine not observed: %+v", st)
 	}
 
-	// Timed re-admission: after QuarantineFor the worker may claim again.
-	clk.Advance(11 * time.Minute)
+	// Timed re-admission: after 4×LeaseTTL the worker may claim again.
+	clk.Advance(5 * time.Minute)
 	if _, err := c.Claim(context.Background(), "liar", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +195,7 @@ func (g *gatedCore) RunWindow(ctx context.Context, p Plan, start, end int) ([]js
 func TestDuplicateReportDuringVerifyStillAudited(t *testing.T) {
 	clk := newFakeClock()
 	core := &gatedCore{Core: toyCore(1)}
-	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4,
-		SpotCheck: 1, SpotCheckProbation: 1, QuarantineFor: 10 * time.Minute})
+	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
 	want := runFullBytes(t, toyCore(1), toyPlan)
 	c.Register(context.Background(), WorkerInfo{ID: "liar"}) //nolint:errcheck
 	ch := startExecute(c, context.Background(), "k-dup-verify", core, toyPlan)
@@ -246,8 +243,7 @@ func TestDuplicateReportDuringVerifyStillAudited(t *testing.T) {
 func TestSpotCheckSurvivesReporterDisconnect(t *testing.T) {
 	clk := newFakeClock()
 	core := toyCore(1)
-	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4,
-		SpotCheck: 1, SpotCheckProbation: 1, QuarantineFor: 10 * time.Minute})
+	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
 	want := runFullBytes(t, core, toyPlan)
 	c.Register(context.Background(), WorkerInfo{ID: "liar"}) //nolint:errcheck
 	ch := startExecute(c, context.Background(), "k-dead-ctx", core, toyPlan)
@@ -274,8 +270,7 @@ func TestSpotCheckSurvivesReporterDisconnect(t *testing.T) {
 
 func TestTouchDoesNotClearQuarantine(t *testing.T) {
 	clk := newFakeClock()
-	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute,
-		QuarantineFor: time.Hour})
+	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute})
 	c.Register(context.Background(), WorkerInfo{ID: "w"}) //nolint:errcheck
 	c.mu.Lock()
 	c.quarantineLocked(c.workers["w"], clk.Now())
@@ -435,6 +430,26 @@ func TestClientHonorsRetryAfterOn429And503(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestClientJittersWithoutRand: a Client built without a Rand stub, as
+// qisimd -role worker builds it, still draws its retry delays at random
+// below the policy ceiling, so a fleet's retries spread out instead of
+// firing in step.
+func TestClientJittersWithoutRand(t *testing.T) {
+	cl := &Client{}
+	ceil := cl.Backoff.Ceiling(2)
+	seen := map[time.Duration]bool{}
+	for i := 0; i < 64; i++ {
+		d := cl.Backoff.Delay(2, cl.jitter())
+		if d < 0 || d >= ceil {
+			t.Fatalf("delay %v outside [0, %v)", d, ceil)
+		}
+		seen[d] = true
+	}
+	if len(seen) < 2 {
+		t.Fatalf("64 draws gave %d distinct delays, want jitter", len(seen))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"net/http"
 	"os"
 	"sync"
@@ -325,8 +326,17 @@ type Client struct {
 	// disables). Without it one black-holed TCP connection stalls the
 	// whole claim loop for the kernel's timeout, not ours.
 	RPCTimeout time.Duration
-	// Rand is the jitter source (nil = worst-case delays).
+	// Rand is the jitter source (nil = the auto-seeded math/rand/v2
+	// source, so a fleet's retries spread out instead of firing in step).
 	Rand func() float64
+}
+
+// jitter returns the retry jitter source.
+func (c *Client) jitter() func() float64 {
+	if c.Rand != nil {
+		return c.Rand
+	}
+	return randv2.Float64
 }
 
 func (c *Client) http() *http.Client {
@@ -369,7 +379,7 @@ var jsonHeader = http.Header{"Content-Type": {"application/json"}}
 // 502, 503, 504 and transport errors. 410 maps to ErrGone, 204 to
 // (false-ish) noContent.
 func (c *Client) post(ctx context.Context, path string, header http.Header, body []byte, out any) (noContent bool, err error) {
-	err = backoff.Retry(ctx, c.Backoff, c.attempts(), c.Rand,
+	err = backoff.Retry(ctx, c.Backoff, c.attempts(), c.jitter(),
 		func(rctx context.Context) (bool, time.Duration, error) {
 			actx, cancel := c.attemptCtx(rctx)
 			defer cancel()
@@ -466,7 +476,7 @@ func (c *Client) Claim(ctx context.Context, workerID, idemKey string) (*LeaseGra
 		if attempt+1 >= c.attempts() {
 			return nil, err
 		}
-		if !backoff.Sleep(ctx, c.Backoff.Delay(attempt, c.Rand)) {
+		if !backoff.Sleep(ctx, c.Backoff.Delay(attempt, c.jitter())) {
 			return nil, ctx.Err()
 		}
 	}
@@ -500,37 +510,29 @@ func (c *Client) Report(ctx context.Context, workerID string, container []byte) 
 	return err
 }
 
-// ProbeHTTP returns a Config.Probe that GETs {addr}/readyz and reports the
-// JSON status field ("ok" on 200, the advertised status on 503, an error
-// on transport failure).
-func ProbeHTTP(client *http.Client, timeout time.Duration) func(ctx context.Context, addr string) (string, error) {
-	if client == nil {
-		client = http.DefaultClient
+// ProbeHTTP is a Config.Probe: it GETs {addr}/readyz within 2s and reports
+// the JSON status field ("ok" on 200, the advertised status on 503, an
+// error on transport failure).
+func ProbeHTTP(ctx context.Context, addr string) (string, error) {
+	pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, addr+"/readyz", nil)
+	if err != nil {
+		return "", err
 	}
-	if timeout <= 0 {
-		timeout = 2 * time.Second
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return "", err
 	}
-	return func(ctx context.Context, addr string) (string, error) {
-		pctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		req, err := http.NewRequestWithContext(pctx, http.MethodGet, addr+"/readyz", nil)
-		if err != nil {
-			return "", err
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		var st struct {
-			Status string `json:"status"`
-		}
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&st); err != nil || st.Status == "" {
-			if resp.StatusCode == http.StatusOK {
-				return "ok", nil
-			}
-			return "", fmt.Errorf("dist: probe %s: %s", addr, resp.Status)
-		}
-		return st.Status, nil
+	defer resp.Body.Close()
+	var st struct {
+		Status string `json:"status"`
 	}
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&st); err != nil || st.Status == "" {
+		if resp.StatusCode == http.StatusOK {
+			return "ok", nil
+		}
+		return "", fmt.Errorf("dist: probe %s: %s", addr, resp.Status)
+	}
+	return st.Status, nil
 }

@@ -16,9 +16,11 @@ import (
 	"time"
 )
 
-// DefaultMaxEventsPerJob bounds a job's retained event log when
-// Config.MaxEventsPerJob is unset.
-const DefaultMaxEventsPerJob = 256
+// maxEventsPerJob bounds a job's retained event log and each subscriber's
+// channel buffer. Subscribers lagging further than this may miss
+// intermediate events; state events and the terminal close are never
+// reordered.
+const maxEventsPerJob = 256
 
 // EventState is the Type of the lifecycle events the manager itself
 // publishes (queued, running, done, failed).
@@ -59,7 +61,7 @@ func (m *Manager) publishLocked(j *job, typ string, data json.RawMessage) {
 	j.eventSeq++
 	ev := Event{Seq: j.eventSeq, Type: typ, At: time.Now().UTC(), Data: data}
 	j.events = append(j.events, ev)
-	if over := len(j.events) - m.cfg.MaxEventsPerJob; over > 0 {
+	if over := len(j.events) - maxEventsPerJob; over > 0 {
 		j.events = append(j.events[:0], j.events[over:]...)
 	}
 	for _, ch := range j.subs {
@@ -119,7 +121,7 @@ func (m *Manager) Subscribe(id string) (past []Event, ch <-chan Event, cancel fu
 		close(closed)
 		return past, closed, func() {}, true
 	}
-	c := make(chan Event, m.cfg.MaxEventsPerJob)
+	c := make(chan Event, maxEventsPerJob)
 	if j.subs == nil {
 		j.subs = map[int]chan Event{}
 	}

@@ -151,8 +151,6 @@ type Snapshot struct {
 // Hooks are the manager's observability callbacks (all optional). They fire
 // outside the manager lock.
 type Hooks struct {
-	// JobStarted fires when a worker picks the job up.
-	JobStarted func(kind Kind)
 	// JobFinished fires once per executed job with its ID and terminal
 	// state, simerr class ("" unless failed), final status (nil when failed
 	// before a run produced one) and wall-clock duration. Cached
@@ -224,10 +222,6 @@ type Config struct {
 	// submitted without a parent; a sweep's internal fan-out is accounted to
 	// its parent, not the quota. 0 = unlimited.
 	TenantQuota int
-	// MaxEventsPerJob bounds each job's retained event log (default 256).
-	// Subscribers lagging further than this may miss intermediate events;
-	// state events and the terminal close are never reordered.
-	MaxEventsPerJob int
 	// Cache receives completed (non-truncated) results and serves repeat
 	// submissions. Optional: nil disables caching.
 	Cache *rescache.Cache
@@ -356,9 +350,6 @@ func NewManager(cfg Config) *Manager {
 	}
 	if cfg.MaxRecords <= 0 {
 		cfg.MaxRecords = 1024
-	}
-	if cfg.MaxEventsPerJob <= 0 {
-		cfg.MaxEventsPerJob = DefaultMaxEventsPerJob
 	}
 	base := cfg.BaseContext
 	if base == nil {
@@ -620,9 +611,6 @@ func (m *Manager) execute(j *job) {
 	m.publishStateLocked(j)
 	m.mu.Unlock()
 	j.queueSpan.End() // queued → picked up by a worker
-	if m.cfg.Hooks.JobStarted != nil {
-		m.cfg.Hooks.JobStarted(j.kind)
-	}
 
 	ctx := j.ctx
 	if ctx == nil {

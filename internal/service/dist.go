@@ -1,5 +1,5 @@
 // Fleet-coordinator wiring: the worker-side core builder, the /v1/dist/*
-// worker endpoints, and the coordinator's metrics bridge.
+// worker endpoints, and the coordinator's metrics.
 //
 // The same params parser and core construction run on the coordinator (to
 // fold and finish) and on every worker (to execute shard windows), so the
@@ -31,20 +31,12 @@ import (
 // Workers run `qisimd -role worker -coordinator-url <this server>`.
 type DistConfig struct {
 	Enabled bool
-	// LeaseTTL is the per-lease heartbeat deadline (default 15s).
+	// LeaseTTL is the per-lease heartbeat deadline (default 15s); the
+	// coordinator's sweep, probe, hedge and quarantine intervals derive
+	// from it (see dist.Config.LeaseTTL).
 	LeaseTTL time.Duration
 	// UnitShards is the work-unit granularity in shards (default 4).
 	UnitShards int
-	// MaxAttempts bounds remote grants per unit before the unit degrades
-	// to the coordinator's local lane (default 4).
-	MaxAttempts int
-	// SweepInterval / ProbeInterval pace expiry sweeps and worker health
-	// probes (defaults LeaseTTL/4 and LeaseTTL).
-	SweepInterval time.Duration
-	ProbeInterval time.Duration
-	// ProbeFailLimit evicts a worker after this many consecutive failed
-	// probes (default 3).
-	ProbeFailLimit int
 	// SpotCheck is the seeded fraction of remote unit reports the
 	// coordinator re-executes locally and compares byte-for-byte; a
 	// mismatch quarantines the reporting worker (0 = off). See
@@ -60,25 +52,10 @@ type DistConfig struct {
 // an optional worker trace — far below this in practice).
 const distReportBodyLimit = 4 << 20
 
-// initDist builds the coordinator, bridges its hooks into the metrics
-// registry, and wires the shared result cache, journal and unit directory.
+// initDist builds the coordinator, wires the shared result cache, journal
+// and unit directory, and exports its counters, each read from
+// Coordinator.Stats at scrape time.
 func (s *Server) initDist(cfg Config) {
-	leases := s.reg.CounterVec("qisimd_dist_leases_total",
-		"Lease events by type (granted, renewed, expired, done, adopted).", "event")
-	retries := s.reg.Counter("qisimd_dist_unit_retries_total",
-		"Work units requeued with backoff after losing every lease.")
-	steals := s.reg.Counter("qisimd_dist_steals_total",
-		"Straggler units hedge-dispatched to a second worker (first report wins).")
-	evicts := s.reg.Counter("qisimd_dist_workers_evicted_total",
-		"Workers evicted after consecutive health-probe failures.")
-	readmits := s.reg.Counter("qisimd_dist_workers_readmitted_total",
-		"Evicted workers re-admitted after a successful probe, claim or report.")
-	localUnits := s.reg.Counter("qisimd_dist_local_units_total",
-		"Work units executed on the coordinator's local lane (degraded or fleet down).")
-	spotchecks := s.reg.CounterVec("qisimd_dist_spotcheck_total",
-		"Spot-check verdicts on remote unit reports (pass, fail, error).", "result")
-	quarantines := s.reg.Counter("qisimd_dist_quarantine_total",
-		"Workers quarantined after a spot-check mismatch.")
 	s.mDistUnitSeconds = s.reg.HistogramVec("qisimd_dist_unit_seconds",
 		"Work-unit wall clock from grant to accepted report, per worker.",
 		metrics.DefaultLatencyBuckets(), "worker")
@@ -88,51 +65,65 @@ func (s *Server) initDist(cfg Config) {
 		unitDir = filepath.Join(cfg.DataDir, "units")
 	}
 	s.dist = dist.NewCoordinator(dist.Config{
-		LeaseTTL:       cfg.Dist.LeaseTTL,
-		UnitShards:     cfg.Dist.UnitShards,
-		MaxAttempts:    cfg.Dist.MaxAttempts,
-		SweepInterval:  cfg.Dist.SweepInterval,
-		ProbeInterval:  cfg.Dist.ProbeInterval,
-		ProbeFailLimit: cfg.Dist.ProbeFailLimit,
-		SpotCheck:      cfg.Dist.SpotCheck,
-		Probe:          dist.ProbeHTTP(nil, 0),
-		UnitDir:        unitDir,
-		Journal:        s.journal,
-		Cache:          s.cache,
-		Logger:         cfg.Logger,
-		Flight:         s.flight,
-		Hooks: dist.Hooks{
-			Lease:   func(event string) { leases.With(event).Inc() },
-			Retry:   func() { retries.Inc() },
-			Steal:   func() { steals.Inc() },
-			Evict:   func() { evicts.Inc() },
-			Readmit: func() { readmits.Inc() },
-			Local:   func() { localUnits.Inc() },
-			UnitDone: func(worker string, seconds float64) {
-				s.mDistUnitSeconds.With(worker).Observe(seconds)
-			},
-			SpotCheck:  func(result string) { spotchecks.With(result).Inc() },
-			Quarantine: func() { quarantines.Inc() },
+		LeaseTTL:   cfg.Dist.LeaseTTL,
+		UnitShards: cfg.Dist.UnitShards,
+		SpotCheck:  cfg.Dist.SpotCheck,
+		Probe:      dist.ProbeHTTP,
+		UnitDir:    unitDir,
+		Journal:    s.journal,
+		Cache:      s.cache,
+		Logger:     cfg.Logger,
+		Flight:     s.flight,
+		UnitSeconds: func(worker string, seconds float64) {
+			s.mDistUnitSeconds.With(worker).Observe(seconds)
 		},
 	})
-	s.reg.CounterFunc("qisimd_dist_units_done_total",
-		"Work units accepted into the fold.",
-		func() float64 { return float64(s.dist.Stats().UnitsDone) })
-	s.reg.CounterFunc("qisimd_dist_dup_reports_total",
-		"Duplicate unit uploads dropped by the idempotent report path.",
-		func() float64 { return float64(s.dist.Stats().DupReports) })
-	s.reg.CounterFunc("qisimd_dist_unit_cache_hits_total",
-		"Work units answered from the shared result tier before dispatch.",
-		func() float64 { return float64(s.dist.Stats().CacheHits) })
-	s.reg.CounterFunc("qisimd_dist_unit_file_reloads_total",
-		"Work units reloaded from the unit directory after a coordinator restart.",
-		func() float64 { return float64(s.dist.Stats().FileReloads) })
-	s.reg.CounterFunc("qisimd_dist_idem_replays_total",
-		"Duplicate claim deliveries answered from the idempotency record.",
-		func() float64 { return float64(s.dist.Stats().IdemReplays) })
-	s.reg.CounterFunc("qisimd_dist_quarantine_readmits_total",
-		"Quarantined workers re-admitted after the quarantine window elapsed.",
-		func() float64 { return float64(s.dist.Stats().QuarantineReadmits) })
+
+	s.reg.CounterFuncVec("qisimd_dist_leases_total",
+		"Lease events by type (granted, renewed, expired, done, adopted).", "event",
+		func() map[string]float64 {
+			st := s.dist.Stats()
+			return map[string]float64{"granted": float64(st.Grants), "renewed": float64(st.Renewals),
+				"expired": float64(st.Expired), "done": float64(st.UnitsDone), "adopted": float64(st.LeasesAdopted)}
+		})
+	s.reg.CounterFuncVec("qisimd_dist_spotcheck_total",
+		"Spot-check verdicts on remote unit reports (pass, fail, error).", "result",
+		func() map[string]float64 {
+			st := s.dist.Stats()
+			return map[string]float64{"pass": float64(st.SpotChecksPassed),
+				"fail": float64(st.SpotChecksFailed), "error": float64(st.SpotCheckErrors)}
+		})
+	for _, c := range []struct {
+		name, help string
+		read       func(dist.Stats) int
+	}{
+		{"qisimd_dist_unit_retries_total", "Work units requeued with backoff after losing every lease.",
+			func(st dist.Stats) int { return st.UnitRetries }},
+		{"qisimd_dist_steals_total", "Straggler units hedge-dispatched to a second worker (first report wins).",
+			func(st dist.Stats) int { return st.Steals }},
+		{"qisimd_dist_workers_evicted_total", "Workers evicted after consecutive health-probe failures.",
+			func(st dist.Stats) int { return st.Evictions }},
+		{"qisimd_dist_workers_readmitted_total", "Evicted workers re-admitted after a successful probe, claim or report.",
+			func(st dist.Stats) int { return st.Readmits + st.QuarantineReadmits }},
+		{"qisimd_dist_local_units_total", "Work units executed on the coordinator's local lane (degraded or fleet down).",
+			func(st dist.Stats) int { return st.LocalUnits }},
+		{"qisimd_dist_quarantine_total", "Workers quarantined after a spot-check mismatch.",
+			func(st dist.Stats) int { return st.Quarantines }},
+		{"qisimd_dist_units_done_total", "Work units accepted into the fold.",
+			func(st dist.Stats) int { return st.UnitsDone }},
+		{"qisimd_dist_dup_reports_total", "Duplicate unit uploads dropped by the idempotent report path.",
+			func(st dist.Stats) int { return st.DupReports }},
+		{"qisimd_dist_unit_cache_hits_total", "Work units answered from the shared result tier before dispatch.",
+			func(st dist.Stats) int { return st.CacheHits }},
+		{"qisimd_dist_unit_file_reloads_total", "Work units reloaded from the unit directory after a coordinator restart.",
+			func(st dist.Stats) int { return st.FileReloads }},
+		{"qisimd_dist_idem_replays_total", "Duplicate claim deliveries answered from the idempotency record.",
+			func(st dist.Stats) int { return st.IdemReplays }},
+		{"qisimd_dist_quarantine_readmits_total", "Quarantined workers re-admitted after the quarantine window elapsed.",
+			func(st dist.Stats) int { return st.QuarantineReadmits }},
+	} {
+		s.reg.CounterFunc(c.name, c.help, func() float64 { return float64(c.read(s.dist.Stats())) })
+	}
 	s.registerFleetMetrics()
 }
 

@@ -3,10 +3,13 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +17,7 @@ import (
 
 	"qisim/internal/dist"
 	"qisim/internal/jobs"
+	"qisim/internal/simrun"
 )
 
 // runToBytes submits one job and returns its final result body.
@@ -135,9 +139,7 @@ func TestDistDegradedFallsBackToLocal(t *testing.T) {
 // coordinator stops extending its leases but does not evict it.
 func TestProbeSeesDrainingWorker(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1})
-	probe := dist.ProbeHTTP(nil, 0)
-
-	status, err := probe(context.Background(), ts.URL)
+	status, err := dist.ProbeHTTP(context.Background(), ts.URL)
 	if err != nil || status != "ready" {
 		t.Fatalf("probe healthy: %q, %v; want \"ready\"", status, err)
 	}
@@ -147,7 +149,7 @@ func TestProbeSeesDrainingWorker(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	status, err = probe(context.Background(), ts.URL)
+	status, err = dist.ProbeHTTP(context.Background(), ts.URL)
 	if err != nil || status != "draining" {
 		t.Fatalf("probe draining: %q, %v; want \"draining\"", status, err)
 	}
@@ -201,5 +203,243 @@ func TestSubmitTimeoutTruncates(t *testing.T) {
 	}
 	if snap.Status.Completed >= snap.Status.Requested {
 		t.Fatal("deadline did not actually truncate the run")
+	}
+}
+
+// TestFleetJobResultsStayCached: a completed fleet job leaves only its own
+// result in the shared cache, never its units, so with the default 256
+// entries every one of 40 resubmitted 8-unit jobs, newest first, is
+// answered from it.
+func TestFleetJobResultsStayCached(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, Dist: DistConfig{
+		Enabled: true, LeaseTTL: 5 * time.Second, UnitShards: 1,
+	}})
+	startFleet(t, ts, 2)
+	job := func(seed int) string {
+		return fmt.Sprintf(`{"kind":"surface.mc","params":{"distance":3,"shots":128,"shard_size":16,"seed":%d}}`, seed)
+	}
+	for seed := 1; seed <= 40; seed++ {
+		runToBytes(t, ts, job(seed))
+	}
+	cached := 0
+	for seed := 40; seed >= 1; seed-- {
+		code, sr := postJob(t, ts, job(seed))
+		switch {
+		case sr.Outcome == "cached":
+			cached++
+		case code == http.StatusAccepted:
+			waitDone(t, ts, sr.Job.ID)
+		default:
+			t.Fatalf("resubmission %d: status %d", seed, code)
+		}
+	}
+	if cached != 40 {
+		t.Fatalf("%d of 40 resubmissions answered from the cache, want 40", cached)
+	}
+}
+
+// TestDistMetricsReadStats drives the server's coordinator through every
+// lease, health and spot-check event and requires each qisimd_dist_*
+// counter on /metrics, and the stats of /v1/fleet/status, to equal the
+// coordinator's own Stats. The coordinator's background loops are never
+// started: leases expire only on the explicit Sweep, and the hedge and
+// quarantine windows (2× and 4× a 10 ms TTL) are waited out.
+func TestDistMetricsReadStats(t *testing.T) {
+	const ttl = 10 * time.Millisecond
+	raw := json.RawMessage(`{"distance":3,"shots":128,"shard_size":16,"seed":5}`)
+	mc, err := parseSurfaceMC(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, err := mc.newCore(simrun.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind, key := string(mc.kind), string(mc.key)
+
+	// A previous coordinator life journaled the job and a lease on its
+	// first unit to a worker that never comes back.
+	dir := t.TempDir()
+	jrn, err := jobs.OpenJournal(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jrn.Append(jobs.OpSubmit, mc.kind, mc.key, raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := jrn.AppendLease(jobs.OpLease, mc.kind, mc.key, 0, 1, "w-old", time.Now().UnixMilli()); err != nil {
+		t.Fatal(err)
+	}
+	if err := jrn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(Config{DataDir: dir, Dist: DistConfig{
+		Enabled: true, LeaseTTL: ttl, UnitShards: 1, SpotCheck: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Drain(context.Background()) //nolint:errcheck // closes the journal
+	})
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // a probe of its address is refused
+
+	ctx := context.Background()
+	c := srv.Dist()
+	claim := func(worker string) *dist.LeaseGrant {
+		t.Helper()
+		g, err := c.Claim(ctx, worker, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	report := func(worker string, g *dist.LeaseGrant, forge bool) {
+		t.Helper()
+		states, events, err := core.RunWindow(ctx, g.Plan, g.Start, g.End)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if forge {
+			for i := range states {
+				states[i] = json.RawMessage(strconv.Itoa(1000 + i))
+			}
+		}
+		body, err := dist.EncodeUnitResult(dist.UnitResult{Kind: g.Kind, Key: g.Key,
+			Start: g.Start, End: g.End, States: states, Events: events, Worker: worker})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Report(ctx, worker, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evict := func() {
+		for i := 0; i < 3; i++ {
+			c.ProbeAll(ctx)
+		}
+	}
+	c.Register(ctx, dist.WorkerInfo{ID: "w-a", Addr: dead.URL})  //nolint:errcheck
+	c.Register(ctx, dist.WorkerInfo{ID: "liar", Addr: dead.URL}) //nolint:errcheck
+
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.Execute(ctx, kind, key, raw, core, mc.plan, nil)
+		done <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); len(c.FleetSnapshot().Jobs) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("job never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The adopted lease on unit 0 expires and the unit requeues behind a
+	// backoff gate an hour out, so only the local lane can run it.
+	c.Sweep(time.Now().Add(time.Hour))
+	// A grant, a renewal and an audited honest report (spot-check pass).
+	g := claim("w-a")
+	if g == nil {
+		t.Fatal("no grant")
+	}
+	if err := c.Renew(ctx, "w-a", g.Key, g.Start, g.End, nil); err != nil {
+		t.Fatal(err)
+	}
+	report("w-a", g, false)
+	// w-a holds units 2–7; once they are 2×TTL old the liar is hedged onto
+	// unit 2, forges it and is quarantined.
+	for i := 0; i < 6; i++ {
+		if claim("w-a") == nil {
+			t.Fatalf("claim %d: no grant", i)
+		}
+	}
+	time.Sleep(2*ttl + 5*time.Millisecond)
+	hedge := claim("liar")
+	if hedge == nil {
+		t.Fatal("no hedged grant")
+	}
+	report("liar", hedge, true)
+	// After 4×TTL the liar is re-admitted by its next claim.
+	time.Sleep(4*ttl + 5*time.Millisecond)
+	claim("liar")
+	// Probe failures evict both workers, and the local lane takes over. A
+	// claim re-admits w-a, which reports what it is granted before the
+	// probes evict it again; no worker comes back, so the local lane
+	// finishes the job.
+	evict()
+	if g := claim("w-a"); g != nil {
+		report("w-a", g, false)
+	}
+	evict()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	st := c.Stats()
+	for name, n := range map[string]int{"Grants": st.Grants, "Renewals": st.Renewals, "Expired": st.Expired,
+		"LeasesAdopted": st.LeasesAdopted, "UnitRetries": st.UnitRetries, "Steals": st.Steals,
+		"Evictions": st.Evictions, "Readmits": st.Readmits, "LocalUnits": st.LocalUnits,
+		"SpotChecksPassed": st.SpotChecksPassed, "SpotChecksFailed": st.SpotChecksFailed,
+		"Quarantines": st.Quarantines, "QuarantineReadmits": st.QuarantineReadmits} {
+		if n == 0 {
+			t.Errorf("%s = 0: event not driven (%+v)", name, st)
+		}
+	}
+	want := map[string]int{
+		`qisimd_dist_leases_total{event="granted"}`:   st.Grants,
+		`qisimd_dist_leases_total{event="renewed"}`:   st.Renewals,
+		`qisimd_dist_leases_total{event="expired"}`:   st.Expired,
+		`qisimd_dist_leases_total{event="done"}`:      st.UnitsDone,
+		`qisimd_dist_leases_total{event="adopted"}`:   st.LeasesAdopted,
+		`qisimd_dist_spotcheck_total{result="pass"}`:  st.SpotChecksPassed,
+		`qisimd_dist_spotcheck_total{result="fail"}`:  st.SpotChecksFailed,
+		`qisimd_dist_spotcheck_total{result="error"}`: st.SpotCheckErrors,
+		"qisimd_dist_unit_retries_total":              st.UnitRetries,
+		"qisimd_dist_steals_total":                    st.Steals,
+		"qisimd_dist_workers_evicted_total":           st.Evictions,
+		"qisimd_dist_workers_readmitted_total":        st.Readmits + st.QuarantineReadmits,
+		"qisimd_dist_local_units_total":               st.LocalUnits,
+		"qisimd_dist_quarantine_total":                st.Quarantines,
+		"qisimd_dist_units_done_total":                st.UnitsDone,
+		"qisimd_dist_dup_reports_total":               st.DupReports,
+		"qisimd_dist_unit_cache_hits_total":           st.CacheHits,
+		"qisimd_dist_unit_file_reloads_total":         st.FileReloads,
+		"qisimd_dist_idem_replays_total":              st.IdemReplays,
+		"qisimd_dist_quarantine_readmits_total":       st.QuarantineReadmits,
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	got := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if series, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(series, "qisimd_dist_") {
+			got[series] = value
+		}
+	}
+	for series, n := range want {
+		if got[series] != strconv.Itoa(n) {
+			t.Errorf("%s = %q, want %d", series, got[series], n)
+		}
+	}
+
+	var status struct{ Stats dist.Stats }
+	resp, err = http.Get(ts.URL + "/v1/fleet/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&status)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.Stats != st {
+		t.Fatalf("/v1/fleet/status stats %+v, want %+v", status.Stats, st)
 	}
 }

@@ -500,7 +500,7 @@ func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
 // number, so reconnecting clients can spot gaps), then live events stream
 // until the job finalizes — the terminal state event is always last, after
 // which the stream closes. Idle streams carry comment heartbeats
-// (Config.SSEHeartbeat) so dead subscribers are reaped on the next tick
+// (Server.sseHeartbeat) so dead subscribers are reaped on the next tick
 // rather than holding their event subscription until a real event fires.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -530,12 +530,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var hb <-chan time.Time
-	if s.sseHeartbeat > 0 {
-		t := time.NewTicker(s.sseHeartbeat)
-		defer t.Stop()
-		hb = t.C
-	}
+	hb := time.NewTicker(s.sseHeartbeat)
+	defer hb.Stop()
 	for {
 		select {
 		case ev, open := <-ch:
@@ -545,7 +541,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			if emit(ev) != nil {
 				return // dead subscriber: free the subscription now
 			}
-		case <-hb:
+		case <-hb.C:
 			// SSE comment line: ignored by clients, but the write fails
 			// fast on a torn connection the context never noticed.
 			if _, err := io.WriteString(w, ": hb\n\n"); err != nil {

@@ -140,10 +140,7 @@ func (s *Server) fleetStatus() fleetStatusView {
 		return fleetStatusView{}
 	}
 	snap := s.dist.FleetSnapshot()
-	var unitSummaries map[string]metrics.HistogramSummary
-	if s.mDistUnitSeconds != nil {
-		unitSummaries = s.mDistUnitSeconds.Summaries()
-	}
+	unitSummaries := s.mDistUnitSeconds.Summaries()
 	view := fleetStatusView{
 		Enabled: true,
 		Workers: make([]fleetWorkerView, 0, len(snap.Workers)),

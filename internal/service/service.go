@@ -103,16 +103,6 @@ type Config struct {
 	// body; a sweep's internal fan-out is accounted to its parent, not the
 	// quota.
 	TenantQuota int
-	// MaxEventsPerJob bounds each job's retained event log (the replay
-	// window of GET /v1/jobs/{id}/events). 0 = the jobs-layer default.
-	MaxEventsPerJob int
-	// SSEHeartbeat is the interval between comment heartbeats (": hb")
-	// written on idle GET /v1/jobs/{id}/events streams. Heartbeats keep
-	// intermediaries from timing out the connection and, more importantly,
-	// surface dead subscribers: a failed heartbeat write tears the stream
-	// down and frees its event subscription instead of leaking it until
-	// the next real event. 0 = 15s; negative disables heartbeats.
-	SSEHeartbeat time.Duration
 }
 
 // DefaultMaxBodyBytes bounds POST bodies when Config.MaxBodyBytes is unset.
@@ -162,7 +152,13 @@ type Server struct {
 	mDegraded        *metrics.Counter
 	mDistUnitSeconds *metrics.HistogramVec
 
-	sseHeartbeat time.Duration // interval between SSE comment heartbeats
+	// sseHeartbeat is the interval between comment heartbeats (": hb") on
+	// idle GET /v1/jobs/{id}/events streams (15s; tests shorten it).
+	// Heartbeats keep intermediaries from timing out the connection and
+	// surface dead subscribers: a failed heartbeat write tears the stream
+	// down and frees its event subscription instead of leaking it until
+	// the next real event.
+	sseHeartbeat time.Duration
 
 	// Observability plane (see fleet.go): RED middleware around every
 	// route, the always-on flight recorder, and the chaos-injection export.
@@ -194,13 +190,6 @@ func New(cfg Config) (*Server, error) {
 	case traceMaxSpans < 0:
 		traceMaxSpans = 0 // disables job tracing in the manager
 	}
-	sseHeartbeat := cfg.SSEHeartbeat
-	switch {
-	case sseHeartbeat == 0:
-		sseHeartbeat = 15 * time.Second
-	case sseHeartbeat < 0:
-		sseHeartbeat = 0 // disables heartbeats
-	}
 	s := &Server{
 		cache:        rescache.New(cfg.CacheEntries),
 		reg:          metrics.New(),
@@ -208,7 +197,7 @@ func New(cfg Config) (*Server, error) {
 		maxBodyBytes: cfg.MaxBodyBytes,
 		baseCtx:      cfg.BaseContext,
 		log:          obs.OrDiscard(cfg.Logger),
-		sseHeartbeat: sseHeartbeat,
+		sseHeartbeat: 15 * time.Second,
 		flight:       obs.NewFlightRecorder(0),
 		dataDir:      cfg.DataDir,
 	}
@@ -280,17 +269,16 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.mgr = jobs.NewManager(jobs.Config{
-		Workers:         cfg.Workers,
-		QueueDepth:      cfg.QueueDepth,
-		JobTimeout:      cfg.JobTimeout,
-		MaxRecords:      cfg.MaxRecords,
-		TenantQuota:     cfg.TenantQuota,
-		MaxEventsPerJob: cfg.MaxEventsPerJob,
-		Cache:           s.cache,
-		Journal:         s.journal,
-		BaseContext:     cfg.BaseContext,
-		Logger:          cfg.Logger,
-		TraceMaxSpans:   traceMaxSpans,
+		Workers:       cfg.Workers,
+		QueueDepth:    cfg.QueueDepth,
+		JobTimeout:    cfg.JobTimeout,
+		MaxRecords:    cfg.MaxRecords,
+		TenantQuota:   cfg.TenantQuota,
+		Cache:         s.cache,
+		Journal:       s.journal,
+		BaseContext:   cfg.BaseContext,
+		Logger:        cfg.Logger,
+		TraceMaxSpans: traceMaxSpans,
 		Hooks: jobs.Hooks{
 			JobFinished: func(id string, kind jobs.Kind, state jobs.State, errClass string, st *simrun.Status, dur time.Duration) {
 				s.mFinished.With(string(kind), string(state)).Inc()

@@ -25,9 +25,10 @@ func sseOpen(t *testing.T, url string) *http.Response {
 
 // TestSSEHeartbeatOnIdleStream pins the keep-alive contract: an event
 // stream with no job activity still carries ": hb" comment frames at the
-// configured interval.
+// server's heartbeat interval.
 func TestSSEHeartbeatOnIdleStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, SSEHeartbeat: 20 * time.Millisecond})
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
+	srv.sseHeartbeat = 20 * time.Millisecond
 
 	// A long Monte-Carlo run keeps the job in-flight (and its event log
 	// quiet) while we watch the stream.
@@ -69,7 +70,8 @@ func TestSSEHeartbeatOnIdleStream(t *testing.T) {
 // their subscriptions promptly (heartbeat write failure / context teardown)
 // instead of leaking until the job finalizes.
 func TestSSEDeadSubscribersReaped(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, SSEHeartbeat: 20 * time.Millisecond})
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
+	srv.sseHeartbeat = 20 * time.Millisecond
 
 	_, sr := postJob(t, ts, `{"kind":"surface.mc","params":{"distance":9,"shots":2000000,"shard_size":64,"seed":402}}`)
 	id := sr.Job.ID

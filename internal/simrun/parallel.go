@@ -292,12 +292,11 @@ func runShards[R any](ctx context.Context, plan []Shard, start, end, workers, ch
 	return l.frontier, nil
 }
 
-// engineDefaults validates opt against a requested shot budget, fills in
-// the engine's CheckEvery and ShardSize defaults, and returns the effective
-// budget (shots capped at MaxShots).
-func engineDefaults(shots int, opt *Options) (int, error) {
+// engineDefaults validates opt against a requested shot budget and fills
+// in the engine's CheckEvery and ShardSize defaults.
+func engineDefaults(shots int, opt *Options) error {
 	if err := opt.Validate(shots); err != nil {
-		return 0, err
+		return err
 	}
 	if opt.CheckEvery == 0 {
 		opt.CheckEvery = 256
@@ -305,10 +304,7 @@ func engineDefaults(shots int, opt *Options) (int, error) {
 	if opt.ShardSize == 0 {
 		opt.ShardSize = DefaultShardSize
 	}
-	if opt.MaxShots > 0 && opt.MaxShots < shots {
-		return opt.MaxShots, nil
-	}
-	return shots, nil
+	return nil
 }
 
 // RunSharded is the parallel Monte-Carlo shot engine. It partitions the
@@ -347,8 +343,7 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 	run ShardFunc[R], merge MergeFunc[R]) (R, Status, error) {
 
 	var zero R
-	budget, err := engineDefaults(shots, &opt)
-	if err != nil {
+	if err := engineDefaults(shots, &opt); err != nil {
 		return zero, Status{}, err
 	}
 	if ctx == nil {
@@ -357,7 +352,7 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 	if opt.TargetRelStdErr > 0 && opt.MinShots == 0 {
 		opt.MinShots = 1000
 	}
-	shards := shardPlan(budget, opt.ShardSize, seed)
+	shards := shardPlan(shots, opt.ShardSize, seed)
 	nShards := len(shards)
 
 	// Tracing: one root span for the whole run, per-shard spans under it,
@@ -365,7 +360,7 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 	// random numbers and never blocks (bounded buffer, counted drops), so
 	// results are bit-identical with tracing on or off.
 	ctx, runSpan := obs.StartSpan(ctx, "mc.run",
-		obs.Int("shots", budget), obs.Int("shards", nShards),
+		obs.Int("shots", shots), obs.Int("shards", nShards),
 		obs.Int("shard_size", opt.ShardSize))
 	defer runSpan.End()
 
@@ -384,11 +379,11 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 			return zero, Status{}, simerr.Invalidf(
 				"simrun: resume prefix of %d shards outside the %d-shard plan", r.Shards, nShards)
 		}
-		if want := shardShots(budget, opt.ShardSize, r.Shards); r.Shots != want {
+		if want := shardShots(shots, opt.ShardSize, r.Shards); r.Shots != want {
 			resumeSpan.End()
 			return zero, Status{}, simerr.Invalidf(
 				"simrun: resume prefix covers %d shots, but %d shards of %d-shot budget at shard size %d cover %d",
-				r.Shots, r.Shards, budget, opt.ShardSize, want)
+				r.Shots, r.Shards, shots, opt.ShardSize, want)
 		}
 		if len(r.StateJSON) > 0 {
 			if err := json.Unmarshal(r.StateJSON, &out); err != nil {
@@ -407,12 +402,12 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 			tally.Add(r.Shots, r.Events)
 		}
 		if opt.Progress != nil {
-			opt.Progress(r.Shots, budget)
+			opt.Progress(r.Shots, shots)
 		}
 		resumeSpan.End()
 		finish := func(reason string) (R, Status, error) {
 			st := Status{
-				Requested:  budget,
+				Requested:  shots,
 				Completed:  r.Shots,
 				Converged:  reason == StopConverged,
 				StopReason: reason,
@@ -421,7 +416,7 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 				_, ckSpan := obs.StartSpan(ctx, "checkpoint.save",
 					obs.Int("shards", start), obs.Bool("final", true))
 				sh, ev, nc := tally.State()
-				opt.Checkpoint(CheckpointState{Shards: start, Shots: sh, Requested: budget,
+				opt.Checkpoint(CheckpointState{Shards: start, Shots: sh, Requested: shots,
 					Events: ev, NoConverge: nc, State: out, Final: true})
 				ckSpan.End()
 			}
@@ -469,7 +464,7 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 				mergeSpan.SetAttr(obs.Int("to", l.frontier))
 			}
 			if opt.Progress != nil {
-				opt.Progress(shardShots(budget, opt.ShardSize, l.frontier), budget)
+				opt.Progress(shardShots(shots, opt.ShardSize, l.frontier), shots)
 			}
 			if opt.Checkpoint != nil {
 				ckSpan := (*obs.Span)(nil)
@@ -477,7 +472,7 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 					_, ckSpan = obs.StartSpan(mergeCtx, "checkpoint.save", obs.Int("shards", l.frontier))
 				}
 				sh, ev, nc := tally.State()
-				opt.Checkpoint(CheckpointState{Shards: l.frontier, Shots: sh, Requested: budget,
+				opt.Checkpoint(CheckpointState{Shards: l.frontier, Shots: sh, Requested: shots,
 					Events: ev, NoConverge: nc, State: out})
 				ckSpan.End()
 			}
@@ -500,7 +495,7 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 		reason = StopCanceled
 	}
 
-	completed := shardShots(budget, opt.ShardSize, frontier)
+	completed := shardShots(shots, opt.ShardSize, frontier)
 	if opt.Checkpoint != nil {
 		// The Final flush: whatever stopped the run (SIGINT, deadline,
 		// convergence, completion), the last committed prefix is persisted
@@ -508,13 +503,13 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 		_, ckSpan := obs.StartSpan(ctx, "checkpoint.save",
 			obs.Int("shards", frontier), obs.Bool("final", true))
 		sh, ev, nc := tally.State()
-		opt.Checkpoint(CheckpointState{Shards: frontier, Shots: sh, Requested: budget,
+		opt.Checkpoint(CheckpointState{Shards: frontier, Shots: sh, Requested: shots,
 			Events: ev, NoConverge: nc, State: out, Final: true})
 		ckSpan.End()
 	}
 	runSpan.SetAttr(obs.String("stop", reason), obs.Int("completed", completed))
 	return out, Status{
-		Requested:  budget,
+		Requested:  shots,
 		Completed:  completed,
 		Truncated:  reason == StopCanceled || reason == StopDeadline,
 		Converged:  reason == StopConverged,

@@ -136,8 +136,8 @@ func TestRunShardedPreCanceled(t *testing.T) {
 // TestRunShardedCancelMidRun: cancelling while the pool is working keeps a
 // whole-shard prefix (Completed is a multiple of ShardSize), flags the
 // result Truncated, and leaks no goroutines. The prefix itself is
-// reproducible: rerunning with MaxShots pinned to the prefix regenerates the
-// same merged value bit-exactly.
+// reproducible: rerunning with the budget pinned to the prefix regenerates
+// the same merged value bit-exactly.
 func TestRunShardedCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
@@ -226,7 +226,6 @@ func TestRunShardedValidation(t *testing.T) {
 	cases := []Options{
 		{Workers: -1},
 		{ShardSize: -5},
-		{MaxShots: -1},
 	}
 	for _, opt := range cases {
 		_, _, err := RunSharded(context.Background(), 100, 1, opt, countingShard(0.1), addInt)
@@ -237,22 +236,9 @@ func TestRunShardedValidation(t *testing.T) {
 	if _, _, err := RunSharded(context.Background(), 0, 1, Options{}, countingShard(0.1), addInt); !errors.Is(err, simerr.ErrInvalidConfig) {
 		t.Fatalf("zero budget: want ErrInvalidConfig, got %v", err)
 	}
-	if _, _, err := RunSharded(context.Background(), 1000, 1, Options{MaxShots: 100, MinShots: 500, TargetRelStdErr: 0.1},
+	if _, _, err := RunSharded(context.Background(), 100, 1, Options{MinShots: 500, TargetRelStdErr: 0.1},
 		countingShard(0.1), addInt); !errors.Is(err, simerr.ErrBudgetInfeasible) {
 		t.Fatalf("infeasible floor: want ErrBudgetInfeasible, got %v", err)
-	}
-}
-
-// TestRunShardedMaxShotsCap: MaxShots caps the budget, and the capped run
-// completes rather than truncates.
-func TestRunShardedMaxShotsCap(t *testing.T) {
-	got, status, err := RunSharded(context.Background(), 10000, 1, Options{MaxShots: 300, ShardSize: 128, Workers: 2},
-		countingShard(0.5), addInt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status.Requested != 300 || status.Completed != 300 || status.StopReason != StopCompleted {
-		t.Fatalf("cap not applied: %+v (merged %d)", status, got)
 	}
 }
 

@@ -40,8 +40,6 @@ const DefaultShardSize = 512
 
 // Options configure a context-aware simulation run.
 type Options struct {
-	// MaxShots caps the shot budget below the caller's request (0 = no cap).
-	MaxShots int
 	// MinShots is the convergence floor: the guard never stops on
 	// convergence before this many shots (default 1000 when a convergence
 	// target is set).
@@ -114,7 +112,7 @@ type CheckpointState struct {
 	Shards int
 	// Shots is the number of shots covered by the committed prefix.
 	Shots int
-	// Requested is the effective shot budget (after MaxShots capping).
+	// Requested is the shot budget.
 	Requested int
 	// Events is the committed binomial event count feeding the convergence
 	// guard (0 when the estimator disabled convergence — see NoConverge).
@@ -156,9 +154,9 @@ func (o Options) Validate(requested int) error {
 	if requested <= 0 {
 		return simerr.Invalidf("simrun: requested shots must be positive, got %d", requested)
 	}
-	if o.MaxShots < 0 || o.MinShots < 0 || o.CheckEvery < 0 {
-		return simerr.Invalidf("simrun: negative option (MaxShots %d, MinShots %d, CheckEvery %d)",
-			o.MaxShots, o.MinShots, o.CheckEvery)
+	if o.MinShots < 0 || o.CheckEvery < 0 {
+		return simerr.Invalidf("simrun: negative option (MinShots %d, CheckEvery %d)",
+			o.MinShots, o.CheckEvery)
 	}
 	if o.Workers < 0 || o.ShardSize < 0 {
 		return simerr.Invalidf("simrun: negative option (Workers %d, ShardSize %d)",
@@ -167,13 +165,9 @@ func (o Options) Validate(requested int) error {
 	if o.TargetRelStdErr < 0 || math.IsNaN(o.TargetRelStdErr) {
 		return simerr.Invalidf("simrun: TargetRelStdErr must be >= 0, got %v", o.TargetRelStdErr)
 	}
-	budget := requested
-	if o.MaxShots > 0 && o.MaxShots < budget {
-		budget = o.MaxShots
-	}
-	if o.MinShots > budget {
+	if o.MinShots > requested {
 		return simerr.Budgetf("simrun: convergence floor MinShots=%d exceeds shot budget %d",
-			o.MinShots, budget)
+			o.MinShots, requested)
 	}
 	return nil
 }
@@ -181,7 +175,7 @@ func (o Options) Validate(requested int) error {
 // Status is the flagged outcome of a guarded run, embedded in every
 // context-aware result type.
 type Status struct {
-	// Requested is the shot budget asked for (after MaxShots capping).
+	// Requested is the shot budget asked for.
 	Requested int `json:"requested"`
 	// Completed is the number of shots actually finished.
 	Completed int `json:"completed"`

@@ -28,9 +28,9 @@ func TestGuardFullBudget(t *testing.T) {
 	}
 }
 
-// TestGuardInvalidOptions: a non-positive budget, a negative cap and a
-// negative or NaN convergence target are rejected as ErrInvalidConfig
-// before any shard runs.
+// TestGuardInvalidOptions: a non-positive budget and a negative or NaN
+// convergence target are rejected as ErrInvalidConfig before any shard
+// runs.
 func TestGuardInvalidOptions(t *testing.T) {
 	cases := []struct {
 		shots int
@@ -38,7 +38,6 @@ func TestGuardInvalidOptions(t *testing.T) {
 	}{
 		{0, Options{}},
 		{-5, Options{}},
-		{100, Options{MaxShots: -1}},
 		{100, Options{TargetRelStdErr: -0.1}},
 		{100, Options{TargetRelStdErr: math.NaN()}},
 	}

@@ -48,14 +48,13 @@ func PlanShots(budget, size, k int) int {
 func RunWindow[R any](ctx context.Context, shots int, seed int64, opt Options,
 	start, end int, run ShardFunc[R], emit func(sh Shard, res R, events int) error) error {
 
-	budget, err := engineDefaults(shots, &opt)
-	if err != nil {
+	if err := engineDefaults(shots, &opt); err != nil {
 		return err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	shards := shardPlan(budget, opt.ShardSize, seed)
+	shards := shardPlan(shots, opt.ShardSize, seed)
 	if start < 0 || end > len(shards) || start > end {
 		return simerr.Invalidf("simrun: window [%d,%d) outside the %d-shard plan", start, end, len(shards))
 	}

@@ -102,37 +102,22 @@ var (
 			Stage20mK:  {PassiveW: 0.003e-9, ActiveW: 0.79e-9},
 		},
 	}
-	// RoomTempDataMicrostrip is the 300 K→4 K digital instruction link used
-	// by the 4 K QCIs (315 µW passive at 4 K per cable).
-	RoomTempDataMicrostrip = CableType{
-		Name: "data-microstrip",
-		Loads: map[Stage]Load{
-			Stage4K: {PassiveW: 315e-6, ActiveW: 7.9e-6},
-		},
-	}
 )
 
 // DataLink models the 300 K→4 K instruction stream as a bandwidth cost: the
-// per-bit link energy dissipated at 4 K plus a passive share per physical
-// cable. Opt-#6's 93% instruction-bandwidth compression attacks exactly this
-// term (Fig. 18).
+// per-bit link energy dissipated at 4 K, with the cables' passive load
+// amortised into it. Opt-#6's 93% instruction-bandwidth compression attacks
+// exactly this term (Fig. 18).
 type DataLink struct {
 	// EnergyPerBitJ is the 4 K dissipation per transported bit (calibrated
-	// to the Fig. 18 wire share: 0.58 pJ/bit for the microstrip link).
+	// to the Fig. 18 wire share: 0.31 pJ/bit for the microstrip link, ~70 µW
+	// for a qubit's ~226 Mb/s).
 	EnergyPerBitJ float64
-	// CableCapacityBps is one physical cable's capacity.
-	CableCapacityBps float64
-	// Cable carries the per-cable passive load.
-	Cable CableType
 }
 
 // DefaultDataLink returns the calibrated 300 K→4 K microstrip link.
 func DefaultDataLink() DataLink {
-	return DataLink{
-		EnergyPerBitJ:    0.31e-12,
-		CableCapacityBps: 2.5e9,
-		Cable:            RoomTempDataMicrostrip,
-	}
+	return DataLink{EnergyPerBitJ: 0.31e-12}
 }
 
 // PowerAt4K returns the 4 K wire power of an instruction stream with the
