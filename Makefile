@@ -34,15 +34,16 @@ trace-demo:
 
 # Short fuzz smokes of the QASM parser, the checkpoint decoder, the dist
 # unit-result and lease-grant decoders, the job-journal record decoder, the
-# federated metrics-summary fold and the job-submission decoder (longer runs
-# on demand, e.g. `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
+# coordinator's worker-telemetry intake and the job-submission decoder
+# (longer runs on demand, e.g. `go test ./internal/qasm -fuzz FuzzParse
+# -fuzztime 5m`).
 fuzz:
 	$(GO) test ./internal/qasm -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointDecode -fuzztime 30s
 	$(GO) test ./internal/dist -fuzz FuzzDecodeUnitResult -fuzztime 30s
 	$(GO) test ./internal/dist -fuzz FuzzLeaseGrant -fuzztime 30s
+	$(GO) test ./internal/dist -fuzz FuzzTelemetry -fuzztime 30s
 	$(GO) test ./internal/jobs -fuzz FuzzJournalLine -fuzztime 30s
-	$(GO) test ./internal/metrics -fuzz FuzzSummary -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzJobRequest -fuzztime 30s
 
 # Smokes of the built binaries: a traced `qisim mc` run exports a non-empty

@@ -292,7 +292,7 @@ func TestChaosKillMatrix(t *testing.T) {
 						case <-stopRenew:
 							return
 						case <-tick.C:
-							err := client.Renew(context.Background(), "slow", g.Key, g.Start, g.End, nil)
+							err := client.Renew(context.Background(), "slow", g.Key, g.Start, g.End)
 							if errors.Is(err, dist.ErrGone) {
 								return // hedge winner reported; lease resolved
 							}

@@ -54,9 +54,10 @@
 //
 // Fleet observability (see DESIGN.md "Fleet observability"): every route
 // records RED series (qisimd_http_requests_total / _request_seconds by
-// route pattern); workers piggyback metrics summaries on renewals and
-// reports, which the coordinator folds into qisimd_fleet_* series and
-// /v1/fleet/status; an always-on flight recorder keeps the last ~4K
+// route pattern); every unit report carries the worker's telemetry (units
+// executed, unit seconds, client-side chaos injections), which the
+// coordinator serves as qisimd_fleet_* series and in /v1/fleet/status;
+// an always-on flight recorder keeps the last ~4K
 // lease/retry/eviction/quarantine/chaos/journal events, served by
 // /v1/debug/flight and persisted to <data-dir>/flight-last.json by the
 // panic backstop.
@@ -241,6 +242,7 @@ func run(logger *slog.Logger, o daemonOpts) error {
 			id = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
 		client := &dist.Client{Base: o.coordinatorURL}
+		var chaosCount func() int64
 		if chaosSpec != nil {
 			tr := chaos.NewTransport(*chaosSpec, nil)
 			tr.OnInject(func(fault string) {
@@ -248,18 +250,20 @@ func run(logger *slog.Logger, o daemonOpts) error {
 					obs.String("side", "client"), obs.String("fault", fault))
 			})
 			// The transport's injections show up on the worker's own
-			// /metrics AND — via federation — as the coordinator's
-			// per-worker chaos counts.
+			// /metrics AND, through its report telemetry, as the
+			// coordinator's per-worker chaos counts.
 			srv.RegisterChaosStats("client", tr.Stats)
 			client.HTTP = &http.Client{Transport: tr}
+			chaosCount = func() int64 {
+				var n int64
+				for fault, c := range tr.Stats() {
+					if fault != "requests" { // traffic, not a fault
+						n += c
+					}
+				}
+				return n
+			}
 		}
-		// Worker-local federation instruments: counted here, shipped with
-		// every renewal/report, folded into the coordinator's
-		// qisimd_fleet_* series.
-		wreg := srv.Registry()
-		unitSeconds := wreg.Histogram("qisimd_worker_unit_seconds",
-			"Work-unit execution wall clock on this worker.",
-			metrics.DefaultLatencyBuckets())
 		fleetWorker, err = dist.NewWorker(dist.WorkerConfig{
 			ID:          id,
 			Coordinator: client,
@@ -267,14 +271,19 @@ func run(logger *slog.Logger, o daemonOpts) error {
 			Cores:       service.BuildCore,
 			Logger:      logger,
 			Trace:       true,
-			Metrics:     wreg.Summary,
 			Flight:      srv.Flight(),
-			UnitSeconds: unitSeconds.Observe,
+			Chaos:       chaosCount,
 		})
 		if err != nil {
 			return err
 		}
+		// The worker's own counts on its /metrics; it reports the same
+		// units and unit seconds to the coordinator with every unit.
+		wreg := srv.Registry()
 		fw := fleetWorker
+		wreg.HistogramFunc("qisimd_worker_unit_seconds",
+			"Work-unit execution wall clock on this worker.",
+			func() metrics.HistogramSummary { return fw.Stats().UnitSeconds })
 		wreg.CounterFunc("qisimd_worker_units_total",
 			"Work units fully executed by this worker.",
 			func() float64 { return float64(fw.Stats().Executions) })

@@ -1,11 +1,11 @@
 // Fleet observability E2E: one 4-worker fleet run must light up the whole
 // plane — every worker in /v1/fleet/status, per-worker qisimd_fleet_* series
-// federated onto the coordinator's /metrics, RED series for the dist routes,
-// and the run's lease transitions in the flight recorder — while the merged
-// result JSON stays byte-identical to a standalone run. A second test pins
-// the /metrics body to the Prometheus text-exposition rules (one HELP/TYPE
-// per family, contiguous family blocks, sorted unique series), so the
-// federation fold can never corrupt the scrape.
+// from the workers' report telemetry on the coordinator's /metrics, RED
+// series for the dist routes, and the run's lease transitions in the flight
+// recorder — while the merged result JSON stays byte-identical to a
+// standalone run. A second test pins the /metrics body to the Prometheus
+// text-exposition rules (one HELP/TYPE per family, contiguous family blocks,
+// sorted unique series), so the fleet series can never corrupt the scrape.
 package qisim_test
 
 import (
@@ -21,15 +21,12 @@ import (
 	"time"
 
 	"qisim/internal/dist"
-	"qisim/internal/metrics"
 	"qisim/internal/obs"
 	"qisim/internal/service"
 )
 
-// startObsFleet launches n workers with the full federation wiring of a
-// real `qisimd -role worker`: a worker-local registry whose summary rides
-// renewals and reports, the unit-seconds histogram, the units-total
-// counter, and a flight recorder.
+// startObsFleet launches n workers, each with a flight recorder as a real
+// `qisimd -role worker` has; every worker reports its telemetry.
 func startObsFleet(t *testing.T, base string, n int) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -41,24 +38,15 @@ func startObsFleet(t *testing.T, base string, n int) {
 			cancel()
 			t.Fatalf("register %s: %v", id, err)
 		}
-		wreg := metrics.New()
-		unitSeconds := wreg.Histogram("qisimd_worker_unit_seconds",
-			"Work-unit execution wall clock on this worker.",
-			metrics.DefaultLatencyBuckets())
 		w, err := dist.NewWorker(dist.WorkerConfig{
 			ID: id, Coordinator: client, Cores: service.BuildCore,
 			PollInterval: 2 * time.Millisecond, Seed: int64(i + 1), Trace: true,
-			Metrics: wreg.Summary, UnitSeconds: unitSeconds.Observe,
 			Flight: obs.NewFlightRecorder(256),
 		})
 		if err != nil {
 			cancel()
 			t.Fatalf("NewWorker: %v", err)
 		}
-		fw := w
-		wreg.CounterFunc("qisimd_worker_units_total",
-			"Work units fully executed by this worker.",
-			func() float64 { return float64(fw.Stats().Executions) })
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -127,7 +115,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 		t.Fatalf("no federated workers in status (federated=%d units=%v)", federated, fedUnits)
 	}
 
-	// Per-worker federated series on the coordinator's own /metrics.
+	// Per-worker telemetry series on the coordinator's own /metrics.
 	var unitsTotal float64
 	for i := 0; i < 4; i++ {
 		unitsTotal += scrapeMetric(t, ts.URL,
@@ -140,7 +128,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 		t.Fatalf("qisimd_fleet_workers{healthy} = %v, want 4", n)
 	}
 	if n := scrapeMetric(t, ts.URL, "qisimd_fleet_unit_seconds_count"); n == 0 {
-		t.Fatal("federated qisimd_fleet_unit_seconds histogram is empty")
+		t.Fatal("qisimd_fleet_unit_seconds histogram is empty")
 	}
 
 	// RED series exist for the dist routes the fleet exercised.
@@ -274,7 +262,7 @@ func validateExposition(t *testing.T, body string) {
 }
 
 // TestMetricsExpositionStaysParseable scrapes a coordinator that has every
-// observability feature lit (fleet federation, RED, chaos export, flight,
+// observability feature lit (fleet telemetry, RED, chaos export, flight,
 // build info) and runs the full exposition-rule validator over the body.
 func TestMetricsExpositionStaysParseable(t *testing.T) {
 	_, ts := chaosServer(t, service.Config{Workers: 2, Dist: service.DistConfig{

@@ -17,7 +17,6 @@ import (
 
 	"qisim/internal/backoff"
 	"qisim/internal/jobs"
-	"qisim/internal/metrics"
 	"qisim/internal/obs"
 	"qisim/internal/rescache"
 	"qisim/internal/simerr"
@@ -195,10 +194,11 @@ type workerState struct {
 	lastIdemKey string
 	lastGrant   *LeaseGrant
 
-	// Federation: the worker's latest piggybacked metrics summary and the
-	// time of its last sign of life (claim, renewal, report, register).
-	summary  *metrics.Summary
-	lastSeen time.Time
+	// The telemetry of the worker's latest report that passed the intake
+	// check, and the time of its last sign of life (claim, renewal,
+	// report, register).
+	telemetry *Telemetry
+	lastSeen  time.Time
 }
 
 // Coordinator splits jobs into leased work units across a worker fleet and
@@ -483,23 +483,9 @@ func (c *Coordinator) grantLocked(j *distJob, u *unit, w *workerState, now time.
 // is accepted but does not extend the deadline (lease-non-renewable). A
 // lease the coordinator no longer recognises returns ErrGone: the worker
 // abandons the unit.
-//
-// sum, when non-nil, is the worker's piggybacked metrics summary — the
-// federation heartbeat. It is folded into the fleet view even when the
-// lease itself is gone: stale-lease workers are still alive and their
-// telemetry is still true.
-func (c *Coordinator) Renew(_ context.Context, workerID, key string, start, end int, sum *metrics.Summary) error {
+func (c *Coordinator) Renew(_ context.Context, workerID, key string, start, end int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if sum != nil && workerID != "" {
-		// Deliberately NOT touchWorkerLocked: a summary is telemetry, not
-		// proof the probe verdict was wrong — eviction reversal stays tied
-		// to claims/reports/probes.
-		if w := c.workers[workerID]; w != nil {
-			w.summary = sum
-			w.lastSeen = c.cfg.Clock()
-		}
-	}
 	j := c.jobs[key]
 	if j == nil || j.finished || j.err != nil {
 		return ErrGone
@@ -536,6 +522,10 @@ func (j *distJob) unitAt(start, end int) *unit {
 // unknown job (finished, or a pre-restart orphan) is persisted to UnitDir
 // when configured and acknowledged — re-reporting must always be safe.
 //
+// The report's Telemetry replaces the worker's previous one when it passes
+// the intake check (Telemetry.valid); otherwise the report is accepted
+// without it.
+//
 // When Config.SpotCheck is set, a seeded fraction of remote reports is
 // re-executed locally and compared byte-for-byte before the fold sees it;
 // a mismatch quarantines the reporter and the locally recomputed states —
@@ -554,8 +544,8 @@ func (c *Coordinator) Report(ctx context.Context, workerID string, container []b
 	var w *workerState
 	if workerID != "" {
 		w = c.touchWorkerLocked(workerID)
-		if u.Metrics != nil {
-			w.summary = u.Metrics
+		if u.Telemetry != nil && u.Telemetry.valid() {
+			w.telemetry = u.Telemetry
 		}
 		if c.quarantinedLocked(w, c.cfg.Clock()) {
 			// A quarantined worker's word is worthless either way: tell it
@@ -1172,6 +1162,10 @@ func (c *Coordinator) nextLocalUnitLocked(j *distJob) *unit {
 
 // preloadUnitsLocked answers units from the shared result cache and (after
 // a restart) from UnitDir, so already-reported shard ranges never re-run.
+// A stored unit counts only if a fresh fold accepts its states: a failed
+// job leaves the unit its fold rejected in both stores (and a late report
+// can write it to UnitDir again), so that unit runs again instead of
+// failing every rerun at admission.
 func (c *Coordinator) preloadUnitsLocked(j *distJob) {
 	for _, u := range j.units {
 		if u.state == unitDone {
@@ -1181,7 +1175,7 @@ func (c *Coordinator) preloadUnitsLocked(j *distJob) {
 			if key, err := UnitCacheKey(j.kind, j.key, u.start, u.end, j.plan); err == nil {
 				if body, ok := c.cfg.Cache.Get(key); ok {
 					if res, err := DecodeUnitResult(body); err == nil && res.Key == j.key &&
-						res.Start == u.start && res.End == u.end {
+						res.Start == u.start && res.End == u.end && foldable(j.core, res.States) {
 						u.states, u.events = res.States, res.Events
 						u.state = unitDone
 						c.stats.CacheHits++
@@ -1196,14 +1190,26 @@ func (c *Coordinator) preloadUnitsLocked(j *distJob) {
 				continue
 			}
 			res, err := DecodeUnitResult(body)
-			if err != nil || res.Key != j.key || res.Start != u.start || res.End != u.end {
-				continue // corrupt or mismatched: re-run the unit
+			if err != nil || res.Key != j.key || res.Start != u.start || res.End != u.end ||
+				!foldable(j.core, res.States) {
+				continue // corrupt, mismatched or unfoldable: re-run the unit
 			}
 			u.states, u.events = res.States, res.Events
 			u.state = unitDone
 			c.stats.FileReloads++
 		}
 	}
+}
+
+// foldable reports whether a fresh fold of core accepts every state.
+func foldable(core Core, states []json.RawMessage) bool {
+	f := core.NewFold()
+	for _, st := range states {
+		if f.Add(st) != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // adoptLeasesLocked re-applies journal-recovered lease assignments to a
@@ -1258,10 +1264,10 @@ type FleetWorker struct {
 	LastSeenAgeMS int64 `json:"last_seen_age_ms"`
 	// QuarantineLeftMS is the remaining shun time for quarantined workers.
 	QuarantineLeftMS int64 `json:"quarantine_left_ms,omitempty"`
-	// Summary is the worker's latest federated metrics snapshot. It feeds
-	// the coordinator's qisimd_fleet_* series and the status endpoint's
-	// derived fields, but stays out of the status JSON itself (bulk).
-	Summary *metrics.Summary `json:"-"`
+	// Telemetry is the worker's latest accepted report telemetry (nil
+	// until one arrives). It feeds the coordinator's qisimd_fleet_* series
+	// and the status endpoint's derived fields.
+	Telemetry *Telemetry `json:"-"`
 }
 
 // FleetJob is one in-flight distributed job's dispatch progress.
@@ -1338,7 +1344,7 @@ func (c *Coordinator) FleetSnapshot() FleetStatus {
 			ID: w.id, Addr: w.addr, State: "healthy",
 			Trust: w.trust, ProbeFails: w.probeFails,
 			Leases: leases[w.id], LastSeenAgeMS: -1,
-			Summary: w.summary,
+			Telemetry: w.telemetry,
 		}
 		switch {
 		case w.quarantined && now.Before(w.quarantinedUntil):

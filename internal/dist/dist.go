@@ -42,6 +42,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 
 	"qisim/internal/checkpoint"
 	"qisim/internal/metrics"
@@ -249,11 +250,10 @@ type UnitResult struct {
 	// by the coordinator so /v1/jobs/{id}/trace stitches a cross-node
 	// tree.
 	Trace *obs.Trace `json:"trace,omitempty"`
-	// Metrics is the worker's federated metrics summary, piggybacked on the
-	// upload (observability only, like Worker and Trace — deliberately
-	// outside the content digest so federation can never invalidate a
-	// result).
-	Metrics *metrics.Summary `json:"metrics,omitempty"`
+	// Telemetry is the worker's own account of its work (observability
+	// only, like Worker and Trace, so it stays outside the content digest
+	// and can never invalidate a result).
+	Telemetry *Telemetry `json:"telemetry,omitempty"`
 	// Digest is the SHA-256 over the semantic payload (kind, key, range,
 	// states, events) — defense in depth past the container CRC: the CRC
 	// catches wire corruption of the frame, the digest pins the *content*
@@ -261,6 +261,38 @@ type UnitResult struct {
 	// rewrites JSON in flight (or a buggy worker that mutates states after
 	// digesting) is caught before the fold.
 	Digest string `json:"digest"`
+}
+
+// Telemetry is what a worker reports of itself on every unit report. Its
+// counts are cumulative, so the coordinator keeps the latest it accepted.
+type Telemetry struct {
+	// UnitSeconds is the wall clock of the units the worker ran to
+	// completion, on metrics.DefaultLatencyBuckets; its Count is the
+	// worker's count of those units.
+	UnitSeconds metrics.HistogramSummary `json:"unit_seconds"`
+	// Chaos counts the faults the worker's chaos transport injected into
+	// its own coordinator RPCs.
+	Chaos int64 `json:"chaos,omitempty"`
+}
+
+// valid reports whether t can feed the fleet series: its chaos count is
+// not negative, and its histogram has the workers' bucket layout with
+// cumulative buckets that never fall and never pass its count. Other
+// layouts would not merge bucket-wise into qisimd_fleet_unit_seconds.
+func (t *Telemetry) valid() bool {
+	h := t.UnitSeconds
+	if t.Chaos < 0 || len(h.Buckets) != len(h.Bounds) ||
+		!slices.Equal(h.Bounds, metrics.DefaultLatencyBuckets()) {
+		return false
+	}
+	var prev uint64
+	for _, n := range h.Buckets {
+		if n < prev || n > h.Count {
+			return false
+		}
+		prev = n
+	}
+	return true
 }
 
 // unitResultVersion is the current UnitResult schema version. v2 added the

@@ -299,13 +299,13 @@ func TestLeaseExpiryRequeuesAndRetries(t *testing.T) {
 		dead = g
 	}
 	// Its renewals work while the lease lives...
-	if err := c.Renew(context.Background(), "dead", dead.Key, dead.Start, dead.End, nil); err != nil {
+	if err := c.Renew(context.Background(), "dead", dead.Key, dead.Start, dead.End); err != nil {
 		t.Fatal(err)
 	}
 	// ...but after TTL + renewal expiry the sweep reclaims the unit.
 	clk.Advance(3 * time.Second)
 	c.Sweep(clk.Now())
-	if err := c.Renew(context.Background(), "dead", dead.Key, dead.Start, dead.End, nil); !errors.Is(err, ErrGone) {
+	if err := c.Renew(context.Background(), "dead", dead.Key, dead.Start, dead.End); !errors.Is(err, ErrGone) {
 		t.Fatalf("post-expiry renew: want ErrGone, got %v", err)
 	}
 
@@ -403,7 +403,7 @@ func TestHedgedStealFirstReportWins(t *testing.T) {
 			t.Fatalf("premature hedge: %+v", g)
 		}
 		clk.Advance(8 * time.Second)
-		if err := c.Renew(context.Background(), "slow", slow.Key, slow.Start, slow.End, nil); err != nil {
+		if err := c.Renew(context.Background(), "slow", slow.Key, slow.Start, slow.End); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -422,7 +422,7 @@ func TestHedgedStealFirstReportWins(t *testing.T) {
 	}
 	// The slow worker's late report dedupes; its renewal says gone.
 	report(t, c, core, "slow", slow)
-	if err := c.Renew(context.Background(), "slow", slow.Key, slow.Start, slow.End, nil); !errors.Is(err, ErrGone) {
+	if err := c.Renew(context.Background(), "slow", slow.Key, slow.Start, slow.End); !errors.Is(err, ErrGone) {
 		t.Fatalf("want ErrGone for finished unit, got %v", err)
 	}
 	if st := c.Stats(); st.Steals != 1 {
@@ -467,7 +467,7 @@ func TestProbeEvictionRequeuesAndReadmits(t *testing.T) {
 	if st.Evictions != 1 || st.Expired == 0 {
 		t.Fatalf("eviction must requeue the lease: %+v", st)
 	}
-	if err := c.Renew(context.Background(), "w1", g.Key, g.Start, g.End, nil); !errors.Is(err, ErrGone) {
+	if err := c.Renew(context.Background(), "w1", g.Key, g.Start, g.End); !errors.Is(err, ErrGone) {
 		t.Fatalf("evicted worker's renew: want ErrGone, got %v", err)
 	}
 
@@ -509,7 +509,7 @@ func TestDrainingWorkerIsLeaseNonRenewable(t *testing.T) {
 
 	// Renewal is accepted (the worker is alive, finishing its unit) but
 	// does not extend: after the original TTL the lease expires.
-	if err := c.Renew(context.Background(), "w1", g.Key, g.Start, g.End, nil); err != nil {
+	if err := c.Renew(context.Background(), "w1", g.Key, g.Start, g.End); err != nil {
 		t.Fatalf("draining renew must be accepted: %v", err)
 	}
 	if g2, _ := c.Claim(context.Background(), "w1", ""); g2 != nil {
@@ -517,7 +517,7 @@ func TestDrainingWorkerIsLeaseNonRenewable(t *testing.T) {
 	}
 	clk.Advance(11 * time.Second)
 	c.Sweep(clk.Now())
-	if err := c.Renew(context.Background(), "w1", g.Key, g.Start, g.End, nil); !errors.Is(err, ErrGone) {
+	if err := c.Renew(context.Background(), "w1", g.Key, g.Start, g.End); !errors.Is(err, ErrGone) {
 		t.Fatalf("lease must expire at original TTL: got %v", err)
 	}
 	if st := c.Stats(); st.Renewals != 0 {

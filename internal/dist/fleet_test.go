@@ -141,11 +141,10 @@ func TestFleetSnapshotQuarantineIsReadOnly(t *testing.T) {
 	}
 }
 
-// TestRenewStoresSummaryWithoutRevival pins the federation/trust split: a
-// lease renewal's piggybacked summary is stored (and refreshes last-seen)
-// even when the lease is gone, but it does NOT count as proof-of-life for
-// an evicted worker — only claims, reports and probes reverse eviction.
-func TestRenewStoresSummaryWithoutRevival(t *testing.T) {
+// TestRenewOfGoneLeaseDoesNotRevive pins the renewal/trust split: renewing
+// a lease that is gone answers ErrGone and does NOT count as proof of life
+// for an evicted worker — only claims, reports and probes reverse eviction.
+func TestRenewOfGoneLeaseDoesNotRevive(t *testing.T) {
 	clk := newFakeClock()
 	probeErr := errors.New("unreachable")
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4,
@@ -158,18 +157,39 @@ func TestRenewStoresSummaryWithoutRevival(t *testing.T) {
 		t.Fatalf("probe eviction not visible: %+v", snap.Workers)
 	}
 
-	sum := &metrics.Summary{Counters: map[string]float64{"qisimd_worker_units_total": 3}}
-	err := c.Renew(context.Background(), "w1", "no-such-job", 0, 4, sum)
+	err := c.Renew(context.Background(), "w1", "no-such-job", 0, 4)
 	if !errors.Is(err, ErrGone) {
 		t.Fatalf("renew of unknown lease: want ErrGone, got %v", err)
 	}
-	snap := c.FleetSnapshot()
-	w := snap.Workers[0]
-	if w.State != "evicted" {
-		t.Fatalf("summary delivery revived an evicted worker: %+v", w)
+	if w := c.FleetSnapshot().Workers[0]; w.State != "evicted" {
+		t.Fatalf("renewal of a gone lease revived an evicted worker: %+v", w)
 	}
-	if w.Summary == nil || w.Summary.CounterSum("qisimd_worker_units_total") != 3 {
-		t.Fatalf("summary not stored: %+v", w.Summary)
+}
+
+// TestTelemetryIntakeCheck pins what Report keeps of a report's telemetry:
+// a chaos count that is not negative, and a histogram on the workers' bucket
+// layout whose cumulative buckets never fall and never pass its count.
+func TestTelemetryIntakeCheck(t *testing.T) {
+	good := func() Telemetry {
+		return Telemetry{Chaos: 1, UnitSeconds: metrics.HistogramSummary{
+			Bounds:  metrics.DefaultLatencyBuckets(),
+			Buckets: []uint64{0, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2}, Sum: 0.1, Count: 3}}
+	}
+	for name, edit := range map[string]func(*Telemetry){
+		"foreign bounds":    func(t *Telemetry) { t.UnitSeconds.Bounds[10] = 101 },
+		"short buckets":     func(t *Telemetry) { t.UnitSeconds.Buckets = t.UnitSeconds.Buckets[:10] },
+		"falling buckets":   func(t *Telemetry) { t.UnitSeconds.Buckets[1] = 0; t.UnitSeconds.Buckets[0] = 1 },
+		"bucket past count": func(t *Telemetry) { t.UnitSeconds.Buckets[10] = 4 },
+		"negative chaos":    func(t *Telemetry) { t.Chaos = -1 },
+	} {
+		tel := good()
+		edit(&tel)
+		if tel.valid() {
+			t.Errorf("%s: accepted %+v", name, tel)
+		}
+	}
+	if tel := good(); !tel.valid() {
+		t.Fatalf("a worker's own telemetry refused: %+v", tel)
 	}
 }
 

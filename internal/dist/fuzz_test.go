@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"qisim/internal/checkpoint"
+	"qisim/internal/metrics"
 	"qisim/internal/simerr"
 )
 
@@ -89,7 +94,7 @@ func FuzzDecodeUnitResult(f *testing.F) {
 			if string(again) != string(enc) {
 				t.Fatalf("re-encoding is not stable:\n%q\n%q", enc, again)
 			}
-			got.Trace, got.Metrics, back.Trace, back.Metrics = nil, nil, nil, nil
+			got.Trace, got.Telemetry, back.Trace, back.Telemetry = nil, nil, nil, nil
 			if !reflect.DeepEqual(back, got) {
 				t.Fatalf("round trip changed the result:\n got  %+v\n back %+v", got, back)
 			}
@@ -163,4 +168,109 @@ func FuzzLeaseGrant(f *testing.F) {
 			t.Fatalf("round trip changed the grant:\n got  %+v\n back %+v", got, back)
 		}
 	})
+}
+
+// FuzzTelemetry feeds arbitrary bytes to the coordinator's telemetry
+// intake: a JSON array of report telemetry, one per worker in ID order,
+// each checked as Report checks it, the accepted ones merged in order as
+// qisimd_fleet_unit_seconds merges them, read with Quantile and rendered in
+// the exposition format. Nothing may panic, repeated merges must agree bit
+// for bit, and every accepted histogram and their merge must render
+// cumulative buckets.
+func FuzzTelemetry(f *testing.F) {
+	valid := func(count uint64, chaos int64, buckets []uint64, sum float64) Telemetry {
+		return Telemetry{Chaos: chaos, UnitSeconds: metrics.HistogramSummary{
+			Bounds: metrics.DefaultLatencyBuckets(), Buckets: buckets, Sum: sum, Count: count}}
+	}
+	add := func(ts ...Telemetry) {
+		b, err := json.Marshal(ts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	a := valid(3, 2, []uint64{0, 0, 1, 2, 3, 3, 3, 3, 3, 3, 3}, 0.1)
+	b := valid(2, 0, []uint64{0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1}, 0.2)
+	c := valid(5, 0, []uint64{1, 1, 1, 1, 1, 1, 1, 2, 2, 5, 5}, 0.3)
+	add(a, b, c)
+	foreign := a
+	foreign.UnitSeconds.Bounds = []float64{0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 101}
+	falling := b
+	falling.UnitSeconds.Buckets = []uint64{0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 1}
+	over := c
+	over.UnitSeconds.Buckets = []uint64{1, 1, 1, 1, 1, 1, 1, 2, 2, 5, 6}
+	negative := a
+	negative.Chaos = -1
+	add(foreign, b, falling, over, negative, c)
+	add(valid(math.MaxUint64, 0, []uint64{0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 5}, 1e308),
+		valid(1, 0, []uint64{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, 1e308))
+	f.Add([]byte(`[{"unit_seconds":{"count":1}},{"unit_seconds":{"bounds":[2,1],"buckets":[9]}},null]`))
+	f.Add([]byte(`[]`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var in []Telemetry
+		if json.Unmarshal(data, &in) != nil {
+			return
+		}
+		var accepted []metrics.HistogramSummary
+		for i := range in {
+			if in[i].valid() {
+				accepted = append(accepted, in[i].UnitSeconds)
+			}
+		}
+		merge := func() metrics.HistogramSummary {
+			var out metrics.HistogramSummary
+			for _, h := range accepted {
+				out.Merge(h)
+			}
+			return out
+		}
+		fleet := merge()
+		for i := 0; i < 4; i++ {
+			if again := merge(); !sameHistogram(again, fleet) {
+				t.Fatalf("merge = %+v, then %+v", fleet, again)
+			}
+		}
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			fleet.Quantile(q)
+		}
+		for _, h := range append(accepted, fleet) {
+			h.Quantile(0.5)
+			out := renderHistogram(h)
+			var prev uint64
+			for _, line := range strings.Split(out, "\n") {
+				series, val, _ := strings.Cut(line, " ")
+				if !strings.HasPrefix(series, "h_bucket{") {
+					continue
+				}
+				n, err := strconv.ParseUint(val, 10, 64)
+				if err != nil || n < prev {
+					t.Fatalf("histogram renders non-cumulative buckets:\n%s", out)
+				}
+				prev = n
+			}
+		}
+	})
+}
+
+// renderHistogram renders h in the exposition format as the family h.
+func renderHistogram(h metrics.HistogramSummary) string {
+	reg := metrics.New()
+	reg.HistogramFunc("h", "", func() metrics.HistogramSummary { return h })
+	var b strings.Builder
+	reg.WritePrometheus(&b) //nolint:errcheck // a strings.Builder does not fail
+	return b.String()
+}
+
+// sameHistogram reports whether a and b hold bitwise-equal summaries.
+func sameHistogram(a, b metrics.HistogramSummary) bool {
+	bits := func(x []float64) []uint64 {
+		out := make([]uint64, len(x))
+		for i, v := range x {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	return slices.Equal(bits(a.Bounds), bits(b.Bounds)) && slices.Equal(a.Buckets, b.Buckets) &&
+		math.Float64bits(a.Sum) == math.Float64bits(b.Sum) && a.Count == b.Count
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -181,5 +182,75 @@ func TestSharedCacheAnswersUnitsBeforeDispatch(t *testing.T) {
 	}
 	if n := cache.Len(); n != 2 {
 		t.Fatalf("completed run left %d unit entries, want the first run's 2", n)
+	}
+}
+
+// TestFailedJobDoesNotPoisonRerun: a report whose states pass the digest
+// but not the fold (valid JSON of the wrong type) fails its job, and the
+// failed job leaves that unit in the shared cache or UnitDir; a late
+// duplicate of the report writes it to UnitDir again. A rerun of the same
+// key keeps only the stored units a fresh fold accepts, grants the rejected
+// unit again and returns the bytes of RunFull.
+func TestFailedJobDoesNotPoisonRerun(t *testing.T) {
+	core := toyCore(1)
+	want := runFullBytes(t, core, toyPlan)
+	ctx := context.Background()
+	for _, tier := range []string{"cache", "unit-dir"} {
+		t.Run(tier, func(t *testing.T) {
+			cfg := Config{LeaseTTL: time.Minute, UnitShards: 4}
+			if tier == "cache" {
+				cfg.Cache = rescache.New(64)
+			} else {
+				cfg.UnitDir = t.TempDir()
+			}
+			c1 := NewCoordinator(cfg)
+			c1.Register(ctx, WorkerInfo{ID: "w1"}) //nolint:errcheck
+			ch := startExecute(c1, ctx, "kp", core, toyPlan)
+			g0, g1, g2 := waitGrant(t, c1, "w1"), waitGrant(t, c1, "w1"), waitGrant(t, c1, "w1")
+			report(t, c1, core, "w1", g0) // folded
+			report(t, c1, core, "w1", g2) // done, never folded
+			states := []json.RawMessage{[]byte(`"x"`), []byte(`"x"`), []byte(`"x"`), []byte(`"x"`)}
+			body, err := EncodeUnitResult(UnitResult{Kind: g1.Kind, Key: g1.Key, Start: g1.Start, End: g1.End,
+				States: states, Events: make([]int, 4), Worker: "w1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c1.Report(ctx, "w1", body); err != nil {
+				t.Fatal(err)
+			}
+			if o := waitOutcome(t, ch); o.err == nil {
+				t.Fatalf("a fold-rejected unit must fail the job, got %+v", o.status)
+			}
+			if err := c1.Report(ctx, "w1", body); err != nil {
+				t.Fatalf("late duplicate: %v", err)
+			}
+
+			c2 := NewCoordinator(cfg)
+			c2.Register(ctx, WorkerInfo{ID: "w1"}) //nolint:errcheck
+			ch2 := startExecute(c2, ctx, "kp", core, toyPlan)
+			var starts []int
+			deadline := time.Now().Add(10 * time.Second)
+			for o := (*execOutcome)(nil); o == nil; {
+				if time.Now().After(deadline) {
+					t.Fatal("rerun did not finish")
+				}
+				for _, g := range drainClaims(t, c2, "w1") {
+					starts = append(starts, g.Start)
+					report(t, c2, core, "w1", g)
+				}
+				select {
+				case got := <-ch2:
+					o = &got
+					if o.err != nil || string(o.body) != string(want) {
+						t.Fatalf("rerun: err=%v body %s, want %s", o.err, o.body, want)
+					}
+				case <-time.After(time.Millisecond):
+				}
+			}
+			if st := c2.Stats(); st.CacheHits+st.FileReloads != 2 || !slices.Equal(starts, []int{4, 12}) {
+				t.Fatalf("rerun kept %d units and granted shards %v, want units 0 and 2 kept and 1 and 3 granted",
+					st.CacheHits+st.FileReloads, starts)
+			}
+		})
 	}
 }

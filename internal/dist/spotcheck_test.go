@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"qisim/internal/metrics"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -453,6 +452,32 @@ func TestClientJittersWithoutRand(t *testing.T) {
 	}
 }
 
+// TestWorkersWithoutSeedDrawApart: two workers built without a Seed, as
+// qisimd -role worker builds them, draw different jitter for their idle
+// polls, claim backoff and report retries, so workers started together do
+// not poll and retry in step. Workers with a Seed keep their sequence.
+func TestWorkersWithoutSeedDrawApart(t *testing.T) {
+	draws := func(seed int64) [4]float64 {
+		w, err := NewWorker(WorkerConfig{ID: "w", Coordinator: &goneReportCoord{}, Cores: func(string, json.RawMessage) (Core, error) {
+			return toyCore(1), nil
+		}, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [4]float64
+		for i := range out {
+			out[i] = w.randFloat()
+		}
+		return out
+	}
+	if a, b := draws(0), draws(0); a == b {
+		t.Fatalf("two unseeded workers drew the same jitter %v", a)
+	}
+	if a, b := draws(3), draws(3); a != b {
+		t.Fatalf("seeded workers drew %v and %v", a, b)
+	}
+}
+
 func TestClientPerRPCTimeout(t *testing.T) {
 	stall := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -559,7 +584,7 @@ func (f *goneReportCoord) Register(context.Context, WorkerInfo) error { return n
 func (f *goneReportCoord) Claim(context.Context, string, string) (*LeaseGrant, error) {
 	return nil, nil
 }
-func (f *goneReportCoord) Renew(context.Context, string, string, int, int, *metrics.Summary) error {
+func (f *goneReportCoord) Renew(context.Context, string, string, int, int) error {
 	return nil
 }
 func (f *goneReportCoord) Report(context.Context, string, []byte) error {

@@ -32,10 +32,8 @@ type CoordinatorAPI interface {
 	// same key replays the same outcome instead of leasing a second unit
 	// ("" opts out).
 	Claim(ctx context.Context, workerID, idemKey string) (*LeaseGrant, error)
-	// Renew extends a lease; ErrGone means abandon the unit. sum, when
-	// non-nil, piggybacks the worker's metrics summary on the heartbeat
-	// (the federation path — see Coordinator.Renew).
-	Renew(ctx context.Context, workerID, key string, start, end int, sum *metrics.Summary) error
+	// Renew extends a lease; ErrGone means abandon the unit.
+	Renew(ctx context.Context, workerID, key string, start, end int) error
 	// Report uploads a unit result container (idempotent).
 	Report(ctx context.Context, workerID string, container []byte) error
 }
@@ -59,31 +57,29 @@ type WorkerConfig struct {
 	// Backoff paces retries of failed coordinator calls (zero =
 	// backoff.Default).
 	Backoff backoff.Policy
-	// Seed seeds the poll-jitter RNG (0 = 1). Jitter never touches
-	// simulation results.
+	// Seed seeds the jitter of idle polls, claim backoff and report
+	// retries (0 = a random seed, so workers started together draw
+	// apart). Jitter never touches simulation results.
 	Seed   int64
 	Logger *slog.Logger
 	// Trace enables per-unit tracing: each executed window records a
 	// local trace shipped with the report, which the coordinator grafts
 	// into the job's cross-node trace.
 	Trace bool
-	// Metrics, when set, samples the worker's metrics summary to piggyback
-	// on lease renewals and unit reports (federation). Typically the
-	// worker-local registry's Summary method.
-	Metrics func() metrics.Summary
 	// Flight, when set, records the worker-side lease lifecycle (claims,
 	// reports, abandons) into the worker's flight-recorder ring.
 	Flight *obs.FlightRecorder
-	// UnitSeconds, when set, observes each fully executed unit's wall
-	// clock — the feed for the worker-local qisimd_worker_unit_seconds
-	// histogram that federation folds into qisimd_fleet_unit_seconds.
-	UnitSeconds func(seconds float64)
+	// Chaos, when set, reads how many faults the worker's chaos transport
+	// has injected: the one count of its Telemetry the worker cannot keep
+	// itself.
+	Chaos func() int64
 }
 
 // Worker is the claim → execute → report loop of one fleet member.
 type Worker struct {
-	cfg WorkerConfig
-	rnd *rand.Rand
+	cfg         WorkerConfig
+	rnd         *rand.Rand
+	unitSeconds *metrics.Histogram
 
 	draining  atomic.Bool
 	mu        sync.Mutex // guards rnd
@@ -105,13 +101,14 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 250 * time.Millisecond
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
 	}
-	return &Worker{cfg: cfg, rnd: rand.New(rand.NewSource(cfg.Seed))}, nil
+	if cfg.Seed == 0 {
+		cfg.Seed = randv2.Int64()
+	}
+	return &Worker{cfg: cfg, rnd: rand.New(rand.NewSource(cfg.Seed)),
+		unitSeconds: metrics.NewHistogram(metrics.DefaultLatencyBuckets())}, nil
 }
 
 // WorkerStats is a snapshot of the worker loop's lifetime counters.
@@ -120,16 +117,19 @@ type WorkerStats struct {
 	// completion; Reports the accepted uploads; Abandoned the units
 	// dropped on ErrGone (lease lost or upload refused).
 	Claims, Executions, Reports, Abandoned int64
+	// UnitSeconds is the wall clock of the units run to completion.
+	UnitSeconds metrics.HistogramSummary
 }
 
 // Stats snapshots the worker's counters (the worker-local registry exports
-// them as qisimd_worker_* for federation).
+// them as qisimd_worker_*).
 func (w *Worker) Stats() WorkerStats {
 	return WorkerStats{
-		Claims:     w.claims.Load(),
-		Executions: w.execs.Load(),
-		Reports:    w.reports.Load(),
-		Abandoned:  w.abandoned.Load(),
+		Claims:      w.claims.Load(),
+		Executions:  w.execs.Load(),
+		Reports:     w.reports.Load(),
+		Abandoned:   w.abandoned.Load(),
+		UnitSeconds: w.unitSeconds.Summary(),
 	}
 }
 
@@ -221,7 +221,7 @@ func (w *Worker) runUnit(ctx context.Context, g *LeaseGrant) {
 				case <-unitCtx.Done():
 					return
 				case <-t.C:
-					err := w.cfg.Coordinator.Renew(unitCtx, w.cfg.ID, g.Key, g.Start, g.End, w.summary())
+					err := w.cfg.Coordinator.Renew(unitCtx, w.cfg.ID, g.Key, g.Start, g.End)
 					if errors.Is(err, ErrGone) {
 						w.abandoned.Add(1)
 						w.cfg.Flight.Record("worker.abandon", obs.String("worker", w.cfg.ID),
@@ -240,9 +240,7 @@ func (w *Worker) runUnit(ctx context.Context, g *LeaseGrant) {
 
 	unitStart := time.Now()
 	states, events, runErr := core.RunWindow(unitCtx, g.Plan, g.Start, g.End)
-	if runErr == nil && w.cfg.UnitSeconds != nil {
-		w.cfg.UnitSeconds(time.Since(unitStart).Seconds())
-	}
+	unitSecs := time.Since(unitStart).Seconds()
 	close(hbStop)
 	hbWG.Wait()
 	if runErr != nil {
@@ -252,15 +250,15 @@ func (w *Worker) runUnit(ctx context.Context, g *LeaseGrant) {
 			"key", g.Key, "start", g.Start, "end", g.End, "err", runErr)
 		return
 	}
+	w.unitSeconds.Observe(unitSecs)
 	w.execs.Add(1)
 
 	res := UnitResult{Kind: g.Kind, Key: g.Key, Start: g.Start, End: g.End,
-		States: states, Events: events, Worker: w.cfg.ID}
+		States: states, Events: events, Worker: w.cfg.ID, Telemetry: w.telemetry()}
 	if tracer != nil {
 		tr := tracer.Snapshot()
 		res.Trace = &tr
 	}
-	res.Metrics = w.summary()
 	body, err := EncodeUnitResult(res)
 	if err != nil {
 		w.cfg.Logger.Warn("dist: encode unit result", "err", err)
@@ -299,13 +297,13 @@ func (w *Worker) runUnit(ctx context.Context, g *LeaseGrant) {
 		obs.String("key", g.Key), obs.Int("start", g.Start), obs.Int("end", g.End))
 }
 
-// summary samples the configured metrics provider (nil when unset).
-func (w *Worker) summary() *metrics.Summary {
-	if w.cfg.Metrics == nil {
-		return nil
+// telemetry is what the worker reports of itself with each unit.
+func (w *Worker) telemetry() *Telemetry {
+	t := &Telemetry{UnitSeconds: w.unitSeconds.Summary()}
+	if w.cfg.Chaos != nil {
+		t.Chaos = w.cfg.Chaos()
 	}
-	s := w.cfg.Metrics()
-	return &s
+	return t
 }
 
 // Client is the HTTP implementation of CoordinatorAPI, speaking qisimd's
@@ -487,13 +485,11 @@ type renewRequest struct {
 	Key    string `json:"key"`
 	Start  int    `json:"start"`
 	End    int    `json:"end"`
-	// Metrics piggybacks the worker's federated summary on the heartbeat.
-	Metrics *metrics.Summary `json:"metrics,omitempty"`
 }
 
 // Renew implements CoordinatorAPI (410 → ErrGone, not retried).
-func (c *Client) Renew(ctx context.Context, workerID, key string, start, end int, sum *metrics.Summary) error {
-	body, err := json.Marshal(renewRequest{Worker: workerID, Key: key, Start: start, End: end, Metrics: sum})
+func (c *Client) Renew(ctx context.Context, workerID, key string, start, end int) error {
+	body, err := json.Marshal(renewRequest{Worker: workerID, Key: key, Start: start, End: end})
 	if err != nil {
 		return err
 	}

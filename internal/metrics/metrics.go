@@ -107,9 +107,6 @@ func (c *Counter) Add(d float64) {
 	c.v.add(d)
 }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 { return c.v.load() }
-
 func (c *Counter) render(w io.Writer, name, labels string) { c.v.render(w, name, labels) }
 
 // Gauge is a metric that can go up and down.
@@ -117,9 +114,6 @@ type Gauge struct{ v value }
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(x float64) { g.v.store(x) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.load() }
 
 func (g *Gauge) render(w io.Writer, name, labels string) { g.v.render(w, name, labels) }
 
@@ -184,8 +178,8 @@ func (r *Registry) GaugeFuncVec(name, help, label string, fn func() map[string]f
 
 // CounterFuncVec registers a counter family with one dynamic label, sampled
 // from fn at scrape time — the counter twin of GaugeFuncVec, for cumulative
-// totals kept by another subsystem (e.g. federated per-worker counters whose
-// label values only appear as workers register). fn must be monotonically
+// totals kept by another subsystem (e.g. the per-worker counts fleet
+// workers report, whose label values only appear as workers register). fn must be monotonically
 // non-decreasing per key.
 func (r *Registry) CounterFuncVec(name, help, label string, fn func() map[string]float64) {
 	f := r.family(name, help, "counter")
@@ -298,12 +292,14 @@ type Histogram struct {
 // Histogram registers an unlabelled histogram. bounds must be sorted
 // ascending.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := newHistogram(bounds)
+	h := NewHistogram(bounds)
 	r.family(name, help, "histogram").add("", h)
 	return h
 }
 
-func newHistogram(bounds []float64) *Histogram {
+// NewHistogram returns a histogram no registry renders: its owner reads it
+// with Summary. bounds must be sorted ascending.
+func NewHistogram(bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	if !sort.Float64sAreSorted(b) {
@@ -348,6 +344,76 @@ func (h *Histogram) Summary() HistogramSummary {
 	}
 }
 
+// HistogramSummary is a point-in-time copy of a cumulative histogram.
+// Buckets are cumulative counts per corresponding Bounds entry (the +Inf
+// bucket is Count).
+type HistogramSummary struct {
+	Bounds  []float64 `json:"bounds,omitempty"`
+	Buckets []uint64  `json:"buckets,omitempty"`
+	Sum     float64   `json:"sum"`
+	Count   uint64    `json:"count"`
+}
+
+// Quantile estimates the q-quantile (0 <= q <= 1) with the same linear
+// interpolation Prometheus' histogram_quantile uses. Returns 0 for an empty
+// histogram; observations past the last finite bound clamp to that bound.
+func (s HistogramSummary) Quantile(q float64) float64 {
+	if s.Count == 0 || len(s.Bounds) == 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	rank := q * float64(s.Count)
+	for i, ub := range s.Bounds {
+		var cum uint64
+		if i < len(s.Buckets) {
+			cum = s.Buckets[i]
+		}
+		if float64(cum) >= rank {
+			lower, prev := 0.0, uint64(0)
+			if i > 0 {
+				lower = s.Bounds[i-1]
+				prev = s.Buckets[i-1]
+			}
+			inBucket := cum - prev
+			if inBucket == 0 {
+				return ub
+			}
+			return lower + (ub-lower)*(rank-float64(prev))/float64(inBucket)
+		}
+	}
+	// Rank falls in the +Inf bucket: clamp to the last finite bound.
+	return s.Bounds[len(s.Bounds)-1]
+}
+
+// Merge adds o into s bucket-wise. Both must have the same bounds, with
+// one bucket per bound; an empty receiver takes o's. Counts saturate
+// instead of wrapping, so the merge of cumulative histograms stays
+// cumulative.
+func (s *HistogramSummary) Merge(o HistogramSummary) {
+	if len(s.Bounds) == 0 {
+		s.Bounds = append([]float64(nil), o.Bounds...)
+		s.Buckets = make([]uint64, len(o.Buckets))
+	}
+	for i := range s.Buckets {
+		s.Buckets[i] = addSat(s.Buckets[i], o.Buckets[i])
+	}
+	s.Sum += o.Sum
+	s.Count = addSat(s.Count, o.Count)
+}
+
+// addSat returns a+b, or math.MaxUint64 where the sum would wrap.
+func addSat(a, b uint64) uint64 {
+	if a+b < a {
+		return math.MaxUint64
+	}
+	return a + b
+}
+
 // histFuncRenderer renders a histogram whose state lives elsewhere, sampled
 // as a HistogramSummary at scrape time.
 type histFuncRenderer func() HistogramSummary
@@ -370,8 +436,8 @@ func (s HistogramSummary) render(w io.Writer, name, labels string) {
 }
 
 // HistogramFunc registers a histogram sampled from fn at scrape time — for
-// aggregates folded from state owned elsewhere, like the fleet-wide merge of
-// federated worker histograms.
+// histograms owned elsewhere, like a fleet worker's unit seconds or their
+// fleet-wide merge.
 func (r *Registry) HistogramFunc(name, help string, fn func() HistogramSummary) {
 	r.family(name, help, "histogram").add("", histFuncRenderer(fn))
 }
@@ -403,7 +469,7 @@ func (hv *HistogramVec) With(values ...string) *Histogram {
 	if h, ok := hv.kids[sig]; ok {
 		return h
 	}
-	h := newHistogram(hv.bounds)
+	h := NewHistogram(hv.bounds)
 	hv.kids[sig] = h
 	hv.f.add(sig, h)
 	return h

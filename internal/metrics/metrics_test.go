@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +16,12 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	f.add("", g)
 	return g
 }
+
+// Value returns the current count.
+func (c *Counter) Value() float64 { return c.v.load() }
+
+// Value returns the current value.
+func (g *Gauge) Value() float64 { return g.v.load() }
 
 // TestWritePrometheusFormat pins the exposition format: HELP/TYPE headers,
 // sorted families, sorted label series, integer rendering.
@@ -184,5 +192,76 @@ func TestGaugeFuncVec(t *testing.T) {
 		`cache_by_kind{kind="surface.mc"} 3` + "\n"
 	if b.String() != want {
 		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+func TestHistogramSummaryQuantile(t *testing.T) {
+	// 10 observations spread: 5 in (0,1], 4 in (1,2], 1 beyond 2.
+	s := HistogramSummary{Bounds: []float64{1, 2}, Buckets: []uint64{5, 9}, Count: 10, Sum: 12}
+	if q := s.Quantile(0.5); q != 1.0 {
+		t.Fatalf("p50 = %v, want 1.0", q)
+	}
+	if q := s.Quantile(0.9); math.Abs(q-2.0) > 1e-9 {
+		t.Fatalf("p90 = %v, want 2.0", q)
+	}
+	if q := s.Quantile(0.99); q != 2 { // +Inf bucket clamps to last bound
+		t.Fatalf("p99 = %v, want 2", q)
+	}
+	if q := (HistogramSummary{}).Quantile(0.5); q != 0 {
+		t.Fatalf("empty quantile = %v, want 0", q)
+	}
+}
+
+// TestHistogramSummaryMerge: merges add bucket-wise, the first copies its
+// layout without sharing the merged slices, and counts saturate instead of
+// wrapping, so the buckets stay cumulative.
+func TestHistogramSummaryMerge(t *testing.T) {
+	a := HistogramSummary{Bounds: []float64{1, 2}, Buckets: []uint64{1, 3}, Sum: 4, Count: 3}
+	var s HistogramSummary
+	s.Merge(a)
+	s.Merge(HistogramSummary{Bounds: []float64{1, 2}, Buckets: []uint64{2, 2}, Sum: 8, Count: 5})
+	want := HistogramSummary{Bounds: []float64{1, 2}, Buckets: []uint64{3, 5}, Sum: 12, Count: 8}
+	if !reflect.DeepEqual(s, want) || a.Buckets[0] != 1 {
+		t.Fatalf("merge = %+v (first input now %+v), want %+v", s, a, want)
+	}
+	s.Merge(HistogramSummary{Bounds: []float64{1, 2}, Buckets: []uint64{0, math.MaxUint64 - 1}, Count: math.MaxUint64})
+	if s.Buckets[0] != 3 || s.Buckets[1] != math.MaxUint64 || s.Count != math.MaxUint64 {
+		t.Fatalf("merge past 2^64 = %+v, want buckets [3 max] and count max", s)
+	}
+}
+
+func TestGaugeVec(t *testing.T) {
+	r := New()
+	gv := r.GaugeVec("build_info", "build metadata", "version", "vcs")
+	gv.With("v1.2", "abc").Set(1)
+	if g := gv.With("v1.2", "abc"); g.Value() != 1 {
+		t.Fatalf("same labels must return same gauge")
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), `build_info{version="v1.2",vcs="abc"} 1`) {
+		t.Fatalf("render:\n%s", b.String())
+	}
+}
+
+func TestCounterFuncNRendersSorted(t *testing.T) {
+	r := New()
+	r.CounterFuncN("inj_total", "injections", []string{"side", "fault"}, func() []Sample {
+		return []Sample{
+			{Values: []string{"server", "drop"}, Value: 2},
+			{Values: []string{"client", "reset"}, Value: 1},
+		}
+	})
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	ci := strings.Index(out, `inj_total{side="client",fault="reset"} 1`)
+	si := strings.Index(out, `inj_total{side="server",fault="drop"} 2`)
+	if ci < 0 || si < 0 || ci > si {
+		t.Fatalf("series missing or unsorted:\n%s", out)
 	}
 }

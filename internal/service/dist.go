@@ -180,21 +180,15 @@ type distRenewRequest struct {
 	Key    string `json:"key"`
 	Start  int    `json:"start"`
 	End    int    `json:"end"`
-	// Metrics is the worker's piggybacked federation summary (optional).
-	Metrics *metrics.Summary `json:"metrics,omitempty"`
 }
-
-// distRenewBodyLimit bounds a renew body: the base request is tiny, but the
-// piggybacked metrics summary grows with the worker's registry.
-const distRenewBodyLimit = 1 << 20
 
 func (s *Server) handleDistRenew(w http.ResponseWriter, r *http.Request) {
 	var req distRenewRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, distRenewBodyLimit)).Decode(&req); err != nil || req.Worker == "" {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil || req.Worker == "" {
 		s.writeError(w, simerr.Invalidf("service: renew needs worker, key and range"))
 		return
 	}
-	err := s.dist.Renew(r.Context(), req.Worker, req.Key, req.Start, req.End, req.Metrics)
+	err := s.dist.Renew(r.Context(), req.Worker, req.Key, req.Start, req.End)
 	switch {
 	case errors.Is(err, dist.ErrGone):
 		writeJSON(w, http.StatusGone, errorResponse{Error: err.Error()})

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"qisim/internal/checkpoint"
 	"qisim/internal/dist"
 	"qisim/internal/jobs"
 	"qisim/internal/simrun"
@@ -37,7 +38,8 @@ func runToBytes(t *testing.T, ts *httptest.Server, body string) []byte {
 // startFleet registers and runs n HTTP workers against a coordinator server.
 // Registration happens synchronously before return, so a job submitted
 // afterwards sees a live fleet (no degraded fallback racing the test).
-func startFleet(t *testing.T, ts *httptest.Server, n int) []*dist.Worker {
+// configure, when given, adjusts worker i's config before it is built.
+func startFleet(t *testing.T, ts *httptest.Server, n int, configure ...func(i int, cfg *dist.WorkerConfig)) []*dist.Worker {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -49,10 +51,14 @@ func startFleet(t *testing.T, ts *httptest.Server, n int) []*dist.Worker {
 			cancel()
 			t.Fatalf("pre-register %s: %v", id, err)
 		}
-		w, err := dist.NewWorker(dist.WorkerConfig{
+		cfg := dist.WorkerConfig{
 			ID: id, Coordinator: client, Cores: BuildCore,
 			PollInterval: 2 * time.Millisecond, Seed: int64(i + 1), Trace: true,
-		})
+		}
+		for _, f := range configure {
+			f(i, &cfg)
+		}
+		w, err := dist.NewWorker(cfg)
 		if err != nil {
 			cancel()
 			t.Fatalf("NewWorker: %v", err)
@@ -346,7 +352,7 @@ func TestDistMetricsReadStats(t *testing.T) {
 	if g == nil {
 		t.Fatal("no grant")
 	}
-	if err := c.Renew(ctx, "w-a", g.Key, g.Start, g.End, nil); err != nil {
+	if err := c.Renew(ctx, "w-a", g.Key, g.Start, g.End); err != nil {
 		t.Fatal(err)
 	}
 	report("w-a", g, false)
@@ -441,5 +447,53 @@ func TestDistMetricsReadStats(t *testing.T) {
 	}
 	if status.Stats != st {
 		t.Fatalf("/v1/fleet/status stats %+v, want %+v", status.Stats, st)
+	}
+}
+
+// TestDistBodiesFromOlderWorkers: a renew or report body that still carries
+// the metrics summary older workers sent is accepted (the field is ignored),
+// and a renew body over 64 KiB is refused, as a register or claim body is.
+func TestDistBodiesFromOlderWorkers(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Dist: DistConfig{Enabled: true, LeaseTTL: 5 * time.Second}})
+	post := func(path string, body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-QIsim-Worker", "w-old")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const summary = `"metrics":{"counters":{"qisimd_worker_units_total":3},` +
+		`"histograms":{"qisimd_worker_unit_seconds":{"bounds":[1],"buckets":[1],"sum":0.5,"count":1}}}`
+	if code := post("/v1/dist/register", []byte(`{"id":"w-old"}`)); code != http.StatusNoContent {
+		t.Fatalf("register: %d", code)
+	}
+	// No such lease: 410 Gone, not 400 for the body.
+	if code := post("/v1/dist/renew", []byte(`{"worker":"w-old","key":"k","start":0,"end":4,`+summary+`}`)); code != http.StatusGone {
+		t.Fatalf("renew with a summary: %d, want 410", code)
+	}
+	big := `{"worker":"w-old","key":"k","start":0,"end":4,"pad":"` + strings.Repeat("x", 1<<16) + `"}`
+	if code := post("/v1/dist/renew", []byte(big)); code != http.StatusBadRequest {
+		t.Fatalf("renew over 64 KiB: %d, want 400", code)
+	}
+
+	enc, err := dist.EncodeUnitResult(dist.UnitResult{Kind: "surface.mc", Key: "k-none", End: 1,
+		States: []json.RawMessage{[]byte(`1`)}, Events: []int{0}, Worker: "w-old"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := checkpoint.DecodeContainer(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := checkpoint.EncodeContainer(append([]byte(`{`+summary+`,`), payload[1:]...))
+	if code := post("/v1/dist/report", old); code != http.StatusNoContent {
+		t.Fatalf("report with a summary: %d, want 204", code)
 	}
 }

@@ -1,14 +1,14 @@
 // Fleet observability plane: the /v1/fleet/status and /v1/debug/flight
-// endpoints, the qisimd_fleet_* federation fold, and the
-// qisimd_chaos_injected_total export.
+// endpoints, the qisimd_fleet_* series, and the qisimd_chaos_injected_total
+// export.
 //
-// Federation model: every worker piggybacks a metrics.Summary (counter and
-// gauge snapshot plus histogram buckets of its local registry) on lease
-// renewals and unit reports. The coordinator keeps only the latest summary
-// per worker — summaries are cumulative snapshots, so "latest wins" is the
-// correct fold and a lost renewal costs freshness, never correctness. The
-// qisimd_fleet_* series below are computed from those summaries at scrape
-// time; nothing here ever touches the dispatch path or simulation results.
+// Every unit report carries the worker's dist.Telemetry: its unit-seconds
+// histogram, whose count is its count of executed units, and its
+// client-side chaos injections. The coordinator keeps the latest telemetry per worker that
+// passed its intake check; the counts are cumulative, so "latest wins" is
+// the correct fold and a lost report costs freshness, never correctness.
+// The qisimd_fleet_* series below are computed from it at scrape time;
+// nothing here ever touches the dispatch path or simulation results.
 package service
 
 import (
@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"qisim/internal/chaos"
@@ -112,19 +111,18 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 
 // fleetWorkerView is one worker row of the status document: the
 // coordinator's own bookkeeping (dist.FleetWorker) enriched with the
-// coordinator-observed unit latency quantiles and the worker's federated
-// counters.
+// coordinator-observed unit latency quantiles and the worker's telemetry.
 type fleetWorkerView struct {
 	dist.FleetWorker
 	UnitP50 float64 `json:"unit_p50_seconds,omitempty"`
 	UnitP90 float64 `json:"unit_p90_seconds,omitempty"`
 	UnitP99 float64 `json:"unit_p99_seconds,omitempty"`
-	// UnitsDone / ChaosInjected come from the worker's federated summary
-	// (its own counting), not the coordinator's; a gap between UnitsDone
-	// here and the coordinator's lease bookkeeping is renewal lag.
-	UnitsDone     float64 `json:"units_done,omitempty"`
-	ChaosInjected float64 `json:"chaos_injected,omitempty"`
-	Federated     bool    `json:"federated"` // a summary has arrived
+	// UnitsDone / ChaosInjected come from the worker's telemetry (its own
+	// counting), not the coordinator's; a gap between UnitsDone here and
+	// the coordinator's lease bookkeeping is a report still in flight.
+	UnitsDone     uint64 `json:"units_done,omitempty"`
+	ChaosInjected int64  `json:"chaos_injected,omitempty"`
+	Federated     bool   `json:"federated"` // a report's telemetry has arrived
 }
 
 // fleetStatusView is the GET /v1/fleet/status body.
@@ -154,10 +152,10 @@ func (s *Server) fleetStatus() fleetStatusView {
 			row.UnitP90 = hs.Quantile(0.90)
 			row.UnitP99 = hs.Quantile(0.99)
 		}
-		if w.Summary != nil {
+		if w.Telemetry != nil {
 			row.Federated = true
-			row.UnitsDone = w.Summary.CounterSum("qisimd_worker_units_total")
-			row.ChaosInjected = w.Summary.CounterSum("qisimd_chaos_injected_total")
+			row.UnitsDone = w.Telemetry.UnitSeconds.Count
+			row.ChaosInjected = w.Telemetry.Chaos
 		}
 		view.Workers = append(view.Workers, row)
 	}
@@ -242,7 +240,7 @@ func treeBranch(last bool) string {
 	return "├─ "
 }
 
-// ---- qisimd_fleet_* federation fold ----
+// ---- qisimd_fleet_* series ----
 
 // registerFleetMetrics installs the coordinator's scrape-time fleet series.
 // Per-worker series come and go with registration — a scrape never caches a
@@ -285,7 +283,7 @@ func (s *Server) registerFleetMetrics() {
 			return out
 		})
 	s.reg.GaugeFuncVec("qisimd_fleet_worker_last_seen_seconds",
-		"Age of each worker's last contact or federated summary (-1 = never heard from).", "worker",
+		"Age of each worker's last contact (-1 = never heard from).", "worker",
 		func() map[string]float64 {
 			out := map[string]float64{}
 			for _, w := range s.dist.FleetSnapshot().Workers {
@@ -298,38 +296,36 @@ func (s *Server) registerFleetMetrics() {
 			return out
 		})
 	s.reg.CounterFuncVec("qisimd_fleet_worker_units_total",
-		"Units executed as counted by each worker's own federated summary.", "worker",
+		"Units executed as counted by each worker itself, from its report telemetry.", "worker",
 		func() map[string]float64 {
 			out := map[string]float64{}
 			for _, w := range s.dist.FleetSnapshot().Workers {
-				if w.Summary != nil {
-					out[w.ID] = w.Summary.CounterSum("qisimd_worker_units_total")
+				if w.Telemetry != nil {
+					out[w.ID] = float64(w.Telemetry.UnitSeconds.Count)
 				}
 			}
 			return out
 		})
 	s.reg.CounterFuncVec("qisimd_fleet_worker_chaos_injected_total",
-		"Client-side chaos injections per worker, from its federated summary.", "worker",
+		"Client-side chaos injections per worker, from its report telemetry.", "worker",
 		func() map[string]float64 {
 			out := map[string]float64{}
 			for _, w := range s.dist.FleetSnapshot().Workers {
-				if w.Summary != nil {
-					out[w.ID] = w.Summary.CounterSum("qisimd_chaos_injected_total")
+				if w.Telemetry != nil {
+					out[w.ID] = float64(w.Telemetry.Chaos)
 				}
 			}
 			return out
 		})
 	s.reg.HistogramFunc("qisimd_fleet_unit_seconds",
-		"Unit wall clock across the whole fleet: every worker's federated qisimd_worker_unit_seconds merged.",
+		"Unit wall clock across the whole fleet: every worker's own unit-seconds histogram merged.",
 		func() metrics.HistogramSummary {
+			// FleetSnapshot sorts workers by ID, so the merge order (and
+			// with it the float sum) does not vary between scrapes.
 			var out metrics.HistogramSummary
-			snap := s.dist.FleetSnapshot()
-			// Deterministic merge order (workers are already ID-sorted,
-			// but be explicit: the fold must not depend on map order).
-			sort.Slice(snap.Workers, func(i, j int) bool { return snap.Workers[i].ID < snap.Workers[j].ID })
-			for _, w := range snap.Workers {
-				if w.Summary != nil {
-					out.Merge(w.Summary.HistogramMerge("qisimd_worker_unit_seconds"))
+			for _, w := range s.dist.FleetSnapshot().Workers {
+				if w.Telemetry != nil {
+					out.Merge(w.Telemetry.UnitSeconds)
 				}
 			}
 			return out

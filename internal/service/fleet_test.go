@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,53 +20,6 @@ import (
 	"qisim/internal/metrics"
 	"qisim/internal/obs"
 )
-
-// startObservedFleet is startFleet with the federation wiring a real
-// `qisimd -role worker` process carries: each worker samples its own
-// registry's summary onto renewals and reports, observes unit wall clock
-// into qisimd_worker_unit_seconds, and exports qisimd_worker_units_total.
-func startObservedFleet(t *testing.T, ts *httptest.Server, n int) []*dist.Worker {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	workers := make([]*dist.Worker, n)
-	for i := 0; i < n; i++ {
-		client := &dist.Client{Base: ts.URL}
-		id := fmt.Sprintf("obs-w%d", i)
-		if err := client.Register(ctx, dist.WorkerInfo{ID: id}); err != nil {
-			cancel()
-			t.Fatalf("pre-register %s: %v", id, err)
-		}
-		wreg := metrics.New()
-		unitSeconds := wreg.Histogram("qisimd_worker_unit_seconds",
-			"Work-unit execution wall clock on this worker.",
-			metrics.DefaultLatencyBuckets())
-		w, err := dist.NewWorker(dist.WorkerConfig{
-			ID: id, Coordinator: client, Cores: BuildCore,
-			PollInterval: 2 * time.Millisecond, Seed: int64(i + 1), Trace: true,
-			Metrics: wreg.Summary, UnitSeconds: unitSeconds.Observe,
-		})
-		if err != nil {
-			cancel()
-			t.Fatalf("NewWorker: %v", err)
-		}
-		fw := w
-		wreg.CounterFunc("qisimd_worker_units_total",
-			"Work units fully executed by this worker.",
-			func() float64 { return float64(fw.Stats().Executions) })
-		workers[i] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.Run(ctx) //nolint:errcheck // ends by cancellation
-		}()
-	}
-	t.Cleanup(func() {
-		cancel()
-		wg.Wait()
-	})
-	return workers
-}
 
 // TestFleetStatusEndpoint covers /v1/fleet/status on a coordinator: every
 // registered worker appears with its state and last-heartbeat age, the
@@ -132,35 +86,48 @@ func TestFleetStatusOnStandalone(t *testing.T) {
 	}
 }
 
-// TestFederatedFleetSeries: after a fleet run with summary-shipping
-// workers, the coordinator's own /metrics carries per-worker qisimd_fleet_*
-// series — both its bookkeeping gauges and the workers' federated counters
-// and merged unit-seconds histogram — and /v1/fleet/status marks the rows
-// federated.
+// TestFederatedFleetSeries: after a fleet run, the coordinator's own
+// /metrics carries per-worker qisimd_fleet_* series — both its bookkeeping
+// gauges and the workers' reported unit counts, chaos counts and merged
+// unit-seconds histogram — and /v1/fleet/status marks the rows federated.
 func TestFederatedFleetSeries(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, Dist: DistConfig{
+	srv, ts := newTestServer(t, Config{Workers: 2, Dist: DistConfig{
 		Enabled: true, LeaseTTL: 5 * time.Second, UnitShards: 4,
 	}})
-	startObservedFleet(t, ts, 2)
-	runToBytes(t, ts, `{"kind":"surface.mc","params":{"distance":3,"shots":2000,"shard_size":128,"seed":11}}`)
+	startFleet(t, ts, 2, func(i int, cfg *dist.WorkerConfig) {
+		if i == 1 {
+			cfg.Chaos = func() int64 { return 7 }
+		}
+	})
+	// Either worker may run every unit of one small job: run jobs until
+	// the chaos worker has reported.
+	for seed := 11; srv.Dist().FleetSnapshot().Workers[1].Telemetry == nil; seed++ {
+		if seed > 40 {
+			t.Fatal("fleet-w1 reported no unit in 30 jobs")
+		}
+		runToBytes(t, ts, fmt.Sprintf(`{"kind":"surface.mc","params":{"distance":3,"shots":2000,"shard_size":128,"seed":%d}}`, seed))
+	}
 
 	if n := scrapeMetric(t, ts, `qisimd_fleet_workers{state="healthy"}`); n != 2 {
 		t.Fatalf("fleet_workers{healthy} = %v, want 2", n)
 	}
 	var unitsTotal float64
 	for i := 0; i < 2; i++ {
-		series := fmt.Sprintf(`qisimd_fleet_worker_leases{worker="obs-w%d"}`, i)
+		series := fmt.Sprintf(`qisimd_fleet_worker_leases{worker="fleet-w%d"}`, i)
 		if got := scrapeMetric(t, ts, series); got != 0 {
 			t.Errorf("%s = %v after the job drained, want 0", series, got)
 		}
 		unitsTotal += scrapeMetric(t, ts,
-			fmt.Sprintf(`qisimd_fleet_worker_units_total{worker="obs-w%d"}`, i))
+			fmt.Sprintf(`qisimd_fleet_worker_units_total{worker="fleet-w%d"}`, i))
 	}
 	if unitsTotal == 0 {
-		t.Fatal("no qisimd_fleet_worker_units_total series — federated summaries never arrived")
+		t.Fatal("no qisimd_fleet_worker_units_total series — report telemetry never arrived")
+	}
+	if n := scrapeMetric(t, ts, `qisimd_fleet_worker_chaos_injected_total{worker="fleet-w1"}`); n != 7 {
+		t.Fatalf("fleet-w1 chaos series = %v, want the 7 its Chaos reads", n)
 	}
 	if n := scrapeMetric(t, ts, "qisimd_fleet_unit_seconds_count"); n == 0 {
-		t.Fatal("federated qisimd_fleet_unit_seconds histogram is empty")
+		t.Fatal("qisimd_fleet_unit_seconds histogram is empty")
 	}
 
 	var view fleetStatusView
@@ -168,14 +135,74 @@ func TestFederatedFleetSeries(t *testing.T) {
 	if err := json.Unmarshal(body, &view); err != nil {
 		t.Fatal(err)
 	}
-	var federated int
 	for _, w := range view.Workers {
-		if w.Federated && w.UnitsDone > 0 {
-			federated++
+		want := int64(0)
+		if w.ID == "fleet-w1" {
+			want = 7
+			if !w.Federated || w.UnitsDone == 0 {
+				t.Errorf("fleet-w1 reported but its row is not federated: %+v", w)
+			}
+		}
+		if w.ChaosInjected != want {
+			t.Errorf("%s chaos_injected = %d, want %d", w.ID, w.ChaosInjected, want)
 		}
 	}
-	if federated == 0 {
-		t.Fatalf("no federated worker rows in fleet status: %s", body)
+}
+
+// TestFleetUnitSecondsKeepsWorkerLayout: a report whose unit-seconds
+// histogram has other bounds is accepted without its telemetry, so the
+// fleet histogram keeps the workers' layout and adds the other workers'
+// buckets, although the foreign worker sorts first.
+func TestFleetUnitSecondsKeepsWorkerLayout(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, Dist: DistConfig{Enabled: true, LeaseTTL: 5 * time.Second}})
+	ctx := context.Background()
+	for _, r := range []struct {
+		id string
+		h  metrics.HistogramSummary
+	}{
+		{"w-a", metrics.HistogramSummary{Bounds: []float64{0.5, 5}, Buckets: []uint64{3, 4}, Sum: 2, Count: 4}},
+		{"w-b", metrics.HistogramSummary{Bounds: metrics.DefaultLatencyBuckets(),
+			Buckets: []uint64{0, 0, 1, 2, 2, 2, 2, 2, 2, 2, 2}, Sum: 0.025, Count: 2}},
+		{"w-c", metrics.HistogramSummary{Bounds: metrics.DefaultLatencyBuckets(),
+			Buckets: []uint64{1, 1, 1, 1, 2, 3, 3, 3, 3, 3, 3}, Sum: 0.5, Count: 4}},
+	} {
+		if err := srv.Dist().Register(ctx, dist.WorkerInfo{ID: r.id}); err != nil {
+			t.Fatal(err)
+		}
+		// A report for a job this coordinator does not run is acked, and
+		// its telemetry still counts.
+		body, err := dist.EncodeUnitResult(dist.UnitResult{Kind: "surface.mc", Key: "k-none", End: 1,
+			States: []json.RawMessage{[]byte(`1`)}, Events: []int{0}, Worker: r.id,
+			Telemetry: &dist.Telemetry{UnitSeconds: r.h}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Dist().Report(ctx, r.id, body); err != nil {
+			t.Fatalf("report from %s: %v", r.id, err)
+		}
+	}
+
+	_, raw := getBody(t, ts.URL+"/metrics")
+	var got []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, "qisimd_fleet_unit_seconds") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		`qisimd_fleet_unit_seconds_bucket{le="0.001"} 1`, `qisimd_fleet_unit_seconds_bucket{le="0.003"} 1`,
+		`qisimd_fleet_unit_seconds_bucket{le="0.01"} 2`, `qisimd_fleet_unit_seconds_bucket{le="0.03"} 3`,
+		`qisimd_fleet_unit_seconds_bucket{le="0.1"} 4`, `qisimd_fleet_unit_seconds_bucket{le="0.3"} 5`,
+		`qisimd_fleet_unit_seconds_bucket{le="1"} 5`, `qisimd_fleet_unit_seconds_bucket{le="3"} 5`,
+		`qisimd_fleet_unit_seconds_bucket{le="10"} 5`, `qisimd_fleet_unit_seconds_bucket{le="30"} 5`,
+		`qisimd_fleet_unit_seconds_bucket{le="100"} 5`, `qisimd_fleet_unit_seconds_bucket{le="+Inf"} 6`,
+		`qisimd_fleet_unit_seconds_sum 0.525`, `qisimd_fleet_unit_seconds_count 6`,
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fleet histogram:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if w := srv.Dist().FleetSnapshot().Workers; w[0].Telemetry != nil || w[1].Telemetry == nil || w[2].Telemetry == nil {
+		t.Fatalf("telemetry kept: w-a %+v, w-b %+v, w-c %+v", w[0].Telemetry, w[1].Telemetry, w[2].Telemetry)
 	}
 }
 
@@ -310,7 +337,7 @@ func TestFlightEndpointAndPersistence(t *testing.T) {
 
 // TestCoordinatorShutdownLeaksNoGoroutines: the observability plane's
 // scrape-time funcs plus the coordinator's sweep/probe loops and a full
-// fleet run through the federation path must all terminate on Drain —
+// fleet run with its report telemetry must all terminate on Drain —
 // the goroutine count returns to the pre-server baseline.
 func TestCoordinatorShutdownLeaksNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
@@ -334,11 +361,9 @@ func TestCoordinatorShutdownLeaksNoGoroutines(t *testing.T) {
 		if err := client.Register(ctx, dist.WorkerInfo{ID: id}); err != nil {
 			t.Fatalf("register %s: %v", id, err)
 		}
-		wreg := metrics.New()
 		w, err := dist.NewWorker(dist.WorkerConfig{
 			ID: id, Coordinator: client, Cores: BuildCore,
 			PollInterval: 2 * time.Millisecond, Seed: int64(i + 1),
-			Metrics: wreg.Summary,
 		})
 		if err != nil {
 			t.Fatalf("NewWorker: %v", err)
