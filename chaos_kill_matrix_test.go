@@ -14,8 +14,9 @@
 //
 // The fleet runs the real stack: service servers over HTTP, dist.Client
 // wire calls, lease sweeps on real timers. Faulty workers are driven
-// manually through the same wire API a real worker uses. A final
-// multi-process test SIGKILLs an actual qisimd worker process.
+// manually through the same wire API a real worker uses. Two final
+// multi-process tests SIGKILL an actual qisimd worker process and an
+// actual -data-dir coordinator process.
 package qisim_test
 
 import (
@@ -24,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -314,86 +316,107 @@ func TestChaosKillMatrix(t *testing.T) {
 	}
 }
 
+// procFleet builds the qisimd binary once per test and runs its processes,
+// all of which are killed at cleanup.
+type procFleet struct {
+	t     *testing.T
+	bin   string
+	dir   string
+	procs []*exec.Cmd
+}
+
+func newProcFleet(t *testing.T) *procFleet {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("multi-process fleet test skipped in -short mode")
+	}
+	f := &procFleet{t: t, dir: t.TempDir()}
+	f.bin = filepath.Join(f.dir, "qisimd")
+	build := exec.Command("go", "build", "-o", f.bin, "./cmd/qisimd")
+	build.Dir = "."
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build qisimd: %v\n%s", err, out)
+	}
+	t.Cleanup(func() {
+		for _, p := range f.procs {
+			p.Process.Kill() //nolint:errcheck
+		}
+		for _, p := range f.procs {
+			p.Wait() //nolint:errcheck
+		}
+	})
+	return f
+}
+
+func (f *procFleet) freePort() int {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().(*net.TCPAddr).Port
+}
+
+func (f *procFleet) waitReady(base string) {
+	deadline := time.Now().Add(20 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get(base + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	f.t.Fatalf("%s never became healthy", base)
+}
+
+func (f *procFleet) spawn(args ...string) *exec.Cmd {
+	cmd := exec.Command(f.bin, args...)
+	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+	if err := cmd.Start(); err != nil {
+		f.t.Fatalf("start %v: %v", args, err)
+	}
+	f.procs = append(f.procs, cmd)
+	return cmd
+}
+
+// coordinator starts a -data-dir coordinator on port and waits until it
+// is healthy.
+func (f *procFleet) coordinator(port int) *exec.Cmd {
+	cmd := f.spawn("-addr", fmt.Sprintf("127.0.0.1:%d", port), "-role", "coordinator",
+		"-lease-ttl", "300ms", "-unit-shards", "2", "-workers", "2",
+		"-data-dir", filepath.Join(f.dir, "coord"), "-log-level", "warn")
+	f.waitReady(fmt.Sprintf("http://127.0.0.1:%d", port))
+	return cmd
+}
+
+// workers starts n worker processes against coordBase and waits until each
+// is healthy.
+func (f *procFleet) workers(coordBase string, n int) []*exec.Cmd {
+	var out []*exec.Cmd
+	for i := 0; i < n; i++ {
+		p := f.freePort()
+		base := fmt.Sprintf("http://127.0.0.1:%d", p)
+		out = append(out, f.spawn("-addr", fmt.Sprintf("127.0.0.1:%d", p), "-role", "worker",
+			"-coordinator-url", coordBase, "-worker-id", fmt.Sprintf("proc-w%d", i),
+			"-advertise", base, "-workers", "2", "-log-level", "warn"))
+		f.waitReady(base)
+	}
+	return out
+}
+
 // TestFleetSIGKILLMultiProcess runs the real binary: a coordinator qisimd,
 // three worker qisimd processes, one of which is SIGKILLed while the job
 // runs. The surviving fleet must finish with bytes identical to an
 // in-process standalone run.
 func TestFleetSIGKILLMultiProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process fleet test skipped in -short mode")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "qisimd")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/qisimd")
-	build.Dir = "."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build qisimd: %v\n%s", err, out)
-	}
-
-	freePort := func() int {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		return l.Addr().(*net.TCPAddr).Port
-	}
-	waitReady := func(base string) {
-		deadline := time.Now().Add(20 * time.Second)
-		for time.Now().Before(deadline) {
-			resp, err := http.Get(base + "/healthz")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					return
-				}
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		t.Fatalf("%s never became healthy", base)
-	}
-
-	var procs []*exec.Cmd
-	killAll := func() {
-		for _, p := range procs {
-			if p.Process != nil {
-				p.Process.Kill() //nolint:errcheck
-			}
-		}
-		for _, p := range procs {
-			p.Wait() //nolint:errcheck
-		}
-	}
-	t.Cleanup(killAll)
-	spawn := func(args ...string) *exec.Cmd {
-		cmd := exec.Command(bin, args...)
-		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start %v: %v", args, err)
-		}
-		procs = append(procs, cmd)
-		return cmd
-	}
-
-	coordPort := freePort()
+	f := newProcFleet(t)
+	coordPort := f.freePort()
 	coordBase := fmt.Sprintf("http://127.0.0.1:%d", coordPort)
-	spawn("-addr", fmt.Sprintf("127.0.0.1:%d", coordPort), "-role", "coordinator",
-		"-lease-ttl", "300ms", "-unit-shards", "2", "-workers", "2",
-		"-data-dir", filepath.Join(dir, "coord"), "-log-level", "warn")
-	waitReady(coordBase)
-
-	var victim *exec.Cmd
-	for i := 0; i < 3; i++ {
-		p := freePort()
-		base := fmt.Sprintf("http://127.0.0.1:%d", p)
-		cmd := spawn("-addr", fmt.Sprintf("127.0.0.1:%d", p), "-role", "worker",
-			"-coordinator-url", coordBase, "-worker-id", fmt.Sprintf("proc-w%d", i),
-			"-advertise", base, "-workers", "2", "-log-level", "warn")
-		waitReady(base)
-		if i == 0 {
-			victim = cmd
-		}
-	}
+	f.coordinator(coordPort)
+	victim := f.workers(coordBase, 3)[0]
 
 	job := `{"kind":"surface.mc","params":{"distance":3,"shots":6000,"shard_size":128,"seed":17}}`
 	_, solo := chaosServer(t, service.Config{Workers: 2})
@@ -411,5 +434,85 @@ func TestFleetSIGKILLMultiProcess(t *testing.T) {
 	got := <-done
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-SIGKILL fleet result differs from standalone:\n%s\n%s", got, want)
+	}
+}
+
+// TestFleetCoordinatorSIGKILLMultiProcess SIGKILLs the -data-dir
+// coordinator process once the job's checkpoint file exists and restarts
+// it on the same port and data dir. The restarted coordinator recovers the
+// journaled job and resumes it from the checkpoint the fleet lane wrote
+// (qisimd_jobs_resumed_total), and /v1/results/<key> serves the bytes of
+// an in-process standalone run.
+func TestFleetCoordinatorSIGKILLMultiProcess(t *testing.T) {
+	f := newProcFleet(t)
+	coordPort := f.freePort()
+	coordBase := fmt.Sprintf("http://127.0.0.1:%d", coordPort)
+	coord := f.coordinator(coordPort)
+	f.workers(coordBase, 2)
+
+	job := `{"kind":"surface.mc","params":{"distance":5,"shots":200000,"shard_size":256,"seed":29}}`
+	_, solo := chaosServer(t, service.Config{Workers: 2})
+	want := chaosRun(t, solo.URL, job)
+
+	resp, err := http.Post(coordBase+"/v1/jobs", "application/json", strings.NewReader(job))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr chaosSubmitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d, err %v", resp.StatusCode, err)
+	}
+	ckpt := filepath.Join(f.dir, "coord", "checkpoints", string(sr.Job.Key)+".qisnap")
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(ckpt); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the fleet job never wrote its checkpoint")
+		}
+	}
+	if err := coord.Process.Kill(); err != nil {
+		t.Fatalf("SIGKILL coordinator: %v", err)
+	}
+	coord.Wait() //nolint:errcheck // killed
+	f.coordinator(coordPort)
+
+	var got []byte
+	for deadline := time.Now().Add(60 * time.Second); got == nil; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the recovered job never completed")
+		}
+		resp, err := http.Get(coordBase + "/v1/results/" + string(sr.Job.Key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil && resp.StatusCode == http.StatusOK {
+			got = body
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("post-restart fleet result differs from standalone:\n%.200s\n%.200s", got, want)
+	}
+	resp, err = http.Get(coordBase + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metricsBody, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := 0.0
+	for _, line := range strings.Split(string(metricsBody), "\n") {
+		if v, ok := strings.CutPrefix(line, "qisimd_jobs_resumed_total "); ok {
+			fmt.Sscan(v, &resumed) //nolint:errcheck
+		}
+	}
+	if resumed < 1 {
+		t.Fatalf("qisimd_jobs_resumed_total = %v after the restart, want >= 1", resumed)
 	}
 }

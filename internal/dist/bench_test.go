@@ -40,7 +40,7 @@ func BenchmarkDistDispatch(b *testing.B) {
 				w.Run(ctx)
 			}()
 		}
-		if _, _, err := c.Execute(ctx, "toy", "bench", nil, toyCore(1), toyPlan, nil); err != nil {
+		if _, _, err := c.Execute(ctx, "toy", "bench", nil, toyCore(1), toyPlan); err != nil {
 			b.Fatal(err)
 		}
 		cancel()
@@ -59,9 +59,12 @@ func BenchmarkDistFold(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fold := core.NewFold()
+		f, err := core.newFold()
+		if err != nil {
+			b.Fatal(err)
+		}
 		for k := 0; k < n; k++ {
-			if err := fold.Add(states[k]); err != nil {
+			if err := f.add(states[k]); err != nil {
 				b.Fatal(err)
 			}
 			_ = events[k]

@@ -5,20 +5,16 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"hash/fnv"
 	"log/slog"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"qisim/internal/backoff"
-	"qisim/internal/jobs"
 	"qisim/internal/obs"
-	"qisim/internal/rescache"
 	"qisim/internal/simerr"
 	"qisim/internal/simrun"
 )
@@ -43,7 +39,8 @@ const (
 	seed = 1
 )
 
-// Config parameterises a Coordinator.
+// Config parameterises a Coordinator. It names no store: a job's one
+// durable state is the checkpoint its core's options carry (see Execute).
 type Config struct {
 	// LeaseTTL is a lease's deadline extension per grant/renewal
 	// (default 15s). It paces the rest of the lease machinery: the expiry
@@ -56,17 +53,6 @@ type Config struct {
 	// status ("ok", "draining", "saturated", ...) or an error for
 	// unreachable. Nil disables probing (workers die by lease expiry only).
 	Probe func(ctx context.Context, addr string) (string, error)
-	// UnitDir, when set, persists accepted unit results as QISNAP01
-	// containers so a restarted coordinator resumes a job without
-	// re-running already-reported shard ranges.
-	UnitDir string
-	// Journal, when set, records lease grants/resolutions in the job WAL
-	// so a coordinator crash can reconstruct in-flight assignments.
-	Journal *jobs.Journal
-	// Cache, when set, is the shared content-addressed result tier: the
-	// done units of a job that stops short (truncated or failed) go into
-	// it, and every job's units are looked up in it before dispatch.
-	Cache *rescache.Cache
 	// Clock injects time for tests (default time.Now).
 	Clock func() time.Time
 	// SpotCheck is the untrusted-worker defense: the seeded fraction of
@@ -114,8 +100,6 @@ type Stats struct {
 	LocalUnits  int // units run on the coordinator's local lane
 	UnitsDone   int
 	DupReports  int // idempotent duplicate uploads dropped
-	CacheHits   int // units answered from the shared result tier
-	FileReloads int // units reloaded from UnitDir after a restart
 
 	SpotChecksPassed   int // spot-checked reports matching the local re-run
 	SpotChecksFailed   int // mismatches → worker quarantined
@@ -123,7 +107,6 @@ type Stats struct {
 	Quarantines        int // workers quarantined
 	QuarantineReadmits int // workers re-admitted after their quarantine elapsed
 	IdemReplays        int // duplicate claim deliveries answered from the idempotency record
-	LeasesAdopted      int // journaled leases re-applied after a restart
 }
 
 // Unit states.
@@ -161,9 +144,12 @@ type distJob struct {
 	tracer      *obs.Tracer
 	span        *obs.Span
 
-	fold          Fold
+	// The fold of the committed shard prefix and the hooks of the core's
+	// options that observe it, driven as simrun.RunSharded drives them.
+	fold          fold
 	tally         simrun.Tally
 	progress      func(completed, requested int) // nil = silent
+	checkpoint    func(simrun.CheckpointState)   // nil = no snapshots
 	frontierUnit  int                            // next unit awaiting fold
 	frontierShard int                            // next global shard awaiting fold
 	stopReason    string
@@ -213,13 +199,10 @@ type Coordinator struct {
 	jobs    map[string]*distJob
 	order   []string // job admission order (claim fairness)
 	workers map[string]*workerState
-	adopted []jobs.PendingLease
 	stats   Stats
 }
 
-// NewCoordinator builds a coordinator; if cfg.Journal is set, outstanding
-// leases from a previous life are adopted and re-applied when their jobs
-// are re-submitted via Execute.
+// NewCoordinator builds a coordinator.
 func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
@@ -229,9 +212,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 		workers: map[string]*workerState{},
 	}
 	c.cond = sync.NewCond(&c.mu)
-	if cfg.Journal != nil {
-		c.adopted = cfg.Journal.PendingLeases()
-	}
 	return c
 }
 
@@ -458,12 +438,6 @@ func (c *Coordinator) grantLocked(j *distJob, u *unit, w *workerState, now time.
 	c.stats.Grants++
 	c.cfg.Flight.Record("lease.grant", obs.String("worker", w.id), obs.String("key", j.key),
 		obs.Int("start", u.start), obs.Int("end", u.end), obs.Bool("hedge", hedge))
-	if c.cfg.Journal != nil {
-		if err := c.cfg.Journal.AppendLease(jobs.OpLease, jobs.Kind(j.kind), rescache.Key(j.key),
-			u.start, u.end, w.id, expires.UnixMilli()); err != nil {
-			c.cfg.Logger.Warn("dist: lease journal append failed", "err", err)
-		}
-	}
 	g := &LeaseGrant{
 		Kind: j.kind, Key: j.key, Params: j.params, Plan: j.plan,
 		Start: u.start, End: u.end, TTLMS: c.cfg.LeaseTTL.Milliseconds(),
@@ -519,8 +493,8 @@ func (j *distJob) unitAt(start, end int) *unit {
 // Report accepts an uploaded unit result (a QISNAP01 container). The
 // upload is idempotent by (job key, shard range): duplicates and late
 // hedged completions are dropped, never double-counted. A report for an
-// unknown job (finished, or a pre-restart orphan) is persisted to UnitDir
-// when configured and acknowledged — re-reporting must always be safe.
+// unknown job (finished, or a pre-restart orphan) is acknowledged and
+// dropped — re-reporting must always be safe.
 //
 // The report's Telemetry replaces the worker's previous one when it passes
 // the intake check (Telemetry.valid); otherwise the report is accepted
@@ -555,9 +529,7 @@ func (c *Coordinator) Report(ctx context.Context, workerID string, container []b
 	}
 	j := c.jobs[u.Key]
 	if j == nil || j.finished || j.err != nil {
-		// Late or orphaned: keep the bytes for a future life, ack the
-		// worker so it stops retrying.
-		c.persistUnitLocked(u)
+		// Late or orphaned: ack the worker so it stops retrying.
 		return nil
 	}
 	tu := j.unitAt(u.Start, u.End)
@@ -634,7 +606,6 @@ func (c *Coordinator) spotCheckLocked(ctx context.Context, j *distJob, tu *unit,
 		// while the lock was released; otherwise accept the report
 		// unaudited rather than stall the job, but say so.
 		if j.finished || j.err != nil {
-			c.persistUnitLocked(u)
 			return nil
 		}
 		if tu.state == unitDone {
@@ -664,9 +635,6 @@ func (c *Coordinator) spotCheckLocked(ctx context.Context, j *distJob, tu *unit,
 		c.quarantineLocked(w, c.cfg.Clock())
 	}
 	if j.finished || j.err != nil {
-		if match {
-			c.persistUnitLocked(u)
-		}
 		return nil
 	}
 	if tu.state == unitDone {
@@ -700,8 +668,8 @@ func unitStatesEqual(aStates []json.RawMessage, aEvents []int, bStates []json.Ra
 	return true
 }
 
-// acceptUnitLocked marks a unit done, persists its result,
-// resolves its leases, grafts the worker trace, and advances the fold.
+// acceptUnitLocked marks a unit done, resolves its leases, grafts the
+// worker trace, and advances the fold.
 func (c *Coordinator) acceptUnitLocked(j *distJob, u *unit, states []json.RawMessage, events []int, worker string, trace *obs.Trace) {
 	u.states = states
 	u.events = events
@@ -718,14 +686,6 @@ func (c *Coordinator) acceptUnitLocked(j *distJob, u *unit, states []json.RawMes
 	}
 	c.cfg.Flight.Record("lease.done", obs.String("worker", worker), obs.String("key", j.key),
 		obs.Int("start", u.start), obs.Int("end", u.end))
-	if c.cfg.Journal != nil {
-		if err := c.cfg.Journal.AppendLease(jobs.OpLeaseDone, jobs.Kind(j.kind), rescache.Key(j.key),
-			u.start, u.end, worker, 0); err != nil {
-			c.cfg.Logger.Warn("dist: lease-done journal append failed", "err", err)
-		}
-	}
-	c.persistUnitLocked(UnitResult{Kind: j.kind, Key: j.key, Start: u.start, End: u.end,
-		States: states, Events: events, Worker: worker})
 	if trace != nil && j.tracer != nil {
 		j.tracer.Graft(j.span, *trace,
 			obs.String("worker", worker), obs.Int("unit", u.idx))
@@ -734,84 +694,67 @@ func (c *Coordinator) acceptUnitLocked(j *distJob, u *unit, states []json.RawMes
 	c.cond.Broadcast()
 }
 
-// persistUnitLocked best-effort writes a unit result container to UnitDir.
-func (c *Coordinator) persistUnitLocked(u UnitResult) {
-	if c.cfg.UnitDir == "" {
-		return
-	}
-	body, err := EncodeUnitResult(u)
-	if err != nil {
-		return
-	}
-	path := c.unitPath(u.Key, u.Start, u.End)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		c.cfg.Logger.Warn("dist: unit dir", "err", err)
-		return
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, body, 0o644); err != nil {
-		c.cfg.Logger.Warn("dist: unit write", "err", err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		c.cfg.Logger.Warn("dist: unit rename", "err", err)
-	}
-}
-
-func (c *Coordinator) unitPath(key string, start, end int) string {
-	safe := make([]byte, 0, len(key))
-	for i := 0; i < len(key) && i < 32; i++ {
-		ch := key[i]
-		if ch >= 'a' && ch <= 'z' || ch >= 'A' && ch <= 'Z' || ch >= '0' && ch <= '9' {
-			safe = append(safe, ch)
-		} else {
-			safe = append(safe, '_')
-		}
-	}
-	return filepath.Join(c.cfg.UnitDir, fmt.Sprintf("%s-%d-%d.unit", safe, start, end))
-}
-
 // advanceLocked folds the contiguous done-unit prefix shard by shard,
 // running the convergence guard at every shard boundary in global order —
 // exactly the walk simrun.RunSharded performs, so the first convergence
 // crossing (and therefore the converged bytes) is identical to a
-// standalone run.
+// standalone run. Like RunSharded's commit step, an advance hands the new
+// frontier to Progress and Checkpoint; one that stops the job leaves the
+// snapshot to finishLocked's Final flush, so an advance saves at most once.
 func (c *Coordinator) advanceLocked(j *distJob) {
 	if j.finished || j.err != nil {
 		return
 	}
 	before := j.frontierShard
-	defer func() {
-		if j.progress != nil && j.frontierShard > before && j.err == nil {
-			j.progress(j.plan.PrefixShots(j.frontierShard), j.plan.Shots)
-		}
-	}()
+	stop := ""
+walk:
 	for j.frontierUnit < len(j.units) && j.units[j.frontierUnit].state == unitDone {
 		u := j.units[j.frontierUnit]
 		for k := u.start; k < u.end; k++ {
-			st := u.states[k-u.start]
-			if err := j.fold.Add(st); err != nil {
+			if err := j.fold.add(u.states[k-u.start]); err != nil {
 				j.err = err
 				return
 			}
 			j.tally.Add(j.plan.ShardShots(k), u.events[k-u.start])
 			j.frontierShard = k + 1
 			if j.tally.Converged(j.plan.TargetRelStdErr, j.plan.MinShots) {
-				j.stopReason = simrun.StopConverged
-				c.finishLocked(j)
-				return
+				stop = simrun.StopConverged
+				break walk
 			}
 		}
 		j.frontierUnit++
 	}
-	if j.frontierUnit == len(j.units) {
-		j.stopReason = simrun.StopCompleted
+	if stop == "" && j.frontierUnit == len(j.units) {
+		stop = simrun.StopCompleted
+	}
+	if j.frontierShard > before && j.progress != nil {
+		j.progress(j.plan.PrefixShots(j.frontierShard), j.plan.Shots)
+	}
+	switch {
+	case stop != "":
+		j.stopReason = stop
 		c.finishLocked(j)
+	case j.frontierShard > before:
+		j.checkpointLocked(false)
 	}
 }
 
-// finishLocked assembles the job result from the folded prefix.
+// checkpointLocked hands the folded prefix to the Checkpoint hook with the
+// state simrun.RunSharded hands it; final marks the flush when the job
+// stops.
+func (j *distJob) checkpointLocked(final bool) {
+	if j.checkpoint == nil {
+		return
+	}
+	span := j.tracer.Start("checkpoint.save", j.span, obs.Int("shards", j.frontierShard), obs.Bool("final", final))
+	shots, events, noConverge := j.tally.State()
+	j.checkpoint(simrun.CheckpointState{Shards: j.frontierShard, Shots: shots, Requested: j.plan.Shots,
+		Events: events, NoConverge: noConverge, State: j.fold.state(), Final: final})
+	span.End()
+}
+
+// finishLocked flushes the final checkpoint and assembles the job result
+// from the folded prefix.
 func (c *Coordinator) finishLocked(j *distJob) {
 	st := simrun.Status{
 		Requested:  j.plan.Shots,
@@ -820,7 +763,8 @@ func (c *Coordinator) finishLocked(j *distJob) {
 		Converged:  j.stopReason == simrun.StopConverged,
 		StopReason: j.stopReason,
 	}
-	body, err := j.fold.Finish(st)
+	j.checkpointLocked(true)
+	body, err := j.fold.finish(st)
 	if err != nil {
 		j.err = err
 		return
@@ -1001,22 +945,35 @@ func (c *Coordinator) Start(ctx context.Context) {
 // result is complete (or ctx truncates it). The merged result is
 // byte-identical to core.RunFull over the same plan.
 //
-// progress, when non-nil, observes the committed shard frontier after
-// every fold advance (completed shots out of the plan's requested shots) —
-// the same signal a standalone run feeds through simrun.Options.Progress,
-// so a distributed job's live progress looks identical to a local one's.
-// It is invoked under the coordinator lock: keep it cheap and never call
-// back into the coordinator.
+// The core's options carry the run's hooks, and Execute drives them as
+// RunFull does: the job starts from Options.Resume (its fold, its tally
+// and its unit plan begin at the resumed shard prefix), every fold advance
+// feeds Options.Progress (completed shots out of the plan's requested
+// shots) and Options.Checkpoint with the committed prefix, and the job's
+// stop flushes one Final checkpoint. A snapshot written by either lane
+// therefore resumes on either lane. The hooks run under the coordinator
+// lock: keep them cheap and never call back into the coordinator.
 //
 // Degradation ladder: zero live workers at admission returns ErrNoWorkers
 // (the caller runs fully local); units that exhaust remote attempts — or
 // find the fleet empty mid-job — run on the local lane inside this call.
-func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json.RawMessage, core Core, plan Plan, progress func(completed, requested int)) ([]byte, simrun.Status, error) {
+func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json.RawMessage, core Core, plan Plan) ([]byte, simrun.Status, error) {
 	plan = plan.Normalized()
 	if plan.Shots <= 0 {
 		return nil, simrun.Status{}, simerr.Invalidf("dist: plan has no shots")
 	}
 	n := plan.NumShards()
+	opt := core.options()
+	r := opt.Resume
+	if r == nil {
+		r = &simrun.ResumeState{}
+	} else if err := (simrun.Options{ShardSize: plan.ShardSize, Resume: r}).Validate(plan.Shots); err != nil {
+		return nil, simrun.Status{}, err
+	}
+	f, err := core.newFold()
+	if err != nil {
+		return nil, simrun.Status{}, err
+	}
 
 	c.mu.Lock()
 	if !c.liveWorkerLocked() {
@@ -1029,15 +986,22 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 	}
 	j := &distJob{
 		kind: kind, key: key, params: params, plan: plan, core: core,
-		fold:     core.NewFold(),
-		progress: progress,
-		tracer:   obs.FromContext(ctx),
-		span:     obs.SpanFromContext(ctx),
+		fold:          f,
+		progress:      opt.Progress,
+		checkpoint:    opt.Checkpoint,
+		frontierShard: r.Shards,
+		tracer:        obs.FromContext(ctx),
+		span:          obs.SpanFromContext(ctx),
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		j.deadline, j.hasDeadline = dl, true
 	}
-	for start := 0; start < n; start += c.cfg.UnitShards {
+	if r.NoConverge {
+		j.tally.Add(r.Shots, -1)
+	} else {
+		j.tally.Add(r.Shots, r.Events)
+	}
+	for start := r.Shards; start < n; start += c.cfg.UnitShards {
 		end := start + c.cfg.UnitShards
 		if end > n {
 			end = n
@@ -1046,8 +1010,15 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 	}
 	c.jobs[key] = j
 	c.order = append(c.order, key)
-	c.preloadUnitsLocked(j)
-	c.adoptLeasesLocked(j)
+	if opt.Resume != nil && j.progress != nil {
+		j.progress(r.Shots, plan.Shots)
+	}
+	// A resumed prefix that covers the plan is a completed run; one that
+	// already satisfies the convergence guard stops there, as in RunSharded.
+	if len(j.units) > 0 && j.tally.Converged(plan.TargetRelStdErr, plan.MinShots) {
+		j.stopReason = simrun.StopConverged
+		c.finishLocked(j)
+	}
 	c.advanceLocked(j)
 	c.cond.Broadcast()
 
@@ -1099,7 +1070,6 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 	}
 
 	result, status, err := j.result, j.status, j.err
-	complete := j.finished && !j.status.Truncated
 	delete(c.jobs, key)
 	for i, k := range c.order {
 		if k == key {
@@ -1108,35 +1078,6 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 		}
 	}
 	c.mu.Unlock()
-
-	switch {
-	case complete && c.cfg.UnitDir != "":
-		// The job is durably resolved in the jobs journal; its unit files
-		// are now garbage.
-		for _, u := range j.units {
-			os.Remove(c.unitPath(key, u.start, u.end))
-		}
-	case !complete && c.cfg.Cache != nil:
-		// Only a job that stopped short runs again below its own result, so
-		// only its done units go into the shared tier: a completed job's
-		// cache entry answers every resubmission, and its units would only
-		// crowd results out. The job left c.jobs under the lock, so nothing
-		// changes its units any more.
-		for _, u := range j.units {
-			if u.state != unitDone {
-				continue
-			}
-			ck, err := UnitCacheKey(kind, key, u.start, u.end, plan)
-			if err != nil {
-				continue
-			}
-			body, err := EncodeUnitResult(UnitResult{Kind: kind, Key: key, Start: u.start, End: u.end,
-				States: u.states, Events: u.events})
-			if err == nil {
-				c.cfg.Cache.Put(ck, "dist.unit."+kind, body)
-			}
-		}
-	}
 	if err != nil {
 		return nil, simrun.Status{}, err
 	}
@@ -1158,94 +1099,6 @@ func (c *Coordinator) nextLocalUnitLocked(j *distJob) *unit {
 		}
 	}
 	return nil
-}
-
-// preloadUnitsLocked answers units from the shared result cache and (after
-// a restart) from UnitDir, so already-reported shard ranges never re-run.
-// A stored unit counts only if a fresh fold accepts its states: a failed
-// job leaves the unit its fold rejected in both stores (and a late report
-// can write it to UnitDir again), so that unit runs again instead of
-// failing every rerun at admission.
-func (c *Coordinator) preloadUnitsLocked(j *distJob) {
-	for _, u := range j.units {
-		if u.state == unitDone {
-			continue
-		}
-		if c.cfg.Cache != nil {
-			if key, err := UnitCacheKey(j.kind, j.key, u.start, u.end, j.plan); err == nil {
-				if body, ok := c.cfg.Cache.Get(key); ok {
-					if res, err := DecodeUnitResult(body); err == nil && res.Key == j.key &&
-						res.Start == u.start && res.End == u.end && foldable(j.core, res.States) {
-						u.states, u.events = res.States, res.Events
-						u.state = unitDone
-						c.stats.CacheHits++
-						continue
-					}
-				}
-			}
-		}
-		if c.cfg.UnitDir != "" {
-			body, err := os.ReadFile(c.unitPath(j.key, u.start, u.end))
-			if err != nil {
-				continue
-			}
-			res, err := DecodeUnitResult(body)
-			if err != nil || res.Key != j.key || res.Start != u.start || res.End != u.end ||
-				!foldable(j.core, res.States) {
-				continue // corrupt, mismatched or unfoldable: re-run the unit
-			}
-			u.states, u.events = res.States, res.Events
-			u.state = unitDone
-			c.stats.FileReloads++
-		}
-	}
-}
-
-// foldable reports whether a fresh fold of core accepts every state.
-func foldable(core Core, states []json.RawMessage) bool {
-	f := core.NewFold()
-	for _, st := range states {
-		if f.Add(st) != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// adoptLeasesLocked re-applies journal-recovered lease assignments to a
-// re-submitted job: adopted units start leased until their recorded expiry
-// (floored to one TTL from now, since renewals are not journaled), so a
-// restarted coordinator waits for in-flight workers to report instead of
-// instantly double-dispatching.
-func (c *Coordinator) adoptLeasesLocked(j *distJob) {
-	if len(c.adopted) == 0 {
-		return
-	}
-	now := c.cfg.Clock()
-	kept := c.adopted[:0]
-	for _, l := range c.adopted {
-		if string(l.Key) != j.key {
-			kept = append(kept, l)
-			continue
-		}
-		u := j.unitAt(l.Start, l.End)
-		if u == nil || u.state != unitPending {
-			continue
-		}
-		exp := time.UnixMilli(l.ExpiresMS)
-		if min := now.Add(c.cfg.LeaseTTL); exp.Before(min) {
-			exp = min
-		}
-		if u.leases == nil {
-			u.leases = map[string]time.Time{}
-		}
-		u.leases[l.Worker] = exp
-		u.state = unitLeased
-		u.firstGrant = now
-		u.attempts++
-		c.stats.LeasesAdopted++
-	}
-	c.adopted = kept
 }
 
 // FleetWorker is one worker's row in the fleet status view.

@@ -20,7 +20,11 @@
 //   - degradation is graceful: a unit that exhausts its remote attempts
 //     falls back to the coordinator's local lane, and a job admitted with
 //     zero reachable workers runs fully in-process (ErrNoWorkers tells the
-//     caller to run the core's RunFull instead).
+//     caller to run the core's RunFull instead),
+//   - crash safety is the job's own checkpoint: Execute drives the
+//     Progress, Checkpoint and Resume hooks of the core's simrun.Options
+//     as RunFull does, so the coordinator keeps no durable state of its
+//     own, and a snapshot written by either lane resumes on either.
 //
 // Determinism contract: a job's merged result is byte-identical whether it
 // runs standalone, on a healthy fleet, or on a fleet with killed,
@@ -47,7 +51,6 @@ import (
 	"qisim/internal/checkpoint"
 	"qisim/internal/metrics"
 	"qisim/internal/obs"
-	"qisim/internal/rescache"
 	"qisim/internal/simerr"
 	"qisim/internal/simrun"
 
@@ -110,16 +113,19 @@ func (p Plan) ShardShots(i int) int {
 	return p.PrefixShots(i+1) - p.PrefixShots(i)
 }
 
-// Fold consumes per-shard serialized accumulator states in strictly
-// ascending global shard order and finishes into the job's result bytes —
-// the coordinator-side half of the determinism contract.
-type Fold interface {
-	// Add folds the next shard's state (ascending order is the caller's
+// fold is the coordinator-side half of the determinism contract: it
+// consumes per-shard serialized accumulator states in strictly ascending
+// global shard order and finishes into the job's result bytes.
+type fold interface {
+	// add folds the next shard's state (ascending order is the caller's
 	// obligation).
-	Add(state json.RawMessage) error
-	// Finish assembles the result bytes from the folded accumulator and
+	add(state json.RawMessage) error
+	// state is the accumulator folded so far: a checkpoint's
+	// CheckpointState.State, live like the engine's.
+	state() any
+	// finish assembles the result bytes from the folded accumulator and
 	// the run status the coordinator computed.
-	Finish(status simrun.Status) ([]byte, error)
+	finish(status simrun.Status) ([]byte, error)
 }
 
 // Core is the type-erased per-kind execution engine a Coordinator or
@@ -131,13 +137,18 @@ type Core interface {
 	// order. All-or-nothing: an interrupted window returns an error and no
 	// states.
 	RunWindow(ctx context.Context, p Plan, start, end int) (states []json.RawMessage, events []int, err error)
-	// NewFold starts a fresh coordinator-side fold.
-	NewFold() Fold
 	// RunFull runs the whole plan locally through simrun.RunSharded — the
 	// standalone path, taken whenever no live fleet runs the job, sharing
 	// merge and finish with the fold so local and distributed results
 	// cannot drift.
 	RunFull(ctx context.Context, p Plan) ([]byte, simrun.Status, error)
+	// options returns the engine options the core was built with; the
+	// coordinator drives their Progress, Checkpoint and Resume as RunFull
+	// hands them to the engine.
+	options() simrun.Options
+	// newFold starts a coordinator-side fold at the accumulator of
+	// options().Resume (the zero accumulator without one).
+	newFold() (fold, error)
 }
 
 // CoreSpec is the generic recipe NewCore adapts into a Core.
@@ -150,9 +161,10 @@ type CoreSpec[R any] struct {
 	// Finish assembles the job's result bytes from the folded accumulator
 	// and the run status.
 	Finish func(acc R, status simrun.Status) ([]byte, error)
-	// Options carries engine tuning (Workers, CheckEvery) and — for
-	// RunFull only — checkpoint/resume/progress hooks. RunWindow strips
-	// convergence and checkpointing: a window is a dumb slice of work.
+	// Options carries engine tuning (Workers, CheckEvery) and the
+	// checkpoint/resume/progress hooks, which RunFull and the coordinator's
+	// fold drive alike. RunWindow strips convergence and the hooks: a
+	// window is a dumb slice of work.
 	Options simrun.Options
 }
 
@@ -190,7 +202,17 @@ func (c *core[R]) RunWindow(ctx context.Context, p Plan, start, end int) ([]json
 	return states, events, nil
 }
 
-func (c *core[R]) NewFold() Fold { return &fold[R]{spec: &c.spec} }
+func (c *core[R]) options() simrun.Options { return c.spec.Options }
+
+func (c *core[R]) newFold() (fold, error) {
+	f := &typedFold[R]{spec: &c.spec}
+	if r := c.spec.Options.Resume; r != nil && len(r.StateJSON) > 0 {
+		if err := json.Unmarshal(r.StateJSON, &f.acc); err != nil {
+			return nil, simerr.Invalidf("dist: resume state does not decode into %T: %v", f.acc, err)
+		}
+	}
+	return f, nil
+}
 
 func (c *core[R]) RunFull(ctx context.Context, p Plan) ([]byte, simrun.Status, error) {
 	// Plan defaults are left to RunSharded, which applies the convergence
@@ -209,12 +231,12 @@ func (c *core[R]) RunFull(ctx context.Context, p Plan) ([]byte, simrun.Status, e
 	return body, st, err
 }
 
-type fold[R any] struct {
+type typedFold[R any] struct {
 	spec *CoreSpec[R]
 	acc  R
 }
 
-func (f *fold[R]) Add(state json.RawMessage) error {
+func (f *typedFold[R]) add(state json.RawMessage) error {
 	var r R
 	dec := json.NewDecoder(bytes.NewReader(state))
 	dec.DisallowUnknownFields()
@@ -225,7 +247,9 @@ func (f *fold[R]) Add(state json.RawMessage) error {
 	return nil
 }
 
-func (f *fold[R]) Finish(status simrun.Status) ([]byte, error) {
+func (f *typedFold[R]) state() any { return f.acc }
+
+func (f *typedFold[R]) finish(status simrun.Status) ([]byte, error) {
 	return f.spec.Finish(f.acc, status)
 }
 
@@ -432,17 +456,4 @@ func DecodeUnitResult(b []byte) (UnitResult, error) {
 			u.Start, u.End)
 	}
 	return u, nil
-}
-
-// UnitCacheKey derives the content-addressed result-cache key for one work
-// unit of a job, so a re-dispatched or re-submitted unit can be answered
-// from the shared result tier without re-execution.
-func UnitCacheKey(kind, jobKey string, start, end int, p Plan) (rescache.Key, error) {
-	p = p.Normalized()
-	return rescache.KeyFor("dist.unit."+kind, struct {
-		Key   string `json:"key"`
-		Start int    `json:"start"`
-		End   int    `json:"end"`
-		Shots int    `json:"shots"`
-	}{jobKey, start, end, p.Shots}, p.Seed, p.ShardSize)
 }

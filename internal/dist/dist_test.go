@@ -27,7 +27,11 @@ func (c *Coordinator) MarkDraining(workerID string) {
 // toyCore builds a deterministic int-sum core whose per-shard result
 // encodes the shard identity, so any reordering, double-count, or replay
 // shows up in the folded sum.
-func toyCore(engineWorkers int) Core {
+func toyCore(engineWorkers int) Core { return toyCoreWith(simrun.Options{Workers: engineWorkers}) }
+
+// toyCoreWith builds the toy core on the given engine options, hooks
+// included.
+func toyCoreWith(opt simrun.Options) Core {
 	return NewCore(CoreSpec[int]{
 		Run: func(t *simrun.ShardTask) (int, int, error) {
 			sum := 0
@@ -43,7 +47,7 @@ func toyCore(engineWorkers int) Core {
 				Status simrun.Status `json:"status"`
 			}{acc, st})
 		},
-		Options: simrun.Options{Workers: engineWorkers},
+		Options: opt,
 	})
 }
 
@@ -117,7 +121,10 @@ func TestWindowFoldMatchesRunFull(t *testing.T) {
 		want := runFullBytes(t, core, toyPlan)
 
 		n := toyPlan.NumShards()
-		fold := core.NewFold()
+		fold, err := core.newFold()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var tally simrun.Tally
 		shard := 0
 		for start := 0; start < n; start += 3 {
@@ -130,14 +137,14 @@ func TestWindowFoldMatchesRunFull(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, st := range states {
-				if err := fold.Add(st); err != nil {
+				if err := fold.add(st); err != nil {
 					t.Fatal(err)
 				}
 				tally.Add(toyPlan.ShardShots(shard), events[i])
 				shard++
 			}
 		}
-		got, err := fold.Finish(simrun.Status{
+		got, err := fold.finish(simrun.Status{
 			Requested: toyPlan.Shots, Completed: toyPlan.PrefixShots(n),
 			StopReason: simrun.StopCompleted,
 		})
@@ -161,7 +168,7 @@ type execOutcome struct {
 func startExecute(c *Coordinator, ctx context.Context, key string, core Core, p Plan) chan execOutcome {
 	ch := make(chan execOutcome, 1)
 	go func() {
-		b, st, err := c.Execute(ctx, "toy", key, nil, core, p, nil)
+		b, st, err := c.Execute(ctx, "toy", key, nil, core, p)
 		ch <- execOutcome{b, st, err}
 	}()
 	return ch
@@ -233,7 +240,7 @@ func waitOutcome(t *testing.T, ch chan execOutcome) execOutcome {
 func TestExecuteNoWorkersIsTyped(t *testing.T) {
 	c := NewCoordinator(Config{})
 	core := toyCore(1)
-	_, _, err := c.Execute(context.Background(), "toy", "kx", nil, core, toyPlan, nil)
+	_, _, err := c.Execute(context.Background(), "toy", "kx", nil, core, toyPlan)
 	if !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("want ErrNoWorkers, got %v", err)
 	}
@@ -601,7 +608,7 @@ func TestInProcessWorkerFleet(t *testing.T) {
 				w.Run(ctx)
 			}()
 		}
-		body, st, err := c.Execute(ctx, "toy", "k1", nil, core, toyPlan, nil)
+		body, st, err := c.Execute(ctx, "toy", "k1", nil, core, toyPlan)
 		cancel()
 		wg.Wait()
 		if err != nil {
@@ -743,7 +750,6 @@ func TestMidJobFleetLossFallsBackLocal(t *testing.T) {
 // committed shard frontier — monotone, never past the fold, ending at the
 // full shot count on a completed run.
 func TestExecuteProgressFrontier(t *testing.T) {
-	core := toyCore(1)
 	c := NewCoordinator(Config{LeaseTTL: 5 * time.Second, UnitShards: 2})
 	c.Register(context.Background(), WorkerInfo{ID: "w1"})
 
@@ -757,12 +763,8 @@ func TestExecuteProgressFrontier(t *testing.T) {
 		completed = append(completed, done)
 		mu.Unlock()
 	}
-
-	ch := make(chan execOutcome, 1)
-	go func() {
-		b, st, err := c.Execute(context.Background(), "toy", "kp", nil, core, toyPlan, progress)
-		ch <- execOutcome{b, st, err}
-	}()
+	core := toyCoreWith(simrun.Options{Workers: 1, Progress: progress})
+	ch := startExecute(c, context.Background(), "kp", core, toyPlan)
 
 	deadline := time.Now().Add(10 * time.Second)
 	var out execOutcome

@@ -3,18 +3,16 @@ package dist
 import (
 	"context"
 	"encoding/json"
-	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
-	"qisim/internal/jobs"
-	"qisim/internal/rescache"
+	"qisim/internal/simrun"
 )
 
 // countingCore wraps a Core and counts shards actually executed through
-// RunWindow — the proof that recovered ranges never re-run.
+// RunWindow — the proof that a resumed prefix never re-runs.
 type countingCore struct {
 	Core
 	mu     sync.Mutex
@@ -34,223 +32,237 @@ func (cc *countingCore) executed() int {
 	return cc.shards
 }
 
-// TestCoordinatorCrashRecovery simulates a coordinator crash with one unit
-// reported, one lease outstanding, and two units untouched. The restarted
-// coordinator reloads the reported unit from UnitDir (never re-running it),
-// adopts the outstanding lease from the journal, and completes the job with
-// bytes identical to standalone.
-func TestCoordinatorCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.wal")
-	unitDir := filepath.Join(dir, "units")
-	const key = "kr"
+// snapshots records every Checkpoint callback as the ResumeState a
+// snapshot of it restores, serializing the live accumulator at once as
+// checkpoint.SnapshotOf does.
+type snapshots struct {
+	t     *testing.T
+	mu    sync.Mutex
+	saves []*simrun.ResumeState
+	final []bool
+}
 
-	ref := toyCore(1)
-	want := runFullBytes(t, ref, toyPlan)
-
-	jrn, err := jobs.OpenJournal(jpath)
+func (s *snapshots) hook(st simrun.CheckpointState) {
+	b, err := json.Marshal(st.State)
 	if err != nil {
-		t.Fatal(err)
+		s.t.Error(err)
+		return
 	}
-	if err := jrn.Append(jobs.OpSubmit, jobs.Kind("toy"), rescache.Key(key), nil); err != nil {
-		t.Fatal(err)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.saves = append(s.saves, &simrun.ResumeState{Shards: st.Shards, Shots: st.Shots,
+		Events: st.Events, NoConverge: st.NoConverge, StateJSON: b})
+	s.final = append(s.final, st.Final)
+}
+
+// shards lists the prefix length of every save, a Final one marked by a
+// negative sign.
+func (s *snapshots) shards() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]int, len(s.saves))
+	for i, r := range s.saves {
+		out[i] = r.Shards
+		if s.final[i] {
+			out[i] = -r.Shards
+		}
 	}
+	return out
+}
 
-	// --- Life 1: report unit 0, leave unit 1's lease outstanding, crash.
-	c1 := NewCoordinator(Config{Journal: jrn, UnitDir: unitDir,
-		LeaseTTL: time.Minute, UnitShards: 4})
-	c1.Register(context.Background(), WorkerInfo{ID: "w1"})
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	ch1 := startExecute(c1, ctx1, key, ref, toyPlan)
+func (s *snapshots) last() *simrun.ResumeState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.saves[len(s.saves)-1]
+}
 
-	g0 := waitGrant(t, c1, "w1")
+// driveOneByOne claims and reports the job's units one at a time, always
+// the lowest pending one, until Execute returns, and lists the granted
+// unit starts.
+func driveOneByOne(t *testing.T, c *Coordinator, core Core, ch chan execOutcome) (execOutcome, []int) {
+	t.Helper()
+	var starts []int
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		select {
+		case o := <-ch:
+			return o, starts
+		default:
+		}
+		g, err := c.Claim(context.Background(), "w1", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g == nil {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		starts = append(starts, g.Start)
+		report(t, c, core, "w1", g)
+	}
+	t.Fatal("job did not finish")
+	return execOutcome{}, nil
+}
+
+// fleetCrash runs the first life of a coordinator crash: unit 0 of plan is
+// reported and folded, unit 1 is claimed and never reported, and the run
+// is cut (canceled). It returns the checkpoint the cut left behind.
+func fleetCrash(t *testing.T, plan Plan) *snapshots {
+	t.Helper()
+	snaps := &snapshots{t: t}
+	core := toyCoreWith(simrun.Options{Workers: 1, Checkpoint: snaps.hook})
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, UnitShards: 4})
+	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+	ctx, cancel := context.WithCancel(context.Background())
+	ch := startExecute(c, ctx, "kr", core, plan)
+	g0 := waitGrant(t, c, "w1")
 	if g0.Start != 0 || g0.End != 4 {
 		t.Fatalf("first grant [%d,%d), want [0,4)", g0.Start, g0.End)
 	}
-	report(t, c1, ref, "w1", g0)
-	g1 := waitGrant(t, c1, "w1") // claimed, never reported
-	if g1.Start != 4 {
+	report(t, c, core, "w1", g0)
+	if g1 := waitGrant(t, c, "w1"); g1.Start != 4 { // claimed, never reported
 		t.Fatalf("second grant start %d, want 4", g1.Start)
 	}
-	cancel1()
-	if o := waitOutcome(t, ch1); o.err != nil || !o.status.Truncated {
+	cancel()
+	if o := waitOutcome(t, ch); o.err != nil || !o.status.Truncated {
 		t.Fatalf("crash-cut Execute: err=%v status=%+v", o.err, o.status)
 	}
-	if err := jrn.Close(); err != nil {
-		t.Fatal(err)
+	// One save for the one fold advance, one Final flush at the cut.
+	if got := snaps.shards(); !slices.Equal(got, []int{4, -4}) {
+		t.Fatalf("saves at shards %v, want [4 -4] (a negative one is Final)", got)
 	}
+	return snaps
+}
 
-	// --- Life 2: reopen the journal, rebuild the coordinator.
-	jrn2, err := jobs.OpenJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jrn2.Close()
-	leases := jrn2.PendingLeases()
-	if len(leases) != 1 || leases[0].Start != g1.Start || leases[0].End != g1.End || leases[0].Worker != "w1" {
-		t.Fatalf("recovered leases = %+v, want exactly w1 [%d,%d)", leases, g1.Start, g1.End)
-	}
+// TestCoordinatorCrashRecovery: a coordinator crash with one unit folded
+// and one lease outstanding leaves the job's checkpoint at shard 4 of 16.
+// The next life's Execute resumes from it: it runs exactly the 12 shards
+// past the frontier, saves once per fold advance and once at the end, and
+// returns the bytes of RunFull.
+func TestCoordinatorCrashRecovery(t *testing.T) {
+	want := runFullBytes(t, toyCore(1), toyPlan)
+	snap := fleetCrash(t, toyPlan).last()
 
-	cc := &countingCore{Core: toyCore(1)}
-	c2 := NewCoordinator(Config{Journal: jrn2, UnitDir: unitDir,
-		LeaseTTL: time.Minute, UnitShards: 4})
-	c2.Register(context.Background(), WorkerInfo{ID: "w1"})
-	ch2 := startExecute(c2, context.Background(), key, cc, toyPlan)
-
-	// Unit 0 must come back from disk, not execution.
-	deadline := time.Now().Add(10 * time.Second)
-	for c2.Stats().FileReloads == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	snaps := &snapshots{t: t}
+	cc := &countingCore{Core: toyCoreWith(simrun.Options{Workers: 1, Resume: snap, Checkpoint: snaps.hook})}
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, UnitShards: 4})
+	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+	o, starts := driveOneByOne(t, c, cc, startExecute(c, context.Background(), "kr", cc, toyPlan))
+	if o.err != nil || string(o.body) != string(want) {
+		t.Fatalf("resumed run: err=%v\n got %s\nwant %s", o.err, o.body, want)
 	}
-	if st := c2.Stats(); st.FileReloads != 1 {
-		t.Fatalf("unit 0 not reloaded from UnitDir: %+v", st)
+	if n := cc.executed(); n != 12 || !slices.Equal(starts, []int{4, 8, 12}) {
+		t.Fatalf("executed %d shards in units %v after recovery, want 12 in [4 8 12]", n, starts)
 	}
-
-	// The adopted lease keeps unit 1 assigned to w1, so fresh claims get
-	// units 2 and 3 only.
-	seen := map[int]bool{}
-	for i := 0; i < 2; i++ {
-		g := waitGrant(t, c2, "w1")
-		if g.Start == g1.Start {
-			t.Fatalf("adopted-leased unit re-granted: %+v", g)
-		}
-		seen[g.Start] = true
-		report(t, c2, cc, "w1", g)
-	}
-	if len(seen) != 2 {
-		t.Fatalf("grants covered %v, want two distinct units", seen)
-	}
-	// The in-flight worker (which survived the coordinator crash) finally
-	// reports the adopted unit.
-	report(t, c2, cc, "w1", g1)
-
-	o := waitOutcome(t, ch2)
-	if o.err != nil {
-		t.Fatal(o.err)
-	}
-	if string(o.body) != string(want) {
-		t.Fatalf("recovered bytes differ\n got %s\nwant %s", o.body, want)
-	}
-	// 16 shards total; unit 0's 4 came from disk. Execution counter proves
-	// the reported range never re-ran.
-	if n := cc.executed(); n != 12 {
-		t.Fatalf("executed %d shards after recovery, want 12", n)
-	}
-	// Clean completion garbage-collects the unit files.
-	if ms, _ := filepath.Glob(filepath.Join(unitDir, "*.unit")); len(ms) != 0 {
-		t.Fatalf("unit files not cleaned up: %v", ms)
+	if got := snaps.shards(); !slices.Equal(got, []int{8, 12, -16}) {
+		t.Fatalf("saves at shards %v, want [8 12 -16]", got)
 	}
 }
 
-// TestSharedCacheAnswersUnitsBeforeDispatch: a job that stops short leaves
-// its done units in the shared result cache, and a later run of the same
-// key folds them without granting their leases. A completed run adds no
-// unit entries: its own result answers any resubmission.
-func TestSharedCacheAnswersUnitsBeforeDispatch(t *testing.T) {
-	cache := rescache.New(64)
-	core := toyCore(1)
-	want := runFullBytes(t, core, toyPlan)
+// TestResumeAcrossLanes: a snapshot written by either lane resumes on
+// either lane with the bytes of an uninterrupted RunFull — a standalone
+// snapshot that ends mid-unit on the fleet, a fleet snapshot in RunFull,
+// and a fleet snapshot of a plan that stops on its convergence guard.
+func TestResumeAcrossLanes(t *testing.T) {
+	converging := toyPlan
+	converging.TargetRelStdErr = 0.3 // one event per shard: stops at shard 12 of 16
 
-	// First run: two of the four units report, then the run is canceled.
-	c1 := NewCoordinator(Config{Cache: cache, LeaseTTL: time.Minute, UnitShards: 4})
-	c1.Register(context.Background(), WorkerInfo{ID: "w1"})
-	ctx, cancel := context.WithCancel(context.Background())
-	ch1 := startExecute(c1, ctx, "kc", core, toyPlan)
-	report(t, c1, core, "w1", waitGrant(t, c1, "w1"))
-	report(t, c1, core, "w1", waitGrant(t, c1, "w1"))
-	cancel()
-	if o := waitOutcome(t, ch1); o.err != nil || !o.status.Truncated {
-		t.Fatalf("first run: want a truncated result, got %+v err=%v", o.status, o.err)
+	// A serial standalone run commits shard by shard; keep its save at 6.
+	standalone := &snapshots{t: t}
+	if _, _, err := toyCoreWith(simrun.Options{Workers: 1, Checkpoint: standalone.hook}).RunFull(context.Background(), toyPlan); err != nil {
+		t.Fatal(err)
 	}
-	if n := cache.Len(); n != 2 {
-		t.Fatalf("truncated run cached %d units, want its 2 done ones", n)
+	var midUnit *simrun.ResumeState
+	for _, r := range standalone.saves {
+		if r.Shards == 6 {
+			midUnit = r
+		}
+	}
+	if midUnit == nil {
+		t.Fatalf("no standalone save at shard 6: %v", standalone.shards())
 	}
 
-	// Second run of the same key on a fresh coordinator: the two reported
-	// units are cache hits, only the other two are granted.
-	c2 := NewCoordinator(Config{Cache: cache, LeaseTTL: time.Minute, UnitShards: 4})
-	c2.Register(context.Background(), WorkerInfo{ID: "w1"})
-	ch2 := startExecute(c2, context.Background(), "kc", core, toyPlan)
-	report(t, c2, core, "w1", waitGrant(t, c2, "w1"))
-	report(t, c2, core, "w1", waitGrant(t, c2, "w1"))
-	o := waitOutcome(t, ch2)
-	if o.err != nil || string(o.body) != string(want) || o.status.Completed != toyPlan.Shots {
-		t.Fatalf("cache-served run wrong: status %+v err=%v", o.status, o.err)
-	}
-	if s := c2.Stats(); s.CacheHits != 2 || s.Grants != 2 {
-		t.Fatalf("expected 2 cache hits and 2 grants: %+v", s)
-	}
-	if n := cache.Len(); n != 2 {
-		t.Fatalf("completed run left %d unit entries, want the first run's 2", n)
+	for _, tc := range []struct {
+		name string
+		plan Plan
+		snap *simrun.ResumeState
+		// fleet resumes on a coordinator with wantStarts granted; otherwise
+		// on RunFull.
+		fleet      bool
+		wantStarts []int
+	}{
+		{"standalone-mid-unit-on-fleet", toyPlan, midUnit, true, []int{6, 10, 14}},
+		{"fleet-on-runfull", toyPlan, fleetCrash(t, toyPlan).last(), false, nil},
+		{"fleet-converging-on-fleet", converging, fleetCrash(t, converging).last(), true, []int{4, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, wantSt, err := toyCore(1).RunFull(context.Background(), tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.plan.TargetRelStdErr > 0 && (!wantSt.Converged || wantSt.Completed != 12*128) {
+				t.Fatalf("converging plan's standalone status %+v, want converged at 1536 shots", wantSt)
+			}
+			cc := &countingCore{Core: toyCoreWith(simrun.Options{Workers: 1, Resume: tc.snap})}
+			var o execOutcome
+			if tc.fleet {
+				c := NewCoordinator(Config{LeaseTTL: time.Minute, UnitShards: 4})
+				c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+				var starts []int
+				o, starts = driveOneByOne(t, c, cc, startExecute(c, context.Background(), "kr", cc, tc.plan))
+				if !slices.Equal(starts, tc.wantStarts) {
+					t.Fatalf("granted units %v, want %v", starts, tc.wantStarts)
+				}
+			} else {
+				o.body, o.status, o.err = cc.RunFull(context.Background(), tc.plan)
+			}
+			if o.err != nil || o.status != wantSt || string(o.body) != string(want) {
+				t.Fatalf("resumed: err=%v status %+v, want %+v\n got %s\nwant %s", o.err, o.status, wantSt, o.body, want)
+			}
+		})
 	}
 }
 
 // TestFailedJobDoesNotPoisonRerun: a report whose states pass the digest
-// but not the fold (valid JSON of the wrong type) fails its job, and the
-// failed job leaves that unit in the shared cache or UnitDir; a late
-// duplicate of the report writes it to UnitDir again. A rerun of the same
-// key keeps only the stored units a fresh fold accepts, grants the rejected
-// unit again and returns the bytes of RunFull.
+// but not the fold (valid JSON of the wrong type) fails its job. The job's
+// checkpoint holds only what its fold accepted, so a rerun resumed from it
+// runs every unit past that frontier again, the rejected one and a done
+// but unfolded one included, and returns the bytes of RunFull.
 func TestFailedJobDoesNotPoisonRerun(t *testing.T) {
-	core := toyCore(1)
-	want := runFullBytes(t, core, toyPlan)
+	want := runFullBytes(t, toyCore(1), toyPlan)
 	ctx := context.Background()
-	for _, tier := range []string{"cache", "unit-dir"} {
-		t.Run(tier, func(t *testing.T) {
-			cfg := Config{LeaseTTL: time.Minute, UnitShards: 4}
-			if tier == "cache" {
-				cfg.Cache = rescache.New(64)
-			} else {
-				cfg.UnitDir = t.TempDir()
-			}
-			c1 := NewCoordinator(cfg)
-			c1.Register(ctx, WorkerInfo{ID: "w1"}) //nolint:errcheck
-			ch := startExecute(c1, ctx, "kp", core, toyPlan)
-			g0, g1, g2 := waitGrant(t, c1, "w1"), waitGrant(t, c1, "w1"), waitGrant(t, c1, "w1")
-			report(t, c1, core, "w1", g0) // folded
-			report(t, c1, core, "w1", g2) // done, never folded
-			states := []json.RawMessage{[]byte(`"x"`), []byte(`"x"`), []byte(`"x"`), []byte(`"x"`)}
-			body, err := EncodeUnitResult(UnitResult{Kind: g1.Kind, Key: g1.Key, Start: g1.Start, End: g1.End,
-				States: states, Events: make([]int, 4), Worker: "w1"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c1.Report(ctx, "w1", body); err != nil {
-				t.Fatal(err)
-			}
-			if o := waitOutcome(t, ch); o.err == nil {
-				t.Fatalf("a fold-rejected unit must fail the job, got %+v", o.status)
-			}
-			if err := c1.Report(ctx, "w1", body); err != nil {
-				t.Fatalf("late duplicate: %v", err)
-			}
+	snaps := &snapshots{t: t}
+	core := toyCoreWith(simrun.Options{Workers: 1, Checkpoint: snaps.hook})
+	c1 := NewCoordinator(Config{LeaseTTL: time.Minute, UnitShards: 4})
+	c1.Register(ctx, WorkerInfo{ID: "w1"}) //nolint:errcheck
+	ch := startExecute(c1, ctx, "kp", core, toyPlan)
+	g0, g1, g2 := waitGrant(t, c1, "w1"), waitGrant(t, c1, "w1"), waitGrant(t, c1, "w1")
+	report(t, c1, core, "w1", g0) // folded
+	report(t, c1, core, "w1", g2) // done, never folded
+	states := []json.RawMessage{[]byte(`"x"`), []byte(`"x"`), []byte(`"x"`), []byte(`"x"`)}
+	body, err := EncodeUnitResult(UnitResult{Kind: g1.Kind, Key: g1.Key, Start: g1.Start, End: g1.End,
+		States: states, Events: make([]int, 4), Worker: "w1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Report(ctx, "w1", body); err != nil {
+		t.Fatal(err)
+	}
+	if o := waitOutcome(t, ch); o.err == nil {
+		t.Fatalf("a fold-rejected unit must fail the job, got %+v", o.status)
+	}
+	if err := c1.Report(ctx, "w1", body); err != nil {
+		t.Fatalf("late duplicate: %v", err)
+	}
+	if got := snaps.shards(); !slices.Equal(got, []int{4}) {
+		t.Fatalf("saves at shards %v, want [4] (no Final flush for a failed job)", got)
+	}
 
-			c2 := NewCoordinator(cfg)
-			c2.Register(ctx, WorkerInfo{ID: "w1"}) //nolint:errcheck
-			ch2 := startExecute(c2, ctx, "kp", core, toyPlan)
-			var starts []int
-			deadline := time.Now().Add(10 * time.Second)
-			for o := (*execOutcome)(nil); o == nil; {
-				if time.Now().After(deadline) {
-					t.Fatal("rerun did not finish")
-				}
-				for _, g := range drainClaims(t, c2, "w1") {
-					starts = append(starts, g.Start)
-					report(t, c2, core, "w1", g)
-				}
-				select {
-				case got := <-ch2:
-					o = &got
-					if o.err != nil || string(o.body) != string(want) {
-						t.Fatalf("rerun: err=%v body %s, want %s", o.err, o.body, want)
-					}
-				case <-time.After(time.Millisecond):
-				}
-			}
-			if st := c2.Stats(); st.CacheHits+st.FileReloads != 2 || !slices.Equal(starts, []int{4, 12}) {
-				t.Fatalf("rerun kept %d units and granted shards %v, want units 0 and 2 kept and 1 and 3 granted",
-					st.CacheHits+st.FileReloads, starts)
-			}
-		})
+	rerun := toyCoreWith(simrun.Options{Workers: 1, Resume: snaps.last()})
+	c2 := NewCoordinator(Config{LeaseTTL: time.Minute, UnitShards: 4})
+	c2.Register(ctx, WorkerInfo{ID: "w1"}) //nolint:errcheck
+	o, starts := driveOneByOne(t, c2, rerun, startExecute(c2, ctx, "kp", rerun, toyPlan))
+	if o.err != nil || string(o.body) != string(want) || !slices.Equal(starts, []int{4, 8, 12}) {
+		t.Fatalf("rerun: err=%v units %v, want [4 8 12]\n got %s\nwant %s", o.err, starts, o.body, want)
 	}
 }

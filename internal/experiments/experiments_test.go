@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestAllExperimentsRun(t *testing.T) {
 	for _, id := range IDs() {
@@ -112,8 +115,12 @@ func TestFig19Bands(t *testing.T) {
 
 func TestFig20Bands(t *testing.T) {
 	r := Fig20()
-	if r.ErrorReduction < 5e3 || r.ErrorReduction > 1e5 {
-		t.Fatalf("Opt-#8 error reduction %.0f, paper 28,355", r.ErrorReduction)
+	// The SFQ fit reaches the paper's 28,355× only to within its residual:
+	// ((P0 + C·1,505 ns)/(P0 + C·565 ns))^12 magnifies a 0.66% gap in the
+	// p_eff ratio twelvefold (EXPERIMENTS.md, calibration record 3). Pin
+	// the computed 26,192× to 1%, short of the paper's value.
+	if math.Abs(r.ErrorReduction/26192-1) > 0.01 || r.ErrorReduction >= 28355 {
+		t.Fatalf("Opt-#8 error reduction %.0f, want 26,192 within 1%% (paper 28,355)", r.ErrorReduction)
 	}
 	if r.MaxQubits < 62208 {
 		t.Fatalf("ERSFQ scale %.0f must exceed the 62,208 long-term goal", r.MaxQubits)

@@ -99,7 +99,7 @@ func checkReplayStops(t *testing.T, lines string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &Journal{pending: map[rescache.Key]*PendingJob{}, leases: map[string]*PendingLease{}}
+	j := &Journal{pending: map[rescache.Key]*PendingJob{}}
 	j.replay([]byte(first + lines + "\n" + last))
 
 	// The scanner splits at '\n' and drops one trailing '\r' per line.

@@ -18,12 +18,14 @@
 //	           checkpoint instead of dropping the committed prefix
 //
 // Replay walks the file in order and folds ops per key: the pending set is
-// "every submitted key without a resolving done/failed". A torn tail — the
-// crash happened mid-append — is detected by the per-line CRC and discarded
-// from the first bad line on (everything after an undecodable record is
-// untrusted), counted in Stats.Torn. Journal write failures degrade
-// durability, never correctness: appends report the error to the caller,
-// which records it and keeps serving.
+// "every submitted key without a resolving done/failed". A record with any
+// other op, such as the "lease" and "lease-done" records that journals of
+// earlier versions hold, replays as an ignored entry, and Compact drops
+// it. A torn tail — the crash happened mid-append — is detected by the
+// per-line CRC and discarded from the first bad line on (everything after
+// an undecodable record is untrusted), counted in Stats.Torn. Journal
+// write failures degrade durability, never correctness: appends report
+// the error to the caller, which records it and keeps serving.
 package jobs
 
 import (
@@ -47,14 +49,6 @@ const (
 	OpDone      = "done"
 	OpFailed    = "failed"
 	OpTruncated = "truncated"
-	// OpLease records a distributed shard-range assignment (job key +
-	// [start,end) shard window + worker + expiry), so a coordinator crash
-	// can reconstruct in-flight assignments instead of silently forgetting
-	// who was running what.
-	OpLease = "lease"
-	// OpLeaseDone resolves every lease on a shard range (the unit's result
-	// was durably recorded; any duplicate hedged lease is moot).
-	OpLeaseDone = "lease-done"
 )
 
 var journalCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -70,14 +64,9 @@ type journalEntry struct {
 	// job IDs are not stable across restarts — so recovery can tell a
 	// sweep's child from a top-level job and let the resubmitted parent
 	// re-adopt it instead of double-running the fan-out.
-	Tenant string `json:"tenant,omitempty"`
-	Parent string `json:"parent,omitempty"`
-	// Lease fields (OpLease/OpLeaseDone only).
-	Start     int       `json:"start,omitempty"`
-	End       int       `json:"end,omitempty"`
-	Worker    string    `json:"worker,omitempty"`
-	ExpiresMS int64     `json:"expires_ms,omitempty"`
-	At        time.Time `json:"at"`
+	Tenant string    `json:"tenant,omitempty"`
+	Parent string    `json:"parent,omitempty"`
+	At     time.Time `json:"at"`
 }
 
 // PendingJob is one unresolved submission recovered from the journal.
@@ -97,23 +86,6 @@ type PendingJob struct {
 	At        time.Time
 }
 
-// PendingLease is one outstanding distributed shard-range assignment
-// recovered from the journal: a lease record without a resolving
-// lease-done (and whose job is itself still pending).
-type PendingLease struct {
-	Kind   Kind
-	Key    rescache.Key
-	Start  int
-	End    int
-	Worker string
-	// ExpiresMS is the wall-clock expiry recorded at grant time (Unix
-	// milliseconds). A restarted coordinator treats recovered leases as
-	// expiring at max(now, ExpiresMS) — renewals are not journaled, so the
-	// recorded expiry is a lower bound.
-	ExpiresMS int64
-	At        time.Time
-}
-
 // JournalStats are the journal's cumulative observability counters.
 type JournalStats struct {
 	// Replayed counts valid entries folded at open time.
@@ -130,15 +102,13 @@ type JournalStats struct {
 
 // Journal is the append-only WAL. Safe for concurrent use.
 type Journal struct {
-	mu         sync.Mutex
-	path       string
-	f          *os.File
-	pending    map[rescache.Key]*PendingJob
-	order      []rescache.Key // submission order (deterministic recovery)
-	leases     map[string]*PendingLease
-	leaseOrder []string // grant order (deterministic recovery)
-	stats      JournalStats
-	onAppend   func(op, key string) // observability hook; see Observe
+	mu       sync.Mutex
+	path     string
+	f        *os.File
+	pending  map[rescache.Key]*PendingJob
+	order    []rescache.Key // submission order (deterministic recovery)
+	stats    JournalStats
+	onAppend func(op, key string) // observability hook; see Observe
 }
 
 // Observe registers a hook called with (op, key) after every successful
@@ -151,13 +121,6 @@ func (j *Journal) Observe(fn func(op, key string)) {
 	j.mu.Unlock()
 }
 
-// leaseID keys a lease by (job, shard range, worker): hedged re-dispatch
-// legitimately puts two workers on one range, and both must be visible
-// after a crash.
-func leaseID(key rescache.Key, start, end int, worker string) string {
-	return fmt.Sprintf("%s:%d-%d:%s", key, start, end, worker)
-}
-
 // OpenJournal opens (creating if needed) the journal at path and replays its
 // records into the pending set. A torn tail is tolerated and counted; any
 // other read failure is a typed error — a daemon must not boot on a journal
@@ -166,7 +129,7 @@ func OpenJournal(path string) (*Journal, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, simerr.Invalidf("journal: create dir: %v", err)
 	}
-	j := &Journal{path: path, pending: map[rescache.Key]*PendingJob{}, leases: map[string]*PendingLease{}}
+	j := &Journal{path: path, pending: map[rescache.Key]*PendingJob{}}
 	if body, err := os.ReadFile(path); err == nil {
 		j.replay(body)
 	} else if !os.IsNotExist(err) {
@@ -241,38 +204,10 @@ func (j *Journal) applyLocked(e journalEntry) {
 		j.pending[e.Key] = &PendingJob{Kind: e.Kind, Key: e.Key, Params: e.Params, Tenant: e.Tenant, Parent: e.Parent, At: e.At}
 	case OpDone, OpFailed:
 		delete(j.pending, e.Key)
-		j.dropLeasesLocked(e.Key, -1, -1)
 	case OpTruncated:
 		if p, ok := j.pending[e.Key]; ok {
 			p.Truncated = true
 		}
-	case OpLease:
-		id := leaseID(e.Key, e.Start, e.End, e.Worker)
-		if _, ok := j.leases[id]; !ok {
-			j.leaseOrder = append(j.leaseOrder, id)
-		}
-		j.leases[id] = &PendingLease{
-			Kind: e.Kind, Key: e.Key, Start: e.Start, End: e.End,
-			Worker: e.Worker, ExpiresMS: e.ExpiresMS, At: e.At,
-		}
-	case OpLeaseDone:
-		j.dropLeasesLocked(e.Key, e.Start, e.End)
-	}
-}
-
-// dropLeasesLocked resolves every lease on the given shard range of a job
-// (start < 0 drops all the job's leases, used when the job itself
-// resolves). Any worker's lease on the range goes — a duplicate hedged
-// assignment is moot once the unit's result is durable.
-func (j *Journal) dropLeasesLocked(key rescache.Key, start, end int) {
-	for id, l := range j.leases {
-		if l.Key != key {
-			continue
-		}
-		if start >= 0 && (l.Start != start || l.End != end) {
-			continue
-		}
-		delete(j.leases, id)
 	}
 }
 
@@ -294,21 +229,6 @@ func (j *Journal) AppendSubmit(kind Kind, key rescache.Key, params json.RawMessa
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	e := journalEntry{Op: OpSubmit, Kind: kind, Key: key, Params: params, Tenant: tenant, Parent: parent, At: time.Now().UTC()}
-	j.applyLocked(e)
-	return j.writeLocked(e)
-}
-
-// AppendLease durably records a lease grant (OpLease) or a shard-range
-// resolution (OpLeaseDone). Same durability contract as Append: in-memory
-// state updates even when the disk write fails.
-func (j *Journal) AppendLease(op string, kind Kind, key rescache.Key, start, end int, worker string, expiresMS int64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	e := journalEntry{
-		Op: op, Kind: kind, Key: key,
-		Start: start, End: end, Worker: worker, ExpiresMS: expiresMS,
-		At: time.Now().UTC(),
-	}
 	j.applyLocked(e)
 	return j.writeLocked(e)
 }
@@ -337,26 +257,6 @@ func (j *Journal) writeLocked(e journalEntry) error {
 		j.onAppend(e.Op, string(e.Key))
 	}
 	return nil
-}
-
-// PendingLeases returns the outstanding shard-range assignments (grant
-// order) whose jobs are themselves still pending — the set a restarted
-// coordinator re-adopts as in-flight work.
-func (j *Journal) PendingLeases() []PendingLease {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]PendingLease, 0, len(j.leases))
-	for _, id := range j.leaseOrder {
-		l, ok := j.leases[id]
-		if !ok {
-			continue
-		}
-		if _, jobPending := j.pending[l.Key]; !jobPending {
-			continue
-		}
-		out = append(out, *l)
-	}
-	return out
 }
 
 // Pending returns the unresolved submissions in original submission order.
@@ -410,27 +310,6 @@ func (j *Journal) Compact() error {
 			}
 		}
 	}
-	for _, id := range j.leaseOrder {
-		l, ok := j.leases[id]
-		if !ok {
-			continue
-		}
-		if _, jobPending := j.pending[l.Key]; !jobPending {
-			// The job resolved; its leases are garbage — drop them in the
-			// rewrite.
-			delete(j.leases, id)
-			continue
-		}
-		e := journalEntry{
-			Op: OpLease, Kind: l.Kind, Key: l.Key,
-			Start: l.Start, End: l.End, Worker: l.Worker, ExpiresMS: l.ExpiresMS,
-			At: l.At,
-		}
-		if err := write(e); err != nil {
-			tmp.Close()
-			return simerr.Invalidf("journal: compact write: %v", err)
-		}
-	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return simerr.Invalidf("journal: compact sync: %v", err)
@@ -459,13 +338,6 @@ func (j *Journal) Compact() error {
 		}
 	}
 	j.order = kept
-	keptLeases := j.leaseOrder[:0]
-	for _, id := range j.leaseOrder {
-		if _, ok := j.leases[id]; ok {
-			keptLeases = append(keptLeases, id)
-		}
-	}
-	j.leaseOrder = keptLeases
 	j.stats.Compactions++
 	return nil
 }

@@ -3,10 +3,14 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"qisim/internal/rescache"
 	"qisim/internal/simrun"
@@ -278,64 +282,69 @@ func TestJournalAppendErrorDegrades(t *testing.T) {
 	drainManager(t, m)
 }
 
-// TestJournalLeaseLifecycle drives lease grants, hedged duplicates,
-// range resolution, and job resolution through a close/reopen cycle:
-// outstanding leases for still-pending jobs survive the crash, resolved
-// ranges and resolved jobs shed theirs.
-func TestJournalLeaseLifecycle(t *testing.T) {
+// TestJournalReplaysParentLeaseLines: a journal written by an earlier
+// version also holds the "lease" and "lease-done" records of its fleet
+// coordinator. They replay as ignored entries (counted, never torn), the
+// pending jobs come back unchanged, and the boot Compact drops the lines.
+func TestJournalReplaysParentLeaseLines(t *testing.T) {
 	path := journalPath(t)
+	at := "2026-01-02T03:04:05Z"
+	params := `{"distance":5,"shots":2000,"seed":7}`
+	var body strings.Builder
+	for _, payload := range []string{
+		`{"op":"submit","kind":"surface.mc","key":"` + string(key64('a')) + `","params":` + params + `,"tenant":"t1","at":"` + at + `"}`,
+		`{"op":"submit","kind":"surface.mc","key":"` + string(key64('b')) + `","at":"` + at + `"}`,
+		`{"op":"lease","kind":"surface.mc","key":"` + string(key64('a')) + `","end":4,"worker":"w1","expires_ms":12345,"at":"` + at + `"}`,
+		`{"op":"lease","kind":"surface.mc","key":"` + string(key64('a')) + `","start":4,"end":8,"worker":"w2","expires_ms":12345,"at":"` + at + `"}`,
+		`{"op":"lease-done","kind":"surface.mc","key":"` + string(key64('a')) + `","start":4,"end":8,"at":"` + at + `"}`,
+		`{"op":"lease","kind":"surface.mc","key":"` + string(key64('b')) + `","end":2,"worker":"w1","expires_ms":12345,"at":"` + at + `"}`,
+		`{"op":"done","kind":"surface.mc","key":"` + string(key64('b')) + `","at":"` + at + `"}`,
+		`{"op":"truncated","kind":"surface.mc","key":"` + string(key64('a')) + `","at":"` + at + `"}`,
+	} {
+		fmt.Fprintf(&body, "%08x %s\n", crc32.Checksum([]byte(payload), journalCRC), payload)
+	}
+	if err := os.WriteFile(path, []byte(body.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantAt, err := time.Parse(time.RFC3339, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []PendingJob{{Kind: KindSurfaceMC, Key: key64('a'), Params: json.RawMessage(params),
+		Tenant: "t1", Truncated: true, At: wantAt}}
+
 	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustLease := func(op string, k rescache.Key, start, end int, worker string) {
-		t.Helper()
-		if err := j.AppendLease(op, KindSurfaceMC, k, start, end, worker, 12345); err != nil {
-			t.Fatalf("lease %s: %v", op, err)
-		}
+	if st := j.Stats(); st.Replayed != 8 || st.Torn != 0 {
+		t.Fatalf("replay stats %+v, want 8 replayed and none torn", st)
 	}
-	if err := j.Append(OpSubmit, KindSurfaceMC, key64('a'), nil); err != nil {
-		t.Fatal(err)
+	if got := j.Pending(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pending = %+v, want %+v", got, want)
 	}
-	if err := j.Append(OpSubmit, KindSurfaceMC, key64('b'), nil); err != nil {
-		t.Fatal(err)
-	}
-	mustLease(OpLease, key64('a'), 0, 4, "w1")
-	mustLease(OpLease, key64('a'), 4, 8, "w2")
-	mustLease(OpLease, key64('a'), 4, 8, "w3") // hedged duplicate on [4,8)
-	mustLease(OpLease, key64('b'), 0, 2, "w1")
-	mustLease(OpLeaseDone, key64('a'), 4, 8, "") // resolves BOTH w2 and w3
-	if err := j.Append(OpDone, KindSurfaceMC, key64('b'), nil); err != nil {
+	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-
+	compacted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(compacted), `"op":"lease`) {
+		t.Fatalf("compacted journal keeps lease records:\n%s", compacted)
+	}
 	j2, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	leases := j2.PendingLeases()
-	if len(leases) != 1 {
-		t.Fatalf("pending leases = %+v, want exactly [a 0-4 w1]", leases)
+	if st := j2.Stats(); st.Replayed != 2 || st.Torn != 0 {
+		t.Fatalf("compacted replay stats %+v, want the submit and truncated records", st)
 	}
-	l := leases[0]
-	if l.Key != key64('a') || l.Start != 0 || l.End != 4 || l.Worker != "w1" || l.ExpiresMS != 12345 {
-		t.Fatalf("recovered lease wrong: %+v", l)
-	}
-
-	// Compact keeps the outstanding lease and prunes resolved ones.
-	if err := j2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	j3, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	if got := j3.PendingLeases(); len(got) != 1 || got[0].Worker != "w1" {
-		t.Fatalf("post-compact leases = %+v", got)
+	if got := j2.Pending(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pending after compaction = %+v, want %+v", got, want)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"path/filepath"
 	"time"
 
 	"qisim/internal/chaos"
@@ -52,26 +51,18 @@ type DistConfig struct {
 // an optional worker trace — far below this in practice).
 const distReportBodyLimit = 4 << 20
 
-// initDist builds the coordinator, wires the shared result cache, journal
-// and unit directory, and exports its counters, each read from
+// initDist builds the coordinator and exports its counters, each read from
 // Coordinator.Stats at scrape time.
 func (s *Server) initDist(cfg Config) {
 	s.mDistUnitSeconds = s.reg.HistogramVec("qisimd_dist_unit_seconds",
 		"Work-unit wall clock from grant to accepted report, per worker.",
 		metrics.DefaultLatencyBuckets(), "worker")
 
-	unitDir := ""
-	if cfg.DataDir != "" {
-		unitDir = filepath.Join(cfg.DataDir, "units")
-	}
 	s.dist = dist.NewCoordinator(dist.Config{
 		LeaseTTL:   cfg.Dist.LeaseTTL,
 		UnitShards: cfg.Dist.UnitShards,
 		SpotCheck:  cfg.Dist.SpotCheck,
 		Probe:      dist.ProbeHTTP,
-		UnitDir:    unitDir,
-		Journal:    s.journal,
-		Cache:      s.cache,
 		Logger:     cfg.Logger,
 		Flight:     s.flight,
 		UnitSeconds: func(worker string, seconds float64) {
@@ -80,11 +71,11 @@ func (s *Server) initDist(cfg Config) {
 	})
 
 	s.reg.CounterFuncVec("qisimd_dist_leases_total",
-		"Lease events by type (granted, renewed, expired, done, adopted).", "event",
+		"Lease events by type (granted, renewed, expired, done).", "event",
 		func() map[string]float64 {
 			st := s.dist.Stats()
 			return map[string]float64{"granted": float64(st.Grants), "renewed": float64(st.Renewals),
-				"expired": float64(st.Expired), "done": float64(st.UnitsDone), "adopted": float64(st.LeasesAdopted)}
+				"expired": float64(st.Expired), "done": float64(st.UnitsDone)}
 		})
 	s.reg.CounterFuncVec("qisimd_dist_spotcheck_total",
 		"Spot-check verdicts on remote unit reports (pass, fail, error).", "result",
@@ -113,10 +104,6 @@ func (s *Server) initDist(cfg Config) {
 			func(st dist.Stats) int { return st.UnitsDone }},
 		{"qisimd_dist_dup_reports_total", "Duplicate unit uploads dropped by the idempotent report path.",
 			func(st dist.Stats) int { return st.DupReports }},
-		{"qisimd_dist_unit_cache_hits_total", "Work units answered from the shared result tier before dispatch.",
-			func(st dist.Stats) int { return st.CacheHits }},
-		{"qisimd_dist_unit_file_reloads_total", "Work units reloaded from the unit directory after a coordinator restart.",
-			func(st dist.Stats) int { return st.FileReloads }},
 		{"qisimd_dist_idem_replays_total", "Duplicate claim deliveries answered from the idempotency record.",
 			func(st dist.Stats) int { return st.IdemReplays }},
 		{"qisimd_dist_quarantine_readmits_total", "Quarantined workers re-admitted after the quarantine window elapsed.",

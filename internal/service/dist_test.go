@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -263,24 +262,7 @@ func TestDistMetricsReadStats(t *testing.T) {
 	}
 	kind, key := string(mc.kind), string(mc.key)
 
-	// A previous coordinator life journaled the job and a lease on its
-	// first unit to a worker that never comes back.
-	dir := t.TempDir()
-	jrn, err := jobs.OpenJournal(filepath.Join(dir, "journal.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jrn.Append(jobs.OpSubmit, mc.kind, mc.key, raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := jrn.AppendLease(jobs.OpLease, mc.kind, mc.key, 0, 1, "w-old", time.Now().UnixMilli()); err != nil {
-		t.Fatal(err)
-	}
-	if err := jrn.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	srv, err := New(Config{DataDir: dir, Dist: DistConfig{
+	srv, err := New(Config{Dist: DistConfig{
 		Enabled: true, LeaseTTL: ttl, UnitShards: 1, SpotCheck: 1,
 	}})
 	if err != nil {
@@ -289,7 +271,7 @@ func TestDistMetricsReadStats(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		srv.Drain(context.Background()) //nolint:errcheck // closes the journal
+		srv.Drain(context.Background()) //nolint:errcheck
 	})
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // a probe of its address is refused
@@ -334,7 +316,7 @@ func TestDistMetricsReadStats(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Execute(ctx, kind, key, raw, core, mc.plan, nil)
+		_, _, err := c.Execute(ctx, kind, key, raw, core, mc.plan)
 		done <- err
 	}()
 	for deadline := time.Now().Add(10 * time.Second); len(c.FleetSnapshot().Jobs) == 0; {
@@ -344,9 +326,6 @@ func TestDistMetricsReadStats(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The adopted lease on unit 0 expires and the unit requeues behind a
-	// backoff gate an hour out, so only the local lane can run it.
-	c.Sweep(time.Now().Add(time.Hour))
 	// A grant, a renewal and an audited honest report (spot-check pass).
 	g := claim("w-a")
 	if g == nil {
@@ -356,9 +335,9 @@ func TestDistMetricsReadStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	report("w-a", g, false)
-	// w-a holds units 2–7; once they are 2×TTL old the liar is hedged onto
-	// unit 2, forges it and is quarantined.
-	for i := 0; i < 6; i++ {
+	// w-a holds units 1–7; once they are 2×TTL old the liar is hedged onto
+	// unit 1, forges it and is quarantined.
+	for i := 0; i < 7; i++ {
 		if claim("w-a") == nil {
 			t.Fatalf("claim %d: no grant", i)
 		}
@@ -387,7 +366,7 @@ func TestDistMetricsReadStats(t *testing.T) {
 
 	st := c.Stats()
 	for name, n := range map[string]int{"Grants": st.Grants, "Renewals": st.Renewals, "Expired": st.Expired,
-		"LeasesAdopted": st.LeasesAdopted, "UnitRetries": st.UnitRetries, "Steals": st.Steals,
+		"UnitRetries": st.UnitRetries, "Steals": st.Steals,
 		"Evictions": st.Evictions, "Readmits": st.Readmits, "LocalUnits": st.LocalUnits,
 		"SpotChecksPassed": st.SpotChecksPassed, "SpotChecksFailed": st.SpotChecksFailed,
 		"Quarantines": st.Quarantines, "QuarantineReadmits": st.QuarantineReadmits} {
@@ -400,7 +379,6 @@ func TestDistMetricsReadStats(t *testing.T) {
 		`qisimd_dist_leases_total{event="renewed"}`:   st.Renewals,
 		`qisimd_dist_leases_total{event="expired"}`:   st.Expired,
 		`qisimd_dist_leases_total{event="done"}`:      st.UnitsDone,
-		`qisimd_dist_leases_total{event="adopted"}`:   st.LeasesAdopted,
 		`qisimd_dist_spotcheck_total{result="pass"}`:  st.SpotChecksPassed,
 		`qisimd_dist_spotcheck_total{result="fail"}`:  st.SpotChecksFailed,
 		`qisimd_dist_spotcheck_total{result="error"}`: st.SpotCheckErrors,
@@ -412,8 +390,6 @@ func TestDistMetricsReadStats(t *testing.T) {
 		"qisimd_dist_quarantine_total":                st.Quarantines,
 		"qisimd_dist_units_done_total":                st.UnitsDone,
 		"qisimd_dist_dup_reports_total":               st.DupReports,
-		"qisimd_dist_unit_cache_hits_total":           st.CacheHits,
-		"qisimd_dist_unit_file_reloads_total":         st.FileReloads,
 		"qisimd_dist_idem_replays_total":              st.IdemReplays,
 		"qisimd_dist_quarantine_readmits_total":       st.QuarantineReadmits,
 	}

@@ -18,6 +18,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -88,37 +89,25 @@ type buildEnv struct {
 	onChild func(kind jobs.Kind, outcome jobs.Outcome)
 	// publish streams a custom event on a job's event log (nil = no-op).
 	publish func(id, typ string, data any)
+	// log is the job manager's logger: records made with a job's context
+	// carry its job, trace and span IDs (nil = discard).
+	log *slog.Logger
 }
 
-// runMC is the one runner every Monte-Carlo job executes through. On a
-// coordinator with live workers the run is folded across the fleet, with
-// the job's progress fed from the committed shard frontier. Otherwise —
-// standalone, or a coordinator with zero workers (counted as a degraded
-// run) — the same core runs in-process through Core.RunFull with crash-safe
-// checkpointing. Both lanes share the core's merge and finish, so their
-// bytes are identical. The core is built here rather than at submit, so a
-// bad model parameter fails the job at run time.
+// runMC is the one runner every Monte-Carlo job executes through. Its
+// checkpoint is attached once, before a lane is picked, so the job's
+// snapshot is its only durable Monte-Carlo state on both lanes. On a
+// coordinator with live workers the run is folded across the fleet, which
+// drives the same Progress, Checkpoint and Resume hooks as the in-process
+// engine. Otherwise — standalone, or a coordinator with zero workers
+// (counted as a degraded run) — the same core runs in-process through
+// Core.RunFull. Both lanes share the core's merge and finish, so their
+// bytes are identical, and a snapshot written by either lane resumes on
+// either. The core is built here rather than at submit, so a bad model
+// parameter fails the job at run time.
 func (env buildEnv) runMC(j mcJob) jobs.Runner {
-	return func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		opt := simrun.Options{Workers: j.workers}
-		if env.dist != nil {
-			core, err := j.newCore(opt)
-			if err != nil {
-				return nil, simrun.Status{}, err
-			}
-			raw, err := json.Marshal(j.params)
-			if err != nil {
-				return nil, simrun.Status{}, simerr.Invalidf("service: marshal dist params: %v", err)
-			}
-			body, st, err := env.dist.Execute(ctx, string(j.kind), string(j.key), raw, core, j.plan, progress)
-			if !errors.Is(err, dist.ErrNoWorkers) {
-				return body, st, err
-			}
-			if env.onDegraded != nil {
-				env.onDegraded()
-			}
-		}
-		opt.Progress = progress
+	return func(ctx context.Context, progress func(int, int)) (body []byte, st simrun.Status, err error) {
+		opt := simrun.Options{Workers: j.workers, Progress: progress}
 		sv, err := env.attachCheckpoint(ctx, &opt, checkpoint.Meta{
 			Kind: string(j.kind), Key: string(j.key), Seed: j.plan.Seed, ShardSize: j.plan.ShardSize,
 			Budget: j.plan.Shots, TargetRelStdErr: j.plan.TargetRelStdErr,
@@ -126,16 +115,25 @@ func (env buildEnv) runMC(j mcJob) jobs.Runner {
 		if err != nil {
 			return nil, simrun.Status{}, err
 		}
+		defer func() { env.finishCheckpoint(ctx, sv, err == nil && !st.Truncated) }()
 		core, err := j.newCore(opt)
 		if err != nil {
 			return nil, simrun.Status{}, err
 		}
-		body, st, err := core.RunFull(ctx, j.plan)
-		if err != nil {
-			return nil, simrun.Status{}, err
+		if env.dist != nil {
+			raw, merr := json.Marshal(j.params)
+			if merr != nil {
+				return nil, simrun.Status{}, simerr.Invalidf("service: marshal dist params: %v", merr)
+			}
+			body, st, err = env.dist.Execute(ctx, string(j.kind), string(j.key), raw, core, j.plan)
+			if !errors.Is(err, dist.ErrNoWorkers) {
+				return body, st, err
+			}
+			if env.onDegraded != nil {
+				env.onDegraded()
+			}
 		}
-		env.finishCheckpoint(sv, st.Truncated)
-		return body, st, nil
+		return core.RunFull(ctx, j.plan)
 	}
 }
 
@@ -165,18 +163,24 @@ func (env buildEnv) attachCheckpoint(ctx context.Context, opt *simrun.Options, m
 	return sv, nil
 }
 
-// finishCheckpoint reports snapshot-write counts and retires the snapshot of
-// a complete (non-truncated) run — the result is cached now, so the
-// checkpoint has nothing left to protect. Truncated runs keep theirs: it is
-// the resume point for the journal-driven retry.
-func (env buildEnv) finishCheckpoint(sv *checkpoint.Saver, truncated bool) {
+// finishCheckpoint runs on every return of a Monte-Carlo runner: it
+// reports snapshot-write counts, warns through the job's logger when a
+// write failed (durability degraded, the result still valid), and retires
+// the snapshot of a complete run — the result is cached now, so the
+// checkpoint has nothing left to protect. Truncated and failed runs keep
+// theirs: it is the resume point for the journal-driven retry or a
+// resubmission.
+func (env buildEnv) finishCheckpoint(ctx context.Context, sv *checkpoint.Saver, complete bool) {
 	if sv == nil {
 		return
 	}
 	if env.onSaves != nil {
 		env.onSaves(sv.Saves())
 	}
-	if !truncated {
+	if err := sv.Err(); err != nil {
+		obs.OrDiscard(env.log).WarnContext(ctx, "checkpoint durability degraded", "path", sv.Path, "err", err)
+	}
+	if complete {
 		os.Remove(sv.Path) //nolint:errcheck // best-effort cleanup
 	}
 }

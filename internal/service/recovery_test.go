@@ -4,16 +4,20 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"qisim/internal/checkpoint"
+	"qisim/internal/dist"
 	"qisim/internal/jobs"
+	"qisim/internal/obs"
 	"qisim/internal/rescache"
 	"qisim/internal/simrun"
 )
@@ -143,6 +147,241 @@ func TestRecoveryResumesInterruptedJob(t *testing.T) {
 	// The completed job's checkpoint is retired; the journal resolves it.
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 		t.Errorf("checkpoint not retired after completion: %v", err)
+	}
+}
+
+// gatedCore runs the windows that start below gate and holds every other
+// one until its context ends: a worker that reports the first units of a
+// job and then hangs on the next.
+type gatedCore struct {
+	dist.Core
+	gate int
+}
+
+func (g gatedCore) RunWindow(ctx context.Context, p dist.Plan, start, end int) ([]json.RawMessage, []int, error) {
+	if start >= g.gate {
+		<-ctx.Done()
+		return nil, nil, ctx.Err()
+	}
+	return g.Core.RunWindow(ctx, p, start, end)
+}
+
+// runWorker runs one HTTP fleet worker on cores against base until the
+// returned stop is called.
+func runWorker(t *testing.T, base, id string, cores dist.CoreBuilder) (stop func()) {
+	t.Helper()
+	w, err := dist.NewWorker(dist.WorkerConfig{ID: id, Coordinator: &dist.Client{Base: base},
+		Cores: cores, PollInterval: 2 * time.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx) //nolint:errcheck // ends by cancellation
+	}()
+	var once sync.Once
+	stop = func() { once.Do(func() { cancel(); <-done }) }
+	t.Cleanup(stop)
+	return stop
+}
+
+// TestCoordinatorRestartResumesFleetCheckpoint restarts a fleet
+// coordinator in qisimd's boot order. Life 1 folds the first two units of
+// a job from its one HTTP worker and "crashes" (base-context cancel, then
+// drain): the fleet lane leaves the job's checkpoint at the folded
+// frontier. Life 2 runs New, Start and Recover before it listens, so the
+// recovered job finds no worker and runs degraded; it resumes from that
+// checkpoint all the same, returns the standalone bytes, and leaves no
+// checkpoint and no unit directory behind.
+func TestCoordinatorRestartResumesFleetCheckpoint(t *testing.T) {
+	dataDir := t.TempDir()
+	req := `{"kind":"surface.mc","params":{"distance":3,"shots":2048,"shard_size":64,"seed":23}}`
+	_, solo := newTestServer(t, Config{Workers: 1})
+	want := runToBytes(t, solo, req)
+	cfg := Config{Workers: 1, DataDir: dataDir, Dist: DistConfig{Enabled: true, LeaseTTL: 5 * time.Second, UnitShards: 2}}
+
+	// Life 1.
+	base1, crash := context.WithCancel(context.Background())
+	cfg1 := cfg
+	cfg1.BaseContext = base1
+	srv1, err := New(cfg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1.Start()
+	if _, err := srv1.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.Handler())
+	stopWorker := runWorker(t, ts1.URL, "w1", func(kind string, params json.RawMessage) (dist.Core, error) {
+		c, err := BuildCore(kind, params)
+		return gatedCore{c, 4}, err
+	})
+	code, sub := submitRaw(t, ts1, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("life-1 submit: HTTP %d", code)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if snap, _ := srv1.mgr.Get(sub.Job.ID); snap.Progress.Completed >= 4*64 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("life 1 never folded two units")
+		}
+	}
+	crash()
+	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer dcancel()
+	if err := srv1.Drain(dctx); err != nil {
+		t.Fatalf("life-1 drain: %v", err)
+	}
+	stopWorker()
+	ts1.Close()
+	ckpt := checkpoint.PathFor(filepath.Join(dataDir, "checkpoints"), string(sub.Job.Key))
+	if snap, err := checkpoint.Load(ckpt); err != nil || snap.Shards != 4 || !snap.Final {
+		t.Fatalf("life-1 checkpoint: %+v, err %v; want a Final snapshot at shard 4", snap, err)
+	}
+
+	// Life 2, in qisimd's boot order: recover, then listen, then workers.
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2.Start()
+	if n, err := srv2.Recover(); err != nil || n != 1 {
+		t.Fatalf("recover: n=%d err=%v, want the interrupted job", n, err)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv2.Drain(ctx) //nolint:errcheck
+	})
+	runWorker(t, ts2.URL, "w1", BuildCore)
+	for deadline := time.Now().Add(20 * time.Second); srv2.mgr.InFlight() > 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("recovered job never finished")
+		}
+	}
+	resp, err := http.Get(ts2.URL + "/v1/results/" + string(sub.Job.Key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || string(got) != string(want) {
+		t.Fatalf("recovered result: HTTP %d, err %v\n got %.120s\nwant %.120s", resp.StatusCode, err, got, want)
+	}
+	if v := scrapeMetric(t, ts2, "qisimd_jobs_resumed_total"); v != 1 {
+		t.Errorf("qisimd_jobs_resumed_total = %v, want 1", v)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("checkpoint not retired after completion: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "units")); !os.IsNotExist(err) {
+		t.Errorf("coordinator wrote a unit directory: %v", err)
+	}
+}
+
+// TestFinishCheckpointWarnsOnWriteFailure: a checkpoint write that fails
+// (here: the snapshot's parent is a regular file, which stops even root)
+// is counted and surfaces as a warning on the job's logger, stamped with
+// the job's ID.
+func TestFinishCheckpointWarnsOnWriteFailure(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sv := &checkpoint.Saver{Path: checkpoint.PathFor(file, strings.Repeat("a", 64)),
+		Meta: checkpoint.Meta{Kind: "surface.mc", Key: strings.Repeat("a", 64), Budget: 128}, Every: 1}
+	sv.Hook()(simrun.CheckpointState{Shards: 1, Shots: 64, Requested: 128, State: 1.0, Final: true})
+	if sv.Err() == nil {
+		t.Fatal("a snapshot under a regular file was written")
+	}
+	var logs strings.Builder
+	logger, err := obs.NewLogger(&logs, "info", "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saves := -1
+	env := buildEnv{log: logger, onSaves: func(n int) { saves = n }}
+	env.finishCheckpoint(obs.WithJobID(context.Background(), "j-000007"), sv, true)
+	if saves != 0 {
+		t.Errorf("saves reported %d, want 0", saves)
+	}
+	if out := logs.String(); !strings.Contains(out, "level=WARN") ||
+		!strings.Contains(out, "checkpoint durability degraded") || !strings.Contains(out, "job=j-000007") {
+		t.Errorf("no stamped durability warning in %q", out)
+	}
+}
+
+// TestFailedFleetRunCountsItsSaves: a fleet job that fails after its fold
+// advanced still reports the snapshot it wrote, and keeps it on disk.
+func TestFailedFleetRunCountsItsSaves(t *testing.T) {
+	dataDir := t.TempDir()
+	srv, ts := newTestServer(t, Config{Workers: 1, DataDir: dataDir,
+		Dist: DistConfig{Enabled: true, LeaseTTL: 5 * time.Second, UnitShards: 2}})
+	if _, err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	c := srv.Dist()
+	c.Register(ctx, dist.WorkerInfo{ID: "w1"}) //nolint:errcheck
+	code, sub := submitRaw(t, ts, `{"kind":"surface.mc","params":{"distance":3,"shots":512,"shard_size":64,"seed":3}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	claim := func() *dist.LeaseGrant {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			g, err := c.Claim(ctx, "w1", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g != nil {
+				return g
+			}
+		}
+		t.Fatal("no grant")
+		return nil
+	}
+	report := func(g *dist.LeaseGrant, forge bool) {
+		t.Helper()
+		core, err := BuildCore(g.Kind, g.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states, events, err := core.RunWindow(ctx, g.Plan, g.Start, g.End)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if forge { // valid JSON of the wrong type: the fold rejects it
+			for i := range states {
+				states[i] = json.RawMessage(`"x"`)
+			}
+		}
+		body, err := dist.EncodeUnitResult(dist.UnitResult{Kind: g.Kind, Key: g.Key,
+			Start: g.Start, End: g.End, States: states, Events: events, Worker: "w1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Report(ctx, "w1", body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report(claim(), false)
+	report(claim(), true)
+	if snap := waitDone(t, ts, sub.Job.ID); snap.State != jobs.StateFailed {
+		t.Fatalf("job state %s, want failed", snap.State)
+	}
+	if v := scrapeMetric(t, ts, "qisimd_checkpoints_saved_total"); v != 1 {
+		t.Errorf("qisimd_checkpoints_saved_total = %v, want the one save of the fold advance", v)
+	}
+	if _, err := os.Stat(checkpoint.PathFor(filepath.Join(dataDir, "checkpoints"), string(sub.Job.Key))); err != nil {
+		t.Errorf("a failed run must keep its checkpoint: %v", err)
 	}
 }
 

@@ -442,6 +442,7 @@ func (s *Server) env() buildEnv {
 			}
 		},
 		publish: func(id, typ string, data any) { s.mgr.Publish(id, typ, data) }, //nolint:errcheck
+		log:     s.log,
 	}
 }
 

@@ -364,9 +364,7 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 		obs.Int("shard_size", opt.ShardSize))
 	defer runSpan.End()
 
-	// Restore a committed prefix. The geometry is re-validated so a snapshot
-	// taken under a different budget or shard size (or simply corrupted) can
-	// never be silently replayed into a double-count.
+	// Restore a committed prefix (its geometry was checked by Validate).
 	var out R
 	start := 0
 	var tally Tally
@@ -374,26 +372,11 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 		r := opt.Resume
 		_, resumeSpan := obs.StartSpan(ctx, "resume",
 			obs.Int("shards", r.Shards), obs.Int("resumed_shots", r.Shots))
-		if r.Shards < 0 || r.Shards > nShards {
-			resumeSpan.End()
-			return zero, Status{}, simerr.Invalidf(
-				"simrun: resume prefix of %d shards outside the %d-shard plan", r.Shards, nShards)
-		}
-		if want := shardShots(shots, opt.ShardSize, r.Shards); r.Shots != want {
-			resumeSpan.End()
-			return zero, Status{}, simerr.Invalidf(
-				"simrun: resume prefix covers %d shots, but %d shards of %d-shot budget at shard size %d cover %d",
-				r.Shots, r.Shards, shots, opt.ShardSize, want)
-		}
 		if len(r.StateJSON) > 0 {
 			if err := json.Unmarshal(r.StateJSON, &out); err != nil {
 				resumeSpan.End()
 				return zero, Status{}, simerr.Invalidf("simrun: resume state does not decode into %T: %v", out, err)
 			}
-		} else if r.Shards > 0 {
-			resumeSpan.End()
-			return zero, Status{}, simerr.Invalidf(
-				"simrun: resume prefix of %d shards has no accumulator state", r.Shards)
 		}
 		start = r.Shards
 		if r.NoConverge {

@@ -149,7 +149,9 @@ type ResumeState struct {
 }
 
 // Validate checks the options for internal consistency against a requested
-// shot budget.
+// shot budget, the geometry of a Resume prefix included: a snapshot taken
+// under a different budget or shard size (or simply corrupted) can never be
+// silently replayed into a double-count.
 func (o Options) Validate(requested int) error {
 	if requested <= 0 {
 		return simerr.Invalidf("simrun: requested shots must be positive, got %d", requested)
@@ -168,6 +170,22 @@ func (o Options) Validate(requested int) error {
 	if o.MinShots > requested {
 		return simerr.Budgetf("simrun: convergence floor MinShots=%d exceeds shot budget %d",
 			o.MinShots, requested)
+	}
+	if r := o.Resume; r != nil {
+		size := o.ShardSize
+		if size == 0 {
+			size = DefaultShardSize
+		}
+		n := PlanShards(requested, size)
+		switch {
+		case r.Shards < 0 || r.Shards > n:
+			return simerr.Invalidf("simrun: resume prefix of %d shards outside the %d-shard plan", r.Shards, n)
+		case r.Shots != shardShots(requested, size, r.Shards):
+			return simerr.Invalidf("simrun: resume prefix covers %d shots, but %d shards of %d-shot budget at shard size %d cover %d",
+				r.Shots, r.Shards, requested, size, shardShots(requested, size, r.Shards))
+		case r.Shards > 0 && len(r.StateJSON) == 0:
+			return simerr.Invalidf("simrun: resume prefix of %d shards has no accumulator state", r.Shards)
+		}
 	}
 	return nil
 }
