@@ -33,8 +33,9 @@ trace-demo:
 	@echo "trace written to qisim-trace.json — load it in chrome://tracing or https://ui.perfetto.dev"
 
 # Short fuzz smokes of the QASM parser, the checkpoint decoder, the dist
-# unit-result and lease-grant decoders, the job-journal record decoder, the
-# coordinator's worker-telemetry intake and the job-submission decoder
+# unit-result, lease-grant and claim-body decoders, the job-journal record
+# decoder, the coordinator's worker-telemetry intake and the job-submission
+# decoder
 # (longer runs on demand, e.g. `go test ./internal/qasm -fuzz FuzzParse
 # -fuzztime 5m`).
 fuzz:
@@ -42,6 +43,7 @@ fuzz:
 	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointDecode -fuzztime 30s
 	$(GO) test ./internal/dist -fuzz FuzzDecodeUnitResult -fuzztime 30s
 	$(GO) test ./internal/dist -fuzz FuzzLeaseGrant -fuzztime 30s
+	$(GO) test ./internal/dist -fuzz FuzzClaimRequest -fuzztime 30s
 	$(GO) test ./internal/dist -fuzz FuzzTelemetry -fuzztime 30s
 	$(GO) test ./internal/jobs -fuzz FuzzJournalLine -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzJobRequest -fuzztime 30s

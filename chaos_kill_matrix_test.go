@@ -198,7 +198,7 @@ func claimOneUnit(t *testing.T, client *dist.Client, id string) *dist.LeaseGrant
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		g, err := client.Claim(context.Background(), id, "")
+		g, err := client.Claim(context.Background(), id, "", 0)
 		if err != nil {
 			t.Fatalf("claim: %v", err)
 		}

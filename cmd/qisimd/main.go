@@ -8,16 +8,17 @@
 //	       [-job-timeout d] [-drain-timeout 30s] [-data-dir dir]
 //	       [-tenant-quota n] [-pprof addr] [-log-level info] [-log-format text]
 //	       [-role standalone|coordinator|worker] [-coordinator-url url]
-//	       [-worker-id id] [-advertise url] [-lease-ttl 15s] [-unit-shards 4]
+//	       [-worker-id id] [-advertise url] [-lease-ttl 15s] [-unit-shards 16]
 //	       [-spot-check 0.1] [-chaos-spec spec.json]
 //
 // Roles (see DESIGN.md "Distributed execution"):
 //
 //   - standalone (default): every job runs in-process.
 //   - coordinator: jobs are split into leased work units dispatched across
-//     registered fleet workers, with heartbeat renewal, retry with backoff,
-//     work stealing, health-probe eviction, and graceful degradation to the
-//     local path when the fleet is empty. Serves /v1/dist/* for workers.
+//     registered fleet workers, with held claims (an idle worker's claim
+//     waits for work), heartbeat renewal, retry with backoff, work
+//     stealing, health-probe eviction, and graceful degradation to the
+//     local lane while the fleet is empty. Serves /v1/dist/* for workers.
 //     Merged results are byte-identical to a standalone run.
 //   - worker: runs the normal server (so /readyz answers the coordinator's
 //     health probes) plus a claim→execute→report loop against
@@ -121,7 +122,7 @@ func main() {
 	workerID := flag.String("worker-id", "", "fleet worker identity (default <hostname>-<pid>)")
 	advertise := flag.String("advertise", "", "this worker's probeable base URL, e.g. http://10.0.0.5:8080 (empty = health probes skip it)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "coordinator per-lease heartbeat deadline (0 = 15s default)")
-	unitShards := flag.Int("unit-shards", 0, "coordinator work-unit granularity in shards (0 = default)")
+	unitShards := flag.Int("unit-shards", 0, "coordinator work-unit granularity in shards (0 = default 16)")
 	spotCheck := flag.Float64("spot-check", 0, "coordinator fraction of reported units re-executed locally to audit workers (0 = off, e.g. 0.1)")
 	chaosSpec := flag.String("chaos-spec", "", "JSON chaos scenario file: coordinator injects faults into /v1/dist/* serving, worker injects them into its coordinator RPCs (see DESIGN.md)")
 	version := flag.Bool("version", false, "print build version and exit")

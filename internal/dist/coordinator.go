@@ -47,7 +47,9 @@ type Config struct {
 	// sweep runs every TTL/4 and the health probes every TTL, a leased unit
 	// older than 2×TTL may be hedged, and a quarantine lasts 4×TTL.
 	LeaseTTL time.Duration
-	// UnitShards is the work-unit granularity in shards (default 4).
+	// UnitShards is the work-unit granularity in shards (default 16: a
+	// unit then runs for longer than its claim/report round trip, and unit
+	// boundaries never move a result byte).
 	UnitShards int
 	// Probe checks one worker's health endpoint, returning its readiness
 	// status ("ok", "draining", "saturated", ...) or an error for
@@ -77,7 +79,7 @@ func (c Config) withDefaults() Config {
 		c.LeaseTTL = 15 * time.Second
 	}
 	if c.UnitShards <= 0 {
-		c.UnitShards = 4
+		c.UnitShards = 16
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -107,6 +109,7 @@ type Stats struct {
 	Quarantines        int // workers quarantined
 	QuarantineReadmits int // workers re-admitted after their quarantine elapsed
 	IdemReplays        int // duplicate claim deliveries answered from the idempotency record
+	Degraded           int // jobs admitted while no worker was live
 }
 
 // Unit states.
@@ -124,6 +127,7 @@ type unit struct {
 	notBefore  time.Time            // backoff gate for re-dispatch
 	leases     map[string]time.Time // worker -> expiry (2 entries max: primary + hedge)
 	firstGrant time.Time            // straggler age reference
+	span       *obs.Span            // dist.unit: first grant (or local start) to acceptance
 	localOnly  bool                 // degraded to the local lane
 	localInFly bool                 // local lane currently executing it
 	verifying  bool                 // spot-check re-execution in flight
@@ -200,6 +204,8 @@ type Coordinator struct {
 	order   []string // job admission order (claim fairness)
 	workers map[string]*workerState
 	stats   Stats
+	// draining is set once Start's context ends: held claims answer at once.
+	draining bool
 }
 
 // NewCoordinator builds a coordinator.
@@ -344,37 +350,83 @@ type LeaseGrant struct {
 	Digest string `json:"digest,omitempty"`
 }
 
+// MaxHold caps how long Claim holds an empty claim: LeaseTTL/4, the sweep
+// period, so a held claim never outlives the lease machinery's pace.
+func (c *Coordinator) MaxHold() time.Duration { return c.cfg.LeaseTTL / 4 }
+
 // Claim hands the worker its next work unit, or nil when none is
 // available. Pending units gate on their backoff window; when nothing is
 // pending, an old straggler unit may be hedge-dispatched as a duplicate
 // lease (work stealing — first report wins).
 //
+// wait holds an empty claim here instead of answering nil at once: Claim
+// waits until a unit becomes claimable, wait (capped at MaxHold) elapses,
+// ctx ends or the coordinator drains, and checks for a grant once more
+// before it answers nil, so a unit held back by its requeue backoff is
+// granted no later than the end of the hold. 0 answers at once, and so
+// does a claim from a draining, evicted or quarantined worker.
+//
 // idemKey makes the claim safe under duplicated delivery: a repeat of the
 // worker's most recent key replays the recorded outcome (grant or no-work)
-// instead of leasing a second unit. Workers mint a fresh key per logical
+// instead of leasing a second unit. A repeat that arrives while the first
+// delivery is held holds beside it, and whichever answers first records
+// the outcome the other replays. Workers mint a fresh key per logical
 // claim; "" opts out (in-process callers that cannot be duplicated).
-func (c *Coordinator) Claim(_ context.Context, workerID, idemKey string) (*LeaseGrant, error) {
+func (c *Coordinator) Claim(ctx context.Context, workerID, idemKey string, wait time.Duration) (*LeaseGrant, error) {
 	if workerID == "" {
 		return nil, simerr.Invalidf("dist: claim: empty worker id")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.touchWorkerLocked(workerID)
-	now := c.cfg.Clock()
-	if idemKey != "" && idemKey == w.lastIdemKey {
-		c.stats.IdemReplays++
-		return w.lastGrant, nil
+	hold := ctx
+	if wait = min(wait, c.MaxHold()); wait > 0 {
+		var cancel context.CancelFunc
+		hold, cancel = context.WithTimeout(ctx, wait)
+		defer cancel()
+		defer c.wakeOnDone(hold)()
 	}
-	record := func(g *LeaseGrant) *LeaseGrant {
-		if idemKey != "" {
-			w.lastIdemKey, w.lastGrant = idemKey, g
+	for {
+		if idemKey != "" && idemKey == w.lastIdemKey {
+			c.stats.IdemReplays++
+			return w.lastGrant, nil
 		}
-		return g
+		now := c.cfg.Clock()
+		shunned := w.draining || w.evicted || c.quarantinedLocked(w, now)
+		var g *LeaseGrant
+		if !shunned {
+			g = c.nextGrantLocked(w, now)
+		}
+		if g != nil || shunned || wait <= 0 || hold.Err() != nil || c.draining {
+			if idemKey != "" {
+				w.lastIdemKey, w.lastGrant = idemKey, g
+			}
+			return g, nil
+		}
+		c.cond.Wait()
 	}
-	if w.draining || c.quarantinedLocked(w, now) {
-		return record(nil), nil
-	}
+}
 
+// wakeOnDone wakes every waiter on c.cond when ctx ends, so each re-checks
+// its own context; the returned stop ends the watch.
+func (c *Coordinator) wakeOnDone(ctx context.Context) (stop func()) {
+	done := make(chan struct{})
+	go func() {
+		select {
+		case <-ctx.Done():
+			c.mu.Lock()
+			c.cond.Broadcast()
+			c.mu.Unlock()
+		case <-done:
+		}
+	}()
+	return func() { close(done) }
+}
+
+// nextGrantLocked leases w the first runnable pending unit in admission
+// order or, with none, hedges the oldest straggler w does not hold; nil
+// when there is neither.
+func (c *Coordinator) nextGrantLocked(w *workerState, now time.Time) *LeaseGrant {
 	// Primary grants: first admitted job with a runnable pending unit.
 	for _, key := range c.order {
 		j := c.jobs[key]
@@ -385,7 +437,7 @@ func (c *Coordinator) Claim(_ context.Context, workerID, idemKey string) (*Lease
 			if u.state != unitPending || u.localOnly || u.localInFly || now.Before(u.notBefore) {
 				continue
 			}
-			return record(c.grantLocked(j, u, w, now, false)), nil
+			return c.grantLocked(j, u, w, now, false)
 		}
 	}
 	// Work stealing: hedge the oldest straggler not already held by this
@@ -403,7 +455,7 @@ func (c *Coordinator) Claim(_ context.Context, workerID, idemKey string) (*Lease
 			if u.state != unitLeased || len(u.leases) >= 2 {
 				continue
 			}
-			if _, mine := u.leases[workerID]; mine {
+			if _, mine := u.leases[w.id]; mine {
 				continue
 			}
 			if now.Sub(u.firstGrant) < 2*c.cfg.LeaseTTL {
@@ -415,9 +467,9 @@ func (c *Coordinator) Claim(_ context.Context, workerID, idemKey string) (*Lease
 		}
 	}
 	if hu != nil {
-		return record(c.grantLocked(hj, hu, w, now, true)), nil
+		return c.grantLocked(hj, hu, w, now, true)
 	}
-	return record(nil), nil
+	return nil
 }
 
 // grantLocked records a lease on u for w and builds the grant.
@@ -432,6 +484,7 @@ func (c *Coordinator) grantLocked(j *distJob, u *unit, w *workerState, now time.
 		u.firstGrant = now
 		u.attempts++
 	}
+	j.startUnitSpan(u)
 	if hedge {
 		c.stats.Steals++
 	}
@@ -668,8 +721,18 @@ func unitStatesEqual(aStates []json.RawMessage, aEvents []int, bStates []json.Ra
 	return true
 }
 
+// startUnitSpan opens u's dist.unit span the first time the unit runs
+// anywhere (its first grant, or the local lane), under the job's span and
+// on the job tracer's clock; acceptance closes it.
+func (j *distJob) startUnitSpan(u *unit) {
+	if u.span == nil && j.tracer != nil {
+		u.span = j.tracer.Start("dist.unit", j.span,
+			obs.Int("unit", u.idx), obs.Int("start", u.start), obs.Int("end", u.end))
+	}
+}
+
 // acceptUnitLocked marks a unit done, resolves its leases, grafts the
-// worker trace, and advances the fold.
+// worker trace into the unit's span, and advances the fold.
 func (c *Coordinator) acceptUnitLocked(j *distJob, u *unit, states []json.RawMessage, events []int, worker string, trace *obs.Trace) {
 	u.states = states
 	u.events = events
@@ -687,9 +750,13 @@ func (c *Coordinator) acceptUnitLocked(j *distJob, u *unit, states []json.RawMes
 	c.cfg.Flight.Record("lease.done", obs.String("worker", worker), obs.String("key", j.key),
 		obs.Int("start", u.start), obs.Int("end", u.end))
 	if trace != nil && j.tracer != nil {
-		j.tracer.Graft(j.span, *trace,
+		// The worker's clock is not ours: its window lands at the end of the
+		// unit span, where the report arrived, and never before the grant.
+		j.startUnitSpan(u)
+		j.tracer.Graft(u.span, *trace,
 			obs.String("worker", worker), obs.Int("unit", u.idx))
 	}
+	u.span.End()
 	c.advanceLocked(j)
 	c.cond.Broadcast()
 }
@@ -918,7 +985,9 @@ func (c *Coordinator) evictLeasesLocked(workerID string, now time.Time) {
 	}
 }
 
-// Start runs the background sweep + probe loops until ctx is done.
+// Start runs the background sweep + probe loops until ctx is done; then
+// the coordinator drains: held claims answer at once, and no claim holds
+// again.
 func (c *Coordinator) Start(ctx context.Context) {
 	go func() {
 		sweep := time.NewTicker(c.cfg.LeaseTTL / 4)
@@ -929,6 +998,7 @@ func (c *Coordinator) Start(ctx context.Context) {
 			select {
 			case <-ctx.Done():
 				c.mu.Lock()
+				c.draining = true
 				c.cond.Broadcast()
 				c.mu.Unlock()
 				return
@@ -954,9 +1024,17 @@ func (c *Coordinator) Start(ctx context.Context) {
 // therefore resumes on either lane. The hooks run under the coordinator
 // lock: keep them cheap and never call back into the coordinator.
 //
-// Degradation ladder: zero live workers at admission returns ErrNoWorkers
-// (the caller runs fully local); units that exhaust remote attempts — or
-// find the fleet empty mid-job — run on the local lane inside this call.
+// Degradation ladder: a unit that exhausts its remote attempts runs on the
+// local lane inside this call, and so does every pending unit while no
+// worker is live — from admission (a job recovered at boot, counted in
+// Stats.Degraded) or after the fleet is lost mid-job. A worker that
+// registers later claims the units left; its held claim wakes on the
+// registration.
+//
+// When the context carries a tracer, each unit records a dist.unit span
+// under the context's span, from its first grant (or local start) to its
+// acceptance; a worker's window trace is grafted inside it and a local
+// window runs under it.
 func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json.RawMessage, core Core, plan Plan) ([]byte, simrun.Status, error) {
 	plan = plan.Normalized()
 	if plan.Shots <= 0 {
@@ -976,13 +1054,12 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 	}
 
 	c.mu.Lock()
-	if !c.liveWorkerLocked() {
-		c.mu.Unlock()
-		return nil, simrun.Status{}, ErrNoWorkers
-	}
 	if _, dup := c.jobs[key]; dup {
 		c.mu.Unlock()
 		return nil, simrun.Status{}, simerr.Invalidf("dist: job %.16s already executing", key)
+	}
+	if !c.liveWorkerLocked() {
+		c.stats.Degraded++
 	}
 	j := &distJob{
 		kind: kind, key: key, params: params, plan: plan, core: core,
@@ -1021,19 +1098,7 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 	}
 	c.advanceLocked(j)
 	c.cond.Broadcast()
-
-	// Wake the wait loop on ctx cancellation.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.mu.Lock()
-			c.cond.Broadcast()
-			c.mu.Unlock()
-		case <-stop:
-		}
-	}()
+	defer c.wakeOnDone(ctx)()
 
 	for !j.finished && j.err == nil {
 		if ctx.Err() != nil {
@@ -1050,8 +1115,10 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 		if u := c.nextLocalUnitLocked(j); u != nil {
 			u.localInFly = true
 			c.stats.LocalUnits++
+			j.startUnitSpan(u)
+			uctx := obs.ContextWithSpan(ctx, j.tracer, u.span)
 			c.mu.Unlock()
-			states, events, err := core.RunWindow(ctx, plan, u.start, u.end)
+			states, events, err := core.RunWindow(uctx, plan, u.start, u.end)
 			c.mu.Lock()
 			u.localInFly = false
 			switch {
@@ -1069,6 +1136,10 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 		c.cond.Wait()
 	}
 
+	// Units still in flight when the job stops end their spans with it.
+	for _, u := range j.units {
+		u.span.End()
+	}
 	result, status, err := j.result, j.status, j.err
 	delete(c.jobs, key)
 	for i, k := range c.order {
@@ -1085,9 +1156,9 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 }
 
 // nextLocalUnitLocked picks a unit the coordinator itself must run: one
-// degraded to the local lane, or — when the fleet has zero live workers
-// mid-job — any runnable pending unit (graceful degradation instead of a
-// stalled job).
+// degraded to the local lane, or — while the fleet has zero live workers —
+// any runnable pending unit (graceful degradation instead of a stalled
+// job).
 func (c *Coordinator) nextLocalUnitLocked(j *distJob) *unit {
 	fleetDown := !c.liveWorkerLocked()
 	for _, u := range j.units {

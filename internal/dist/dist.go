@@ -17,10 +17,13 @@
 //   - shard-result upload is idempotent, keyed by (job, shard range):
 //     duplicate and late completions are deduplicated, never
 //     double-counted,
+//   - an idle worker's claim waits at the coordinator for work (up to
+//     LeaseTTL/4) instead of sleeping between polls, so a job's first
+//     grant leaves the moment the job is admitted,
 //   - degradation is graceful: a unit that exhausts its remote attempts
-//     falls back to the coordinator's local lane, and a job admitted with
-//     zero reachable workers runs fully in-process (ErrNoWorkers tells the
-//     caller to run the core's RunFull instead),
+//     falls back to the coordinator's local lane, and while no worker is
+//     live (a job admitted at boot, or a fleet lost mid-job) pending units
+//     run there too, until a worker registers and claims the rest,
 //   - crash safety is the job's own checkpoint: Execute drives the
 //     Progress, Checkpoint and Resume hooks of the core's simrun.Options
 //     as RunFull does, so the coordinator keeps no durable state of its
@@ -56,11 +59,6 @@ import (
 
 	"context"
 )
-
-// ErrNoWorkers is returned by Coordinator.Execute when the fleet has zero
-// live workers at admission: the caller should run the job fully locally
-// through Core.RunFull (graceful degradation) rather than fail it.
-var ErrNoWorkers = errors.New("dist: no live workers")
 
 // ErrGone is the renewal/report verdict for a lease the coordinator no
 // longer recognises (expired and re-dispatched, job finished, or
@@ -138,9 +136,8 @@ type Core interface {
 	// states.
 	RunWindow(ctx context.Context, p Plan, start, end int) (states []json.RawMessage, events []int, err error)
 	// RunFull runs the whole plan locally through simrun.RunSharded — the
-	// standalone path, taken whenever no live fleet runs the job, sharing
-	// merge and finish with the fold so local and distributed results
-	// cannot drift.
+	// standalone path, sharing merge and finish with the fold so local and
+	// distributed results cannot drift.
 	RunFull(ctx context.Context, p Plan) ([]byte, simrun.Status, error)
 	// options returns the engine options the core was built with; the
 	// coordinator drives their Progress, Checkpoint and Resume as RunFull

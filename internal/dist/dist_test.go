@@ -179,7 +179,7 @@ func drainClaims(t *testing.T, c *Coordinator, worker string) []*LeaseGrant {
 	t.Helper()
 	var out []*LeaseGrant
 	for {
-		g, err := c.Claim(context.Background(), worker, "")
+		g, err := c.Claim(context.Background(), worker, "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func waitGrant(t *testing.T, c *Coordinator, worker string) *LeaseGrant {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		g, err := c.Claim(context.Background(), worker, "")
+		g, err := c.Claim(context.Background(), worker, "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,12 +237,25 @@ func waitOutcome(t *testing.T, ch chan execOutcome) execOutcome {
 	}
 }
 
-func TestExecuteNoWorkersIsTyped(t *testing.T) {
-	c := NewCoordinator(Config{})
+// TestExecuteNoWorkersRunsLocal: a job admitted with no worker registered
+// runs every unit on the local lane, returns RunFull's bytes and status,
+// and counts as one degraded job.
+func TestExecuteNoWorkersRunsLocal(t *testing.T) {
+	c := NewCoordinator(Config{UnitShards: 3})
 	core := toyCore(1)
-	_, _, err := c.Execute(context.Background(), "toy", "kx", nil, core, toyPlan)
-	if !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("want ErrNoWorkers, got %v", err)
+	want, wantSt, err := core.RunFull(context.Background(), toyPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, st, err := c.Execute(context.Background(), "toy", "kx", nil, core, toyPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != string(want) || st != wantSt {
+		t.Fatalf("no-worker run: %s %+v, want RunFull's %s %+v", body, st, want, wantSt)
+	}
+	if s := c.Stats(); s.Degraded != 1 || s.LocalUnits != 6 || s.Grants != 0 {
+		t.Fatalf("stats %+v, want 1 degraded job and all 6 units local", s)
 	}
 }
 
@@ -299,7 +312,7 @@ func TestLeaseExpiryRequeuesAndRetries(t *testing.T) {
 	// The doomed worker grabs the first unit and dies.
 	var dead *LeaseGrant
 	for dead == nil {
-		g, err := c.Claim(context.Background(), "dead", "")
+		g, err := c.Claim(context.Background(), "dead", "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +419,7 @@ func TestHedgedStealFirstReportWins(t *testing.T) {
 	// Not yet old enough to hedge (2×TTL), while the slow worker renews its
 	// lease across that threshold.
 	for i := 0; i < 2; i++ {
-		if g, _ := c.Claim(context.Background(), "fast", ""); g != nil {
+		if g, _ := c.Claim(context.Background(), "fast", "", 0); g != nil {
 			t.Fatalf("premature hedge: %+v", g)
 		}
 		clk.Advance(8 * time.Second)
@@ -415,7 +428,7 @@ func TestHedgedStealFirstReportWins(t *testing.T) {
 		}
 	}
 	clk.Advance(5 * time.Second) // 21s: straggler threshold crossed, lease live until 26s
-	hedge, err := c.Claim(context.Background(), "fast", "")
+	hedge, err := c.Claim(context.Background(), "fast", "", 0)
 	if err != nil || hedge == nil {
 		t.Fatalf("expected hedged grant, got %+v err=%v", hedge, err)
 	}
@@ -488,7 +501,7 @@ func TestProbeEvictionRequeuesAndReadmits(t *testing.T) {
 		t.Fatalf("readmission not counted: %+v", st)
 	}
 	clk.Advance(time.Minute)
-	g2, err := c.Claim(context.Background(), "w1", "")
+	g2, err := c.Claim(context.Background(), "w1", "", 0)
 	if err != nil || g2 == nil {
 		t.Fatalf("re-admitted worker got no work: %+v err=%v", g2, err)
 	}
@@ -519,7 +532,7 @@ func TestDrainingWorkerIsLeaseNonRenewable(t *testing.T) {
 	if err := c.Renew(context.Background(), "w1", g.Key, g.Start, g.End); err != nil {
 		t.Fatalf("draining renew must be accepted: %v", err)
 	}
-	if g2, _ := c.Claim(context.Background(), "w1", ""); g2 != nil {
+	if g2, _ := c.Claim(context.Background(), "w1", "", 0); g2 != nil {
 		t.Fatalf("draining worker must get no new work, got %+v", g2)
 	}
 	clk.Advance(11 * time.Second)
@@ -541,7 +554,7 @@ func mustGrant(t *testing.T, c *Coordinator, clk *fakeClock, worker string) *Lea
 	c.Register(context.Background(), WorkerInfo{ID: worker})
 	clk.Advance(time.Minute)
 	c.Sweep(clk.Now())
-	g, err := c.Claim(context.Background(), worker, "")
+	g, err := c.Claim(context.Background(), worker, "", 0)
 	if err != nil || g == nil {
 		t.Fatalf("no grant for %s (err=%v)", worker, err)
 	}

@@ -2,8 +2,10 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -70,7 +72,7 @@ func TestFleetSnapshotStatesAndJobs(t *testing.T) {
 	report(t, c, core, "w-a", g)
 	for {
 		var err error
-		if g, err = c.Claim(context.Background(), "w-a", ""); err != nil {
+		if g, err = c.Claim(context.Background(), "w-a", "", 0); err != nil {
 			t.Fatal(err)
 		}
 		if g == nil {
@@ -121,7 +123,7 @@ func TestFleetSnapshotQuarantineIsReadOnly(t *testing.T) {
 	if st := c.Stats(); st.QuarantineReadmits != 0 {
 		t.Fatalf("snapshot flipped quarantine state: %+v", st)
 	}
-	g, err := c.Claim(context.Background(), "liar", "")
+	g, err := c.Claim(context.Background(), "liar", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestFleetSnapshotQuarantineIsReadOnly(t *testing.T) {
 	// leaving a claimed grant unreported would stall Execute.
 	for g != nil {
 		report(t, c, core, "liar", g)
-		if g, err = c.Claim(context.Background(), "liar", ""); err != nil {
+		if g, err = c.Claim(context.Background(), "liar", "", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +215,7 @@ func TestCoordinatorFlightEvents(t *testing.T) {
 	// advancing past the not-before whenever no grant is available.
 	var done *execOutcome
 	for deadline := time.Now().Add(10 * time.Second); done == nil && time.Now().Before(deadline); {
-		g, err := c.Claim(context.Background(), "w1", "")
+		g, err := c.Claim(context.Background(), "w1", "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,4 +324,93 @@ func TestQuarantinedMidJobTraceGraftsOnce(t *testing.T) {
 	if err := trace.Check(); err != nil {
 		t.Fatalf("grafted trace fails invariants: %v", err)
 	}
+}
+
+// TestFleetTraceAddsUp: each unit of a traced fleet job records a dist.unit
+// span from its grant to its acceptance, every worker window is grafted
+// inside its unit's span, and so the job's per-stage self times sum to the
+// job span. One worker on one engine lane keeps every stage sequential, so
+// no two siblings overlap.
+func TestFleetTraceAddsUp(t *testing.T) {
+	c := NewCoordinator(Config{LeaseTTL: 5 * time.Second, UnitShards: 3})
+	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w, err := NewWorker(WorkerConfig{ID: "w1", Coordinator: c, PollInterval: 5 * time.Millisecond, Seed: 1, Trace: true,
+		Cores: func(string, json.RawMessage) (Core, error) { return toyCore(1), nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx) //nolint:errcheck // ends by cancellation
+	}()
+	tracer := obs.NewTracer(obs.TracerConfig{ID: "job"})
+	job := tracer.Start("executor", nil)
+	if _, _, err := c.Execute(obs.ContextWithSpan(ctx, tracer, job), "toy", "k-trace", nil, toyCore(1), toyPlan); err != nil {
+		t.Fatal(err)
+	}
+	job.End()
+	cancel()
+	<-done
+
+	tr := tracer.Snapshot()
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	byID := map[uint64]obs.SpanData{}
+	units := 0
+	for _, sp := range tr.Spans {
+		byID[sp.ID] = sp
+		if sp.Name == "dist.unit" {
+			units++
+		}
+	}
+	grafts := 0
+	for _, sp := range tr.Spans {
+		if sp.Attr("worker") != "w1" {
+			continue
+		}
+		grafts++
+		if u := byID[sp.Parent]; u.Name != "dist.unit" || sp.StartNS < u.StartNS || sp.EndNS > u.EndNS {
+			t.Errorf("window %s [%d,%d] lies outside its unit span %s [%d,%d]",
+				sp.Name, sp.StartNS, sp.EndNS, u.Name, u.StartNS, u.EndNS)
+		}
+	}
+	// 16 shards in units of 3.
+	if units != 6 || grafts != 6 {
+		t.Fatalf("%d unit spans and %d grafted windows, want 6 of each", units, grafts)
+	}
+	var sum int64
+	for _, self := range selfNS(tr.Spans) {
+		sum += self
+	}
+	if d := byID[job.ID()].DurNS(); sum != d {
+		t.Fatalf("per-stage self times sum to %dns, the job span is %dns", sum, d)
+	}
+}
+
+// selfNS is each span's duration less the union of its children's.
+func selfNS(spans []obs.SpanData) map[uint64]int64 {
+	kids := map[uint64][][2]int64{}
+	for _, sp := range spans {
+		if sp.Parent != 0 {
+			kids[sp.Parent] = append(kids[sp.Parent], [2]int64{sp.StartNS, sp.EndNS})
+		}
+	}
+	self := make(map[uint64]int64, len(spans))
+	for _, sp := range spans {
+		ks := kids[sp.ID]
+		sort.Slice(ks, func(i, j int) bool { return ks[i][0] < ks[j][0] })
+		covered, reach := int64(0), sp.StartNS
+		for _, k := range ks {
+			if s, e := max(k[0], reach), min(k[1], sp.EndNS); e > s {
+				covered += e - s
+				reach = e
+			}
+		}
+		self[sp.ID] = sp.DurNS() - covered
+	}
+	return self
 }

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"qisim/internal/checkpoint"
 	"qisim/internal/metrics"
@@ -166,6 +167,60 @@ func FuzzLeaseGrant(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, got) || back.Digest != got.Digest {
 			t.Fatalf("round trip changed the grant:\n got  %+v\n back %+v", got, back)
+		}
+	})
+}
+
+// FuzzClaimRequest hammers DecodeClaimRequest, the coordinator's decoder
+// of a claim body, with arbitrary bytes and hold caps. The invariants
+// under fuzz:
+//
+//  1. DecodeClaimRequest never panics;
+//  2. a failure is always a typed simerr.ErrInvalidConfig;
+//  3. an accepted request names a worker and asks for a hold in
+//     [0, cap], and it re-encodes, as Client.Claim sends it, to a body
+//     that decodes to the same request.
+func FuzzClaimRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"worker":"w1","idem_key":"w1.c7","wait_ms":250}`,
+		`{"worker":"w1"}`,
+		`{"worker":"w1","wait_ms":-5}`,
+		`{"worker":"w1","wait_ms":9223372036854775807}`,
+		`{"worker":"w1","wait_ms":1e3}`,
+		`{"worker":"","wait_ms":10}`,
+		`{"idem_key":"k"}`,
+		`{"worker":"w1","wait_ms":"10"}`,
+		`{"worker":"w1"} trailing`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(body), int64(3750))
+	}
+	f.Add([]byte(`{"worker":"w1","wait_ms":40}`), int64(0))
+	f.Add([]byte(`{"worker":"w1","wait_ms":40}`), int64(-1))
+
+	f.Fuzz(func(t *testing.T, data []byte, capMS int64) {
+		maxWait := time.Duration(min(max(capMS, 0), math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
+		got, err := DecodeClaimRequest(bytes.NewReader(data), maxWait)
+		if err != nil {
+			if !errors.Is(err, simerr.ErrInvalidConfig) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		if got.Worker == "" {
+			t.Fatalf("accepted a claim without a worker: %+v", got)
+		}
+		if w := got.Wait(); w < 0 || w > maxWait {
+			t.Fatalf("decoded hold %v outside [0, %v]", w, maxWait)
+		}
+		enc, err := json.Marshal(got)
+		if err != nil {
+			t.Fatalf("re-encode of an accepted claim failed: %v", err)
+		}
+		back, err := DecodeClaimRequest(bytes.NewReader(enc), maxWait)
+		if err != nil || back != got {
+			t.Fatalf("round trip changed the claim: %+v → %s → %+v, %v", got, enc, back, err)
 		}
 	})
 }

@@ -89,7 +89,7 @@ func driveOneByOne(t *testing.T, c *Coordinator, core Core, ch chan execOutcome)
 			return o, starts
 		default:
 		}
-		g, err := c.Claim(context.Background(), "w1", "")
+		g, err := c.Claim(context.Background(), "w1", "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func TestSpotCheckPassRaisesTrust(t *testing.T) {
 	for g != nil {
 		report(t, c, core, "honest", g)
 		var err error
-		if g, err = c.Claim(context.Background(), "honest", ""); err != nil {
+		if g, err = c.Claim(context.Background(), "honest", "", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestSpotCheckMismatchQuarantinesAndCompletes(t *testing.T) {
 	}
 
 	// Quarantined: no grants, and a further report is told to abandon.
-	if g2, err := c.Claim(context.Background(), "liar", ""); err != nil || g2 != nil {
+	if g2, err := c.Claim(context.Background(), "liar", "", 0); err != nil || g2 != nil {
 		t.Fatalf("quarantined worker claimed a grant: %v %v", g2, err)
 	}
 	if err := c.Report(context.Background(), "liar", body); !errors.Is(err, ErrGone) {
@@ -136,7 +136,7 @@ func TestSpotCheckMismatchQuarantinesAndCompletes(t *testing.T) {
 
 	// Timed re-admission: after 4×LeaseTTL the worker may claim again.
 	clk.Advance(5 * time.Minute)
-	if _, err := c.Claim(context.Background(), "liar", ""); err != nil {
+	if _, err := c.Claim(context.Background(), "liar", "", 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.QuarantineReadmits != 1 {
@@ -276,7 +276,7 @@ func TestTouchDoesNotClearQuarantine(t *testing.T) {
 	c.mu.Unlock()
 	// Registration, claims, renew attempts — none of them lift quarantine.
 	c.Register(context.Background(), WorkerInfo{ID: "w"}) //nolint:errcheck
-	if g, _ := c.Claim(context.Background(), "w", ""); g != nil {
+	if g, _ := c.Claim(context.Background(), "w", "", 0); g != nil {
 		t.Fatal("quarantined worker got a grant after re-register")
 	}
 	c.mu.Lock()
@@ -298,7 +298,7 @@ func TestClaimIdempotencyKeyReplaysGrant(t *testing.T) {
 	grantsAfterFirst := c.Stats().Grants
 	// The duplicated delivery: same idempotency key → the SAME grant, no
 	// second lease, no extra grant counted.
-	g1b, err := c.Claim(context.Background(), "w1", "claim-1")
+	g1b, err := c.Claim(context.Background(), "w1", "claim-1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestClaimIdempotencyKeyReplaysGrant(t *testing.T) {
 		t.Fatalf("replay leaked a grant: %+v (had %d grants)", st, grantsAfterFirst)
 	}
 	// A fresh key gets fresh work.
-	g2, err := c.Claim(context.Background(), "w1", "claim-2")
+	g2, err := c.Claim(context.Background(), "w1", "claim-2", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestClaimIdempotencyKeyReplaysGrant(t *testing.T) {
 	report(t, c, core, "w1", g1)
 	report(t, c, core, "w1", g2)
 	for {
-		g, err := c.Claim(context.Background(), "w1", "")
+		g, err := c.Claim(context.Background(), "w1", "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func waitGrantIdem(t *testing.T, c *Coordinator, worker, idemKey string) *LeaseG
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		g, err := c.Claim(context.Background(), worker, idemKey)
+		g, err := c.Claim(context.Background(), worker, idemKey, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,9 +453,10 @@ func TestClientJittersWithoutRand(t *testing.T) {
 }
 
 // TestWorkersWithoutSeedDrawApart: two workers built without a Seed, as
-// qisimd -role worker builds them, draw different jitter for their idle
-// polls, claim backoff and report retries, so workers started together do
-// not poll and retry in step. Workers with a Seed keep their sequence.
+// qisimd -role worker builds them, draw different jitter for the wait after
+// an early-answered claim, claim backoff and report retries, so workers
+// started together do not claim and retry in step. Workers with a Seed
+// keep their sequence.
 func TestWorkersWithoutSeedDrawApart(t *testing.T) {
 	draws := func(seed int64) [4]float64 {
 		w, err := NewWorker(WorkerConfig{ID: "w", Coordinator: &goneReportCoord{}, Cores: func(string, json.RawMessage) (Core, error) {
@@ -513,7 +514,7 @@ func TestClientRejectsTamperedGrant(t *testing.T) {
 			json.NewEncoder(w).Encode(g) //nolint:errcheck
 		}))
 		cl := &Client{Base: srv.URL, MaxAttempts: 1}
-		_, err := cl.Claim(context.Background(), "w", "c1")
+		_, err := cl.Claim(context.Background(), "w", "c1", 0)
 		srv.Close()
 		if err == nil {
 			t.Fatalf("%s: corrupted grant accepted", name)
@@ -525,7 +526,7 @@ func TestClientRejectsTamperedGrant(t *testing.T) {
 	}))
 	defer srv.Close()
 	cl := &Client{Base: srv.URL, MaxAttempts: 1}
-	got, err := cl.Claim(context.Background(), "w", "c1")
+	got, err := cl.Claim(context.Background(), "w", "c1", 0)
 	if err != nil || got == nil || got.Start != grant.Start || got.End != grant.End {
 		t.Fatalf("valid grant refused: %+v %v", got, err)
 	}
@@ -546,7 +547,7 @@ func TestClaimDigestMismatchRetriesSameIdemKey(t *testing.T) {
 	var mu sync.Mutex
 	var keys []string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req claimRequest
+		var req ClaimRequest
 		json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck
 		mu.Lock()
 		keys = append(keys, req.IdemKey)
@@ -563,7 +564,7 @@ func TestClaimDigestMismatchRetriesSameIdemKey(t *testing.T) {
 		Backoff: backoff.Policy{Base: time.Millisecond, Cap: time.Millisecond, Factor: 2},
 		Rand:    func() float64 { return 0 },
 	}
-	got, err := cl.Claim(context.Background(), "w", "claim-7")
+	got, err := cl.Claim(context.Background(), "w", "claim-7", 0)
 	if err != nil || got == nil || got.Start != grant.Start || got.End != grant.End {
 		t.Fatalf("claim after corrupted first response: %+v %v", got, err)
 	}
@@ -581,7 +582,7 @@ type goneReportCoord struct {
 }
 
 func (f *goneReportCoord) Register(context.Context, WorkerInfo) error { return nil }
-func (f *goneReportCoord) Claim(context.Context, string, string) (*LeaseGrant, error) {
+func (f *goneReportCoord) Claim(context.Context, string, string, time.Duration) (*LeaseGrant, error) {
 	return nil, nil
 }
 func (f *goneReportCoord) Renew(context.Context, string, string, int, int) error {

@@ -30,8 +30,9 @@ type CoordinatorAPI interface {
 	// Claim returns the next work unit, or nil when none is available.
 	// idemKey is the claim's idempotency key: a duplicated delivery of the
 	// same key replays the same outcome instead of leasing a second unit
-	// ("" opts out).
-	Claim(ctx context.Context, workerID, idemKey string) (*LeaseGrant, error)
+	// ("" opts out). wait is how long the coordinator may hold the claim
+	// for work to arrive before it answers nil (0 = answer at once).
+	Claim(ctx context.Context, workerID, idemKey string, wait time.Duration) (*LeaseGrant, error)
 	// Renew extends a lease; ErrGone means abandon the unit.
 	Renew(ctx context.Context, workerID, key string, start, end int) error
 	// Report uploads a unit result container (idempotent).
@@ -51,14 +52,18 @@ type WorkerConfig struct {
 	Advertise string
 	// Cores rebuilds the per-kind execution core for claimed grants.
 	Cores CoreBuilder
-	// PollInterval paces claim attempts when no work is available
-	// (default 250ms).
+	// PollInterval is the longest the coordinator holds an empty claim
+	// before it answers "no work" (default 250ms; the coordinator caps it
+	// at LeaseTTL/4). After a held empty answer the worker claims again at
+	// once; an answer that came back sooner (a quarantined worker, or a
+	// coordinator that does not hold) waits out the rest of a jittered
+	// PollInterval, so an idle worker sends about one claim per interval.
 	PollInterval time.Duration
 	// Backoff paces retries of failed coordinator calls (zero =
 	// backoff.Default).
 	Backoff backoff.Policy
-	// Seed seeds the jitter of idle polls, claim backoff and report
-	// retries (0 = a random seed, so workers started together draw
+	// Seed seeds the jitter of early-answered claims, claim backoff and
+	// report retries (0 = a random seed, so workers started together draw
 	// apart). Jitter never touches simulation results.
 	Seed   int64
 	Logger *slog.Logger
@@ -151,7 +156,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		// One idempotency key per logical claim: transport-level retries
 		// and duplicated deliveries of THIS claim collapse to one lease.
 		idemKey := fmt.Sprintf("%s.c%d", w.cfg.ID, w.claimSeq.Add(1))
-		grant, err := w.cfg.Coordinator.Claim(ctx, w.cfg.ID, idemKey)
+		asked := time.Now()
+		grant, err := w.cfg.Coordinator.Claim(ctx, w.cfg.ID, idemKey, w.cfg.PollInterval)
 		if err != nil {
 			w.cfg.Logger.Warn("dist: claim failed", "worker", w.cfg.ID, "err", err)
 			if !backoff.Sleep(ctx, w.cfg.Backoff.Delay(0, w.randFloat)) {
@@ -160,10 +166,14 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		if grant == nil {
-			// No work: jittered poll so an idle fleet does not stampede.
-			d := w.cfg.PollInterval/2 + time.Duration(w.randFloat()*float64(w.cfg.PollInterval))
-			if !backoff.Sleep(ctx, d) {
-				break
+			// No work after a full hold: claim again at once. An answer that
+			// came back early waits out the rest of a jittered poll, so an
+			// idle fleet neither spins nor stampedes.
+			if held := time.Since(asked); held < w.cfg.PollInterval {
+				d := w.cfg.PollInterval/2 + time.Duration(w.randFloat()*float64(w.cfg.PollInterval)) - held
+				if !backoff.Sleep(ctx, d) {
+					break
+				}
 			}
 			continue
 		}
@@ -438,15 +448,33 @@ func (c *Client) Register(ctx context.Context, info WorkerInfo) error {
 	return err
 }
 
-type claimRequest struct {
+// ClaimRequest is the body of POST /v1/dist/claim.
+type ClaimRequest struct {
 	Worker string `json:"worker"`
 	// IdemKey is the claim's idempotency key (see CoordinatorAPI.Claim).
 	IdemKey string `json:"idem_key,omitempty"`
+	// WaitMS is how long the coordinator may hold the claim, in
+	// milliseconds (see CoordinatorAPI.Claim).
+	WaitMS int64 `json:"wait_ms,omitempty"`
+}
+
+// Wait is the claim's hold as a duration.
+func (r ClaimRequest) Wait() time.Duration { return time.Duration(r.WaitMS) * time.Millisecond }
+
+// DecodeClaimRequest reads a claim body. It refuses a body that does not
+// decode or names no worker, and clamps WaitMS into [0, maxWait].
+func DecodeClaimRequest(r io.Reader, maxWait time.Duration) (ClaimRequest, error) {
+	var req ClaimRequest
+	if err := json.NewDecoder(r).Decode(&req); err != nil || req.Worker == "" {
+		return ClaimRequest{}, simerr.Invalidf("dist: claim needs a worker id")
+	}
+	req.WaitMS = max(min(req.WaitMS, maxWait.Milliseconds()), 0)
+	return req, nil
 }
 
 // Claim implements CoordinatorAPI (nil grant = no work, from 204).
-func (c *Client) Claim(ctx context.Context, workerID, idemKey string) (*LeaseGrant, error) {
-	body, err := json.Marshal(claimRequest{Worker: workerID, IdemKey: idemKey})
+func (c *Client) Claim(ctx context.Context, workerID, idemKey string, wait time.Duration) (*LeaseGrant, error) {
+	body, err := json.Marshal(ClaimRequest{Worker: workerID, IdemKey: idemKey, WaitMS: wait.Milliseconds()})
 	if err != nil {
 		return nil, err
 	}
@@ -480,16 +508,27 @@ func (c *Client) Claim(ctx context.Context, workerID, idemKey string) (*LeaseGra
 	}
 }
 
-type renewRequest struct {
+// RenewRequest is the body of POST /v1/dist/renew.
+type RenewRequest struct {
 	Worker string `json:"worker"`
 	Key    string `json:"key"`
 	Start  int    `json:"start"`
 	End    int    `json:"end"`
 }
 
+// DecodeRenewRequest reads a renew body. It refuses a body that does not
+// decode or names no worker.
+func DecodeRenewRequest(r io.Reader) (RenewRequest, error) {
+	var req RenewRequest
+	if err := json.NewDecoder(r).Decode(&req); err != nil || req.Worker == "" {
+		return RenewRequest{}, simerr.Invalidf("dist: renew needs worker, key and range")
+	}
+	return req, nil
+}
+
 // Renew implements CoordinatorAPI (410 → ErrGone, not retried).
 func (c *Client) Renew(ctx context.Context, workerID, key string, start, end int) error {
-	body, err := json.Marshal(renewRequest{Worker: workerID, Key: key, Start: start, End: end})
+	body, err := json.Marshal(RenewRequest{Worker: workerID, Key: key, Start: start, End: end})
 	if err != nil {
 		return err
 	}

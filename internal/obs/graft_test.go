@@ -2,6 +2,7 @@ package obs
 
 import (
 	"testing"
+	"time"
 )
 
 // remoteTrace builds a two-level trace on its own tracer (its own epoch and
@@ -16,9 +17,12 @@ func remoteTrace() Trace {
 }
 
 func TestGraftRemapsAndReparents(t *testing.T) {
-	tr := NewTracer(TracerConfig{ID: "coord", Clock: stepClock()})
+	now := time.Unix(0, 0)
+	tr := NewTracer(TracerConfig{ID: "coord", Clock: func() time.Time { return now }})
 	job := tr.Start("job", nil)
+	now = now.Add(10 * time.Millisecond)
 	lease := tr.Start("dist.lease", job)
+	now = now.Add(20 * time.Millisecond) // the report arrives 30ms in
 
 	sub := remoteTrace()
 	if n := tr.Graft(lease, sub, String("worker", "w1")); n != 2 {
@@ -48,13 +52,17 @@ func TestGraftRemapsAndReparents(t *testing.T) {
 	if byName["shard"].Parent != win.ID {
 		t.Fatalf("internal edge lost: shard parent = %d, want %d", byName["shard"].Parent, win.ID)
 	}
-	// Time shift: the grafted root starts exactly at the graft point's
-	// start, and internal relative timing is preserved.
-	if win.StartNS != byName["dist.lease"].StartNS {
-		t.Fatalf("grafted root start %d != lease start %d", win.StartNS, byName["dist.lease"].StartNS)
+	// Time shift: the grafted root ends at the graft moment, inside the
+	// lease, and internal relative timing is preserved.
+	if win.EndNS != (30*time.Millisecond).Nanoseconds() || win.StartNS < byName["dist.lease"].StartNS {
+		t.Fatalf("grafted root [%d,%d], want it to end at the graft moment 30ms inside the lease from %d",
+			win.StartNS, win.EndNS, byName["dist.lease"].StartNS)
 	}
 	if d := byName["shard"].StartNS - win.StartNS; d != sub.Spans[1].StartNS-sub.Spans[0].StartNS {
 		t.Fatalf("relative offset changed: %d", d)
+	}
+	if err := sn.Check(); err != nil {
+		t.Fatal(err)
 	}
 	// Root picked up the graft attrs; the child did not.
 	foundWorker := false
@@ -70,6 +78,19 @@ func TestGraftRemapsAndReparents(t *testing.T) {
 		if a.Key == "worker" {
 			t.Fatal("graft attrs leaked onto a non-root span")
 		}
+	}
+
+	// A remote trace longer than the lease has run loses its head: it is
+	// clamped to start where the lease starts.
+	open := tr.Start("dist.lease", job)
+	now = now.Add(5 * time.Millisecond)
+	long := Trace{Spans: []SpanData{{ID: 1, Name: "mc.window", StartNS: 0, EndNS: (50 * time.Millisecond).Nanoseconds()}}}
+	tr.Graft(open, long)
+	open.End()
+	got := tr.Snapshot().Spans
+	last := got[len(got)-1]
+	if last.StartNS != (30*time.Millisecond).Nanoseconds() || last.EndNS != (35*time.Millisecond).Nanoseconds() {
+		t.Fatalf("long graft [%d,%d], want clamped to the lease [30ms,35ms]", last.StartNS, last.EndNS)
 	}
 }
 

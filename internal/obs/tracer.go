@@ -160,13 +160,17 @@ func (t *Tracer) Snapshot() Trace {
 // re-recorded on t with a freshly allocated local ID, sub's internal
 // parent/child edges preserved via an ID remap, root spans re-parented to
 // parent (top-level if parent is nil), and all timestamps shifted so sub's
-// earliest span start aligns with parent's start — remote clocks and the
-// local epoch never agree, so only sub's internal relative timing is
-// trusted. attrs are appended to each grafted root span (typically the
-// worker identity). Spans past the buffer bound are counted as dropped,
-// and sub's own dropped count carries over. Returns the number of spans
-// grafted. This is how a coordinator stitches per-shard worker traces into
-// the job trace served by /v1/jobs/{id}/trace.
+// latest span end lands at the graft moment — remote clocks and the local
+// epoch never agree, so only sub's internal relative timing is trusted, and
+// the one local fact is that the remote work was done by the time its
+// trace arrived. A span the shift would start before parent (before the
+// tracer's epoch, without one) is clamped to start there, so the graft
+// stays inside parent. attrs are appended to each grafted root span
+// (typically the worker identity). Spans past the buffer bound are counted
+// as dropped, and sub's own dropped count carries over. Returns the number
+// of spans grafted. This is how a coordinator stitches each worker's
+// window trace into its unit's span of the job trace served by
+// /v1/jobs/{id}/trace.
 func (t *Tracer) Graft(parent *Span, sub Trace, attrs ...Attr) int {
 	if t == nil || len(sub.Spans) == 0 {
 		if t != nil && sub.Dropped > 0 {
@@ -180,19 +184,15 @@ func (t *Tracer) Graft(parent *Span, sub Trace, attrs ...Attr) int {
 	defer t.mu.Unlock()
 	t.dropped += sub.Dropped
 
-	minStart := sub.Spans[0].StartNS
+	maxEnd := sub.Spans[0].EndNS
 	for _, sd := range sub.Spans[1:] {
-		if sd.StartNS < minStart {
-			minStart = sd.StartNS
-		}
+		maxEnd = max(maxEnd, sd.EndNS)
 	}
-	anchor := t.sinceEpochLocked()
-	parentID := uint64(0)
+	shift := t.sinceEpochLocked() - maxEnd
+	parentID, floor := uint64(0), int64(0)
 	if parent != nil {
-		parentID = parent.id
-		anchor = parent.startNS
+		parentID, floor = parent.id, parent.startNS
 	}
-	shift := anchor - minStart
 
 	remap := make(map[uint64]uint64, len(sub.Spans))
 	grafted := 0
@@ -207,8 +207,8 @@ func (t *Tracer) Graft(parent *Span, sub Trace, attrs ...Attr) int {
 			tr:      t,
 			id:      t.nextID,
 			name:    sd.Name,
-			startNS: sd.StartNS + shift,
-			endNS:   sd.EndNS + shift,
+			startNS: max(sd.StartNS+shift, floor),
+			endNS:   max(sd.EndNS+shift, floor),
 		}
 		if pid, ok := remap[sd.Parent]; ok && sd.Parent != 0 {
 			s.parent = pid

@@ -24,9 +24,10 @@ import (
 )
 
 // DistConfig turns the server into a fleet coordinator: Monte-Carlo jobs
-// are split into leased work units across registered workers (with retry,
-// work stealing, health-probe eviction and local-fallback degradation),
-// and the /v1/dist/{register,claim,renew,report} endpoints are served.
+// are split into leased work units across registered workers (with held
+// claims, retry, work stealing, health-probe eviction and local-fallback
+// degradation), and the /v1/dist/{register,claim,renew,report} endpoints
+// are served.
 // Workers run `qisimd -role worker -coordinator-url <this server>`.
 type DistConfig struct {
 	Enabled bool
@@ -34,7 +35,8 @@ type DistConfig struct {
 	// coordinator's sweep, probe, hedge and quarantine intervals derive
 	// from it (see dist.Config.LeaseTTL).
 	LeaseTTL time.Duration
-	// UnitShards is the work-unit granularity in shards (default 4).
+	// UnitShards is the work-unit granularity in shards (default 16; see
+	// dist.Config.UnitShards).
 	UnitShards int
 	// SpotCheck is the seeded fraction of remote unit reports the
 	// coordinator re-executes locally and compares byte-for-byte; a
@@ -108,6 +110,8 @@ func (s *Server) initDist(cfg Config) {
 			func(st dist.Stats) int { return st.IdemReplays }},
 		{"qisimd_dist_quarantine_readmits_total", "Quarantined workers re-admitted after the quarantine window elapsed.",
 			func(st dist.Stats) int { return st.QuarantineReadmits }},
+		{"qisimd_degraded_runs_total", "Fleet jobs admitted while no worker was live; their units run on the local lane until one registers.",
+			func(st dist.Stats) int { return st.Degraded }},
 	} {
 		s.reg.CounterFunc(c.name, c.help, func() float64 { return float64(c.read(s.dist.Stats())) })
 	}
@@ -132,15 +136,12 @@ func (s *Server) handleDistRegister(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-type distClaimRequest struct {
-	Worker  string `json:"worker"`
-	IdemKey string `json:"idem_key,omitempty"`
-}
-
+// handleDistClaim answers a claim; an empty one is held up to its
+// wait_ms (at most the coordinator's MaxHold) for work to arrive.
 func (s *Server) handleDistClaim(w http.ResponseWriter, r *http.Request) {
-	var req distClaimRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil || req.Worker == "" {
-		s.writeError(w, simerr.Invalidf("service: claim needs a worker id"))
+	req, err := dist.DecodeClaimRequest(http.MaxBytesReader(w, r.Body, 1<<16), s.dist.MaxHold())
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
 	if s.mgr.Draining() {
@@ -150,7 +151,7 @@ func (s *Server) handleDistClaim(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "coordinator draining"})
 		return
 	}
-	grant, err := s.dist.Claim(r.Context(), req.Worker, req.IdemKey)
+	grant, err := s.dist.Claim(r.Context(), req.Worker, req.IdemKey, req.Wait())
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -162,20 +163,13 @@ func (s *Server) handleDistClaim(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, grant)
 }
 
-type distRenewRequest struct {
-	Worker string `json:"worker"`
-	Key    string `json:"key"`
-	Start  int    `json:"start"`
-	End    int    `json:"end"`
-}
-
 func (s *Server) handleDistRenew(w http.ResponseWriter, r *http.Request) {
-	var req distRenewRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil || req.Worker == "" {
-		s.writeError(w, simerr.Invalidf("service: renew needs worker, key and range"))
+	req, err := dist.DecodeRenewRequest(http.MaxBytesReader(w, r.Body, 1<<16))
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
-	err := s.dist.Renew(r.Context(), req.Worker, req.Key, req.Start, req.End)
+	err = s.dist.Renew(r.Context(), req.Worker, req.Key, req.Start, req.End)
 	switch {
 	case errors.Is(err, dist.ErrGone):
 		writeJSON(w, http.StatusGone, errorResponse{Error: err.Error()})

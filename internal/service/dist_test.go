@@ -80,38 +80,76 @@ func startFleet(t *testing.T, ts *httptest.Server, n int, configure ...func(i in
 // same submission produces byte-identical result bodies from a standalone
 // server and from a coordinator dispatching over real HTTP workers — and the
 // fleet genuinely did the work (units were claimed, executed and reported
-// remotely, not absorbed by the degraded local lane).
+// remotely, not absorbed by the degraded local lane). Each MC kind runs a
+// 40-shard job in units of one shard, of the default size and of one unit
+// covering the whole job: unit boundaries never move a result byte.
 func TestFleetE2EMatchesStandalone(t *testing.T) {
-	job := `{"kind":"surface.mc","params":{"distance":3,"shots":2000,"shard_size":128,"seed":11}}`
+	const bell = "qreg q[3]; creg c[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2]; measure q[0]->c[0]; measure q[1]->c[1]; measure q[2]->c[2];"
+	for _, job := range []struct{ kind, params string }{
+		{"surface.mc", `{"distance":3,"shots":2560,"shard_size":64,"seed":11}`},
+		{"readout.mc", `{"shots":5120,"shard_size":128,"seed":3}`},
+		{"pauli.mc", `{"qasm":"` + bell + `","shots":2560,"shard_size":64,"seed":5}`},
+	} {
+		body := fmt.Sprintf(`{"kind":%q,"params":%s}`, job.kind, job.params)
+		_, solo := newTestServer(t, Config{Workers: 2})
+		want := runToBytes(t, solo, body)
+		for _, unitShards := range []int{1, 0, 64} {
+			t.Run(fmt.Sprintf("%s/unit-shards-%d", job.kind, unitShards), func(t *testing.T) {
+				coord, ts := newTestServer(t, Config{Workers: 2, Dist: DistConfig{
+					Enabled: true, LeaseTTL: 5 * time.Second, UnitShards: unitShards,
+				}})
+				workers := startFleet(t, ts, 2)
+				got := runToBytes(t, ts, body)
 
-	_, solo := newTestServer(t, Config{Workers: 2})
-	want := runToBytes(t, solo, job)
+				if !bytes.Equal(want, got) {
+					t.Fatalf("fleet result differs from standalone:\n%s\n%s", clip(want), clip(got))
+				}
+				st := coord.Dist().Stats()
+				if st.UnitsDone == 0 || st.Grants == 0 {
+					t.Fatalf("fleet stats %+v — coordinator never dispatched remotely", st)
+				}
+				var execs int64
+				for _, w := range workers {
+					execs += w.Stats().Executions
+				}
+				if execs == 0 {
+					t.Fatal("no worker executed a unit — result came from the local lane")
+				}
+				if n := scrapeMetric(t, ts, "qisimd_degraded_runs_total"); n != 0 {
+					t.Fatalf("degraded_runs_total = %v with a live fleet, want 0", n)
+				}
+				if n := scrapeMetric(t, ts, `qisimd_dist_leases_total{event="granted"}`); n < 1 {
+					t.Fatalf("leases_total{granted} = %v, want >= 1", n)
+				}
+			})
+		}
+	}
+}
 
-	coord, ts := newTestServer(t, Config{Workers: 2, Dist: DistConfig{
-		Enabled: true, LeaseTTL: 5 * time.Second, UnitShards: 4,
-	}})
-	workers := startFleet(t, ts, 2)
-	got := runToBytes(t, ts, job)
-
-	if !bytes.Equal(want, got) {
-		t.Fatalf("fleet result differs from standalone:\n%s\n%s", clip(want), clip(got))
+// TestHeldClaimStartsJobAtOnce: an idle worker's empty claim waits at the
+// coordinator, so a job submitted while the worker is idle gets its first
+// grant at once, not after the worker's 2 s poll interval (a worker that
+// slept between polls would wait at least 1 s).
+func TestHeldClaimStartsJobAtOnce(t *testing.T) {
+	coord, ts := newTestServer(t, Config{Workers: 1, Dist: DistConfig{Enabled: true, LeaseTTL: 10 * time.Second}})
+	startFleet(t, ts, 1, func(_ int, cfg *dist.WorkerConfig) { cfg.PollInterval = 2 * time.Second })
+	time.Sleep(100 * time.Millisecond) // the worker's first claim found no work
+	t0 := time.Now()
+	code, sr := postJob(t, ts, `{"kind":"surface.mc","params":{"distance":3,"shots":256,"shard_size":64,"seed":4}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
 	}
-	st := coord.Dist().Stats()
-	if st.UnitsDone == 0 || st.Grants == 0 {
-		t.Fatalf("fleet stats %+v — coordinator never dispatched remotely", st)
+	for coord.Dist().Stats().Grants == 0 {
+		if time.Since(t0) > 10*time.Second {
+			t.Fatal("the job was never granted")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	var execs int64
-	for _, w := range workers {
-		execs += w.Stats().Executions
+	if d := time.Since(t0); d > 200*time.Millisecond {
+		t.Fatalf("first grant %v after submission, want within 200ms", d)
 	}
-	if execs == 0 {
-		t.Fatal("no worker executed a unit — result came from the local lane")
-	}
-	if n := scrapeMetric(t, ts, "qisimd_degraded_runs_total"); n != 0 {
-		t.Fatalf("degraded_runs_total = %v with a live fleet, want 0", n)
-	}
-	if n := scrapeMetric(t, ts, `qisimd_dist_leases_total{event="granted"}`); n < 1 {
-		t.Fatalf("leases_total{granted} = %v, want >= 1", n)
+	if snap := waitDone(t, ts, sr.Job.ID); snap.State != jobs.StateDone {
+		t.Fatalf("job finished %s", snap.State)
 	}
 }
 
@@ -280,7 +318,7 @@ func TestDistMetricsReadStats(t *testing.T) {
 	c := srv.Dist()
 	claim := func(worker string) *dist.LeaseGrant {
 		t.Helper()
-		g, err := c.Claim(ctx, worker, "")
+		g, err := c.Claim(ctx, worker, "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"log/slog"
 	"os"
 	"strings"
@@ -74,12 +73,10 @@ type buildEnv struct {
 	// onResume fires when a runner actually resumed from a snapshot instead
 	// of starting cold.
 	onResume func()
-	// dist, when set, routes Monte-Carlo runs through the fleet coordinator;
-	// ErrNoWorkers degrades gracefully to the in-process lane of runMC.
+	// dist, when set, routes Monte-Carlo runs through the fleet
+	// coordinator, which runs units on its local lane while no worker is
+	// live.
 	dist *dist.Coordinator
-	// onDegraded fires when a coordinator-routed run falls back to the
-	// local path because the fleet has zero live workers.
-	onDegraded func()
 	// mgr lets orchestrator runners (dse.sweep) fan children out through
 	// the job queue, wait on them and inspect their snapshots. Nil outside
 	// a server (worker-side core building never runs orchestrators).
@@ -97,14 +94,15 @@ type buildEnv struct {
 // runMC is the one runner every Monte-Carlo job executes through. Its
 // checkpoint is attached once, before a lane is picked, so the job's
 // snapshot is its only durable Monte-Carlo state on both lanes. On a
-// coordinator with live workers the run is folded across the fleet, which
-// drives the same Progress, Checkpoint and Resume hooks as the in-process
-// engine. Otherwise — standalone, or a coordinator with zero workers
-// (counted as a degraded run) — the same core runs in-process through
-// Core.RunFull. Both lanes share the core's merge and finish, so their
-// bytes are identical, and a snapshot written by either lane resumes on
-// either. The core is built here rather than at submit, so a bad model
-// parameter fails the job at run time.
+// coordinator the run is folded across the fleet, which drives the same
+// Progress, Checkpoint and Resume hooks as the in-process engine; while no
+// worker is live (a job recovered at boot, counted as a degraded run) its
+// units run on the coordinator's local lane until one registers. A
+// standalone server runs the same core in-process through Core.RunFull.
+// Both lanes share the core's merge and finish, so their bytes are
+// identical, and a snapshot written by either lane resumes on either. The
+// core is built here rather than at submit, so a bad model parameter fails
+// the job at run time.
 func (env buildEnv) runMC(j mcJob) jobs.Runner {
 	return func(ctx context.Context, progress func(int, int)) (body []byte, st simrun.Status, err error) {
 		opt := simrun.Options{Workers: j.workers, Progress: progress}
@@ -125,13 +123,7 @@ func (env buildEnv) runMC(j mcJob) jobs.Runner {
 			if merr != nil {
 				return nil, simrun.Status{}, simerr.Invalidf("service: marshal dist params: %v", merr)
 			}
-			body, st, err = env.dist.Execute(ctx, string(j.kind), string(j.key), raw, core, j.plan)
-			if !errors.Is(err, dist.ErrNoWorkers) {
-				return body, st, err
-			}
-			if env.onDegraded != nil {
-				env.onDegraded()
-			}
+			return env.dist.Execute(ctx, string(j.kind), string(j.key), raw, core, j.plan)
 		}
 		return core.RunFull(ctx, j.plan)
 	}

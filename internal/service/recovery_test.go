@@ -166,11 +166,15 @@ func (g gatedCore) RunWindow(ctx context.Context, p dist.Plan, start, end int) (
 	return g.Core.RunWindow(ctx, p, start, end)
 }
 
-// runWorker runs one HTTP fleet worker on cores against base until the
-// returned stop is called.
-func runWorker(t *testing.T, base, id string, cores dist.CoreBuilder) (stop func()) {
+// runWorker registers one HTTP fleet worker on cores with the coordinator
+// at base, then runs it until the returned stop is called.
+func runWorker(t *testing.T, base, id string, cores dist.CoreBuilder) (w *dist.Worker, stop func()) {
 	t.Helper()
-	w, err := dist.NewWorker(dist.WorkerConfig{ID: id, Coordinator: &dist.Client{Base: base},
+	client := &dist.Client{Base: base}
+	if err := client.Register(context.Background(), dist.WorkerInfo{ID: id}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := dist.NewWorker(dist.WorkerConfig{ID: id, Coordinator: client,
 		Cores: cores, PollInterval: 2 * time.Millisecond, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +188,7 @@ func runWorker(t *testing.T, base, id string, cores dist.CoreBuilder) (stop func
 	var once sync.Once
 	stop = func() { once.Do(func() { cancel(); <-done }) }
 	t.Cleanup(stop)
-	return stop
+	return w, stop
 }
 
 // TestCoordinatorRestartResumesFleetCheckpoint restarts a fleet
@@ -192,12 +196,15 @@ func runWorker(t *testing.T, base, id string, cores dist.CoreBuilder) (stop func
 // a job from its one HTTP worker and "crashes" (base-context cancel, then
 // drain): the fleet lane leaves the job's checkpoint at the folded
 // frontier. Life 2 runs New, Start and Recover before it listens, so the
-// recovered job finds no worker and runs degraded; it resumes from that
-// checkpoint all the same, returns the standalone bytes, and leaves no
-// checkpoint and no unit directory behind.
+// recovered job is admitted with no worker and starts on the local lane
+// from that checkpoint; the worker that registers next claims units of it.
+// The job returns the standalone bytes and leaves no checkpoint and no
+// unit directory behind.
 func TestCoordinatorRestartResumesFleetCheckpoint(t *testing.T) {
 	dataDir := t.TempDir()
-	req := `{"kind":"surface.mc","params":{"distance":3,"shots":2048,"shard_size":64,"seed":23}}`
+	// Long enough (126 units past the checkpoint) that the local lane is
+	// still running it when the worker registers.
+	req := `{"kind":"surface.mc","params":{"distance":5,"shots":16384,"shard_size":64,"seed":23}}`
 	_, solo := newTestServer(t, Config{Workers: 1})
 	want := runToBytes(t, solo, req)
 	cfg := Config{Workers: 1, DataDir: dataDir, Dist: DistConfig{Enabled: true, LeaseTTL: 5 * time.Second, UnitShards: 2}}
@@ -215,7 +222,7 @@ func TestCoordinatorRestartResumesFleetCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
-	stopWorker := runWorker(t, ts1.URL, "w1", func(kind string, params json.RawMessage) (dist.Core, error) {
+	_, stopWorker := runWorker(t, ts1.URL, "w1", func(kind string, params json.RawMessage) (dist.Core, error) {
 		c, err := BuildCore(kind, params)
 		return gatedCore{c, 4}, err
 	})
@@ -260,7 +267,7 @@ func TestCoordinatorRestartResumesFleetCheckpoint(t *testing.T) {
 		defer cancel()
 		srv2.Drain(ctx) //nolint:errcheck
 	})
-	runWorker(t, ts2.URL, "w1", BuildCore)
+	w2, _ := runWorker(t, ts2.URL, "w1", BuildCore)
 	for deadline := time.Now().Add(20 * time.Second); srv2.mgr.InFlight() > 0; time.Sleep(2 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("recovered job never finished")
@@ -277,6 +284,12 @@ func TestCoordinatorRestartResumesFleetCheckpoint(t *testing.T) {
 	}
 	if v := scrapeMetric(t, ts2, "qisimd_jobs_resumed_total"); v != 1 {
 		t.Errorf("qisimd_jobs_resumed_total = %v, want 1", v)
+	}
+	if v := scrapeMetric(t, ts2, "qisimd_degraded_runs_total"); v != 1 {
+		t.Errorf("qisimd_degraded_runs_total = %v, want 1 (admitted before the worker registered)", v)
+	}
+	if n := w2.Stats().Executions; n == 0 {
+		t.Error("life 2's worker executed no unit: the recovered job never used the fleet")
 	}
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 		t.Errorf("checkpoint not retired after completion: %v", err)
@@ -337,7 +350,7 @@ func TestFailedFleetRunCountsItsSaves(t *testing.T) {
 	claim := func() *dist.LeaseGrant {
 		t.Helper()
 		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			g, err := c.Claim(ctx, "w1", "")
+			g, err := c.Claim(ctx, "w1", "", 0)
 			if err != nil {
 				t.Fatal(err)
 			}

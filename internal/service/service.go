@@ -149,7 +149,6 @@ type Server struct {
 	dist             *dist.Coordinator
 	distCancel       context.CancelFunc
 	baseCtx          context.Context
-	mDegraded        *metrics.Counter
 	mDistUnitSeconds *metrics.HistogramVec
 
 	// sseHeartbeat is the interval between comment heartbeats (": hb") on
@@ -255,8 +254,6 @@ func New(cfg Config) (*Server, error) {
 	s.mQueueWait = s.reg.Histogram("qisimd_queue_wait_seconds",
 		"Time jobs spent queued before a worker picked them up.",
 		metrics.DefaultLatencyBuckets())
-	s.mDegraded = s.reg.Counter("qisimd_degraded_runs_total",
-		"Coordinator-routed runs that fell back to fully local execution (zero live workers).")
 	bi := buildinfo.Resolve()
 	s.reg.GaugeVec("qisimd_build_info",
 		"Build identity of this process; the value is a constant 1, the identity lives in the labels.",
@@ -424,12 +421,11 @@ func (s *Server) observeTrace(id string) {
 // env is the execution environment handed to the per-kind job builders.
 func (s *Server) env() buildEnv {
 	return buildEnv{
-		ckptDir:    s.ckptDir,
-		onSaves:    func(n int) { s.mCkptSaved.Add(float64(n)) },
-		onResume:   func() { s.mResumed.Inc() },
-		dist:       s.dist,
-		onDegraded: func() { s.mDegraded.Inc() },
-		mgr:        s.mgr,
+		ckptDir:  s.ckptDir,
+		onSaves:  func(n int) { s.mCkptSaved.Add(float64(n)) },
+		onResume: func() { s.mResumed.Inc() },
+		dist:     s.dist,
+		mgr:      s.mgr,
 		onChild: func(kind jobs.Kind, outcome jobs.Outcome) {
 			s.mSubmitted.With(string(kind)).Inc()
 			switch outcome {
