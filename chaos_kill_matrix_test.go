@@ -14,9 +14,10 @@
 //
 // The fleet runs the real stack: service servers over HTTP, dist.Client
 // wire calls, lease sweeps on real timers. Faulty workers are driven
-// manually through the same wire API a real worker uses. Two final
-// multi-process tests SIGKILL an actual qisimd worker process and an
-// actual -data-dir coordinator process.
+// manually through the same wire API a real worker uses. The final
+// multi-process tests SIGKILL actual qisimd worker processes and an actual
+// -data-dir coordinator process, and start a worker before its
+// coordinator.
 package qisim_test
 
 import (
@@ -147,18 +148,17 @@ func chaosRun(t *testing.T, base, body string) []byte {
 	return nil
 }
 
-// startChaosWorkers launches n healthy dist.Workers over the wire API.
+// startChaosWorkers launches n healthy dist.Workers over the wire API and
+// returns once the coordinator has heard from each.
 func startChaosWorkers(t *testing.T, base string, n int) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
+	var ids []string
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("healthy-%d", i)
+		ids = append(ids, id)
 		client := &dist.Client{Base: base}
-		if err := client.Register(ctx, dist.WorkerInfo{ID: id}); err != nil {
-			cancel()
-			t.Fatalf("register %s: %v", id, err)
-		}
 		w, err := dist.NewWorker(dist.WorkerConfig{
 			ID: id, Coordinator: client, Cores: service.BuildCore,
 			PollInterval: 2 * time.Millisecond, Seed: int64(i + 1),
@@ -177,17 +177,45 @@ func startChaosWorkers(t *testing.T, base string, n int) {
 		cancel()
 		wg.Wait()
 	})
+	waitJoined(t, base, ids...)
 }
 
-// registerWorker announces a manual worker over the wire API. It must run
-// BEFORE the job is submitted: admission checks for live workers, and a
-// coordinator with zero registrations degrades to the local lane instead of
-// granting leases.
+// waitJoined waits until the coordinator at base lists every worker in
+// ids: a worker joins the fleet with its first claim.
+func waitJoined(t *testing.T, base string, ids ...string) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var status struct{ Workers []struct{ ID string } }
+		if resp, err := http.Get(base + "/v1/fleet/status"); err == nil {
+			json.NewDecoder(resp.Body).Decode(&status) //nolint:errcheck // retried below
+			resp.Body.Close()
+		}
+		joined := 0
+		for _, w := range status.Workers {
+			for _, id := range ids {
+				if w.ID == id {
+					joined++
+				}
+			}
+		}
+		if joined == len(ids) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of workers %v joined the fleet at %s in 20s", joined, ids, base)
+		}
+	}
+}
+
+// registerWorker admits a manual worker over the wire API with a claim
+// that asks for no work. It must run BEFORE the job is submitted:
+// admission checks for live workers, and a coordinator that has heard from
+// none degrades to the local lane instead of granting leases.
 func registerWorker(t *testing.T, base, id string) *dist.Client {
 	t.Helper()
 	client := &dist.Client{Base: base}
-	if err := client.Register(context.Background(), dist.WorkerInfo{ID: id}); err != nil {
-		t.Fatalf("register %s: %v", id, err)
+	if g, err := client.Claim(context.Background(), id, "", 0); err != nil || g != nil {
+		t.Fatalf("first claim of %s: %+v, %v; want no work", id, g, err)
 	}
 	return client
 }
@@ -392,19 +420,22 @@ func (f *procFleet) coordinator(port int) *exec.Cmd {
 	return cmd
 }
 
-// workers starts n worker processes against coordBase and waits until each
-// is healthy.
-func (f *procFleet) workers(coordBase string, n int) []*exec.Cmd {
-	var out []*exec.Cmd
+// workers starts n worker processes proc-w0… against coordBase, waits
+// until each serves its own /healthz, and returns them with their base
+// URLs.
+func (f *procFleet) workers(coordBase string, n int) ([]*exec.Cmd, []string) {
+	var procs []*exec.Cmd
+	var bases []string
 	for i := 0; i < n; i++ {
 		p := f.freePort()
 		base := fmt.Sprintf("http://127.0.0.1:%d", p)
-		out = append(out, f.spawn("-addr", fmt.Sprintf("127.0.0.1:%d", p), "-role", "worker",
+		procs = append(procs, f.spawn("-addr", fmt.Sprintf("127.0.0.1:%d", p), "-role", "worker",
 			"-coordinator-url", coordBase, "-worker-id", fmt.Sprintf("proc-w%d", i),
-			"-advertise", base, "-workers", "2", "-log-level", "warn"))
+			"-workers", "2", "-log-level", "warn"))
+		bases = append(bases, base)
 		f.waitReady(base)
 	}
-	return out
+	return procs, bases
 }
 
 // TestFleetSIGKILLMultiProcess runs the real binary: a coordinator qisimd,
@@ -416,7 +447,8 @@ func TestFleetSIGKILLMultiProcess(t *testing.T) {
 	coordPort := f.freePort()
 	coordBase := fmt.Sprintf("http://127.0.0.1:%d", coordPort)
 	f.coordinator(coordPort)
-	victim := f.workers(coordBase, 3)[0]
+	procs, _ := f.workers(coordBase, 3)
+	victim := procs[0]
 
 	job := `{"kind":"surface.mc","params":{"distance":3,"shots":6000,"shard_size":128,"seed":17}}`
 	_, solo := chaosServer(t, service.Config{Workers: 2})
@@ -437,6 +469,77 @@ func TestFleetSIGKILLMultiProcess(t *testing.T) {
 	}
 }
 
+// TestFleetAllWorkersSIGKILLedMultiProcess SIGKILLs every worker process
+// mid-job. The coordinator hears from none of them, so about 2¼ lease TTLs
+// after their last contact the job's pending units run on its local lane:
+// the job returns the bytes of an in-process standalone run, and every
+// killed worker reads lost.
+func TestFleetAllWorkersSIGKILLedMultiProcess(t *testing.T) {
+	f := newProcFleet(t)
+	coordPort := f.freePort()
+	coordBase := fmt.Sprintf("http://127.0.0.1:%d", coordPort)
+	f.coordinator(coordPort)
+	procs, _ := f.workers(coordBase, 2)
+	waitJoined(t, coordBase, "proc-w0", "proc-w1")
+
+	job := `{"kind":"surface.mc","params":{"distance":5,"shots":200000,"shard_size":256,"seed":31}}`
+	_, solo := chaosServer(t, service.Config{Workers: 2})
+	want := chaosRun(t, solo.URL, job)
+
+	done := make(chan []byte, 1)
+	go func() { done <- chaosRun(t, coordBase, job) }()
+	for deadline := time.Now().Add(30 * time.Second); scrapeMetric(t, coordBase, "qisimd_dist_units_done_total") < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the fleet folded no unit in 30s")
+		}
+	}
+	for _, p := range procs {
+		if err := p.Process.Kill(); err != nil {
+			t.Fatalf("SIGKILL worker: %v", err)
+		}
+	}
+	select {
+	case got := <-done:
+		if !bytes.Equal(got, want) {
+			t.Fatalf("result after the fleet's SIGKILL differs from standalone:\n%.200s\n%.200s", got, want)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job never finished after its whole fleet was SIGKILLed")
+	}
+	if n := scrapeMetric(t, coordBase, `qisimd_fleet_workers{state="lost"}`); n != float64(len(procs)) {
+		t.Fatalf(`qisimd_fleet_workers{state="lost"} = %v, want the %d killed workers`, n, len(procs))
+	}
+	if n := scrapeMetric(t, coordBase, "qisimd_dist_local_units_total"); n == 0 {
+		t.Fatal("the local lane ran no unit after the fleet was lost")
+	}
+}
+
+// TestFleetWorkerStartedBeforeCoordinatorMultiProcess starts a worker
+// process 2 s before its coordinator. The worker keeps claiming until the
+// coordinator answers, its first answered claim admits it, and it runs
+// units of the next job.
+func TestFleetWorkerStartedBeforeCoordinatorMultiProcess(t *testing.T) {
+	f := newProcFleet(t)
+	coordPort := f.freePort()
+	coordBase := fmt.Sprintf("http://127.0.0.1:%d", coordPort)
+	_, bases := f.workers(coordBase, 1)
+	time.Sleep(2 * time.Second)
+	f.coordinator(coordPort)
+	waitJoined(t, coordBase, "proc-w0")
+
+	job := `{"kind":"surface.mc","params":{"distance":3,"shots":6000,"shard_size":128,"seed":19}}`
+	_, solo := chaosServer(t, service.Config{Workers: 2})
+	if got, want := chaosRun(t, coordBase, job), chaosRun(t, solo.URL, job); !bytes.Equal(got, want) {
+		t.Fatalf("fleet result differs from standalone:\n%s\n%s", got, want)
+	}
+	if n := scrapeMetric(t, bases[0], "qisimd_worker_units_total"); n == 0 {
+		t.Fatal("the worker started before its coordinator executed no unit")
+	}
+	if n := scrapeMetric(t, coordBase, "qisimd_degraded_runs_total"); n != 0 {
+		t.Fatalf("qisimd_degraded_runs_total = %v, want 0", n)
+	}
+}
+
 // TestFleetCoordinatorSIGKILLMultiProcess SIGKILLs the -data-dir
 // coordinator process once the job's checkpoint file exists and restarts
 // it on the same port and data dir. The restarted coordinator recovers the
@@ -449,6 +552,7 @@ func TestFleetCoordinatorSIGKILLMultiProcess(t *testing.T) {
 	coordBase := fmt.Sprintf("http://127.0.0.1:%d", coordPort)
 	coord := f.coordinator(coordPort)
 	f.workers(coordBase, 2)
+	waitJoined(t, coordBase, "proc-w0", "proc-w1")
 
 	job := `{"kind":"surface.mc","params":{"distance":5,"shots":200000,"shard_size":256,"seed":29}}`
 	_, solo := chaosServer(t, service.Config{Workers: 2})

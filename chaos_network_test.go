@@ -66,13 +66,17 @@ func chaosNetSchedules() []struct {
 
 // startChaosNetWorkers launches n dist.Workers whose every coordinator RPC
 // crosses a seeded chaos transport (each worker gets its own schedule seed
-// so the fleet's fault patterns are decorrelated but reproducible).
+// so the fleet's fault patterns are decorrelated but reproducible), and
+// returns once the coordinator has heard from each: the first claim rides
+// the chaotic transport too, and the worker retries it until it lands.
 func startChaosNetWorkers(t *testing.T, base string, n int, spec chaos.Spec) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
+	var ids []string
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("chaotic-%d", i)
+		ids = append(ids, id)
 		wspec := spec
 		wspec.Seed = spec.Seed*1000 + int64(i)
 		client := &dist.Client{
@@ -80,12 +84,6 @@ func startChaosNetWorkers(t *testing.T, base string, n int, spec chaos.Spec) {
 			HTTP:        &http.Client{Transport: chaos.NewTransport(wspec, nil)},
 			MaxAttempts: 6,
 			Backoff:     backoff.Policy{Base: 5 * time.Millisecond, Cap: 80 * time.Millisecond, Factor: 2},
-		}
-		// Registration itself rides the chaotic transport: retries must
-		// punch through the schedule's drop/corrupt probability.
-		if err := client.Register(ctx, dist.WorkerInfo{ID: id}); err != nil {
-			cancel()
-			t.Fatalf("register %s through chaos: %v", id, err)
 		}
 		w, err := dist.NewWorker(dist.WorkerConfig{
 			ID: id, Coordinator: client, Cores: service.BuildCore,
@@ -106,6 +104,7 @@ func startChaosNetWorkers(t *testing.T, base string, n int, spec chaos.Spec) {
 		cancel()
 		wg.Wait()
 	})
+	waitJoined(t, base, ids...)
 }
 
 // TestChaosNetworkEquivalence pins the chaos layer's headline invariant:

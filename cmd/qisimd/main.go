@@ -8,21 +8,22 @@
 //	       [-job-timeout d] [-drain-timeout 30s] [-data-dir dir]
 //	       [-tenant-quota n] [-pprof addr] [-log-level info] [-log-format text]
 //	       [-role standalone|coordinator|worker] [-coordinator-url url]
-//	       [-worker-id id] [-advertise url] [-lease-ttl 15s] [-unit-shards 16]
+//	       [-worker-id id] [-lease-ttl 15s] [-unit-shards 16]
 //	       [-spot-check 0.1] [-chaos-spec spec.json]
 //
 // Roles (see DESIGN.md "Distributed execution"):
 //
 //   - standalone (default): every job runs in-process.
 //   - coordinator: jobs are split into leased work units dispatched across
-//     registered fleet workers, with held claims (an idle worker's claim
-//     waits for work), heartbeat renewal, retry with backoff, work
-//     stealing, health-probe eviction, and graceful degradation to the
-//     local lane while the fleet is empty. Serves /v1/dist/* for workers.
+//     the fleet workers that claim them, with held claims (an idle worker's
+//     claim waits for work), heartbeat renewal, retry with backoff, work
+//     stealing, and graceful degradation to the local lane while no worker
+//     has been heard from for 2×lease-ttl. Serves /v1/dist/* for workers.
 //     Merged results are byte-identical to a standalone run.
-//   - worker: runs the normal server (so /readyz answers the coordinator's
-//     health probes) plus a claim→execute→report loop against
-//     -coordinator-url. -advertise is the worker's own probeable base URL.
+//   - worker: runs the normal server plus a claim→execute→report loop
+//     against -coordinator-url. Its first claim admits it to the fleet, and
+//     it keeps claiming until the coordinator answers, so it may start
+//     before its coordinator.
 //
 // API:
 //
@@ -59,7 +60,7 @@
 // executed, unit seconds, client-side chaos injections), which the
 // coordinator serves as qisimd_fleet_* series and in /v1/fleet/status;
 // an always-on flight recorder keeps the last ~4K
-// lease/retry/eviction/quarantine/chaos/journal events, served by
+// admission/lease/retry/quarantine/chaos/journal events, served by
 // /v1/debug/flight and persisted to <data-dir>/flight-last.json by the
 // panic backstop.
 //
@@ -120,7 +121,6 @@ func main() {
 	role := flag.String("role", "standalone", "fleet role: standalone|coordinator|worker")
 	coordinatorURL := flag.String("coordinator-url", "", "coordinator base URL (required for -role worker)")
 	workerID := flag.String("worker-id", "", "fleet worker identity (default <hostname>-<pid>)")
-	advertise := flag.String("advertise", "", "this worker's probeable base URL, e.g. http://10.0.0.5:8080 (empty = health probes skip it)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "coordinator per-lease heartbeat deadline (0 = 15s default)")
 	unitShards := flag.Int("unit-shards", 0, "coordinator work-unit granularity in shards (0 = default 16)")
 	spotCheck := flag.Float64("spot-check", 0, "coordinator fraction of reported units re-executed locally to audit workers (0 = off, e.g. 0.1)")
@@ -146,7 +146,7 @@ func main() {
 		tenantQuota: *tenantQuota,
 		maxBody:     *maxBody, pprofAddr: *pprofAddr, traceSpans: *traceSpans,
 		role: *role, coordinatorURL: *coordinatorURL, workerID: *workerID,
-		advertise: *advertise, leaseTTL: *leaseTTL, unitShards: *unitShards,
+		leaseTTL: *leaseTTL, unitShards: *unitShards,
 		spotCheck: *spotCheck, chaosSpec: *chaosSpec,
 	}
 	if err := run(logger, opts); err != nil {
@@ -170,7 +170,6 @@ type daemonOpts struct {
 	role           string
 	coordinatorURL string
 	workerID       string
-	advertise      string
 	leaseTTL       time.Duration
 	unitShards     int
 	spotCheck      float64
@@ -228,7 +227,7 @@ func run(logger *slog.Logger, o daemonOpts) error {
 	}
 
 	// Fleet worker: claim→execute→report against the coordinator, alongside
-	// the normal HTTP server (whose /readyz answers the health probes).
+	// the normal HTTP server.
 	var fleetWorker *dist.Worker
 	workerDone := make(chan error, 1)
 	workerCtx, stopWorker := context.WithCancel(context.Background())
@@ -268,7 +267,6 @@ func run(logger *slog.Logger, o daemonOpts) error {
 		fleetWorker, err = dist.NewWorker(dist.WorkerConfig{
 			ID:          id,
 			Coordinator: client,
-			Advertise:   o.advertise,
 			Cores:       service.BuildCore,
 			Logger:      logger,
 			Trace:       true,
@@ -364,10 +362,10 @@ func run(logger *slog.Logger, o daemonOpts) error {
 	logger.Info("draining (in-flight jobs finish as truncated partials)")
 	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
-	// Worker drain first: stop claiming new units but finish and report the
-	// one in flight. Draining the service flips /readyz to "draining", which
-	// the coordinator's probes read as lease-non-renewable — NOT dead — so
-	// the unit is not prematurely re-dispatched elsewhere.
+	// Worker drain first: stop claiming new units but finish the one in
+	// flight, renewing its lease and reporting it as usual. If the drain
+	// deadline passes first, the worker stops renewing and the unit re-runs
+	// elsewhere one lease TTL later, as a killed worker's does.
 	if fleetWorker != nil {
 		fleetWorker.Drain()
 	}

@@ -26,18 +26,17 @@ import (
 )
 
 // startObsFleet launches n workers, each with a flight recorder as a real
-// `qisimd -role worker` has; every worker reports its telemetry.
+// `qisimd -role worker` has, and returns once the coordinator has heard
+// from each; every worker reports its telemetry.
 func startObsFleet(t *testing.T, base string, n int) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
+	var ids []string
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("obs-%d", i)
+		ids = append(ids, id)
 		client := &dist.Client{Base: base}
-		if err := client.Register(ctx, dist.WorkerInfo{ID: id}); err != nil {
-			cancel()
-			t.Fatalf("register %s: %v", id, err)
-		}
 		w, err := dist.NewWorker(dist.WorkerConfig{
 			ID: id, Coordinator: client, Cores: service.BuildCore,
 			PollInterval: 2 * time.Millisecond, Seed: int64(i + 1), Trace: true,
@@ -57,6 +56,7 @@ func startObsFleet(t *testing.T, base string, n int) {
 		cancel()
 		wg.Wait()
 	})
+	waitJoined(t, base, ids...)
 }
 
 // TestFleetObservabilityE2E drives one job across a 4-worker observed fleet

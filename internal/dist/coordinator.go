@@ -25,9 +25,6 @@ const (
 	// maxAttempts is the remote grant budget per unit before it degrades
 	// to the local lane.
 	maxAttempts = 4
-	// probeFailLimit evicts a worker after this many consecutive probe
-	// failures.
-	probeFailLimit = 3
 	// spotCheckProbation is the check fraction for workers below
 	// spotCheckMinTrust passes (never below Config.SpotCheck): fresh
 	// arrivals and quarantine returnees prove themselves before dropping to
@@ -44,17 +41,14 @@ const (
 type Config struct {
 	// LeaseTTL is a lease's deadline extension per grant/renewal
 	// (default 15s). It paces the rest of the lease machinery: the expiry
-	// sweep runs every TTL/4 and the health probes every TTL, a leased unit
-	// older than 2×TTL may be hedged, and a quarantine lasts 4×TTL.
+	// sweep runs every TTL/4, a worker not heard from for 2×TTL is lost, a
+	// leased unit older than 2×TTL may be hedged, and a quarantine lasts
+	// 4×TTL.
 	LeaseTTL time.Duration
 	// UnitShards is the work-unit granularity in shards (default 16: a
 	// unit then runs for longer than its claim/report round trip, and unit
 	// boundaries never move a result byte).
 	UnitShards int
-	// Probe checks one worker's health endpoint, returning its readiness
-	// status ("ok", "draining", "saturated", ...) or an error for
-	// unreachable. Nil disables probing (workers die by lease expiry only).
-	Probe func(ctx context.Context, addr string) (string, error)
 	// Clock injects time for tests (default time.Now).
 	Clock func() time.Time
 	// SpotCheck is the untrusted-worker defense: the seeded fraction of
@@ -64,9 +58,9 @@ type Config struct {
 	// reports ignored) for 4×LeaseTTL and its trust resets.
 	SpotCheck float64
 	Logger    *slog.Logger
-	// Flight, when set, records lease transitions, retries, evictions,
-	// quarantines and spot-check verdicts into the shared flight-recorder
-	// ring (nil disables; every Record call is nil-safe).
+	// Flight, when set, records worker admissions, lease transitions,
+	// retries, quarantines and spot-check verdicts into the shared
+	// flight-recorder ring (nil disables; every Record call is nil-safe).
 	Flight *obs.FlightRecorder
 	// UnitSeconds, when set, observes each accepted unit's wall time from
 	// first grant to acceptance, with the reporting worker ("local" for the
@@ -97,8 +91,6 @@ type Stats struct {
 	Expired     int // leases lost to deadline expiry
 	UnitRetries int // units requeued after losing all leases
 	Steals      int // hedged duplicate grants
-	Evictions   int
-	Readmits    int
 	LocalUnits  int // units run on the coordinator's local lane
 	UnitsDone   int
 	DupReports  int // idempotent duplicate uploads dropped
@@ -164,16 +156,11 @@ type distJob struct {
 }
 
 type workerState struct {
-	id         string
-	addr       string
-	draining   bool
-	evicted    bool
-	probeFails int
-	registered bool
+	id string
 
 	// Untrusted-worker defense state. Quarantine is deliberately separate
-	// from eviction: eviction is a health verdict any sign of life
-	// reverses, quarantine is an integrity verdict only time reverses.
+	// from liveness: a lost worker is live again on its next contact,
+	// quarantine is an integrity verdict only time reverses.
 	trust            int       // passed spot-checks since last reset
 	quarantined      bool      // shunned: no grants, reports ignored
 	quarantinedUntil time.Time // timed re-admission point
@@ -185,8 +172,8 @@ type workerState struct {
 	lastGrant   *LeaseGrant
 
 	// The telemetry of the worker's latest report that passed the intake
-	// check, and the time of its last sign of life (claim, renewal,
-	// report, register).
+	// check, and the time of its last contact (claim, renewal, report,
+	// register): the fleet's one liveness signal (see stateLocked).
 	telemetry *Telemetry
 	lastSeen  time.Time
 }
@@ -228,46 +215,45 @@ func (c *Coordinator) Stats() Stats {
 	return c.stats
 }
 
-// WorkerInfo is a worker's registration record.
+// WorkerInfo is the body of POST /v1/dist/register.
 type WorkerInfo struct {
 	ID string `json:"id"`
-	// Addr is the worker's advertised base URL for health probes
-	// ("" = unprobeable: the worker lives until its leases expire).
-	Addr string `json:"addr,omitempty"`
 }
 
-// Register admits (or re-admits) a worker into the fleet.
+// Register admits a worker as its first claim would, without asking for
+// work.
 func (c *Coordinator) Register(_ context.Context, info WorkerInfo) error {
 	if info.ID == "" {
 		return simerr.Invalidf("dist: register: empty worker id")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.workers[info.ID]
-	if w == nil {
-		w = &workerState{id: info.ID}
-		c.workers[info.ID] = w
-	}
-	w.addr = info.Addr
-	w.registered = true
-	w.lastSeen = c.cfg.Clock()
-	c.cfg.Flight.Record("worker.register", obs.String("worker", info.ID))
-	if w.evicted {
-		c.stats.Readmits++
-	}
-	w.evicted = false
-	w.draining = false
-	w.probeFails = 0
-	c.cond.Broadcast()
+	c.touchWorkerLocked(info.ID)
 	return nil
 }
 
-// liveWorkerLocked reports whether at least one registered worker can
-// accept new grants.
+// stateLocked is w's state at now, by precedence: quarantined while its
+// quarantine lasts, lost once the coordinator has not heard from it for
+// 2×LeaseTTL, healthy otherwise; only a healthy worker is live. A live
+// worker is heard from at least every TTL/3 while it holds a lease and
+// every 1.5 poll intervals while it is idle. Read-only: an elapsed
+// quarantine ends on the worker's next claim or report (quarantinedLocked).
+func (c *Coordinator) stateLocked(w *workerState, now time.Time) string {
+	switch {
+	case w.quarantined && now.Before(w.quarantinedUntil):
+		return "quarantined"
+	case now.Sub(w.lastSeen) >= 2*c.cfg.LeaseTTL:
+		return "lost"
+	}
+	return "healthy"
+}
+
+// liveWorkerLocked reports whether at least one worker can accept new
+// grants.
 func (c *Coordinator) liveWorkerLocked() bool {
 	now := c.cfg.Clock()
 	for _, w := range c.workers {
-		if w.registered && !w.evicted && !w.draining && !c.quarantinedLocked(w, now) {
+		if c.stateLocked(w, now) == "healthy" {
 			return true
 		}
 	}
@@ -306,23 +292,17 @@ func (c *Coordinator) quarantineLocked(w *workerState, now time.Time) {
 	c.evictLeasesLocked(w.id, now)
 }
 
-// touchWorkerLocked counts any interaction as proof of life: a claim or
-// report from an "evicted" worker re-admits it (the probe was wrong or the
-// partition healed).
+// touchWorkerLocked stamps a contact (claim, renewal, report, register)
+// and admits the worker the first time it is heard from. The coordinator
+// never forgets a worker.
 func (c *Coordinator) touchWorkerLocked(id string) *workerState {
 	w := c.workers[id]
 	if w == nil {
-		w = &workerState{id: id, registered: true}
+		w = &workerState{id: id}
 		c.workers[id] = w
+		c.cfg.Flight.Record("worker.register", obs.String("worker", id))
 	}
-	w.registered = true
 	w.lastSeen = c.cfg.Clock()
-	if w.evicted {
-		w.evicted = false
-		c.stats.Readmits++
-		c.cfg.Flight.Record("worker.readmit", obs.String("worker", id), obs.String("cause", "contact"))
-	}
-	w.probeFails = 0
 	return w
 }
 
@@ -364,7 +344,7 @@ func (c *Coordinator) MaxHold() time.Duration { return c.cfg.LeaseTTL / 4 }
 // ctx ends or the coordinator drains, and checks for a grant once more
 // before it answers nil, so a unit held back by its requeue backoff is
 // granted no later than the end of the hold. 0 answers at once, and so
-// does a claim from a draining, evicted or quarantined worker.
+// does a claim from a quarantined worker.
 //
 // idemKey makes the claim safe under duplicated delivery: a repeat of the
 // worker's most recent key replays the recorded outcome (grant or no-work)
@@ -392,7 +372,7 @@ func (c *Coordinator) Claim(ctx context.Context, workerID, idemKey string, wait 
 			return w.lastGrant, nil
 		}
 		now := c.cfg.Clock()
-		shunned := w.draining || w.evicted || c.quarantinedLocked(w, now)
+		shunned := c.quarantinedLocked(w, now)
 		var g *LeaseGrant
 		if !shunned {
 			g = c.nextGrantLocked(w, now)
@@ -506,10 +486,9 @@ func (c *Coordinator) grantLocked(j *distJob, u *unit, w *workerState, now time.
 	return g
 }
 
-// Renew extends a worker's lease by one TTL. A draining worker's renewal
-// is accepted but does not extend the deadline (lease-non-renewable). A
-// lease the coordinator no longer recognises returns ErrGone: the worker
-// abandons the unit.
+// Renew extends a worker's lease by one TTL. A lease the coordinator no
+// longer recognises returns ErrGone before the renewal counts as contact:
+// the worker abandons the unit.
 func (c *Coordinator) Renew(_ context.Context, workerID, key string, start, end int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -524,10 +503,7 @@ func (c *Coordinator) Renew(_ context.Context, workerID, key string, start, end 
 	if _, ok := u.leases[workerID]; !ok {
 		return ErrGone
 	}
-	w := c.touchWorkerLocked(workerID)
-	if w.draining {
-		return nil // alive, but the lease runs out its current deadline
-	}
+	c.touchWorkerLocked(workerID)
 	u.leases[workerID] = c.cfg.Clock().Add(c.cfg.LeaseTTL)
 	c.stats.Renewals++
 	return nil
@@ -890,75 +866,6 @@ func (c *Coordinator) requeueLocked(u *unit, now time.Time) {
 	u.notBefore = now.Add(backoff.Default().Delay(u.attempts-1, c.rnd.Float64))
 }
 
-// ProbeAll health-checks every probeable worker and applies eviction /
-// re-admission / draining transitions. Eviction requeues the worker's
-// leases immediately instead of waiting for expiry.
-func (c *Coordinator) ProbeAll(ctx context.Context) {
-	c.mu.Lock()
-	type target struct{ id, addr string }
-	var targets []target
-	for id, w := range c.workers {
-		if w.registered && w.addr != "" {
-			targets = append(targets, target{id, w.addr})
-		}
-	}
-	probe := c.cfg.Probe
-	c.mu.Unlock()
-	if probe == nil {
-		return
-	}
-	sort.Slice(targets, func(i, k int) bool { return targets[i].id < targets[k].id })
-
-	type outcome struct {
-		id     string
-		status string
-		err    error
-	}
-	results := make([]outcome, len(targets))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		wg.Add(1)
-		go func(i int, t target) {
-			defer wg.Done()
-			status, err := probe(ctx, t.addr)
-			results[i] = outcome{t.id, status, err}
-		}(i, t)
-	}
-	wg.Wait()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.Clock()
-	for _, r := range results {
-		w := c.workers[r.id]
-		if w == nil {
-			continue
-		}
-		if r.err != nil {
-			w.probeFails++
-			if w.probeFails >= probeFailLimit && !w.evicted {
-				w.evicted = true
-				c.stats.Evictions++
-				c.cfg.Flight.Record("worker.evict", obs.String("worker", r.id),
-					obs.Int("probe_fails", w.probeFails))
-				c.evictLeasesLocked(r.id, now)
-			}
-			continue
-		}
-		w.probeFails = 0
-		w.lastSeen = now
-		if w.evicted {
-			w.evicted = false
-			c.stats.Readmits++
-			c.cfg.Flight.Record("worker.readmit", obs.String("worker", r.id), obs.String("cause", "probe"))
-		}
-		// Only an explicit drain is non-renewable; "saturated" and
-		// "recovering" workers are alive, just busy.
-		w.draining = r.status == "draining"
-	}
-	c.cond.Broadcast()
-}
-
 // evictLeasesLocked strips every lease held by a worker and requeues
 // lease-less units immediately.
 func (c *Coordinator) evictLeasesLocked(workerID string, now time.Time) {
@@ -985,15 +892,12 @@ func (c *Coordinator) evictLeasesLocked(workerID string, now time.Time) {
 	}
 }
 
-// Start runs the background sweep + probe loops until ctx is done; then
-// the coordinator drains: held claims answer at once, and no claim holds
-// again.
+// Start runs the background sweep until ctx is done; then the coordinator
+// drains: held claims answer at once, and no claim holds again.
 func (c *Coordinator) Start(ctx context.Context) {
 	go func() {
 		sweep := time.NewTicker(c.cfg.LeaseTTL / 4)
-		probe := time.NewTicker(c.cfg.LeaseTTL)
 		defer sweep.Stop()
-		defer probe.Stop()
 		for {
 			select {
 			case <-ctx.Done():
@@ -1004,8 +908,6 @@ func (c *Coordinator) Start(ctx context.Context) {
 				return
 			case <-sweep.C:
 				c.Sweep(c.cfg.Clock())
-			case <-probe.C:
-				c.ProbeAll(ctx)
 			}
 		}
 	}()
@@ -1027,9 +929,9 @@ func (c *Coordinator) Start(ctx context.Context) {
 // Degradation ladder: a unit that exhausts its remote attempts runs on the
 // local lane inside this call, and so does every pending unit while no
 // worker is live — from admission (a job recovered at boot, counted in
-// Stats.Degraded) or after the fleet is lost mid-job. A worker that
-// registers later claims the units left; its held claim wakes on the
-// registration.
+// Stats.Degraded) or once the coordinator has heard from no worker for
+// 2×LeaseTTL mid-job (the sweep's broadcast wakes this call). A worker that
+// claims later takes the units left.
 //
 // When the context carries a tracer, each unit records a dist.unit span
 // under the context's span, from its first grant (or local start) to its
@@ -1174,17 +1076,15 @@ func (c *Coordinator) nextLocalUnitLocked(j *distJob) *unit {
 
 // FleetWorker is one worker's row in the fleet status view.
 type FleetWorker struct {
-	ID   string `json:"id"`
-	Addr string `json:"addr,omitempty"`
-	// State is the precedence-resolved health verdict:
-	// quarantined > evicted > draining > healthy.
-	State      string `json:"state"`
-	Trust      int    `json:"trust"`
-	ProbeFails int    `json:"probe_fails,omitempty"`
+	ID string `json:"id"`
+	// State is the precedence-resolved verdict:
+	// quarantined > lost > healthy.
+	State string `json:"state"`
+	Trust int    `json:"trust"`
 	// Leases counts the worker's outstanding (unexpired-by-sweep) leases.
 	Leases int `json:"leases"`
-	// LastSeenAgeMS is milliseconds since the last sign of life (claim,
-	// renewal, report, register, successful probe); -1 when never seen.
+	// LastSeenAgeMS is milliseconds since the last contact (claim,
+	// renewal, report, register).
 	LastSeenAgeMS int64 `json:"last_seen_age_ms"`
 	// QuarantineLeftMS is the remaining shun time for quarantined workers.
 	QuarantineLeftMS int64 `json:"quarantine_left_ms,omitempty"`
@@ -1265,22 +1165,12 @@ func (c *Coordinator) FleetSnapshot() FleetStatus {
 	for _, id := range ids {
 		w := c.workers[id]
 		fw := FleetWorker{
-			ID: w.id, Addr: w.addr, State: "healthy",
-			Trust: w.trust, ProbeFails: w.probeFails,
-			Leases: leases[w.id], LastSeenAgeMS: -1,
+			ID: w.id, State: c.stateLocked(w, now), Trust: w.trust,
+			Leases: leases[w.id], LastSeenAgeMS: now.Sub(w.lastSeen).Milliseconds(),
 			Telemetry: w.telemetry,
 		}
-		switch {
-		case w.quarantined && now.Before(w.quarantinedUntil):
-			fw.State = "quarantined"
+		if fw.State == "quarantined" {
 			fw.QuarantineLeftMS = w.quarantinedUntil.Sub(now).Milliseconds()
-		case w.evicted:
-			fw.State = "evicted"
-		case w.draining:
-			fw.State = "draining"
-		}
-		if !w.lastSeen.IsZero() {
-			fw.LastSeenAgeMS = now.Sub(w.lastSeen).Milliseconds()
 		}
 		st.Workers = append(st.Workers, fw)
 	}

@@ -11,9 +11,10 @@
 //   - straggler tails are hedged: when no pending work remains, an old
 //     enough outstanding unit is re-dispatched to a second worker and the
 //     first result wins (work stealing),
-//   - workers are health-probed and evicted after consecutive failures
-//     (their leases requeue immediately), re-admitted on any successful
-//     probe, claim, or report,
+//   - a worker joins with its first claim and is live while the
+//     coordinator keeps hearing from it (claims, renewals, reports); one
+//     not heard from for 2×LeaseTTL is lost, and its leases have expired
+//     by then,
 //   - shard-result upload is idempotent, keyed by (job, shard range):
 //     duplicate and late completions are deduplicated, never
 //     double-counted,
@@ -23,7 +24,7 @@
 //   - degradation is graceful: a unit that exhausts its remote attempts
 //     falls back to the coordinator's local lane, and while no worker is
 //     live (a job admitted at boot, or a fleet lost mid-job) pending units
-//     run there too, until a worker registers and claims the rest,
+//     run there too, until a worker claims the rest,
 //   - crash safety is the job's own checkpoint: Execute drives the
 //     Progress, Checkpoint and Resume hooks of the core's simrun.Options
 //     as RunFull does, so the coordinator keeps no durable state of its

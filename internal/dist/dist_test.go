@@ -12,18 +12,6 @@ import (
 	"qisim/internal/simrun"
 )
 
-// MarkDraining flags a worker as draining, as the probe loop does when the
-// worker's readyz answers "draining": its leases stay valid but are no
-// longer renewable and it receives no new grants.
-func (c *Coordinator) MarkDraining(workerID string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if w := c.workers[workerID]; w != nil {
-		w.draining = true
-	}
-	c.cond.Broadcast()
-}
-
 // toyCore builds a deterministic int-sum core whose per-shard result
 // encodes the shard identity, so any reordering, double-count, or replay
 // shows up in the folded sum.
@@ -322,8 +310,11 @@ func TestLeaseExpiryRequeuesAndRetries(t *testing.T) {
 	if err := c.Renew(context.Background(), "dead", dead.Key, dead.Start, dead.End); err != nil {
 		t.Fatal(err)
 	}
-	// ...but after TTL + renewal expiry the sweep reclaims the unit.
+	// ...but after TTL + renewal expiry the sweep reclaims the unit. The
+	// healthy worker checks in first, so the fleet stays live and the
+	// sweep's broadcast does not hand the unit to the local lane.
 	clk.Advance(3 * time.Second)
+	c.Register(context.Background(), WorkerInfo{ID: "alive"})
 	c.Sweep(clk.Now())
 	if err := c.Renew(context.Background(), "dead", dead.Key, dead.Start, dead.End); !errors.Is(err, ErrGone) {
 		t.Fatalf("post-expiry renew: want ErrGone, got %v", err)
@@ -450,137 +441,6 @@ func TestHedgedStealFirstReportWins(t *testing.T) {
 	}
 }
 
-// TestProbeEvictionRequeuesAndReadmits: consecutive probe failures evict a
-// worker (leases requeue immediately); a successful probe re-admits it.
-func TestProbeEvictionRequeuesAndReadmits(t *testing.T) {
-	clk := newFakeClock()
-	var probeMu sync.Mutex
-	probeErr := map[string]error{}
-	probe := func(_ context.Context, addr string) (string, error) {
-		probeMu.Lock()
-		defer probeMu.Unlock()
-		if err := probeErr[addr]; err != nil {
-			return "", err
-		}
-		return "ok", nil
-	}
-	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Hour, Probe: probe, UnitShards: 16})
-	core := toyCore(1)
-
-	c.Register(context.Background(), WorkerInfo{ID: "w1", Addr: "http://w1"})
-	// A second healthy worker keeps the fleet alive so eviction exercises
-	// requeue/readmission rather than the zero-worker local fallback.
-	c.Register(context.Background(), WorkerInfo{ID: "keeper", Addr: "http://keeper"})
-	ch := startExecute(c, context.Background(), "k1", core, toyPlan)
-	g := waitGrant(t, c, "w1")
-
-	probeMu.Lock()
-	probeErr["http://w1"] = errors.New("connection refused")
-	probeMu.Unlock()
-	c.ProbeAll(context.Background())
-	c.ProbeAll(context.Background())
-	if st := c.Stats(); st.Evictions != 0 {
-		t.Fatalf("two failures must not evict: %+v", st)
-	}
-	c.ProbeAll(context.Background())
-	st := c.Stats()
-	if st.Evictions != 1 || st.Expired == 0 {
-		t.Fatalf("eviction must requeue the lease: %+v", st)
-	}
-	if err := c.Renew(context.Background(), "w1", g.Key, g.Start, g.End); !errors.Is(err, ErrGone) {
-		t.Fatalf("evicted worker's renew: want ErrGone, got %v", err)
-	}
-
-	// The partition heals: probe succeeds, worker re-admitted and claims
-	// the requeued unit (backoff gate jumped).
-	probeMu.Lock()
-	delete(probeErr, "http://w1")
-	probeMu.Unlock()
-	c.ProbeAll(context.Background())
-	if st := c.Stats(); st.Readmits != 1 {
-		t.Fatalf("readmission not counted: %+v", st)
-	}
-	clk.Advance(time.Minute)
-	g2, err := c.Claim(context.Background(), "w1", "", 0)
-	if err != nil || g2 == nil {
-		t.Fatalf("re-admitted worker got no work: %+v err=%v", g2, err)
-	}
-	report(t, c, core, "w1", g2)
-	if o := waitOutcome(t, ch); o.err != nil {
-		t.Fatal(o.err)
-	}
-}
-
-// TestDrainingWorkerIsLeaseNonRenewable: a draining worker keeps its
-// lease but renewals stop extending, and it receives no new grants.
-func TestDrainingWorkerIsLeaseNonRenewable(t *testing.T) {
-	clk := newFakeClock()
-	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: 10 * time.Second, UnitShards: 4})
-	core := toyCore(1)
-
-	c.Register(context.Background(), WorkerInfo{ID: "w1"})
-	ch := startExecute(c, context.Background(), "k1", core, toyPlan)
-	g := waitGrant(t, c, "w1")
-	// w2 joins before w1 drains, so the fleet never runs out of live
-	// workers: with none left, Execute's local lane could take the unit
-	// the sweep below requeues before w2 claims it.
-	c.Register(context.Background(), WorkerInfo{ID: "w2"})
-	c.MarkDraining("w1")
-
-	// Renewal is accepted (the worker is alive, finishing its unit) but
-	// does not extend: after the original TTL the lease expires.
-	if err := c.Renew(context.Background(), "w1", g.Key, g.Start, g.End); err != nil {
-		t.Fatalf("draining renew must be accepted: %v", err)
-	}
-	if g2, _ := c.Claim(context.Background(), "w1", "", 0); g2 != nil {
-		t.Fatalf("draining worker must get no new work, got %+v", g2)
-	}
-	clk.Advance(11 * time.Second)
-	c.Sweep(clk.Now())
-	if err := c.Renew(context.Background(), "w1", g.Key, g.Start, g.End); !errors.Is(err, ErrGone) {
-		t.Fatalf("lease must expire at original TTL: got %v", err)
-	}
-	if st := c.Stats(); st.Renewals != 0 {
-		t.Fatalf("draining renew must not count as an extension: %+v", st)
-	}
-
-	// Cancel the hanging job.
-	report(t, c, core, "w2", mustGrant(t, c, clk, "w2"))
-	drainAll(t, c, core, "w2", ch)
-}
-
-func mustGrant(t *testing.T, c *Coordinator, clk *fakeClock, worker string) *LeaseGrant {
-	t.Helper()
-	c.Register(context.Background(), WorkerInfo{ID: worker})
-	clk.Advance(time.Minute)
-	c.Sweep(clk.Now())
-	g, err := c.Claim(context.Background(), worker, "", 0)
-	if err != nil || g == nil {
-		t.Fatalf("no grant for %s (err=%v)", worker, err)
-	}
-	return g
-}
-
-func drainAll(t *testing.T, c *Coordinator, core Core, worker string, ch chan execOutcome) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, g := range drainClaims(t, c, worker) {
-			report(t, c, core, worker, g)
-		}
-		select {
-		case o := <-ch:
-			if o.err != nil {
-				t.Fatal(o.err)
-			}
-			return
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	t.Fatal("job did not finish")
-}
-
 // TestInProcessWorkerFleet runs real Worker loops against the coordinator
 // (direct CoordinatorAPI, no HTTP): bytes match standalone, for 1 and 4
 // fleet workers.
@@ -592,8 +452,8 @@ func TestInProcessWorkerFleet(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		c.Start(ctx)
 
-		// Pre-register so Execute's admission check sees a live fleet even
-		// if the worker goroutines haven't called Register yet.
+		// Admit the workers so Execute's admission check sees a live fleet
+		// even if the worker goroutines haven't claimed yet.
 		for i := 0; i < fleet; i++ {
 			if err := c.Register(ctx, WorkerInfo{ID: fmt.Sprintf("w%d", i)}); err != nil {
 				t.Fatal(err)
@@ -718,34 +578,19 @@ func TestExecuteCancellationTruncates(t *testing.T) {
 	}
 }
 
-// TestMidJobFleetLossFallsBackLocal: the fleet dies mid-job (eviction) and
-// the remaining units run on the coordinator's local lane, bytes intact.
+// TestMidJobFleetLossFallsBackLocal: the fleet falls silent mid-job, and
+// once no worker has been heard from for 2×LeaseTTL the sweep's broadcast
+// hands the remaining units to the coordinator's local lane, bytes intact.
 func TestMidJobFleetLossFallsBackLocal(t *testing.T) {
-	var probeMu sync.Mutex
-	dead := false
-	probe := func(_ context.Context, _ string) (string, error) {
-		probeMu.Lock()
-		defer probeMu.Unlock()
-		if dead {
-			return "", errors.New("unreachable")
-		}
-		return "ok", nil
-	}
-	c := NewCoordinator(Config{LeaseTTL: time.Hour, UnitShards: 8, Probe: probe})
+	clk := newFakeClock()
+	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Hour, UnitShards: 8})
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
 
-	c.Register(context.Background(), WorkerInfo{ID: "w1", Addr: "http://w1"})
+	c.Register(context.Background(), WorkerInfo{ID: "w1"})
 	ch := startExecute(c, context.Background(), "k1", core, toyPlan)
-	g := waitGrant(t, c, "w1")
-	report(t, c, core, "w1", g)
-
-	probeMu.Lock()
-	dead = true
-	probeMu.Unlock()
-	for i := 0; i < probeFailLimit; i++ {
-		c.ProbeAll(context.Background())
-	}
+	report(t, c, core, "w1", waitGrant(t, c, "w1"))
+	c.Sweep(clk.Advance(2 * time.Hour))
 
 	o := waitOutcome(t, ch)
 	if o.err != nil {
@@ -754,8 +599,56 @@ func TestMidJobFleetLossFallsBackLocal(t *testing.T) {
 	if string(o.body) != string(want) {
 		t.Fatalf("local-fallback bytes differ\n got %s\nwant %s", o.body, want)
 	}
-	if st := c.Stats(); st.LocalUnits == 0 || st.Evictions != 1 {
+	if st := c.Stats(); st.LocalUnits != 1 {
 		t.Fatalf("local lane not exercised: %+v", st)
+	}
+}
+
+// TestSilentWorkerIsLost: a worker that takes a lease and falls silent
+// holds its job up for about 2¼ lease TTLs. Its lease expires at the first
+// sweep past one TTL; at the first sweep past 2×TTL without contact it is
+// lost, the sweep's broadcast hands every pending unit to the local lane,
+// and the job returns RunFull's bytes and status. Its next contact makes
+// it live again.
+func TestSilentWorkerIsLost(t *testing.T) {
+	clk := newFakeClock()
+	const ttl = time.Second
+	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: ttl, UnitShards: 4})
+	core := toyCore(1)
+	want, wantSt, err := core.RunFull(context.Background(), toyPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c.Register(context.Background(), WorkerInfo{ID: "w1"})
+	ch := startExecute(c, context.Background(), "k-silent", core, toyPlan)
+	waitGrant(t, c, "w1") // never renewed, never reported
+	for i := 0; i < 7; i++ {
+		c.Sweep(clk.Advance(ttl / 4))
+	}
+	if w := c.FleetSnapshot().Workers[0]; w.State != "healthy" {
+		t.Fatalf("worker silent for 1¾ TTL reads %+v, want healthy", w)
+	}
+	c.Sweep(clk.Advance(ttl / 4))
+
+	o := waitOutcome(t, ch)
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if string(o.body) != string(want) || o.status != wantSt {
+		t.Fatalf("got %s %+v, want RunFull's %s %+v", o.body, o.status, want, wantSt)
+	}
+	if st := c.Stats(); st.LocalUnits != 4 || st.Expired != 1 {
+		t.Fatalf("stats %+v, want the expired lease and all 4 units on the local lane", st)
+	}
+	if w := c.FleetSnapshot().Workers[0]; w.State != "lost" || w.Leases != 0 {
+		t.Fatalf("silent worker reads %+v, want lost with no lease", w)
+	}
+	if g, err := c.Claim(context.Background(), "w1", "", 0); err != nil || g != nil {
+		t.Fatalf("claim after the job: %+v, %v; want no work", g, err)
+	}
+	if w := c.FleetSnapshot().Workers[0]; w.State != "healthy" {
+		t.Fatalf("worker heard from again reads %+v, want healthy", w)
 	}
 }
 

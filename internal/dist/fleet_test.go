@@ -15,15 +15,16 @@ import (
 )
 
 // TestFleetSnapshotStatesAndJobs pins the /v1/fleet/status source of truth:
-// worker rows (ID-sorted, correct state precedence, lease counts, last-seen
-// ages) and job rows (unit-state tallies and dispatch progress), without
-// ever mutating coordinator state from the read path.
+// worker rows (ID-sorted, healthy until 2×LeaseTTL without contact and lost
+// from then on, lease counts, last-seen ages) and job rows (unit-state
+// tallies and dispatch progress), without ever mutating coordinator state
+// from the read path.
 func TestFleetSnapshotStatesAndJobs(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4})
 	core := toyCore(1)
-	c.Register(context.Background(), WorkerInfo{ID: "w-b", Addr: "http://b"}) //nolint:errcheck
-	c.Register(context.Background(), WorkerInfo{ID: "w-a"})                   //nolint:errcheck
+	c.Register(context.Background(), WorkerInfo{ID: "w-b"}) //nolint:errcheck
+	c.Register(context.Background(), WorkerInfo{ID: "w-a"}) //nolint:errcheck
 
 	snap := c.FleetSnapshot()
 	if len(snap.Workers) != 2 || snap.Workers[0].ID != "w-a" || snap.Workers[1].ID != "w-b" {
@@ -87,13 +88,25 @@ func TestFleetSnapshotStatesAndJobs(t *testing.T) {
 	if len(snap.Jobs) != 0 {
 		t.Fatalf("finished job still listed: %+v", snap.Jobs)
 	}
+
+	// w-a was last heard from 2s after w-b, which is lost once it has been
+	// silent for 2×TTL.
+	clk.Advance(2*time.Minute - 2*time.Second - time.Millisecond)
+	if snap = c.FleetSnapshot(); snap.Workers[0].State != "healthy" || snap.Workers[1].State != "healthy" {
+		t.Fatalf("inside the liveness window: %+v", snap.Workers)
+	}
+	clk.Advance(time.Millisecond)
+	snap = c.FleetSnapshot()
+	if wa, wb := snap.Workers[0], snap.Workers[1]; wa.State != "healthy" || wb.State != "lost" || wb.LastSeenAgeMS != 120000 {
+		t.Fatalf("w-b silent for 2×TTL: %+v, want w-a healthy and w-b lost at 120000ms", snap.Workers)
+	}
 }
 
 // TestFleetSnapshotQuarantineIsReadOnly pins two properties: a quarantined
 // worker is reported as "quarantined" with its remaining window, and
 // reading the snapshot after the window elapses reports the lazy state
-// ("evicted"-free readmission is claim/report's job) WITHOUT flipping the
-// stored quarantine bit — status scrapes must never advance fleet state.
+// (readmission is claim/report's job) WITHOUT flipping the stored
+// quarantine bit — status scrapes must never advance fleet state.
 func TestFleetSnapshotQuarantineIsReadOnly(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
@@ -143,28 +156,25 @@ func TestFleetSnapshotQuarantineIsReadOnly(t *testing.T) {
 	}
 }
 
-// TestRenewOfGoneLeaseDoesNotRevive pins the renewal/trust split: renewing
-// a lease that is gone answers ErrGone and does NOT count as proof of life
-// for an evicted worker — only claims, reports and probes reverse eviction.
+// TestRenewOfGoneLeaseDoesNotRevive pins the renewal/liveness split:
+// renewing a lease that is gone answers ErrGone and does NOT count as
+// contact, so a lost worker stays lost — only claims, reports and live
+// renewals stamp it.
 func TestRenewOfGoneLeaseDoesNotRevive(t *testing.T) {
 	clk := newFakeClock()
-	probeErr := errors.New("unreachable")
-	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4,
-		Probe: func(context.Context, string) (string, error) { return "", probeErr }})
-	c.Register(context.Background(), WorkerInfo{ID: "w1", Addr: "http://w1"}) //nolint:errcheck
-	for i := 0; i < probeFailLimit; i++ {
-		c.ProbeAll(context.Background())
-	}
-	if snap := c.FleetSnapshot(); snap.Workers[0].State != "evicted" {
-		t.Fatalf("probe eviction not visible: %+v", snap.Workers)
+	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4})
+	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+	clk.Advance(2 * time.Minute)
+	if snap := c.FleetSnapshot(); snap.Workers[0].State != "lost" {
+		t.Fatalf("silence not visible: %+v", snap.Workers)
 	}
 
 	err := c.Renew(context.Background(), "w1", "no-such-job", 0, 4)
 	if !errors.Is(err, ErrGone) {
 		t.Fatalf("renew of unknown lease: want ErrGone, got %v", err)
 	}
-	if w := c.FleetSnapshot().Workers[0]; w.State != "evicted" {
-		t.Fatalf("renewal of a gone lease revived an evicted worker: %+v", w)
+	if w := c.FleetSnapshot().Workers[0]; w.State != "lost" {
+		t.Fatalf("renewal of a gone lease revived a lost worker: %+v", w)
 	}
 }
 
@@ -210,6 +220,7 @@ func TestCoordinatorFlightEvents(t *testing.T) {
 	// finishes the job cleanly (lease.grant + lease.done).
 	waitGrant(t, c, "w1")
 	clk.Advance(2 * time.Minute)
+	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck // still live: no local lane
 	c.Sweep(clk.Now())
 	// The expired unit requeues with backoff on the fake clock: keep
 	// advancing past the not-before whenever no grant is available.

@@ -373,8 +373,8 @@ func TestClientHonorsRetryAfterOn429And503(t *testing.T) {
 		// X-QIsim-Worker and body.
 		want string
 	}{
-		{"register", func(cl *Client) error { return cl.Register(ctx, WorkerInfo{ID: "w"}) },
-			`/v1/dist/register application/json  "{\"id\":\"w\"}"`},
+		{"renew", func(cl *Client) error { return cl.Renew(ctx, "w", "k", 0, 4) },
+			`/v1/dist/renew application/json  "{\"worker\":\"w\",\"key\":\"k\",\"start\":0,\"end\":4}"`},
 		{"report", func(cl *Client) error { return cl.Report(ctx, "w7", []byte("QISNAP01")) },
 			`/v1/dist/report application/octet-stream w7 "QISNAP01"`},
 	}
@@ -491,7 +491,7 @@ func TestClientPerRPCTimeout(t *testing.T) {
 	defer close(stall) // LIFO: release the handler before Close waits on it
 	cl := &Client{Base: srv.URL, MaxAttempts: 1, RPCTimeout: 50 * time.Millisecond}
 	start := time.Now()
-	err := cl.Register(context.Background(), WorkerInfo{ID: "w"})
+	err := cl.Renew(context.Background(), "w", "k", 0, 4)
 	if err == nil {
 		t.Fatal("want timeout error from a stalled coordinator")
 	}
@@ -581,7 +581,6 @@ type goneReportCoord struct {
 	reports atomic.Int64
 }
 
-func (f *goneReportCoord) Register(context.Context, WorkerInfo) error { return nil }
 func (f *goneReportCoord) Claim(context.Context, string, string, time.Duration) (*LeaseGrant, error) {
 	return nil, nil
 }

@@ -24,9 +24,10 @@ import (
 
 // CoordinatorAPI is the coordinator surface a worker drives. The
 // Coordinator implements it directly (in-process fleets, tests); Client
-// implements it over HTTP (real fleets).
+// implements it over HTTP (real fleets). Every call is contact: the first
+// admits the worker, and the coordinator counts it live while it keeps
+// calling.
 type CoordinatorAPI interface {
-	Register(ctx context.Context, info WorkerInfo) error
 	// Claim returns the next work unit, or nil when none is available.
 	// idemKey is the claim's idempotency key: a duplicated delivery of the
 	// same key replays the same outcome instead of leasing a second unit
@@ -47,9 +48,6 @@ type CoreBuilder func(kind string, params json.RawMessage) (Core, error)
 type WorkerConfig struct {
 	ID          string
 	Coordinator CoordinatorAPI
-	// Advertise is the worker's own base URL, registered for health
-	// probes ("" = unprobeable).
-	Advertise string
 	// Cores rebuilds the per-kind execution core for claimed grants.
 	Cores CoreBuilder
 	// PollInterval is the longest the coordinator holds an empty claim
@@ -139,19 +137,17 @@ func (w *Worker) Stats() WorkerStats {
 }
 
 // Drain stops the claim loop after the in-flight unit: the worker finishes
-// what it holds (its lease stays valid but non-renewable once the
-// coordinator notices the drain), reports, and Run returns.
+// what it holds, renewing and reporting as usual, and Run returns.
 func (w *Worker) Drain() { w.draining.Store(true) }
 
-// Run registers and then loops claim → execute → report until ctx is done
-// or Drain is called. Each in-flight unit is heartbeat-renewed at TTL/3; a
+// Run loops claim → execute → report until ctx is done or Drain is called.
+// The first claim admits the worker; a failed claim is retried after a
+// backoff, so a worker started before its coordinator joins once the
+// coordinator answers. Each in-flight unit is heartbeat-renewed at TTL/3; a
 // renewal answered with ErrGone abandons the unit (its lease expired and
 // the coordinator re-dispatched it — finishing would only produce a
 // harmless duplicate report, so the worker stops wasting the cycles).
 func (w *Worker) Run(ctx context.Context) error {
-	if err := w.cfg.Coordinator.Register(ctx, WorkerInfo{ID: w.cfg.ID, Addr: w.cfg.Advertise}); err != nil {
-		return fmt.Errorf("dist: worker %s register: %w", w.cfg.ID, err)
-	}
 	for ctx.Err() == nil && !w.draining.Load() {
 		// One idempotency key per logical claim: transport-level retries
 		// and duplicated deliveries of THIS claim collapse to one lease.
@@ -438,16 +434,6 @@ func (c *Client) post(ctx context.Context, path string, header http.Header, body
 	return noContent, err
 }
 
-// Register implements CoordinatorAPI.
-func (c *Client) Register(ctx context.Context, info WorkerInfo) error {
-	body, err := json.Marshal(info)
-	if err != nil {
-		return err
-	}
-	_, err = c.post(ctx, "/v1/dist/register", jsonHeader, body, nil)
-	return err
-}
-
 // ClaimRequest is the body of POST /v1/dist/claim.
 type ClaimRequest struct {
 	Worker string `json:"worker"`
@@ -543,31 +529,4 @@ func (c *Client) Report(ctx context.Context, workerID string, container []byte) 
 	header.Set("X-QIsim-Worker", workerID)
 	_, err := c.post(ctx, "/v1/dist/report", header, container, nil)
 	return err
-}
-
-// ProbeHTTP is a Config.Probe: it GETs {addr}/readyz within 2s and reports
-// the JSON status field ("ok" on 200, the advertised status on 503, an
-// error on transport failure).
-func ProbeHTTP(ctx context.Context, addr string) (string, error) {
-	pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, addr+"/readyz", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Status string `json:"status"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&st); err != nil || st.Status == "" {
-		if resp.StatusCode == http.StatusOK {
-			return "ok", nil
-		}
-		return "", fmt.Errorf("dist: probe %s: %s", addr, resp.Status)
-	}
-	return st.Status, nil
 }

@@ -11,12 +11,12 @@ import (
 
 // FlightRecorder is an always-on bounded ring of structured events — the
 // black box an operator dumps after an incident the WAL alone can't
-// explain. Producers (lease transitions, retries, evictions, quarantines,
-// chaos injections, journal appends) call Record from hot paths, so the
-// append path is lock-free-ish: a single atomic sequence claim picks the
-// slot, and only writers landing on the *same* slot (a full ring-lap apart)
-// ever contend on its mutex. Old events are overwritten silently; Snapshot
-// reports how many were lost.
+// explain. Producers (worker admissions, lease transitions, retries,
+// quarantines, chaos injections, journal appends) call Record from hot
+// paths, so the append path is lock-free-ish: a single atomic sequence
+// claim picks the slot, and only writers landing on the *same* slot (a full
+// ring-lap apart) ever contend on its mutex. Old events are overwritten
+// silently; Snapshot reports how many were lost.
 //
 // A nil *FlightRecorder is valid and records nothing, mirroring the
 // nil-safety contract of Span.

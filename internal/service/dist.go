@@ -24,15 +24,15 @@ import (
 )
 
 // DistConfig turns the server into a fleet coordinator: Monte-Carlo jobs
-// are split into leased work units across registered workers (with held
-// claims, retry, work stealing, health-probe eviction and local-fallback
-// degradation), and the /v1/dist/{register,claim,renew,report} endpoints
-// are served.
+// are split into leased work units across the workers that claim them
+// (with held claims, retry, work stealing and local-fallback degradation
+// while no worker has been heard from for 2×LeaseTTL), and the
+// /v1/dist/{register,claim,renew,report} endpoints are served.
 // Workers run `qisimd -role worker -coordinator-url <this server>`.
 type DistConfig struct {
 	Enabled bool
 	// LeaseTTL is the per-lease heartbeat deadline (default 15s); the
-	// coordinator's sweep, probe, hedge and quarantine intervals derive
+	// coordinator's sweep, liveness, hedge and quarantine intervals derive
 	// from it (see dist.Config.LeaseTTL).
 	LeaseTTL time.Duration
 	// UnitShards is the work-unit granularity in shards (default 16; see
@@ -64,7 +64,6 @@ func (s *Server) initDist(cfg Config) {
 		LeaseTTL:   cfg.Dist.LeaseTTL,
 		UnitShards: cfg.Dist.UnitShards,
 		SpotCheck:  cfg.Dist.SpotCheck,
-		Probe:      dist.ProbeHTTP,
 		Logger:     cfg.Logger,
 		Flight:     s.flight,
 		UnitSeconds: func(worker string, seconds float64) {
@@ -94,10 +93,6 @@ func (s *Server) initDist(cfg Config) {
 			func(st dist.Stats) int { return st.UnitRetries }},
 		{"qisimd_dist_steals_total", "Straggler units hedge-dispatched to a second worker (first report wins).",
 			func(st dist.Stats) int { return st.Steals }},
-		{"qisimd_dist_workers_evicted_total", "Workers evicted after consecutive health-probe failures.",
-			func(st dist.Stats) int { return st.Evictions }},
-		{"qisimd_dist_workers_readmitted_total", "Evicted workers re-admitted after a successful probe, claim or report.",
-			func(st dist.Stats) int { return st.Readmits + st.QuarantineReadmits }},
 		{"qisimd_dist_local_units_total", "Work units executed on the coordinator's local lane (degraded or fleet down).",
 			func(st dist.Stats) int { return st.LocalUnits }},
 		{"qisimd_dist_quarantine_total", "Workers quarantined after a spot-check mismatch.",
@@ -110,7 +105,7 @@ func (s *Server) initDist(cfg Config) {
 			func(st dist.Stats) int { return st.IdemReplays }},
 		{"qisimd_dist_quarantine_readmits_total", "Quarantined workers re-admitted after the quarantine window elapsed.",
 			func(st dist.Stats) int { return st.QuarantineReadmits }},
-		{"qisimd_degraded_runs_total", "Fleet jobs admitted while no worker was live; their units run on the local lane until one registers.",
+		{"qisimd_degraded_runs_total", "Fleet jobs admitted while no worker was live; their units run on the local lane until one claims.",
 			func(st dist.Stats) int { return st.Degraded }},
 	} {
 		s.reg.CounterFunc(c.name, c.help, func() float64 { return float64(c.read(s.dist.Stats())) })
@@ -123,6 +118,9 @@ func (s *Server) Dist() *dist.Coordinator { return s.dist }
 
 // ---- /v1/dist/* worker endpoints ----
 
+// handleDistRegister admits a worker as its first claim would. Unknown
+// body fields are ignored, so an older worker's register body with its
+// "addr" still admits it.
 func (s *Server) handleDistRegister(w http.ResponseWriter, r *http.Request) {
 	var info dist.WorkerInfo
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&info); err != nil {
@@ -213,7 +211,7 @@ func BuildCore(kind string, params json.RawMessage) (dist.Core, error) {
 	return j.newCore(simrun.Options{Workers: j.workers})
 }
 
-// startDist launches the coordinator's sweep/probe loops (idempotent).
+// startDist launches the coordinator's sweep loop (idempotent).
 func (s *Server) startDist() {
 	if s.dist == nil || s.distCancel != nil {
 		return

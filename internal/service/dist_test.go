@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,9 +12,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"qisim/internal/backoff"
 	"qisim/internal/checkpoint"
 	"qisim/internal/dist"
 	"qisim/internal/jobs"
@@ -34,10 +37,11 @@ func runToBytes(t *testing.T, ts *httptest.Server, body string) []byte {
 	return []byte(snap.Result)
 }
 
-// startFleet registers and runs n HTTP workers against a coordinator server.
-// Registration happens synchronously before return, so a job submitted
-// afterwards sees a live fleet (no degraded fallback racing the test).
-// configure, when given, adjusts worker i's config before it is built.
+// startFleet runs n HTTP workers against a coordinator server with no job
+// pending. Each worker's first claim, answered at once before return,
+// admits it, so a job submitted afterwards sees a live fleet (no degraded
+// fallback racing the test). configure, when given, adjusts worker i's
+// config before it is built.
 func startFleet(t *testing.T, ts *httptest.Server, n int, configure ...func(i int, cfg *dist.WorkerConfig)) []*dist.Worker {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -46,9 +50,9 @@ func startFleet(t *testing.T, ts *httptest.Server, n int, configure ...func(i in
 	for i := 0; i < n; i++ {
 		client := &dist.Client{Base: ts.URL}
 		id := fmt.Sprintf("fleet-w%d", i)
-		if err := client.Register(ctx, dist.WorkerInfo{ID: id}); err != nil {
+		if g, err := client.Claim(ctx, id, "", 0); err != nil || g != nil {
 			cancel()
-			t.Fatalf("pre-register %s: %v", id, err)
+			t.Fatalf("first claim of %s: %+v, %v; want no work", id, g, err)
 		}
 		cfg := dist.WorkerConfig{
 			ID: id, Coordinator: client, Cores: BuildCore,
@@ -176,25 +180,61 @@ func TestDistDegradedFallsBackToLocal(t *testing.T) {
 	}
 }
 
-// TestProbeSeesDrainingWorker: the coordinator's health probe reads a
-// worker-side qisimd's /readyz — "ready" while serving, "draining" once the
-// worker begins shutdown. Draining is a distinct state from dead: the
-// coordinator stops extending its leases but does not evict it.
-func TestProbeSeesDrainingWorker(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1})
-	status, err := dist.ProbeHTTP(context.Background(), ts.URL)
-	if err != nil || status != "ready" {
-		t.Fatalf("probe healthy: %q, %v; want \"ready\"", status, err)
+// TestWorkerJoinsOnceCoordinatorAnswers: a worker whose coordinator fails
+// every RPC for longer than the client's retry budget keeps claiming, and
+// its first answered claim admits it: the next job runs on it, not on the
+// degraded local lane.
+func TestWorkerJoinsOnceCoordinatorAnswers(t *testing.T) {
+	coord, ts := newTestServer(t, Config{Workers: 1, Dist: DistConfig{Enabled: true, LeaseTTL: 5 * time.Second}})
+	var up atomic.Bool
+	var refused atomic.Int64
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !up.Load() {
+			refused.Add(1)
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		coord.Handler().ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	fast := backoff.Policy{Base: time.Millisecond, Cap: 2 * time.Millisecond, Factor: 2}
+	w, err := dist.NewWorker(dist.WorkerConfig{ID: "early", Coordinator: &dist.Client{Base: front.URL, Backoff: fast},
+		Cores: BuildCore, PollInterval: 2 * time.Millisecond, Seed: 1, Backoff: fast})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
+	ran := make(chan error, 1)
+	go func() { ran <- w.Run(ctx) }()
+
+	// Five claims' worth of 4-attempt retry budgets fail.
+	for deadline := time.Now().Add(10 * time.Second); refused.Load() < 20; time.Sleep(time.Millisecond) {
+		select {
+		case err := <-ran:
+			t.Fatalf("worker gave up while its coordinator was down: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d refused RPCs in 10s", refused.Load())
+		}
 	}
-	status, err = dist.ProbeHTTP(context.Background(), ts.URL)
-	if err != nil || status != "draining" {
-		t.Fatalf("probe draining: %q, %v; want \"draining\"", status, err)
+	up.Store(true)
+	for deadline := time.Now().Add(10 * time.Second); len(coord.Dist().FleetSnapshot().Workers) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never joined once its coordinator answered")
+		}
+	}
+	runToBytes(t, ts, `{"kind":"readout.mc","params":{"shots":2000,"shard_size":256,"seed":3}}`)
+	if n := w.Stats().Executions; n == 0 {
+		t.Fatal("the worker executed no unit")
+	}
+	if n := scrapeMetric(t, ts, "qisimd_degraded_runs_total"); n != 0 {
+		t.Fatalf("qisimd_degraded_runs_total = %v, want 0", n)
+	}
+	cancel()
+	if err := <-ran; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
 }
 
@@ -282,13 +322,14 @@ func TestFleetJobResultsStayCached(t *testing.T) {
 }
 
 // TestDistMetricsReadStats drives the server's coordinator through every
-// lease, health and spot-check event and requires each qisimd_dist_*
+// lease, liveness and spot-check event and requires each qisimd_dist_*
 // counter on /metrics, and the stats of /v1/fleet/status, to equal the
 // coordinator's own Stats. The coordinator's background loops are never
-// started: leases expire only on the explicit Sweep, and the hedge and
-// quarantine windows (2× and 4× a 10 ms TTL) are waited out.
+// started: leases expire only on the explicit Sweep, and the hedge,
+// liveness and quarantine windows (2×, 2× and 4× a 50 ms TTL) are waited
+// out.
 func TestDistMetricsReadStats(t *testing.T) {
-	const ttl = 10 * time.Millisecond
+	const ttl = 50 * time.Millisecond
 	raw := json.RawMessage(`{"distance":3,"shots":128,"shard_size":16,"seed":5}`)
 	mc, err := parseSurfaceMC(raw)
 	if err != nil {
@@ -311,9 +352,6 @@ func TestDistMetricsReadStats(t *testing.T) {
 		ts.Close()
 		srv.Drain(context.Background()) //nolint:errcheck
 	})
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // a probe of its address is refused
-
 	ctx := context.Background()
 	c := srv.Dist()
 	claim := func(worker string) *dist.LeaseGrant {
@@ -344,13 +382,8 @@ func TestDistMetricsReadStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	evict := func() {
-		for i := 0; i < 3; i++ {
-			c.ProbeAll(ctx)
-		}
-	}
-	c.Register(ctx, dist.WorkerInfo{ID: "w-a", Addr: dead.URL})  //nolint:errcheck
-	c.Register(ctx, dist.WorkerInfo{ID: "liar", Addr: dead.URL}) //nolint:errcheck
+	c.Register(ctx, dist.WorkerInfo{ID: "w-a"})  //nolint:errcheck
+	c.Register(ctx, dist.WorkerInfo{ID: "liar"}) //nolint:errcheck
 
 	done := make(chan error, 1)
 	go func() {
@@ -386,26 +419,24 @@ func TestDistMetricsReadStats(t *testing.T) {
 		t.Fatal("no hedged grant")
 	}
 	report("liar", hedge, true)
-	// After 4×TTL the liar is re-admitted by its next claim.
+	// After 4×TTL the liar is re-admitted by its next claim, which hedges
+	// another of w-a's units, and reports it honestly.
 	time.Sleep(4*ttl + 5*time.Millisecond)
-	claim("liar")
-	// Probe failures evict both workers, and the local lane takes over. A
-	// claim re-admits w-a, which reports what it is granted before the
-	// probes evict it again; no worker comes back, so the local lane
-	// finishes the job.
-	evict()
-	if g := claim("w-a"); g != nil {
-		report("w-a", g, false)
+	if g := claim("liar"); g != nil {
+		report("liar", g, false)
 	}
-	evict()
+	// Neither worker is heard from for 2×TTL: the sweep expires w-a's
+	// leases, and its broadcast hands their units to the local lane, which
+	// finishes the job.
+	time.Sleep(2*ttl + 5*time.Millisecond)
+	c.Sweep(time.Now())
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 
 	st := c.Stats()
 	for name, n := range map[string]int{"Grants": st.Grants, "Renewals": st.Renewals, "Expired": st.Expired,
-		"UnitRetries": st.UnitRetries, "Steals": st.Steals,
-		"Evictions": st.Evictions, "Readmits": st.Readmits, "LocalUnits": st.LocalUnits,
+		"UnitRetries": st.UnitRetries, "Steals": st.Steals, "LocalUnits": st.LocalUnits,
 		"SpotChecksPassed": st.SpotChecksPassed, "SpotChecksFailed": st.SpotChecksFailed,
 		"Quarantines": st.Quarantines, "QuarantineReadmits": st.QuarantineReadmits} {
 		if n == 0 {
@@ -422,8 +453,6 @@ func TestDistMetricsReadStats(t *testing.T) {
 		`qisimd_dist_spotcheck_total{result="error"}`: st.SpotCheckErrors,
 		"qisimd_dist_unit_retries_total":              st.UnitRetries,
 		"qisimd_dist_steals_total":                    st.Steals,
-		"qisimd_dist_workers_evicted_total":           st.Evictions,
-		"qisimd_dist_workers_readmitted_total":        st.Readmits + st.QuarantineReadmits,
 		"qisimd_dist_local_units_total":               st.LocalUnits,
 		"qisimd_dist_quarantine_total":                st.Quarantines,
 		"qisimd_dist_units_done_total":                st.UnitsDone,
@@ -464,11 +493,13 @@ func TestDistMetricsReadStats(t *testing.T) {
 	}
 }
 
-// TestDistBodiesFromOlderWorkers: a renew or report body that still carries
-// the metrics summary older workers sent is accepted (the field is ignored),
-// and a renew body over 64 KiB is refused, as a register or claim body is.
+// TestDistBodiesFromOlderWorkers: an older worker's register body, which
+// still carries the address it advertised for health probes, admits it; a
+// renew or report body that still carries the metrics summary older workers
+// sent is accepted (the field is ignored), and a renew body over 64 KiB is
+// refused, as a register or claim body is.
 func TestDistBodiesFromOlderWorkers(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Dist: DistConfig{Enabled: true, LeaseTTL: 5 * time.Second}})
+	srv, ts := newTestServer(t, Config{Workers: 1, Dist: DistConfig{Enabled: true, LeaseTTL: 5 * time.Second}})
 	post := func(path string, body []byte) int {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(body))
@@ -485,8 +516,11 @@ func TestDistBodiesFromOlderWorkers(t *testing.T) {
 	}
 	const summary = `"metrics":{"counters":{"qisimd_worker_units_total":3},` +
 		`"histograms":{"qisimd_worker_unit_seconds":{"bounds":[1],"buckets":[1],"sum":0.5,"count":1}}}`
-	if code := post("/v1/dist/register", []byte(`{"id":"w-old"}`)); code != http.StatusNoContent {
+	if code := post("/v1/dist/register", []byte(`{"id":"w-old","addr":"http://10.0.0.5:8080"}`)); code != http.StatusNoContent {
 		t.Fatalf("register: %d", code)
+	}
+	if w := srv.Dist().FleetSnapshot().Workers; len(w) != 1 || w[0].ID != "w-old" || w[0].State != "healthy" {
+		t.Fatalf("fleet after an older worker's register: %+v, want w-old healthy", w)
 	}
 	// No such lease: 410 Gone, not 400 for the body.
 	if code := post("/v1/dist/renew", []byte(`{"worker":"w-old","key":"k","start":0,"end":4,`+summary+`}`)); code != http.StatusGone {

@@ -190,27 +190,20 @@ func writeFleetTree(w http.ResponseWriter, v fleetStatusView) {
 		byState[wk.State]++
 	}
 	var states []string
-	for _, st := range []string{"healthy", "draining", "evicted", "quarantined"} {
+	for _, st := range []string{"healthy", "lost", "quarantined"} {
 		if byState[st] > 0 {
 			states = append(states, fmt.Sprintf("%d %s", byState[st], st))
 		}
 	}
 	summary := strings.Join(states, ", ")
 	if summary == "" {
-		summary = "none registered"
+		summary = "none heard from"
 	}
 	fmt.Fprintf(w, "fleet: %d workers (%s), %d jobs\n", len(v.Workers), summary, len(v.Jobs))
 	for i, wk := range v.Workers {
 		branch := treeBranch(i == len(v.Workers)-1 && len(v.Jobs) == 0)
-		fmt.Fprintf(w, "%s%s %s trust=%d leases=%d", branch, wk.ID, wk.State, wk.Trust, wk.Leases)
-		if wk.ProbeFails > 0 {
-			fmt.Fprintf(w, " probe-fails=%d", wk.ProbeFails)
-		}
-		if wk.LastSeenAgeMS >= 0 {
-			fmt.Fprintf(w, " last-seen=%dms", wk.LastSeenAgeMS)
-		} else {
-			fmt.Fprint(w, " last-seen=never")
-		}
+		fmt.Fprintf(w, "%s%s %s trust=%d leases=%d last-seen=%dms",
+			branch, wk.ID, wk.State, wk.Trust, wk.Leases, wk.LastSeenAgeMS)
 		if wk.QuarantineLeftMS > 0 {
 			fmt.Fprintf(w, " quarantine-left=%dms", wk.QuarantineLeftMS)
 		}
@@ -243,13 +236,14 @@ func treeBranch(last bool) string {
 // ---- qisimd_fleet_* series ----
 
 // registerFleetMetrics installs the coordinator's scrape-time fleet series.
-// Per-worker series come and go with registration — a scrape never caches a
-// dead worker beyond its eviction.
+// The coordinator never forgets a worker it has heard from, so a worker's
+// series stay from its first contact on; a silent one reads
+// state="lost" in qisimd_fleet_workers and its last-seen age keeps growing.
 func (s *Server) registerFleetMetrics() {
 	s.reg.GaugeFuncVec("qisimd_fleet_workers",
-		"Registered fleet workers by state.", "state",
+		"Fleet workers by state: healthy, lost (not heard from for 2×lease TTL) or quarantined.", "state",
 		func() map[string]float64 {
-			out := map[string]float64{"healthy": 0, "draining": 0, "evicted": 0, "quarantined": 0}
+			out := map[string]float64{"healthy": 0, "lost": 0, "quarantined": 0}
 			for _, w := range s.dist.FleetSnapshot().Workers {
 				out[w.State]++
 			}
@@ -273,24 +267,11 @@ func (s *Server) registerFleetMetrics() {
 			}
 			return out
 		})
-	s.reg.GaugeFuncVec("qisimd_fleet_worker_probe_failures",
-		"Consecutive failed health probes per worker.", "worker",
-		func() map[string]float64 {
-			out := map[string]float64{}
-			for _, w := range s.dist.FleetSnapshot().Workers {
-				out[w.ID] = float64(w.ProbeFails)
-			}
-			return out
-		})
 	s.reg.GaugeFuncVec("qisimd_fleet_worker_last_seen_seconds",
-		"Age of each worker's last contact (-1 = never heard from).", "worker",
+		"Age of each worker's last contact (claim, renewal, report or register).", "worker",
 		func() map[string]float64 {
 			out := map[string]float64{}
 			for _, w := range s.dist.FleetSnapshot().Workers {
-				if w.LastSeenAgeMS < 0 {
-					out[w.ID] = -1
-					continue
-				}
 				out[w.ID] = float64(w.LastSeenAgeMS) / 1e3
 			}
 			return out

@@ -97,7 +97,7 @@ type buildEnv struct {
 // coordinator the run is folded across the fleet, which drives the same
 // Progress, Checkpoint and Resume hooks as the in-process engine; while no
 // worker is live (a job recovered at boot, counted as a degraded run) its
-// units run on the coordinator's local lane until one registers. A
+// units run on the coordinator's local lane until one claims. A
 // standalone server runs the same core in-process through Core.RunFull.
 // Both lanes share the core's merge and finish, so their bytes are
 // identical, and a snapshot written by either lane resumes on either. The

@@ -166,14 +166,11 @@ func (g gatedCore) RunWindow(ctx context.Context, p dist.Plan, start, end int) (
 	return g.Core.RunWindow(ctx, p, start, end)
 }
 
-// runWorker registers one HTTP fleet worker on cores with the coordinator
-// at base, then runs it until the returned stop is called.
+// runWorker runs one HTTP fleet worker on cores against the coordinator
+// at base until the returned stop is called; its first claim admits it.
 func runWorker(t *testing.T, base, id string, cores dist.CoreBuilder) (w *dist.Worker, stop func()) {
 	t.Helper()
 	client := &dist.Client{Base: base}
-	if err := client.Register(context.Background(), dist.WorkerInfo{ID: id}); err != nil {
-		t.Fatal(err)
-	}
 	w, err := dist.NewWorker(dist.WorkerConfig{ID: id, Coordinator: client,
 		Cores: cores, PollInterval: 2 * time.Millisecond, Seed: 1})
 	if err != nil {
@@ -197,13 +194,13 @@ func runWorker(t *testing.T, base, id string, cores dist.CoreBuilder) (w *dist.W
 // drain): the fleet lane leaves the job's checkpoint at the folded
 // frontier. Life 2 runs New, Start and Recover before it listens, so the
 // recovered job is admitted with no worker and starts on the local lane
-// from that checkpoint; the worker that registers next claims units of it.
+// from that checkpoint; the worker that claims next takes units of it.
 // The job returns the standalone bytes and leaves no checkpoint and no
 // unit directory behind.
 func TestCoordinatorRestartResumesFleetCheckpoint(t *testing.T) {
 	dataDir := t.TempDir()
 	// Long enough (126 units past the checkpoint) that the local lane is
-	// still running it when the worker registers.
+	// still running it when the worker first claims.
 	req := `{"kind":"surface.mc","params":{"distance":5,"shots":16384,"shard_size":64,"seed":23}}`
 	_, solo := newTestServer(t, Config{Workers: 1})
 	want := runToBytes(t, solo, req)
@@ -222,6 +219,8 @@ func TestCoordinatorRestartResumesFleetCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
+	// Admit the worker before the job, so the job is dispatched to it.
+	srv1.Dist().Register(context.Background(), dist.WorkerInfo{ID: "w1"}) //nolint:errcheck
 	_, stopWorker := runWorker(t, ts1.URL, "w1", func(kind string, params json.RawMessage) (dist.Core, error) {
 		c, err := BuildCore(kind, params)
 		return gatedCore{c, 4}, err
@@ -286,7 +285,7 @@ func TestCoordinatorRestartResumesFleetCheckpoint(t *testing.T) {
 		t.Errorf("qisimd_jobs_resumed_total = %v, want 1", v)
 	}
 	if v := scrapeMetric(t, ts2, "qisimd_degraded_runs_total"); v != 1 {
-		t.Errorf("qisimd_degraded_runs_total = %v, want 1 (admitted before the worker registered)", v)
+		t.Errorf("qisimd_degraded_runs_total = %v, want 1 (admitted before the worker's first claim)", v)
 	}
 	if n := w2.Stats().Executions; n == 0 {
 		t.Error("life 2's worker executed no unit: the recovered job never used the fleet")

@@ -95,8 +95,8 @@ type Config struct {
 	// negative disables job tracing entirely.
 	TraceMaxSpans int
 	// Dist, when Enabled, turns this server into a fleet coordinator: MC
-	// jobs are dispatched across registered workers with leases, retries,
-	// work stealing and graceful local fallback (see dist.go).
+	// jobs are dispatched across the workers that claim them with leases,
+	// retries, work stealing and graceful local fallback (see dist.go).
 	Dist DistConfig
 	// TenantQuota bounds each tenant's in-flight top-level jobs (0 =
 	// unlimited). Exceeding it is a 429 with a distinct quota-exceeded
@@ -391,7 +391,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Start launches the worker pool (and, as a coordinator, the lease-sweep
-// and health-probe loops). Idempotent.
+// loop). Idempotent.
 func (s *Server) Start() {
 	s.mgr.Start()
 	s.startDist()
