@@ -8,7 +8,7 @@ LDFLAGS  = -X qisim/internal/buildinfo.Version=$(VERSION) \
            -X qisim/internal/buildinfo.Commit=$(COMMIT) \
            -X qisim/internal/buildinfo.Date=$(DATE)
 
-.PHONY: all build test vet race fuzz smoke unlinked loc serve trace-demo verify clean help
+.PHONY: all build test vet race fuzz smoke unlinked loc offsets serve trace-demo verify clean help
 
 all: build
 
@@ -84,6 +84,21 @@ loc:
 		END { for (p in n) printf "%7d  %s\n", n[p], p | "sort -k2"; close("sort -k2"); \
 		printf "%7d  infrastructure (service dist jobs obs metrics chaos dse checkpoint rescache backoff)\n%7d  total outside bench/\n", infra, all }'
 
+# The offset within its 64-byte cache line of each hot Monte-Carlo kernel in
+# the benchmark binary, built into a temporary directory as bench/run.sh
+# builds it. Link layout alone has moved mc-decode by 5%, so compare these
+# on both binaries before reading a few-percent MC shift.
+offsets:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	(cd bench && GOFLAGS= GOWORK=off GOPROXY=off GOTOOLCHAIN=local $(GO) build -o "$$dir/qisim-bench" .); \
+	$(GO) tool nm -n "$$dir/qisim-bench" > "$$dir/nm"; \
+	for sym in 'qisim/internal/simrun.(*go1Source).hits' 'qisim/internal/surface.(*graph).match' \
+		'qisim/internal/cmath.MulInto'; do \
+		addr=$$(awk -v s="$$sym" '$$3 == s { print $$1 }' "$$dir/nm"); \
+		[ -n "$$addr" ] || { echo "$$sym: not in the benchmark binary"; exit 1; }; \
+		echo "$$(( 0x$$addr % 64 ))  $$sym"; \
+	done
+
 # Build and run the qisimd analysis service on :8080 with version stamping.
 serve:
 	$(GO) run -ldflags "$(LDFLAGS)" ./cmd/qisimd -addr :8080
@@ -119,5 +134,6 @@ help:
 	@echo "  smoke           CLI smokes: trace export, build identity, exit 4 on a bad distance"
 	@echo "  unlinked        every non-test function is linked into a binary or listed in linkcheck_test.go"
 	@echo "  loc             non-test Go lines per package, infrastructure total, total outside bench/"
+	@echo "  offsets         cache-line offsets of the hot MC kernels in the benchmark binary"
 	@echo "  trace-demo      record a Chrome trace of a parallel decoder run"
 	@echo "  serve           run the qisimd analysis service on :8080"

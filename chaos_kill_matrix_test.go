@@ -105,47 +105,95 @@ type chaosSubmitResponse struct {
 	Job     jobs.Snapshot `json:"job"`
 }
 
-// chaosRun submits one job over HTTP and polls it to completion.
+// chaosRun submits one job over HTTP, polls it to completion and returns
+// its result body, failing the test on any error. It calls t.Fatal, so it
+// runs on the test goroutine; a job submitted from another goroutine goes
+// through startChaosRun and awaitChaosRun.
 func chaosRun(t *testing.T, base, body string) []byte {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+	got, err := submitAndPoll(base, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return got
+}
+
+// submitAndPoll submits one job over HTTP and polls it to completion. It
+// returns an error for a job that is refused, fails, finishes truncated or
+// does not finish within 60 s, and touches no testing.T, so any goroutine
+// may call it.
+func submitAndPoll(base, body string) ([]byte, error) {
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		return nil, err
 	}
 	var sr chaosSubmitResponse
 	err = json.NewDecoder(resp.Body).Decode(&sr)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("decode submit: %v", err)
+		return nil, fmt.Errorf("decode submit: %v", err)
 	}
 	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit: status %d", resp.StatusCode)
+		return nil, fmt.Errorf("submit: status %d", resp.StatusCode)
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(base + "/v1/jobs/" + sr.Job.ID)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		var snap jobs.Snapshot
 		err = json.NewDecoder(resp.Body).Decode(&snap)
 		resp.Body.Close()
 		if err != nil {
-			t.Fatalf("decode snapshot: %v", err)
+			return nil, fmt.Errorf("decode snapshot: %v", err)
 		}
 		switch snap.State {
 		case jobs.StateDone:
 			if snap.Status == nil || snap.Status.Truncated {
-				t.Fatalf("job finished truncated: %+v", snap.Status)
+				return nil, fmt.Errorf("job finished truncated: %+v", snap.Status)
 			}
-			return []byte(snap.Result)
+			return []byte(snap.Result), nil
 		case jobs.StateFailed:
-			t.Fatalf("job failed: %s: %s", snap.ErrorClass, snap.Error)
+			return nil, fmt.Errorf("job failed: %s: %s", snap.ErrorClass, snap.Error)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatal("job did not finish")
-	return nil
+	return nil, errors.New("job did not finish in 60s")
+}
+
+// chaosOutcome is what a submitAndPoll run on its own goroutine returns.
+type chaosOutcome struct {
+	body []byte
+	err  error
+}
+
+// startChaosRun runs submitAndPoll on its own goroutine, so the test can
+// disturb the fleet while the job runs.
+func startChaosRun(base, body string) <-chan chaosOutcome {
+	done := make(chan chaosOutcome, 1)
+	go func() {
+		b, err := submitAndPoll(base, body)
+		done <- chaosOutcome{b, err}
+	}()
+	return done
+}
+
+// awaitChaosRun waits up to timeout for a job started by startChaosRun and
+// returns its result body, failing the test on the job's error or the
+// timeout.
+func awaitChaosRun(t *testing.T, done <-chan chaosOutcome, timeout time.Duration) []byte {
+	t.Helper()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		return o.body
+	case <-time.After(timeout):
+		t.Fatalf("the job did not finish in %v", timeout)
+		return nil
+	}
 }
 
 // startChaosWorkers launches n healthy dist.Workers over the wire API and
@@ -284,13 +332,12 @@ func TestChaosKillMatrix(t *testing.T) {
 				// The doomed worker registers alone, grabs the first unit,
 				// and is "SIGKILLed": no report or renewal ever arrives.
 				doomed := registerWorker(t, ts.URL, "doomed")
-				done := make(chan []byte, 1)
-				go func() { done <- chaosRun(t, ts.URL, job.body) }()
+				done := startChaosRun(ts.URL, job.body)
 				claimOneUnit(t, doomed, "doomed")
 				// Only now do the healthy workers join; one of them must
 				// pick up the expired lease's requeue.
 				startChaosWorkers(t, ts.URL, 2)
-				got := <-done
+				got := awaitChaosRun(t, done, 90*time.Second)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("killed-worker fleet differs from standalone:\n%s\n%s", got, want)
 				}
@@ -307,8 +354,7 @@ func TestChaosKillMatrix(t *testing.T) {
 				// reports — the hedge (2×TTL) must re-dispatch its range to a
 				// healthy worker, whose report wins.
 				client := registerWorker(t, ts.URL, "slow")
-				done := make(chan []byte, 1)
-				go func() { done <- chaosRun(t, ts.URL, job.body) }()
+				done := startChaosRun(ts.URL, job.body)
 				g := claimOneUnit(t, client, "slow")
 				stopRenew := make(chan struct{})
 				var renewWG sync.WaitGroup
@@ -330,7 +376,7 @@ func TestChaosKillMatrix(t *testing.T) {
 					}
 				}()
 				startChaosWorkers(t, ts.URL, 2)
-				got := <-done
+				got := awaitChaosRun(t, done, 90*time.Second)
 				close(stopRenew)
 				renewWG.Wait()
 				if !bytes.Equal(got, want) {
@@ -454,8 +500,7 @@ func TestFleetSIGKILLMultiProcess(t *testing.T) {
 	_, solo := chaosServer(t, service.Config{Workers: 2})
 	want := chaosRun(t, solo.URL, job)
 
-	done := make(chan []byte, 1)
-	go func() { done <- chaosRun(t, coordBase, job) }()
+	done := startChaosRun(coordBase, job)
 	// SIGKILL one worker while the fleet is (very likely) mid-job. Whether
 	// or not it held a lease at that instant, the survivors must converge
 	// on the identical bytes.
@@ -463,7 +508,7 @@ func TestFleetSIGKILLMultiProcess(t *testing.T) {
 	if err := victim.Process.Kill(); err != nil {
 		t.Fatalf("SIGKILL victim: %v", err)
 	}
-	got := <-done
+	got := awaitChaosRun(t, done, 90*time.Second)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-SIGKILL fleet result differs from standalone:\n%s\n%s", got, want)
 	}
@@ -486,8 +531,7 @@ func TestFleetAllWorkersSIGKILLedMultiProcess(t *testing.T) {
 	_, solo := chaosServer(t, service.Config{Workers: 2})
 	want := chaosRun(t, solo.URL, job)
 
-	done := make(chan []byte, 1)
-	go func() { done <- chaosRun(t, coordBase, job) }()
+	done := startChaosRun(coordBase, job)
 	for deadline := time.Now().Add(30 * time.Second); scrapeMetric(t, coordBase, "qisimd_dist_units_done_total") < 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the fleet folded no unit in 30s")
@@ -498,13 +542,8 @@ func TestFleetAllWorkersSIGKILLedMultiProcess(t *testing.T) {
 			t.Fatalf("SIGKILL worker: %v", err)
 		}
 	}
-	select {
-	case got := <-done:
-		if !bytes.Equal(got, want) {
-			t.Fatalf("result after the fleet's SIGKILL differs from standalone:\n%.200s\n%.200s", got, want)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("the job never finished after its whole fleet was SIGKILLed")
+	if got := awaitChaosRun(t, done, 30*time.Second); !bytes.Equal(got, want) {
+		t.Fatalf("result after the fleet's SIGKILL differs from standalone:\n%.200s\n%.200s", got, want)
 	}
 	if n := scrapeMetric(t, coordBase, `qisimd_fleet_workers{state="lost"}`); n != float64(len(procs)) {
 		t.Fatalf(`qisimd_fleet_workers{state="lost"} = %v, want the %d killed workers`, n, len(procs))

@@ -160,8 +160,7 @@ func TestChaosCorruptWorkerQuarantined(t *testing.T) {
 	}})
 	client := registerWorker(t, ts.URL, "liar")
 
-	done := make(chan []byte, 1)
-	go func() { done <- chaosRun(t, ts.URL, chaosNetJob) }()
+	done := startChaosRun(ts.URL, chaosNetJob)
 
 	g := claimOneUnit(t, client, "liar")
 	n := g.End - g.Start
@@ -183,13 +182,8 @@ func TestChaosCorruptWorkerQuarantined(t *testing.T) {
 	// With its only worker shunned the coordinator finishes locally —
 	// byte-identical, because the forged unit's truth came from the
 	// coordinator's own re-execution.
-	select {
-	case got := <-done:
-		if !bytes.Equal(got, want) {
-			t.Fatalf("post-quarantine result differs from standalone:\n%s\n%s", got, want)
-		}
-	case <-time.After(90 * time.Second):
-		t.Fatal("job did not finish after quarantine")
+	if got := awaitChaosRun(t, done, 90*time.Second); !bytes.Equal(got, want) {
+		t.Fatalf("post-quarantine result differs from standalone:\n%s\n%s", got, want)
 	}
 
 	if v := scrapeMetric(t, ts.URL, "qisimd_dist_quarantine_total"); v < 1 {

@@ -49,7 +49,7 @@ func BenchmarkDistDispatch(b *testing.B) {
 }
 
 // BenchmarkDistFold measures the coordinator-side fold path alone:
-// decoding and merging pre-computed unit results in shard order.
+// decoding and folding pre-computed unit results in shard order.
 func BenchmarkDistFold(b *testing.B) {
 	core := toyCore(1)
 	n := toyPlan.NumShards()
@@ -59,15 +59,14 @@ func BenchmarkDistFold(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := core.newFold()
+		f, err := core.newFold(toyPlan)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for k := 0; k < n; k++ {
-			if err := f.add(states[k]); err != nil {
+			if _, err := f.add(states[k], events[k]); err != nil {
 				b.Fatal(err)
 			}
-			_ = events[k]
 		}
 	}
 }

@@ -140,19 +140,14 @@ type distJob struct {
 	tracer      *obs.Tracer
 	span        *obs.Span
 
-	// The fold of the committed shard prefix and the hooks of the core's
-	// options that observe it, driven as simrun.RunSharded drives them.
-	fold          fold
-	tally         simrun.Tally
-	progress      func(completed, requested int) // nil = silent
-	checkpoint    func(simrun.CheckpointState)   // nil = no snapshots
-	frontierUnit  int                            // next unit awaiting fold
-	frontierShard int                            // next global shard awaiting fold
-	stopReason    string
-	finished      bool
-	result        []byte
-	status        simrun.Status
-	err           error
+	// The fold of the committed shard prefix, which drives the hooks of the
+	// core's options as simrun.RunSharded's fold does.
+	fold         fold
+	frontierUnit int // next unit awaiting fold
+	finished     bool
+	result       []byte
+	status       simrun.Status
+	err          error
 }
 
 type workerState struct {
@@ -737,77 +732,46 @@ func (c *Coordinator) acceptUnitLocked(j *distJob, u *unit, states []json.RawMes
 	c.cond.Broadcast()
 }
 
-// advanceLocked folds the contiguous done-unit prefix shard by shard,
-// running the convergence guard at every shard boundary in global order —
-// exactly the walk simrun.RunSharded performs, so the first convergence
-// crossing (and therefore the converged bytes) is identical to a
-// standalone run. Like RunSharded's commit step, an advance hands the new
-// frontier to Progress and Checkpoint; one that stops the job leaves the
-// snapshot to finishLocked's Final flush, so an advance saves at most once.
+// advanceLocked folds the contiguous done-unit prefix shard by shard into
+// the job's fold, which checks the stop rule at every shard boundary in
+// global order as simrun.RunSharded's commit step does, so the first
+// convergence crossing (and therefore the converged bytes) is identical to
+// a standalone run. An advance commits once, and one that stops the job
+// finishes it.
 func (c *Coordinator) advanceLocked(j *distJob) {
 	if j.finished || j.err != nil {
 		return
 	}
-	before := j.frontierShard
-	stop := ""
+	before, _ := j.fold.Frontier()
+	stop := false
 walk:
 	for j.frontierUnit < len(j.units) && j.units[j.frontierUnit].state == unitDone {
 		u := j.units[j.frontierUnit]
-		for k := u.start; k < u.end; k++ {
-			if err := j.fold.add(u.states[k-u.start]); err != nil {
+		for i, state := range u.states {
+			var err error
+			if stop, err = j.fold.add(state, u.events[i]); err != nil {
 				j.err = err
 				return
 			}
-			j.tally.Add(j.plan.ShardShots(k), u.events[k-u.start])
-			j.frontierShard = k + 1
-			if j.tally.Converged(j.plan.TargetRelStdErr, j.plan.MinShots) {
-				stop = simrun.StopConverged
+			if stop {
 				break walk
 			}
 		}
 		j.frontierUnit++
 	}
-	if stop == "" && j.frontierUnit == len(j.units) {
-		stop = simrun.StopCompleted
+	if after, _ := j.fold.Frontier(); after > before {
+		j.fold.Commit(j.spanContext())
 	}
-	if j.frontierShard > before && j.progress != nil {
-		j.progress(j.plan.PrefixShots(j.frontierShard), j.plan.Shots)
-	}
-	switch {
-	case stop != "":
-		j.stopReason = stop
-		c.finishLocked(j)
-	case j.frontierShard > before:
-		j.checkpointLocked(false)
+	if stop {
+		c.finishLocked(j, "")
 	}
 }
 
-// checkpointLocked hands the folded prefix to the Checkpoint hook with the
-// state simrun.RunSharded hands it; final marks the flush when the job
-// stops.
-func (j *distJob) checkpointLocked(final bool) {
-	if j.checkpoint == nil {
-		return
-	}
-	span := j.tracer.Start("checkpoint.save", j.span, obs.Int("shards", j.frontierShard), obs.Bool("final", final))
-	shots, events, noConverge := j.tally.State()
-	j.checkpoint(simrun.CheckpointState{Shards: j.frontierShard, Shots: shots, Requested: j.plan.Shots,
-		Events: events, NoConverge: noConverge, State: j.fold.state(), Final: final})
-	span.End()
-}
-
-// finishLocked flushes the final checkpoint and assembles the job result
-// from the folded prefix.
-func (c *Coordinator) finishLocked(j *distJob) {
-	st := simrun.Status{
-		Requested:  j.plan.Shots,
-		Completed:  j.plan.PrefixShots(j.frontierShard),
-		Truncated:  j.stopReason == simrun.StopCanceled || j.stopReason == simrun.StopDeadline,
-		Converged:  j.stopReason == simrun.StopConverged,
-		StopReason: j.stopReason,
-	}
-	j.checkpointLocked(true)
-	body, err := j.fold.finish(st)
+// finishLocked runs the fold's Final flush and assembles the job result;
+// reason (canceled or deadline) counts only when the fold did not stop the
+// job itself.
+func (c *Coordinator) finishLocked(j *distJob, reason string) {
+	body, st, err := j.fold.finish(j.spanContext(), reason)
 	if err != nil {
 		j.err = err
 		return
@@ -815,6 +779,12 @@ func (c *Coordinator) finishLocked(j *distJob) {
 	j.result = body
 	j.status = st
 	j.finished = true
+}
+
+// spanContext carries the job's tracer and span, so the fold's
+// checkpoint.save spans open under the job span.
+func (j *distJob) spanContext() context.Context {
+	return obs.ContextWithSpan(context.Background(), j.tracer, j.span)
 }
 
 // Sweep expires overdue leases, requeues their units with jittered
@@ -917,14 +887,17 @@ func (c *Coordinator) Start(ctx context.Context) {
 // result is complete (or ctx truncates it). The merged result is
 // byte-identical to core.RunFull over the same plan.
 //
-// The core's options carry the run's hooks, and Execute drives them as
-// RunFull does: the job starts from Options.Resume (its fold, its tally
-// and its unit plan begin at the resumed shard prefix), every fold advance
-// feeds Options.Progress (completed shots out of the plan's requested
-// shots) and Options.Checkpoint with the committed prefix, and the job's
-// stop flushes one Final checkpoint. A snapshot written by either lane
-// therefore resumes on either lane. The hooks run under the coordinator
-// lock: keep them cheap and never call back into the coordinator.
+// Execute folds through the simrun.Fold that RunFull's engine commits
+// through, built on the same options: it validates the plan and the core's
+// options as RunFull does, and refuses what RunFull refuses, with the same
+// error. The fold starts from Options.Resume, and so does the unit plan;
+// every fold advance feeds Options.Progress (completed shots out of the
+// plan's requested shots) and, unless it stops the job, Options.Checkpoint
+// with the committed prefix; and the job's stop flushes one Final
+// checkpoint. A snapshot written by either lane therefore resumes on
+// either lane. The hooks run under the coordinator lock (the resumed
+// prefix's Progress call excepted): keep them cheap and never call back
+// into the coordinator.
 //
 // Degradation ladder: a unit that exhausts its remote attempts runs on the
 // local lane inside this call, and so does every pending unit while no
@@ -938,22 +911,11 @@ func (c *Coordinator) Start(ctx context.Context) {
 // acceptance; a worker's window trace is grafted inside it and a local
 // window runs under it.
 func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json.RawMessage, core Core, plan Plan) ([]byte, simrun.Status, error) {
-	plan = plan.Normalized()
-	if plan.Shots <= 0 {
-		return nil, simrun.Status{}, simerr.Invalidf("dist: plan has no shots")
-	}
-	n := plan.NumShards()
-	opt := core.options()
-	r := opt.Resume
-	if r == nil {
-		r = &simrun.ResumeState{}
-	} else if err := (simrun.Options{ShardSize: plan.ShardSize, Resume: r}).Validate(plan.Shots); err != nil {
-		return nil, simrun.Status{}, err
-	}
-	f, err := core.newFold()
+	f, err := core.newFold(plan)
 	if err != nil {
 		return nil, simrun.Status{}, err
 	}
+	from, _ := f.Frontier()
 
 	c.mu.Lock()
 	if _, dup := c.jobs[key]; dup {
@@ -964,41 +926,24 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 		c.stats.Degraded++
 	}
 	j := &distJob{
-		kind: kind, key: key, params: params, plan: plan, core: core,
-		fold:          f,
-		progress:      opt.Progress,
-		checkpoint:    opt.Checkpoint,
-		frontierShard: r.Shards,
-		tracer:        obs.FromContext(ctx),
-		span:          obs.SpanFromContext(ctx),
+		kind: kind, key: key, params: params, plan: plan, core: core, fold: f,
+		tracer: obs.FromContext(ctx),
+		span:   obs.SpanFromContext(ctx),
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		j.deadline, j.hasDeadline = dl, true
 	}
-	if r.NoConverge {
-		j.tally.Add(r.Shots, -1)
-	} else {
-		j.tally.Add(r.Shots, r.Events)
-	}
-	for start := r.Shards; start < n; start += c.cfg.UnitShards {
-		end := start + c.cfg.UnitShards
-		if end > n {
-			end = n
-		}
+	for start, n := from, plan.NumShards(); start < n; start += c.cfg.UnitShards {
+		end := min(start+c.cfg.UnitShards, n)
 		j.units = append(j.units, &unit{idx: len(j.units), start: start, end: end})
 	}
 	c.jobs[key] = j
 	c.order = append(c.order, key)
-	if opt.Resume != nil && j.progress != nil {
-		j.progress(r.Shots, plan.Shots)
+	// A resumed prefix the fold stopped on (it covers the plan or meets the
+	// convergence guard) is a finished run, as in RunSharded.
+	if f.Stopped() {
+		c.finishLocked(j, "")
 	}
-	// A resumed prefix that covers the plan is a completed run; one that
-	// already satisfies the convergence guard stops there, as in RunSharded.
-	if len(j.units) > 0 && j.tally.Converged(plan.TargetRelStdErr, plan.MinShots) {
-		j.stopReason = simrun.StopConverged
-		c.finishLocked(j)
-	}
-	c.advanceLocked(j)
 	c.cond.Broadcast()
 	defer c.wakeOnDone(ctx)()
 
@@ -1006,12 +951,11 @@ func (c *Coordinator) Execute(ctx context.Context, kind, key string, params json
 		if ctx.Err() != nil {
 			// Truncate at the folded prefix — a valid contiguous shard
 			// prefix, same as a standalone cancellation.
+			reason := simrun.StopCanceled
 			if ctx.Err() == context.DeadlineExceeded {
-				j.stopReason = simrun.StopDeadline
-			} else {
-				j.stopReason = simrun.StopCanceled
+				reason = simrun.StopDeadline
 			}
-			c.finishLocked(j)
+			c.finishLocked(j, reason)
 			break
 		}
 		if u := c.nextLocalUnitLocked(j); u != nil {
@@ -1132,12 +1076,8 @@ func (c *Coordinator) FleetSnapshot() FleetStatus {
 		if j == nil {
 			continue
 		}
-		fj := FleetJob{
-			Key: j.key, Kind: j.kind, Units: len(j.units),
-			FrontierShard:  j.frontierShard,
-			CompletedShots: j.plan.PrefixShots(j.frontierShard),
-			RequestedShots: j.plan.Shots,
-		}
+		fj := FleetJob{Key: j.key, Kind: j.kind, Units: len(j.units), RequestedShots: j.plan.Shots}
+		fj.FrontierShard, fj.CompletedShots = j.fold.Frontier()
 		for _, u := range j.units {
 			switch u.state {
 			case unitDone:

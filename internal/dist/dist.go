@@ -25,21 +25,22 @@
 //     falls back to the coordinator's local lane, and while no worker is
 //     live (a job admitted at boot, or a fleet lost mid-job) pending units
 //     run there too, until a worker claims the rest,
-//   - crash safety is the job's own checkpoint: Execute drives the
-//     Progress, Checkpoint and Resume hooks of the core's simrun.Options
-//     as RunFull does, so the coordinator keeps no durable state of its
-//     own, and a snapshot written by either lane resumes on either.
+//   - crash safety is the job's own checkpoint: Execute folds through the
+//     same simrun.Fold as RunFull, which drives the Progress, Checkpoint
+//     and Resume hooks of the core's simrun.Options, so the coordinator
+//     keeps no durable state of its own, and a snapshot written by either
+//     lane resumes on either.
 //
 // Determinism contract: a job's merged result is byte-identical whether it
 // runs standalone, on a healthy fleet, or on a fleet with killed,
 // restarted, partitioned, or slow workers. The mechanism is exact fold
 // replay — workers return *per-shard* serialized accumulator states (not
 // window-merged results), and the coordinator folds them in global shard
-// order through the same merge and finish functions the standalone path
-// uses, checking the convergence guard at every shard boundary exactly
-// like simrun.RunSharded. The wire format is the QISNAP01 CRC-guarded
-// container (internal/checkpoint), so a torn or bit-rotted upload is
-// rejected, never merged.
+// order through the simrun.Fold that simrun.RunSharded commits through,
+// with the same merge and finish functions the standalone path uses, so
+// both lanes stop at the same shard boundary. The wire format is the
+// QISNAP01 CRC-guarded container (internal/checkpoint), so a torn or
+// bit-rotted upload is rejected, never merged.
 package dist
 
 import (
@@ -67,7 +68,9 @@ import (
 var ErrGone = errors.New("dist: lease gone")
 
 // Plan fixes a job's shard geometry and convergence policy — everything a
-// coordinator and its workers must agree on for the fold to be exact.
+// coordinator and its workers must agree on for the fold to be exact. Its
+// zero values take simrun's defaults, as RunFull and the coordinator's fold
+// both apply them.
 type Plan struct {
 	// Shots is the shot budget.
 	Shots int `json:"shots"`
@@ -75,56 +78,32 @@ type Plan struct {
 	Seed int64 `json:"seed"`
 	// ShardSize is the shots-per-shard partition (0 = DefaultShardSize).
 	ShardSize int `json:"shard_size"`
-	// TargetRelStdErr enables the coordinator-side convergence guard,
-	// checked at every shard boundary of the contiguous done prefix.
+	// TargetRelStdErr enables the convergence guard, checked by the fold at
+	// every shard boundary of the committed prefix.
 	TargetRelStdErr float64 `json:"target_rel_std_err,omitempty"`
-	// MinShots is the convergence floor (0 with a target = 1000, matching
-	// simrun).
+	// MinShots is the convergence floor (0 with a target = simrun's 1000,
+	// applied after the budget check).
 	MinShots int `json:"min_shots,omitempty"`
 }
 
-// Normalized fills the defaults simrun.RunSharded would apply, so geometry
-// computed here matches a standalone run exactly.
-func (p Plan) Normalized() Plan {
-	if p.ShardSize <= 0 {
-		p.ShardSize = simrun.DefaultShardSize
-	}
-	if p.TargetRelStdErr > 0 && p.MinShots == 0 {
-		p.MinShots = 1000
-	}
-	return p
-}
-
 // NumShards returns the plan's shard count.
-func (p Plan) NumShards() int {
-	p = p.Normalized()
-	return simrun.PlanShards(p.Shots, p.ShardSize)
-}
+func (p Plan) NumShards() int { return simrun.PlanShards(p.Shots, p.ShardSize) }
 
-// PrefixShots returns the shots covered by the first k shards.
-func (p Plan) PrefixShots(k int) int {
-	p = p.Normalized()
-	return simrun.PlanShots(p.Shots, p.ShardSize, k)
-}
-
-// ShardShots returns shard i's shot count.
-func (p Plan) ShardShots(i int) int {
-	return p.PrefixShots(i+1) - p.PrefixShots(i)
-}
-
-// fold is the coordinator-side half of the determinism contract: it
-// consumes per-shard serialized accumulator states in strictly ascending
-// global shard order and finishes into the job's result bytes.
+// fold is the coordinator-side half of the determinism contract: a
+// simrun.Fold over the core's result type, fed per-shard serialized
+// accumulator states in strictly ascending global shard order.
 type fold interface {
-	// add folds the next shard's state (ascending order is the caller's
-	// obligation).
-	add(state json.RawMessage) error
-	// state is the accumulator folded so far: a checkpoint's
-	// CheckpointState.State, live like the engine's.
-	state() any
-	// finish assembles the result bytes from the folded accumulator and
-	// the run status the coordinator computed.
-	finish(status simrun.Status) ([]byte, error)
+	// add decodes the next shard's state strictly and folds it with its
+	// event count (ascending order is the caller's obligation); it reports
+	// whether the run stops at this boundary.
+	add(state json.RawMessage, events int) (stop bool, err error)
+	// Commit, Frontier and Stopped are simrun.Fold's.
+	Commit(ctx context.Context)
+	Frontier() (shards, shots int)
+	Stopped() bool
+	// finish runs the Final flush and assembles the result bytes; reason is
+	// simrun.Fold.Finish's.
+	finish(ctx context.Context, reason string) ([]byte, simrun.Status, error)
 }
 
 // Core is the type-erased per-kind execution engine a Coordinator or
@@ -137,16 +116,13 @@ type Core interface {
 	// states.
 	RunWindow(ctx context.Context, p Plan, start, end int) (states []json.RawMessage, events []int, err error)
 	// RunFull runs the whole plan locally through simrun.RunSharded — the
-	// standalone path, sharing merge and finish with the fold so local and
-	// distributed results cannot drift.
+	// standalone path, folding through the same simrun.Fold on the same
+	// options as the coordinator's fold, so local and distributed results
+	// cannot drift.
 	RunFull(ctx context.Context, p Plan) ([]byte, simrun.Status, error)
-	// options returns the engine options the core was built with; the
-	// coordinator drives their Progress, Checkpoint and Resume as RunFull
-	// hands them to the engine.
-	options() simrun.Options
-	// newFold starts a coordinator-side fold at the accumulator of
-	// options().Resume (the zero accumulator without one).
-	newFold() (fold, error)
+	// newFold starts a coordinator-side fold of plan p on the core's
+	// options, validated and resumed as RunFull's run is.
+	newFold(p Plan) (fold, error)
 }
 
 // CoreSpec is the generic recipe NewCore adapts into a Core.
@@ -172,7 +148,6 @@ func NewCore[R any](spec CoreSpec[R]) Core { return &core[R]{spec: spec} }
 type core[R any] struct{ spec CoreSpec[R] }
 
 func (c *core[R]) RunWindow(ctx context.Context, p Plan, start, end int) ([]json.RawMessage, []int, error) {
-	p = p.Normalized()
 	opt := c.spec.Options
 	opt.ShardSize = p.ShardSize
 	// A window has no stop decisions of its own: no convergence, no
@@ -200,28 +175,18 @@ func (c *core[R]) RunWindow(ctx context.Context, p Plan, start, end int) ([]json
 	return states, events, nil
 }
 
-func (c *core[R]) options() simrun.Options { return c.spec.Options }
-
-func (c *core[R]) newFold() (fold, error) {
-	f := &typedFold[R]{spec: &c.spec}
-	if r := c.spec.Options.Resume; r != nil && len(r.StateJSON) > 0 {
-		if err := json.Unmarshal(r.StateJSON, &f.acc); err != nil {
-			return nil, simerr.Invalidf("dist: resume state does not decode into %T: %v", f.acc, err)
-		}
-	}
-	return f, nil
-}
-
-func (c *core[R]) RunFull(ctx context.Context, p Plan) ([]byte, simrun.Status, error) {
-	// Plan defaults are left to RunSharded, which applies the convergence
-	// floor only after its budget check (as the coordinator's fold does): a
-	// run shorter than the floor spends its full budget instead of failing
-	// as infeasible.
+// planOptions is the core's options under plan p: the options RunFull hands
+// the engine and the coordinator's fold starts from.
+func (c *core[R]) planOptions(p Plan) simrun.Options {
 	opt := c.spec.Options
 	opt.ShardSize = p.ShardSize
 	opt.TargetRelStdErr = p.TargetRelStdErr
 	opt.MinShots = p.MinShots
-	acc, st, err := simrun.RunSharded(ctx, p.Shots, p.Seed, opt, c.spec.Run, c.spec.Merge)
+	return opt
+}
+
+func (c *core[R]) RunFull(ctx context.Context, p Plan) ([]byte, simrun.Status, error) {
+	acc, st, err := simrun.RunSharded(ctx, p.Shots, p.Seed, c.planOptions(p), c.spec.Run, c.spec.Merge)
 	if err != nil {
 		return nil, st, err
 	}
@@ -229,26 +194,33 @@ func (c *core[R]) RunFull(ctx context.Context, p Plan) ([]byte, simrun.Status, e
 	return body, st, err
 }
 
-type typedFold[R any] struct {
-	spec *CoreSpec[R]
-	acc  R
+func (c *core[R]) newFold(p Plan) (fold, error) {
+	f, err := simrun.NewFold(p.Shots, c.planOptions(p), c.spec.Merge)
+	if err != nil {
+		return nil, err
+	}
+	return &typedFold[R]{Fold: f, finishFn: c.spec.Finish}, nil
 }
 
-func (f *typedFold[R]) add(state json.RawMessage) error {
+type typedFold[R any] struct {
+	*simrun.Fold[R]
+	finishFn func(acc R, status simrun.Status) ([]byte, error)
+}
+
+func (f *typedFold[R]) add(state json.RawMessage, events int) (bool, error) {
 	var r R
 	dec := json.NewDecoder(bytes.NewReader(state))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&r); err != nil {
-		return simerr.Invalidf("dist: shard state does not decode into %T: %v", r, err)
+		return false, simerr.Invalidf("dist: shard state does not decode into %T: %v", r, err)
 	}
-	f.spec.Merge(&f.acc, r)
-	return nil
+	return f.Add(r, events), nil
 }
 
-func (f *typedFold[R]) state() any { return f.acc }
-
-func (f *typedFold[R]) finish(status simrun.Status) ([]byte, error) {
-	return f.spec.Finish(f.acc, status)
+func (f *typedFold[R]) finish(ctx context.Context, reason string) ([]byte, simrun.Status, error) {
+	acc, st := f.Finish(ctx, reason)
+	body, err := f.finishFn(acc, st)
+	return body, st, err
 }
 
 // UnitResult is the idempotent shard-result upload: one work unit's

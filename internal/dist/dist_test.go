@@ -109,35 +109,31 @@ func TestWindowFoldMatchesRunFull(t *testing.T) {
 		want := runFullBytes(t, core, toyPlan)
 
 		n := toyPlan.NumShards()
-		fold, err := core.newFold()
+		fold, err := core.newFold(toyPlan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tally simrun.Tally
-		shard := 0
 		for start := 0; start < n; start += 3 {
-			end := start + 3
-			if end > n {
-				end = n
-			}
-			states, events, err := core.RunWindow(context.Background(), toyPlan, start, end)
+			states, events, err := core.RunWindow(context.Background(), toyPlan, start, min(start+3, n))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, st := range states {
-				if err := fold.add(st); err != nil {
+				stop, err := fold.add(st, events[i])
+				if err != nil {
 					t.Fatal(err)
 				}
-				tally.Add(toyPlan.ShardShots(shard), events[i])
-				shard++
+				if stop != (start+i == n-1) {
+					t.Fatalf("shard %d of %d: stop %v", start+i, n, stop)
+				}
 			}
 		}
-		got, err := fold.finish(simrun.Status{
-			Requested: toyPlan.Shots, Completed: toyPlan.PrefixShots(n),
-			StopReason: simrun.StopCompleted,
-		})
+		got, st, err := fold.finish(context.Background(), "")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if st.StopReason != simrun.StopCompleted || st.Completed != toyPlan.Shots {
+			t.Fatalf("engineWorkers=%d: fold status %+v, want completed", engineWorkers, st)
 		}
 		if string(got) != string(want) {
 			t.Fatalf("engineWorkers=%d: fold bytes differ\n got %s\nwant %s", engineWorkers, got, want)
@@ -573,8 +569,8 @@ func TestExecuteCancellationTruncates(t *testing.T) {
 	if !o.status.Truncated || o.status.StopReason != simrun.StopCanceled {
 		t.Fatalf("want truncated cancel, got %+v", o.status)
 	}
-	if o.status.Completed != toyPlan.PrefixShots(g.End) {
-		t.Fatalf("completed %d, want prefix %d", o.status.Completed, toyPlan.PrefixShots(g.End))
+	if want := g.End * toyPlan.ShardSize; o.status.Completed != want {
+		t.Fatalf("completed %d, want prefix %d", o.status.Completed, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -264,5 +265,113 @@ func TestFailedJobDoesNotPoisonRerun(t *testing.T) {
 	o, starts := driveOneByOne(t, c2, rerun, startExecute(c2, ctx, "kp", rerun, toyPlan))
 	if o.err != nil || string(o.body) != string(want) || !slices.Equal(starts, []int{4, 8, 12}) {
 		t.Fatalf("rerun: err=%v units %v, want [4 8 12]\n got %s\nwant %s", o.err, starts, o.body, want)
+	}
+}
+
+// finalSave returns the one Final save of snaps, failing unless there is
+// exactly one and no non-final save carries its prefix: the commit that
+// stops a run leaves its save to the Final flush.
+func (s *snapshots) finalSave(lane string) *simrun.ResumeState {
+	s.t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var final *simrun.ResumeState
+	for i, r := range s.saves {
+		if s.final[i] {
+			if final != nil {
+				s.t.Fatalf("%s: a second Final flush", lane)
+			}
+			final = r
+		}
+	}
+	if final == nil {
+		s.t.Fatalf("%s: no Final flush", lane)
+	}
+	for i, r := range s.saves {
+		if !s.final[i] && r.Shards == final.Shards {
+			s.t.Fatalf("%s: a non-final save repeats the Final prefix of %d shards", lane, r.Shards)
+		}
+	}
+	return final
+}
+
+// TestCheckpointCadenceAcrossLanes: a completed, a converged and a canceled
+// run each flush exactly one Final checkpoint on RunFull and on Execute (a
+// coordinator with no workers), no non-final save repeats the Final prefix,
+// and both lanes hand the same Final state: shards, shots, events, latch
+// and marshaled accumulator.
+func TestCheckpointCadenceAcrossLanes(t *testing.T) {
+	converging := toyPlan
+	converging.TargetRelStdErr = 0.3 // one event per shard: stops at shard 12 of 16
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		plan Plan
+		stop string
+	}{
+		{"completed", context.Background(), toyPlan, simrun.StopCompleted},
+		{"converged", context.Background(), converging, simrun.StopConverged},
+		{"canceled", canceled, toyPlan, simrun.StopCanceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var finals []*simrun.ResumeState
+			for _, lane := range []string{"RunFull", "Execute"} {
+				snaps := &snapshots{t: t}
+				core := toyCoreWith(simrun.Options{Workers: 1, Checkpoint: snaps.hook})
+				var st simrun.Status
+				var err error
+				if lane == "RunFull" {
+					_, st, err = core.RunFull(tc.ctx, tc.plan)
+				} else {
+					_, st, err = NewCoordinator(Config{UnitShards: 4}).Execute(tc.ctx, "toy", "kc", nil, core, tc.plan)
+				}
+				if err != nil || st.StopReason != tc.stop {
+					t.Fatalf("%s: err=%v status %+v, want %s", lane, err, st, tc.stop)
+				}
+				finals = append(finals, snaps.finalSave(lane))
+			}
+			if !reflect.DeepEqual(finals[0], finals[1]) {
+				t.Fatalf("Final states differ:\nRunFull %+v (%s)\nExecute %+v (%s)",
+					finals[0], finals[0].StateJSON, finals[1], finals[1].StateJSON)
+			}
+		})
+	}
+}
+
+// TestResumeFinalSnapshotOnBothLanes: a run whose guard is first met on its
+// last shard reports converged, and RunFull and Execute (a coordinator with
+// no workers) resumed from its own Final snapshot return its bytes,
+// converged included, without running a shard on the fleet lane.
+func TestResumeFinalSnapshotOnBothLanes(t *testing.T) {
+	// One event per shard: the relative standard error after k of the 16
+	// shards is about 1/√k, 0.257 at 15 and 0.249 at 16.
+	plan := Plan{Shots: 2000, Seed: 7, ShardSize: 128, TargetRelStdErr: 0.25}
+	snaps := &snapshots{t: t}
+	want, wantSt, err := toyCoreWith(simrun.Options{Workers: 1, Checkpoint: snaps.hook}).RunFull(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !wantSt.Converged || wantSt.Completed != plan.Shots {
+		t.Fatalf("cold status %+v, want converged on the last shard", wantSt)
+	}
+	if got := snaps.shards(); got[len(got)-1] != -16 {
+		t.Fatalf("saves at shards %v, want a Final flush of all 16 last", got)
+	}
+	cc := &countingCore{Core: toyCoreWith(simrun.Options{Workers: 1, Resume: snaps.last()})}
+	for _, lane := range []string{"RunFull", "Execute"} {
+		var o execOutcome
+		if lane == "RunFull" {
+			o.body, o.status, o.err = cc.RunFull(context.Background(), plan)
+		} else {
+			o.body, o.status, o.err = NewCoordinator(Config{}).Execute(context.Background(), "toy", "kf", nil, cc, plan)
+		}
+		if o.err != nil || string(o.body) != string(want) {
+			t.Errorf("%s resumed from the Final snapshot: err=%v\n got %s\nwant %s", lane, o.err, o.body, want)
+		}
+	}
+	if n := cc.executed(); n != 0 {
+		t.Fatalf("the fleet lane ran %d shards of a finished run", n)
 	}
 }

@@ -94,15 +94,15 @@ type buildEnv struct {
 // runMC is the one runner every Monte-Carlo job executes through. Its
 // checkpoint is attached once, before a lane is picked, so the job's
 // snapshot is its only durable Monte-Carlo state on both lanes. On a
-// coordinator the run is folded across the fleet, which drives the same
-// Progress, Checkpoint and Resume hooks as the in-process engine; while no
-// worker is live (a job recovered at boot, counted as a degraded run) its
-// units run on the coordinator's local lane until one claims. A
-// standalone server runs the same core in-process through Core.RunFull.
-// Both lanes share the core's merge and finish, so their bytes are
-// identical, and a snapshot written by either lane resumes on either. The
-// core is built here rather than at submit, so a bad model parameter fails
-// the job at run time.
+// coordinator the run is folded across the fleet; while no worker is live
+// (a job recovered at boot, counted as a degraded run) its units run on
+// the coordinator's local lane until one claims. A standalone server runs
+// the same core in-process through Core.RunFull. Both lanes end the run in
+// one simrun.Fold over the core's merge, which drives the hooks and the
+// stop, and finish through the core's finish, so their bytes are identical
+// and a snapshot written by either lane resumes on either. The core is
+// built here rather than at submit, so a bad model parameter fails the job
+// at run time.
 func (env buildEnv) runMC(j mcJob) jobs.Runner {
 	return func(ctx context.Context, progress func(int, int)) (body []byte, st simrun.Status, err error) {
 		opt := simrun.Options{Workers: j.workers, Progress: progress}

@@ -2,63 +2,13 @@ package simrun
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"qisim/internal/obs"
-	"qisim/internal/simerr"
 )
-
-// Tally is the locked cross-shard event counter of the parallel engine. The
-// pool aggregates per-shard (shots, events) pairs into it, and the engine
-// runs the convergence test over the tally's committed totals at shard
-// boundaries. Its methods are safe for concurrent use.
-type Tally struct {
-	mu     sync.Mutex
-	shots  int
-	events int
-	// noConverge latches when a consumer reports a negative event count,
-	// meaning "this estimator has no binomial convergence statistic".
-	noConverge bool
-}
-
-// Add accumulates one shard's completed shots and observed events. A
-// negative event count disables convergence for the whole run (the
-// estimator exposes no binomial statistic).
-func (t *Tally) Add(shots, events int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.shots += shots
-	if events < 0 {
-		t.noConverge = true
-		return
-	}
-	t.events += events
-}
-
-// State returns the committed totals plus the no-convergence latch — the
-// triple a checkpoint must capture to restore the tally exactly.
-func (t *Tally) State() (shots, events int, noConverge bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.shots, t.events, t.noConverge
-}
-
-// Converged reports whether the committed totals satisfy the binomial
-// convergence guard: at least minShots shots and a relative standard error
-// of the event rate at or below target. Always false when target <= 0 or
-// when any consumer disabled convergence with a negative event count.
-func (t *Tally) Converged(target float64, minShots int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if target <= 0 || t.noConverge || t.shots < minShots {
-		return false
-	}
-	return binomialConverged(t.events, t.shots, target)
-}
 
 // ShardTask is the per-shard execution context handed to a ShardFunc. It
 // bundles the shard geometry, the shard's private deterministic RNG stream,
@@ -312,18 +262,18 @@ func engineDefaults(shots int, opt *Options) error {
 // shots), derives an independent deterministic RNG stream per shard from the
 // top-level seed (ShardSeed), executes the shards on Options.Workers worker
 // goroutines (default GOMAXPROCS; 1 = serial reference, no goroutines), and
-// merges shard results in shard order.
+// commits shard results in shard order through the run's Fold.
 //
 // Determinism contract: the merged result is always the in-order fold of a
 // PREFIX of the shard sequence, and each shard's contribution depends only
 // on (seed, shard index). Consequences:
 //
 //   - The full-budget result is bit-identical for every worker count.
-//   - Convergence early-stop is decided from the cross-shard Tally over the
-//     committed contiguous prefix, at shard boundaries only — so the
-//     converged prefix length, and therefore the converged result, is also
-//     bit-identical for every worker count. Shards that finish beyond the
-//     converged prefix are discarded, never merged.
+//   - Convergence early-stop is decided by the Fold over the committed
+//     contiguous prefix, at shard boundaries only — so the converged prefix
+//     length, and therefore the converged result, is also bit-identical for
+//     every worker count. Shards that finish beyond the converged prefix are
+//     discarded, never merged.
 //   - Cancellation (the one intentionally non-deterministic stop, as with
 //     wall-clock deadlines before this engine) keeps the longest contiguous
 //     prefix of completed shards: the partial result is flagged Truncated
@@ -333,12 +283,14 @@ func engineDefaults(shots int, opt *Options) error {
 // The returned Status counts shots over the merged prefix (Completed is
 // always a whole number of shards).
 //
-// Checkpoint/resume: opt.Checkpoint observes every commit (and a Final
-// flush) with the merged-so-far accumulator; opt.Resume skips an already-
-// committed prefix and restores the accumulator, making a crash-resumed run
-// bit-identical to a cold one — the accumulator is folded in strictly
-// ascending shard order in both cases, so the floating-point/merge sequence
-// is the same sequence either way.
+// Checkpoint/resume: opt.Checkpoint observes every commit that does not
+// stop the run, and a Final flush, with the merged-so-far accumulator;
+// opt.Resume skips an already-committed prefix and restores the
+// accumulator and tally, making a crash-resumed run bit-identical to a cold
+// one — the accumulator is folded in strictly ascending shard order in both
+// cases, so the floating-point/merge sequence is the same sequence either
+// way, and the resumed prefix meets the same stop check a cold run meets at
+// that boundary.
 func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 	run ShardFunc[R], merge MergeFunc[R]) (R, Status, error) {
 
@@ -349,153 +301,66 @@ func RunSharded[R any](ctx context.Context, shots int, seed int64, opt Options,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.TargetRelStdErr > 0 && opt.MinShots == 0 {
-		opt.MinShots = 1000
-	}
 	shards := shardPlan(shots, opt.ShardSize, seed)
-	nShards := len(shards)
 
 	// Tracing: one root span for the whole run, per-shard spans under it,
 	// merge/checkpoint spans on the commit path. The tracer consumes no
 	// random numbers and never blocks (bounded buffer, counted drops), so
 	// results are bit-identical with tracing on or off.
 	ctx, runSpan := obs.StartSpan(ctx, "mc.run",
-		obs.Int("shots", shots), obs.Int("shards", nShards),
+		obs.Int("shots", shots), obs.Int("shards", len(shards)),
 		obs.Int("shard_size", opt.ShardSize))
 	defer runSpan.End()
 
-	// Restore a committed prefix (its geometry was checked by Validate).
-	var out R
-	start := 0
-	var tally Tally
-	if opt.Resume != nil {
-		r := opt.Resume
-		_, resumeSpan := obs.StartSpan(ctx, "resume",
+	resumeSpan := (*obs.Span)(nil)
+	if r := opt.Resume; r != nil {
+		_, resumeSpan = obs.StartSpan(ctx, "resume",
 			obs.Int("shards", r.Shards), obs.Int("resumed_shots", r.Shots))
-		if len(r.StateJSON) > 0 {
-			if err := json.Unmarshal(r.StateJSON, &out); err != nil {
-				resumeSpan.End()
-				return zero, Status{}, simerr.Invalidf("simrun: resume state does not decode into %T: %v", out, err)
-			}
-		}
-		start = r.Shards
-		if r.NoConverge {
-			tally.Add(r.Shots, -1)
-		} else {
-			tally.Add(r.Shots, r.Events)
-		}
-		if opt.Progress != nil {
-			opt.Progress(r.Shots, shots)
-		}
-		resumeSpan.End()
-		finish := func(reason string) (R, Status, error) {
-			st := Status{
-				Requested:  shots,
-				Completed:  r.Shots,
-				Converged:  reason == StopConverged,
-				StopReason: reason,
-			}
-			if opt.Checkpoint != nil {
-				_, ckSpan := obs.StartSpan(ctx, "checkpoint.save",
-					obs.Int("shards", start), obs.Bool("final", true))
-				sh, ev, nc := tally.State()
-				opt.Checkpoint(CheckpointState{Shards: start, Shots: sh, Requested: shots,
-					Events: ev, NoConverge: nc, State: out, Final: true})
-				ckSpan.End()
-			}
-			runSpan.SetAttr(obs.String("stop", reason), obs.Int("completed", r.Shots))
-			return out, st, nil
-		}
-		// A snapshot of the full plan, or one whose prefix already satisfies
-		// the convergence guard, is a finished run: return it as-is (the
-		// bytes a cold run would have produced) without spending a shot.
-		if r.Shards == nShards {
-			return finish(StopCompleted)
-		}
-		if tally.Converged(opt.TargetRelStdErr, opt.MinShots) {
-			return finish(StopConverged)
-		}
 	}
-
-	workers := poolSize(opt.Workers, nShards-start)
-	runSpan.SetAttr(obs.Int("workers", workers))
-
-	// The commit step folds freshly completed shards into the accumulator
-	// in strictly ascending shard order, feeding the cross-shard tally and
-	// running the convergence test at each shard boundary. Progress and
-	// Checkpoint see the committed prefix only, never uncommitted shards,
-	// so they cannot perturb determinism (see runShards on reentrancy).
-	var reason string
-	traced := obs.FromContext(ctx) != nil
-	frontier, err := runShards(ctx, shards, start, nShards, workers, opt.CheckEvery, run,
-		func(l *shardLoop[R]) {
-			mergeCtx, mergeSpan := ctx, (*obs.Span)(nil)
-			if traced {
-				mergeCtx, mergeSpan = obs.StartSpan(ctx, "merge", obs.Int("from", l.frontier))
-			}
-			for l.ready() {
-				sh, res, events := l.take()
-				tally.Add(sh.N, events)
-				merge(&out, res)
-				if tally.Converged(opt.TargetRelStdErr, opt.MinShots) {
-					l.halt()
-					reason = StopConverged
-					break
-				}
-			}
-			if mergeSpan != nil {
-				mergeSpan.SetAttr(obs.Int("to", l.frontier))
-			}
-			if opt.Progress != nil {
-				opt.Progress(shardShots(shots, opt.ShardSize, l.frontier), shots)
-			}
-			if opt.Checkpoint != nil {
-				ckSpan := (*obs.Span)(nil)
-				if traced {
-					_, ckSpan = obs.StartSpan(mergeCtx, "checkpoint.save", obs.Int("shards", l.frontier))
-				}
-				sh, ev, nc := tally.State()
-				opt.Checkpoint(CheckpointState{Shards: l.frontier, Shots: sh, Requested: shots,
-					Events: ev, NoConverge: nc, State: out})
-				ckSpan.End()
-			}
-			mergeSpan.End()
-		})
+	fold, err := NewFold(shots, opt, merge)
+	resumeSpan.End()
 	if err != nil {
 		return zero, Status{}, err
 	}
 
-	// Decide the stop reason; the accumulator already holds exactly the
-	// committed prefix [0, frontier) — when convergence fired, the commit
-	// step halted the loop at the converged boundary.
-	switch {
-	case reason == StopConverged:
-	case frontier >= nShards:
-		reason = StopCompleted
-	case ctx.Err() == context.DeadlineExceeded:
-		reason = StopDeadline
-	default:
-		reason = StopCanceled
+	// The commit step hands freshly completed shards to the fold in strictly
+	// ascending shard order and halts the loop at the boundary where the
+	// fold stops the run. Progress and Checkpoint see the committed prefix
+	// only, never uncommitted shards, so they cannot perturb determinism
+	// (see runShards on reentrancy).
+	if start, _ := fold.Frontier(); !fold.Stopped() {
+		workers := poolSize(opt.Workers, len(shards)-start)
+		runSpan.SetAttr(obs.Int("workers", workers))
+		traced := obs.FromContext(ctx) != nil
+		_, err := runShards(ctx, shards, start, len(shards), workers, opt.CheckEvery, run,
+			func(l *shardLoop[R]) {
+				mergeCtx, mergeSpan := ctx, (*obs.Span)(nil)
+				if traced {
+					mergeCtx, mergeSpan = obs.StartSpan(ctx, "merge", obs.Int("from", l.frontier))
+				}
+				for l.ready() {
+					_, res, events := l.take()
+					if fold.Add(res, events) {
+						l.halt()
+					}
+				}
+				if mergeSpan != nil {
+					mergeSpan.SetAttr(obs.Int("to", l.frontier))
+				}
+				fold.Commit(mergeCtx)
+				mergeSpan.End()
+			})
+		if err != nil {
+			return zero, Status{}, err
+		}
 	}
 
-	completed := shardShots(shots, opt.ShardSize, frontier)
-	if opt.Checkpoint != nil {
-		// The Final flush: whatever stopped the run (SIGINT, deadline,
-		// convergence, completion), the last committed prefix is persisted
-		// before the caller sees the status.
-		_, ckSpan := obs.StartSpan(ctx, "checkpoint.save",
-			obs.Int("shards", frontier), obs.Bool("final", true))
-		sh, ev, nc := tally.State()
-		opt.Checkpoint(CheckpointState{Shards: frontier, Shots: sh, Requested: shots,
-			Events: ev, NoConverge: nc, State: out, Final: true})
-		ckSpan.End()
+	// A run the fold did not stop was cut short by its context.
+	reason := StopCanceled
+	if ctx.Err() == context.DeadlineExceeded {
+		reason = StopDeadline
 	}
-	runSpan.SetAttr(obs.String("stop", reason), obs.Int("completed", completed))
-	return out, Status{
-		Requested:  shots,
-		Completed:  completed,
-		Truncated:  reason == StopCanceled || reason == StopDeadline,
-		Converged:  reason == StopConverged,
-		StopReason: reason,
-	}, nil
+	out, st := fold.Finish(ctx, reason)
+	runSpan.SetAttr(obs.String("stop", st.StopReason), obs.Int("completed", st.Completed))
+	return out, st, nil
 }

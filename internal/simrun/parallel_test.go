@@ -267,37 +267,6 @@ func TestShardWorkerCombinationsFuzz(t *testing.T) {
 	}
 }
 
-// TestTallyConcurrent exercises the locked Tally API from many goroutines.
-func TestTallyConcurrent(t *testing.T) {
-	var tally Tally
-	var wg sync.WaitGroup
-	const workers, per = 16, 1000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				tally.Add(2, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	shots, events, _ := tally.State()
-	if shots != 2*workers*per || events != workers*per {
-		t.Fatalf("lost updates: shots %d events %d", shots, events)
-	}
-	if !tally.Converged(0.5, 1) {
-		t.Fatal("tally with p=0.5 over 32k shots must converge at a 0.5 rel-SE target")
-	}
-	if tally.Converged(0, 1) {
-		t.Fatal("zero target must never converge")
-	}
-	tally.Add(1, -1)
-	if tally.Converged(0.5, 1) {
-		t.Fatal("negative event count must latch convergence off")
-	}
-}
-
 // waitForGoroutines polls for the goroutine count to drop back to (or
 // below) the pre-run baseline, failing after a grace period — the
 // no-goroutine-leak check of the cancellation scenarios.

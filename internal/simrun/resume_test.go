@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"qisim/internal/simerr"
@@ -216,30 +217,76 @@ func TestResumeRejectsInconsistentPrefix(t *testing.T) {
 }
 
 // TestCheckpointFinalFlush asserts the Final callback fires exactly once per
-// run, for completed, canceled and converged stops alike.
+// run, for completed, canceled and converged stops alike, and that no
+// non-final callback carries the prefix the Final one carries: the commit
+// that stops a run leaves its save to the Final flush.
 func TestCheckpointFinalFlush(t *testing.T) {
-	count := func(opt Options, ctx context.Context, shots int) int {
-		finals := 0
+	check := func(name string, opt Options, ctx context.Context, shots int) {
+		var finals, saved []int
 		opt.Checkpoint = func(st CheckpointState) {
 			if st.Final {
-				finals++
+				finals = append(finals, st.Shards)
+			} else {
+				saved = append(saved, st.Shards)
 			}
 		}
-		_, _, err := RunSharded(ctx, shots, 7, opt, shardBody, mergeFloat)
-		if err != nil {
-			t.Fatalf("run: %v", err)
+		if _, _, err := RunSharded(ctx, shots, 7, opt, shardBody, mergeFloat); err != nil {
+			t.Fatalf("%s run: %v", name, err)
 		}
-		return finals
+		if len(finals) != 1 {
+			t.Fatalf("%s run: %d final flushes, want 1", name, len(finals))
+		}
+		if slices.Contains(saved, finals[0]) {
+			t.Errorf("%s run: non-final saves at shards %v repeat the Final prefix %d", name, saved, finals[0])
+		}
 	}
-	if n := count(Options{ShardSize: 64, Workers: 2}, context.Background(), 500); n != 1 {
-		t.Errorf("completed run: %d final flushes, want 1", n)
-	}
+	check("completed", Options{ShardSize: 64, Workers: 2}, context.Background(), 500)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if n := count(Options{ShardSize: 64, CheckEvery: 1}, canceled, 500); n != 1 {
-		t.Errorf("canceled run: %d final flushes, want 1", n)
+	check("canceled", Options{ShardSize: 64, CheckEvery: 1}, canceled, 500)
+	check("converged", Options{ShardSize: 64, TargetRelStdErr: 0.3, MinShots: 128}, context.Background(), 4000)
+}
+
+// TestResumeConvergedOnLastShard resumes a run whose guard is first met on
+// its last shard from its own Final snapshot: the resumed run meets the
+// same stop check the cold run met at that boundary, convergence before
+// completion, and returns the cold result and Status without running a
+// shard.
+func TestResumeConvergedOnLastShard(t *testing.T) {
+	// One event per shard: after k of the 16 shards of 128 shots (the last
+	// one 80) the relative standard error is about 1/sqrt(k), 0.257 at 15
+	// and 0.249 at 16.
+	oneEvent := func(tk *ShardTask) (float64, int, error) {
+		sum, _, err := shardBody(tk)
+		return sum, 1, err
 	}
-	if n := count(Options{ShardSize: 64, TargetRelStdErr: 0.3, MinShots: 128}, context.Background(), 4000); n != 1 {
-		t.Errorf("converged run: %d final flushes, want 1", n)
+	const shots = 2000
+	var final ResumeState
+	opt := Options{ShardSize: 128, TargetRelStdErr: 0.25, Checkpoint: func(st CheckpointState) {
+		if st.Final {
+			final = ResumeState{Shards: st.Shards, Shots: st.Shots, Events: st.Events,
+				NoConverge: st.NoConverge, StateJSON: mustJSON(t, st.State)}
+		}
+	}}
+	cold, coldSt, err := RunSharded(context.Background(), shots, 7, opt, oneEvent, mergeFloat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !coldSt.Converged || coldSt.Completed != shots || final.Shards != 16 {
+		t.Fatalf("cold status %+v, final prefix %d; want converged on the last of 16 shards", coldSt, final.Shards)
+	}
+	for _, workers := range []int{1, 4} {
+		res, st, err := RunSharded(context.Background(), shots, 7,
+			Options{ShardSize: 128, TargetRelStdErr: 0.25, Workers: workers, Resume: &final},
+			func(*ShardTask) (float64, int, error) {
+				t.Error("a resumed Final snapshot ran a shard")
+				return 0, 0, nil
+			}, mergeFloat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != cold || st != coldSt {
+			t.Fatalf("workers=%d: resumed (%v, %+v), want the cold (%v, %+v)", workers, res, st, cold, coldSt)
+		}
 	}
 }

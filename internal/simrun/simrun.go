@@ -6,10 +6,12 @@
 // Monte-Carlo run reports the shots it completed, the best-so-far estimate,
 // and Truncated=true, never a panic or a hang.
 //
-// RunSharded also implements the MC convergence guard: an early exit at a
-// shard boundary once the binomial standard error of the committed
-// estimate falls below a relative target, gated by a minimum-shot floor so
-// a lucky early streak cannot terminate a sweep prematurely.
+// A run's stop policy lives in one committed-prefix Fold, which RunSharded
+// and the dist coordinator both fold through: the MC convergence guard (an
+// early exit at a shard boundary once the binomial standard error of the
+// committed estimate falls below a relative target, gated by a minimum-shot
+// floor so a lucky early streak cannot terminate a sweep prematurely), the
+// Progress and Checkpoint cadence, the Final flush and the Status.
 //
 // Determinism contract: the engine never consumes random numbers outside
 // the per-shard streams, so two runs with the same seed and options produce
@@ -86,8 +88,10 @@ type Options struct {
 	// Checkpoint, when non-nil, is invoked by the parallel engine at shard-
 	// boundary commits (the same commit point Progress piggybacks on) with
 	// the committed-prefix state, and once more with Final=true when the run
-	// stops for any reason. The handed-out State is the live accumulator:
-	// serialize it synchronously inside the callback and do not retain it.
+	// stops for any reason. A commit that stops the run (convergence or
+	// completion) makes no save of its own: the Final flush saves its
+	// prefix. The handed-out State is the live accumulator: serialize it
+	// synchronously inside the callback and do not retain it.
 	// Called under the engine's commit lock — a slow callback (file I/O)
 	// throttles commits, not correctness; see the reentrancy contract on
 	// Progress. See internal/checkpoint.Saver for the durable-snapshot
@@ -95,13 +99,15 @@ type Options struct {
 	Checkpoint func(CheckpointState)
 	// Resume, when non-nil, seeds the engine with a previously committed
 	// shard prefix (produced by a Checkpoint callback): the engine skips the
-	// first Resume.Shards shards, pre-seeds the convergence tally, and
-	// starts the accumulator from Resume.StateJSON. Because shard RNG
-	// streams derive purely from (seed, shard index), the resumed run is
-	// bit-identical to an uninterrupted one. The engine re-validates the
-	// prefix geometry against the current budget and shard size and rejects
-	// inconsistent snapshots with a typed error — it never double-counts or
-	// silently replays shards.
+	// first Resume.Shards shards, restores the event tally and its latch,
+	// starts the accumulator from Resume.StateJSON, and hands the prefix's
+	// shots to Progress. Because shard RNG streams derive purely from (seed,
+	// shard index), the resumed run is bit-identical to an uninterrupted
+	// one; a prefix that already covers the plan or meets the convergence
+	// guard stops at once, with the Status its cold run reported at that
+	// boundary. The engine re-validates the prefix geometry against the
+	// current budget and shard size and rejects inconsistent snapshots with
+	// a typed error — it never double-counts or silently replays shards.
 	Resume *ResumeState
 }
 

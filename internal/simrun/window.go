@@ -17,16 +17,6 @@ func PlanShards(budget, size int) int {
 	return (budget + size - 1) / size
 }
 
-// PlanShots returns the total shots covered by the first k shards of a
-// budget partitioned at size — the committed-prefix shot count a
-// distributed merge reports for a prefix of k shards.
-func PlanShots(budget, size, k int) int {
-	if size <= 0 {
-		size = DefaultShardSize
-	}
-	return shardShots(budget, size, k)
-}
-
 // RunWindow executes shards [start, end) of the shard plan for (shots,
 // seed, opt.ShardSize) — the same plan RunSharded executes in full — and
 // emits each shard's result in strictly ascending shard index order. It is

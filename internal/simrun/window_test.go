@@ -100,11 +100,11 @@ func TestPlanShardsAndShots(t *testing.T) {
 	if got := PlanShards(1000, 128); got != 8 {
 		t.Fatalf("PlanShards(1000,128) = %d, want 8", got)
 	}
-	if got := PlanShots(1000, 128, 8); got != 1000 {
-		t.Fatalf("PlanShots full prefix = %d, want 1000", got)
+	if got := shardShots(1000, 128, 8); got != 1000 {
+		t.Fatalf("shardShots full prefix = %d, want 1000", got)
 	}
-	if got := PlanShots(1000, 128, 3); got != 384 {
-		t.Fatalf("PlanShots(3) = %d, want 384", got)
+	if got := shardShots(1000, 128, 3); got != 384 {
+		t.Fatalf("shardShots(3) = %d, want 384", got)
 	}
 	if got := PlanShards(1000, 0); got != PlanShards(1000, DefaultShardSize) {
 		t.Fatalf("zero size must default: got %d", got)
