@@ -35,7 +35,7 @@
 //	GET    /v1/jobs/{id}/trace finished job's span tree (?format=json|chrome|tree)
 //	GET    /v1/results/{key}   cached result body (byte-exact replay)
 //	GET    /v1/fleet/status    coordinator's fleet view (?format=json|tree)
-//	GET    /v1/debug/flight    flight-recorder ring (?format=json|text)
+//	GET    /v1/debug/flight    flight-recorder ring (?format=json|chrome|tree)
 //	GET    /metrics            Prometheus text exposition
 //	GET    /healthz            liveness: 200 serving / 503 draining
 //	GET    /readyz             readiness: 503 recovering / draining / saturated
@@ -49,8 +49,8 @@
 //
 // Observability: every executed job records a bounded span trace (queue
 // wait, executor, per-shard, merge, checkpoint spans) served by the trace
-// endpoint and folded into the qisimd_stage_seconds / qisimd_shard_seconds
-// / qisimd_queue_wait_seconds histograms. -pprof exposes net/http/pprof on
+// endpoint and folded into the qisimd_stage_seconds{stage} histogram
+// (stage = span name). -pprof exposes net/http/pprof on
 // a SEPARATE listener so profiling traffic never shares the API port.
 // Logs are structured (log/slog) and stamped with job/trace/span IDs.
 //
@@ -59,17 +59,17 @@
 // route pattern); every unit report carries the worker's telemetry (units
 // executed, unit seconds, client-side chaos injections), which the
 // coordinator serves as qisimd_fleet_* series and in /v1/fleet/status;
-// an always-on flight recorder keeps the last ~4K
-// admission/lease/retry/quarantine/chaos/journal events, served by
-// /v1/debug/flight and persisted to <data-dir>/flight-last.json by the
-// panic backstop.
+// an always-on flight recorder, a tracer of events, keeps the last 4096
+// admission/lease/retry/quarantine/chaos/panic events, served by
+// /v1/debug/flight in the trace endpoint's formats and persisted as
+// trace JSON to <data-dir>/flight-last.json by the panic backstop.
 //
 // SIGINT/SIGTERM triggers a graceful drain: the listener stops accepting,
 // in-flight jobs are cancelled and finish through the partial-result path
 // (their snapshots flagged "truncated"), and the process exits 0 once the
 // pool has committed those partials (or -drain-timeout expires).
-// SIGQUIT dumps the flight ring and all goroutine stacks to stderr and
-// keeps serving — the live-debugging probe, not a shutdown.
+// SIGQUIT dumps the flight ring (as its text tree) and all goroutine stacks
+// to stderr and keeps serving — the live-debugging probe, not a shutdown.
 //
 // With -data-dir the daemon is crash-safe: accepted jobs are write-ahead-
 // logged to <dir>/journal.wal and Monte-Carlo runs checkpoint their
@@ -246,7 +246,7 @@ func run(logger *slog.Logger, o daemonOpts) error {
 		if chaosSpec != nil {
 			tr := chaos.NewTransport(*chaosSpec, nil)
 			tr.OnInject(func(fault string) {
-				srv.Flight().Record("chaos.inject",
+				srv.Flight().Event("chaos.inject",
 					obs.String("side", "client"), obs.String("fault", fault))
 			})
 			// The transport's injections show up on the worker's own
@@ -336,7 +336,7 @@ func run(logger *slog.Logger, o daemonOpts) error {
 	defer signal.Stop(quitc)
 	go func() {
 		for range quitc {
-			srv.Flight().Snapshot().WriteText(os.Stderr)
+			os.Stderr.WriteString(srv.Flight().Snapshot().TreeString())
 			buf := make([]byte, 1<<20)
 			os.Stderr.Write(buf[:runtime.Stack(buf, true)])
 		}

@@ -1,11 +1,12 @@
 // Fleet observability E2E: one 4-worker fleet run must light up the whole
 // plane — every worker in /v1/fleet/status, per-worker qisimd_fleet_* series
 // from the workers' report telemetry on the coordinator's /metrics, RED
-// series for the dist routes, and the run's lease transitions in the flight
-// recorder — while the merged result JSON stays byte-identical to a
-// standalone run. A second test pins the /metrics body to the Prometheus
-// text-exposition rules (one HELP/TYPE per family, contiguous family blocks,
-// sorted unique series), so the fleet series can never corrupt the scrape.
+// series for the dist routes, and the run's lease transitions as events in
+// the flight recorder's trace — while the merged result JSON stays
+// byte-identical to a standalone run. A second test pins the /metrics body
+// to the Prometheus text-exposition rules (one HELP/TYPE per family,
+// contiguous family blocks, sorted unique series), so the fleet series can
+// never corrupt the scrape.
 package qisim_test
 
 import (
@@ -28,19 +29,22 @@ import (
 // startObsFleet launches n workers, each with a flight recorder as a real
 // `qisimd -role worker` has, and returns once the coordinator has heard
 // from each; every worker reports its telemetry.
-func startObsFleet(t *testing.T, base string, n int) {
+func startObsFleet(t *testing.T, base string, n int) []*obs.Tracer {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	var ids []string
+	var flights []*obs.Tracer
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("obs-%d", i)
 		ids = append(ids, id)
 		client := &dist.Client{Base: base}
+		flight := obs.NewTracer(obs.TracerConfig{ID: "flight"})
+		flights = append(flights, flight)
 		w, err := dist.NewWorker(dist.WorkerConfig{
 			ID: id, Coordinator: client, Cores: service.BuildCore,
 			PollInterval: 2 * time.Millisecond, Seed: int64(i + 1), Trace: true,
-			Flight: obs.NewFlightRecorder(256),
+			Flight: flight,
 		})
 		if err != nil {
 			cancel()
@@ -57,6 +61,7 @@ func startObsFleet(t *testing.T, base string, n int) {
 		wg.Wait()
 	})
 	waitJoined(t, base, ids...)
+	return flights
 }
 
 // TestFleetObservabilityE2E drives one job across a 4-worker observed fleet
@@ -71,7 +76,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	srv, ts := chaosServer(t, service.Config{Workers: 2, Dist: service.DistConfig{
 		Enabled: true, LeaseTTL: 2 * time.Second, UnitShards: 4,
 	}})
-	startObsFleet(t, ts.URL, 4)
+	flights := startObsFleet(t, ts.URL, 4)
 	got := chaosRun(t, ts.URL, chaosNetJob)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("observed fleet differs from standalone:\n%s\n%s", got, want)
@@ -139,25 +144,40 @@ func TestFleetObservabilityE2E(t *testing.T) {
 		}
 	}
 
-	// The flight recorder holds the run's lease transitions.
+	// The coordinator's flight recorder holds the run's lease transitions,
+	// and each worker's its claims and reports, all as events of a valid
+	// trace.
 	resp, err = http.Get(ts.URL + "/v1/debug/flight")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dump obs.FlightDump
+	var dump obs.Trace
 	err = json.NewDecoder(resp.Body).Decode(&dump)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatalf("decode flight dump: %v", err)
 	}
-	kinds := map[string]int{}
-	for _, ev := range dump.Events {
-		kinds[ev.Kind]++
-	}
-	for _, k := range []string{"worker.register", "lease.grant", "lease.done"} {
-		if kinds[k] == 0 {
-			t.Errorf("flight dump missing %s events (have %v)", k, kinds)
+	checkFlight := func(dump obs.Trace, kinds ...string) {
+		t.Helper()
+		if err := dump.Check(); err != nil {
+			t.Fatalf("flight dump: %v", err)
 		}
+		for _, k := range kinds {
+			if ev, ok := dump.Find(k); !ok || ev.Attr("worker") == "" || ev.DurNS() != 0 {
+				t.Errorf("flight dump has no %s event with its worker:\n%s", k, dump.TreeString())
+			}
+		}
+	}
+	checkFlight(dump, "worker.register", "lease.grant", "lease.done")
+	claimed := 0
+	for _, f := range flights {
+		if d := f.Snapshot(); d.Count("worker.claim") > 0 {
+			claimed++
+			checkFlight(d, "worker.claim", "worker.report")
+		}
+	}
+	if claimed == 0 {
+		t.Error("no worker's flight recorder holds a claim")
 	}
 
 	_ = srv // lifecycle owned by chaosServer's cleanup

@@ -8,7 +8,6 @@ import (
 	"hash/fnv"
 	"log/slog"
 	"math/rand"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -34,6 +33,9 @@ const (
 	// seed seeds the requeue jitter and the spot-check draw; jitter never
 	// touches simulation results.
 	seed = 1
+	// forgetAfter is how many lease TTLs of silence make Sweep forget a
+	// worker.
+	forgetAfter = 20
 )
 
 // Config parameterises a Coordinator. It names no store: a job's one
@@ -42,8 +44,8 @@ type Config struct {
 	// LeaseTTL is a lease's deadline extension per grant/renewal
 	// (default 15s). It paces the rest of the lease machinery: the expiry
 	// sweep runs every TTL/4, a worker not heard from for 2×TTL is lost, a
-	// leased unit older than 2×TTL may be hedged, and a quarantine lasts
-	// 4×TTL.
+	// leased unit older than 2×TTL may be hedged, a quarantine lasts
+	// 4×TTL, and the sweep forgets a worker silent for 20×TTL.
 	LeaseTTL time.Duration
 	// UnitShards is the work-unit granularity in shards (default 16: a
 	// unit then runs for longer than its claim/report round trip, and unit
@@ -59,9 +61,9 @@ type Config struct {
 	SpotCheck float64
 	Logger    *slog.Logger
 	// Flight, when set, records worker admissions, lease transitions,
-	// retries, quarantines and spot-check verdicts into the shared
-	// flight-recorder ring (nil disables; every Record call is nil-safe).
-	Flight *obs.FlightRecorder
+	// retries, quarantines and spot-check verdicts as events on the shared
+	// flight-recorder tracer (nil disables; Event is nil-safe).
+	Flight *obs.Tracer
 	// UnitSeconds, when set, observes each accepted unit's wall time from
 	// first grant to acceptance, with the reporting worker ("local" for the
 	// local lane). Called under the coordinator lock: keep it O(1).
@@ -78,9 +80,7 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
-	}
+	c.Logger = obs.OrDiscard(c.Logger)
 	return c
 }
 
@@ -267,7 +267,7 @@ func (c *Coordinator) quarantinedLocked(w *workerState, now time.Time) bool {
 	}
 	w.quarantined = false
 	c.stats.QuarantineReadmits++
-	c.cfg.Flight.Record("worker.readmit", obs.String("worker", w.id), obs.String("cause", "quarantine-expired"))
+	c.cfg.Flight.Event("worker.readmit", obs.String("worker", w.id), obs.String("cause", "quarantine-expired"))
 	return false
 }
 
@@ -280,7 +280,7 @@ func (c *Coordinator) quarantineLocked(w *workerState, now time.Time) {
 	w.trust = 0
 	w.lastIdemKey, w.lastGrant = "", nil
 	c.stats.Quarantines++
-	c.cfg.Flight.Record("worker.quarantine", obs.String("worker", w.id),
+	c.cfg.Flight.Event("worker.quarantine", obs.String("worker", w.id),
 		obs.String("until", w.quarantinedUntil.UTC().Format(time.RFC3339)))
 	c.cfg.Logger.Warn("dist: worker quarantined after spot-check mismatch",
 		"worker", w.id, "until", w.quarantinedUntil)
@@ -288,14 +288,14 @@ func (c *Coordinator) quarantineLocked(w *workerState, now time.Time) {
 }
 
 // touchWorkerLocked stamps a contact (claim, renewal, report, register)
-// and admits the worker the first time it is heard from. The coordinator
-// never forgets a worker.
+// and admits the worker the first time it is heard from, or the first time
+// since Sweep forgot it.
 func (c *Coordinator) touchWorkerLocked(id string) *workerState {
 	w := c.workers[id]
 	if w == nil {
 		w = &workerState{id: id}
 		c.workers[id] = w
-		c.cfg.Flight.Record("worker.register", obs.String("worker", id))
+		c.cfg.Flight.Event("worker.register", obs.String("worker", id))
 	}
 	w.lastSeen = c.cfg.Clock()
 	return w
@@ -464,7 +464,7 @@ func (c *Coordinator) grantLocked(j *distJob, u *unit, w *workerState, now time.
 		c.stats.Steals++
 	}
 	c.stats.Grants++
-	c.cfg.Flight.Record("lease.grant", obs.String("worker", w.id), obs.String("key", j.key),
+	c.cfg.Flight.Event("lease.grant", obs.String("worker", w.id), obs.String("key", j.key),
 		obs.Int("start", u.start), obs.Int("end", u.end), obs.Bool("hedge", hedge))
 	g := &LeaseGrant{
 		Kind: j.kind, Key: j.key, Params: j.params, Plan: j.plan,
@@ -649,7 +649,7 @@ func (c *Coordinator) spotCheckLocked(ctx context.Context, j *distJob, tu *unit,
 	// adjudication here would be exactly the evasion the audit exists to
 	// close.
 	match := unitStatesEqual(states, events, u.States, u.Events)
-	c.cfg.Flight.Record("worker.spotcheck", obs.String("worker", w.id), obs.String("key", j.key),
+	c.cfg.Flight.Event("worker.spotcheck", obs.String("worker", w.id), obs.String("key", j.key),
 		obs.Int("start", tu.start), obs.Int("end", tu.end), obs.Bool("match", match))
 	if match {
 		c.stats.SpotChecksPassed++
@@ -718,7 +718,7 @@ func (c *Coordinator) acceptUnitLocked(j *distJob, u *unit, states []json.RawMes
 		}
 		c.cfg.UnitSeconds(worker, secs)
 	}
-	c.cfg.Flight.Record("lease.done", obs.String("worker", worker), obs.String("key", j.key),
+	c.cfg.Flight.Event("lease.done", obs.String("worker", worker), obs.String("key", j.key),
 		obs.Int("start", u.start), obs.Int("end", u.end))
 	if trace != nil && j.tracer != nil {
 		// The worker's clock is not ours: its window lands at the end of the
@@ -788,9 +788,10 @@ func (j *distJob) spanContext() context.Context {
 }
 
 // Sweep expires overdue leases, requeues their units with jittered
-// backoff, and degrades units that exhausted their remote attempts to the
-// local lane. Driven by Start's ticker in production and called directly
-// (with an injected clock) in tests.
+// backoff, degrades units that exhausted their remote attempts to the
+// local lane, and forgets every worker silent for forgetAfter×LeaseTTL.
+// Driven by Start's ticker in production and called directly (with an
+// injected clock) in tests.
 func (c *Coordinator) Sweep(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -809,12 +810,24 @@ func (c *Coordinator) Sweep(now time.Time) {
 				}
 				delete(u.leases, w)
 				c.stats.Expired++
-				c.cfg.Flight.Record("lease.expire", obs.String("worker", w), obs.String("key", key),
+				c.cfg.Flight.Event("lease.expire", obs.String("worker", w), obs.String("key", key),
 					obs.Int("start", u.start), obs.Int("end", u.end))
 			}
 			if len(u.leases) == 0 {
 				c.requeueLocked(u, now)
 			}
+		}
+	}
+	// A worker this silent holds no lease (a lease ends one TTL after its
+	// last renewal, and the loop above has expired it) and no quarantine
+	// (4×TTL), so forgetting it loses nothing: its next contact admits it
+	// afresh. Without this, every worker restarted under a fresh ID would
+	// leave one more lost row, and one more label value on each per-worker
+	// series, for the coordinator's whole life.
+	for id, w := range c.workers {
+		if now.Sub(w.lastSeen) >= forgetAfter*c.cfg.LeaseTTL {
+			delete(c.workers, id)
+			c.cfg.Flight.Event("worker.forget", obs.String("worker", id))
 		}
 	}
 	c.cond.Broadcast()
@@ -826,7 +839,7 @@ func (c *Coordinator) Sweep(now time.Time) {
 func (c *Coordinator) requeueLocked(u *unit, now time.Time) {
 	u.state = unitPending
 	c.stats.UnitRetries++
-	c.cfg.Flight.Record("unit.retry", obs.Int("start", u.start), obs.Int("end", u.end),
+	c.cfg.Flight.Event("unit.retry", obs.Int("start", u.start), obs.Int("end", u.end),
 		obs.Int("attempts", u.attempts))
 	if u.attempts >= maxAttempts {
 		u.localOnly = true
@@ -853,7 +866,7 @@ func (c *Coordinator) evictLeasesLocked(workerID string, now time.Time) {
 			}
 			delete(u.leases, workerID)
 			c.stats.Expired++
-			c.cfg.Flight.Record("lease.expire", obs.String("worker", workerID), obs.String("key", key),
+			c.cfg.Flight.Event("lease.expire", obs.String("worker", workerID), obs.String("key", key),
 				obs.Int("start", u.start), obs.Int("end", u.end), obs.String("cause", "evict"))
 			if len(u.leases) == 0 {
 				c.requeueLocked(u, now)

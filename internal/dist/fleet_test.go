@@ -207,10 +207,11 @@ func TestTelemetryIntakeCheck(t *testing.T) {
 
 // TestCoordinatorFlightEvents drives one full manual fleet run — register,
 // grant, expiry, retry, report — and pins the lease-lifecycle kinds the
-// flight recorder must capture.
+// flight recorder must capture, each an event (a zero-length root span)
+// with its attributes.
 func TestCoordinatorFlightEvents(t *testing.T) {
 	clk := newFakeClock()
-	fr := obs.NewFlightRecorder(256)
+	fr := obs.NewTracer(obs.TracerConfig{ID: "flight", MaxSpans: 256})
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, Flight: fr})
 	core := toyCore(1)
 	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
@@ -249,13 +250,29 @@ func TestCoordinatorFlightEvents(t *testing.T) {
 		t.Fatal(done.err)
 	}
 
-	got := map[string]int{}
-	for _, ev := range fr.Snapshot().Events {
-		got[ev.Kind]++
+	dump := fr.Snapshot()
+	if err := dump.Check(); err != nil {
+		t.Fatal(err)
 	}
-	for _, kind := range []string{"worker.register", "lease.grant", "lease.expire", "unit.retry", "lease.done"} {
-		if got[kind] == 0 {
-			t.Errorf("flight recorder missing %q events (got %v)", kind, got)
+	for kind, attrs := range map[string][]string{
+		"worker.register": {"worker"},
+		"lease.grant":     {"worker", "key", "start", "end", "hedge"},
+		"lease.expire":    {"worker", "key", "start", "end"},
+		"unit.retry":      {"start", "end", "attempts"},
+		"lease.done":      {"worker", "key", "start", "end"},
+	} {
+		ev, ok := dump.Find(kind)
+		if !ok {
+			t.Errorf("flight recorder missing %q events:\n%s", kind, dump.TreeString())
+			continue
+		}
+		if ev.Parent != 0 || ev.DurNS() != 0 {
+			t.Errorf("%s is not an event: %+v", kind, ev)
+		}
+		for _, k := range attrs {
+			if ev.Attr(k) == "" {
+				t.Errorf("%s event lacks %q: %+v", kind, k, ev.Attrs)
+			}
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	randv2 "math/rand/v2"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,8 +69,8 @@ type WorkerConfig struct {
 	// into the job's cross-node trace.
 	Trace bool
 	// Flight, when set, records the worker-side lease lifecycle (claims,
-	// reports, abandons) into the worker's flight-recorder ring.
-	Flight *obs.FlightRecorder
+	// reports, abandons) as events on the worker's flight-recorder tracer.
+	Flight *obs.Tracer
 	// Chaos, when set, reads how many faults the worker's chaos transport
 	// has injected: the one count of its Telemetry the worker cannot keep
 	// itself.
@@ -104,9 +103,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 250 * time.Millisecond
 	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
-	}
+	cfg.Logger = obs.OrDiscard(cfg.Logger)
 	if cfg.Seed == 0 {
 		cfg.Seed = randv2.Int64()
 	}
@@ -174,7 +171,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		w.claims.Add(1)
-		w.cfg.Flight.Record("worker.claim", obs.String("worker", w.cfg.ID),
+		w.cfg.Flight.Event("worker.claim", obs.String("worker", w.cfg.ID),
 			obs.String("key", grant.Key), obs.Int("start", grant.Start), obs.Int("end", grant.End))
 		w.runUnit(ctx, grant)
 	}
@@ -230,7 +227,7 @@ func (w *Worker) runUnit(ctx context.Context, g *LeaseGrant) {
 					err := w.cfg.Coordinator.Renew(unitCtx, w.cfg.ID, g.Key, g.Start, g.End)
 					if errors.Is(err, ErrGone) {
 						w.abandoned.Add(1)
-						w.cfg.Flight.Record("worker.abandon", obs.String("worker", w.cfg.ID),
+						w.cfg.Flight.Event("worker.abandon", obs.String("worker", w.cfg.ID),
 							obs.String("key", g.Key), obs.Int("start", g.Start), obs.Int("end", g.End),
 							obs.String("cause", "renew-gone"))
 						cancel()
@@ -287,7 +284,7 @@ func (w *Worker) runUnit(ctx context.Context, g *LeaseGrant) {
 		// Quarantined reporter or vanished job: abandon the unit as the
 		// 410 instructs instead of re-pushing a rejected upload.
 		w.abandoned.Add(1)
-		w.cfg.Flight.Record("worker.abandon", obs.String("worker", w.cfg.ID),
+		w.cfg.Flight.Event("worker.abandon", obs.String("worker", w.cfg.ID),
 			obs.String("key", g.Key), obs.Int("start", g.Start), obs.Int("end", g.End),
 			obs.String("cause", "report-refused"))
 		w.cfg.Logger.Warn("dist: report refused; abandoning unit", "worker", w.cfg.ID,
@@ -299,7 +296,7 @@ func (w *Worker) runUnit(ctx context.Context, g *LeaseGrant) {
 		return
 	}
 	w.reports.Add(1)
-	w.cfg.Flight.Record("worker.report", obs.String("worker", w.cfg.ID),
+	w.cfg.Flight.Event("worker.report", obs.String("worker", w.cfg.ID),
 		obs.String("key", g.Key), obs.Int("start", g.Start), obs.Int("end", g.End))
 }
 

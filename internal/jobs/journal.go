@@ -102,23 +102,12 @@ type JournalStats struct {
 
 // Journal is the append-only WAL. Safe for concurrent use.
 type Journal struct {
-	mu       sync.Mutex
-	path     string
-	f        *os.File
-	pending  map[rescache.Key]*PendingJob
-	order    []rescache.Key // submission order (deterministic recovery)
-	stats    JournalStats
-	onAppend func(op, key string) // observability hook; see Observe
-}
-
-// Observe registers a hook called with (op, key) after every successful
-// record write — the seam the service layer uses to land journal appends in
-// the flight recorder. The hook runs under the journal lock: it must be
-// cheap and must not call back into the journal. Set before concurrent use.
-func (j *Journal) Observe(fn func(op, key string)) {
-	j.mu.Lock()
-	j.onAppend = fn
-	j.mu.Unlock()
+	mu      sync.Mutex
+	path    string
+	f       *os.File
+	pending map[rescache.Key]*PendingJob
+	order   []rescache.Key // submission order (deterministic recovery)
+	stats   JournalStats
 }
 
 // OpenJournal opens (creating if needed) the journal at path and replays its
@@ -253,9 +242,6 @@ func (j *Journal) writeLocked(e journalEntry) error {
 		return simerr.Invalidf("journal: sync: %v", err)
 	}
 	j.stats.Appends++
-	if j.onAppend != nil {
-		j.onAppend(e.Op, string(e.Key))
-	}
 	return nil
 }
 

@@ -289,14 +289,6 @@ type Histogram struct {
 	count   uint64
 }
 
-// Histogram registers an unlabelled histogram. bounds must be sorted
-// ascending.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := NewHistogram(bounds)
-	r.family(name, help, "histogram").add("", h)
-	return h
-}
-
 // NewHistogram returns a histogram no registry renders: its owner reads it
 // with Summary. bounds must be sorted ascending.
 func NewHistogram(bounds []float64) *Histogram {
@@ -321,16 +313,7 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-func (h *Histogram) render(w io.Writer, name, labels string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, ub := range h.bounds {
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, mergeLabels(labels, "le", formatFloat(ub)), h.buckets[i])
-	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, mergeLabels(labels, "le", "+Inf"), h.count)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(h.sum))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.count)
-}
+func (h *Histogram) render(w io.Writer, name, labels string) { h.Summary().render(w, name, labels) }
 
 // Summary returns a point-in-time copy of the histogram.
 func (h *Histogram) Summary() HistogramSummary {

@@ -67,7 +67,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 // each le bucket counts all samples at or below its bound, +Inf counts all.
 func TestHistogramCumulativeBuckets(t *testing.T) {
 	r := New()
-	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1, 10})
+	h := NewHistogram([]float64{0.1, 1, 10})
+	r.HistogramFunc("lat_seconds", "latency", h.Summary)
 	// Exact binary fractions so the rendered sum is reproducible.
 	for _, v := range []float64{0.0625, 0.5, 5, 50} {
 		h.Observe(v)

@@ -11,6 +11,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 )
 
 // SpanData is one exported span: the immutable form of a Span.
@@ -37,9 +38,13 @@ func (s SpanData) Attr(key string) string {
 }
 
 // Trace is a finished trace: a flat span list (creation order — IDs are
-// ascending) plus the trace identity and the dropped-span count.
+// ascending) plus the trace identity, the wall clock its span times count
+// from and the dropped-span count.
 type Trace struct {
-	ID      string     `json:"id"`
+	ID string `json:"id"`
+	// EpochNS is the tracer's wall-clock start in Unix nanoseconds: a
+	// span's StartNS and EndNS are offsets from it (0 = unknown).
+	EpochNS int64      `json:"epoch_ns,omitempty"`
 	Dropped int        `json:"dropped,omitempty"`
 	Spans   []SpanData `json:"spans"`
 }
@@ -142,6 +147,9 @@ func (t Trace) WriteChrome(w io.Writer) error {
 		DisplayTimeUnit: "ms",
 		OtherData:       map[string]string{"trace_id": t.ID},
 	}
+	if t.EpochNS != 0 {
+		f.OtherData["epoch_ns"] = fmt.Sprintf("%d", t.EpochNS)
+	}
 	if t.Dropped > 0 {
 		f.OtherData["dropped_spans"] = fmt.Sprintf("%d", t.Dropped)
 	}
@@ -191,6 +199,11 @@ func ParseChrome(r io.Reader) (Trace, error) {
 		return Trace{}, fmt.Errorf("obs: parse chrome trace: %w", err)
 	}
 	out := Trace{ID: f.OtherData["trace_id"], Spans: make([]SpanData, 0, len(f.TraceEvents))}
+	if e := f.OtherData["epoch_ns"]; e != "" {
+		if _, err := fmt.Sscanf(e, "%d", &out.EpochNS); err != nil {
+			return Trace{}, fmt.Errorf("obs: parse epoch_ns %q: %w", e, err)
+		}
+	}
 	if d := f.OtherData["dropped_spans"]; d != "" {
 		if _, err := fmt.Sscanf(d, "%d", &out.Dropped); err != nil {
 			return Trace{}, fmt.Errorf("obs: parse dropped_spans %q: %w", d, err)
@@ -281,8 +294,10 @@ func assignLanes(spans []SpanData) map[uint64]int {
 }
 
 // TreeString renders the span tree as an indented text outline with
-// durations and attributes — the quick-look form behind `qisim mc
-// -trace-out=-`-style debugging and the service's trace endpoint.
+// durations and attributes — the quick-look form of the service's trace
+// and flight endpoints and of qisimd's SIGQUIT dump. The header gives the
+// wall-clock epoch, and a zero-length span (an event) shows its offset
+// from it, "@1.250s", in place of a duration.
 func (t Trace) TreeString() string {
 	children := map[uint64][]SpanData{}
 	byID := map[uint64]bool{}
@@ -302,10 +317,18 @@ func (t Trace) TreeString() string {
 	if t.Dropped > 0 {
 		fmt.Fprintf(&b, ", %d dropped", t.Dropped)
 	}
-	b.WriteString(")\n")
+	b.WriteByte(')')
+	if t.EpochNS != 0 {
+		fmt.Fprintf(&b, " epoch %s", time.Unix(0, t.EpochNS).UTC().Format(time.RFC3339Nano))
+	}
+	b.WriteByte('\n')
 	var walk func(s SpanData, depth int)
 	walk = func(s SpanData, depth int) {
-		fmt.Fprintf(&b, "%s%s %s", strings.Repeat("  ", depth+1), s.Name, fmtDur(s.DurNS()))
+		when := fmtDur(s.DurNS())
+		if s.DurNS() == 0 {
+			when = "@" + fmtDur(s.StartNS)
+		}
+		fmt.Fprintf(&b, "%s%s %s", strings.Repeat("  ", depth+1), s.Name, when)
 		for _, a := range s.Attrs {
 			fmt.Fprintf(&b, " %s=%s", a.Key, a.Value)
 		}

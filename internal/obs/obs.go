@@ -10,13 +10,17 @@
 //     nil-safe — the hot simulation paths carry the instrumentation
 //     unconditionally and pay (almost) nothing when no tracer is installed.
 //   - Bounded when enabled: each Tracer holds at most MaxSpans spans; spans
-//     past the bound are counted as dropped and never block or grow memory.
+//     past the bound are counted as dropped and never block or grow memory,
+//     and an event (Tracer.Event, a zero-length root span) past it
+//     overwrites the oldest entry if that entry is an event, so a tracer of
+//     events is a ring of the latest ones: qisimd's flight recorder.
 //   - Deterministic in tests: the clock is injectable, and span IDs come
 //     from a per-tracer counter — they never feed RNG seeding, so tracing
 //     cannot perturb Monte-Carlo results.
 //
-// Finished traces export as Chrome trace_event JSON (loadable in
-// chrome://tracing and Perfetto) and as a compact indented text tree.
+// Finished traces export as JSON, as Chrome trace_event JSON (loadable in
+// chrome://tracing and Perfetto) and as a compact indented text tree, each
+// dated by the tracer's wall-clock epoch.
 package obs
 
 import (

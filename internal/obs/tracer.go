@@ -18,7 +18,8 @@ type TracerConfig struct {
 	ID string
 	// MaxSpans bounds the span buffer (default DefaultMaxSpans). Spans
 	// started past the bound are counted as dropped, never recorded and
-	// never blocking.
+	// never blocking; an event past it overwrites the oldest entry if that
+	// entry is an event (see Event).
 	MaxSpans int
 	// Clock is the time source (default time.Now). Tests inject a
 	// deterministic stepping clock so exports are byte-stable.
@@ -26,7 +27,9 @@ type TracerConfig struct {
 }
 
 // Tracer records a bounded buffer of spans for one trace (one CLI run, one
-// qisimd job). All methods are safe for concurrent use; span mutation goes
+// qisimd job), or of events for a process (qisimd's flight ring, a tracer
+// that records only events and so keeps the most recent ones). All methods
+// are safe for concurrent use; span mutation goes
 // through the tracer lock, so a Snapshot taken after the traced work
 // finishes is race-free even under `go test -race`.
 //
@@ -41,7 +44,8 @@ type Tracer struct {
 	epoch time.Time
 
 	mu      sync.Mutex
-	spans   []*Span
+	spans   []*Span // a ring once events wrap it: spans[head] is the oldest
+	head    int
 	nextID  uint64
 	dropped int
 }
@@ -104,6 +108,38 @@ func (t *Tracer) Start(name string, parent *Span, attrs ...Attr) *Span {
 	return s
 }
 
+// Event records a finished, zero-length root span: an instant, such as a
+// lease grant or a chaos injection. When the buffer is full, the event
+// overwrites the oldest entry in constant time if that entry is an event
+// too, and is dropped otherwise, so an event never evicts a span and a
+// span never loses its parent; either way one entry counts as dropped. A
+// tracer that records only events therefore keeps the most recent ones.
+// No-op on a nil tracer.
+func (t *Tracer) Event(name string, attrs ...Attr) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var s *Span
+	switch {
+	case len(t.spans) < t.max:
+		s = &Span{}
+		t.spans = append(t.spans, s)
+	case t.spans[t.head].event:
+		s = t.spans[t.head]
+		t.head = (t.head + 1) % len(t.spans)
+		t.dropped++
+	default:
+		t.dropped++
+		return
+	}
+	t.nextID++
+	now := t.sinceEpochLocked()
+	*s = Span{id: t.nextID, name: name, attrs: append(s.attrs[:0], attrs...),
+		startNS: now, endNS: now, event: true}
+}
+
 // Dropped returns how many spans were discarded by the buffer bound.
 func (t *Tracer) Dropped() int {
 	if t == nil {
@@ -135,8 +171,10 @@ func (t *Tracer) Snapshot() Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.sinceEpochLocked()
-	out := Trace{ID: t.id, Dropped: t.dropped, Spans: make([]SpanData, len(t.spans))}
-	for i, s := range t.spans {
+	out := Trace{ID: t.id, EpochNS: t.epoch.UnixNano(), Dropped: t.dropped,
+		Spans: make([]SpanData, len(t.spans))}
+	for i := range t.spans {
+		s := t.spans[(t.head+i)%len(t.spans)]
 		sd := SpanData{
 			ID:      s.id,
 			Parent:  s.parent,
@@ -242,6 +280,7 @@ type Span struct {
 	attrs   []Attr
 	startNS int64
 	endNS   int64 // -1 while open
+	event   bool  // recorded by Event: an event may overwrite it
 }
 
 // ID returns the span's trace-local identity (0 for a nil span).

@@ -72,11 +72,11 @@ func (s *Server) initDist(cfg Config) {
 	})
 
 	s.reg.CounterFuncVec("qisimd_dist_leases_total",
-		"Lease events by type (granted, renewed, expired, done).", "event",
+		"Lease events by type (granted, renewed, expired); qisimd_dist_units_done_total counts the done ones.", "event",
 		func() map[string]float64 {
 			st := s.dist.Stats()
 			return map[string]float64{"granted": float64(st.Grants), "renewed": float64(st.Renewals),
-				"expired": float64(st.Expired), "done": float64(st.UnitsDone)}
+				"expired": float64(st.Expired)}
 		})
 	s.reg.CounterFuncVec("qisimd_dist_spotcheck_total",
 		"Spot-check verdicts on remote unit reports (pass, fail, error).", "result",

@@ -447,7 +447,6 @@ func TestDistMetricsReadStats(t *testing.T) {
 		`qisimd_dist_leases_total{event="granted"}`:   st.Grants,
 		`qisimd_dist_leases_total{event="renewed"}`:   st.Renewals,
 		`qisimd_dist_leases_total{event="expired"}`:   st.Expired,
-		`qisimd_dist_leases_total{event="done"}`:      st.UnitsDone,
 		`qisimd_dist_spotcheck_total{result="pass"}`:  st.SpotChecksPassed,
 		`qisimd_dist_spotcheck_total{result="fail"}`:  st.SpotChecksFailed,
 		`qisimd_dist_spotcheck_total{result="error"}`: st.SpotCheckErrors,
@@ -476,6 +475,10 @@ func TestDistMetricsReadStats(t *testing.T) {
 		if got[series] != strconv.Itoa(n) {
 			t.Errorf("%s = %q, want %d", series, got[series], n)
 		}
+	}
+	// Each count is exported once: done units only as units_done_total.
+	if v, ok := got[`qisimd_dist_leases_total{event="done"}`]; ok {
+		t.Errorf(`qisimd_dist_leases_total{event="done"} = %s duplicates qisimd_dist_units_done_total`, v)
 	}
 
 	var status struct{ Stats dist.Stats }

@@ -74,10 +74,10 @@ func (s *Server) chaosSamples() []metrics.Sample {
 
 // ---- flight-recorder persistence and endpoint ----
 
-// persistFlight writes the flight ring to <data-dir>/flight-last.json so a
-// crash's preceding events survive the process. Best-effort: an in-memory
-// server (no DataDir) or a failed write silently keeps the in-process ring
-// as the only copy.
+// persistFlight writes the flight ring, as obs.Trace JSON, to
+// <data-dir>/flight-last.json so a crash's preceding events survive the
+// process. Best-effort: an in-memory server (no DataDir) or a failed write
+// silently keeps the in-process ring as the only copy.
 func (s *Server) persistFlight() {
 	if s.dataDir == "" {
 		return
@@ -92,19 +92,10 @@ func (s *Server) persistFlight() {
 	}
 }
 
-// handleFlight serves GET /v1/debug/flight: the flight ring as JSON, or as
-// the same text rendering the SIGQUIT handler emits with ?format=text.
+// handleFlight serves GET /v1/debug/flight: the flight ring in the trace
+// endpoint's formats; ?format=tree is the text the SIGQUIT handler prints.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	dump := s.flight.Snapshot()
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-		writeJSON(w, http.StatusOK, dump)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		dump.WriteText(w)
-	default:
-		s.writeError(w, simerr.Invalidf("service: unknown flight format %q (want json|text)", format))
-	}
+	s.writeTrace(w, r, s.flight.Snapshot())
 }
 
 // ---- /v1/fleet/status ----
@@ -236,9 +227,9 @@ func treeBranch(last bool) string {
 // ---- qisimd_fleet_* series ----
 
 // registerFleetMetrics installs the coordinator's scrape-time fleet series.
-// The coordinator never forgets a worker it has heard from, so a worker's
-// series stay from its first contact on; a silent one reads
-// state="lost" in qisimd_fleet_workers and its last-seen age keeps growing.
+// A worker's series start at its first contact. A silent one reads
+// state="lost" in qisimd_fleet_workers while its last-seen age grows, and
+// its series go once the coordinator forgets it (silent for 20×lease TTL).
 func (s *Server) registerFleetMetrics() {
 	s.reg.GaugeFuncVec("qisimd_fleet_workers",
 		"Fleet workers by state: healthy, lost (not heard from for 2×lease TTL) or quarantined.", "state",
@@ -250,7 +241,7 @@ func (s *Server) registerFleetMetrics() {
 			return out
 		})
 	s.reg.GaugeFuncVec("qisimd_fleet_worker_trust",
-		"Per-worker trust score (spot-check passes minus decay; negative pending quarantine).", "worker",
+		"Per-worker trust: spot-checks passed since the worker's last quarantine (or first contact).", "worker",
 		func() map[string]float64 {
 			out := map[string]float64{}
 			for _, w := range s.dist.FleetSnapshot().Workers {

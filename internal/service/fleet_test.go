@@ -203,6 +203,82 @@ func TestFleetUnitSecondsKeepsWorkerLayout(t *testing.T) {
 	}
 }
 
+// TestFleetForgetsSilentWorker: a worker still reads lost after 19 lease
+// TTLs of silence; the sweep at 20 forgets it, so it leaves the fleet
+// status and every qisimd_fleet_* series, and its next claim admits it
+// afresh. The server's coordinator is swapped for one on a fake clock
+// (the scrape-time series and the dist routes read s.dist).
+func TestFleetForgetsSilentWorker(t *testing.T) {
+	const ttl = time.Second
+	var mu sync.Mutex
+	now := time.Unix(1000, 0)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	advance := func(d time.Duration) time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		now = now.Add(d)
+		return now
+	}
+
+	srv, err := New(Config{Dist: DistConfig{Enabled: true, LeaseTTL: ttl}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.dist = dist.NewCoordinator(dist.Config{Clock: clock, LeaseTTL: ttl, Flight: srv.Flight()})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Drain(context.Background()) //nolint:errcheck
+	})
+	claim := func() {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/dist/claim", "application/json", strings.NewReader(`{"worker":"w1"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("claim: status %d", resp.StatusCode)
+		}
+	}
+
+	claim()
+	srv.dist.Sweep(advance(19 * ttl))
+	if w := srv.dist.FleetSnapshot().Workers; len(w) != 1 || w[0].State != "lost" {
+		t.Fatalf("at 19×TTL: workers %+v, want w1 lost", w)
+	}
+	if n := scrapeMetric(t, ts, `qisimd_fleet_workers{state="lost"}`); n != 1 {
+		t.Fatalf(`at 19×TTL: qisimd_fleet_workers{state="lost"} = %v, want 1`, n)
+	}
+
+	srv.dist.Sweep(advance(ttl))
+	if w := srv.dist.FleetSnapshot().Workers; len(w) != 0 {
+		t.Fatalf("at 20×TTL: workers %+v, want none", w)
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "qisimd_fleet_") && (strings.Contains(line, `worker="w1"`) ||
+			strings.HasPrefix(line, "qisimd_fleet_workers{") && !strings.HasSuffix(line, " 0")) {
+			t.Errorf("at 20×TTL the forgotten worker still counts: %s", line)
+		}
+	}
+	if srv.Flight().Snapshot().Count("worker.forget") != 1 {
+		t.Error("no worker.forget flight event")
+	}
+
+	claim()
+	if n := scrapeMetric(t, ts, `qisimd_fleet_workers{state="healthy"}`); n != 1 {
+		t.Fatalf(`after a new claim: qisimd_fleet_workers{state="healthy"} = %v, want 1`, n)
+	}
+	if n := srv.Flight().Snapshot().Count("worker.register"); n != 2 {
+		t.Fatalf("worker.register events = %d, want 2 (first contact, then re-admission)", n)
+	}
+}
+
 // TestREDSeriesOnRoutes: the RED middleware measures every route under its
 // mux pattern — explicit statuses, implicit 200s, and pattern-labelled
 // errors (no per-URL series explosion).
@@ -262,14 +338,9 @@ func TestChaosInjectionExportAndFlight(t *testing.T) {
 	if n := scrapeMetric(t, ts, `qisimd_chaos_injected_total{side="client",fault="requests"}`); n != 0 {
 		t.Fatalf("traffic counter leaked into the fault export: %v", n)
 	}
-	var chaosEvents int
-	for _, ev := range srv.Flight().Snapshot().Events {
-		if ev.Kind == "chaos.inject" {
-			chaosEvents++
-		}
-	}
-	if chaosEvents == 0 {
-		t.Fatal("no chaos.inject flight events recorded")
+	ev, ok := srv.Flight().Snapshot().Find("chaos.inject")
+	if !ok || ev.Attr("side") != "server" || ev.Attr("fault") != chaos.Fault5xx {
+		t.Fatalf("no server-side chaos.inject flight event with its fault (found %v: %+v)", ok, ev)
 	}
 	if n := scrapeMetric(t, ts, `qisimd_http_requests_total{route="/v1/dist/claim",method="POST",code="503"}`); n != 5 {
 		t.Fatalf("RED did not measure the injected 5xxes: %v, want 5", n)
@@ -285,37 +356,51 @@ func TestBuildInfoGauge(t *testing.T) {
 	}
 }
 
-// TestFlightEndpointAndPersistence: /v1/debug/flight serves the ring as
-// JSON and text, rejects unknown formats, and persistFlight (the panic
-// backstop's sink) writes a decodable flight-last.json under the data dir.
+// TestFlightEndpointAndPersistence: /v1/debug/flight serves the ring as an
+// obs.Trace of events in the trace endpoint's three formats, each dating
+// its events, rejects any other format, and persistFlight (the panic
+// backstop's sink) writes the same trace to flight-last.json under the data
+// dir.
 func TestFlightEndpointAndPersistence(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
-	srv.Flight().Record("test.marker", obs.String("k", "v"))
+	srv.Flight().Event("test.marker", obs.String("k", "v"))
 
+	// checkDump: a valid trace, dated, holding the marker as an event.
+	checkDump := func(form string, dump obs.Trace) {
+		t.Helper()
+		if err := dump.Check(); err != nil {
+			t.Fatalf("%s dump: %v", form, err)
+		}
+		ev, ok := dump.Find("test.marker")
+		if dump.ID != "flight" || dump.EpochNS == 0 || !ok || ev.Attr("k") != "v" || ev.DurNS() != 0 {
+			t.Fatalf("%s dump = %+v, want the dated flight trace with the marker event", form, dump)
+		}
+	}
 	code, body := getBody(t, ts.URL+"/v1/debug/flight")
 	if code != http.StatusOK {
 		t.Fatalf("flight: %d", code)
 	}
-	var dump obs.FlightDump
+	var dump obs.Trace
 	if err := json.Unmarshal(body, &dump); err != nil {
 		t.Fatalf("decode flight dump: %v", err)
 	}
-	found := false
-	for _, ev := range dump.Events {
-		if ev.Kind == "test.marker" {
-			found = true
+	checkDump("json", dump)
+	code, body = getBody(t, ts.URL+"/v1/debug/flight?format=chrome")
+	chrome, err := obs.ParseChrome(strings.NewReader(string(body)))
+	if code != http.StatusOK || err != nil {
+		t.Fatalf("chrome dump (%d, %v):\n%s", code, err, body)
+	}
+	checkDump("chrome", chrome)
+	epoch := time.Unix(0, dump.EpochNS).UTC().Format(time.RFC3339Nano)
+	if code, body := getBody(t, ts.URL+"/v1/debug/flight?format=tree"); code != http.StatusOK ||
+		!strings.Contains(string(body), "epoch "+epoch) || !strings.Contains(string(body), "test.marker @") {
+		t.Fatalf("tree dump (%d), want epoch %s and the marker at its offset:\n%s", code, epoch, body)
+	}
+	for _, format := range []string{"text", "xml"} {
+		if code, _ := getBody(t, ts.URL+"/v1/debug/flight?format="+format); code != http.StatusBadRequest {
+			t.Fatalf("format %s: status %d, want 400", format, code)
 		}
-	}
-	if !found {
-		t.Fatalf("marker event missing from dump (%d events)", len(dump.Events))
-	}
-	if code, body := getBody(t, ts.URL+"/v1/debug/flight?format=text"); code != http.StatusOK ||
-		!strings.Contains(string(body), "test.marker") {
-		t.Fatalf("text dump (%d):\n%s", code, body)
-	}
-	if code, _ := getBody(t, ts.URL+"/v1/debug/flight?format=xml"); code != http.StatusBadRequest {
-		t.Fatalf("unknown format: status %d, want 400", code)
 	}
 
 	srv.persistFlight()
@@ -323,17 +408,15 @@ func TestFlightEndpointAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("flight-last.json: %v", err)
 	}
-	var persisted obs.FlightDump
+	var persisted obs.Trace
 	if err := json.Unmarshal(raw, &persisted); err != nil {
 		t.Fatalf("decode persisted dump: %v", err)
 	}
-	if persisted.Recorded == 0 {
-		t.Fatal("persisted dump is empty")
-	}
+	checkDump("persisted", persisted)
 }
 
 // TestCoordinatorShutdownLeaksNoGoroutines: the observability plane's
-// scrape-time funcs plus the coordinator's sweep/probe loops and a full
+// scrape-time funcs plus the coordinator's sweep loop and a full
 // fleet run with its report telemetry must all terminate on Drain —
 // the goroutine count returns to the pre-server baseline.
 func TestCoordinatorShutdownLeaksNoGoroutines(t *testing.T) {

@@ -142,8 +142,6 @@ type Server struct {
 	mCkptSaved      *metrics.Counter // checkpoint snapshots written
 
 	mStageSeconds *metrics.HistogramVec // per-stage span durations, from traces
-	mShardSeconds *metrics.Histogram    // per-shard span durations
-	mQueueWait    *metrics.Histogram    // queue.wait span durations
 
 	// Fleet-coordinator state (nil / zero unless Config.Dist.Enabled).
 	dist             *dist.Coordinator
@@ -160,9 +158,10 @@ type Server struct {
 	sseHeartbeat time.Duration
 
 	// Observability plane (see fleet.go): RED middleware around every
-	// route, the always-on flight recorder, and the chaos-injection export.
+	// route, the always-on flight recorder (a tracer of events), and the
+	// chaos-injection export.
 	red     *metrics.RED
-	flight  *obs.FlightRecorder
+	flight  *obs.Tracer
 	dataDir string // "" = no flight-last.json crash persistence
 
 	chaosMu      sync.Mutex
@@ -197,7 +196,7 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:      cfg.BaseContext,
 		log:          obs.OrDiscard(cfg.Logger),
 		sseHeartbeat: 15 * time.Second,
-		flight:       obs.NewFlightRecorder(0),
+		flight:       obs.NewTracer(obs.TracerConfig{ID: "flight"}),
 		dataDir:      cfg.DataDir,
 	}
 	if cfg.DataDir != "" {
@@ -206,10 +205,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.journal = journal
-		journal.Observe(func(op, key string) {
-			s.flight.Record("journal.append",
-				obs.String("op", op), obs.String("key", key))
-		})
 		s.ckptDir = filepath.Join(cfg.DataDir, "checkpoints")
 	} else {
 		// Nothing to recover: the server is ready as soon as it starts.
@@ -248,12 +243,6 @@ func New(cfg Config) (*Server, error) {
 	s.mStageSeconds = s.reg.HistogramVec("qisimd_stage_seconds",
 		"Per-stage wall clock from finished job traces (stage = span name).",
 		metrics.DefaultLatencyBuckets(), "stage")
-	s.mShardSeconds = s.reg.Histogram("qisimd_shard_seconds",
-		"Monte-Carlo shard execution wall clock, one observation per shard.",
-		metrics.DefaultLatencyBuckets())
-	s.mQueueWait = s.reg.Histogram("qisimd_queue_wait_seconds",
-		"Time jobs spent queued before a worker picked them up.",
-		metrics.DefaultLatencyBuckets())
 	bi := buildinfo.Resolve()
 	s.reg.GaugeVec("qisimd_build_info",
 		"Build identity of this process; the value is a constant 1, the identity lives in the labels.",
@@ -295,7 +284,7 @@ func New(cfg Config) (*Server, error) {
 				// The panic backstop is the last stop before the evidence
 				// is flattened into a typed error: persist the flight ring
 				// so the crash context survives the process.
-				s.flight.Record("job.panic",
+				s.flight.Event("job.panic",
 					obs.String("job", id), obs.String("panic", fmt.Sprint(recovered)))
 				s.persistFlight()
 			},
@@ -375,7 +364,7 @@ func New(cfg Config) (*Server, error) {
 			}
 			mw := chaos.NewMiddleware(*cfg.Dist.Chaos, h)
 			mw.OnInject(func(fault string) {
-				s.flight.Record("chaos.inject",
+				s.flight.Event("chaos.inject",
 					obs.String("side", "server"), obs.String("fault", fault))
 			})
 			s.RegisterChaosStats("server", mw.Stats)
@@ -398,23 +387,15 @@ func (s *Server) Start() {
 }
 
 // observeTrace folds one finished job's trace into the stage-latency
-// histograms: every span contributes to qisimd_stage_seconds{stage=<name>},
-// shard spans additionally to qisimd_shard_seconds and the queue.wait span
-// to qisimd_queue_wait_seconds. No-op when the job recorded no trace.
+// histogram: every span contributes to qisimd_stage_seconds{stage=<name>}.
+// No-op when the job recorded no trace.
 func (s *Server) observeTrace(id string) {
 	trace, _, ok := s.mgr.Trace(id)
 	if !ok {
 		return
 	}
 	for _, sp := range trace.Spans {
-		secs := float64(sp.DurNS()) / 1e9
-		s.mStageSeconds.With(sp.Name).Observe(secs)
-		switch sp.Name {
-		case "shard":
-			s.mShardSeconds.Observe(secs)
-		case "queue.wait":
-			s.mQueueWait.Observe(secs)
-		}
+		s.mStageSeconds.With(sp.Name).Observe(float64(sp.DurNS()) / 1e9)
 	}
 }
 
@@ -511,7 +492,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // record.
 func (s *Server) Drain(ctx context.Context) error {
 	if s.distCancel != nil {
-		s.distCancel() // stop the coordinator's sweep/probe loops
+		s.distCancel() // stop the coordinator's sweep loop
 	}
 	err := s.mgr.Drain(ctx)
 	if err == nil && s.journal != nil {
@@ -523,10 +504,10 @@ func (s *Server) Drain(ctx context.Context) error {
 // Registry exposes the metrics registry (tests, extra collectors).
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// Flight exposes the always-on flight recorder so the process shell (SIGQUIT
-// handler, fleet-worker loop, tests) can record into and dump the same ring
-// the HTTP debug endpoint serves.
-func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
+// Flight exposes the always-on flight recorder, a tracer of events, so the
+// process shell (SIGQUIT handler, fleet-worker loop, tests) can record into
+// and dump the same ring the HTTP debug endpoint serves.
+func (s *Server) Flight() *obs.Tracer { return s.flight }
 
 // submitResponse is the POST /v1/jobs body.
 type submitResponse struct {
@@ -651,9 +632,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 //	job still queued or running                             → 202 {state}
 //	finished job with a trace                               → 200
 //
-// Formats (?format=): "json" (default) the obs.Trace object, "chrome"
-// Chrome trace_event JSON for chrome://tracing / Perfetto, "tree" the
-// indented text outline.
+// The format switch is writeTrace's.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	trace, state, ok := s.mgr.Trace(id)
@@ -671,7 +650,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			Error: "no trace recorded for job " + id + " (cached result or tracing disabled)"})
 		return
 	}
-	switch r.URL.Query().Get("format") {
+	s.writeTrace(w, r, trace)
+}
+
+// writeTrace serves a trace, a job's or the flight recorder's, in the
+// ?format= the request names: "json" (default) the obs.Trace object,
+// "chrome" Chrome trace_event JSON for chrome://tracing / Perfetto, "tree"
+// the indented text outline. Any other format is a 400.
+func (s *Server) writeTrace(w http.ResponseWriter, r *http.Request, trace obs.Trace) {
+	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		writeJSON(w, http.StatusOK, trace)
 	case "chrome":
@@ -683,8 +670,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte(trace.TreeString())) //nolint:errcheck
 	default:
-		s.writeError(w, simerr.Invalidf("service: unknown trace format %q (want json|chrome|tree)",
-			r.URL.Query().Get("format")))
+		s.writeError(w, simerr.Invalidf("service: unknown trace format %q (want json|chrome|tree)", format))
 	}
 }
 
