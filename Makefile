@@ -34,10 +34,9 @@ trace-demo:
 
 # Short fuzz smokes of the QASM parser, the checkpoint decoder, the dist
 # unit-result, lease-grant and claim-body decoders, the job-journal record
-# decoder, the coordinator's worker-telemetry intake and the job-submission
-# decoder
-# (longer runs on demand, e.g. `go test ./internal/qasm -fuzz FuzzParse
-# -fuzztime 5m`).
+# decoder, the coordinator's worker-telemetry intake, the job-submission
+# decoder and the chaos scenario-spec decoder (longer runs on demand, e.g.
+# `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
 fuzz:
 	$(GO) test ./internal/qasm -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointDecode -fuzztime 30s
@@ -47,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/dist -fuzz FuzzTelemetry -fuzztime 30s
 	$(GO) test ./internal/jobs -fuzz FuzzJournalLine -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzJobRequest -fuzztime 30s
+	$(GO) test ./internal/chaos -fuzz FuzzParseSpec -fuzztime 30s
 
 # Smokes of the built binaries: a traced `qisim mc` run exports a non-empty
 # Chrome trace and `qisim-experiments` exports one too, qisimd prints the

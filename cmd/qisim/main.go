@@ -154,7 +154,7 @@ func run(ctx context.Context, args []string, jsonOut bool, workers int) error {
 
 // latticeCmd estimates a logical CNOT and a 1,000-round memory on a design.
 func latticeCmd(name, distStr string) error {
-	d, ok := findDesign(name)
+	d, ok := microarch.DesignByName(name)
 	if !ok {
 		return simerr.Invalidf("unknown design %q", name)
 	}
@@ -193,7 +193,7 @@ func analyze(ctx context.Context, names []string, jsonOut bool, workers int) err
 		}
 	} else {
 		for _, n := range names {
-			d, ok := findDesign(n)
+			d, ok := microarch.DesignByName(n)
 			if !ok {
 				return simerr.Invalidf("unknown design %q (see `qisim designs`)", n)
 			}
@@ -215,7 +215,7 @@ func analyze(ctx context.Context, names []string, jsonOut bool, workers int) err
 }
 
 func sweep(ctx context.Context, name string, counts []string, jsonOut bool, workers int) error {
-	d, ok := findDesign(name)
+	d, ok := microarch.DesignByName(name)
 	if !ok {
 		return simerr.Invalidf("unknown design %q", name)
 	}
@@ -382,15 +382,6 @@ func emitJSON(v any) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-func findDesign(name string) (microarch.Design, bool) {
-	for _, d := range microarch.AllDesigns() {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return microarch.Design{}, false
 }
 
 func usage() {

@@ -28,9 +28,9 @@
 // API:
 //
 //	POST   /v1/jobs            {"kind": "surface.mc", "params": {...}}
-//	GET    /v1/jobs            list jobs (?kind=&state=&tenant=&parent=&limit=)
+//	GET    /v1/jobs            list jobs (?kind=&state=&tenant=&limit=)
 //	GET    /v1/jobs/{id}       job state, live progress, result or typed error
-//	DELETE /v1/jobs/{id}       cancel a job (a dse.sweep cancels its children)
+//	DELETE /v1/jobs/{id}       cancel a job
 //	GET    /v1/jobs/{id}/events SSE stream: state changes + partial frontiers
 //	GET    /v1/jobs/{id}/trace finished job's span tree (?format=json|chrome|tree)
 //	GET    /v1/results/{key}   cached result body (byte-exact replay)
@@ -41,8 +41,7 @@
 //	GET    /readyz             readiness: 503 recovering / draining / saturated
 //
 // Multi-tenancy: clients may stamp submissions with an X-QIsim-Tenant
-// header. -tenant-quota caps each tenant's concurrently in-flight
-// top-level jobs (children fanned out by a dse.sweep are exempt); a
+// header. -tenant-quota caps each tenant's concurrently in-flight jobs; a
 // submission over quota is refused with 429 and error class
 // "quota-exceeded". Tenants are attribution only — results stay
 // content-addressed, so identical work dedupes across tenants.
@@ -112,7 +111,7 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock cap (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline on SIGTERM")
 	dataDir := flag.String("data-dir", "", "crash-safe state directory (job journal + MC checkpoints); empty = in-memory only")
-	tenantQuota := flag.Int("tenant-quota", 0, "max in-flight top-level jobs per tenant (0 = unlimited)")
+	tenantQuota := flag.Int("tenant-quota", 0, "max in-flight jobs per tenant (0 = unlimited)")
 	maxBody := flag.Int64("max-body-bytes", service.DefaultMaxBodyBytes, "largest accepted POST /v1/jobs body (413 beyond)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = off")
 	traceSpans := flag.Int("trace-max-spans", 0, "per-job span-buffer bound (0 = default, negative = disable job tracing)")

@@ -170,13 +170,17 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// ParseSpec decodes and validates a JSON scenario spec.
+// ParseSpec decodes and validates a JSON scenario spec: one object with no
+// unknown fields, followed by nothing but whitespace.
 func ParseSpec(b []byte) (Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, simerr.Invalidf("chaos: bad scenario spec: %v", err)
+	}
+	if len(bytes.TrimLeft(b[dec.InputOffset():], " \t\r\n")) > 0 {
+		return Spec{}, simerr.Invalidf("chaos: data after the scenario spec")
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err

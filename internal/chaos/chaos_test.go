@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"qisim/internal/simerr"
 )
 
 func TestDrawDeterministicAndUniformish(t *testing.T) {
@@ -97,6 +99,13 @@ func TestParseSpec(t *testing.T) {
 	}
 	if _, err := ParseSpec([]byte(`{`)); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+	// Only one spec per file: a second object is refused, not ignored.
+	if _, err := ParseSpec([]byte(`{"drop":0.1} {"drop":0.9}`)); !errors.Is(err, simerr.ErrInvalidConfig) {
+		t.Fatalf("data after the spec: err = %v, want invalid config", err)
+	}
+	if s, err := ParseSpec([]byte("{\"drop\":0.1}\n")); err != nil || s.Drop != 0.1 {
+		t.Fatalf("trailing newline: spec %+v err %v", s, err)
 	}
 }
 

@@ -1,11 +1,11 @@
-// Package dse is the design-space exploration layer (ROADMAP item 4): it
-// expands multi-axis parameter grids into deterministic point sequences,
-// folds evaluated points into Pareto frontiers, and drives wave-based
-// sweeps whose pruning decisions depend only on a committed prefix of
-// results — so the final frontier is byte-identical regardless of how many
-// workers evaluated the points, which tenants interleaved, or whether the
-// coordinator crashed and recovered mid-sweep (see DESIGN.md
-// "Design-space exploration").
+// Package dse is the design-space exploration layer behind qisimd's
+// dse.sweep jobs and the "dse" experiment: it expands multi-axis parameter
+// grids into deterministic point sequences, folds evaluated points into
+// Pareto frontiers, and drives wave-based sweeps whose pruning decisions
+// depend only on a committed prefix of results — so the final frontier is
+// byte-identical regardless of how the points were scheduled, which tenants
+// interleaved, or whether the service crashed and recovered mid-sweep (see
+// DESIGN.md "Design-space exploration").
 package dse
 
 import (
@@ -15,7 +15,7 @@ import (
 )
 
 // MaxAxisValues bounds a single axis expansion and MaxGridSize bounds the
-// whole grid, so a typo'd step cannot OOM the coordinator.
+// whole grid, so a typo'd step cannot OOM the service.
 const (
 	MaxAxisValues = 4096
 	MaxGridSize   = 100_000

@@ -6,13 +6,13 @@ import (
 	"qisim/internal/simerr"
 )
 
-// DefaultWave is the number of grid points dispatched per wave when the
+// DefaultWave is the number of grid points evaluated per wave when the
 // policy does not override it.
 const DefaultWave = 32
 
 // Policy controls how a sweep walks its grid.
 type Policy struct {
-	// Wave is the number of points dispatched together; the sweep waits for
+	// Wave is the number of points evaluated together; the sweep waits for
 	// a whole wave to commit before deciding anything about the next one.
 	Wave int `json:"wave,omitempty"`
 	// Prune skips points whose optimistic bound is strictly dominated by
@@ -29,9 +29,9 @@ func (p Policy) Normalized() Policy {
 }
 
 // EvalWave evaluates one wave of points and returns their objective
-// metrics in the same order. Implementations may fan the points out across
-// workers or a fleet; the driver folds the returned metrics in point-index
-// order, so parallelism inside a wave never affects the outcome.
+// metrics in the same order. RunSweep folds the returned metrics in
+// point-index order, so how an implementation schedules the points inside
+// a wave never affects the outcome.
 type EvalWave func(ctx context.Context, pts []Point) ([]map[string]float64, error)
 
 // BoundFn returns optimistic metrics for an unevaluated point: for every

@@ -6,10 +6,8 @@ import (
 	"strings"
 
 	"qisim/internal/dse"
-	"qisim/internal/microarch"
 	"qisim/internal/rescache"
 	"qisim/internal/scalability"
-	"qisim/internal/simerr"
 )
 
 // DSESweepGrid is the Fig. 17 CMOS-vs-ERSFQ design-space sweep: the two
@@ -22,9 +20,9 @@ import (
 // exercise the same points.
 func DSESweepGrid() dse.Grid {
 	return dse.Grid{Axes: []dse.Axis{
-		{Name: "design", Values: []any{"4K-CMOS-advanced-opt67", "ERSFQ-opt8"}},
-		{Name: "distance", Values: []any{11, 17, 23}},
-		{Name: "extra_gate_error", LogRange: &dse.LogRange{From: 1e-6, To: 1e-3, Points: 8}},
+		{Name: scalability.CoordDesign, Values: []any{"4K-CMOS-advanced-opt67", "ERSFQ-opt8"}},
+		{Name: scalability.CoordDistance, Values: []any{11, 17, 23}},
+		{Name: scalability.CoordExtraGateError, LogRange: &dse.LogRange{From: 1e-6, To: 1e-3, Points: 8}},
 	}}
 }
 
@@ -53,23 +51,18 @@ type DSEResult struct {
 func DSE() (DSEResult, error) {
 	grid, objs := DSESweepGrid(), DSEObjectives()
 	pol := dse.Policy{Wave: 8, Prune: true}
+	dist := scalability.DefaultOptions().Distance
 	bound := func(p dse.Point) map[string]float64 {
-		d, extra, opt, err := dsePointArgs(p)
-		if err != nil {
-			return nil
-		}
-		return scalability.PointBound(d, extra, opt)
+		return scalability.PointAt(p.Coords, dist, false).Bound()
 	}
 	eval := func(_ context.Context, pts []dse.Point) ([]map[string]float64, error) {
 		out := make([]map[string]float64, len(pts))
 		for i, p := range pts {
-			d, extra, opt, err := dsePointArgs(p)
+			m, err := scalability.PointAt(p.Coords, dist, false).Analyze()
 			if err != nil {
 				return nil, err
 			}
-			if out[i], err = scalability.AnalyzePointChecked(d, extra, opt); err != nil {
-				return nil, err
-			}
+			out[i] = m
 		}
 		return out, nil
 	}
@@ -104,21 +97,4 @@ func DSE() (DSEResult, error) {
 			"restated as Pareto dominance.\n")
 	}
 	return DSEResult{Outcome: outcome, Canonical: canon, Report: b.String()}, nil
-}
-
-// dsePointArgs resolves one grid point's design, extra gate error and
-// per-point analysis options (code distance).
-func dsePointArgs(p dse.Point) (microarch.Design, float64, scalability.Options, error) {
-	name, _ := p.Coords["design"].(string)
-	extra, _ := p.Coords["extra_gate_error"].(float64)
-	opt := scalability.DefaultOptions()
-	if dist, ok := p.Coords["distance"].(float64); ok {
-		opt.Distance = int(dist)
-	}
-	for _, d := range microarch.AllDesigns() {
-		if d.Name == name {
-			return d, extra, opt, nil
-		}
-	}
-	return microarch.Design{}, 0, opt, simerr.Invalidf("experiments: unknown design %q", name)
 }

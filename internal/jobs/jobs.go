@@ -21,23 +21,17 @@
 // what a recomputation would produce. Truncated partials are deliberately
 // NEVER cached (they are the one non-deterministic outcome).
 //
-// Multi-tenancy and fan-out (the DSE layer, see internal/dse):
+// Multi-tenancy and streaming:
 //
 //   - submissions carry an optional tenant; queued work is scheduled fair
 //     round-robin BETWEEN tenants (one job per tenant per pass), so a bulk
-//     sweep from one tenant cannot starve another's single analysis;
-//   - Config.TenantQuota bounds each tenant's in-flight top-level jobs
+//     backlog from one tenant cannot starve another's single analysis;
+//   - Config.TenantQuota bounds each tenant's in-flight jobs
 //     (ErrQuotaExceeded, HTTP 429 with a distinct body);
-//   - a job may name a parent: the parent's snapshot aggregates child
-//     states, Cancel(parent) cascades to children no other live parent or
-//     external submission still needs, and the WAL records the linkage so
-//     recovery re-adopts a half-finished sweep under its resubmitted parent;
-//   - orchestrator jobs (SubmitOptions.Orchestrator) run on their own
-//     goroutine instead of a pool slot, so a parent that blocks waiting for
-//     its children can never deadlock the pool that must run them;
 //   - every job keeps a bounded event log (state transitions plus
-//     Publish()-ed custom events such as partial Pareto frontiers) that
-//     Subscribe streams live — the feed behind GET /v1/jobs/{id}/events.
+//     Publish()-ed custom events such as a sweep's partial Pareto
+//     frontiers) that Subscribe streams live — the feed behind
+//     GET /v1/jobs/{id}/events.
 package jobs
 
 import (
@@ -67,12 +61,11 @@ const (
 	KindSurfaceMC          Kind = "surface.mc"
 	KindPauliMC            Kind = "pauli.mc"
 	KindReadoutMC          Kind = "readout.mc"
-	// KindDSESweep is the design-space exploration parent: it expands a
-	// parameter grid into KindDSEPoint children fanned out through this
-	// queue and folds their results into a streamed Pareto frontier.
+	// KindDSESweep is a design-space exploration: it expands a parameter
+	// grid, evaluates its points in grid order and folds them into a
+	// streamed Pareto frontier.
 	KindDSESweep Kind = "dse.sweep"
-	// KindDSEPoint is one grid-point evaluation (a child of a dse.sweep,
-	// also submittable directly).
+	// KindDSEPoint is one grid-point evaluation, submitted on its own.
 	KindDSEPoint Kind = "dse.point"
 )
 
@@ -117,17 +110,6 @@ type Progress struct {
 	Requested int `json:"requested"`
 }
 
-// ChildStats aggregates the states of a parent job's children. Children
-// evicted from the record window were finished, and only finished children
-// are evictable, so they are counted as done.
-type ChildStats struct {
-	Total   int `json:"total"`
-	Queued  int `json:"queued"`
-	Running int `json:"running"`
-	Done    int `json:"done"`
-	Failed  int `json:"failed"`
-}
-
 // Snapshot is an immutable copy of a job's state, safe to serialize.
 type Snapshot struct {
 	ID         string          `json:"id"`
@@ -136,8 +118,6 @@ type Snapshot struct {
 	State      State           `json:"state"`
 	Cached     bool            `json:"cached"`
 	Tenant     string          `json:"tenant,omitempty"`
-	Parent     string          `json:"parent,omitempty"`
-	Children   *ChildStats     `json:"children,omitempty"`
 	CreatedAt  time.Time       `json:"created_at"`
 	StartedAt  *time.Time      `json:"started_at,omitempty"`
 	FinishedAt *time.Time      `json:"finished_at,omitempty"`
@@ -196,8 +176,8 @@ func (o Outcome) String() string {
 var (
 	// ErrQueueFull: the bounded queue is at capacity (HTTP 429).
 	ErrQueueFull = errors.New("job queue full")
-	// ErrQuotaExceeded: the tenant already has TenantQuota top-level jobs
-	// in flight (HTTP 429 with a distinct quota-exceeded body).
+	// ErrQuotaExceeded: the tenant already has TenantQuota jobs in flight
+	// (HTTP 429 with a distinct quota-exceeded body).
 	ErrQuotaExceeded = errors.New("tenant quota exceeded")
 	// ErrDraining: the manager stopped accepting work (classed Interrupted,
 	// HTTP 503).
@@ -218,9 +198,8 @@ type Config struct {
 	// oldest finished records are evicted first. In-flight jobs are never
 	// evicted.
 	MaxRecords int
-	// TenantQuota bounds each tenant's in-flight TOP-LEVEL jobs — those
-	// submitted without a parent; a sweep's internal fan-out is accounted to
-	// its parent, not the quota. 0 = unlimited.
+	// TenantQuota bounds each tenant's in-flight (queued or running) jobs.
+	// 0 = unlimited.
 	TenantQuota int
 	// Cache receives completed (non-truncated) results and serves repeat
 	// submissions. Optional: nil disables caching.
@@ -249,23 +228,6 @@ type Config struct {
 	TraceMaxSpans int
 }
 
-// SubmitOptions extend a submission beyond kind/key/params.
-type SubmitOptions struct {
-	// Tenant attributes the job for fair scheduling and quotas ("" is the
-	// anonymous tenant, itself scheduled fairly against named ones).
-	Tenant string
-	// Parent links the job under an existing job ID: the parent's snapshot
-	// aggregates child states, cancellation cascades (see Cancel), and the
-	// WAL records the linkage for recovery re-adoption.
-	Parent string
-	// Orchestrator runs the job on a dedicated goroutine instead of a pool
-	// slot. Parents that submit children and block on them MUST set this:
-	// a parent occupying the only pool worker would deadlock its own
-	// fan-out. Orchestrator jobs skip the queue (no queue-depth charge) but
-	// still count toward the tenant quota and drain like any other job.
-	Orchestrator bool
-}
-
 // job is the manager-internal record. Mutable fields are guarded by the
 // manager mutex; the progress cells are atomics so the engine's Progress
 // hook never contends with HTTP polls.
@@ -273,20 +235,12 @@ type job struct {
 	id      string
 	kind    Kind
 	key     rescache.Key
+	tenant  string
 	cached  bool
 	created time.Time
 
-	tenant       string
-	parent       string   // first parent ID (display)
-	parents      []string // every parent attached via singleflight
-	children     []string // child IDs, submission order
-	externalRef  bool     // a parentless submission also wants this job
-	orchestrator bool
-	quotaCounted bool
-
 	run    Runner
 	params json.RawMessage // journaled request params (nil without a journal)
-	done   chan struct{}   // closed at finalization
 
 	ctx      context.Context // per-job cancellation root (nil for cached-born)
 	cancelFn context.CancelFunc
@@ -306,8 +260,9 @@ type job struct {
 
 	// Tracing (nil/empty when Config.TraceMaxSpans == 0 or the job was
 	// served from cache). rootSpan covers submit→finalize, queueSpan the
-	// queued interval; trace is the finished snapshot stored before done
-	// closes, so pollers that see a terminal state can always fetch it.
+	// queued interval; trace is the finished snapshot, stored under the
+	// same lock hold as the terminal state, so pollers that see a terminal
+	// state can always fetch it.
 	tr        *obs.Tracer
 	rootSpan  *obs.Span
 	queueSpan *obs.Span
@@ -333,7 +288,7 @@ type Manager struct {
 	queues   map[string][]*job // per-tenant FIFO of queued jobs
 	ring     []string          // round-robin order over tenants with queued work
 	queued   int               // total queued (not yet running) jobs
-	tenants  map[string]int    // in-flight top-level jobs per tenant (quota)
+	tenants  map[string]int    // in-flight jobs per tenant (quota)
 	started  bool
 	draining bool
 
@@ -441,38 +396,24 @@ func (m *Manager) enqueueLocked(j *job) {
 	m.cond.Signal()
 }
 
-// SubmitOpts routes one request: cache hit → a job born done with the
-// cached bytes; key already in flight → the existing job (coalesced);
-// otherwise a new queued job. The cache probe and the singleflight insert
-// happen under one lock, so concurrent duplicates can never both enqueue.
+// Submit routes one request: cache hit → a job born done with the cached
+// bytes; key already in flight → the existing job (coalesced); otherwise a
+// new queued job. The cache probe and the singleflight insert happen under
+// one lock, so concurrent duplicates can never both enqueue.
 //
 // params is the raw request-params JSON retained in the journal (nil when no
 // journal is configured or the caller has no params) so the exact request
 // can be rebuilt and resubmitted after a restart. Cached and coalesced
-// submissions are not journaled — nothing new was enqueued.
-func (m *Manager) SubmitOpts(kind Kind, key rescache.Key, params json.RawMessage, run Runner, o SubmitOptions) (Snapshot, Outcome, error) {
+// submissions are not journaled — nothing new was enqueued. tenant
+// attributes the job for fair scheduling and quotas ("" is the anonymous
+// tenant, itself scheduled fairly against named ones).
+func (m *Manager) Submit(kind Kind, key rescache.Key, params json.RawMessage, run Runner, tenant string) (Snapshot, Outcome, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.draining {
 		return Snapshot{}, OutcomeQueued, ErrDraining
 	}
-	var parent *job
-	if o.Parent != "" {
-		p, ok := m.byID[o.Parent]
-		if !ok {
-			return Snapshot{}, OutcomeQueued, simerr.Invalidf("jobs: unknown parent job %q", o.Parent)
-		}
-		parent = p
-	}
 	if j, ok := m.inflight[key]; ok {
-		// Singleflight attach: record who else needs this job so a
-		// cascading cancel never kills work another parent (or a direct
-		// submission) is still waiting on.
-		if parent != nil {
-			m.linkLocked(parent, j)
-		} else {
-			j.externalRef = true
-		}
 		return m.snapshotLocked(j), OutcomeCoalesced, nil
 	}
 	if m.cfg.Cache != nil {
@@ -480,40 +421,30 @@ func (m *Manager) SubmitOpts(kind Kind, key rescache.Key, params json.RawMessage
 			j := m.newJobLocked(kind, key)
 			now := time.Now()
 			j.cached = true
-			j.tenant = o.Tenant
+			j.tenant = tenant
 			j.state = StateDone
 			j.started, j.finished = now, now
 			j.result = body
-			if parent != nil {
-				m.linkLocked(parent, j)
-			}
 			m.publishStateLocked(j)
 			m.closeEventsLocked(j)
-			close(j.done)
 			m.log.Debug("job served from cache", "job", j.id, "kind", string(kind))
 			return m.snapshotLocked(j), OutcomeCached, nil
 		}
 	}
-	if parent == nil && m.cfg.TenantQuota > 0 && m.tenants[o.Tenant] >= m.cfg.TenantQuota {
-		return Snapshot{}, OutcomeQueued, fmt.Errorf("%w (tenant %q, quota %d)", ErrQuotaExceeded, o.Tenant, m.cfg.TenantQuota)
+	if m.cfg.TenantQuota > 0 && m.tenants[tenant] >= m.cfg.TenantQuota {
+		return Snapshot{}, OutcomeQueued, fmt.Errorf("%w (tenant %q, quota %d)", ErrQuotaExceeded, tenant, m.cfg.TenantQuota)
 	}
-	if !o.Orchestrator && m.queued >= m.cfg.QueueDepth {
+	if m.queued >= m.cfg.QueueDepth {
 		return Snapshot{}, OutcomeQueued, fmt.Errorf("%w (depth %d)", ErrQueueFull, m.cfg.QueueDepth)
 	}
 	j := m.newJobLocked(kind, key)
 	j.run = run
 	j.params = params
-	j.tenant = o.Tenant
-	j.orchestrator = o.Orchestrator
+	j.tenant = tenant
 	j.state = StateQueued
 	j.ctx, j.cancelFn = context.WithCancel(m.ctx)
-	if parent != nil {
-		m.linkLocked(parent, j)
-	} else {
-		if m.cfg.TenantQuota > 0 {
-			m.tenants[o.Tenant]++
-			j.quotaCounted = true
-		}
+	if m.cfg.TenantQuota > 0 {
+		m.tenants[tenant]++
 	}
 	if m.cfg.TraceMaxSpans > 0 {
 		// The job's trace is born at acceptance: the root span covers the
@@ -525,47 +456,18 @@ func (m *Manager) SubmitOpts(kind Kind, key rescache.Key, params json.RawMessage
 	m.inflight[key] = j
 	if m.cfg.Journal != nil {
 		// Best-effort WAL: a failed append degrades durability (counted on
-		// the journal), it does not refuse the submission. The parent is
-		// journaled by KEY, not ID — IDs are not stable across restarts.
-		parentKey := ""
-		if parent != nil {
-			parentKey = string(parent.key)
-		}
+		// the journal), it does not refuse the submission.
 		js := j.tr.Start("journal.append", j.rootSpan, obs.String("op", string(OpSubmit)))
-		if err := m.cfg.Journal.AppendSubmit(kind, key, params, o.Tenant, parentKey); err != nil {
+		if err := m.cfg.Journal.AppendSubmit(kind, key, params, tenant); err != nil {
 			m.log.Warn("journal append failed; durability degraded",
 				"job", j.id, "op", string(OpSubmit), "err", err)
 		}
 		js.End()
 	}
 	m.publishStateLocked(j)
-	if o.Orchestrator {
-		// Orchestrators get their own goroutine: they park in Wait for
-		// children the pool must be free to run.
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			m.execute(j)
-		}()
-	} else {
-		m.enqueueLocked(j)
-	}
-	m.log.Info("job queued", "job", j.id, "kind", string(kind), "tenant", o.Tenant, "parent", o.Parent)
+	m.enqueueLocked(j)
+	m.log.Info("job queued", "job", j.id, "kind", string(kind), "tenant", tenant)
 	return m.snapshotLocked(j), OutcomeQueued, nil
-}
-
-// linkLocked attaches j under parent (idempotent per pair).
-func (m *Manager) linkLocked(parent *job, j *job) {
-	for _, p := range j.parents {
-		if p == parent.id {
-			return
-		}
-	}
-	j.parents = append(j.parents, parent.id)
-	if j.parent == "" {
-		j.parent = parent.id
-	}
-	parent.children = append(parent.children, j.id)
 }
 
 // newJobLocked allocates a record; callers hold m.mu.
@@ -576,7 +478,6 @@ func (m *Manager) newJobLocked(kind Kind, key rescache.Key) *job {
 		kind:    kind,
 		key:     key,
 		created: time.Now(),
-		done:    make(chan struct{}),
 	}
 	m.byID[j.id] = j
 	m.order = append(m.order, j)
@@ -602,7 +503,7 @@ func (m *Manager) evictRecordsLocked() {
 	m.order = kept
 }
 
-// execute runs one job on a worker (or orchestrator) goroutine.
+// execute runs one job on a pool worker.
 func (m *Manager) execute(j *job) {
 	m.mu.Lock()
 	j.state = StateRunning
@@ -684,12 +585,13 @@ func (m *Manager) execute(j *job) {
 		}
 	}
 	if j.tr != nil {
-		// Snapshot the finished trace before done closes: anyone observing
-		// a terminal state can fetch the trace without racing finalization.
+		// Snapshot the finished trace with the terminal state: anyone
+		// observing that state can fetch the trace without racing
+		// finalization.
 		snap := j.tr.Snapshot()
 		j.trace = &snap
 	}
-	if j.quotaCounted {
+	if m.cfg.TenantQuota > 0 {
 		if m.tenants[j.tenant]--; m.tenants[j.tenant] <= 0 {
 			delete(m.tenants, j.tenant)
 		}
@@ -700,7 +602,6 @@ func (m *Manager) execute(j *job) {
 	delete(m.inflight, j.key)
 	m.publishStateLocked(j)
 	m.closeEventsLocked(j)
-	close(j.done)
 	snapState, errClass, status := j.state, j.errClass, j.status
 	dur := j.finished.Sub(j.started)
 	m.mu.Unlock()
@@ -734,58 +635,18 @@ func runSafely(run Runner, ctx context.Context, progress func(int, int), onPanic
 	return run(ctx, progress)
 }
 
-// Cancel cancels the job's context and cascades to descendants: a child is
-// cancelled only when every parent attached to it is itself in the
-// cancelled set and no parentless submission coalesced onto it — shared
-// children of an unaffected sweep keep running. Queued victims still
-// execute (immediately observing their dead context) and finalize as
-// Truncated partials — the uniform cancellation path. Cancelling a
-// finished job is a harmless no-op; unknown IDs return false.
+// Cancel cancels the job's context. A queued job still executes
+// (immediately observing its dead context) and, like a running one,
+// finalizes as a Truncated partial — the uniform cancellation path.
+// Cancelling a finished job is a harmless no-op; unknown IDs return false.
 func (m *Manager) Cancel(id string) bool {
 	m.mu.Lock()
-	root, ok := m.byID[id]
-	if !ok {
-		m.mu.Unlock()
-		return false
-	}
-	canceled := map[string]bool{root.id: true}
-	victims := []*job{root}
-	// Fixpoint over the child graph: a pass may unlock children whose last
-	// live parent was cancelled in the previous pass (diamond linkages).
-	for changed := true; changed; {
-		changed = false
-		for _, v := range victims {
-			for _, cid := range v.children {
-				c, ok := m.byID[cid]
-				if !ok || canceled[cid] || c.externalRef {
-					continue
-				}
-				all := true
-				for _, pid := range c.parents {
-					if !canceled[pid] {
-						all = false
-						break
-					}
-				}
-				if all {
-					canceled[cid] = true
-					victims = append(victims, c)
-					changed = true
-				}
-			}
-		}
-	}
-	fns := make([]context.CancelFunc, 0, len(victims))
-	for _, v := range victims {
-		if v.cancelFn != nil {
-			fns = append(fns, v.cancelFn)
-		}
-	}
+	j, ok := m.byID[id]
 	m.mu.Unlock()
-	for _, fn := range fns {
-		fn()
+	if ok && j.cancelFn != nil {
+		j.cancelFn()
 	}
-	return true
+	return ok
 }
 
 // Get returns a snapshot of the job by ID.
@@ -804,7 +665,6 @@ type Filter struct {
 	Kind   Kind
 	State  State
 	Tenant string
-	Parent string
 }
 
 // List returns snapshots of the retained jobs matching f, newest first, at
@@ -823,9 +683,6 @@ func (m *Manager) List(f Filter, limit int) []Snapshot {
 			continue
 		}
 		if f.Tenant != "" && j.tenant != f.Tenant {
-			continue
-		}
-		if f.Parent != "" && j.parent != f.Parent {
 			continue
 		}
 		out = append(out, m.snapshotLocked(j))
@@ -855,25 +712,6 @@ func (m *Manager) Trace(id string) (obs.Trace, State, bool) {
 	return *j.trace, j.state, true
 }
 
-// Wait blocks until the job finalizes (or ctx fires) and returns its final
-// snapshot.
-func (m *Manager) Wait(ctx context.Context, id string) (Snapshot, error) {
-	m.mu.Lock()
-	j, ok := m.byID[id]
-	m.mu.Unlock()
-	if !ok {
-		return Snapshot{}, fmt.Errorf("jobs: unknown job %q", id)
-	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		return Snapshot{}, simerr.Interruptedf("jobs: wait for %s: %v", id, ctx.Err())
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.snapshotLocked(j), nil
-}
-
 func (m *Manager) snapshotLocked(j *job) Snapshot {
 	s := Snapshot{
 		ID:        j.id,
@@ -882,7 +720,6 @@ func (m *Manager) snapshotLocked(j *job) Snapshot {
 		State:     j.state,
 		Cached:    j.cached,
 		Tenant:    j.tenant,
-		Parent:    j.parent,
 		CreatedAt: j.created,
 		Progress: Progress{
 			Completed: int(j.progressDone.Load()),
@@ -890,27 +727,6 @@ func (m *Manager) snapshotLocked(j *job) Snapshot {
 		},
 		ErrorClass: j.errClass,
 		Error:      j.errMsg,
-	}
-	if len(j.children) > 0 {
-		cs := ChildStats{Total: len(j.children)}
-		for _, cid := range j.children {
-			c, ok := m.byID[cid]
-			if !ok {
-				cs.Done++ // evicted → was finished
-				continue
-			}
-			switch c.state {
-			case StateQueued:
-				cs.Queued++
-			case StateRunning:
-				cs.Running++
-			case StateFailed:
-				cs.Failed++
-			default:
-				cs.Done++
-			}
-		}
-		s.Children = &cs
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -956,9 +772,8 @@ func (m *Manager) Draining() bool {
 // Drain stops the manager gracefully: new submissions are refused
 // (ErrDraining), every in-flight job context is cancelled — the running
 // simulations return through the existing partial-result path, flagged
-// Truncated — and the call blocks until the pool (and any orchestrator
-// goroutines) finish committing those partials (or ctx fires, returning
-// ErrInterrupted). Idempotent.
+// Truncated — and the call blocks until the pool finishes committing those
+// partials (or ctx fires, returning ErrInterrupted). Idempotent.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	first := !m.draining

@@ -25,6 +25,27 @@ func testKey(t *testing.T, seed int64) rescache.Key {
 	return k
 }
 
+// Wait blocks until the job finalizes (or ctx fires) and returns its final
+// snapshot: a job's event subscription closes at its finalization.
+func (m *Manager) Wait(ctx context.Context, id string) (Snapshot, error) {
+	_, ch, cancel, ok := m.Subscribe(id)
+	if !ok {
+		return Snapshot{}, fmt.Errorf("jobs: unknown job %q", id)
+	}
+	defer cancel()
+	for {
+		select {
+		case _, open := <-ch:
+			if !open {
+				snap, _ := m.Get(id)
+				return snap, nil
+			}
+		case <-ctx.Done():
+			return Snapshot{}, simerr.Interruptedf("jobs: wait for %s: %v", id, ctx.Err())
+		}
+	}
+}
+
 // countingRunner returns a runner producing a deterministic body and
 // recording how many times it executed.
 func countingRunner(execs *atomic.Int64, body string) Runner {
@@ -71,7 +92,7 @@ func TestSubmitRunsAndCaches(t *testing.T) {
 
 	var execs atomic.Int64
 	key := testKey(t, 1)
-	snap, outcome, err := m.SubmitOpts(KindSurfaceMC, key, nil, countingRunner(&execs, `{"rate":0.5}`), SubmitOptions{})
+	snap, outcome, err := m.Submit(KindSurfaceMC, key, nil, countingRunner(&execs, `{"rate":0.5}`), "")
 	if err != nil || outcome != OutcomeQueued {
 		t.Fatalf("submit: %v, outcome %v", err, outcome)
 	}
@@ -90,7 +111,7 @@ func TestSubmitRunsAndCaches(t *testing.T) {
 	}
 
 	// Resubmit: cache hit, no second execution, byte-identical body.
-	snap2, outcome2, err := m.SubmitOpts(KindSurfaceMC, key, nil, countingRunner(&execs, `{"rate":0.5}`), SubmitOptions{})
+	snap2, outcome2, err := m.Submit(KindSurfaceMC, key, nil, countingRunner(&execs, `{"rate":0.5}`), "")
 	if err != nil || outcome2 != OutcomeCached {
 		t.Fatalf("resubmit: %v, outcome %v", err, outcome2)
 	}
@@ -121,7 +142,7 @@ func TestConcurrentDuplicatesCoalesce(t *testing.T) {
 		return []byte(`{"v":1}`), simrun.Status{Requested: 1, Completed: 1, StopReason: simrun.StopCompleted}, nil
 	}
 	key := testKey(t, 2)
-	first, outcome, err := m.SubmitOpts(KindPauliMC, key, nil, slow, SubmitOptions{})
+	first, outcome, err := m.Submit(KindPauliMC, key, nil, slow, "")
 	if err != nil || outcome != OutcomeQueued {
 		t.Fatalf("first submit: %v, %v", err, outcome)
 	}
@@ -134,7 +155,7 @@ func TestConcurrentDuplicatesCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			snap, oc, err := m.SubmitOpts(KindPauliMC, key, nil, slow, SubmitOptions{})
+			snap, oc, err := m.Submit(KindPauliMC, key, nil, slow, "")
 			if err != nil {
 				t.Errorf("dup submit: %v", err)
 				return
@@ -178,7 +199,7 @@ func TestQueueFull(t *testing.T) {
 	}
 	// First occupies the worker, second the queue slot; distinct keys so
 	// nothing coalesces.
-	if _, _, err := m.SubmitOpts(KindReadoutMC, testKey(t, 10), nil, block, SubmitOptions{}); err != nil {
+	if _, _, err := m.Submit(KindReadoutMC, testKey(t, 10), nil, block, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Give the worker a moment to pick up the first job so the queue slot
@@ -187,10 +208,10 @@ func TestQueueFull(t *testing.T) {
 	for m.QueueDepth() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := m.SubmitOpts(KindReadoutMC, testKey(t, 11), nil, block, SubmitOptions{}); err != nil {
+	if _, _, err := m.Submit(KindReadoutMC, testKey(t, 11), nil, block, ""); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := m.SubmitOpts(KindReadoutMC, testKey(t, 12), nil, block, SubmitOptions{})
+	_, _, err := m.Submit(KindReadoutMC, testKey(t, 12), nil, block, "")
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overload error = %v, want ErrQueueFull", err)
 	}
@@ -218,7 +239,7 @@ func TestDrainTruncatesInFlight(t *testing.T) {
 		body, _ := json.Marshal(map[string]any{"status": st})
 		return body, st, nil
 	}
-	snap, _, err := m.SubmitOpts(KindSurfaceMC, key, nil, runner, SubmitOptions{})
+	snap, _, err := m.Submit(KindSurfaceMC, key, nil, runner, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +266,7 @@ func TestDrainTruncatesInFlight(t *testing.T) {
 	if cache.Contains(key) {
 		t.Fatal("truncated partial leaked into the cache")
 	}
-	if _, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 21), nil, runner, SubmitOptions{}); !errors.Is(err, ErrDraining) {
+	if _, _, err := m.Submit(KindSurfaceMC, testKey(t, 21), nil, runner, ""); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submit error = %v, want ErrDraining", err)
 	}
 	waitForGoroutines(t, baseline)
@@ -263,7 +284,7 @@ func TestFailedJobCarriesClass(t *testing.T) {
 	fail := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
 		return nil, simrun.Status{}, fmt.Errorf("bad distance: %w", simerr.ErrInvalidConfig)
 	}
-	snap, _, err := m.SubmitOpts(KindSurfaceMC, key, nil, fail, SubmitOptions{})
+	snap, _, err := m.Submit(KindSurfaceMC, key, nil, fail, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +299,7 @@ func TestFailedJobCarriesClass(t *testing.T) {
 		t.Fatal("failed job reached the cache")
 	}
 	// The key is free again: a corrected resubmission enqueues fresh.
-	if _, outcome, err := m.SubmitOpts(KindSurfaceMC, key, nil, fail, SubmitOptions{}); err != nil || outcome != OutcomeQueued {
+	if _, outcome, err := m.Submit(KindSurfaceMC, key, nil, fail, ""); err != nil || outcome != OutcomeQueued {
 		t.Fatalf("resubmit after failure: %v, %v", err, outcome)
 	}
 }
@@ -290,10 +311,10 @@ func TestPanickingRunnerBecomesTypedFailure(t *testing.T) {
 	m.Start()
 	defer drainManager(t, m)
 
-	snap, _, err := m.SubmitOpts(KindReadoutMC, testKey(t, 40), nil,
+	snap, _, err := m.Submit(KindReadoutMC, testKey(t, 40), nil,
 		func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
 			panic("boom")
-		}, SubmitOptions{})
+		}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +327,7 @@ func TestPanickingRunnerBecomesTypedFailure(t *testing.T) {
 	}
 	// The worker survived: another job still executes.
 	var execs atomic.Int64
-	snap2, _, err := m.SubmitOpts(KindReadoutMC, testKey(t, 41), nil, countingRunner(&execs, `{}`), SubmitOptions{})
+	snap2, _, err := m.Submit(KindReadoutMC, testKey(t, 41), nil, countingRunner(&execs, `{}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +346,7 @@ func TestRecordEviction(t *testing.T) {
 	var execs atomic.Int64
 	var first Snapshot
 	for i := 0; i < 6; i++ {
-		snap, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 100+int64(i)), nil, countingRunner(&execs, `{}`), SubmitOptions{})
+		snap, _, err := m.Submit(KindSurfaceMC, testKey(t, 100+int64(i)), nil, countingRunner(&execs, `{}`), "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,11 +21,13 @@
 // "every submitted key without a resolving done/failed". A record with any
 // other op, such as the "lease" and "lease-done" records that journals of
 // earlier versions hold, replays as an ignored entry, and Compact drops
-// it. A torn tail — the crash happened mid-append — is detected by the
-// per-line CRC and discarded from the first bad line on (everything after
-// an undecodable record is untrusted), counted in Stats.Torn. Journal
-// write failures degrade durability, never correctness: appends report
-// the error to the caller, which records it and keeps serving.
+// it; so does a field this version does not read, such as the "parent"
+// key those journals stamped on a sweep's point submissions. A torn tail —
+// the crash happened mid-append — is detected by the per-line CRC and
+// discarded from the first bad line on (everything after an undecodable
+// record is untrusted), counted in Stats.Torn. Journal write failures
+// degrade durability, never correctness: appends report the error to the
+// caller, which records it and keeps serving.
 package jobs
 
 import (
@@ -59,13 +61,9 @@ type journalEntry struct {
 	Kind   Kind            `json:"kind"`
 	Key    rescache.Key    `json:"key"`
 	Params json.RawMessage `json:"params,omitempty"`
-	// Tenant and Parent record the submission's scheduling attribution and
-	// parent linkage (OpSubmit only). Parent holds the parent job's KEY —
-	// job IDs are not stable across restarts — so recovery can tell a
-	// sweep's child from a top-level job and let the resubmitted parent
-	// re-adopt it instead of double-running the fan-out.
+	// Tenant records the submission's scheduling attribution (OpSubmit
+	// only).
 	Tenant string    `json:"tenant,omitempty"`
-	Parent string    `json:"parent,omitempty"`
 	At     time.Time `json:"at"`
 }
 
@@ -76,10 +74,6 @@ type PendingJob struct {
 	Params json.RawMessage
 	// Tenant is the submission's scheduling attribution ("" = anonymous).
 	Tenant string
-	// Parent is the parent job's key ("" for top-level jobs). A pending
-	// child whose parent is also pending is re-adopted by the resubmitted
-	// parent rather than resubmitted on its own.
-	Parent string
 	// Truncated records that a previous life already ran this job partway
 	// (drain/deadline) — a checkpoint likely exists to resume from.
 	Truncated bool
@@ -190,7 +184,7 @@ func (j *Journal) applyLocked(e journalEntry) {
 		if _, ok := j.pending[e.Key]; !ok {
 			j.order = append(j.order, e.Key)
 		}
-		j.pending[e.Key] = &PendingJob{Kind: e.Kind, Key: e.Key, Params: e.Params, Tenant: e.Tenant, Parent: e.Parent, At: e.At}
+		j.pending[e.Key] = &PendingJob{Kind: e.Kind, Key: e.Key, Params: e.Params, Tenant: e.Tenant, At: e.At}
 	case OpDone, OpFailed:
 		delete(j.pending, e.Key)
 	case OpTruncated:
@@ -212,12 +206,11 @@ func (j *Journal) Append(op string, kind Kind, key rescache.Key, params json.Raw
 }
 
 // AppendSubmit durably records an accepted submission together with its
-// tenant attribution and parent linkage (parent is the parent job's key,
-// "" for top-level jobs). Same durability contract as Append.
-func (j *Journal) AppendSubmit(kind Kind, key rescache.Key, params json.RawMessage, tenant, parent string) error {
+// tenant attribution. Same durability contract as Append.
+func (j *Journal) AppendSubmit(kind Kind, key rescache.Key, params json.RawMessage, tenant string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e := journalEntry{Op: OpSubmit, Kind: kind, Key: key, Params: params, Tenant: tenant, Parent: parent, At: time.Now().UTC()}
+	e := journalEntry{Op: OpSubmit, Kind: kind, Key: key, Params: params, Tenant: tenant, At: time.Now().UTC()}
 	j.applyLocked(e)
 	return j.writeLocked(e)
 }
@@ -285,7 +278,7 @@ func (j *Journal) Compact() error {
 		if !ok {
 			continue
 		}
-		if err := write(journalEntry{Op: OpSubmit, Kind: p.Kind, Key: p.Key, Params: p.Params, Tenant: p.Tenant, Parent: p.Parent, At: p.At}); err != nil {
+		if err := write(journalEntry{Op: OpSubmit, Kind: p.Kind, Key: p.Key, Params: p.Params, Tenant: p.Tenant, At: p.At}); err != nil {
 			tmp.Close()
 			return simerr.Invalidf("journal: compact write: %v", err)
 		}

@@ -1,6 +1,5 @@
-// Tests for the DSE-era jobs generalisation: per-tenant fair scheduling,
-// quotas, parent/child linkage with cascading cancellation, orchestrator
-// goroutines, event logs and the List API.
+// Tests of per-tenant fair scheduling, quotas, cancellation, event logs and
+// the List API.
 package jobs
 
 import (
@@ -15,8 +14,8 @@ import (
 	"qisim/internal/simrun"
 )
 
-// TenantLoad returns the tenant's current in-flight top-level job count
-// (only tracked when Config.TenantQuota > 0).
+// TenantLoad returns the tenant's current in-flight job count (only
+// tracked when Config.TenantQuota > 0).
 func (m *Manager) TenantLoad(tenant string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -60,19 +59,19 @@ func TestFairRoundRobinBetweenTenants(t *testing.T) {
 		}
 	}
 	// The gate job occupies the single worker while the backlog builds.
-	gateSnap, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 100), nil, record("gate", true), SubmitOptions{Tenant: "a"})
+	gateSnap, _, err := m.Submit(KindSurfaceMC, testKey(t, 100), nil, record("gate", true), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ids []string
 	for i := 0; i < 5; i++ {
-		s, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, int64(101+i)), nil, record("a", false), SubmitOptions{Tenant: "a"})
+		s, _, err := m.Submit(KindSurfaceMC, testKey(t, int64(101+i)), nil, record("a", false), "a")
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, s.ID)
 	}
-	bSnap, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 200), nil, record("b", false), SubmitOptions{Tenant: "b"})
+	bSnap, _, err := m.Submit(KindSurfaceMC, testKey(t, 200), nil, record("b", false), "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,25 +99,21 @@ func TestTenantQuota(t *testing.T) {
 	m.Start()
 	defer drainManager(t, m)
 
-	s1, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 1), nil, blockingRunner(), SubmitOptions{Tenant: "x"})
+	s1, _, err := m.Submit(KindSurfaceMC, testKey(t, 1), nil, blockingRunner(), "x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 2), nil, blockingRunner(), SubmitOptions{Tenant: "x"}); err != nil {
+	if _, _, err := m.Submit(KindSurfaceMC, testKey(t, 2), nil, blockingRunner(), "x"); err != nil {
 		t.Fatal(err)
 	}
-	// Third top-level job for x: over quota.
-	_, _, err = m.SubmitOpts(KindSurfaceMC, testKey(t, 3), nil, blockingRunner(), SubmitOptions{Tenant: "x"})
+	// Third in-flight job for x: over quota.
+	_, _, err = m.Submit(KindSurfaceMC, testKey(t, 3), nil, blockingRunner(), "x")
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("third submission: err = %v, want ErrQuotaExceeded", err)
 	}
 	// Another tenant is unaffected.
-	if _, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 4), nil, blockingRunner(), SubmitOptions{Tenant: "y"}); err != nil {
+	if _, _, err := m.Submit(KindSurfaceMC, testKey(t, 4), nil, blockingRunner(), "y"); err != nil {
 		t.Fatalf("tenant y rejected: %v", err)
-	}
-	// Children are fan-out, not quota load.
-	if _, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 5), nil, blockingRunner(), SubmitOptions{Tenant: "x", Parent: s1.ID}); err != nil {
-		t.Fatalf("child rejected by quota: %v", err)
 	}
 	if got := m.TenantLoad("x"); got != 2 {
 		t.Errorf("tenant x load = %d, want 2", got)
@@ -128,160 +123,8 @@ func TestTenantQuota(t *testing.T) {
 	if _, err := m.Wait(context.Background(), s1.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 6), nil, blockingRunner(), SubmitOptions{Tenant: "x"}); err != nil {
+	if _, _, err := m.Submit(KindSurfaceMC, testKey(t, 6), nil, blockingRunner(), "x"); err != nil {
 		t.Fatalf("post-release submission rejected: %v", err)
-	}
-}
-
-// TestOrchestratorParentDoesNotDeadlockPool: with a single pool worker, a
-// parent that submits a child and blocks on it must still complete — the
-// orchestrator runs off-pool.
-func TestOrchestratorParentDoesNotDeadlockPool(t *testing.T) {
-	m := NewManager(Config{Workers: 1, QueueDepth: 8})
-	m.Start()
-	defer drainManager(t, m)
-
-	parent := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		id := obs.JobID(ctx)
-		child, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 11), nil,
-			func(context.Context, func(int, int)) ([]byte, simrun.Status, error) {
-				return []byte(`{"v":1}`), doneStatus(), nil
-			}, SubmitOptions{Parent: id})
-		if err != nil {
-			return nil, simrun.Status{}, err
-		}
-		cs, err := m.Wait(ctx, child.ID)
-		if err != nil {
-			return nil, simrun.Status{}, err
-		}
-		return cs.Result, doneStatus(), nil
-	}
-	snap, _, err := m.SubmitOpts(KindDSESweep, testKey(t, 10), nil, parent, SubmitOptions{Orchestrator: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	final, err := m.Wait(waitCtx, snap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone || string(final.Result) != `{"v":1}` {
-		t.Fatalf("parent final %+v", final)
-	}
-	if final.Children == nil || final.Children.Total != 1 || final.Children.Done != 1 {
-		t.Fatalf("child aggregate %+v", final.Children)
-	}
-}
-
-// TestCancelParentCascadesToChildren: cancelling the parent cancels its
-// blocked children, which finalize as truncated partials.
-func TestCancelParentCascadesToChildren(t *testing.T) {
-	m := NewManager(Config{Workers: 4, QueueDepth: 8})
-	m.Start()
-	defer drainManager(t, m)
-
-	childIDs := make(chan string, 2)
-	parent := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		id := obs.JobID(ctx)
-		for i := int64(0); i < 2; i++ {
-			c, _, err := m.SubmitOpts(KindDSEPoint, testKey(t, 21+i), nil, blockingRunner(), SubmitOptions{Parent: id})
-			if err != nil {
-				return nil, simrun.Status{}, err
-			}
-			childIDs <- c.ID
-		}
-		<-ctx.Done()
-		return []byte(`{"partial":true}`), simrun.Status{Requested: 2, Truncated: true, StopReason: simrun.StopCanceled}, nil
-	}
-	snap, _, err := m.SubmitOpts(KindDSESweep, testKey(t, 20), nil, parent, SubmitOptions{Orchestrator: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, c2 := <-childIDs, <-childIDs
-	if !m.Cancel(snap.ID) {
-		t.Fatal("Cancel returned false for a live parent")
-	}
-	waitCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for _, id := range []string{snap.ID, c1, c2} {
-		final, err := m.Wait(waitCtx, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if final.State != StateDone || final.Status == nil || !final.Status.Truncated {
-			t.Errorf("job %s: state %s status %+v, want truncated done", id, final.State, final.Status)
-		}
-	}
-}
-
-// TestCancelSparesSharedChild: a child coalesced under two parents survives
-// the cancellation of one of them.
-func TestCancelSparesSharedChild(t *testing.T) {
-	m := NewManager(Config{Workers: 4, QueueDepth: 8})
-	m.Start()
-	defer drainManager(t, m)
-
-	sharedKey := testKey(t, 31)
-	childID := make(chan string, 2)
-	release := make(chan struct{})
-	mkParent := func() Runner {
-		return func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-			id := obs.JobID(ctx)
-			c, _, err := m.SubmitOpts(KindDSEPoint, sharedKey, nil,
-				func(cctx context.Context, _ func(int, int)) ([]byte, simrun.Status, error) {
-					select {
-					case <-release:
-						return []byte(`{"v":2}`), doneStatus(), nil
-					case <-cctx.Done():
-						return []byte(`{"partial":true}`), simrun.Status{Requested: 1, Truncated: true, StopReason: simrun.StopCanceled}, nil
-					}
-				}, SubmitOptions{Parent: id})
-			if err != nil {
-				return nil, simrun.Status{}, err
-			}
-			childID <- c.ID
-			cs, err := m.Wait(ctx, c.ID)
-			if err != nil {
-				return []byte(`{"partial":true}`), simrun.Status{Requested: 1, Truncated: true, StopReason: simrun.StopCanceled}, nil
-			}
-			return cs.Result, doneStatus(), nil
-		}
-	}
-	p1, _, err := m.SubmitOpts(KindDSESweep, testKey(t, 30), nil, mkParent(), SubmitOptions{Orchestrator: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, _, err := m.SubmitOpts(KindDSESweep, testKey(t, 32), nil, mkParent(), SubmitOptions{Orchestrator: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id1, id2 := <-childID, <-childID
-	if id1 != id2 {
-		t.Fatalf("children did not coalesce: %s vs %s", id1, id2)
-	}
-	// Cancel parent 1: the shared child must keep running for parent 2.
-	m.Cancel(p1.ID)
-	waitCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := m.Wait(waitCtx, p1.ID); err != nil {
-		t.Fatal(err)
-	}
-	if cs, ok := m.Get(id1); !ok || cs.State == StateDone || cs.State == StateFailed {
-		// Child must still be in flight (blocked on release).
-		if !ok {
-			t.Fatal("shared child record vanished")
-		}
-	} else if cs.Status != nil && cs.Status.Truncated {
-		t.Fatalf("shared child was cancelled with a live parent: %+v", cs)
-	}
-	close(release)
-	final, err := m.Wait(waitCtx, p2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone || string(final.Result) != `{"v":2}` {
-		t.Fatalf("surviving parent final %+v", final)
 	}
 }
 
@@ -292,10 +135,10 @@ func TestCancelUnknownAndFinished(t *testing.T) {
 	if m.Cancel("j-999999") {
 		t.Error("Cancel(unknown) returned true")
 	}
-	snap, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 40), nil,
+	snap, _, err := m.Submit(KindSurfaceMC, testKey(t, 40), nil,
 		func(context.Context, func(int, int)) ([]byte, simrun.Status, error) {
 			return []byte(`{}`), doneStatus(), nil
-		}, SubmitOptions{})
+		}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +162,7 @@ func TestEventLogAndSubscribe(t *testing.T) {
 
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	snap, _, err := m.SubmitOpts(KindDSESweep, testKey(t, 50), nil,
+	snap, _, err := m.Submit(KindDSESweep, testKey(t, 50), nil,
 		func(ctx context.Context, _ func(int, int)) ([]byte, simrun.Status, error) {
 			started <- obs.JobID(ctx)
 			<-release
@@ -327,7 +170,7 @@ func TestEventLogAndSubscribe(t *testing.T) {
 				return nil, simrun.Status{}, err
 			}
 			return []byte(`{}`), doneStatus(), nil
-		}, SubmitOptions{})
+		}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +246,7 @@ func TestListFilters(t *testing.T) {
 	}
 	var last Snapshot
 	for i := int64(0); i < 3; i++ {
-		s, _, err := m.SubmitOpts(KindSurfaceMC, testKey(t, 60+i), nil, quick, SubmitOptions{Tenant: "t1"})
+		s, _, err := m.Submit(KindSurfaceMC, testKey(t, 60+i), nil, quick, "t1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +255,7 @@ func TestListFilters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blocked, _, err := m.SubmitOpts(KindPauliMC, testKey(t, 70), nil, blockingRunner(), SubmitOptions{Tenant: "t2"})
+	blocked, _, err := m.Submit(KindPauliMC, testKey(t, 70), nil, blockingRunner(), "t2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,19 +282,19 @@ func TestListFilters(t *testing.T) {
 	}
 }
 
-// TestJournalRecordsTenantAndParent: the WAL round-trips the new fields so
-// recovery can re-adopt sweep children.
-func TestJournalRecordsTenantAndParent(t *testing.T) {
+// TestJournalRecordsTenant: the WAL round-trips a submission's tenant,
+// through a compaction too, so recovery resubmits it under the same tenant.
+func TestJournalRecordsTenant(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir + "/journal.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	k1, k2 := testKey(t, 80), testKey(t, 81)
-	if err := j.AppendSubmit(KindDSESweep, k1, json.RawMessage(`{"g":1}`), "acme", ""); err != nil {
+	if err := j.AppendSubmit(KindDSESweep, k1, json.RawMessage(`{"g":1}`), "acme"); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendSubmit(KindDSEPoint, k2, nil, "acme", string(k1)); err != nil {
+	if err := j.AppendSubmit(KindDSEPoint, k2, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Compact(); err != nil { // fields must survive a rewrite too
@@ -467,10 +310,10 @@ func TestJournalRecordsTenantAndParent(t *testing.T) {
 	if len(pend) != 2 {
 		t.Fatalf("pending = %d, want 2", len(pend))
 	}
-	if pend[0].Tenant != "acme" || pend[0].Parent != "" {
-		t.Errorf("parent entry %+v", pend[0])
+	if pend[0].Tenant != "acme" {
+		t.Errorf("tenant entry %+v", pend[0])
 	}
-	if pend[1].Tenant != "acme" || pend[1].Parent != string(k1) {
-		t.Errorf("child entry %+v", pend[1])
+	if pend[1].Tenant != "" {
+		t.Errorf("anonymous entry %+v", pend[1])
 	}
 }

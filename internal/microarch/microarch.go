@@ -474,3 +474,13 @@ func AllDesigns() []Design {
 		ERSFQOpt8(),
 	}
 }
+
+// DesignByName returns the named design point of AllDesigns.
+func DesignByName(name string) (Design, bool) {
+	for _, d := range AllDesigns() {
+		if d.Name == name {
+			return d, true
+		}
+	}
+	return Design{}, false
+}

@@ -54,8 +54,9 @@ func AnalyzePointChecked(d microarch.Design, extraGateError float64, opt Options
 // power, min error) as AnalyzePointChecked can report. The qubit cap keeps
 // only the power-limited term — dropping the error-limit crossing, the
 // expensive half of the analysis — so the bound is a genuine relaxation the
-// sweep can evaluate without dispatching a child job. Power and logical
-// error are cheap and exact, which makes the bound tight on those axes.
+// sweep can check before it spends an evaluation on the point. Power and
+// logical error are cheap and exact, which makes the bound tight on those
+// axes.
 func PointBound(d microarch.Design, extraGateError float64, opt Options) map[string]float64 {
 	pb := d.PerQubitPower()
 	_, maxQ, _ := stageLimits(pb.StageW, opt.Budgets)
@@ -66,6 +67,58 @@ func PointBound(d microarch.Design, extraGateError float64, opt Options) map[str
 		MetricPower100mK:   pb.StageW[wiring.Stage100mK],
 		MetricPower20mK:    pb.StageW[wiring.Stage20mK],
 	}
+}
+
+// The coordinates a design-space point may set: the axis names of a
+// dse.sweep grid and the fields of a dse.point request.
+const (
+	CoordDesign         = "design"
+	CoordDistance       = "distance"
+	CoordExtraGateError = "extra_gate_error"
+)
+
+// GridPoint is one design-space point: a named design at a code distance
+// with an extra per-gate error, analysed under the default budgets or, with
+// Extended, the budgets that add the 70 K stage. It is also the dse.point
+// request's params.
+type GridPoint struct {
+	Design         string  `json:"design"`
+	Distance       int     `json:"distance"`
+	ExtraGateError float64 `json:"extra_gate_error"`
+	Extended       bool    `json:"extended"`
+}
+
+// PointAt projects a grid point's coordinates (axis name → value, numbers
+// as float64) onto a GridPoint: a swept distance overrides the sweep-level
+// distance, and extended applies to every point.
+func PointAt(coords map[string]any, distance int, extended bool) GridPoint {
+	p := GridPoint{Distance: distance, Extended: extended}
+	p.Design, _ = coords[CoordDesign].(string)
+	if f, ok := coords[CoordDistance].(float64); ok {
+		p.Distance = int(f)
+	}
+	p.ExtraGateError, _ = coords[CoordExtraGateError].(float64)
+	return p
+}
+
+// Analyze evaluates the point through AnalyzePointChecked. An unknown
+// design is an invalid-config error.
+func (p GridPoint) Analyze() (map[string]float64, error) {
+	d, ok := microarch.DesignByName(p.Design)
+	if !ok {
+		return nil, simerr.Invalidf("scalability: unknown design %q", p.Design)
+	}
+	return AnalyzePointChecked(d, p.ExtraGateError, OptionsFor(p.Distance, p.Extended))
+}
+
+// Bound is PointBound for the point; nil for an unknown design, which never
+// prunes.
+func (p GridPoint) Bound() map[string]float64 {
+	d, ok := microarch.DesignByName(p.Design)
+	if !ok {
+		return nil
+	}
+	return PointBound(d, p.ExtraGateError, OptionsFor(p.Distance, p.Extended))
 }
 
 func checkPointArgs(extraGateError float64, opt Options) error {

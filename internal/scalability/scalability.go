@@ -92,6 +92,17 @@ func ExtendedOptions() Options {
 	return opt
 }
 
+// OptionsFor returns the options at code distance distance: the default
+// budgets, or with extended the ExtendedOptions budgets.
+func OptionsFor(distance int, extended bool) Options {
+	opt := DefaultOptions()
+	if extended {
+		opt = ExtendedOptions()
+	}
+	opt.Distance = distance
+	return opt
+}
+
 // Analyze evaluates one design point.
 func Analyze(d microarch.Design, opt Options) Analysis {
 	a := Analysis{Design: d, PerQubit: map[wiring.Stage]float64{}}

@@ -1,22 +1,22 @@
 // Design-space exploration endpoints and executors (see DESIGN.md
 // "Design-space exploration").
 //
-// dse.sweep is an ORCHESTRATOR job: its runner expands a parameter grid
-// (internal/dse) and fans each wave out as dse.point child jobs through the
-// same queue, worker pool and result cache every other kind uses — so
-// overlapping sweeps dedupe point evaluations content-addressed, a fleet
-// coordinator schedules children like any other work, and a crash recovers
-// the parent from the journal, which re-adopts its surviving children by
-// key. As waves commit, the runner folds child metrics into a Pareto
-// frontier and publishes a "frontier" event per wave on the parent's event
-// log — the stream behind GET /v1/jobs/{id}/events.
+// dse.sweep is an ordinary pool job: its runner expands a parameter grid
+// (internal/dse) and evaluates each wave's points in grid order, inline,
+// through the same closed-form point analysis a dse.point job runs
+// (scalability.GridPoint, about 7 µs a point). As waves commit, the runner
+// folds the metrics into a Pareto frontier and publishes a "frontier" event
+// per wave on the sweep's event log — the stream behind
+// GET /v1/jobs/{id}/events. The sweep's own envelope is its only cache
+// entry and its own submission its only journal record, so a crash
+// recovers it from the journal like any other job.
 //
 // Determinism: for a fixed grid, objectives, wave size and prune policy the
 // final frontier (and the whole result envelope) is byte-identical no
-// matter how many workers ran the children, which tenants interleaved, or
-// where a crash/recovery split the sweep — prune decisions read only fully
-// committed waves (internal/dse's committed-prefix rule) and every child
-// result is itself deterministic.
+// matter how many pool workers the server runs, which tenants interleaved,
+// or where a crash/recovery split the sweep — prune decisions read only
+// fully committed waves (internal/dse's committed-prefix rule) and every
+// point analysis is deterministic.
 package service
 
 import (
@@ -40,52 +40,34 @@ import (
 	"qisim/internal/simrun"
 )
 
-// The grid axes a sweep may vary. design is categorical (named designs);
-// distance and extra_gate_error are numeric.
-const (
-	axisDesign         = "design"
-	axisDistance       = "distance"
-	axisExtraGateError = "extra_gate_error"
-)
-
 // ---- dse.point: one grid-point evaluation ----
 
-type dsePointParams struct {
-	Design         string  `json:"design"`
-	Distance       int     `json:"distance"`
-	ExtraGateError float64 `json:"extra_gate_error"`
-	Extended       bool    `json:"extended"`
-}
-
-// normalizeDSEPoint decodes and defaults dse.point params. The same
-// normalization runs for direct submissions and for the children a sweep
-// fans out, so both key (and therefore dedupe) identically.
-func normalizeDSEPoint(raw json.RawMessage) (dsePointParams, microarch.Design, error) {
-	var p dsePointParams
+// normalizeDSEPoint decodes, defaults and validates dse.point params.
+func normalizeDSEPoint(raw json.RawMessage) (scalability.GridPoint, error) {
+	var p scalability.GridPoint
 	if err := decodeParams(raw, &p); err != nil {
-		return p, microarch.Design{}, err
+		return p, err
 	}
 	if p.Design == "" {
-		return p, microarch.Design{}, simerr.Invalidf("service: dse.point needs a design name")
+		return p, simerr.Invalidf("service: dse.point needs a design name")
 	}
-	d, ok := findDesign(p.Design)
-	if !ok {
-		return p, microarch.Design{}, simerr.Invalidf("service: unknown design %q", p.Design)
+	if _, ok := microarch.DesignByName(p.Design); !ok {
+		return p, simerr.Invalidf("service: unknown design %q", p.Design)
 	}
 	if p.Distance == 0 {
 		p.Distance = 23
 	}
 	if p.Distance < 3 || p.Distance%2 == 0 {
-		return p, microarch.Design{}, simerr.Invalidf("service: distance must be an odd integer >= 3, got %d", p.Distance)
+		return p, simerr.Invalidf("service: distance must be an odd integer >= 3, got %d", p.Distance)
 	}
 	if math.IsNaN(p.ExtraGateError) || p.ExtraGateError < 0 || p.ExtraGateError > 1 {
-		return p, microarch.Design{}, simerr.Invalidf("service: extra_gate_error must be in [0,1], got %v", p.ExtraGateError)
+		return p, simerr.Invalidf("service: extra_gate_error must be in [0,1], got %v", p.ExtraGateError)
 	}
-	return p, d, nil
+	return p, nil
 }
 
 func buildDSEPoint(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.Runner, error) {
-	p, d, err := normalizeDSEPoint(raw)
+	p, err := normalizeDSEPoint(raw)
 	if err != nil {
 		return "", "", nil, err
 	}
@@ -94,16 +76,14 @@ func buildDSEPoint(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.Runner, e
 	if err != nil {
 		return "", "", nil, err
 	}
-	pp := p
 	run := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		// The evaluation is analytic and near-instant, but a cancelled child
-		// (a cascading parent cancel, a drain) must still finalize as a
-		// Truncated partial — never compute-and-cache under a dead context.
+		// The evaluation is analytic and near-instant, but a cancelled job
+		// (a DELETE, a drain) must still finalize as a Truncated partial —
+		// never compute-and-cache under a dead context.
 		if ctx.Err() != nil {
 			return nil, simrun.Status{Requested: 1, Truncated: true, StopReason: simrun.StopCanceled}, nil
 		}
-		opt := scalabilityOptions(pp.Distance, pp.Extended)
-		m, err := scalability.AnalyzePointChecked(d, pp.ExtraGateError, opt)
+		m, err := p.Analyze()
 		if err != nil {
 			return nil, simrun.Status{}, err
 		}
@@ -115,7 +95,7 @@ func buildDSEPoint(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.Runner, e
 	return jobs.KindDSEPoint, key, run, nil
 }
 
-// ---- dse.sweep: grid expansion, fan-out, streamed Pareto frontier ----
+// ---- dse.sweep: grid expansion, inline evaluation, streamed Pareto frontier ----
 
 type dseSweepParams struct {
 	Axes       []dse.Axis      `json:"axes"`
@@ -184,7 +164,7 @@ func normalizeDSESweep(raw json.RawMessage) (dseSweepParams, dse.Grid, error) {
 	// A grid without a design axis sweeps every named design.
 	hasDesign := false
 	for _, a := range p.Axes {
-		if a.Name == axisDesign {
+		if a.Name == scalability.CoordDesign {
 			hasDesign = true
 		}
 	}
@@ -193,7 +173,7 @@ func normalizeDSESweep(raw json.RawMessage) (dseSweepParams, dse.Grid, error) {
 		for _, d := range microarch.AllDesigns() {
 			names = append(names, d.Name)
 		}
-		p.Axes = append([]dse.Axis{{Name: axisDesign, Values: names}}, p.Axes...)
+		p.Axes = append([]dse.Axis{{Name: scalability.CoordDesign, Values: names}}, p.Axes...)
 	}
 	grid := dse.Grid{Axes: p.Axes}
 	vals, err := grid.Expanded()
@@ -202,7 +182,7 @@ func normalizeDSESweep(raw json.RawMessage) (dseSweepParams, dse.Grid, error) {
 	}
 	for i, a := range p.Axes {
 		switch a.Name {
-		case axisDesign:
+		case scalability.CoordDesign:
 			if a.Values == nil {
 				return p, zero, simerr.Invalidf("service: the design axis must list design names")
 			}
@@ -211,18 +191,18 @@ func normalizeDSESweep(raw json.RawMessage) (dseSweepParams, dse.Grid, error) {
 				if !ok {
 					return p, zero, simerr.Invalidf("service: design axis values must be strings, got %v", v)
 				}
-				if _, ok := findDesign(name); !ok {
+				if _, ok := microarch.DesignByName(name); !ok {
 					return p, zero, simerr.Invalidf("service: unknown design %q", name)
 				}
 			}
-		case axisDistance:
+		case scalability.CoordDistance:
 			for _, v := range vals[i] {
 				f, ok := v.(float64)
 				if !ok || f != math.Trunc(f) || int(f) < 3 || int(f)%2 == 0 {
 					return p, zero, simerr.Invalidf("service: distance axis values must be odd integers >= 3, got %v", v)
 				}
 			}
-		case axisExtraGateError:
+		case scalability.CoordExtraGateError:
 			for _, v := range vals[i] {
 				f, ok := v.(float64)
 				if !ok || f < 0 || f > 1 {
@@ -231,29 +211,10 @@ func normalizeDSESweep(raw json.RawMessage) (dseSweepParams, dse.Grid, error) {
 			}
 		default:
 			return p, zero, simerr.Invalidf("service: unknown axis %q (axes: %s, %s, %s)",
-				a.Name, axisDesign, axisDistance, axisExtraGateError)
+				a.Name, scalability.CoordDesign, scalability.CoordDistance, scalability.CoordExtraGateError)
 		}
 	}
 	return p, grid, nil
-}
-
-// pointParamsFor projects one grid point onto dse.point params: swept axes
-// override the sweep-level defaults.
-func pointParamsFor(pt dse.Point, base dseSweepParams) dsePointParams {
-	cp := dsePointParams{Distance: base.Distance, Extended: base.Extended}
-	for name, v := range pt.Coords {
-		switch name {
-		case axisDesign:
-			cp.Design, _ = v.(string)
-		case axisDistance:
-			if f, ok := v.(float64); ok {
-				cp.Distance = int(f)
-			}
-		case axisExtraGateError:
-			cp.ExtraGateError, _ = v.(float64)
-		}
-	}
-	return cp
 }
 
 // sweepResult is the dse.sweep result body: the deterministic outcome (with
@@ -272,23 +233,14 @@ func buildDSESweep(raw json.RawMessage, env buildEnv) (jobs.Kind, rescache.Key, 
 	if err != nil {
 		return "", "", nil, err
 	}
-	pp := p
 	run := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		if env.mgr == nil {
-			return nil, simrun.Status{}, simerr.Invalidf("service: dse.sweep needs an orchestrating job manager")
-		}
-		parentID := obs.JobID(ctx)
-		tenant := ""
-		if snap, ok := env.mgr.Get(parentID); ok {
-			tenant = snap.Tenant
-		}
-		pol := dse.Policy{Wave: pp.Wave, Prune: *pp.Prune}
-		outcome, serr := dse.RunSweep(ctx, grid, pp.Objectives, pol,
-			sweepBound(pp), sweepEval(env, pp, parentID, tenant),
+		id := obs.JobID(ctx)
+		pol := dse.Policy{Wave: p.Wave, Prune: *p.Prune}
+		outcome, serr := dse.RunSweep(ctx, grid, p.Objectives, pol, sweepBound(p), sweepEval(p),
 			func(pr dse.Progress) {
 				progress(pr.Evaluated+pr.Pruned, pr.Total)
 				if env.publish != nil {
-					env.publish(parentID, "frontier", pr)
+					env.publish(id, "frontier", pr)
 				}
 			})
 		st := simrun.Status{
@@ -323,12 +275,10 @@ func buildDSESweep(raw json.RawMessage, env buildEnv) (jobs.Kind, rescache.Key, 
 // an unsound prune.
 func sweepBound(pp dseSweepParams) dse.BoundFn {
 	return func(pt dse.Point) map[string]float64 {
-		cp := pointParamsFor(pt, pp)
-		d, ok := findDesign(cp.Design)
-		if !ok {
+		b := scalability.PointAt(pt.Coords, pp.Distance, pp.Extended).Bound()
+		if b == nil {
 			return nil // validated at normalize; nil never prunes via StrictlyDominates
 		}
-		b := scalability.PointBound(d, cp.ExtraGateError, scalabilityOptions(cp.Distance, pp.Extended))
 		for _, o := range pp.Objectives {
 			_, covered := b[o.Metric]
 			inexactForGoal := o.Metric == scalability.MetricMaxQubits && o.Goal == dse.Min
@@ -344,62 +294,17 @@ func sweepBound(pp dseSweepParams) dse.BoundFn {
 	}
 }
 
-// sweepEval fans one wave of points out as dse.point children of the
-// running sweep and collects their metrics in point order. Children carry
-// the parent's tenant (fair scheduling) and parent link (cancel cascade,
-// WAL re-adoption) and dedupe through the result cache and singleflight
-// like any other submission. A full queue is waited out — the parent runs
-// on an orchestrator goroutine, so waiting here never starves the pool
-// that must drain the queue.
-func sweepEval(env buildEnv, pp dseSweepParams, parentID, tenant string) dse.EvalWave {
+// sweepEval evaluates one wave's points in grid order on the sweep's own
+// goroutine. A cancellation between two points abandons the wave, which the
+// committed-prefix rule then leaves out of the outcome.
+func sweepEval(pp dseSweepParams) dse.EvalWave {
 	return func(ctx context.Context, pts []dse.Point) ([]map[string]float64, error) {
-		ids := make([]string, len(pts))
-		for i, pt := range pts {
-			cp := pointParamsFor(pt, pp)
-			raw, err := json.Marshal(cp)
-			if err != nil {
-				return nil, simerr.Invalidf("service: marshal dse.point params: %v", err)
-			}
-			ckind, ckey, crun, err := buildDSEPoint(raw)
-			if err != nil {
-				return nil, err
-			}
-			for {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, simerr.Interruptedf("service: dse.sweep canceled while enqueuing wave: %v", cerr)
-				}
-				snap, outcome, serr := env.mgr.SubmitOpts(ckind, ckey, raw, crun,
-					jobs.SubmitOptions{Tenant: tenant, Parent: parentID})
-				if serr == nil {
-					ids[i] = snap.ID
-					if env.onChild != nil {
-						env.onChild(ckind, outcome)
-					}
-					break
-				}
-				if !errors.Is(serr, jobs.ErrQueueFull) {
-					return nil, serr
-				}
-				select {
-				case <-ctx.Done():
-					return nil, simerr.Interruptedf("service: dse.sweep canceled while enqueuing wave: %v", ctx.Err())
-				case <-time.After(5 * time.Millisecond):
-				}
-			}
-		}
 		out := make([]map[string]float64, len(pts))
-		for i, id := range ids {
-			snap, err := env.mgr.Wait(ctx, id)
-			if err != nil {
-				return nil, err
+		for i, pt := range pts {
+			if err := ctx.Err(); err != nil {
+				return nil, simerr.Interruptedf("service: dse.sweep canceled mid-wave: %v", err)
 			}
-			switch {
-			case snap.State == jobs.StateFailed:
-				return nil, childError(snap)
-			case snap.Status != nil && snap.Status.Truncated:
-				return nil, simerr.Interruptedf("service: dse.point child %s truncated (%s)", id, snap.Status.StopReason)
-			}
-			m, err := pointMetricsFrom(snap.Result)
+			m, err := scalability.PointAt(pt.Coords, pp.Distance, pp.Extended).Analyze()
 			if err != nil {
 				return nil, err
 			}
@@ -407,39 +312,6 @@ func sweepEval(env buildEnv, pp dseSweepParams, parentID, tenant string) dse.Eva
 		}
 		return out, nil
 	}
-}
-
-// childError reconstructs a typed error from a failed child's snapshot so
-// the parent's failure keeps the child's simerr class (and therefore its
-// HTTP status).
-func childError(snap jobs.Snapshot) error {
-	msg := fmt.Sprintf("service: dse.point child %s failed: %s", snap.ID, snap.Error)
-	switch snap.ErrorClass {
-	case "invalid-config":
-		return simerr.Invalidf("%s", msg)
-	case "interrupted":
-		return simerr.Interruptedf("%s", msg)
-	case "budget-infeasible":
-		return simerr.Budgetf("%s", msg)
-	case "unsupported-qasm":
-		return simerr.Unsupportedf("%s", msg)
-	default:
-		return simerr.Numericalf("%s", msg)
-	}
-}
-
-// pointMetricsFrom extracts the metric map from a dse.point result envelope.
-func pointMetricsFrom(body json.RawMessage) (map[string]float64, error) {
-	var envl struct {
-		Result map[string]float64 `json:"result"`
-	}
-	if err := json.Unmarshal(body, &envl); err != nil {
-		return nil, simerr.Numericalf("service: decode dse.point result: %v", err)
-	}
-	if envl.Result == nil {
-		return nil, simerr.Numericalf("service: dse.point result carries no metrics")
-	}
-	return envl.Result, nil
 }
 
 // ---- job listing, event streaming and cancellation endpoints ----
@@ -452,7 +324,7 @@ const (
 )
 
 // handleJobsList serves GET /v1/jobs: retained jobs newest first, filtered
-// by ?kind= ?state= ?tenant= ?parent=, page-bounded by ?limit= (default
+// by ?kind= ?state= ?tenant=, page-bounded by ?limit= (default
 // 100, max 1000). Result bodies are stripped — fetch an individual job (or
 // its cached result) for the payload.
 func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
@@ -461,7 +333,6 @@ func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
 		Kind:   jobs.Kind(q.Get("kind")),
 		State:  jobs.State(q.Get("state")),
 		Tenant: q.Get("tenant"),
-		Parent: q.Get("parent"),
 	}
 	if f.Kind != "" && !f.Kind.Valid() {
 		s.writeError(w, simerr.Invalidf("service: unknown kind %q (kinds: %v)", f.Kind, jobs.Kinds()))
@@ -554,10 +425,9 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobCancel serves DELETE /v1/jobs/{id}: cancels the job and — for a
-// sweep parent — cascades to every child no other live parent or direct
-// submission still needs. Victims finalize as Truncated partials; 202
-// acknowledges the cascade has started, not that it has finished.
+// handleJobCancel serves DELETE /v1/jobs/{id}: cancels the job, which
+// finalizes as a Truncated partial; 202 acknowledges the cancellation has
+// started, not that the job has finished.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.mgr.Cancel(id) {

@@ -34,7 +34,7 @@ func TestDSEPointEndpoint(t *testing.T) {
 	}
 	opt := scalability.DefaultOptions()
 	opt.Distance = 23
-	d, _ := findDesign("ERSFQ-opt8")
+	d, _ := microarch.DesignByName("ERSFQ-opt8")
 	want, err := scalability.AnalyzePointChecked(d, 1e-5, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -80,17 +80,17 @@ func sweepResultOf(t *testing.T, raw json.RawMessage) sweepResult {
 }
 
 func TestDSESweepEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	srv, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 
 	code, sr := postJob(t, ts, smallSweep)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	parent := waitDone(t, ts, sr.Job.ID)
-	if parent.State != jobs.StateDone {
-		t.Fatalf("sweep failed: %s (%s)", parent.ErrorClass, parent.Error)
+	sweep := waitDone(t, ts, sr.Job.ID)
+	if sweep.State != jobs.StateDone {
+		t.Fatalf("sweep failed: %s (%s)", sweep.ErrorClass, sweep.Error)
 	}
-	res := sweepResultOf(t, parent.Result)
+	res := sweepResultOf(t, sweep.Result)
 	if res.GridSize != 12 {
 		t.Fatalf("grid size %d, want 12", res.GridSize)
 	}
@@ -112,35 +112,23 @@ func TestDSESweepEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	// The parent snapshot aggregates its children, all done.
-	if parent.Children == nil || parent.Children.Total != res.Evaluated {
-		t.Fatalf("children stats %+v, want total %d", parent.Children, res.Evaluated)
-	}
-	if parent.Children.Done != parent.Children.Total {
-		t.Errorf("children %+v, want all done", parent.Children)
-	}
-
-	// The list endpoint sees the children under their parent.
+	// The sweep evaluated its points itself: the job table holds the sweep
+	// alone, and the result cache its envelope alone.
 	var list struct {
 		Jobs  []jobs.Snapshot `json:"jobs"`
 		Count int             `json:"count"`
 	}
-	if code := getJSON(t, ts.URL+"/v1/jobs?parent="+parent.ID+"&kind=dse.point", &list); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/jobs", &list); code != http.StatusOK {
 		t.Fatalf("list: status %d", code)
 	}
-	if list.Count != res.Evaluated {
-		t.Errorf("list count %d, want %d", list.Count, res.Evaluated)
+	if list.Count != 1 || list.Jobs[0].ID != sweep.ID {
+		t.Fatalf("job table %+v, want the sweep %s alone", list.Jobs, sweep.ID)
 	}
-	for _, j := range list.Jobs {
-		if j.Result != nil {
-			t.Error("list snapshots must strip result bodies")
-		}
-		if j.State != jobs.StateDone {
-			t.Errorf("child %s state %s", j.ID, j.State)
-		}
+	if list.Jobs[0].Result != nil {
+		t.Error("list snapshots must strip result bodies")
 	}
-	if code := getJSON(t, ts.URL+"/v1/jobs?limit=2", &list); code != http.StatusOK || list.Count != 2 {
-		t.Errorf("limit=2: status %d count %d", code, list.Count)
+	if n := srv.cache.Len(); n != 1 {
+		t.Errorf("result cache holds %d entries, want the sweep's envelope alone", n)
 	}
 	if code := getJSON(t, ts.URL+"/v1/jobs?kind=bogus", nil); code != http.StatusBadRequest {
 		t.Errorf("bogus kind filter: status %d, want 400", code)
@@ -151,8 +139,95 @@ func TestDSESweepEndToEnd(t *testing.T) {
 	if code2 != http.StatusOK || sr2.Outcome != "cached" {
 		t.Fatalf("resubmit: status %d outcome %q, want 200 cached", code2, sr2.Outcome)
 	}
-	if !bytes.Equal(sr2.Job.Result, parent.Result) {
+	if !bytes.Equal(sr2.Job.Result, sweep.Result) {
 		t.Error("cached sweep result differs")
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs?limit=1", &list); code != http.StatusOK || list.Count != 1 || list.Jobs[0].ID != sr2.Job.ID {
+		t.Errorf("limit=1: status %d, %+v, want the cached resubmission alone", code, list.Jobs)
+	}
+}
+
+// TestDSESweepIsolation: a sweep larger than the record window and the
+// result cache touches neither beyond its own entry, so a finished job's
+// record and cached result outlive it.
+func TestDSESweepIsolation(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	code, sr := postJob(t, ts, smallMC)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit MC: status %d", code)
+	}
+	first := waitDone(t, ts, sr.Job.ID)
+	if first.State != jobs.StateDone {
+		t.Fatalf("MC job: %s (%s)", first.State, first.Error)
+	}
+	// 2 designs x 3 distances x 200 extra errors = 1,200 points: more than
+	// the default 1,024 records and 256 cache entries.
+	big := `{"kind":"dse.sweep","params":{"axes":[
+		{"name":"design","values":["4K-CMOS-advanced-opt67","ERSFQ-opt8"]},
+		{"name":"distance","values":[11,17,23]},
+		{"name":"extra_gate_error","log_range":{"from":1e-6,"to":1e-3,"points":200}}],
+		"prune":false}}`
+	_, ssr := postJob(t, ts, big)
+	sweep := waitDone(t, ts, ssr.Job.ID)
+	if sweep.State != jobs.StateDone {
+		t.Fatalf("sweep: %s (%s)", sweep.State, sweep.Error)
+	}
+	if res := sweepResultOf(t, sweep.Result); res.Evaluated != 1200 {
+		t.Fatalf("sweep evaluated %d points, want 1200", res.Evaluated)
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+first.ID, nil); code != http.StatusOK {
+		t.Errorf("GET the first job after the sweep: status %d, want 200", code)
+	}
+	var list struct {
+		Jobs  []jobs.Snapshot `json:"jobs"`
+		Count int             `json:"count"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs", &list); code != http.StatusOK || list.Count != 2 ||
+		list.Jobs[0].ID != sweep.ID || list.Jobs[1].ID != first.ID {
+		t.Errorf("job table: status %d, %d jobs, want the sweep and the first job alone", code, list.Count)
+	}
+	if code, again := postJob(t, ts, smallMC); code != http.StatusOK || again.Outcome != "cached" {
+		t.Errorf("resubmitting the first job: status %d outcome %q, want 200 cached", code, again.Outcome)
+	}
+}
+
+// TestDSESweepCancelWhileQueued: a sweep cancelled while it waits behind a
+// blocked job runs against its dead context, evaluates nothing and
+// finishes done as an uncached Truncated partial.
+func TestDSESweepCancelWhileQueued(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	// rel_se 0 and a huge budget: the blocker runs until it is cancelled.
+	_, blocker := postJob(t, ts, `{"kind":"surface.mc","params":{"distance":3,"shots":50000000,"shard_size":512,"seed":11}}`)
+	code, sr := postJob(t, ts, smallSweep)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit sweep: status %d", code)
+	}
+	cancel := func(id string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("DELETE %s: status %d, want 202", id, resp.StatusCode)
+		}
+	}
+	cancel(sr.Job.ID)
+	if snap, _ := srv.mgr.Get(sr.Job.ID); snap.State != jobs.StateQueued {
+		t.Fatalf("sweep state %s after its cancel, want still queued", snap.State)
+	}
+	cancel(blocker.Job.ID)
+	sweep := waitDone(t, ts, sr.Job.ID)
+	if sweep.State != jobs.StateDone || sweep.Status == nil || !sweep.Status.Truncated || sweep.Status.StopReason != "canceled" {
+		t.Fatalf("cancelled sweep: state %s status %+v, want done, truncated, canceled", sweep.State, sweep.Status)
+	}
+	if res := sweepResultOf(t, sweep.Result); res.Evaluated != 0 || res.Status.Completed != 0 {
+		t.Errorf("cancelled sweep evaluated %d points (status %+v), want 0", res.Evaluated, res.Status)
+	}
+	if code := getJSON(t, ts.URL+"/v1/results/"+string(sweep.Key), nil); code != http.StatusNotFound {
+		t.Errorf("GET the cancelled sweep's result: status %d, want 404 (never cached)", code)
 	}
 }
 
@@ -180,12 +255,12 @@ func TestDSESweepDeterministicAcrossWorkers(t *testing.T) {
 func TestDSESweepEventsSSE(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 	_, sr := postJob(t, ts, smallSweep)
-	parent := waitDone(t, ts, sr.Job.ID)
-	if parent.State != jobs.StateDone {
-		t.Fatalf("sweep failed: %s", parent.Error)
+	sweep := waitDone(t, ts, sr.Job.ID)
+	if sweep.State != jobs.StateDone {
+		t.Fatalf("sweep failed: %s", sweep.Error)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + parent.ID + "/events")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + sweep.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +362,7 @@ func TestTenantQuotaHTTP(t *testing.T) {
 	}
 	held := sr.Job.ID
 
-	// Second top-level job for alice: 429 with the distinct quota body.
+	// Second in-flight job for alice: 429 with the distinct quota body.
 	resp2, _ := post("alice", `{"kind":"surface.mc","params":{"distance":3,"shots":256,"shard_size":64,"seed":12}}`)
 	if resp2.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submit: status %d, want 429", resp2.StatusCode)

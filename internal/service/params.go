@@ -77,13 +77,6 @@ type buildEnv struct {
 	// coordinator, which runs units on its local lane while no worker is
 	// live.
 	dist *dist.Coordinator
-	// mgr lets orchestrator runners (dse.sweep) fan children out through
-	// the job queue, wait on them and inspect their snapshots. Nil outside
-	// a server (worker-side core building never runs orchestrators).
-	mgr *jobs.Manager
-	// onChild observes each child submission's outcome so the service
-	// counts internally fanned-out jobs like HTTP submissions.
-	onChild func(kind jobs.Kind, outcome jobs.Outcome)
 	// publish streams a custom event on a job's event log (nil = no-op).
 	publish func(id, typ string, data any)
 	// log is the job manager's logger: records made with a job's context
@@ -545,15 +538,6 @@ type scalabilityAnalyzeParams struct {
 	Workers  int      `json:"workers,omitempty"`
 }
 
-func scalabilityOptions(distance int, extended bool) scalability.Options {
-	opt := scalability.DefaultOptions()
-	if extended {
-		opt = scalability.ExtendedOptions()
-	}
-	opt.Distance = distance
-	return opt
-}
-
 func buildScalabilityAnalyze(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.Runner, error) {
 	var p scalabilityAnalyzeParams
 	if err := decodeParams(raw, &p); err != nil {
@@ -563,7 +547,7 @@ func buildScalabilityAnalyze(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs
 		p.Distance = 23
 	}
 	for _, name := range p.Designs {
-		if _, ok := findDesign(name); !ok {
+		if _, ok := microarch.DesignByName(name); !ok {
 			return "", "", nil, simerr.Invalidf("service: unknown design %q", name)
 		}
 	}
@@ -574,7 +558,7 @@ func buildScalabilityAnalyze(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs
 	}
 	pp := p
 	run := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		opt := scalabilityOptions(pp.Distance, pp.Extended)
+		opt := scalability.OptionsFor(pp.Distance, pp.Extended)
 		opt.Workers = pp.Workers
 		opt.Progress = progress
 		var as []scalability.Analysis
@@ -593,7 +577,7 @@ func buildScalabilityAnalyze(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs
 					status.StopReason = simrun.StopCanceled
 					break
 				}
-				d, _ := findDesign(name)
+				d, _ := microarch.DesignByName(name)
 				a, err := scalability.AnalyzeChecked(d, opt)
 				if err != nil {
 					return nil, simrun.Status{}, err
@@ -638,7 +622,7 @@ func buildScalabilitySweep(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.R
 	if p.Design == "" {
 		return "", "", nil, simerr.Invalidf("service: scalability.sweep needs a design name")
 	}
-	d, ok := findDesign(p.Design)
+	d, ok := microarch.DesignByName(p.Design)
 	if !ok {
 		return "", "", nil, simerr.Invalidf("service: unknown design %q", p.Design)
 	}
@@ -656,7 +640,7 @@ func buildScalabilitySweep(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.R
 	}
 	pp := p
 	run := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		opt := scalabilityOptions(pp.Distance, pp.Extended)
+		opt := scalability.OptionsFor(pp.Distance, pp.Extended)
 		opt.Workers = pp.Workers
 		opt.Progress = progress
 		res, err := scalability.SweepCtx(ctx, d, pp.QubitCounts, opt)
@@ -667,15 +651,6 @@ func buildScalabilitySweep(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.R
 		return body, res.Status, err
 	}
 	return jobs.KindScalabilitySweep, key, run, nil
-}
-
-func findDesign(name string) (microarch.Design, bool) {
-	for _, d := range microarch.AllDesigns() {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return microarch.Design{}, false
 }
 
 func f64(v float64) *float64 { return &v }

@@ -50,11 +50,11 @@ func TestRecoveryResumesInterruptedJob(t *testing.T) {
 	req := fmt.Sprintf(`{"kind":"surface.mc","params":%s}`, slowMCParams)
 
 	// Cold reference: the same request on a pristine in-memory server.
-	coldSrv, coldTS := newTestServer(t, Config{Workers: 2})
+	_, coldTS := newTestServer(t, Config{Workers: 2})
 	_, coldSub := submitRaw(t, coldTS, req)
-	coldSnap, err := coldSrv.mgr.Wait(context.Background(), coldSub.Job.ID)
-	if err != nil || coldSnap.State != jobs.StateDone {
-		t.Fatalf("cold run: %v (%+v)", err, coldSnap)
+	coldSnap := waitDone(t, coldTS, coldSub.Job.ID)
+	if coldSnap.State != jobs.StateDone {
+		t.Fatalf("cold run: %+v", coldSnap)
 	}
 	coldBytes := string(coldSnap.Result)
 
@@ -444,20 +444,16 @@ func TestRecoveryColdStartWithoutCheckpoint(t *testing.T) {
 		t.Fatal("cold-recovered job did not complete into the cache")
 	}
 	// Cross-check against the in-memory reference server.
-	refSrv, _ := newTestServer(t, Config{Workers: 1})
+	refSrv, refTS := newTestServer(t, Config{Workers: 1})
 	kind, _, run, err := buildJob(jobRequest{Kind: "surface.mc", Params: params}, buildEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := refSrv.mgr.SubmitOpts(kind, key, params, run, jobs.SubmitOptions{})
+	snap, _, err := refSrv.mgr.Submit(kind, key, params, run, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := refSrv.mgr.Wait(context.Background(), snap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != string(ref.Result) {
+	if ref := waitDone(t, refTS, snap.ID); string(body) != string(ref.Result) {
 		t.Fatal("cold-recovered result differs from reference")
 	}
 }
@@ -508,7 +504,7 @@ func TestReadyzGates(t *testing.T) {
 		}
 		return []byte(`{}`), simrun.Status{StopReason: simrun.StopCompleted}, nil
 	}
-	if _, _, err := srv.mgr.SubmitOpts(jobs.KindSurfaceMC, rescache.Key(strings.Repeat("1", 64)), nil, slow, jobs.SubmitOptions{}); err != nil {
+	if _, _, err := srv.mgr.Submit(jobs.KindSurfaceMC, rescache.Key(strings.Repeat("1", 64)), nil, slow, ""); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -518,7 +514,7 @@ func TestReadyzGates(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := srv.mgr.SubmitOpts(jobs.KindSurfaceMC, rescache.Key(strings.Repeat("2", 64)), nil, slow, jobs.SubmitOptions{}); err != nil {
+	if _, _, err := srv.mgr.Submit(jobs.KindSurfaceMC, rescache.Key(strings.Repeat("2", 64)), nil, slow, ""); err != nil {
 		t.Fatal(err)
 	}
 	if code, st := status("/readyz"); code != http.StatusServiceUnavailable || st != "saturated" {
@@ -562,5 +558,64 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 	code, _ := submitRaw(t, ts, smallMC)
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("small request after a 413: HTTP %d", code)
+	}
+}
+
+// TestRecoverReplaysSweepPointRecords: journals of the version whose sweeps
+// fanned their points out as child jobs hold, beside a pending sweep, its
+// pending dse.point submissions stamped with "parent":<sweep key>. Such a
+// journal replays: the parent field is ignored, each point reruns as a
+// plain dse.point job, and the sweep's bytes equal an uninterrupted run's.
+func TestRecoverReplaysSweepPointRecords(t *testing.T) {
+	const sweepParams = `{"axes":[{"name":"design","values":["4K-CMOS-baseline","ERSFQ-opt8"]},` +
+		`{"name":"extra_gate_error","log_range":{"from":1e-6,"to":1e-4,"points":3}}],"wave":2}`
+	// The first three records a daemon of that version journaled for this
+	// sweep: its submission and its first two points'.
+	const wal = `ee2f8eac {"op":"submit","kind":"dse.sweep","key":"0be25f3ed33db38e9bc2e9317f29aa1384e1495438787d2ba7e04631b41ba9e7","params":{"axes":[{"name":"design","values":["4K-CMOS-baseline","ERSFQ-opt8"]},{"name":"extra_gate_error","log_range":{"from":1e-6,"to":1e-4,"points":3}}],"wave":2},"at":"2026-10-19T21:06:53.969864466Z"}
+795acb4b {"op":"submit","kind":"dse.point","key":"2597bb5dea1dcf3b10b0db41bb7b79c7ffcfcb0e390d9eea1ad8b1675e461f50","params":{"design":"4K-CMOS-baseline","distance":23,"extra_gate_error":0.000001,"extended":false},"parent":"0be25f3ed33db38e9bc2e9317f29aa1384e1495438787d2ba7e04631b41ba9e7","at":"2026-10-19T21:06:53.970692941Z"}
+a690e32e {"op":"submit","kind":"dse.point","key":"1dc895ab4d45b219eea0558d79ba3d15dd308e39545e6b51a22d0cdd7eed32be","params":{"design":"4K-CMOS-baseline","distance":23,"extra_gate_error":0.000010000000000000016,"extended":false},"parent":"0be25f3ed33db38e9bc2e9317f29aa1384e1495438787d2ba7e04631b41ba9e7","at":"2026-10-19T21:06:53.970973606Z"}
+`
+	dataDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dataDir, "journal.wal"), []byte(wal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Workers: 2, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Drain(ctx)
+	})
+	n, err := srv.Recover()
+	if err != nil || n != 3 {
+		t.Fatalf("recover: n=%d err=%v, want the sweep and both points", n, err)
+	}
+	if got := scrapeMetric(t, ts, "qisimd_jobs_recovery_failed_total"); got != 0 {
+		t.Errorf("qisimd_jobs_recovery_failed_total = %v, want 0", got)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for srv.mgr.InFlight() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("recovered jobs never finished")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	_, sweepKey, _, err := buildJob(jobRequest{Kind: "dse.sweep", Params: json.RawMessage(sweepParams)}, buildEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := srv.cache.Get(sweepKey)
+	if !ok {
+		t.Fatal("recovered sweep did not complete into the cache")
+	}
+	_, refTS := newTestServer(t, Config{Workers: 2})
+	_, sr := postJob(t, refTS, `{"kind":"dse.sweep","params":`+sweepParams+`}`)
+	if ref := waitDone(t, refTS, sr.Job.ID); string(got) != string(ref.Result) {
+		t.Fatalf("recovered sweep differs from an uninterrupted run:\ngot  %.300s\nwant %.300s", got, ref.Result)
 	}
 }

@@ -7,9 +7,9 @@
 //
 //	POST   /v1/jobs             submit a job   → 202 (queued/coalesced) or 200 (cached)
 //	GET    /v1/jobs             list retained jobs (?kind= ?state= ?tenant=
-//	                            ?parent= ?limit=; newest first, results stripped)
+//	                            ?limit=; newest first, results stripped)
 //	GET    /v1/jobs/{id}        job snapshot   → state, live progress, result/error
-//	DELETE /v1/jobs/{id}        cancel the job (cascades to sweep children)
+//	DELETE /v1/jobs/{id}        cancel the job
 //	GET    /v1/jobs/{id}/events SSE stream of the job's event log (state
 //	                            transitions plus per-wave "frontier" events)
 //	GET    /v1/results/{key}    cached result  → the byte-exact stored body
@@ -98,10 +98,8 @@ type Config struct {
 	// jobs are dispatched across the workers that claim them with leases,
 	// retries, work stealing and graceful local fallback (see dist.go).
 	Dist DistConfig
-	// TenantQuota bounds each tenant's in-flight top-level jobs (0 =
-	// unlimited). Exceeding it is a 429 with a distinct quota-exceeded
-	// body; a sweep's internal fan-out is accounted to its parent, not the
-	// quota.
+	// TenantQuota bounds each tenant's in-flight jobs (0 = unlimited).
+	// Exceeding it is a 429 with a distinct quota-exceeded body.
 	TenantQuota int
 }
 
@@ -229,7 +227,7 @@ func New(cfg Config) (*Server, error) {
 	s.mRejected = s.reg.CounterVec("qisimd_jobs_rejected_total",
 		"Refused submissions by reason (queue-full, quota-exceeded, draining, invalid, ...).", "reason")
 	s.mQuotaRej = s.reg.Counter("qisimd_quota_rejections_total",
-		"Submissions refused because the tenant hit its in-flight top-level job quota.")
+		"Submissions refused because the tenant hit its in-flight job quota.")
 	s.mShots = s.reg.Counter("qisimd_shots_total",
 		"Monte-Carlo shots committed across all finished jobs.")
 	s.mRecovered = s.reg.Counter("qisimd_jobs_recovered_total",
@@ -406,20 +404,8 @@ func (s *Server) env() buildEnv {
 		onSaves:  func(n int) { s.mCkptSaved.Add(float64(n)) },
 		onResume: func() { s.mResumed.Inc() },
 		dist:     s.dist,
-		mgr:      s.mgr,
-		onChild: func(kind jobs.Kind, outcome jobs.Outcome) {
-			s.mSubmitted.With(string(kind)).Inc()
-			switch outcome {
-			case jobs.OutcomeCached:
-				s.mCacheHits.Inc()
-			case jobs.OutcomeCoalesced:
-				s.mCoalesced.Inc()
-			default:
-				s.mCacheMiss.Inc()
-			}
-		},
-		publish: func(id, typ string, data any) { s.mgr.Publish(id, typ, data) }, //nolint:errcheck
-		log:     s.log,
+		publish:  func(id, typ string, data any) { s.mgr.Publish(id, typ, data) }, //nolint:errcheck
+		log:      s.log,
 	}
 }
 
@@ -442,20 +428,8 @@ func (s *Server) Recover() (int, error) {
 		// Compaction failure degrades disk usage, not correctness.
 		s.mRecoveryFailed.Inc()
 	}
-	pendingKeys := make(map[string]bool, len(pending))
-	for _, p := range pending {
-		pendingKeys[string(p.Key)] = true
-	}
 	recovered := 0
 	for _, p := range pending {
-		if p.Parent != "" && pendingKeys[p.Parent] {
-			// A child whose parent sweep is itself pending: the resubmitted
-			// parent re-expands its grid and re-adopts the child under a
-			// fresh parent link (same key → the journal entry retires when
-			// the re-adopted run commits), so resubmitting it here would
-			// only detach it from the cancel cascade.
-			continue
-		}
 		kind, key, run, err := buildJob(jobRequest{Kind: string(p.Kind), Params: p.Params}, s.env())
 		if err != nil || key != p.Key {
 			// The journaled request no longer normalizes to the same key
@@ -465,13 +439,7 @@ func (s *Server) Recover() (int, error) {
 			s.mRecoveryFailed.Inc()
 			continue
 		}
-		opts := jobs.SubmitOptions{
-			Tenant: p.Tenant,
-			// A recovered sweep parent must get its orchestrator goroutine
-			// back, or its fan-out could deadlock a small pool.
-			Orchestrator: kind == jobs.KindDSESweep,
-		}
-		if _, _, err := s.mgr.SubmitOpts(kind, key, p.Params, run, opts); err != nil {
+		if _, _, err := s.mgr.Submit(kind, key, p.Params, run, p.Tenant); err != nil {
 			s.mRecoveryFailed.Inc()
 			continue
 		}
@@ -569,15 +537,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// fleet workers inherit it end to end.
 		run = withTimeout(run, time.Duration(req.TimeoutMS)*time.Millisecond)
 	}
-	snap, outcome, err := s.mgr.SubmitOpts(kind, key, req.Params, run, jobs.SubmitOptions{
-		// The tenant header feeds fair round-robin scheduling and quotas;
-		// it is an attribution, not part of the cache key — identical
-		// requests from different tenants still dedupe.
-		Tenant: r.Header.Get("X-QIsim-Tenant"),
-		// A sweep parent blocks on its own fan-out, so it must never
-		// occupy a pool slot (see jobs.SubmitOptions.Orchestrator).
-		Orchestrator: kind == jobs.KindDSESweep,
-	})
+	// The tenant header feeds fair round-robin scheduling and quotas; it is
+	// an attribution, not part of the cache key — identical requests from
+	// different tenants still dedupe.
+	snap, outcome, err := s.mgr.Submit(kind, key, req.Params, run, r.Header.Get("X-QIsim-Tenant"))
 	if err != nil {
 		switch {
 		case errors.Is(err, jobs.ErrQuotaExceeded):

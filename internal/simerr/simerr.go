@@ -109,11 +109,6 @@ func Budgetf(format string, args ...any) error {
 	return wrap(ErrBudgetInfeasible, format, args...)
 }
 
-// Unsupportedf returns an ErrUnsupportedQASM-classed error.
-func Unsupportedf(format string, args ...any) error {
-	return wrap(ErrUnsupportedQASM, format, args...)
-}
-
 // Interruptedf returns an ErrInterrupted-classed error.
 func Interruptedf(format string, args ...any) error {
 	return wrap(ErrInterrupted, format, args...)

@@ -17,7 +17,7 @@ func TestExitCodePerClass(t *testing.T) {
 		{Invalidf("bad knob"), ExitInvalid},
 		{Numericalf("NaN"), ExitNumerical},
 		{Budgetf("too few shots"), ExitBudget},
-		{Unsupportedf("qasm v3"), ExitUnsupported},
+		{fmt.Errorf("qasm v3: %w", ErrUnsupportedQASM), ExitUnsupported},
 		// Wrapping must not change the class.
 		{fmt.Errorf("outer: %w", Numericalf("inner")), ExitNumerical},
 		{fmt.Errorf("outer: %w", fmt.Errorf("mid: %w", ErrInterrupted)), ExitInterrupted},
