@@ -50,9 +50,10 @@ fuzz:
 
 # Smokes of the built binaries: a traced `qisim mc` run exports a non-empty
 # Chrome trace and `qisim-experiments` exports one too, qisimd prints the
-# version stamped into it, and a distance outside the model exits 4 (invalid
-# config) from esmgen and from `qisim mc`. Binaries and traces go to a
-# temporary directory.
+# version stamped into it, qisim-fidelity reports the ESP of a Bell pair
+# plus a swap read from stdin, and a distance outside the model exits 4
+# (invalid config) from esmgen and from `qisim mc`. Binaries and traces go
+# to a temporary directory.
 smoke:
 	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	exits4() { code=0; "$$@" > /dev/null 2>&1 || code=$$?; \
@@ -63,6 +64,10 @@ smoke:
 	python3 -c "import json, sys; t = json.load(open(sys.argv[1])); assert t['traceEvents'], 'empty trace'" "$$dir/trace.json"; \
 	$(GO) build -ldflags "$(LDFLAGS)" -o "$$dir/qisimd" ./cmd/qisimd; \
 	"$$dir/qisimd" -version | grep -F "qisimd $(VERSION) "; \
+	$(GO) build -o "$$dir/qisim-fidelity" ./cmd/qisim-fidelity; \
+	printf 'OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nh q[0];\ncx q[0],q[1];\nswap q[1],q[2];\nmeasure q[0] -> c[0];\nmeasure q[2] -> c[2];\n' \
+		| "$$dir/qisim-fidelity" - > "$$dir/fidelity.txt"; \
+	grep '^fidelity: ' "$$dir/fidelity.txt"; \
 	$(GO) build -o "$$dir/esmgen" ./cmd/esmgen; \
 	exits4 "$$dir/esmgen" -d 4; \
 	exits4 "$$dir/qisim" mc -d 53

@@ -1,6 +1,6 @@
 // Chaos kill-matrix: the consumer-level proof that distributed execution
 // keeps the repo's headline promise under failure. For surface-code and
-// readout Monte-Carlo jobs at engine worker counts 1 and 4, a pauli.mc job
+// readout Monte-Carlo jobs at engine worker counts 1 and 4, a readout.mc job
 // that stops early on its convergence guard, and a surface.mc job whose
 // budget lies below the default convergence floor, the merged JSON result
 // body must be BYTE-IDENTICAL across four fleet shapes:
@@ -69,8 +69,8 @@ func chaosMatrix() []chaosJob {
 	}
 	return append(out,
 		chaosJob{
-			name:      "pauli.mc/rel-se-converged",
-			body:      `{"kind":"pauli.mc","params":{"qasm":"qreg q[3]; creg c[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2]; measure q[0]->c[0]; measure q[1]->c[1]; measure q[2]->c[2];","shots":3000,"shard_size":128,"seed":5,"rel_se":0.5}}`,
+			name:      "readout.mc/rel-se-converged",
+			body:      `{"kind":"readout.mc","params":{"shots":4000,"shard_size":128,"seed":5,"rel_se":0.5}}`,
 			converged: true,
 		},
 		chaosJob{
@@ -307,8 +307,8 @@ func TestChaosKillMatrix(t *testing.T) {
 			if err := json.Unmarshal(want, &env); err != nil {
 				t.Fatalf("standalone body: %v", err)
 			}
-			if env.Result.Status.Converged != job.converged {
-				t.Fatalf("standalone status %+v, want converged=%v", env.Result.Status, job.converged)
+			if st := env.Result.Status; st.Converged != job.converged || job.converged && st.Completed >= st.Requested {
+				t.Fatalf("standalone status %+v, want converged=%v before the budget", st, job.converged)
 			}
 
 			t.Run("healthy-fleet", func(t *testing.T) {

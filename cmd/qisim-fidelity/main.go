@@ -1,19 +1,12 @@
 // Command qisim-fidelity runs an OpenQASM 2 program through the full QIsim
 // pipeline — parse → compile → cycle-accurate simulation → Pauli-channel
-// fidelity — and reports timing, activity factors, and predicted fidelity.
+// fidelity — and reports timing, activity factors, and predicted fidelity
+// (the estimated success probability, ESP).
 //
 // Usage:
 //
-//	qisim-fidelity [-machine ibm_mumbai] [-arch cmos|sfq] [-mc] [-workers n] file.qasm
+//	qisim-fidelity [-machine ibm_mumbai] [-arch cmos|sfq] file.qasm
 //	cat circuit.qasm | qisim-fidelity -
-//
-// SIGINT/SIGTERM cancel the -mc estimator cooperatively: the partial
-// estimate over the committed shard prefix is still printed (flagged
-// truncated) and the process exits with code 3. With -checkpoint-dir the
-// committed prefix is also persisted crash-safely, keyed by the normalized
-// request (the same content address qisimd uses); -resume restarts from
-// that snapshot and produces a fidelity bit-identical to an uninterrupted
-// run.
 package main
 
 import (
@@ -22,24 +15,19 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"qisim/internal/buildinfo"
-	"qisim/internal/checkpoint"
 	"qisim/internal/compile"
 	"qisim/internal/cyclesim"
 	"qisim/internal/obs"
 	"qisim/internal/pauli"
 	"qisim/internal/qasm"
-	"qisim/internal/rescache"
 	"qisim/internal/simerr"
-	"qisim/internal/simrun"
 	"qisim/internal/validate"
 )
 
 // logger is the process-wide structured logger, installed before the pipeline
-// runs so checkpoint notices and trace-export warnings honour -log-format.
+// runs so trace-export warnings honour -log-format.
 var logger = obs.Discard()
 
 // tracer/traceOut are set when -trace-out is given; fatalErr flushes the
@@ -64,14 +52,6 @@ func flushTrace() {
 func main() {
 	machine := flag.String("machine", "ibm_mumbai", "reference machine (see qisim-fidelity -list)")
 	arch := flag.String("arch", "cmos", "QCI architecture: cmos or sfq")
-	mc := flag.Bool("mc", false, "also run the Monte-Carlo estimator")
-	workers := flag.Int("workers", 0, "parallel worker goroutines for -mc (0 = all cores, 1 = serial; the estimate is identical for every value)")
-	shots := flag.Int("shots", 50000, "-mc shot budget")
-	seed := flag.Int64("seed", 3, "-mc RNG seed")
-	shardSize := flag.Int("shard-size", 0, "-mc shots per shard (0 = engine default; part of the RNG stream layout and the checkpoint identity)")
-	ckptDir := flag.String("checkpoint-dir", "", "persist crash-safe -mc checkpoints of the committed shard prefix in this directory")
-	resume := flag.Bool("resume", false, "resume -mc from the checkpoint in -checkpoint-dir (bit-identical to an uninterrupted run)")
-	ckptEvery := flag.Int("checkpoint-every", 1, "write a checkpoint every N committed shards (the final flush always writes)")
 	list := flag.Bool("list", false, "list reference machines")
 	traceOutFlag := flag.String("trace-out", "", "record a span trace of the run and write it as Chrome trace_event JSON to this file")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
@@ -99,17 +79,11 @@ func main() {
 	if flag.NArg() != 1 {
 		fatal("expected exactly one QASM file (or - for stdin)")
 	}
-	if *resume && *ckptDir == "" {
-		fatalErr(simerr.Invalidf("-resume requires -checkpoint-dir"))
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	// -trace-out arms the tracer for the whole pipeline; a root "cli" span
-	// covers parse → compile → simulate → fidelity, and the -mc estimator's
-	// engine spans nest underneath via the context. The trace flushes even on
-	// a fatal exit (partial traces are how failed runs get diagnosed).
+	// covers parse → compile → simulate. The trace flushes even on a fatal
+	// exit (partial traces are how failed runs get diagnosed).
+	ctx := context.Background()
 	if *traceOutFlag != "" {
 		traceOut = *traceOutFlag
 		tracer = obs.NewTracer(obs.TracerConfig{ID: "qisim-fidelity"})
@@ -169,61 +143,7 @@ func main() {
 	fmt.Printf("makespan:      %.1f ns\n", res.TotalTime*1e9)
 	fmt.Printf("drive duty:    %.3f   pulse duty: %.3f   readout duty: %.3f\n",
 		res.ActivityFactor("drive"), res.ActivityFactor("pulse"), res.ActivityFactor("readout"))
-	pcfg := pauli.DefaultConfig(rates)
-	fmt.Printf("fidelity:      %.4f  (%s, ESP)\n", pauli.ESP(res, pcfg), *machine)
-	if *mc {
-		pcfg.Shots = *shots
-		pcfg.Seed = *seed
-		opt := simrun.Options{Workers: *workers, ShardSize: *shardSize}
-		var sv *checkpoint.Saver
-		if *ckptDir != "" {
-			ss := opt.ShardSize
-			if ss <= 0 {
-				ss = simrun.DefaultShardSize
-			}
-			// Key params mirror qisimd's pauli.mc normalization (params minus
-			// workers, with seed and shard size in the envelope), so the CLI
-			// and the service agree on the checkpoint identity of a request.
-			key, err := rescache.KeyFor("pauli.mc", map[string]any{
-				"qasm": src, "machine": *machine, "arch": *arch,
-				"shots": *shots, "period_ns": pcfg.DecoherencePeriod * 1e9, "rel_se": 0.0,
-			}, *seed, ss)
-			if err != nil {
-				fatalErr(err)
-			}
-			meta := checkpoint.Meta{Kind: "pauli.mc", Key: string(key),
-				Seed: *seed, ShardSize: ss, Budget: *shots}
-			var snap *checkpoint.Snapshot
-			sv, snap, err = checkpoint.Attach(&opt, *ckptDir, *resume, *ckptEvery, meta)
-			if err != nil {
-				fatalErr(err)
-			}
-			if snap != nil {
-				logger.Info("resuming from checkpoint",
-					"shots", snap.Shots, "budget", snap.Meta.Budget, "path", sv.Path)
-			}
-		}
-		mcRes, err := pauli.MonteCarloCtx(ctx, res, pcfg, opt)
-		if err != nil {
-			fatalErr(err)
-		}
-		fmt.Printf("fidelity (MC): %.4f  (%d/%d shots)\n",
-			mcRes.Fidelity, mcRes.Status.Completed, mcRes.Status.Requested)
-		if sv != nil {
-			if serr := sv.Err(); serr != nil {
-				logger.Warn("checkpoint durability degraded", "err", serr)
-			} else if mcRes.Status.Truncated {
-				logger.Info("checkpoint saved — rerun with -resume to continue", "path", sv.Path)
-			}
-		}
-		if mcRes.Status.Truncated {
-			fmt.Printf("(truncated: %s after %d/%d shots — partial estimate)\n",
-				mcRes.Status.StopReason, mcRes.Status.Completed, mcRes.Status.Requested)
-		}
-		if serr := mcRes.Status.Err(); serr != nil {
-			fatalErr(serr) // exit 3: partial estimate already printed
-		}
-	}
+	fmt.Printf("fidelity:      %.4f  (%s, ESP)\n", pauli.ESP(res, pauli.DefaultConfig(rates)), *machine)
 }
 
 func readSource(path string) (string, error) {

@@ -18,7 +18,8 @@
 //     the fleet workers that claim them, with held claims (an idle worker's
 //     claim waits for work), heartbeat renewal, retry with backoff, work
 //     stealing, and graceful degradation to the local lane while no worker
-//     has been heard from for 2×lease-ttl. Serves /v1/dist/* for workers.
+//     has been heard from for 2×lease-ttl. Serves /v1/dist/{claim,renew,
+//     report} for workers.
 //     Merged results are byte-identical to a standalone run.
 //   - worker: runs the normal server plus a claim→execute→report loop
 //     against -coordinator-url. Its first claim admits it to the fleet, and
@@ -36,6 +37,9 @@
 //	GET    /v1/results/{key}   cached result body (byte-exact replay)
 //	GET    /v1/fleet/status    coordinator's fleet view (?format=json|tree)
 //	GET    /v1/debug/flight    flight-recorder ring (?format=json|chrome|tree)
+//	POST   /v1/dist/claim      (coordinator) a worker's claim; the first admits it
+//	POST   /v1/dist/renew      (coordinator) a lease heartbeat
+//	POST   /v1/dist/report     (coordinator) a finished unit's shard states
 //	GET    /metrics            Prometheus text exposition
 //	GET    /healthz            liveness: 200 serving / 503 draining
 //	GET    /readyz             readiness: 503 recovering / draining / saturated

@@ -54,7 +54,7 @@ func crashCases() []crashCase {
 			},
 		},
 		{
-			kind: "pauli.mc", budget: 1536, shard: 128, seed: 7,
+			kind: "pauli.trajectory", budget: 1536, shard: 128, seed: 7,
 			run: func(ctx context.Context, opt simrun.Options) (json.RawMessage, simrun.Status, error) {
 				c := pauli.DecoherenceChannel(25e-9, 280e-6, 175e-6)
 				res, err := pauli.TrajectoryAverageFidelityCtx(ctx, c, 1536, 7, opt)

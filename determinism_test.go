@@ -9,14 +9,11 @@ import (
 	"context"
 	"testing"
 
-	"qisim/internal/compile"
-	"qisim/internal/cyclesim"
 	"qisim/internal/jpm"
 	"qisim/internal/pauli"
 	"qisim/internal/readout"
 	"qisim/internal/simrun"
 	"qisim/internal/surface"
-	"qisim/internal/workloads"
 )
 
 func TestSurfaceMCDeterministic(t *testing.T) {
@@ -83,34 +80,7 @@ func TestSurfaceMCDeterministicParallel(t *testing.T) {
 }
 
 func TestPauliMCDeterministic(t *testing.T) {
-	prog, err := workloads.Generate("ghz", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := compile.Compile(prog, compile.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cyclesim.Run(ex, cyclesim.CMOSConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates := pauli.ErrorRates{OneQ: 2.5e-4, TwoQ: 1.2e-2, Readout: 2.0e-2, T1: 100e-6, T2: 95e-6}
-	cfg := pauli.DefaultConfig(rates)
-	cfg.Shots, cfg.Seed = 4000, 9
-
 	ctx := context.Background()
-	run := func() pauli.MCResult {
-		mc, err := pauli.MonteCarloCtx(ctx, res, cfg, simrun.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mc
-	}
-	if r1, r2 := run(), run(); r1 != r2 {
-		t.Fatalf("pauli MC not deterministic:\n%+v\n%+v", r1, r2)
-	}
-
 	ch := pauli.DecoherenceChannel(100e-9, 280e-6, 175e-6)
 	traj := func() pauli.TrajectoryResult {
 		tr, err := pauli.TrajectoryAverageFidelityCtx(ctx, ch, 2000, 9, simrun.Options{})

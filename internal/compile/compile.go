@@ -141,15 +141,18 @@ func Compile(p *qasm.Program, opt Options) (ex *Executable, err error) {
 				pushCZ()
 				pushH(b)
 			case "swap":
-				// Three CZ-class interactions with basis changes.
+				// swap = cx(a,b)·cx(b,a)·cx(a,b), each cx lowered as above;
+				// the Hadamards between the CZs pair up on both qubits.
 				id--
-				pushCZ()
-				pushH(a)
 				pushH(b)
 				pushCZ()
 				pushH(a)
 				pushH(b)
 				pushCZ()
+				pushH(a)
+				pushH(b)
+				pushCZ()
+				pushH(b)
 			}
 		default: // single-qubit gates
 			param := 0.0

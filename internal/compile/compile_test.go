@@ -3,8 +3,10 @@ package compile
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
+	"qisim/internal/cmath"
 	"qisim/internal/phys"
 	"qisim/internal/qasm"
 	"qisim/internal/simerr"
@@ -107,11 +109,68 @@ func TestCompileCXDecomposition(t *testing.T) {
 	}
 }
 
+// TestCompileSwap: swap, and the cx and cz it is built from, lower to
+// instructions whose product in program order is the gate's unitary up to
+// global phase (basis |q0 q1>, q0 the high bit).
 func TestCompileSwap(t *testing.T) {
-	p := mustParse(t, "qreg q[2]; swap q[0],q[1];")
-	ex, _ := Compile(p, DefaultOptions())
-	if ex.NumTwoQ != 3 {
-		t.Fatalf("swap should lower to 3 CZ-class ops, got %d", ex.NumTwoQ)
+	h := cmath.FromRows([][]complex128{{1, 1}, {1, -1}})
+	h = cmath.Scale(complex(1/math.Sqrt2, 0), h)
+	perm := func(cols ...int) *cmath.Matrix { // column j holds basis vector cols[j]
+		m := cmath.NewMatrix(4, 4)
+		for j, i := range cols {
+			m.Set(i, j, 1)
+		}
+		return m
+	}
+	for _, c := range []struct {
+		gate       string
+		want       *cmath.Matrix
+		oneQ, twoQ int
+	}{
+		{"cx", perm(0, 1, 3, 2), 2, 1},
+		{"cz", cmath.CZ(), 0, 1},
+		{"swap", perm(0, 2, 1, 3), 6, 3},
+	} {
+		t.Run(c.gate, func(t *testing.T) {
+			ex, err := Compile(mustParse(t, "qreg q[2]; "+c.gate+" q[0],q[1];"), DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.NumOneQ != c.oneQ || ex.NumTwoQ != c.twoQ {
+				t.Errorf("%s lowers to %d 1Q and %d 2Q ops, want %d and %d", c.gate, ex.NumOneQ, ex.NumTwoQ, c.oneQ, c.twoQ)
+			}
+			// A CZ sits in both queues under one ID; IDs follow program order.
+			byID := map[int]Instr{}
+			for _, q := range ex.Queues {
+				for _, in := range q {
+					byID[in.ID] = in
+				}
+			}
+			ids := make([]int, 0, len(byID))
+			for id := range byID {
+				ids = append(ids, id)
+			}
+			sort.Ints(ids)
+			u := cmath.Identity(4)
+			for _, id := range ids {
+				in := byID[id]
+				var g *cmath.Matrix
+				switch {
+				case in.Name == "cz":
+					g = cmath.CZ()
+				case in.Name == "h" && in.Qubit == 0:
+					g = cmath.Kron(h, cmath.Identity(2))
+				case in.Name == "h":
+					g = cmath.Kron(cmath.Identity(2), h)
+				default:
+					t.Fatalf("unexpected lowered instruction %+v", in)
+				}
+				u = cmath.Mul(g, u)
+			}
+			if e := cmath.GateError(c.want, u); e > 1e-12 {
+				t.Fatalf("%s: the lowered product is %.3g from the gate's unitary (1 − average gate fidelity)", c.gate, e)
+			}
+		})
 	}
 }
 

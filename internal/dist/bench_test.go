@@ -21,9 +21,7 @@ func BenchmarkDistDispatch(b *testing.B) {
 		c := NewCoordinator(Config{LeaseTTL: 10 * time.Second, UnitShards: 2})
 		ctx, cancel := context.WithCancel(context.Background())
 		for w := 0; w < fleet; w++ {
-			if err := c.Register(ctx, WorkerInfo{ID: fmt.Sprintf("w%d", w)}); err != nil {
-				b.Fatal(err)
-			}
+			admit(c, fmt.Sprintf("w%d", w))
 		}
 		var wg sync.WaitGroup
 		for wid := 0; wid < fleet; wid++ {

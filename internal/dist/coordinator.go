@@ -65,9 +65,9 @@ type Config struct {
 	// flight-recorder tracer (nil disables; Event is nil-safe).
 	Flight *obs.Tracer
 	// UnitSeconds, when set, observes each accepted unit's wall time from
-	// first grant to acceptance, with the reporting worker ("local" for the
-	// local lane). Called under the coordinator lock: keep it O(1).
-	UnitSeconds func(worker string, seconds float64)
+	// first grant to acceptance, on either lane. Called under the
+	// coordinator lock: keep it O(1).
+	UnitSeconds func(seconds float64)
 }
 
 func (c Config) withDefaults() Config {
@@ -167,8 +167,8 @@ type workerState struct {
 	lastGrant   *LeaseGrant
 
 	// The telemetry of the worker's latest report that passed the intake
-	// check, and the time of its last contact (claim, renewal, report,
-	// register): the fleet's one liveness signal (see stateLocked).
+	// check, and the time of its last contact (claim, renewal, report): the
+	// fleet's one liveness signal (see stateLocked).
 	telemetry *Telemetry
 	lastSeen  time.Time
 }
@@ -208,23 +208,6 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// WorkerInfo is the body of POST /v1/dist/register.
-type WorkerInfo struct {
-	ID string `json:"id"`
-}
-
-// Register admits a worker as its first claim would, without asking for
-// work.
-func (c *Coordinator) Register(_ context.Context, info WorkerInfo) error {
-	if info.ID == "" {
-		return simerr.Invalidf("dist: register: empty worker id")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.touchWorkerLocked(info.ID)
-	return nil
 }
 
 // stateLocked is w's state at now, by precedence: quarantined while its
@@ -287,9 +270,9 @@ func (c *Coordinator) quarantineLocked(w *workerState, now time.Time) {
 	c.evictLeasesLocked(w.id, now)
 }
 
-// touchWorkerLocked stamps a contact (claim, renewal, report, register)
-// and admits the worker the first time it is heard from, or the first time
-// since Sweep forgot it.
+// touchWorkerLocked stamps a contact (claim, renewal, report) and admits
+// the worker the first time it is heard from, or the first time since
+// Sweep forgot it.
 func (c *Coordinator) touchWorkerLocked(id string) *workerState {
 	w := c.workers[id]
 	if w == nil {
@@ -716,7 +699,7 @@ func (c *Coordinator) acceptUnitLocked(j *distJob, u *unit, states []json.RawMes
 		if !u.firstGrant.IsZero() {
 			secs = c.cfg.Clock().Sub(u.firstGrant).Seconds()
 		}
-		c.cfg.UnitSeconds(worker, secs)
+		c.cfg.UnitSeconds(secs)
 	}
 	c.cfg.Flight.Event("lease.done", obs.String("worker", worker), obs.String("key", j.key),
 		obs.Int("start", u.start), obs.Int("end", u.end))
@@ -1041,7 +1024,7 @@ type FleetWorker struct {
 	// Leases counts the worker's outstanding (unexpired-by-sweep) leases.
 	Leases int `json:"leases"`
 	// LastSeenAgeMS is milliseconds since the last contact (claim,
-	// renewal, report, register).
+	// renewal, report).
 	LastSeenAgeMS int64 `json:"last_seen_age_ms"`
 	// QuarantineLeftMS is the remaining shun time for quarantined workers.
 	QuarantineLeftMS int64 `json:"quarantine_left_ms,omitempty"`

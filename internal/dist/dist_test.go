@@ -12,6 +12,16 @@ import (
 	"qisim/internal/simrun"
 )
 
+// admit stamps a contact from each worker, as any RPC of theirs does, so
+// the coordinator counts them live without a claim taking work.
+func admit(c *Coordinator, ids ...string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, id := range ids {
+		c.touchWorkerLocked(id)
+	}
+}
+
 // toyCore builds a deterministic int-sum core whose per-shard result
 // encodes the shard identity, so any reordering, double-count, or replay
 // shows up in the folded sum.
@@ -249,9 +259,7 @@ func TestExecuteManualFleetMatchesRunFull(t *testing.T) {
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
 
-	if err := c.Register(context.Background(), WorkerInfo{ID: "w1"}); err != nil {
-		t.Fatal(err)
-	}
+	admit(c, "w1")
 	ch := startExecute(c, context.Background(), "k1", core, toyPlan)
 
 	// 16 shards at UnitShards=3 → 6 units; claim and report them all.
@@ -289,8 +297,7 @@ func TestLeaseExpiryRequeuesAndRetries(t *testing.T) {
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
 
-	c.Register(context.Background(), WorkerInfo{ID: "dead"})
-	c.Register(context.Background(), WorkerInfo{ID: "alive"})
+	admit(c, "dead", "alive")
 	ch := startExecute(c, context.Background(), "k1", core, toyPlan)
 
 	// The doomed worker grabs the first unit and dies.
@@ -310,7 +317,7 @@ func TestLeaseExpiryRequeuesAndRetries(t *testing.T) {
 	// healthy worker checks in first, so the fleet stays live and the
 	// sweep's broadcast does not hand the unit to the local lane.
 	clk.Advance(3 * time.Second)
-	c.Register(context.Background(), WorkerInfo{ID: "alive"})
+	admit(c, "alive")
 	c.Sweep(clk.Now())
 	if err := c.Renew(context.Background(), "dead", dead.Key, dead.Start, dead.End); !errors.Is(err, ErrGone) {
 		t.Fatalf("post-expiry renew: want ErrGone, got %v", err)
@@ -354,7 +361,7 @@ func TestDuplicateReportIsDeduplicated(t *testing.T) {
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
 
-	c.Register(context.Background(), WorkerInfo{ID: "w1"})
+	admit(c, "w1")
 	ch := startExecute(c, context.Background(), "k1", core, toyPlan)
 
 	// 16 shards at UnitShards=8 → 2 units; finish the first one twice.
@@ -398,8 +405,7 @@ func TestHedgedStealFirstReportWins(t *testing.T) {
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
 
-	c.Register(context.Background(), WorkerInfo{ID: "slow"})
-	c.Register(context.Background(), WorkerInfo{ID: "fast"})
+	admit(c, "slow", "fast")
 	ch := startExecute(c, context.Background(), "k1", core, toyPlan)
 
 	slow := waitGrant(t, c, "slow")
@@ -451,9 +457,7 @@ func TestInProcessWorkerFleet(t *testing.T) {
 		// Admit the workers so Execute's admission check sees a live fleet
 		// even if the worker goroutines haven't claimed yet.
 		for i := 0; i < fleet; i++ {
-			if err := c.Register(ctx, WorkerInfo{ID: fmt.Sprintf("w%d", i)}); err != nil {
-				t.Fatal(err)
-			}
+			admit(c, fmt.Sprintf("w%d", i))
 		}
 
 		cores := func(kind string, _ json.RawMessage) (Core, error) {
@@ -518,7 +522,7 @@ func TestConvergenceBoundaryMatchesStandalone(t *testing.T) {
 			}
 
 			c := NewCoordinator(Config{LeaseTTL: 5 * time.Second, UnitShards: 3})
-			c.Register(context.Background(), WorkerInfo{ID: "w1"})
+			admit(c, "w1")
 			ch := startExecute(c, context.Background(), "kc", core, tc.plan)
 			deadline := time.Now().Add(10 * time.Second)
 			for time.Now().Before(deadline) {
@@ -551,7 +555,7 @@ func TestConvergenceBoundaryMatchesStandalone(t *testing.T) {
 func TestExecuteCancellationTruncates(t *testing.T) {
 	c := NewCoordinator(Config{LeaseTTL: time.Hour, UnitShards: 4})
 	core := toyCore(1)
-	c.Register(context.Background(), WorkerInfo{ID: "w1"})
+	admit(c, "w1")
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := startExecute(c, ctx, "k1", core, toyPlan)
 
@@ -583,7 +587,7 @@ func TestMidJobFleetLossFallsBackLocal(t *testing.T) {
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
 
-	c.Register(context.Background(), WorkerInfo{ID: "w1"})
+	admit(c, "w1")
 	ch := startExecute(c, context.Background(), "k1", core, toyPlan)
 	report(t, c, core, "w1", waitGrant(t, c, "w1"))
 	c.Sweep(clk.Advance(2 * time.Hour))
@@ -616,7 +620,7 @@ func TestSilentWorkerIsLost(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.Register(context.Background(), WorkerInfo{ID: "w1"})
+	admit(c, "w1")
 	ch := startExecute(c, context.Background(), "k-silent", core, toyPlan)
 	waitGrant(t, c, "w1") // never renewed, never reported
 	for i := 0; i < 7; i++ {
@@ -653,7 +657,7 @@ func TestSilentWorkerIsLost(t *testing.T) {
 // full shot count on a completed run.
 func TestExecuteProgressFrontier(t *testing.T) {
 	c := NewCoordinator(Config{LeaseTTL: 5 * time.Second, UnitShards: 2})
-	c.Register(context.Background(), WorkerInfo{ID: "w1"})
+	admit(c, "w1")
 
 	var mu sync.Mutex
 	var completed []int

@@ -23,8 +23,7 @@ func TestFleetSnapshotStatesAndJobs(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4})
 	core := toyCore(1)
-	c.Register(context.Background(), WorkerInfo{ID: "w-b"}) //nolint:errcheck
-	c.Register(context.Background(), WorkerInfo{ID: "w-a"}) //nolint:errcheck
+	admit(c, "w-b", "w-a")
 
 	snap := c.FleetSnapshot()
 	if len(snap.Workers) != 2 || snap.Workers[0].ID != "w-a" || snap.Workers[1].ID != "w-b" {
@@ -111,7 +110,7 @@ func TestFleetSnapshotQuarantineIsReadOnly(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
 	core := toyCore(1)
-	c.Register(context.Background(), WorkerInfo{ID: "liar"}) //nolint:errcheck
+	admit(c, "liar")
 	ch := startExecute(c, context.Background(), "k-snap-quarantine", core, toyPlan)
 	g := waitGrant(t, c, "liar")
 	if err := c.Report(context.Background(), "liar", forgedReport(t, g, "liar", 5_000_000)); err != nil {
@@ -163,7 +162,7 @@ func TestFleetSnapshotQuarantineIsReadOnly(t *testing.T) {
 func TestRenewOfGoneLeaseDoesNotRevive(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4})
-	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+	admit(c, "w1")
 	clk.Advance(2 * time.Minute)
 	if snap := c.FleetSnapshot(); snap.Workers[0].State != "lost" {
 		t.Fatalf("silence not visible: %+v", snap.Workers)
@@ -214,14 +213,14 @@ func TestCoordinatorFlightEvents(t *testing.T) {
 	fr := obs.NewTracer(obs.TracerConfig{ID: "flight", MaxSpans: 256})
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, Flight: fr})
 	core := toyCore(1)
-	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+	admit(c, "w1")
 	ch := startExecute(c, context.Background(), "k-flight", core, toyPlan)
 
 	// First grant expires (lease.expire + unit.retry), then the worker
 	// finishes the job cleanly (lease.grant + lease.done).
 	waitGrant(t, c, "w1")
 	clk.Advance(2 * time.Minute)
-	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck // still live: no local lane
+	admit(c, "w1") // still live: no local lane
 	c.Sweep(clk.Now())
 	// The expired unit requeues with backoff on the fake clock: keep
 	// advancing past the not-before whenever no grant is available.
@@ -286,7 +285,7 @@ func TestQuarantinedMidJobTraceGraftsOnce(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
 	core := toyCore(1)
-	c.Register(context.Background(), WorkerInfo{ID: "shady"}) //nolint:errcheck
+	admit(c, "shady")
 
 	tracer := obs.NewTracer(obs.TracerConfig{ID: "job"})
 	root := tracer.Start("executor", nil)
@@ -361,7 +360,7 @@ func TestQuarantinedMidJobTraceGraftsOnce(t *testing.T) {
 // no two siblings overlap.
 func TestFleetTraceAddsUp(t *testing.T) {
 	c := NewCoordinator(Config{LeaseTTL: 5 * time.Second, UnitShards: 3})
-	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+	admit(c, "w1")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w, err := NewWorker(WorkerConfig{ID: "w1", Coordinator: c, PollInterval: 5 * time.Millisecond, Seed: 1, Trace: true,

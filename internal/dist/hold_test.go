@@ -122,7 +122,7 @@ func TestHeldClaimReturnsPromptly(t *testing.T) {
 // leases exactly one unit.
 func TestHeldDuplicateClaimLeasesOnce(t *testing.T) {
 	c := NewCoordinator(Config{LeaseTTL: 8 * time.Second, UnitShards: 4})
-	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+	admit(c, "w1")
 	var wg sync.WaitGroup
 	grants := make([]*LeaseGrant, 2)
 	for i := range grants {

@@ -113,7 +113,7 @@ func fleetCrash(t *testing.T, plan Plan) *snapshots {
 	snaps := &snapshots{t: t}
 	core := toyCoreWith(simrun.Options{Workers: 1, Checkpoint: snaps.hook})
 	c := NewCoordinator(Config{LeaseTTL: time.Minute, UnitShards: 4})
-	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+	admit(c, "w1")
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := startExecute(c, ctx, "kr", core, plan)
 	g0 := waitGrant(t, c, "w1")
@@ -147,7 +147,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	snaps := &snapshots{t: t}
 	cc := &countingCore{Core: toyCoreWith(simrun.Options{Workers: 1, Resume: snap, Checkpoint: snaps.hook})}
 	c := NewCoordinator(Config{LeaseTTL: time.Minute, UnitShards: 4})
-	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+	admit(c, "w1")
 	o, starts := driveOneByOne(t, c, cc, startExecute(c, context.Background(), "kr", cc, toyPlan))
 	if o.err != nil || string(o.body) != string(want) {
 		t.Fatalf("resumed run: err=%v\n got %s\nwant %s", o.err, o.body, want)
@@ -208,7 +208,7 @@ func TestResumeAcrossLanes(t *testing.T) {
 			var o execOutcome
 			if tc.fleet {
 				c := NewCoordinator(Config{LeaseTTL: time.Minute, UnitShards: 4})
-				c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+				admit(c, "w1")
 				var starts []int
 				o, starts = driveOneByOne(t, c, cc, startExecute(c, context.Background(), "kr", cc, tc.plan))
 				if !slices.Equal(starts, tc.wantStarts) {
@@ -235,7 +235,7 @@ func TestFailedJobDoesNotPoisonRerun(t *testing.T) {
 	snaps := &snapshots{t: t}
 	core := toyCoreWith(simrun.Options{Workers: 1, Checkpoint: snaps.hook})
 	c1 := NewCoordinator(Config{LeaseTTL: time.Minute, UnitShards: 4})
-	c1.Register(ctx, WorkerInfo{ID: "w1"}) //nolint:errcheck
+	admit(c1, "w1")
 	ch := startExecute(c1, ctx, "kp", core, toyPlan)
 	g0, g1, g2 := waitGrant(t, c1, "w1"), waitGrant(t, c1, "w1"), waitGrant(t, c1, "w1")
 	report(t, c1, core, "w1", g0) // folded
@@ -261,7 +261,7 @@ func TestFailedJobDoesNotPoisonRerun(t *testing.T) {
 
 	rerun := toyCoreWith(simrun.Options{Workers: 1, Resume: snaps.last()})
 	c2 := NewCoordinator(Config{LeaseTTL: time.Minute, UnitShards: 4})
-	c2.Register(ctx, WorkerInfo{ID: "w1"}) //nolint:errcheck
+	admit(c2, "w1")
 	o, starts := driveOneByOne(t, c2, rerun, startExecute(c2, ctx, "kp", rerun, toyPlan))
 	if o.err != nil || string(o.body) != string(want) || !slices.Equal(starts, []int{4, 8, 12}) {
 		t.Fatalf("rerun: err=%v units %v, want [4 8 12]\n got %s\nwant %s", o.err, starts, o.body, want)

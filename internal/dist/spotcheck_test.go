@@ -62,7 +62,7 @@ func TestSpotCheckPassRaisesTrust(t *testing.T) {
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
-	c.Register(context.Background(), WorkerInfo{ID: "honest"}) //nolint:errcheck
+	admit(c, "honest")
 	ch := startExecute(c, context.Background(), "k-spot-pass", core, toyPlan)
 	g := waitGrant(t, c, "honest")
 	for g != nil {
@@ -90,7 +90,7 @@ func TestSpotCheckMismatchQuarantinesAndCompletes(t *testing.T) {
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
 	core := toyCore(1)
 	want := runFullBytes(t, core, toyPlan)
-	c.Register(context.Background(), WorkerInfo{ID: "liar"}) //nolint:errcheck
+	admit(c, "liar")
 	ch := startExecute(c, context.Background(), "k-spot-fail", core, toyPlan)
 
 	// The liar claims one unit and reports forged states: valid JSON ints
@@ -196,7 +196,7 @@ func TestDuplicateReportDuringVerifyStillAudited(t *testing.T) {
 	core := &gatedCore{Core: toyCore(1)}
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
 	want := runFullBytes(t, toyCore(1), toyPlan)
-	c.Register(context.Background(), WorkerInfo{ID: "liar"}) //nolint:errcheck
+	admit(c, "liar")
 	ch := startExecute(c, context.Background(), "k-dup-verify", core, toyPlan)
 	g := waitGrant(t, c, "liar")
 	body := forgedReport(t, g, "liar", 4_444_000)
@@ -244,7 +244,7 @@ func TestSpotCheckSurvivesReporterDisconnect(t *testing.T) {
 	core := toyCore(1)
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4, SpotCheck: 1})
 	want := runFullBytes(t, core, toyPlan)
-	c.Register(context.Background(), WorkerInfo{ID: "liar"}) //nolint:errcheck
+	admit(c, "liar")
 	ch := startExecute(c, context.Background(), "k-dead-ctx", core, toyPlan)
 	g := waitGrant(t, c, "liar")
 	body := forgedReport(t, g, "liar", 5_555_000)
@@ -270,12 +270,12 @@ func TestSpotCheckSurvivesReporterDisconnect(t *testing.T) {
 func TestTouchDoesNotClearQuarantine(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute})
-	c.Register(context.Background(), WorkerInfo{ID: "w"}) //nolint:errcheck
+	admit(c, "w")
 	c.mu.Lock()
 	c.quarantineLocked(c.workers["w"], clk.Now())
 	c.mu.Unlock()
 	// Registration, claims, renew attempts — none of them lift quarantine.
-	c.Register(context.Background(), WorkerInfo{ID: "w"}) //nolint:errcheck
+	admit(c, "w")
 	if g, _ := c.Claim(context.Background(), "w", "", 0); g != nil {
 		t.Fatal("quarantined worker got a grant after re-register")
 	}
@@ -291,7 +291,7 @@ func TestClaimIdempotencyKeyReplaysGrant(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(Config{Clock: clk.Now, LeaseTTL: time.Minute, UnitShards: 4})
 	core := toyCore(1)
-	c.Register(context.Background(), WorkerInfo{ID: "w1"}) //nolint:errcheck
+	admit(c, "w1")
 	ch := startExecute(c, context.Background(), "k-idem", core, toyPlan)
 
 	g1 := waitGrantIdem(t, c, "w1", "claim-1")

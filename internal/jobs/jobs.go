@@ -59,8 +59,10 @@ const (
 	KindScalabilityAnalyze Kind = "scalability.analyze"
 	KindScalabilitySweep   Kind = "scalability.sweep"
 	KindSurfaceMC          Kind = "surface.mc"
-	KindPauliMC            Kind = "pauli.mc"
-	KindReadoutMC          Kind = "readout.mc"
+	// KindPauliMC is a QASM program's estimated success probability, a
+	// closed form: unlike the other .mc kinds it draws no shots.
+	KindPauliMC   Kind = "pauli.mc"
+	KindReadoutMC Kind = "readout.mc"
 	// KindDSESweep is a design-space exploration: it expands a parameter
 	// grid, evaluates its points in grid order and folds them into a
 	// streamed Pareto frontier.

@@ -458,18 +458,6 @@ func (hv *HistogramVec) With(values ...string) *Histogram {
 	return h
 }
 
-// Summaries returns a point-in-time copy of every series in the family,
-// keyed by rendered label signature (e.g. `{worker="w1"}`).
-func (hv *HistogramVec) Summaries() map[string]HistogramSummary {
-	hv.mu.Lock()
-	defer hv.mu.Unlock()
-	out := make(map[string]HistogramSummary, len(hv.kids))
-	for sig, h := range hv.kids {
-		out[sig] = h.Summary()
-	}
-	return out
-}
-
 // DefaultLatencyBuckets spans 1 ms to ~100 s in powers of ~3 — wide enough
 // for both a cached lookup and a multi-minute sweep.
 func DefaultLatencyBuckets() []float64 {

@@ -1,14 +1,12 @@
 package pauli
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"qisim/internal/compile"
 	"qisim/internal/cyclesim"
 	"qisim/internal/qasm"
-	"qisim/internal/simrun"
 )
 
 func simulate(t *testing.T, src string) *cyclesim.Result {
@@ -26,16 +24,6 @@ func simulate(t *testing.T, src string) *cyclesim.Result {
 		t.Fatal(err)
 	}
 	return r
-}
-
-// monteCarlo runs the Pauli-event MC to completion and returns its fidelity.
-func monteCarlo(t *testing.T, res *cyclesim.Result, cfg Config) float64 {
-	t.Helper()
-	mc, err := MonteCarloCtx(context.Background(), res, cfg, simrun.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mc.Fidelity
 }
 
 func ibmishRates() ErrorRates {
@@ -98,25 +86,30 @@ func TestIdleQubitsDecohere(t *testing.T) {
 	}
 }
 
-func TestMonteCarloAgreesWithESP(t *testing.T) {
+// TestESPMatchesHandBuiltProduct: on a GHZ-4 circuit whose spectators
+// idle while the CX chain runs, ESP equals the product built by hand from
+// the lowered gate counts, ∏(1−p_op)·(1−p_idle)^Σ⌊idle_q/period⌋. A shot
+// sampler drawing each of those events once has this as its mean, so the
+// product is what any such estimator converges to.
+func TestESPMatchesHandBuiltProduct(t *testing.T) {
 	res := simulate(t, `qreg q[4]; creg c[4];
 h q[0]; cx q[0],q[1]; cx q[1],q[2]; cx q[2],q[3];
 measure q[0]->c[0]; measure q[1]->c[1]; measure q[2]->c[2]; measure q[3]->c[3];`)
-	cfg := DefaultConfig(ibmishRates())
-	cfg.Shots = 60000
-	esp := ESP(res, cfg)
-	mc := monteCarlo(t, res, cfg)
-	if math.Abs(esp-mc) > 0.01 {
-		t.Fatalf("MC %v vs ESP %v disagree beyond MC noise", mc, esp)
+	r := ibmishRates()
+	cfg := DefaultConfig(r)
+	// h, and two Hadamards around each of the three CZs a cx lowers to.
+	const oneQ, twoQ, measures = 1 + 2*3, 3, 4
+	idle := 0
+	for q := 0; q < 4; q++ {
+		idle += int(res.IdleTime(q) / cfg.DecoherencePeriod)
 	}
-}
-
-func TestMonteCarloDeterministic(t *testing.T) {
-	res := simulate(t, "qreg q[1]; creg c[1]; h q[0]; measure q[0]->c[0];")
-	cfg := DefaultConfig(ibmishRates())
-	cfg.Shots = 5000
-	if monteCarlo(t, res, cfg) != monteCarlo(t, res, cfg) {
-		t.Fatal("seeded MC must be deterministic")
+	if idle == 0 {
+		t.Fatal("no qubit idles for a full injection period; the idle factor goes untested")
+	}
+	want := math.Pow(1-r.OneQ, oneQ) * math.Pow(1-r.TwoQ, twoQ) * math.Pow(1-r.Readout, measures) *
+		math.Pow(1-r.DecoherenceError(cfg.DecoherencePeriod), float64(idle))
+	if got := ESP(res, cfg); math.Abs(got-want) > 1e-12*want {
+		t.Fatalf("ESP %.17g, hand-built product %.17g (%d idle periods)", got, want, idle)
 	}
 }
 

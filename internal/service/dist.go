@@ -27,7 +27,7 @@ import (
 // are split into leased work units across the workers that claim them
 // (with held claims, retry, work stealing and local-fallback degradation
 // while no worker has been heard from for 2×LeaseTTL), and the
-// /v1/dist/{register,claim,renew,report} endpoints are served.
+// /v1/dist/{claim,renew,report} endpoints are served.
 // Workers run `qisimd -role worker -coordinator-url <this server>`.
 type DistConfig struct {
 	Enabled bool
@@ -56,19 +56,17 @@ const distReportBodyLimit = 4 << 20
 // initDist builds the coordinator and exports its counters, each read from
 // Coordinator.Stats at scrape time.
 func (s *Server) initDist(cfg Config) {
-	s.mDistUnitSeconds = s.reg.HistogramVec("qisimd_dist_unit_seconds",
-		"Work-unit wall clock from grant to accepted report, per worker.",
-		metrics.DefaultLatencyBuckets(), "worker")
+	unitSeconds := metrics.NewHistogram(metrics.DefaultLatencyBuckets())
+	s.reg.HistogramFunc("qisimd_dist_unit_seconds",
+		"Work-unit wall clock from first grant to accepted report, local lane included.", unitSeconds.Summary)
 
 	s.dist = dist.NewCoordinator(dist.Config{
-		LeaseTTL:   cfg.Dist.LeaseTTL,
-		UnitShards: cfg.Dist.UnitShards,
-		SpotCheck:  cfg.Dist.SpotCheck,
-		Logger:     cfg.Logger,
-		Flight:     s.flight,
-		UnitSeconds: func(worker string, seconds float64) {
-			s.mDistUnitSeconds.With(worker).Observe(seconds)
-		},
+		LeaseTTL:    cfg.Dist.LeaseTTL,
+		UnitShards:  cfg.Dist.UnitShards,
+		SpotCheck:   cfg.Dist.SpotCheck,
+		Logger:      cfg.Logger,
+		Flight:      s.flight,
+		UnitSeconds: unitSeconds.Observe,
 	})
 
 	s.reg.CounterFuncVec("qisimd_dist_leases_total",
@@ -117,22 +115,6 @@ func (s *Server) initDist(cfg Config) {
 func (s *Server) Dist() *dist.Coordinator { return s.dist }
 
 // ---- /v1/dist/* worker endpoints ----
-
-// handleDistRegister admits a worker as its first claim would. Unknown
-// body fields are ignored, so an older worker's register body with its
-// "addr" still admits it.
-func (s *Server) handleDistRegister(w http.ResponseWriter, r *http.Request) {
-	var info dist.WorkerInfo
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&info); err != nil {
-		s.writeError(w, simerr.Invalidf("service: bad register body: %v", err))
-		return
-	}
-	if err := s.dist.Register(r.Context(), info); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
 
 // handleDistClaim answers a claim; an empty one is held up to its
 // wait_ms (at most the coordinator's MaxHold) for work to arrive.

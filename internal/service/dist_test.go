@@ -80,6 +80,17 @@ func startFleet(t *testing.T, ts *httptest.Server, n int, configure ...func(i in
 	return workers
 }
 
+// admitWorkers admits each worker with an empty claim, as its first claim
+// would; it fails the test if a job was pending and the claim took work.
+func admitWorkers(t *testing.T, c *dist.Coordinator, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		if g, err := c.Claim(context.Background(), id, "", 0); err != nil || g != nil {
+			t.Fatalf("admitting %s: %+v, %v; want no work", id, g, err)
+		}
+	}
+}
+
 // TestFleetE2EMatchesStandalone is the service-level determinism pin: the
 // same submission produces byte-identical result bodies from a standalone
 // server and from a coordinator dispatching over real HTTP workers — and the
@@ -88,11 +99,9 @@ func startFleet(t *testing.T, ts *httptest.Server, n int, configure ...func(i in
 // 40-shard job in units of one shard, of the default size and of one unit
 // covering the whole job: unit boundaries never move a result byte.
 func TestFleetE2EMatchesStandalone(t *testing.T) {
-	const bell = "qreg q[3]; creg c[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2]; measure q[0]->c[0]; measure q[1]->c[1]; measure q[2]->c[2];"
 	for _, job := range []struct{ kind, params string }{
 		{"surface.mc", `{"distance":3,"shots":2560,"shard_size":64,"seed":11}`},
 		{"readout.mc", `{"shots":5120,"shard_size":128,"seed":3}`},
-		{"pauli.mc", `{"qasm":"` + bell + `","shots":2560,"shard_size":64,"seed":5}`},
 	} {
 		body := fmt.Sprintf(`{"kind":%q,"params":%s}`, job.kind, job.params)
 		_, solo := newTestServer(t, Config{Workers: 2})
@@ -382,8 +391,7 @@ func TestDistMetricsReadStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Register(ctx, dist.WorkerInfo{ID: "w-a"})  //nolint:errcheck
-	c.Register(ctx, dist.WorkerInfo{ID: "liar"}) //nolint:errcheck
+	admitWorkers(t, c, "w-a", "liar")
 
 	done := make(chan error, 1)
 	go func() {
@@ -496,13 +504,11 @@ func TestDistMetricsReadStats(t *testing.T) {
 	}
 }
 
-// TestDistBodiesFromOlderWorkers: an older worker's register body, which
-// still carries the address it advertised for health probes, admits it; a
-// renew or report body that still carries the metrics summary older workers
-// sent is accepted (the field is ignored), and a renew body over 64 KiB is
-// refused, as a register or claim body is.
+// TestDistBodiesFromOlderWorkers: a renew or report body that still
+// carries the metrics summary older workers sent is accepted (the field is
+// ignored), and a renew body over 64 KiB is refused, as a claim body is.
 func TestDistBodiesFromOlderWorkers(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, Dist: DistConfig{Enabled: true, LeaseTTL: 5 * time.Second}})
+	_, ts := newTestServer(t, Config{Workers: 1, Dist: DistConfig{Enabled: true, LeaseTTL: 5 * time.Second}})
 	post := func(path string, body []byte) int {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(body))
@@ -519,12 +525,6 @@ func TestDistBodiesFromOlderWorkers(t *testing.T) {
 	}
 	const summary = `"metrics":{"counters":{"qisimd_worker_units_total":3},` +
 		`"histograms":{"qisimd_worker_unit_seconds":{"bounds":[1],"buckets":[1],"sum":0.5,"count":1}}}`
-	if code := post("/v1/dist/register", []byte(`{"id":"w-old","addr":"http://10.0.0.5:8080"}`)); code != http.StatusNoContent {
-		t.Fatalf("register: %d", code)
-	}
-	if w := srv.Dist().FleetSnapshot().Workers; len(w) != 1 || w[0].ID != "w-old" || w[0].State != "healthy" {
-		t.Fatalf("fleet after an older worker's register: %+v, want w-old healthy", w)
-	}
 	// No such lease: 410 Gone, not 400 for the body.
 	if code := post("/v1/dist/renew", []byte(`{"worker":"w-old","key":"k","start":0,"end":4,`+summary+`}`)); code != http.StatusGone {
 		t.Fatalf("renew with a summary: %d, want 410", code)

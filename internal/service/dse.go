@@ -76,23 +76,9 @@ func buildDSEPoint(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.Runner, e
 	if err != nil {
 		return "", "", nil, err
 	}
-	run := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		// The evaluation is analytic and near-instant, but a cancelled job
-		// (a DELETE, a drain) must still finalize as a Truncated partial —
-		// never compute-and-cache under a dead context.
-		if ctx.Err() != nil {
-			return nil, simrun.Status{Requested: 1, Truncated: true, StopReason: simrun.StopCanceled}, nil
-		}
-		m, err := p.Analyze()
-		if err != nil {
-			return nil, simrun.Status{}, err
-		}
-		progress(1, 1)
-		st := simrun.Status{Requested: 1, Completed: 1, StopReason: simrun.StopCompleted}
-		body, err := marshalEnvelope(jobs.KindDSEPoint, key, keyed, 0, 0, m)
-		return body, st, err
-	}
-	return jobs.KindDSEPoint, key, run, nil
+	return jobs.KindDSEPoint, key, closedForm(jobs.KindDSEPoint, key, keyed, func() (any, error) {
+		return p.Analyze()
+	}), nil
 }
 
 // ---- dse.sweep: grid expansion, inline evaluation, streamed Pareto frontier ----

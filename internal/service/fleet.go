@@ -102,9 +102,12 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 
 // fleetWorkerView is one worker row of the status document: the
 // coordinator's own bookkeeping (dist.FleetWorker) enriched with the
-// coordinator-observed unit latency quantiles and the worker's telemetry.
+// worker's telemetry.
 type fleetWorkerView struct {
 	dist.FleetWorker
+	// The unit quantiles are the worker's own execution times, read from
+	// its telemetry's unit-seconds histogram, so they go when the
+	// coordinator forgets the worker.
 	UnitP50 float64 `json:"unit_p50_seconds,omitempty"`
 	UnitP90 float64 `json:"unit_p90_seconds,omitempty"`
 	UnitP99 float64 `json:"unit_p99_seconds,omitempty"`
@@ -129,7 +132,6 @@ func (s *Server) fleetStatus() fleetStatusView {
 		return fleetStatusView{}
 	}
 	snap := s.dist.FleetSnapshot()
-	unitSummaries := s.mDistUnitSeconds.Summaries()
 	view := fleetStatusView{
 		Enabled: true,
 		Workers: make([]fleetWorkerView, 0, len(snap.Workers)),
@@ -138,15 +140,15 @@ func (s *Server) fleetStatus() fleetStatusView {
 	}
 	for _, w := range snap.Workers {
 		row := fleetWorkerView{FleetWorker: w}
-		if hs, ok := unitSummaries[fmt.Sprintf(`{worker=%q}`, w.ID)]; ok && hs.Count > 0 {
-			row.UnitP50 = hs.Quantile(0.50)
-			row.UnitP90 = hs.Quantile(0.90)
-			row.UnitP99 = hs.Quantile(0.99)
-		}
 		if w.Telemetry != nil {
 			row.Federated = true
 			row.UnitsDone = w.Telemetry.UnitSeconds.Count
 			row.ChaosInjected = w.Telemetry.Chaos
+			if hs := w.Telemetry.UnitSeconds; hs.Count > 0 {
+				row.UnitP50 = hs.Quantile(0.50)
+				row.UnitP90 = hs.Quantile(0.90)
+				row.UnitP99 = hs.Quantile(0.99)
+			}
 		}
 		view.Workers = append(view.Workers, row)
 	}

@@ -17,6 +17,7 @@ import (
 
 	"qisim/internal/chaos"
 	"qisim/internal/dist"
+	"qisim/internal/jobs"
 	"qisim/internal/metrics"
 	"qisim/internal/obs"
 )
@@ -163,9 +164,7 @@ func TestFleetUnitSecondsKeepsWorkerLayout(t *testing.T) {
 		{"w-c", metrics.HistogramSummary{Bounds: metrics.DefaultLatencyBuckets(),
 			Buckets: []uint64{1, 1, 1, 1, 2, 3, 3, 3, 3, 3, 3}, Sum: 0.5, Count: 4}},
 	} {
-		if err := srv.Dist().Register(ctx, dist.WorkerInfo{ID: r.id}); err != nil {
-			t.Fatal(err)
-		}
+		admitWorkers(t, srv.Dist(), r.id)
 		// A report for a job this coordinator does not run is acked, and
 		// its telemetry still counts.
 		body, err := dist.EncodeUnitResult(dist.UnitResult{Kind: "surface.mc", Key: "k-none", End: 1,
@@ -276,6 +275,68 @@ func TestFleetForgetsSilentWorker(t *testing.T) {
 	}
 	if n := srv.Flight().Snapshot().Count("worker.register"); n != 2 {
 		t.Fatalf("worker.register events = %d, want 2 (first contact, then re-admission)", n)
+	}
+}
+
+// TestForgottenWorkerLeavesNoSeries: after the coordinator accepts a unit
+// from w1 and a sweep more than 20 lease TTLs later forgets w1, no series
+// on /metrics names it. The coordinator's unit-seconds histogram still counts
+// the unit, without a worker label, and until w1 is forgotten its status
+// row reads the unit quantiles from w1's own telemetry.
+func TestForgottenWorkerLeavesNoSeries(t *testing.T) {
+	const ttl = 5 * time.Second
+	srv, ts := newTestServer(t, Config{Workers: 1, Dist: DistConfig{Enabled: true, LeaseTTL: ttl, UnitShards: 64}})
+	ctx := context.Background()
+	c := srv.Dist()
+	admitWorkers(t, c, "w1")
+	code, sub := postJob(t, ts, `{"kind":"surface.mc","params":{"distance":3,"shots":256,"shard_size":64,"seed":4}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	var g *dist.LeaseGrant
+	for deadline := time.Now().Add(10 * time.Second); g == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no grant")
+		}
+		var err error
+		if g, err = c.Claim(ctx, "w1", "", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	core, err := BuildCore(g.Kind, g.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, events, err := core.RunWindow(ctx, g.Plan, g.Start, g.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unitSecs := metrics.NewHistogram(metrics.DefaultLatencyBuckets())
+	unitSecs.Observe(0.02)
+	body, err := dist.EncodeUnitResult(dist.UnitResult{Kind: g.Kind, Key: g.Key, Start: g.Start, End: g.End,
+		States: states, Events: events, Worker: "w1", Telemetry: &dist.Telemetry{UnitSeconds: unitSecs.Summary()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Report(ctx, "w1", body); err != nil {
+		t.Fatal(err)
+	}
+	if snap := waitDone(t, ts, sub.Job.ID); snap.State != jobs.StateDone {
+		t.Fatalf("job %s (%s)", snap.State, snap.Error)
+	}
+	if w := srv.fleetStatus().Workers; len(w) != 1 || w[0].UnitP50 <= 0.01 || w[0].UnitP50 > 0.03 {
+		t.Errorf("status rows %+v, want w1's p50 in its 0.01–0.03 s telemetry bucket", w)
+	}
+
+	c.Sweep(time.Now().Add(21 * ttl))
+	_, raw := getBody(t, ts.URL+"/metrics")
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.Contains(line, `worker="w1"`) {
+			t.Errorf("forgotten w1 still has a series: %s", line)
+		}
+	}
+	if n := scrapeMetric(t, ts, "qisimd_dist_unit_seconds_count"); n != 1 {
+		t.Errorf("qisimd_dist_unit_seconds_count = %v, want the one accepted unit", n)
 	}
 }
 

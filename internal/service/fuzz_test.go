@@ -32,7 +32,7 @@ func FuzzJobRequest(f *testing.F) {
 	// Seed corpus: one valid request per job kind.
 	for _, body := range []string{
 		`{"kind":"surface.mc","params":{"distance":5,"p":0.01,"shots":2000,"seed":7},"timeout_ms":300}`,
-		`{"kind":"pauli.mc","params":{"qasm":"OPENQASM 2.0; qreg q[2]; h q[0]; cx q[0],q[1];","machine":"ibm_hanoi","shots":500}}`,
+		`{"kind":"pauli.mc","params":{"qasm":"OPENQASM 2.0; qreg q[2]; h q[0]; cx q[0],q[1];","machine":"ibm_hanoi"}}`,
 		`{"kind":"readout.mc","params":{"range":30,"max_rounds":6,"shots":4000,"seed":5}}`,
 		`{"kind":"scalability.analyze","params":{"designs":["4K-CMOS-baseline"],"extended":true}}`,
 		`{"kind":"scalability.sweep","params":{"design":"RSFQ-opt345","qubit_counts":[100,1000]}}`,

@@ -107,6 +107,12 @@ func TestBuildJobRejects(t *testing.T) {
 		"no qubit counts": {Kind: "scalability.sweep", Params: json.RawMessage(`{"design":"4K-CMOS-baseline"}`)},
 		"missing qasm":    {Kind: "pauli.mc", Params: json.RawMessage(`{}`)},
 		"bad arch":        {Kind: "pauli.mc", Params: json.RawMessage(`{"qasm":"OPENQASM 2.0;","arch":"gaas"}`)},
+		// pauli.mc is closed form: the sampler's settings are unknown fields.
+		"pauli.mc shots":      {Kind: "pauli.mc", Params: json.RawMessage(`{"qasm":"OPENQASM 2.0;","shots":500}`)},
+		"pauli.mc seed":       {Kind: "pauli.mc", Params: json.RawMessage(`{"qasm":"OPENQASM 2.0;","seed":3}`)},
+		"pauli.mc rel_se":     {Kind: "pauli.mc", Params: json.RawMessage(`{"qasm":"OPENQASM 2.0;","rel_se":0.1}`)},
+		"pauli.mc shard_size": {Kind: "pauli.mc", Params: json.RawMessage(`{"qasm":"OPENQASM 2.0;","shard_size":64}`)},
+		"pauli.mc workers":    {Kind: "pauli.mc", Params: json.RawMessage(`{"qasm":"OPENQASM 2.0;","workers":2}`)},
 	} {
 		if _, _, _, err := buildJob(req, buildEnv{}); err == nil {
 			t.Errorf("%s: buildJob accepted a bad request", name)

@@ -186,6 +186,8 @@ func buildJob(req jobRequest, env buildEnv) (jobs.Kind, rescache.Key, jobs.Runne
 		return kind, j.key, env.runMC(j), nil
 	}
 	switch kind {
+	case jobs.KindPauliMC:
+		return buildPauliMC(req.Params)
 	case jobs.KindScalabilityAnalyze:
 		return buildScalabilityAnalyze(req.Params)
 	case jobs.KindDSEPoint:
@@ -267,6 +269,26 @@ func marshalEnvelope(kind jobs.Kind, key rescache.Key, params map[string]any, se
 	return body, nil
 }
 
+// closedForm is the runner of a one-step analytic job: it evaluates once
+// and stores the result under seed 0 and no shard size. A job canceled
+// before it starts (a DELETE, a drain) finalizes as a Truncated partial
+// instead of computing and caching under a dead context.
+func closedForm(kind jobs.Kind, key rescache.Key, keyed map[string]any, eval func() (any, error)) jobs.Runner {
+	return func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
+		if ctx.Err() != nil {
+			return nil, simrun.Status{Requested: 1, Truncated: true, StopReason: simrun.StopCanceled}, nil
+		}
+		result, err := eval()
+		if err != nil {
+			return nil, simrun.Status{}, err
+		}
+		progress(1, 1)
+		st := simrun.Status{Requested: 1, Completed: 1, StopReason: simrun.StopCompleted}
+		body, err := marshalEnvelope(kind, key, keyed, 0, 0, result)
+		return body, st, err
+	}
+}
+
 // ---- Monte-Carlo kinds: one parser each, one runner (runMC) for all ----
 
 // mcJob is one normalized Monte-Carlo request: what the submitting server,
@@ -289,7 +311,6 @@ type mcJob struct {
 // mcKinds maps each Monte-Carlo kind to its params parser.
 var mcKinds = map[jobs.Kind]func(json.RawMessage) (mcJob, error){
 	jobs.KindSurfaceMC: parseSurfaceMC,
-	jobs.KindPauliMC:   parsePauliMC,
 	jobs.KindReadoutMC: parseReadoutMC,
 }
 
@@ -371,31 +392,26 @@ func parseSurfaceMC(raw json.RawMessage) (mcJob, error) {
 	return j, nil
 }
 
-// ---- pauli.mc: QASM → compile → cycle sim → Pauli-channel fidelity MC ----
+// ---- pauli.mc: QASM → compile → cycle sim → estimated success probability ----
 
 type pauliMCParams struct {
-	QASM      string  `json:"qasm"`
-	Machine   string  `json:"machine"`
-	Arch      string  `json:"arch"`
-	Shots     int     `json:"shots"`
-	Seed      int64   `json:"seed"`
-	PeriodNS  float64 `json:"period_ns"`
-	RelSE     float64 `json:"rel_se"`
-	ShardSize int     `json:"shard_size"`
-	Workers   int     `json:"workers,omitempty"`
+	QASM     string  `json:"qasm"`
+	Machine  string  `json:"machine"`
+	Arch     string  `json:"arch"`
+	PeriodNS float64 `json:"period_ns"`
 }
 
-// parsePauliMC decodes and defaults pauli.mc params, resolves the machine's
+// buildPauliMC decodes and defaults pauli.mc params, resolves the machine's
 // error rates and compiles the program, so malformed requests surface as
-// typed configuration errors before a queue slot is spent server-side or
-// any execution worker-side.
-func parsePauliMC(raw json.RawMessage) (mcJob, error) {
+// typed configuration errors before a queue slot is spent. The job is
+// closed form: it simulates the program's timing and reports its ESP.
+func buildPauliMC(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.Runner, error) {
 	var p pauliMCParams
 	if err := decodeParams(raw, &p); err != nil {
-		return mcJob{}, err
+		return "", "", nil, err
 	}
 	if p.QASM == "" {
-		return mcJob{}, simerr.Invalidf("service: pauli.mc needs a qasm program")
+		return "", "", nil, simerr.Invalidf("service: pauli.mc needs a qasm program")
 	}
 	if p.Machine == "" {
 		p.Machine = "ibm_mumbai"
@@ -404,22 +420,13 @@ func parsePauliMC(raw json.RawMessage) (mcJob, error) {
 		p.Arch = "cmos"
 	}
 	if p.Arch != "cmos" && p.Arch != "sfq" {
-		return mcJob{}, simerr.Invalidf("service: arch must be cmos or sfq, got %q", p.Arch)
-	}
-	if p.Shots == 0 {
-		p.Shots = 4000
-	}
-	if p.Seed == 0 {
-		p.Seed = 3
+		return "", "", nil, simerr.Invalidf("service: arch must be cmos or sfq, got %q", p.Arch)
 	}
 	if p.PeriodNS == 0 {
 		p.PeriodNS = 100
 	}
 	if p.PeriodNS < 0 {
-		return mcJob{}, simerr.Invalidf("service: period_ns must be positive, got %v", p.PeriodNS)
-	}
-	if p.ShardSize == 0 {
-		p.ShardSize = simrun.DefaultShardSize
+		return "", "", nil, simerr.Invalidf("service: period_ns must be positive, got %v", p.PeriodNS)
 	}
 	var rates pauli.ErrorRates
 	found := false
@@ -430,48 +437,38 @@ func parsePauliMC(raw json.RawMessage) (mcJob, error) {
 		}
 	}
 	if !found {
-		return mcJob{}, simerr.Invalidf("service: unknown machine %q", p.Machine)
+		return "", "", nil, simerr.Invalidf("service: unknown machine %q", p.Machine)
 	}
 	prog, err := qasm.Parse(p.QASM)
 	if err != nil {
-		return mcJob{}, err
+		return "", "", nil, err
 	}
 	ex, err := compile.Compile(prog, compile.DefaultOptions())
 	if err != nil {
-		return mcJob{}, err
+		return "", "", nil, err
 	}
-	j, err := newMCJob(jobs.KindPauliMC, p, p.Workers,
-		dist.Plan{Shots: p.Shots, Seed: p.Seed, ShardSize: p.ShardSize, TargetRelStdErr: p.RelSE})
+	key, keyed, err := requestKey(jobs.KindPauliMC, p, 0, 0)
 	if err != nil {
-		return mcJob{}, err
+		return "", "", nil, err
 	}
-	j.newCore = func(opt simrun.Options) (dist.Core, error) {
+	return jobs.KindPauliMC, key, closedForm(jobs.KindPauliMC, key, keyed, func() (any, error) {
 		simCfg := cyclesim.CMOSConfig()
 		if p.Arch == "sfq" {
 			simCfg = cyclesim.SFQConfig(1)
 		}
-		simRes, err := cyclesim.Run(ex, simCfg)
+		res, err := cyclesim.Run(ex, simCfg)
 		if err != nil {
 			return nil, err
 		}
-		pcfg := pauli.DefaultConfig(rates)
-		pcfg.Shots = p.Shots
-		pcfg.Seed = p.Seed
-		pcfg.DecoherencePeriod = p.PeriodNS * 1e-9
-		_, run, merge, err := pauli.MonteCarloCore(simRes, pcfg)
-		if err != nil {
-			return nil, err
-		}
-		return dist.NewCore(dist.CoreSpec[int]{Run: run, Merge: merge, Options: opt,
-			Finish: func(success int, st simrun.Status) ([]byte, error) {
-				return j.envelope(struct {
-					pauli.MCResult
-					ESP        float64 `json:"esp"`
-					MakespanNS float64 `json:"makespan_ns"`
-				}{pauli.MCResultFrom(success, st), pauli.ESP(simRes, pcfg), simRes.TotalTime * 1e9})
-			}}), nil
-	}
-	return j, nil
+		cfg := pauli.DefaultConfig(rates)
+		// Division rounds once, so the default 100 ns is DefaultConfig's
+		// 100e-9 to the bit (p.PeriodNS*1e-9 is 1.0000000000000001e-07).
+		cfg.DecoherencePeriod = p.PeriodNS / 1e9
+		return struct {
+			ESP        float64 `json:"esp"`
+			MakespanNS float64 `json:"makespan_ns"`
+		}{pauli.ESP(res, cfg), res.TotalTime * 1e9}, nil
+	}), nil
 }
 
 // ---- readout.mc: multi-round early-decision readout Monte-Carlo ----

@@ -220,7 +220,7 @@ func TestCoordinatorRestartResumesFleetCheckpoint(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
 	// Admit the worker before the job, so the job is dispatched to it.
-	srv1.Dist().Register(context.Background(), dist.WorkerInfo{ID: "w1"}) //nolint:errcheck
+	admitWorkers(t, srv1.Dist(), "w1")
 	_, stopWorker := runWorker(t, ts1.URL, "w1", func(kind string, params json.RawMessage) (dist.Core, error) {
 		c, err := BuildCore(kind, params)
 		return gatedCore{c, 4}, err
@@ -341,7 +341,7 @@ func TestFailedFleetRunCountsItsSaves(t *testing.T) {
 	}
 	ctx := context.Background()
 	c := srv.Dist()
-	c.Register(ctx, dist.WorkerInfo{ID: "w1"}) //nolint:errcheck
+	admitWorkers(t, c, "w1")
 	code, sub := submitRaw(t, ts, `{"kind":"surface.mc","params":{"distance":3,"shots":512,"shard_size":64,"seed":3}}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
@@ -617,5 +617,45 @@ a690e32e {"op":"submit","kind":"dse.point","key":"1dc895ab4d45b219eea0558d79ba3d
 	_, sr := postJob(t, refTS, `{"kind":"dse.sweep","params":`+sweepParams+`}`)
 	if ref := waitDone(t, refTS, sr.Job.ID); string(got) != string(ref.Result) {
 		t.Fatalf("recovered sweep differs from an uninterrupted run:\ngot  %.300s\nwant %.300s", got, ref.Result)
+	}
+}
+
+// TestRecoverFailsSamplerPauliMC: a journal written while pauli.mc was a
+// Monte-Carlo kind holds its submission under the key the sampler's seed
+// and shard size made. The closed-form kind keys the same params
+// differently, so recovery refuses it as key drift: it is journaled as
+// failed, counted, and not replayed on the next boot.
+func TestRecoverFailsSamplerPauliMC(t *testing.T) {
+	// The submit record a daemon of that version journaled.
+	const wal = `5817ebe6 {"op":"submit","kind":"pauli.mc","key":"c5495c4c34b1353443f57ae7200607bc6c6d38733db036cefcf6fab95e817b9a","params":{"qasm":"OPENQASM 2.0; qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q[0]-\u003ec[0]; measure q[1]-\u003ec[1];","machine":"ibm_hanoi"},"at":"2026-10-20T01:41:18.094283143Z"}
+`
+	dataDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dataDir, "journal.wal"), []byte(wal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Workers: 1, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Drain(ctx)
+	})
+	if pending := srv.journal.Pending(); len(pending) != 1 {
+		t.Fatalf("journal replayed %d pending jobs, want the pauli.mc submission", len(pending))
+	}
+	n, err := srv.Recover()
+	if err != nil || n != 0 {
+		t.Fatalf("recover: n=%d err=%v, want the job refused", n, err)
+	}
+	if got := scrapeMetric(t, ts, "qisimd_jobs_recovery_failed_total"); got != 1 {
+		t.Errorf("qisimd_jobs_recovery_failed_total = %v, want 1", got)
+	}
+	if pending := srv.journal.Pending(); len(pending) != 0 {
+		t.Fatalf("still pending after recovery: %+v", pending)
 	}
 }

@@ -13,6 +13,12 @@
 //	GET    /v1/jobs/{id}/events SSE stream of the job's event log (state
 //	                            transitions plus per-wave "frontier" events)
 //	GET    /v1/results/{key}    cached result  → the byte-exact stored body
+//	GET    /v1/jobs/{id}/trace  the job's span tree (?format=json|chrome|tree)
+//	GET    /v1/fleet/status     the coordinator's fleet view (?format=json|tree)
+//	GET    /v1/debug/flight     the flight-recorder ring (?format=json|chrome|tree)
+//	POST   /v1/dist/claim       (coordinator) a worker's claim; the first admits it
+//	POST   /v1/dist/renew       (coordinator) a lease heartbeat
+//	POST   /v1/dist/report      (coordinator) a finished unit's shard states
 //	GET    /metrics             Prometheus text exposition
 //	GET    /healthz             liveness: 200 while the process serves, 503 draining
 //	GET    /readyz              readiness: 503 while recovering the journal,
@@ -142,10 +148,9 @@ type Server struct {
 	mStageSeconds *metrics.HistogramVec // per-stage span durations, from traces
 
 	// Fleet-coordinator state (nil / zero unless Config.Dist.Enabled).
-	dist             *dist.Coordinator
-	distCancel       context.CancelFunc
-	baseCtx          context.Context
-	mDistUnitSeconds *metrics.HistogramVec
+	dist       *dist.Coordinator
+	distCancel context.CancelFunc
+	baseCtx    context.Context
 
 	// sseHeartbeat is the interval between comment heartbeats (": hb") on
 	// idle GET /v1/jobs/{id}/events streams (15s; tests shorten it).
@@ -368,7 +373,6 @@ func New(cfg Config) (*Server, error) {
 			s.RegisterChaosStats("server", mw.Stats)
 			return mw
 		}
-		handle("POST /v1/dist/register", distHandler(s.handleDistRegister))
 		handle("POST /v1/dist/claim", distHandler(s.handleDistClaim))
 		handle("POST /v1/dist/renew", distHandler(s.handleDistRenew))
 		handle("POST /v1/dist/report", distHandler(s.handleDistReport))

@@ -14,7 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"qisim/internal/compile"
+	"qisim/internal/cyclesim"
 	"qisim/internal/jobs"
+	"qisim/internal/pauli"
+	"qisim/internal/qasm"
+	"qisim/internal/validate"
 )
 
 // newTestServer spins up the full HTTP stack around a Server; the cleanup
@@ -242,6 +247,7 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"a second object after the first", `{"kind":"surface.mc","params":{"distance":3,"shots":100,"seed":5}} {"kind":"nonsense"} garbage`, 400, "invalid-config"},
 		{"trailing newline", "{\"kind\":\"surface.mc\",\"params\":{\"distance\":3,\"shots\":100,\"seed\":5}}\n", 202, ""},
 		{"unsupported qasm", `{"kind":"pauli.mc","params":{"qasm":"OPENQASM 2.0; qreg q[1]; h q[0]; ccx q[0],q[0],q[0];"}}`, 501, "unsupported-qasm"},
+		{"pauli.mc with shots", `{"kind":"pauli.mc","params":{"qasm":"OPENQASM 2.0; qreg q[1]; h q[0];","shots":500}}`, 400, "invalid-config"},
 	}
 	rejected := 0
 	for _, c := range cases {
@@ -273,6 +279,79 @@ func TestErrorStatusMapping(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/v1/results/not-a-key", nil); code != http.StatusBadRequest {
 		t.Errorf("malformed key: status %d, want 400", code)
+	}
+}
+
+// TestPauliMCIsClosedForm: a pauli.mc job stores exactly {esp, makespan_ns}
+// under seed 0 and no shard size, its esp is bit-identical to pauli.ESP on
+// the same compiled program, with the default params and with explicit
+// ones, and a coordinator runs it in place, leasing nothing, to the same
+// bytes.
+func TestPauliMCIsClosedForm(t *testing.T) {
+	const src = "OPENQASM 2.0; qreg q[3]; creg c[3]; h q[0]; cx q[0],q[1]; swap q[1],q[2]; measure q[0]->c[0]; measure q[2]->c[2];"
+	prog, err := qasm.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := compile.Compile(prog, compile.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, solo := newTestServer(t, Config{Workers: 1})
+	coord, fleet := newTestServer(t, Config{Workers: 1, Dist: DistConfig{Enabled: true, LeaseTTL: 5 * time.Second}})
+	for _, c := range []struct {
+		params, machine string
+		sim             cyclesim.Config
+		period          float64
+	}{
+		{fmt.Sprintf(`{"qasm":%q}`, src), "ibm_mumbai", cyclesim.CMOSConfig(), 100e-9},
+		{fmt.Sprintf(`{"qasm":%q,"machine":"ibm_hanoi","arch":"sfq","period_ns":50}`, src), "ibm_hanoi", cyclesim.SFQConfig(1), 50e-9},
+	} {
+		body := `{"kind":"pauli.mc","params":` + c.params + `}`
+		got := runToBytes(t, solo, body)
+		var env struct {
+			Seed      int64                      `json:"seed"`
+			ShardSize *int                       `json:"shard_size"`
+			Result    map[string]json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(got, &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Seed != 0 || env.ShardSize != nil || len(env.Result) != 2 {
+			t.Fatalf("envelope seed %d, shard size %v, result %s; want seed 0, no shard size, {esp, makespan_ns}",
+				env.Seed, env.ShardSize, got)
+		}
+		var esp, makespan float64
+		if err := json.Unmarshal(env.Result["esp"], &esp); err != nil {
+			t.Fatalf("esp: %v (%s)", err, got)
+		}
+		if err := json.Unmarshal(env.Result["makespan_ns"], &makespan); err != nil {
+			t.Fatalf("makespan_ns: %v (%s)", err, got)
+		}
+
+		res, err := cyclesim.Run(ex, c.sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rates pauli.ErrorRates
+		for _, m := range validate.Machines() {
+			if m.Name == c.machine {
+				rates = m.Rates
+			}
+		}
+		cfg := pauli.DefaultConfig(rates)
+		cfg.DecoherencePeriod = c.period
+		if want := pauli.ESP(res, cfg); esp != want || makespan != res.TotalTime*1e9 {
+			t.Fatalf("%s: job esp %v makespan %v, pauli.ESP %v makespan %v",
+				c.params, esp, makespan, want, res.TotalTime*1e9)
+		}
+
+		if fb := runToBytes(t, fleet, body); !bytes.Equal(fb, got) {
+			t.Fatalf("coordinator body differs from standalone:\n%s\n%s", fb, got)
+		}
+	}
+	if st := coord.Dist().Stats(); st.Grants != 0 || st.LocalUnits != 0 || st.Degraded != 0 {
+		t.Fatalf("a closed-form job went through the fleet: %+v", st)
 	}
 }
 

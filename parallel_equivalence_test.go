@@ -17,15 +17,12 @@ import (
 	"reflect"
 	"testing"
 
-	"qisim/internal/compile"
-	"qisim/internal/cyclesim"
 	"qisim/internal/microarch"
 	"qisim/internal/pauli"
 	"qisim/internal/readout"
 	"qisim/internal/scalability"
 	"qisim/internal/simrun"
 	"qisim/internal/surface"
-	"qisim/internal/workloads"
 )
 
 // workerCounts are the fan-outs compared against the Workers=1 serial
@@ -75,39 +72,6 @@ func TestSurfaceDecoderEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestPauliMCEquivalence(t *testing.T) {
-	prog, err := workloads.Generate("ghz", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := compile.Compile(prog, compile.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cyclesim.Run(ex, cyclesim.CMOSConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates := pauli.ErrorRates{OneQ: 2.5e-4, TwoQ: 1.2e-2, Readout: 2.0e-2, T1: 100e-6, T2: 95e-6}
-	cfg := pauli.DefaultConfig(rates)
-	cfg.Shots, cfg.Seed = 3000, 9
-
-	ctx := context.Background()
-	serial, err := pauli.MonteCarloCtx(ctx, res, cfg, equivOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workerCounts {
-		par, err := pauli.MonteCarloCtx(ctx, res, cfg, equivOpts(w))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if par != serial {
-			t.Errorf("workers=%d diverges from serial:\nserial:   %+v\nparallel: %+v", w, serial, par)
-		}
 	}
 }
 
@@ -264,21 +228,6 @@ func TestGoldenBitEquality(t *testing.T) {
 	ctx := context.Background()
 	opt := simrun.Options{ShardSize: 100}
 
-	prog, err := workloads.Generate("ghz", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := compile.Compile(prog, compile.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cyc, err := cyclesim.Run(ex, cyclesim.CMOSConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcfg := pauli.DefaultConfig(pauli.ErrorRates{OneQ: 2.5e-4, TwoQ: 1.2e-2, Readout: 2.0e-2, T1: 100e-6, T2: 95e-6})
-	pcfg.Shots, pcfg.Seed = 3000, 9
-
 	mrCfg := readout.DefaultMultiRoundConfig()
 	mrCfg.Shots = 10000
 	tCfg := readout.DefaultTrajectoryConfig()
@@ -301,9 +250,6 @@ func TestGoldenBitEquality(t *testing.T) {
 		{"surface-phenomenological-greedy", func() (any, error) {
 			return surface.MonteCarloPhenomenologicalCtx(ctx, 7, 0.03, 0.03, 7, 1000, 17, opt)
 		}, "b0bff95dcc6a17370e0f492127f39b91cf1765a0230237c53fd5edd2b2ccb86d"},
-		{"pauli-mc", func() (any, error) {
-			return pauli.MonteCarloCtx(ctx, cyc, pcfg, opt)
-		}, "d2db0d64efbf71f247dc3abcdf2fade989f75f901c11eb2e9eec922911fb4946"},
 		{"pauli-trajectory", func() (any, error) {
 			return pauli.TrajectoryAverageFidelityCtx(ctx, pauli.DecoherenceChannel(100e-9, 280e-6, 175e-6), 2000, 9, opt)
 		}, "dfd74da99910212fa4b2cc383e620846b86c21b95c0dab48573b9624dc6253ec"},
