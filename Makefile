@@ -33,7 +33,7 @@ trace-demo:
 	@echo "trace written to qisim-trace.json — load it in chrome://tracing or https://ui.perfetto.dev"
 
 # Short fuzz smokes of the QASM parser, the checkpoint decoder, the dist
-# unit-result, lease-grant and claim-body decoders, the job-journal record
+# unit-result, lease-grant and claim- and renew-body decoders, the job-journal record
 # decoder, the coordinator's worker-telemetry intake, the job-submission
 # decoder and the chaos scenario-spec decoder (longer runs on demand, e.g.
 # `go test ./internal/qasm -fuzz FuzzParse -fuzztime 5m`).
@@ -97,8 +97,8 @@ offsets:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	(cd bench && GOFLAGS= GOWORK=off GOPROXY=off GOTOOLCHAIN=local $(GO) build -o "$$dir/qisim-bench" .); \
 	$(GO) tool nm -n "$$dir/qisim-bench" > "$$dir/nm"; \
-	for sym in 'qisim/internal/simrun.(*go1Source).hits' 'qisim/internal/surface.(*graph).match' \
-		'qisim/internal/cmath.MulInto'; do \
+	for sym in 'qisim/internal/simrun.(*go1Source).hits' 'qisim/internal/surface.PhenomenologicalCore.func1' \
+		'qisim/internal/surface.(*graph).match' 'qisim/internal/cmath.MulInto'; do \
 		addr=$$(awk -v s="$$sym" '$$3 == s { print $$1 }' "$$dir/nm"); \
 		[ -n "$$addr" ] || { echo "$$sym: not in the benchmark binary"; exit 1; }; \
 		echo "$$(( 0x$$addr % 64 ))  $$sym"; \

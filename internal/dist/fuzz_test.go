@@ -171,16 +171,25 @@ func FuzzLeaseGrant(f *testing.F) {
 	})
 }
 
-// FuzzClaimRequest hammers DecodeClaimRequest, the coordinator's decoder
-// of a claim body, with arbitrary bytes and hold caps. The invariants
-// under fuzz:
+// FuzzClaimRequest hammers the coordinator's decoders of a worker's JSON
+// bodies, DecodeClaimRequest with arbitrary bytes and hold caps and
+// DecodeRenewRequest with the same bytes. The invariants under fuzz:
 //
-//  1. DecodeClaimRequest never panics;
+//  1. neither decoder panics;
 //  2. a failure is always a typed simerr.ErrInvalidConfig;
-//  3. an accepted request names a worker and asks for a hold in
-//     [0, cap], and it re-encodes, as Client.Claim sends it, to a body
-//     that decodes to the same request.
+//  3. an accepted request names a worker (and a claim asks for a hold in
+//     [0, cap]), and it re-encodes, as Client.Claim and Client.Renew send
+//     it, to a body that decodes to the same request;
+//  4. a body is one JSON object: an accepted body with bytes after it is
+//     refused.
 func FuzzClaimRequest(f *testing.F) {
+	const trailing = `{"worker":"w1"} trailing`
+	if _, err := DecodeClaimRequest(strings.NewReader(trailing), time.Second); err == nil {
+		f.Fatalf("claim body %q accepted", trailing)
+	}
+	if _, err := DecodeRenewRequest(strings.NewReader(trailing)); err == nil {
+		f.Fatalf("renew body %q accepted", trailing)
+	}
 	for _, body := range []string{
 		`{"worker":"w1","idem_key":"w1.c7","wait_ms":250}`,
 		`{"worker":"w1"}`,
@@ -190,7 +199,11 @@ func FuzzClaimRequest(f *testing.F) {
 		`{"worker":"","wait_ms":10}`,
 		`{"idem_key":"k"}`,
 		`{"worker":"w1","wait_ms":"10"}`,
-		`{"worker":"w1"} trailing`,
+		`{"worker":"w1","key":"k","start":0,"end":4}`,
+		`{"worker":"w1","key":"k","start":-1,"end":1e400}`,
+		`{"worker":"w1"}` + " \t\r\n",
+		trailing,
+		`{"worker":"w1"}{}`,
 		`[]`,
 		``,
 	} {
@@ -201,28 +214,47 @@ func FuzzClaimRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, capMS int64) {
 		maxWait := time.Duration(min(max(capMS, 0), math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
-		got, err := DecodeClaimRequest(bytes.NewReader(data), maxWait)
-		if err != nil {
-			if !errors.Is(err, simerr.ErrInvalidConfig) {
-				t.Fatalf("untyped decode error: %v", err)
+		claim := func(body []byte) (ClaimRequest, error) {
+			return DecodeClaimRequest(bytes.NewReader(body), maxWait)
+		}
+		renew := func(body []byte) (RenewRequest, error) { return DecodeRenewRequest(bytes.NewReader(body)) }
+
+		if got, err := claim(data); checkDecoded(t, "claim", data, got, err, claim) {
+			if got.Worker == "" {
+				t.Fatalf("accepted a claim without a worker: %+v", got)
 			}
-			return
+			if w := got.Wait(); w < 0 || w > maxWait {
+				t.Fatalf("decoded hold %v outside [0, %v]", w, maxWait)
+			}
 		}
-		if got.Worker == "" {
-			t.Fatalf("accepted a claim without a worker: %+v", got)
-		}
-		if w := got.Wait(); w < 0 || w > maxWait {
-			t.Fatalf("decoded hold %v outside [0, %v]", w, maxWait)
-		}
-		enc, err := json.Marshal(got)
-		if err != nil {
-			t.Fatalf("re-encode of an accepted claim failed: %v", err)
-		}
-		back, err := DecodeClaimRequest(bytes.NewReader(enc), maxWait)
-		if err != nil || back != got {
-			t.Fatalf("round trip changed the claim: %+v → %s → %+v, %v", got, enc, back, err)
+		if got, err := renew(data); checkDecoded(t, "renew", data, got, err, renew) && got.Worker == "" {
+			t.Fatalf("accepted a renew without a worker: %+v", got)
 		}
 	})
+}
+
+// checkDecoded checks one decoder's answer for body under FuzzClaimRequest's
+// invariants 2 to 4 and reports whether it accepted the body.
+func checkDecoded[R comparable](t *testing.T, name string, body []byte, got R, err error,
+	decode func([]byte) (R, error)) bool {
+	t.Helper()
+	if err != nil {
+		if !errors.Is(err, simerr.ErrInvalidConfig) {
+			t.Fatalf("untyped %s decode error: %v", name, err)
+		}
+		return false
+	}
+	enc, err := json.Marshal(got)
+	if err != nil {
+		t.Fatalf("re-encode of an accepted %s failed: %v", name, err)
+	}
+	if back, err := decode(enc); err != nil || back != got {
+		t.Fatalf("round trip changed the %s: %+v → %s → %+v, %v", name, got, enc, back, err)
+	}
+	if _, err := decode(append(slices.Clip(body), " x"...)); err == nil {
+		t.Fatalf("%s body %q accepted with bytes after it", name, body)
+	}
+	return true
 }
 
 // FuzzTelemetry feeds arbitrary bytes to the coordinator's telemetry

@@ -444,12 +444,26 @@ type ClaimRequest struct {
 // Wait is the claim's hold as a duration.
 func (r ClaimRequest) Wait() time.Duration { return time.Duration(r.WaitMS) * time.Millisecond }
 
+// decodeBody decodes a worker request body into v: one JSON value followed
+// by nothing but whitespace.
+func decodeBody(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the request object")
+	}
+	return nil
+}
+
 // DecodeClaimRequest reads a claim body. It refuses a body that does not
-// decode or names no worker, and clamps WaitMS into [0, maxWait].
+// decode, has data after its object or names no worker, and clamps WaitMS
+// into [0, maxWait].
 func DecodeClaimRequest(r io.Reader, maxWait time.Duration) (ClaimRequest, error) {
 	var req ClaimRequest
-	if err := json.NewDecoder(r).Decode(&req); err != nil || req.Worker == "" {
-		return ClaimRequest{}, simerr.Invalidf("dist: claim needs a worker id")
+	if err := decodeBody(r, &req); err != nil || req.Worker == "" {
+		return ClaimRequest{}, simerr.Invalidf("dist: claim needs one JSON object naming a worker")
 	}
 	req.WaitMS = max(min(req.WaitMS, maxWait.Milliseconds()), 0)
 	return req, nil
@@ -500,11 +514,11 @@ type RenewRequest struct {
 }
 
 // DecodeRenewRequest reads a renew body. It refuses a body that does not
-// decode or names no worker.
+// decode, has data after its object or names no worker.
 func DecodeRenewRequest(r io.Reader) (RenewRequest, error) {
 	var req RenewRequest
-	if err := json.NewDecoder(r).Decode(&req); err != nil || req.Worker == "" {
-		return RenewRequest{}, simerr.Invalidf("dist: renew needs worker, key and range")
+	if err := decodeBody(r, &req); err != nil || req.Worker == "" {
+		return RenewRequest{}, simerr.Invalidf("dist: renew needs one JSON object with worker, key and range")
 	}
 	return req, nil
 }

@@ -504,6 +504,30 @@ func TestDistMetricsReadStats(t *testing.T) {
 	}
 }
 
+// TestDistBodiesWithTrailingBytes: a claim or renew body with bytes after
+// its JSON object is refused with 400, as a job submission is, and does not
+// admit its worker.
+func TestDistBodiesWithTrailingBytes(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, Dist: DistConfig{Enabled: true, LeaseTTL: 5 * time.Second}})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/dist/claim", `{"worker":"w1"} garbage`},
+		{"/v1/dist/claim", `{"worker":"w1"}{"worker":"w2"}`},
+		{"/v1/dist/renew", `{"worker":"w1","key":"k","start":0,"end":4} garbage`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: %d, want 400", c.path, c.body, resp.StatusCode)
+		}
+	}
+	if st := srv.Dist().FleetSnapshot(); len(st.Workers) != 0 {
+		t.Errorf("refused bodies admitted workers: %+v", st.Workers)
+	}
+}
+
 // TestDistBodiesFromOlderWorkers: a renew or report body that still
 // carries the metrics summary older workers sent is accepted (the field is
 // ignored), and a renew body over 64 KiB is refused, as a claim body is.

@@ -72,8 +72,31 @@ func TestNewCoinCut(t *testing.T) {
 
 // hitBlocks are the block lengths of the stream tests. Their running sum
 // from a fresh seed, or from a random offset, crosses the 334-draw lazy
-// window and the tap's (273) and feed's (607) wraps many times over.
-var hitBlocks = []int{0, 1, 2, 7, 272, 1, 60, 273, 333, 1, 334, 335, 606, 607, 608, 49, 24, 1000}
+// window and the tap's (273) and feed's (607) wraps many times over, and
+// the short ones leave every tail of 0 to 3 words after Hits' four-word
+// steps.
+var hitBlocks = []int{0, 1, 2, 3, 4, 5, 7, 8, 272, 1, 60, 273, 333, 1, 334, 335, 606, 607, 608, 49, 24, 1000}
+
+// TestRareWords checks Hits' four-word test, bit 63 of rare, against its
+// definition: word x is rare when it lands (x < cut) or is redrawn
+// (x ≥ redrawFrom). It runs every cut of coinProbs on the words at both
+// edges of the word range, around the cut and around the redraw set, with
+// the top bit of the state value clear and set.
+func TestRareWords(t *testing.T) {
+	for _, p := range coinProbs() {
+		cut := NewCoin(p).cut
+		lim := cut + rareShift
+		for _, x := range []uint64{0, 1, cut - 1, cut, cut + 1, redrawFrom - 1, redrawFrom, rngMask} {
+			x &= rngMask // cut − 1 at cut 0 wraps to the top word
+			want := x < cut || x >= redrawFrom
+			for _, v := range []uint64{x, x | 1<<63} {
+				if got := rare(v, lim)>>63 == 1; got != want {
+					t.Fatalf("p=%v, cut %d: word %d (state value %#x) rare = %v, want %v", p, cut, x, v, got, want)
+				}
+			}
+		}
+	}
+}
 
 // TestHitsMatchFloat64 pins Hits against a Float64() < p loop on a stdlib
 // stream of the same seed, over 215 seeds, every probability of coinProbs
@@ -163,7 +186,7 @@ func TestHitsRedraw(t *testing.T) {
 			pokeWords(&src, xs)
 			ref := src
 			want := refHits(rand.New(&ref), 40, p)
-			got := src.hits(nil, 40, cut)
+			got := src.hits(nil, 40, cut, cut+rareShift)
 			if !slices.Equal(got, want) {
 				t.Fatalf("offset %d, case %d: hits = %v, want %v", off, ci, got, want)
 			}

@@ -3,6 +3,7 @@ package surface
 import (
 	"context"
 	"math"
+	"math/bits"
 
 	"qisim/internal/simerr"
 	"qisim/internal/simrun"
@@ -13,6 +14,15 @@ import (
 type spacetimeNode struct {
 	z int // compact Z-ancilla index
 	t int // round index
+}
+
+// appendEvents appends a detection event in round r for each set bit of
+// word w of an event mask, in ascending z.
+func appendEvents(events []spacetimeNode, w int, mask uint64, r int) []spacetimeNode {
+	for ; mask != 0; mask &= mask - 1 {
+		events = append(events, spacetimeNode{z: w*64 + bits.TrailingZeros64(mask), t: r})
+	}
+	return events
 }
 
 // maxRounds bounds the noisy rounds of a phenomenological run. A shot's
@@ -35,58 +45,80 @@ func PhenomenologicalCore(d int, p, q float64, rounds int) (simrun.ShardFunc[int
 	g := newGraph(NewPatch(d)) // read-only after construction: shared across shards
 	nd, nz := len(g.edges), len(g.b)
 	pc, qc := simrun.NewCoin(p), simrun.NewCoin(q)
+	// The syndrome and each round's measurements are bitmasks of nw words,
+	// check z at bit z%64 of word z/64. checks[q*nw:(q+1)*nw] holds data
+	// qubit q's Z checks, which a flip of q toggles.
+	nw := (nz + 63) / 64
+	checks := make([]uint64, nd*nw)
+	for q, e := range g.edges {
+		for _, z := range e {
+			if z != boundary {
+				checks[q*nw+int(z)/64] |= 1 << (z % 64)
+			}
+		}
+	}
 
 	run := func(t *simrun.ShardTask) (int, int, error) {
 		// All per-shot state is hoisted and reused across the shot loop.
 		// Each round draws its nd data trials, then its nz measurement
 		// trials, as blocks of Bernoulli trials on the shard's stream.
-		syn := make([]bool, nz) // the syndrome of the data errors
-		prevMeas := make([]bool, nz)
+		syn := make([]uint64, nw)  // the syndrome of the data errors
+		prev := make([]uint64, nw) // the last round's measurements
+		ev := make([]uint64, nw)   // the round's detection events
 		hits := make([]int32, 0, nd)
 		events := make([]spacetimeNode, 0, 4*nz)
 		sc := g.newScratch()
 		f := 0
 		for s := 0; t.Continue(s); s++ {
 			clear(syn)
-			clear(prevMeas)
+			clear(prev)
 			events = events[:0]
 			flipped := false // the data errors' logical parity
 
-			// steady holds while prevMeas equals syn, as after a round with
-			// no measurement error. A round that then adds no data error
-			// and no measurement error repeats every measurement: it has no
+			// steady holds while prev equals syn, as after a round with no
+			// measurement error. A round that then adds no data error and
+			// no measurement error repeats every measurement: it has no
 			// events and changes no state, so it is skipped.
 			steady := true
 			for r := 0; r < rounds; r++ {
 				// New data errors this round, and the syndrome they change.
+				// The syndrome is linear over GF(2) in the error, so the
+				// flips' order does not matter.
 				hits = t.Hits(hits[:0], nd, pc)
-				flipped = flipped != g.flip(syn, hits)
+				for _, q := range hits {
+					c := checks[int(q)*nw:][:len(syn)]
+					for w := range c {
+						syn[w] ^= c[w]
+					}
+					flipped = flipped != g.marked[q]
+				}
 				dataErr := len(hits) > 0
-				// Measurement errors: hits lists the flipped ancillas in
-				// ascending order.
 				hits = t.Hits(hits[:0], nz, qc)
 				if steady && !dataErr && len(hits) == 0 {
 					continue
 				}
 				steady = len(hits) == 0
-				k := 0
-				for z := 0; z < nz; z++ {
-					meas := syn[z]
-					if k < len(hits) && int(hits[k]) == z {
-						meas = !meas
-						k++
-					}
-					if meas != prevMeas[z] {
-						events = append(events, spacetimeNode{z: z, t: r})
-					}
-					prevMeas[z] = meas
+				// The round measures syn with the measurement errors in
+				// hits flipped. A check whose measurement differs from the
+				// last round's is an event: ev is syn ⊕ prev with the
+				// errors' bits flipped. The words run in ascending z, and
+				// so do the set bits of each.
+				for w := range ev {
+					ev[w] = syn[w] ^ prev[w]
+				}
+				for _, z := range hits {
+					ev[uint(z)/64] ^= 1 << (uint(z) % 64)
+				}
+				for w, m := range ev {
+					prev[w] ^= m
+					events = appendEvents(events, w, m, r)
 				}
 			}
 			// Final perfect round: it measures syn, which a steady history
 			// measured last round already.
-			for z := 0; !steady && z < nz; z++ {
-				if syn[z] != prevMeas[z] {
-					events = append(events, spacetimeNode{z: z, t: rounds})
+			if !steady {
+				for w := range prev {
+					events = appendEvents(events, w, syn[w]^prev[w], rounds)
 				}
 			}
 

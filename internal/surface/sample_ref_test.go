@@ -156,7 +156,8 @@ func checkSamplerEqualsReference(t *testing.T, name string, shots int, got, want
 
 // TestSamplersEqualFloat64Reference pins the three block-draw samplers
 // against the Float64-loop samplers they replaced, at rates from deep below
-// threshold to far above it, including p = 0 and q = 1.
+// threshold to far above it, including p = 0 and q = 1, and at distances
+// whose syndromes fill one and two 64-bit words.
 func TestSamplersEqualFloat64Reference(t *testing.T) {
 	for _, c := range []struct {
 		d, rounds, shots int
@@ -165,6 +166,9 @@ func TestSamplersEqualFloat64Reference(t *testing.T) {
 		{3, 3, 40, 0.05, 0.05}, {5, 5, 40, 0.02, 0.01}, {5, 2, 40, 0.2, 0}, {3, 4, 400, 0, 0.3},
 		{3, 2, 40, 0.1, 1}, {5, 3, 40, 0.6, 0.4},
 		{7, 7, simrun.DefaultShardSize, 0.005, 0.005}, // mc-decode's configuration and shard
+		// The syndrome bitmask takes one word up to d = 7 (24 checks) and
+		// more beyond: d = 11 has 60 checks, d = 13 has 84, in two words.
+		{11, 4, 300, 0.01, 0.02}, {13, 3, 300, 0.02, 0.008},
 	} {
 		g := newGraph(NewPatch(c.d))
 		run, _, err := PhenomenologicalCore(c.d, c.p, c.q, c.rounds)

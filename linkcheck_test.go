@@ -238,6 +238,7 @@ var unlinkedKept = map[string]keepReason{
 	"internal/surface.PhenomenologicalThresholdCtx": claimed,
 	"internal/surface.graph.capacityShard":          calledBy,
 	"internal/surface.graph.decodeWith":             calledBy,
+	"internal/surface.graph.flip":                   calledBy,
 
 	// ROADMAP item 5: the measured ESM duty cycles.
 	"internal/microarch.Design.MeasureESMDuties": claimed,
